@@ -1,21 +1,21 @@
 //! The batched message plane vs. the per-message plane, isolated.
 //!
-//! Three angles of evidence that batching does not regress (and on the
-//! routing path improves) the hot loop:
+//! Two angles of evidence that batching does not regress (and on the
+//! routing path improves) the hot loop (frame codec cost is a ledger
+//! row — `types.encode_ns_per_msg` / `types.decode_ns_per_msg`):
 //!
-//! * `codec` — one 16-message [`Batch`] frame vs. 16 individual frames;
 //! * `channel` — a 16-message outbox crossing an 8-destination link mesh
 //!   through `transmit_batch` (one delay draw + one event per destination)
 //!   vs. 16 × 8 individual `transmit` calls;
 //! * `sim_end_to_end` — a whole simulated run over the batched plane (the
 //!   number to compare against the pre-batching `end_to_end` history).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use urb_core::Algorithm;
 use urb_sim::channel::{Channel, DelayModel, LossModel};
 use urb_sim::{scenario, sim::run};
-use urb_types::{Batch, Payload, Tag, TagAck, WireMessage, Xoshiro256};
+use urb_types::{Payload, Tag, TagAck, WireMessage, Xoshiro256};
 
 fn outbox(len: usize) -> Vec<WireMessage> {
     (0..len)
@@ -47,30 +47,6 @@ fn mesh(links: u64) -> Vec<Channel> {
             )
         })
         .collect()
-}
-
-fn bench_codec(c: &mut Criterion) {
-    let msgs = outbox(16);
-    let batch: Batch = msgs.iter().cloned().collect();
-    let mut group = c.benchmark_group("batch_codec");
-    group.throughput(Throughput::Bytes(batch.encoded_len() as u64));
-    group.bench_with_input(
-        BenchmarkId::from_parameter("frame_16"),
-        &batch,
-        |b, batch| b.iter(|| black_box(Batch::decode(&batch.encode()).unwrap())),
-    );
-    group.bench_with_input(
-        BenchmarkId::from_parameter("individual_16"),
-        &msgs,
-        |b, msgs| {
-            b.iter(|| {
-                for m in msgs {
-                    black_box(WireMessage::decode(&m.encode()).unwrap());
-                }
-            })
-        },
-    );
-    group.finish();
 }
 
 fn bench_channel_plane(c: &mut Criterion) {
@@ -127,6 +103,6 @@ fn bench_sim_end_to_end(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_codec, bench_channel_plane, bench_sim_end_to_end
+    targets = bench_channel_plane, bench_sim_end_to_end
 );
 criterion_main!(benches);

@@ -1,10 +1,10 @@
-//! Wire-codec throughput: encode/decode of MSG and labelled ACK frames,
-//! plus the legacy-vs-zero-copy batch paths (DESIGN.md §10; the in-tree
-//! acceptance gate is `urb_bench::compare`).
+//! Wire-codec throughput: encode/decode of MSG and labelled ACK messages
+//! and the two identity hashes. (Frame-level codec cost is a ledger row —
+//! `types.encode_ns_per_msg` / `types.decode_ns_per_msg`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use urb_types::{Batch, BufPool, Label, LabelSet, Payload, Tag, TagAck, WireMessage};
+use urb_types::{Label, LabelSet, Payload, Tag, TagAck, WireMessage};
 
 fn ack(n_labels: usize, body: usize) -> WireMessage {
     WireMessage::Ack {
@@ -50,50 +50,6 @@ fn bench_decode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_paths(c: &mut Criterion) {
-    let batch: Batch = (0..16)
-        .map(|i| if i % 2 == 0 { ack(8, 64) } else { ack(0, 64) })
-        .collect();
-    let frame = batch.encode();
-    let mut group = c.benchmark_group("batch_paths");
-    group.throughput(Throughput::Bytes(frame.len() as u64));
-    group.bench_with_input(
-        BenchmarkId::from_parameter("encode_legacy"),
-        &batch,
-        |b, batch| b.iter(|| black_box(batch.encode())),
-    );
-    group.bench_with_input(
-        BenchmarkId::from_parameter("encode_pooled"),
-        &batch,
-        |b, batch| {
-            let pool = BufPool::new(2);
-            let mut buf = pool.acquire();
-            b.iter(|| {
-                buf.clear();
-                batch.encode_into(&mut buf);
-                black_box(buf.len())
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::from_parameter("decode_legacy"),
-        &frame,
-        |b, frame| b.iter(|| black_box(Batch::decode(frame).unwrap())),
-    );
-    group.bench_with_input(
-        BenchmarkId::from_parameter("decode_shared"),
-        &frame,
-        |b, frame| {
-            let mut out: Vec<WireMessage> = Vec::new();
-            b.iter(|| {
-                Batch::decode_shared_into(frame, &mut out).unwrap();
-                black_box(out.len())
-            })
-        },
-    );
-    group.finish();
-}
-
 fn bench_hashes(c: &mut Criterion) {
     let msg = ack(16, 256);
     c.bench_function("content_hash_ack16", |b| {
@@ -107,6 +63,6 @@ fn bench_hashes(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_encode, bench_decode, bench_batch_paths, bench_hashes
+    targets = bench_encode, bench_decode, bench_hashes
 );
 criterion_main!(benches);

@@ -16,11 +16,13 @@
 //!
 //! * [`trajectory`] — reduced deterministic grids over E1–E17 emitting the
 //!   schema-versioned `BENCH_*.json` perf history (`urb bench --json`);
-//! * [`compare`] — the in-tree A/B harness replaying one seeded corpus
-//!   through the legacy and zero-copy codec paths;
 //! * [`report`] — the shared JSON envelope every tool output wears;
-//! * [`alloc_count`] — allocations-per-operation probes (enable the
-//!   `count-allocs` feature to install the counting global allocator).
+//! * [`alloc_count`] — allocations-per-operation probes and the
+//!   zero-allocation gates of the frame plane (enable the `count-allocs`
+//!   feature to install the counting global allocator).
+//!
+//! Wall-clock numbers live in the ledger (`ledger/`, `BENCHMARK.json`),
+//! not here.
 
 // `count-allocs` installs a counting global allocator, which requires an
 // `unsafe impl GlobalAlloc` (confined to `alloc_count::imp`); the default
@@ -30,7 +32,6 @@
 #![deny(missing_docs)]
 
 pub mod alloc_count;
-pub mod compare;
 pub mod executor;
 pub mod experiments;
 pub mod report;

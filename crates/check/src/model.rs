@@ -7,8 +7,7 @@
 //! so a schedule becomes a first-class, enumerable, serializable value.
 //! A [`CheckModel`] is built from a [`ScenarioSpec`]; [`CheckState`]
 //! applies choices one at a time through the engine's choice-point hooks
-//! ([`urb_engine::drive_step_observed`] via
-//! [`TopicEngine::step_observed`]), checks the URB integrity invariants
+//! ([`TopicEngine::step_observed`]), checks the URB integrity invariants
 //! after every step, and evaluates the eventual properties (validity,
 //! agreement) at *silent* states — states where no choice is enabled and
 //! every surviving process is quiescent, so nothing can ever happen

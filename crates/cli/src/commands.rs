@@ -454,8 +454,8 @@ pub fn build_trajectory_config(args: &BenchArgs) -> TrajectoryConfig {
 
 /// `urb bench`: either validates an existing trajectory file
 /// (`--validate`) or runs the reduced experiment grids, prints the human
-/// summary plus the codec A/B footer, and — with `--json` — writes the
-/// schema-versioned trajectory file (DESIGN.md §10).
+/// summary, and — with `--json` — writes the schema-versioned trajectory
+/// file (DESIGN.md §10).
 pub fn bench_cmd(args: BenchArgs) {
     if let Some((old, new)) = &args.diff {
         let read = |path: &str| -> String {
@@ -517,12 +517,6 @@ pub fn bench_cmd(args: BenchArgs) {
     );
     let traj = trajectory::collect(&cfg);
     traj.summary_table().print();
-    println!();
-    print!("{}", urb_bench::compare::run(args.seed, 5).render_text());
-    print!(
-        "{}",
-        urb_bench::compare::run_dispatch(args.seed, 1 << 14, 3).render_text()
-    );
     if let Some(path) = &args.json {
         let json = traj.to_json();
         trajectory::validate_json(&json).expect("fresh trajectory conforms to its schema");

@@ -3,13 +3,14 @@
 //! The backend-agnostic per-node driving engine of the `anon-urb`
 //! workspace.
 //!
-//! Three drivers execute the paper's protocols: the discrete-event
-//! simulator (`urb-sim`), the threaded runtime (`urb-runtime`) and the
-//! single-process test harness (`urb_core::harness`). Before this crate
-//! existed each of them re-implemented the same cycle — take a
-//! failure-detector snapshot, run one protocol step through the sans-io
-//! [`AnonProcess`] trait, collect the URB deliveries, drain the outbox
-//! toward the network. The engine owns that cycle once:
+//! Several drivers execute the paper's protocols: the discrete-event
+//! simulator (`urb-sim`), the schedule explorer (`urb-check`), the
+//! threaded and socket runtimes (`urb-runtime`) and the single-process
+//! test harness (`urb_core::harness`). Before this crate existed each of
+//! them re-implemented the same cycle — take a failure-detector snapshot,
+//! run one protocol step through the sans-io [`AnonProcess`] trait,
+//! collect the URB deliveries, drain the outbox toward the network. The
+//! engine owns that cycle once:
 //!
 //! * [`drive_step`] — the single implementation of "one protocol step":
 //!   every backend funnels through this function, so a step is *provably
@@ -17,25 +18,25 @@
 //! * [`StepBuffers`] — the reusable outbox/delivery buffers a step fills
 //!   (drivers keep one per node or one per loop and reuse it, so the hot
 //!   path performs no steady-state allocation);
-//! * [`NodeEngine`] — the owning wrapper used by the multi-node drivers:
-//!   protocol instance + deterministic RNG stream + cumulative
-//!   [`EngineCounters`] + [`ProcessStats`] access;
-//! * the **batched message plane** (DESIGN.md D8):
-//!   [`StepBuffers::take_batch`] drains a step's whole outbox into one
-//!   [`urb_types::Batch`] frame, so routing cost scales with steps, not
-//!   messages, while per-message `retransmit_key` identity (the
-//!   fair-lossy bookkeeping unit) is preserved;
-//! * the **wire-frame plane** (DESIGN.md §10): for backends that cross a
-//!   real serialization boundary, [`StepBuffers::take_wire_frame`]
-//!   encodes the outbox straight into a pooled buffer (zero per-message
-//!   allocation) and [`NodeEngine::receive_frame`] decodes incoming
-//!   frames with shared payloads into persistent scratch.
+//! * [`TopicEngine`] — the owning per-node engine: one protocol instance
+//!   per topic, one deterministic RNG stream, cumulative
+//!   [`EngineCounters`], the topic lifecycle and the snapshot plane. A
+//!   single-topic node is [`TopicEngine::single`];
+//! * the **frame plane** (DESIGN.md §10, §12): [`MuxBuffers`] accumulates
+//!   what every stepped topic emitted, [`MuxBuffers::take_mux_frame`]
+//!   encodes it straight into a pooled buffer (zero per-message
+//!   allocation) as the one [`urb_types::MuxBatch`] frame the wire knows,
+//!   and [`TopicEngine::receive_mux_frame`] decodes incoming frames with
+//!   shared payloads into persistent scratch — routing cost scales with
+//!   steps, not messages, while per-message `retransmit_key` identity
+//!   (the fair-lossy bookkeeping unit) is preserved.
 //!
 //! What stays backend-specific is exactly what *differs* between backends:
 //! where the [`FdSnapshot`] comes from (oracle/heartbeat service keyed by
 //! simulated time, membership registry keyed by wall-clock time, or a
-//! scripted snapshot in tests) and what happens to the drained batch
-//! (event-queue scheduling, channel send, or test inspection).
+//! scripted snapshot in tests) and what happens to the drained frame
+//! (event-queue scheduling, channel send, socket write, or test
+//! inspection).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -44,10 +45,10 @@ use bytes::Bytes;
 use std::collections::{BTreeSet, HashMap};
 use urb_types::snapshot::unseal;
 use urb_types::{
-    encode_frame_into, encode_mux_frame_with_controls_into, AnonProcess, Batch, BufPool,
-    CodecError, CompactionReport, Context, Delivery, FdSnapshot, MemoryConfig, MuxBatch, Payload,
-    PooledBuf, ProcessStats, RandomSource, SnapshotError, SnapshotReader, SnapshotWriter,
-    SplitMix64, Tag, TopicControl, TopicId, WireMessage,
+    encode_mux_frame_with_controls_into, AnonProcess, BufPool, CodecError, CompactionReport,
+    Context, Delivery, FdSnapshot, MemoryConfig, MuxBatch, Payload, PooledBuf, ProcessStats,
+    RandomSource, SnapshotError, SnapshotReader, SnapshotWriter, SplitMix64, Tag, TopicControl,
+    TopicId, WireMessage,
 };
 
 /// One input to a protocol step — the three entry points of the paper's
@@ -81,35 +82,6 @@ impl StepBuffers {
         StepBuffers::default()
     }
 
-    /// Drains the outbox into one [`Batch`] frame — the batched message
-    /// plane. Returns `None` when the step broadcast nothing (no frame,
-    /// no routing work). The outbox keeps its allocation.
-    pub fn take_batch(&mut self) -> Option<Batch> {
-        if self.outbox.is_empty() {
-            None
-        } else {
-            Some(Batch::drain_from(&mut self.outbox))
-        }
-    }
-
-    /// Encodes and drains the outbox as one **wire frame** through the
-    /// zero-copy codec (DESIGN.md §10): acquires a recycled buffer from
-    /// `pool`, writes the length-prefixed batch frame with no per-message
-    /// allocation, and clears the outbox in place (capacity retained).
-    /// Returns `None` when the step broadcast nothing. This is the
-    /// serialization-boundary twin of [`StepBuffers::take_batch`], used by
-    /// backends that move bytes (the runtime's router) rather than
-    /// in-memory batches (the simulator's event queue).
-    pub fn take_wire_frame(&mut self, pool: &BufPool) -> Option<PooledBuf> {
-        if self.outbox.is_empty() {
-            return None;
-        }
-        let mut frame = pool.acquire();
-        encode_frame_into(&self.outbox, &mut frame);
-        self.outbox.clear();
-        Some(frame)
-    }
-
     /// True when the step neither broadcast nor delivered anything.
     pub fn is_silent(&self) -> bool {
         self.outbox.is_empty() && self.deliveries.is_empty()
@@ -125,7 +97,8 @@ impl StepBuffers {
 /// *execute* a schedule (the simulator's event queue, the runtime's
 /// channels) drain [`StepBuffers`] wholesale and never need this; the
 /// systematic explorer (`urb-check`) hooks it to register every effect as
-/// an explorable choice the moment [`drive_step_observed`] surfaces it.
+/// an explorable choice the moment [`TopicEngine::step_observed`] surfaces
+/// it.
 pub trait StepObserver {
     /// One message left the step's outbox (in emission order).
     fn on_emit(&mut self, msg: &WireMessage);
@@ -166,28 +139,8 @@ pub fn drive_step(
     }
 }
 
-/// [`drive_step`] with choice-point hooks: after the step executes, every
-/// emission and delivery it produced is surfaced to `obs`, in order,
-/// while the buffers still hold exactly this step's output. This is the
-/// engine-level entry point of the exploration plane (DESIGN.md §11):
-/// the explorer turns each observed emission into a pending
-/// deliver-or-drop choice and each observed delivery into a potential
-/// crash point.
-pub fn drive_step_observed(
-    proc: &mut dyn AnonProcess,
-    input: StepInput,
-    fd: &FdSnapshot,
-    rng: &mut dyn RandomSource,
-    buf: &mut StepBuffers,
-    obs: &mut dyn StepObserver,
-) -> Option<Tag> {
-    let tag = drive_step(proc, input, fd, rng, buf);
-    surface_effects(buf, obs);
-    tag
-}
-
 /// Surfaces one finished step's buffered effects to an observer, in
-/// order. The one definition both observed entry points share.
+/// order, while the buffers still hold exactly that step's output.
 fn surface_effects(buf: &StepBuffers, obs: &mut dyn StepObserver) {
     for m in &buf.outbox {
         obs.on_emit(m);
@@ -197,7 +150,7 @@ fn surface_effects(buf: &StepBuffers, obs: &mut dyn StepObserver) {
     }
 }
 
-/// Cumulative per-node activity counters maintained by [`NodeEngine`].
+/// Cumulative per-node activity counters maintained by [`TopicEngine`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Total protocol steps executed.
@@ -264,14 +217,6 @@ impl MuxBuffers {
         self.controls.clear();
     }
 
-    /// True when nothing was emitted and nothing delivered. (Pending
-    /// controls do not count: lifecycle operations are driver intent, not
-    /// protocol activity — but [`MuxBuffers::take_mux_frame`] still sends
-    /// a control-only frame.)
-    pub fn is_silent(&self) -> bool {
-        self.outbox.is_empty() && self.deliveries.is_empty()
-    }
-
     /// Encodes and drains the outbox (plus any pending controls) as one
     /// **multiplexed wire frame** through the zero-copy codec: acquires a
     /// recycled buffer from `pool`, writes the topic-keyed sub-batches
@@ -280,8 +225,7 @@ impl MuxBuffers {
     /// outbox in place. Returns `None` when nothing was emitted and no
     /// control is pending. With no controls the frame bytes are identical
     /// to the pre-lifecycle format — the static-topic byte-compat
-    /// guarantee. The topic-plane twin of [`StepBuffers::take_wire_frame`]:
-    /// however many topics a node stepped, one frame leaves.
+    /// guarantee. However many topics a node stepped, one frame leaves.
     pub fn take_mux_frame(&mut self, pool: &BufPool) -> Option<PooledBuf> {
         if self.outbox.is_empty() && self.controls.is_empty() {
             return None;
@@ -301,10 +245,9 @@ impl MuxBuffers {
 /// The paper's protocols are per-instance state machines; a node serving
 /// many topics runs one instance each and multiplexes their traffic over
 /// the shared links (DESIGN.md §12). `TopicEngine` owns that map. With
-/// exactly one topic it is bit-for-bit the old single-instance engine —
-/// same RNG consumption, same counters — which is what keeps every
-/// single-topic artifact byte-identical ([`NodeEngine`] is now a thin
-/// wrapper over a one-topic `TopicEngine`).
+/// exactly one topic ([`TopicEngine::single`]) it is bit-for-bit the
+/// pre-topic single-instance engine — same RNG consumption, same counters
+/// — which is what keeps every single-topic artifact byte-identical.
 ///
 /// Since the dynamic topic control plane (DESIGN.md §15) the map is an
 /// interned **slot map**: a sorted directory of `TopicId → slot` entries
@@ -346,11 +289,9 @@ pub struct TopicEngine {
     alg_name: &'static str,
     rng: SplitMix64,
     counters: EngineCounters,
-    /// Persistent per-message scratch for the batch/frame ingress paths,
-    /// so receive loops allocate nothing in steady state.
+    /// Persistent per-message scratch for the mux stepping paths, so
+    /// receive loops allocate nothing in steady state.
     batch_scratch: StepBuffers,
-    /// Persistent decoded-message scratch for [`NodeEngine::receive_frame`].
-    frame_scratch: Vec<WireMessage>,
     /// Persistent decoded-entry scratch for
     /// [`TopicEngine::receive_mux_frame`].
     mux_scratch: Vec<(TopicId, WireMessage)>,
@@ -498,7 +439,7 @@ impl TopicEngine {
     /// Builds an engine over `instances` (index = topic id), sharing one
     /// RNG stream across every instance — the per-node randomness budget
     /// does not grow with topic count, and a one-topic engine consumes
-    /// the stream exactly like the pre-topic [`NodeEngine`].
+    /// the stream exactly like the pre-topic single-instance engine.
     pub fn new(instances: Vec<Box<dyn AnonProcess + Send>>, rng: SplitMix64) -> Self {
         assert!(!instances.is_empty(), "an engine needs at least one topic");
         let alg_name = instances[0].algorithm_name();
@@ -523,7 +464,6 @@ impl TopicEngine {
             rng,
             counters: EngineCounters::default(),
             batch_scratch: StepBuffers::new(),
-            frame_scratch: Vec::new(),
             mux_scratch: Vec::new(),
             control_scratch: Vec::new(),
         }
@@ -791,9 +731,13 @@ impl TopicEngine {
         tag
     }
 
-    /// [`TopicEngine::step`] through the choice-point hooks of
-    /// [`drive_step_observed`]: counters update exactly as for `step`,
-    /// and every emission/delivery of the step is surfaced to `obs`.
+    /// [`TopicEngine::step`] with choice-point hooks — the engine-level
+    /// entry point of the exploration plane (DESIGN.md §11): counters
+    /// update exactly as for `step`, then every emission and delivery the
+    /// step produced is surfaced to `obs`, in order, while `buf` still
+    /// holds exactly this step's output. The explorer turns each observed
+    /// emission into a pending deliver-or-drop choice and each observed
+    /// delivery into a potential crash point.
     pub fn step_observed(
         &mut self,
         topic: TopicId,
@@ -952,14 +896,6 @@ impl TopicEngine {
             .all(|s| !s.draining && s.proc.is_quiescent())
     }
 
-    /// One topic's quiescence predicate (panics when `topic` has no
-    /// instance).
-    pub fn topic_is_quiescent(&self, topic: TopicId) -> bool {
-        self.slots[self.slot_index_or_panic(topic)]
-            .proc
-            .is_quiescent()
-    }
-
     /// Aggregate state-size snapshot: the field-wise sum over every topic
     /// instance (single topic: exactly that instance's stats). Reclaimed
     /// instances contribute nothing — that is the point of reclamation.
@@ -991,13 +927,6 @@ impl TopicEngine {
     /// Cumulative activity counters, aggregated across topics.
     pub fn counters(&self) -> EngineCounters {
         self.counters
-    }
-
-    /// Direct access to one topic's protocol instance (diagnostics only;
-    /// stepping must go through [`TopicEngine::step`]). Panics when
-    /// `topic` has no instance.
-    pub fn protocol(&self, topic: TopicId) -> &dyn AnonProcess {
-        self.slots[self.slot_index_or_panic(topic)].proc.as_ref()
     }
 
     /// A deterministic digest of this engine's *semantic* state across
@@ -1252,175 +1181,6 @@ impl std::fmt::Display for MuxIngressError {
 
 impl std::error::Error for MuxIngressError {}
 
-/// The owning per-node engine used by single-instance drivers: one
-/// protocol instance, its deterministic RNG stream, and counters.
-///
-/// Since the topic plane (DESIGN.md §12) this is a thin wrapper over a
-/// one-topic [`TopicEngine`] — there is exactly one stepping
-/// implementation — kept because most call sites (the test harness, the
-/// exploration plane's single-topic scenarios, the A/B codec harness)
-/// genuinely drive one instance and should not spell `TopicId::ZERO`.
-pub struct NodeEngine {
-    inner: TopicEngine,
-}
-
-impl NodeEngine {
-    /// Wraps a protocol instance with its own seeded RNG stream.
-    pub fn new(proc: Box<dyn AnonProcess + Send>, rng: SplitMix64) -> Self {
-        NodeEngine {
-            inner: TopicEngine::single(proc, rng),
-        }
-    }
-
-    /// Runs one step (see [`drive_step`]) and updates the counters.
-    pub fn step(
-        &mut self,
-        input: StepInput,
-        fd: &FdSnapshot,
-        buf: &mut StepBuffers,
-    ) -> Option<Tag> {
-        self.inner.step(TopicId::ZERO, input, fd, buf)
-    }
-
-    /// [`NodeEngine::step`] through the choice-point hooks of
-    /// [`drive_step_observed`]: counters update exactly as for `step`,
-    /// and every emission/delivery of the step is surfaced to `obs`.
-    pub fn step_observed(
-        &mut self,
-        input: StepInput,
-        fd: &FdSnapshot,
-        buf: &mut StepBuffers,
-        obs: &mut dyn StepObserver,
-    ) -> Option<Tag> {
-        self.inner.step_observed(TopicId::ZERO, input, fd, buf, obs)
-    }
-
-    /// A deterministic digest of this engine's *semantic* state (see
-    /// [`TopicEngine::fingerprint`]).
-    pub fn fingerprint(&self) -> u64 {
-        self.inner.fingerprint()
-    }
-
-    /// Feeds every message of a received batch through the engine,
-    /// accumulating all emissions into `buf` (which is cleared once, up
-    /// front). `before_each` runs before each message's step — backends
-    /// use it to update their failure-detector service and return the
-    /// fresh snapshot the step must observe.
-    pub fn receive_batch(
-        &mut self,
-        batch: Batch,
-        buf: &mut StepBuffers,
-        mut before_each: impl FnMut(&WireMessage) -> FdSnapshot,
-    ) {
-        buf.outbox.clear();
-        buf.deliveries.clear();
-        // Reuse the engine-owned scratch (moved out for the loop so `step`
-        // can borrow `self` mutably, moved back after — capacity is kept).
-        let mut scratch = std::mem::take(&mut self.inner.batch_scratch);
-        for msg in batch {
-            let fd = before_each(&msg);
-            self.step(StepInput::Receive(msg), &fd, &mut scratch);
-            buf.outbox.append(&mut scratch.outbox);
-            buf.deliveries.append(&mut scratch.deliveries);
-        }
-        self.inner.batch_scratch = scratch;
-    }
-
-    /// Feeds every message of a received **wire frame** through the
-    /// engine: decodes the frame with shared payloads (zero copies — each
-    /// decoded payload is a refcounted view of `frame`, see
-    /// [`Batch::decode_shared_into`]) into a persistent scratch vector,
-    /// then steps exactly like [`NodeEngine::receive_batch`]. The
-    /// serialization-boundary ingress twin of
-    /// [`StepBuffers::take_wire_frame`]; in steady state the whole
-    /// decode-and-step loop allocates only what the protocol itself
-    /// retains.
-    ///
-    /// Errors only on a malformed frame, which in-process backends treat
-    /// as a bug (their frames come from [`StepBuffers::take_wire_frame`]).
-    pub fn receive_frame(
-        &mut self,
-        frame: &Bytes,
-        buf: &mut StepBuffers,
-        mut before_each: impl FnMut(&WireMessage) -> FdSnapshot,
-    ) -> Result<(), CodecError> {
-        let mut msgs = std::mem::take(&mut self.inner.frame_scratch);
-        if let Err(e) = Batch::decode_shared_into(frame, &mut msgs) {
-            self.inner.frame_scratch = msgs;
-            return Err(e);
-        }
-        buf.outbox.clear();
-        buf.deliveries.clear();
-        let mut scratch = std::mem::take(&mut self.inner.batch_scratch);
-        for msg in msgs.drain(..) {
-            let fd = before_each(&msg);
-            self.step(StepInput::Receive(msg), &fd, &mut scratch);
-            buf.outbox.append(&mut scratch.outbox);
-            buf.deliveries.append(&mut scratch.deliveries);
-        }
-        self.inner.batch_scratch = scratch;
-        self.inner.frame_scratch = msgs;
-        Ok(())
-    }
-
-    /// The wrapped protocol's quiescence predicate.
-    pub fn is_quiescent(&self) -> bool {
-        self.inner.is_quiescent()
-    }
-
-    /// The wrapped protocol's state-size snapshot (experiment E9).
-    pub fn stats(&self) -> ProcessStats {
-        self.inner.stats()
-    }
-
-    /// The wrapped protocol's short name.
-    pub fn algorithm_name(&self) -> &'static str {
-        self.inner.algorithm_name()
-    }
-
-    /// Cumulative activity counters.
-    pub fn counters(&self) -> EngineCounters {
-        self.inner.counters()
-    }
-
-    /// Direct access to the protocol instance (diagnostics only; stepping
-    /// must go through [`NodeEngine::step`]).
-    pub fn protocol(&self) -> &dyn AnonProcess {
-        self.inner.protocol(TopicId::ZERO)
-    }
-
-    /// Switches the instance into bounded-memory mode (see
-    /// [`TopicEngine::configure_memory`]).
-    pub fn configure_memory(&mut self, cfg: MemoryConfig) {
-        self.inner.configure_memory(cfg);
-    }
-
-    /// One compaction sweep (see [`TopicEngine::compact_all`]).
-    pub fn compact(&mut self, fd: &FdSnapshot) -> CompactionReport {
-        self.inner.compact_all(fd)
-    }
-
-    /// Serializes the engine (see [`TopicEngine::save_snapshot`]).
-    pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        self.inner.save_snapshot()
-    }
-
-    /// Restores a snapshot into this freshly-built engine (see
-    /// [`TopicEngine::restore_snapshot`]).
-    pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        self.inner.restore_snapshot(bytes)
-    }
-}
-
-impl std::fmt::Debug for NodeEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeEngine")
-            .field("algorithm", &self.inner.algorithm_name())
-            .field("counters", &self.inner.counters)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1529,31 +1289,24 @@ mod tests {
         }
     }
 
-    fn engine() -> NodeEngine {
-        NodeEngine::new(
-            Box::new(Scripted {
-                pending: Vec::new(),
-            }),
-            SplitMix64::new(7),
-        )
+    /// The single-topic engine most tests drive (topic 0, seed 7).
+    fn engine() -> TopicEngine {
+        topic_engine(1, 7)
     }
+
+    const T0: TopicId = TopicId::ZERO;
 
     #[test]
     fn drive_step_clears_buffers_between_steps() {
         let mut e = engine();
         let fd = FdSnapshot::none();
         let mut buf = StepBuffers::new();
-        let tag = e.step(StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
+        let tag = e.step(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
         assert!(tag.is_some());
         assert_eq!(buf.outbox.len(), 1);
         // A silent step leaves empty buffers, not the previous contents.
-        let mut silent = NodeEngine::new(
-            Box::new(Scripted {
-                pending: Vec::new(),
-            }),
-            SplitMix64::new(8),
-        );
-        silent.step(StepInput::Tick, &fd, &mut buf);
+        let mut silent = topic_engine(1, 8);
+        silent.step(T0, StepInput::Tick, &fd, &mut buf);
         assert!(buf.is_silent());
     }
 
@@ -1566,9 +1319,10 @@ mod tests {
             let mut e = engine();
             let mut buf = StepBuffers::new();
             let mut log: Vec<WireMessage> = Vec::new();
-            e.step(StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
+            e.step(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
             log.extend(buf.outbox.iter().cloned());
             e.step(
+                T0,
                 StepInput::Receive(WireMessage::Msg {
                     tag: Tag(9),
                     payload: Payload::from("x"),
@@ -1577,7 +1331,7 @@ mod tests {
                 &mut buf,
             );
             log.extend(buf.outbox.iter().cloned());
-            e.step(StepInput::Tick, &fd, &mut buf);
+            e.step(T0, StepInput::Tick, &fd, &mut buf);
             log.extend(buf.outbox.iter().cloned());
             log
         };
@@ -1585,98 +1339,46 @@ mod tests {
     }
 
     #[test]
-    fn take_batch_moves_the_whole_outbox() {
-        let mut e = engine();
-        let fd = FdSnapshot::none();
-        let mut buf = StepBuffers::new();
-        e.step(StepInput::Broadcast(Payload::from("a")), &fd, &mut buf);
-        e.step(StepInput::Tick, &fd, &mut buf);
-        let batch = buf.take_batch().expect("tick re-broadcasts");
-        assert_eq!(batch.len(), 1);
-        assert!(buf.take_batch().is_none(), "outbox drained");
-    }
-
-    #[test]
-    fn receive_batch_accumulates_across_members() {
-        let mut e = engine();
-        let mut buf = StepBuffers::new();
-        let batch: Batch = (0..3u128)
-            .map(|i| WireMessage::Msg {
-                tag: Tag(i),
-                payload: Payload::from("p"),
-            })
-            .collect();
-        let mut snapshots = 0;
-        e.receive_batch(batch, &mut buf, |_| {
-            snapshots += 1;
-            FdSnapshot::none()
-        });
-        assert_eq!(snapshots, 3, "one snapshot per member, as unbatched");
-        assert_eq!(buf.deliveries.len(), 3);
-        assert_eq!(buf.outbox.len(), 3);
-        assert!(buf.outbox.iter().all(|m| m.kind() == WireKind::Ack));
-    }
-
-    #[test]
-    fn wire_frame_round_trip_matches_in_memory_plane() {
-        // Drive two identical engines, one over the in-memory batch plane
-        // and one over the wire-frame plane: same emissions, same
-        // deliveries, and the frame path's pool stops allocating.
+    fn mux_frame_path_matches_per_message_stepping() {
+        // Drive two identical engines, one fed each message directly and
+        // one through the encoded frame plane: same emissions, same
+        // deliveries, same counters — and the frame path's pool stops
+        // allocating.
         let fd = FdSnapshot::none();
         let pool = BufPool::new(4);
         let mut sender = engine();
-        let mut mem_rx = engine();
-        let mut wire_rx = NodeEngine::new(
-            Box::new(Scripted {
-                pending: Vec::new(),
-            }),
-            SplitMix64::new(7),
-        );
-        let mut buf = StepBuffers::new();
-        let mut mem_out = StepBuffers::new();
-        let mut wire_out = StepBuffers::new();
+        let mut direct_rx = engine();
+        let mut frame_rx = engine();
+        let mut tx = MuxBuffers::new();
+        let mut direct_out = MuxBuffers::new();
+        let mut frame_out = MuxBuffers::new();
         for round in 0..8u32 {
-            sender.step(
+            tx.clear();
+            sender.step_mux(
+                T0,
                 StepInput::Broadcast(Payload::from(format!("m{round}").as_str())),
                 &fd,
-                &mut buf,
+                &mut tx,
             );
-            let batch = Batch::drain_from(&mut buf.outbox.clone());
-            let frame = buf.take_wire_frame(&pool).expect("broadcast emits");
-            assert!(buf.outbox.is_empty(), "frame drained the outbox");
+            let sent = tx.outbox.clone();
+            let frame = tx.take_mux_frame(&pool).expect("broadcast emits");
+            assert!(tx.outbox.is_empty(), "frame drained the outbox");
             let bytes = Bytes::copy_from_slice(&frame);
             drop(frame); // back to the pool
-            mem_rx.receive_batch(batch, &mut mem_out, |_| FdSnapshot::none());
-            wire_rx
-                .receive_frame(&bytes, &mut wire_out, |_| FdSnapshot::none())
+            direct_out.clear();
+            for (topic, msg) in sent {
+                direct_rx.step_mux(topic, StepInput::Receive(msg), &fd, &mut direct_out);
+            }
+            frame_rx
+                .receive_mux_frame(&bytes, &mut frame_out, |_, _| FdSnapshot::none())
                 .expect("well-formed frame");
-            assert_eq!(mem_out.outbox, wire_out.outbox, "round {round}");
-            assert_eq!(mem_out.deliveries.len(), wire_out.deliveries.len());
+            assert_eq!(direct_out.outbox, frame_out.outbox, "round {round}");
+            assert_eq!(direct_out.deliveries.len(), frame_out.deliveries.len());
         }
         let s = pool.stats();
         assert_eq!(s.created, 1, "one pooled frame buffer serves every step");
         assert_eq!(s.recycled, 7);
-        assert_eq!(mem_rx.counters().receives, wire_rx.counters().receives);
-    }
-
-    #[test]
-    fn receive_frame_rejects_garbage_and_keeps_scratch() {
-        let mut e = engine();
-        let mut buf = StepBuffers::new();
-        let garbage = Bytes::copy_from_slice(&[0x42, 0, 1]);
-        assert!(e
-            .receive_frame(&garbage, &mut buf, |_| FdSnapshot::none())
-            .is_err());
-        // The engine remains usable after a bad frame.
-        let ok: Batch = std::iter::once(WireMessage::Msg {
-            tag: Tag(5),
-            payload: Payload::from("x"),
-        })
-        .collect();
-        let frame = ok.encode();
-        e.receive_frame(&frame, &mut buf, |_| FdSnapshot::none())
-            .unwrap();
-        assert_eq!(buf.deliveries.len(), 1);
+        assert_eq!(direct_rx.counters(), frame_rx.counters());
     }
 
     /// Collects observed effects for the hook tests.
@@ -1702,12 +1404,14 @@ mod tests {
         let mut buf = StepBuffers::new();
         let mut log = Log::default();
         e.step_observed(
+            T0,
             StepInput::Broadcast(Payload::from("m")),
             &fd,
             &mut buf,
             &mut log,
         );
         e.step_observed(
+            T0,
             StepInput::Receive(WireMessage::Msg {
                 tag: Tag(3),
                 payload: Payload::from("x"),
@@ -1734,8 +1438,9 @@ mod tests {
         let mut a = StepBuffers::new();
         let mut b = StepBuffers::new();
         let mut log = Log::default();
-        plain.step(StepInput::Broadcast(Payload::from("m")), &fd, &mut a);
+        plain.step(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut a);
         observed.step_observed(
+            T0,
             StepInput::Broadcast(Payload::from("m")),
             &fd,
             &mut b,
@@ -1754,12 +1459,12 @@ mod tests {
         let fresh = a.fingerprint();
         assert_eq!(fresh, b.fingerprint(), "equal states digest equally");
         let mut buf = StepBuffers::new();
-        a.step(StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
+        a.step(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
         assert_ne!(a.fingerprint(), fresh, "pending message changes the digest");
         // History alone (a silent tick) leaves the digest unchanged even
         // though the counters moved.
         let before = b.fingerprint();
-        b.step(StepInput::Tick, &fd, &mut buf);
+        b.step(T0, StepInput::Tick, &fd, &mut buf);
         assert_eq!(b.fingerprint(), before);
         assert_ne!(b.counters().steps, 0);
     }
@@ -1775,29 +1480,6 @@ mod tests {
                 .collect(),
             SplitMix64::new(seed),
         )
-    }
-
-    #[test]
-    fn one_topic_engine_is_bit_identical_to_node_engine() {
-        // The byte-compatibility cornerstone: a single-topic TopicEngine
-        // consumes the RNG stream exactly like the wrapped NodeEngine.
-        let fd = FdSnapshot::none();
-        let mut node = engine();
-        let mut topic = topic_engine(1, 7);
-        let mut a = StepBuffers::new();
-        let mut b = StepBuffers::new();
-        for round in 0..4u32 {
-            let payload = Payload::from(format!("m{round}").as_str());
-            let ta = node.step(StepInput::Broadcast(payload.clone()), &fd, &mut a);
-            let tb = topic.step(TopicId::ZERO, StepInput::Broadcast(payload), &fd, &mut b);
-            assert_eq!(ta, tb, "round {round}");
-            assert_eq!(a.outbox, b.outbox);
-            node.step(StepInput::Tick, &fd, &mut a);
-            topic.step(TopicId::ZERO, StepInput::Tick, &fd, &mut b);
-            assert_eq!(a.outbox, b.outbox);
-        }
-        assert_eq!(node.counters(), topic.counters());
-        assert_eq!(node.fingerprint(), topic.fingerprint());
     }
 
     #[test]
@@ -1827,8 +1509,7 @@ mod tests {
         assert_eq!(mux.outbox[1].0, TopicId(2));
         // Topic 0 never broadcast: it stays quiescent while 1 and 2 hold
         // pending messages.
-        assert!(e.topic_is_quiescent(TopicId(0)));
-        assert!(!e.topic_is_quiescent(TopicId(1)));
+        assert_eq!(e.stats_for(TopicId(0)).msg_set, 0);
         assert!(!e.is_quiescent());
         assert_eq!(e.stats().msg_set, 2, "aggregate across topics");
         assert_eq!(e.stats_for(TopicId(1)).msg_set, 1);
@@ -1942,9 +1623,10 @@ mod tests {
         let mut e = engine();
         let fd = FdSnapshot::none();
         let mut buf = StepBuffers::new();
-        e.step(StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
-        e.step(StepInput::Tick, &fd, &mut buf);
+        e.step(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
+        e.step(T0, StepInput::Tick, &fd, &mut buf);
         e.step(
+            T0,
             StepInput::Receive(WireMessage::Msg {
                 tag: Tag(1),
                 payload: Payload::from("z"),
@@ -2135,7 +1817,7 @@ mod tests {
             rx.controls,
             vec![TopicControl::Retire { topic: TopicId(0) }]
         );
-        assert!(rx.is_silent());
+        assert!(rx.outbox.is_empty() && rx.deliveries.is_empty());
     }
 
     // ---- O(1) topic directory (DESIGN.md §16) --------------------------
@@ -2431,21 +2113,5 @@ mod tests {
             e.save_snapshot(),
             Err(SnapshotError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn node_engine_forwards_the_memory_plane() {
-        let fd = FdSnapshot::none();
-        let mut node = engine();
-        node.configure_memory(MemoryConfig::default());
-        let mut buf = StepBuffers::new();
-        node.step(StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
-        let bytes = node.save_snapshot().unwrap();
-        let report = node.compact(&fd);
-        assert_eq!(report.reclaimed, 1);
-        assert_eq!(node.counters().compactions, 1);
-        let mut back = engine();
-        back.restore_snapshot(&bytes).unwrap();
-        assert_eq!(back.stats().msg_set, 1, "snapshot predates the sweep");
     }
 }

@@ -2,12 +2,13 @@
 //! socket-distributed URB cluster (DESIGN.md §13).
 //!
 //! A daemon node is the [`crate::transport::TcpMesh`] socket plane
-//! composed with the **same sans-io engine** every other driver uses
-//! ([`urb_engine::TopicEngine`]): the node loop here is the threaded
-//! runtime's node loop with the in-process router lanes swapped for real
-//! sockets — protocol logic, codec and tick cadence are untouched, which
-//! is exactly what the `drive_step` boundary was built to allow. The
-//! loopback-parity suite (`crates/cli/tests/cluster.rs`) asserts the
+//! under the **same node core and node loop** the threaded runtime's node
+//! threads run (`node_core`): only the backend differs — frames go to
+//! real sockets instead of in-process router lanes, deliveries into
+//! per-topic sets (and the durable journal) instead of a channel, and a
+//! frame the codec rejects is dropped like a lost message instead of
+//! treated as a bug. Protocol logic, codec and tick cadence are untouched.
+//! The loopback-parity suite (`crates/cli/tests/cluster.rs`) asserts the
 //! payoff mechanically: the same seeded workload produces identical
 //! per-topic delivery sets through [`crate::UrbCluster`] (threads +
 //! channels) and through a cluster of these daemons (processes +
@@ -20,16 +21,18 @@
 //! resulting per-topic delivery **sets**. Those sets are the unit the
 //! parity and fault-injection suites assert on.
 
-use crate::state::StateDir;
+use crate::node_core::{self, Backend, NodeCore};
+use crate::state::{StateDir, StateError};
 use crate::transport::{MeshConfig, NetError, NetStats, TcpMesh};
 use crate::MembershipRegistry;
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, RecvTimeoutError};
+use crossbeam_channel::{unbounded, Sender};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urb_core::Algorithm;
-use urb_engine::{MuxBuffers, StepInput, TopicEngine};
-use urb_types::{BufPool, Payload, SplitMix64, TopicControl, TopicId};
+use urb_engine::{MuxBuffers, MuxIngressError, TopicEngine};
+use urb_types::{BufPool, Payload, TopicControl, TopicId};
 
 /// Configuration of one daemon node (the `urb node` subcommand's flags).
 #[derive(Clone, Debug)]
@@ -186,6 +189,129 @@ pub fn expected_payloads(n: usize, topic: TopicId, msgs: usize) -> BTreeSet<Stri
         .collect()
 }
 
+/// Where a daemon node's frames go: to the peers over the [`TcpMesh`] and
+/// back to the node itself through its own ingress FIFO — the never-lost
+/// self-copy of the broadcast primitive, without a socket.
+struct MeshEgress {
+    mesh: TcpMesh,
+    loopback: Sender<Bytes>,
+    pool: BufPool,
+}
+
+impl MeshEgress {
+    fn flush(&self, mux: &mut MuxBuffers) {
+        if let Some(frame) = node_core::seal_frame(mux, &self.pool) {
+            self.mesh.broadcast(&frame);
+            let _ = self.loopback.send(frame);
+        }
+    }
+}
+
+/// What a daemon node delivered, and (with `--state-dir`) its durable
+/// copy (DESIGN.md §14).
+struct DeliveryLog {
+    /// Delivered payloads per topic. Grows on demand: dynamically created
+    /// topics (DESIGN.md §15) deliver under ids beyond the dense
+    /// configured range.
+    delivered: Vec<BTreeSet<String>>,
+    state: Option<StateDir>,
+}
+
+impl DeliveryLog {
+    /// Drains one step's deliveries into the per-topic sets, journaling
+    /// each *new* payload before it is reported anywhere (the journal
+    /// must never lag the sets).
+    fn record(&mut self, mux: &mut MuxBuffers) -> Result<(), NetError> {
+        for (t, d) in mux.deliveries.drain(..) {
+            let text = d.payload.as_text();
+            if self.delivered.len() <= t.0 as usize {
+                self.delivered.resize(t.0 as usize + 1, BTreeSet::new());
+            }
+            if self.delivered[t.0 as usize].insert(text.clone()) {
+                if let Some(s) = self.state.as_mut() {
+                    s.append_delivery(t, &text).map_err(state_err)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes a recovery point (engine snapshot + delivered sets) when a
+    /// state directory is configured.
+    fn write_snapshot(&mut self, engine: &TopicEngine) -> Result<(), NetError> {
+        if let Some(s) = self.state.as_mut() {
+            let blob = engine
+                .save_snapshot()
+                .map_err(|e| NetError::State(format!("snapshot: {e}")))?;
+            s.write_snapshot(&blob, &self.delivered)
+                .map_err(state_err)?;
+        }
+        Ok(())
+    }
+}
+
+fn state_err(e: StateError) -> NetError {
+    NetError::State(e.to_string())
+}
+
+/// The socket backend of the node loop: [`MeshEgress`] for frames,
+/// [`DeliveryLog`] for deliveries; the run ends on the wall-clock budget,
+/// or once the expectation is met and the linger has passed.
+struct MeshBackend<'a> {
+    cfg: &'a NodeConfig,
+    egress: MeshEgress,
+    log: DeliveryLog,
+    deadline: Instant,
+    next_snapshot: Instant,
+    /// Set once every topic meets the expectation; the node keeps serving
+    /// (acks, retransmissions) until it passes.
+    linger_until: Option<Instant>,
+    complete: bool,
+}
+
+impl Backend for MeshBackend<'_> {
+    fn wake_at(&mut self, now: Instant, next_tick: Instant) -> Option<Instant> {
+        if now >= self.deadline {
+            return None;
+        }
+        match self.linger_until {
+            Some(t) if now >= t => {
+                self.complete = true;
+                None
+            }
+            Some(t) => Some(next_tick.min(self.deadline).min(t)),
+            None => Some(next_tick.min(self.deadline)),
+        }
+    }
+
+    fn flush(&mut self, mux: &mut MuxBuffers) -> bool {
+        self.egress.flush(mux);
+        true
+    }
+
+    fn settle(&mut self, core: &mut NodeCore) -> Result<(), NetError> {
+        self.log.record(core.mux())?;
+        let now = Instant::now();
+        if now >= self.next_snapshot {
+            self.log.write_snapshot(core.engine())?;
+            self.next_snapshot = Instant::now() + self.cfg.snapshot_interval;
+        }
+        if let Some(expect) = self.cfg.expect {
+            let met = || self.log.delivered.iter().all(|set| set.len() >= expect);
+            if self.linger_until.is_none() && met() {
+                self.linger_until = Some(now + self.cfg.linger);
+            }
+        }
+        Ok(())
+    }
+
+    fn rejected(&mut self, _err: MuxIngressError) {
+        // A peer sent a frame our codec rejects (or one addressing a topic
+        // whose create has not landed here yet): drop it like a lost
+        // message — never panic on network input.
+    }
+}
+
 /// Runs one daemon node to completion. Fails only on config/bind errors
 /// ([`NetError`], CLI exit 2); network conditions during the run are
 /// absorbed by the transport's retry/loss semantics and show up in the
@@ -205,27 +331,22 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
         .collect();
 
     // Ingress funnel: socket readers and the node's own loopback copy
-    // share one FIFO, the same `NodeInput::Net` shape the in-process
-    // router feeds (commands don't exist here — a daemon's workload is
-    // config, not RPC).
+    // share one FIFO of encoded frames (commands don't exist here — a
+    // daemon's workload is config, not RPC).
     let (ingress_tx, ingress_rx) = unbounded::<Bytes>();
-    let mut mesh = TcpMesh::start(MeshConfig::new(listen, peers), ingress_tx.clone())?;
+    let mesh = TcpMesh::start(MeshConfig::new(listen, peers), ingress_tx.clone())?;
 
-    // Same engine construction as the threaded runtime's node thread:
-    // same per-node RNG stream derivation, so a daemon node and an
-    // in-process node with the same (seed, id) draw identical tags. The
-    // registry is local but seed-derived, so every process in the
+    // The registry is local but seed-derived, so every process in the
     // cluster serves identical all-alive FD views without coordination.
     let registry = MembershipRegistry::new(cfg.n, cfg.seed, Duration::from_millis(500));
-    let mut engine = TopicEngine::new(
-        (0..cfg.topics.max(1))
-            .map(|_| cfg.algorithm.instantiate(cfg.n))
-            .collect(),
-        SplitMix64::new(cfg.seed ^ 0xB07B_0B00 ^ (cfg.id as u64) << 32),
+    let mut core = NodeCore::new(
+        cfg.id,
+        cfg.n,
+        cfg.algorithm,
+        cfg.topics,
+        cfg.seed,
+        Arc::new(registry),
     );
-    let mut mux = MuxBuffers::new();
-    let pool = BufPool::default();
-    let mut control_scratch: Vec<TopicControl> = Vec::new();
     let mut delivered: Vec<BTreeSet<String>> = vec![BTreeSet::new(); cfg.topics.max(1) as usize];
 
     // Durable state (DESIGN.md §14): recover before the first broadcast.
@@ -233,14 +354,11 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
     // foundation makes a stale engine indistinguishable from lost
     // messages, so peers' retransmissions refill the gap — while the
     // delivered sets (snapshot + journal replay) lose nothing.
-    let state_err = |e: crate::state::StateError| NetError::State(e.to_string());
-    let state_err_snapshot =
-        |e: urb_types::snapshot::SnapshotError| NetError::State(format!("snapshot: {e}"));
-    let mut state = match &cfg.state_dir {
+    let state = match &cfg.state_dir {
         Some(dir) => {
             let (state, recovered) = StateDir::open(dir).map_err(state_err)?;
             if let Some(blob) = &recovered.engine {
-                engine
+                core.engine_mut()
                     .restore_snapshot(blob)
                     .map_err(|e| NetError::State(format!("snapshot.bin does not restore: {e}")))?;
             }
@@ -254,42 +372,12 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
         None => None,
     };
 
-    // Drains one step's deliveries into the per-topic sets, journaling
-    // each *new* payload before it is reported anywhere (the journal
-    // must never lag the sets). The sets grow on demand: dynamically
-    // created topics (DESIGN.md §15) deliver under ids beyond the dense
-    // configured range.
-    fn record_deliveries(
-        mux: &mut MuxBuffers,
-        delivered: &mut Vec<BTreeSet<String>>,
-        state: &mut Option<StateDir>,
-    ) -> Result<(), NetError> {
-        for (t, d) in mux.deliveries.drain(..) {
-            let text = d.payload.as_text();
-            if delivered.len() <= t.0 as usize {
-                delivered.resize(t.0 as usize + 1, BTreeSet::new());
-            }
-            if delivered[t.0 as usize].insert(text.clone()) {
-                if let Some(s) = state.as_mut() {
-                    s.append_delivery(t, &text)
-                        .map_err(|e| NetError::State(e.to_string()))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    // Flush one step's mux outbox: peers get the frame over sockets,
-    // the node itself gets it through its own ingress FIFO — the
-    // never-lost self-copy of the broadcast primitive, without a socket.
-    let flush = |mux: &mut MuxBuffers, mesh: &TcpMesh| {
-        if let Some(scratch) = mux.take_mux_frame(&pool) {
-            let frame = Bytes::copy_from_slice(&scratch);
-            drop(scratch); // encode buffer back to the pool
-            mesh.broadcast(&frame);
-            let _ = ingress_tx.send(frame);
-        }
+    let egress = MeshEgress {
+        mesh,
+        loopback: ingress_tx,
+        pool: BufPool::default(),
     };
+    let mut log = DeliveryLog { delivered, state };
 
     // Startup workload: all broadcasts happen before any ingress is
     // consumed, so the node's tag draws are a deterministic RNG prefix —
@@ -302,115 +390,42 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
             // delivered: its restored engine (and its peers) still hold
             // and retransmit them, and a fresh tag draw here would
             // duplicate the message under a second identity.
-            if delivered[topic as usize].contains(&payload.as_text()) {
+            if log.delivered[topic as usize].contains(&payload.as_text()) {
                 continue;
             }
-            mux.clear();
-            let snapshot = registry.snapshot(cfg.id, Instant::now());
-            engine.step_mux(
-                TopicId(topic),
-                StepInput::Broadcast(payload),
-                &snapshot,
-                &mut mux,
-            );
-            record_deliveries(&mut mux, &mut delivered, &mut state)?;
-            flush(&mut mux, &mesh);
+            core.broadcast(TopicId(topic), payload);
+            egress.flush(core.mux());
+            log.record(core.mux())?;
         }
     }
 
-    let deadline = Instant::now() + cfg.run_for;
-    let mut next_tick = Instant::now() + cfg.tick_interval;
-    let mut next_snapshot = Instant::now() + cfg.snapshot_interval;
-    // Set once every topic meets the expectation; the node keeps
-    // serving (acks, retransmissions) until it passes.
-    let mut linger_until: Option<Instant> = None;
-    let mut complete = cfg.expect.is_none();
-
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        if let Some(t) = linger_until {
-            if now >= t {
-                complete = true;
-                break;
-            }
-        }
-        mux.clear();
-        let timeout = next_tick
-            .min(deadline)
-            .saturating_duration_since(now)
-            .min(Duration::from_millis(50));
-        match ingress_rx.recv_timeout(timeout) {
-            Ok(frame) => {
-                let registry = &registry;
-                let id = cfg.id;
-                if engine
-                    .receive_mux_frame(&frame, &mut mux, |_, _| {
-                        registry.snapshot(id, Instant::now())
-                    })
-                    .is_err()
-                {
-                    // A peer sent a frame our codec rejects: drop it like
-                    // a lost message (never panic on network input).
-                    continue;
-                }
-                // Lifecycle gossip (DESIGN.md §15): apply what the
-                // frame's control section carried — peer gossip or a
-                // one-shot `urb topic` client — and push back exactly
-                // what changed state, which the flush below forwards.
-                crate::node::apply_surfaced_controls(
-                    &mut engine,
-                    cfg.n,
-                    &mut mux,
-                    &mut control_scratch,
-                );
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if Instant::now() >= next_tick {
-                    let snapshot = registry.snapshot(cfg.id, Instant::now());
-                    engine.tick_all(&snapshot, &mut mux);
-                    // Ticks are the reap points (the quiescence rule):
-                    // draining instances free their state here.
-                    engine.reap_drained(&snapshot);
-                    next_tick = Instant::now() + cfg.tick_interval;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break, // cannot happen: we hold a sender
-        }
-        record_deliveries(&mut mux, &mut delivered, &mut state)?;
-        flush(&mut mux, &mesh);
-        if let Some(s) = state.as_mut() {
-            if Instant::now() >= next_snapshot {
-                let blob = engine.save_snapshot().map_err(state_err_snapshot)?;
-                s.write_snapshot(&blob, &delivered).map_err(state_err)?;
-                next_snapshot = Instant::now() + cfg.snapshot_interval;
-            }
-        }
-        if let Some(expect) = cfg.expect {
-            if linger_until.is_none() && delivered.iter().all(|set| set.len() >= expect) {
-                linger_until = Some(Instant::now() + cfg.linger);
-            }
-        }
-    }
+    // The run budget and the snapshot cadence count from the end of the
+    // startup burst.
+    let start = Instant::now();
+    let mut backend = MeshBackend {
+        cfg,
+        egress,
+        log,
+        deadline: start + cfg.run_for,
+        next_snapshot: start + cfg.snapshot_interval,
+        linger_until: None,
+        complete: cfg.expect.is_none(),
+    };
+    node_core::run(&mut core, &ingress_rx, cfg.tick_interval, &mut backend)?;
 
     // Final recovery point so a clean exit restarts exactly where it
     // stopped (no journal replay needed).
-    if let Some(s) = state.as_mut() {
-        let blob = engine.save_snapshot().map_err(state_err_snapshot)?;
-        s.write_snapshot(&blob, &delivered).map_err(state_err)?;
-    }
+    backend.log.write_snapshot(core.engine())?;
 
-    mesh.shutdown();
-    let topics_live = engine.live_topics().count();
-    let topics_reclaimed = engine.counters().topics_reclaimed;
+    backend.egress.mesh.shutdown();
     Ok(NodeReport {
         id: cfg.id,
-        complete,
-        topics_live,
-        topics_reclaimed,
-        per_topic: delivered
+        complete: backend.complete,
+        topics_live: core.engine().live_topics().count(),
+        topics_reclaimed: core.engine().counters().topics_reclaimed,
+        per_topic: backend
+            .log
+            .delivered
             .into_iter()
             .enumerate()
             .map(|(t, set)| TopicDeliveries {
@@ -418,13 +433,9 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
                 payloads: set.into_iter().collect(),
             })
             .collect(),
-        net: mesh_stats_of(&mesh),
+        // Counters read after shutdown, so nothing is in flight.
+        net: backend.egress.mesh.stats(),
     })
-}
-
-/// Reads the final counters (after shutdown, so nothing is in flight).
-fn mesh_stats_of(mesh: &TcpMesh) -> NetStats {
-    mesh.stats()
 }
 
 /// Runs the identical workload through the **in-process** threaded

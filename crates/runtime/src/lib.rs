@@ -35,6 +35,7 @@
 pub mod daemon;
 pub mod lanes;
 mod node;
+mod node_core;
 mod registry;
 mod router;
 pub mod state;
@@ -145,9 +146,9 @@ pub(crate) enum Command {
     Shutdown,
 }
 
-/// Everything a node thread consumes, funnelled through one FIFO so the
-/// node loop blocks on a single receive with a tick deadline (network
-/// frames from the router, commands from the cluster handle).
+/// Everything the node loop consumes, funnelled through one FIFO so it
+/// blocks on a single receive with a tick deadline (network frames from
+/// the router or the sockets, commands from the cluster handle).
 pub(crate) enum NodeInput {
     /// A surviving sub-batch from a router lane, as an encoded
     /// multiplexed wire frame (decoded by the node with shared payloads —
@@ -155,6 +156,13 @@ pub(crate) enum NodeInput {
     Net(bytes::Bytes),
     /// A control command from the cluster handle.
     Cmd(Command),
+}
+
+/// A daemon node's ingress carries encoded frames only.
+impl From<bytes::Bytes> for NodeInput {
+    fn from(frame: bytes::Bytes) -> Self {
+        NodeInput::Net(frame)
+    }
 }
 
 /// A running cluster of anonymous processes.
@@ -603,6 +611,41 @@ mod tests {
             if cluster.broadcast_on(2, dyn_topic, "late2".into()).is_none() {
                 break;
             }
+            assert!(
+                Instant::now() < deadline,
+                "retire gossip never reached node 2"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn lossy_cluster_still_gossips_create_and_retire() {
+        // Loss thins messages, not lifecycle controls: a create entered at
+        // node 0 leaves as a control-only frame (nothing else is in
+        // flight) and must reach node 1 through a lossy router; likewise
+        // the retire. No nudge traffic — the control frame alone carries
+        // it.
+        let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Quiescent).loss(0.05));
+        let dyn_topic = TopicId(7);
+        assert!(cluster.create_topic(0, dyn_topic, Algorithm::Majority));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let tag = loop {
+            if let Some(tag) = cluster.broadcast_on(1, dyn_topic, "dyn".into()) {
+                break tag;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "create gossip never reached node 1"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let who = cluster.await_delivery_everywhere(tag, Duration::from_secs(20));
+        assert_eq!(who, vec![0, 1, 2], "dynamic topic delivers through loss");
+        assert!(cluster.retire_topic(1, dyn_topic));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while cluster.broadcast_on(2, dyn_topic, "late".into()).is_some() {
             assert!(
                 Instant::now() < deadline,
                 "retire gossip never reached node 2"

@@ -29,6 +29,11 @@
 //! * a **re-encoded thinned frame** (built in a pooled buffer, no
 //!   per-message allocation) when loss thinned the batch.
 //!
+//! Loss thins *messages* — the unit the fair-lossy axioms quantify over.
+//! A frame's lifecycle control section (DESIGN.md §15) is not a message:
+//! it reaches every destination intact, on the thinned frame too, and a
+//! frame with nothing but controls left is still forwarded.
+//!
 //! Traffic counters count *messages*, not frames, so quiescence
 //! observation and statistics are unchanged by batching, multiplexing or
 //! sharding — every lane writes the same shared counters.
@@ -41,8 +46,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use urb_types::{
-    encode_mux_frame_into, BufPool, MuxBatch, RandomSource, TopicId, WireKind, WireMessage,
-    Xoshiro256,
+    encode_mux_frame_with_controls_into, BufPool, MuxBatch, RandomSource, TopicControl, TopicId,
+    WireKind, WireMessage, Xoshiro256,
 };
 
 /// Aggregate router statistics (summed across every lane).
@@ -119,15 +124,16 @@ pub fn spawn_router_lane(
         .name(format!("urb-router-{lane}"))
         .spawn(move || {
             let mut rng = Xoshiro256::new(seed ^ 0x4007_E4B0_5555_0001 ^ (lane as u64) << 40);
-            // Reusable scratch: the decoded ingress entries and the
-            // per-destination survivor list.
+            // Reusable scratch: the decoded ingress entries and controls,
+            // and the per-destination survivor list.
             let mut decoded: Vec<(TopicId, WireMessage)> = Vec::new();
+            let mut controls: Vec<TopicControl> = Vec::new();
             let mut survivors: Vec<(TopicId, WireMessage)> = Vec::new();
             while let Ok((from, frame)) = ingress.recv() {
                 // In-process frames come from the node's zero-copy mux
                 // encode; a decode failure is a codec bug, not a network
                 // condition.
-                MuxBatch::decode_shared_into(&frame, &mut decoded)
+                MuxBatch::decode_shared_with_controls_into(&frame, &mut decoded, &mut controls)
                     .expect("malformed frame from node — codec bug");
                 counters.batches.fetch_add(1, Ordering::Relaxed);
                 let mut protocol = 0u64;
@@ -155,7 +161,7 @@ pub fn spawn_router_lane(
                         counters
                             .dropped_copies
                             .fetch_add((decoded.len() - survivors.len()) as u64, Ordering::Relaxed);
-                        if survivors.is_empty() {
+                        if survivors.is_empty() && controls.is_empty() {
                             continue;
                         }
                         if survivors.len() == decoded.len() {
@@ -165,7 +171,7 @@ pub fn spawn_router_lane(
                             frame.clone()
                         } else {
                             let mut buf = pool.acquire();
-                            encode_mux_frame_into(&survivors, &mut buf);
+                            encode_mux_frame_with_controls_into(&survivors, &controls, &mut buf);
                             counters.reencoded_frames.fetch_add(1, Ordering::Relaxed);
                             Bytes::copy_from_slice(&buf)
                         }
@@ -283,6 +289,45 @@ mod tests {
         assert_eq!(recv_mux(&inbox_rx[0]).len(), 1, "self copy delivered");
         assert!(inbox_rx[1].try_recv().is_err(), "peer copy lost");
         assert_eq!(counters.snapshot().dropped_copies, 1);
+    }
+
+    #[test]
+    fn controls_reach_every_inbox_at_total_loss() {
+        // Loss thins messages, never the lifecycle control section: at
+        // loss 1.0 a control-only frame is forwarded as it is, and a
+        // data + control frame arrives stripped of its messages but with
+        // its controls.
+        let (tx, rx) = unbounded();
+        let (self_tx, self_rx) = unbounded();
+        let (peer_tx, peer_rx) = unbounded();
+        let counters = Arc::new(TrafficCounters::default());
+        let h = spawn_router_lane(
+            0,
+            rx,
+            vec![self_tx, peer_tx],
+            1.0,
+            4,
+            Arc::clone(&counters),
+            BufPool::default(),
+        );
+        let ctl = TopicControl::Retire { topic: TopicId(3) };
+        let mut control_only = MuxBatch::new();
+        control_only.push_control(ctl);
+        tx.send((0, control_only.encode())).unwrap();
+        let mut mixed = MuxBatch::decode(&frame_of(&[(0, 5), (3, 6)])).unwrap();
+        mixed.push_control(ctl);
+        tx.send((0, mixed.encode())).unwrap();
+        drop(tx);
+        h.join().unwrap();
+        for (rx, survivors) in [(&self_rx, 2), (&peer_rx, 0)] {
+            let first = recv_mux(rx);
+            assert_eq!((first.len(), first.controls()), (0, &[ctl][..]));
+            let second = recv_mux(rx);
+            assert_eq!((second.len(), second.controls()), (survivors, &[ctl][..]));
+        }
+        let s = counters.snapshot();
+        assert_eq!(s.dropped_copies, 2);
+        assert_eq!(s.reencoded_frames, 1, "the peer's stripped frame");
     }
 
     #[test]

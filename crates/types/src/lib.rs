@@ -14,10 +14,11 @@
 //!   (the temporary process identifier exposed by the anonymous failure
 //!   detectors `AΘ` and `AP*`).
 //! * [`payload`] — cheaply clonable application payloads.
-//! * [`wire`] — the wire messages `MSG`, `ACK` and `HEARTBEAT`, with a
-//!   compact hand-rolled binary codec (plus `serde` for trace export).
-//! * [`pool`] — recycled frame buffers and message vectors
-//!   ([`pool::BufPool`], [`pool::BatchPool`]) for the zero-copy batch
+//! * [`wire`] — the wire messages `MSG`, `ACK` and `HEARTBEAT` and the
+//!   one frame type that carries them ([`wire::MuxBatch`]), with a compact
+//!   hand-rolled binary codec (plus `serde` for trace export).
+//! * [`pool`] — recycled frame buffers and entry vectors
+//!   ([`pool::BufPool`], [`pool::MuxPool`]) for the zero-copy frame
 //!   plane (DESIGN.md §10).
 //! * [`fd`] — the read-only `(label, number)` views output by `AΘ`/`AP*`.
 //! * [`protocol`] — the sans-io [`protocol::AnonProcess`] trait implemented
@@ -45,13 +46,13 @@ pub mod wire;
 pub use fd::{FdPair, FdSnapshot, FdView};
 pub use ids::{Label, LabelSet, Tag, TagAck, TopicId};
 pub use payload::Payload;
-pub use pool::{BatchPool, BufPool, MuxPool, PoolStats, PooledBuf, VecPool};
+pub use pool::{BufPool, MuxPool, PoolStats, PooledBuf, VecPool};
 pub use protocol::{
     AnonProcess, CompactionReport, Context, Delivery, MemoryConfig, ProcessStats, SpillPolicy,
 };
 pub use rng::{RandomSource, SplitMix64, Xoshiro256};
 pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub use wire::{
-    encode_frame_into, encode_mux_frame_into, encode_mux_frame_with_controls_into, Batch,
-    CodecError, MuxBatch, TopicControl, WireKind, WireMessage,
+    encode_mux_frame_into, encode_mux_frame_with_controls_into, CodecError, MuxBatch, TopicControl,
+    WireKind, WireMessage,
 };

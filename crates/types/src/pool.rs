@@ -1,4 +1,4 @@
-//! Pooled buffers for the zero-copy batch plane (DESIGN.md §10).
+//! Pooled buffers for the zero-copy frame plane (DESIGN.md §10).
 //!
 //! The message hot path — engine outbox → wire frame → router/channel →
 //! receiver — used to allocate a fresh buffer per frame and a fresh
@@ -6,14 +6,14 @@
 //! allocations:
 //!
 //! * [`BufPool`] — frame buffers ([`bytes::BytesMut`]) for the
-//!   length-prefixed [`Batch`](crate::Batch) encoding. Acquired buffers
-//!   are RAII guards ([`PooledBuf`]): dropping one clears it and returns
-//!   it to the pool, so a warm pool makes batch encoding allocate
+//!   length-prefixed [`MuxBatch`](crate::MuxBatch) encoding. Acquired
+//!   buffers are RAII guards ([`PooledBuf`]): dropping one clears it and
+//!   returns it to the pool, so a warm pool makes frame encoding allocate
 //!   **nothing** per frame (let alone per message).
-//! * [`BatchPool`] — message vectors (`Vec<WireMessage>`) for routed
-//!   sub-batches. The simulator's transmit path and the engine's
-//!   per-frame decode scratch draw from one of these instead of calling
-//!   `Vec::new` per delivery event.
+//! * [`MuxPool`] — topic-tagged entry vectors
+//!   (`Vec<(TopicId, WireMessage)>`) for routed sub-batches. The
+//!   simulator's transmit path draws from one of these instead of
+//!   calling `Vec::new` per delivery event.
 //!
 //! Both pools are cheaply clonable handles over shared state
 //! (`Arc`-backed), so one pool can serve every thread of a runtime
@@ -28,8 +28,8 @@
 //! 3. The pool retains at most `max_retained` idle objects; surplus
 //!    returns are dropped (counted in [`PoolStats::discarded`]), which
 //!    bounds worst-case memory under load spikes.
-//! 4. Losing a pooled object (dropping a [`BatchPool`] vector instead of
-//!    calling [`BatchPool::release`]) is safe — it merely forfeits the
+//! 4. Losing a pooled object (dropping a [`MuxPool`] vector instead of
+//!    calling [`VecPool::release`]) is safe — it merely forfeits the
 //!    recycling; nothing dangles.
 //!
 //! [`PoolStats`] makes the steady-state claim testable: once a workload
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Cumulative counters of one pool. Snapshot via [`BufPool::stats`] /
-/// [`BatchPool::stats`].
+/// [`VecPool::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Total acquisitions (`recycled + created`).
@@ -134,7 +134,7 @@ impl<T> Shelf<T> {
 }
 
 /// Default retention bound used by [`BufPool::default`] and
-/// [`BatchPool::default`]: generous enough for one object per node of a
+/// [`VecPool::default`]: generous enough for one object per node of a
 /// large cluster, small enough to bound idle memory.
 pub const DEFAULT_MAX_RETAINED: usize = 64;
 
@@ -144,16 +144,15 @@ pub const DEFAULT_MAX_RETAINED: usize = 64;
 /// for the lifecycle rules.
 ///
 /// ```
-/// use urb_types::{Batch, BufPool, Payload, Tag, WireMessage};
+/// use urb_types::{BufPool, MuxBatch, Payload, Tag, TopicId, WireMessage};
 ///
 /// let pool = BufPool::default();
-/// let batch: Batch = vec![WireMessage::Msg { tag: Tag(7), payload: Payload::from("m") }]
-///     .into_iter()
-///     .collect();
+/// let msg = WireMessage::Msg { tag: Tag(7), payload: Payload::from("m") };
+/// let mux = MuxBatch::from_entries(&[(TopicId::ZERO, msg)]);
 /// {
 ///     let mut frame = pool.acquire();
-///     batch.encode_into(&mut frame);
-///     assert_eq!(&frame[..], &batch.encode()[..], "same bytes as the legacy path");
+///     mux.encode_into(&mut frame);
+///     assert_eq!(&frame[..], &mux.encode()[..], "same bytes as the allocating encode");
 /// } // dropping the guard returns the buffer
 /// let _second = pool.acquire(); // ← recycled, not allocated
 /// assert_eq!(pool.stats().recycled, 1);
@@ -249,13 +248,12 @@ impl std::fmt::Debug for PooledBuf {
 /// A pool of recycled vectors of `T` for routed sub-batches.
 ///
 /// Unlike [`BufPool`] this hands out plain `Vec<T>` values (they
-/// typically move *into* a [`Batch`](crate::Batch) or an event and come
-/// back much later via [`VecPool::release`]), so recycling is explicit
-/// rather than RAII; dropping a vector instead of releasing it is safe
-/// and merely forfeits the reuse.
+/// typically move *into* an event and come back much later via
+/// [`VecPool::release`]), so recycling is explicit rather than RAII;
+/// dropping a vector instead of releasing it is safe and merely forfeits
+/// the reuse.
 ///
-/// Two instantiations cover the message plane: [`BatchPool`]
-/// (`Vec<WireMessage>` — single-instance sub-batches) and [`MuxPool`]
+/// The message plane instantiates it as [`MuxPool`]
 /// (`Vec<(TopicId, WireMessage)>` — topic-tagged entries of the
 /// multiplexed frame plane, DESIGN.md §12).
 pub struct VecPool<T> {
@@ -270,10 +268,6 @@ impl<T> Clone for VecPool<T> {
         }
     }
 }
-
-/// Recycled `Vec<WireMessage>` sub-batch vectors (the single-instance
-/// batch plane).
-pub type BatchPool = VecPool<WireMessage>;
 
 /// Recycled `Vec<(TopicId, WireMessage)>` entry vectors (the multiplexed
 /// topic plane).
@@ -380,21 +374,6 @@ mod tests {
         assert_eq!(pool.idle(), 2);
         assert_eq!(s.returned, 2);
         assert_eq!(s.discarded, 3);
-    }
-
-    #[test]
-    fn batch_pool_round_trips_vectors() {
-        let pool = BatchPool::new(4);
-        let mut v = pool.acquire();
-        v.push(WireMessage::Msg {
-            tag: Tag(1),
-            payload: Payload::from("m"),
-        });
-        pool.release(v);
-        let v2 = pool.acquire();
-        assert!(v2.is_empty(), "released vectors are cleared");
-        assert!(v2.capacity() >= 1);
-        assert_eq!(pool.stats().recycled, 1);
     }
 
     #[test]

@@ -13,26 +13,25 @@
 //!   detectors send nothing.
 //!
 //! One protocol step often emits several messages at once (a MSG plus the
-//! ACKs a Task-1 sweep re-broadcasts); the batched message plane moves them
-//! as a single [`Batch`] frame — a length-prefixed sequence of messages
-//! that preserves every member's [`WireMessage::retransmit_key`] identity,
-//! so the channel layer's per-message fairness bookkeeping is unaffected by
-//! batching (DESIGN.md D8).
+//! ACKs a Task-1 sweep re-broadcasts), and a node serving many topics
+//! steps many instances; everything one step emitted moves as a single
+//! [`MuxBatch`] frame — topic-keyed, length-prefixed sub-batches that
+//! preserve every member's [`WireMessage::retransmit_key`] identity, so
+//! the channel layer's per-message fairness bookkeeping is unaffected by
+//! batching (DESIGN.md D8, §12). It is the only frame type on the wire.
 //!
 //! The codec is a hand-rolled length-prefixed binary format (via `bytes`),
 //! because the simulator and runtime move millions of messages per run and
 //! the format doubles as the unit the channel-loss layer hashes for its
 //! fairness bookkeeping. `serde` derives exist as well, for trace export.
 //!
-//! Two codec paths exist (DESIGN.md §10). The **legacy** path allocates a
-//! fresh buffer per frame ([`Batch::encode`]) and copies every payload out
-//! on decode ([`Batch::decode`]). The **zero-copy** path encodes into a
+//! The hot paths are zero-copy (DESIGN.md §10): frames are encoded into a
 //! reusable buffer — typically from a [`crate::BufPool`] — with no
-//! per-message or per-frame allocation ([`Batch::encode_into`] /
-//! [`encode_frame_into`]) and decodes payloads as refcounted slice views
-//! of the frame itself ([`Batch::decode_shared`]). Both produce and accept
-//! byte-identical frames; `urb_bench::compare` replays the same seeded
-//! corpus through both and asserts it.
+//! per-message or per-frame allocation ([`encode_mux_frame_into`]) and
+//! decoded with payloads as refcounted slice views of the frame itself
+//! ([`MuxBatch::decode_shared_into`]). The allocating
+//! [`MuxBatch::encode`] and the copying [`MuxBatch::decode`] are the
+//! reference the property tests compare those paths against.
 
 use crate::ids::{Label, LabelSet, Tag, TagAck, TopicId};
 use crate::payload::Payload;
@@ -192,8 +191,7 @@ impl WireMessage {
     }
 
     /// Decodes a message from a complete frame (copying the payload into
-    /// fresh storage — the legacy path; [`Batch::decode_shared`] is the
-    /// zero-copy one).
+    /// fresh storage; [`MuxBatch::decode_shared`] is the zero-copy path).
     pub fn decode(data: &[u8]) -> Result<WireMessage, CodecError> {
         let mut pos = 0usize;
         let msg = decode_message_at(data, &mut pos, &mut copy_payload)?;
@@ -289,12 +287,12 @@ impl WireMessage {
 // Decoding walks the frame with an explicit cursor (`pos`) instead of a
 // shrinking slice so that payload *offsets* survive: the zero-copy path
 // turns `(offset, len)` into a refcounted [`bytes::Bytes::slice`] view of
-// the frame, the legacy path copies the same range. Everything else —
+// the frame, the copying path copies the same range. Everything else —
 // bounds checks, error taxonomy, field order — is one implementation.
 
 /// Builds a payload from `data[off..off + len]`. The copying maker; the
 /// zero-copy maker is a closure over the shared frame in
-/// [`Batch::decode_shared`].
+/// [`MuxBatch::decode_shared`].
 fn copy_payload(data: &[u8], off: usize, len: usize) -> Payload {
     Payload::copy_from_slice(&data[off..off + len])
 }
@@ -393,58 +391,6 @@ fn decode_message_at(
     }
 }
 
-/// Appends a complete batch frame for `msgs` to `buf` — the zero-copy
-/// encode path's workhorse. Writes straight into the caller's buffer
-/// (typically a [`crate::BufPool`] frame or a reused scratch), so a warm
-/// buffer makes encoding allocate **nothing**: not per message, not per
-/// frame. Byte-for-byte identical to [`Batch::encode`] over the same
-/// messages (pinned by the codec-equivalence property tests).
-pub fn encode_frame_into(msgs: &[WireMessage], buf: &mut BytesMut) {
-    buf.put_u8(Batch::FRAME_TAG);
-    buf.put_u32(msgs.len() as u32);
-    for m in msgs {
-        buf.put_u32(m.encoded_len() as u32);
-        m.encode_into(buf);
-    }
-}
-
-/// Decodes every member of a batch frame into `out` (cleared first),
-/// materializing payloads through `payload`. Shared core of
-/// [`Batch::decode`], [`Batch::decode_shared`] and
-/// [`Batch::decode_shared_into`].
-fn decode_members(
-    data: &[u8],
-    out: &mut Vec<WireMessage>,
-    payload: &mut dyn FnMut(&[u8], usize, usize) -> Payload,
-) -> Result<(), CodecError> {
-    out.clear();
-    let mut pos = 0usize;
-    need(data, pos, 1)?;
-    let tag = read_u8(data, &mut pos);
-    if tag != Batch::FRAME_TAG {
-        return Err(CodecError::BadDiscriminant(tag));
-    }
-    need(data, pos, 4)?;
-    let count = read_u32(data, &mut pos) as usize;
-    for _ in 0..count {
-        need(data, pos, 4)?;
-        let len = read_u32(data, &mut pos) as usize;
-        need(data, pos, len)?;
-        // Each member must occupy exactly its declared length; decoding
-        // against the prefix slice keeps absolute offsets valid while
-        // bounding reads to the member.
-        let member_end = pos + len;
-        out.push(decode_message_at(&data[..member_end], &mut pos, payload)?);
-        if pos != member_end {
-            return Err(CodecError::TrailingBytes(member_end - pos));
-        }
-    }
-    if pos != data.len() {
-        return Err(CodecError::TrailingBytes(data.len() - pos));
-    }
-    Ok(())
-}
-
 impl fmt::Debug for WireMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -460,165 +406,6 @@ impl fmt::Debug for WireMessage {
             },
             WireMessage::Heartbeat { label, seq } => write!(f, "HB{{{label:?}, seq={seq}}}"),
         }
-    }
-}
-
-/// A batch frame: several wire messages moved as one unit of routing.
-///
-/// The engine drains a step's whole outbox into one `Batch`, so the
-/// simulator schedules one delivery event (and the runtime performs one
-/// channel send) per *step* instead of per message. Loss stays
-/// per-message: the channel layer iterates [`Batch::messages`] and applies
-/// its verdicts against each member's own
-/// [`retransmit_key`](WireMessage::retransmit_key), which keeps the
-/// fair-lossy Fairness axiom's unit of account unchanged.
-///
-/// Frame layout: `0x03` (frame tag, disjoint from the message
-/// discriminants 0–2), a `u32` message count, then per message a `u32`
-/// byte length followed by the message's own encoding.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Batch {
-    messages: Vec<WireMessage>,
-}
-
-impl Batch {
-    /// Frame-tag byte distinguishing a batch from a bare message frame.
-    pub const FRAME_TAG: u8 = 3;
-
-    /// An empty batch.
-    pub fn new() -> Self {
-        Batch {
-            messages: Vec::new(),
-        }
-    }
-
-    /// Builds a batch by draining `outbox` (leaves it empty, capacity
-    /// retained — the engine's hot path).
-    pub fn drain_from(outbox: &mut Vec<WireMessage>) -> Self {
-        Batch {
-            messages: std::mem::take(outbox),
-        }
-    }
-
-    /// Wraps an owned message vector — the [`crate::BatchPool`] entry
-    /// point: acquire a recycled vector, fill it, wrap it, and after the
-    /// batch is consumed hand the vector back via
-    /// [`crate::BatchPool::release`] (see [`Batch::into_messages`]).
-    pub fn from_vec(messages: Vec<WireMessage>) -> Self {
-        Batch { messages }
-    }
-
-    /// Appends one message.
-    pub fn push(&mut self, msg: WireMessage) {
-        self.messages.push(msg);
-    }
-
-    /// Number of messages in the batch.
-    pub fn len(&self) -> usize {
-        self.messages.len()
-    }
-
-    /// True when the batch carries nothing.
-    pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
-    }
-
-    /// The batched messages, in emission order.
-    pub fn messages(&self) -> &[WireMessage] {
-        &self.messages
-    }
-
-    /// Consumes the batch, yielding its messages.
-    pub fn into_messages(self) -> Vec<WireMessage> {
-        self.messages
-    }
-
-    /// Per-message retransmission identities, in order — the fairness
-    /// bookkeeping unit is unchanged by batching.
-    pub fn retransmit_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.messages.iter().map(|m| m.retransmit_key())
-    }
-
-    /// Serialized size in bytes (what [`encode`](Self::encode) produces).
-    pub fn encoded_len(&self) -> usize {
-        1 + 4
-            + self
-                .messages
-                .iter()
-                .map(|m| 4 + m.encoded_len())
-                .sum::<usize>()
-    }
-
-    /// Encodes the frame into a freshly allocated buffer — the **legacy
-    /// codec path** (one buffer allocation plus one freeze copy per
-    /// frame). The hot paths use [`Batch::encode_into`] over a pooled
-    /// buffer instead; `urb_bench::compare` replays both and asserts the
-    /// zero-copy path produces byte-identical frames, faster.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Appends the frame to an existing buffer — the zero-copy encode
-    /// path. With a warm (pooled or reused) buffer this allocates
-    /// nothing; see [`encode_frame_into`] for the free-function form the
-    /// engine uses to encode an outbox without constructing a `Batch`.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        encode_frame_into(&self.messages, buf);
-    }
-
-    /// Decodes a complete batch frame, copying every payload into fresh
-    /// storage — the legacy path ([`Batch::decode_shared`] is the
-    /// zero-copy one).
-    pub fn decode(data: &[u8]) -> Result<Batch, CodecError> {
-        let mut messages = Vec::new();
-        decode_members(data, &mut messages, &mut copy_payload)?;
-        Ok(Batch { messages })
-    }
-
-    /// Decodes a complete batch frame **without copying payloads**: each
-    /// decoded [`Payload`] is a refcounted slice view of `frame` itself
-    /// ([`bytes::Bytes::slice`]), so the frame's storage is shared by
-    /// every message until the last reference drops. This is the receive
-    /// path of the runtime's wire plane.
-    pub fn decode_shared(frame: &Bytes) -> Result<Batch, CodecError> {
-        let mut messages = Vec::new();
-        Self::decode_shared_into(frame, &mut messages)?;
-        Ok(Batch { messages })
-    }
-
-    /// [`Batch::decode_shared`] into a caller-supplied vector (cleared
-    /// first, capacity retained) — pair with a [`crate::BatchPool`] for a
-    /// decode path with no per-frame vector allocation either.
-    pub fn decode_shared_into(frame: &Bytes, out: &mut Vec<WireMessage>) -> Result<(), CodecError> {
-        decode_members(frame, out, &mut |_, off, len| {
-            Payload::from_bytes(frame.slice(off..off + len))
-        })
-    }
-}
-
-impl FromIterator<WireMessage> for Batch {
-    fn from_iter<I: IntoIterator<Item = WireMessage>>(iter: I) -> Self {
-        Batch {
-            messages: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl IntoIterator for Batch {
-    type Item = WireMessage;
-    type IntoIter = std::vec::IntoIter<WireMessage>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.messages.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a Batch {
-    type Item = &'a WireMessage;
-    type IntoIter = std::slice::Iter<'a, WireMessage>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.messages.iter()
     }
 }
 
@@ -748,27 +535,27 @@ impl fmt::Display for TopicControl {
 /// A **multiplexed** batch frame: one topic-keyed sub-batch per URB
 /// instance, moved as a single unit of routing (DESIGN.md §12).
 ///
-/// Where [`Batch`] carries one instance's step output, a `MuxBatch`
-/// carries the output of *every* topic instance a node stepped, so a
-/// multi-topic node still schedules **one** routing event (one frame
-/// send) per step instead of one per topic. Loss, metrics and fairness
+/// A `MuxBatch` carries the output of *every* topic instance a node
+/// stepped, so a node schedules **one** routing event (one frame send)
+/// per step, not one per message or per topic; a single-topic node sends
+/// the degenerate one-sub-batch frame. Loss, metrics and fairness
 /// bookkeeping stay per message — each member keeps its own
 /// [`WireMessage::retransmit_key`], decorrelated across topics via
 /// [`TopicId::mix`].
 ///
 /// Frame layout: `0x04` (frame tag, disjoint from message discriminants
-/// 0–2 and the [`Batch`] tag `0x03`), a `u32` sub-batch count, then per
-/// sub-batch a `u32` topic id, a `u32` message count and the messages in
-/// [`Batch`] member encoding (`u32` byte length + message bytes). A frame
+/// 0–2; `0x03` was the retired single-topic frame and stays rejected), a
+/// `u32` sub-batch count, then per sub-batch a `u32` topic id, a `u32`
+/// message count and per message a `u32` byte length followed by the
+/// message's own encoding. A frame
 /// may end with an **optional control section** (DESIGN.md §15): the
 /// section tag [`MuxBatch::CONTROL_TAG`] (`0x05`), a `u32` control count,
 /// then the [`TopicControl`] entries. The section is written only when at
 /// least one control is present, so control-free frames are byte-identical
-/// to the pre-lifecycle format. The zero-copy properties of the batch
-/// codec carry over: encoding appends into a caller buffer with no
-/// per-message allocation ([`MuxBatch::encode_into`]), and
-/// [`MuxBatch::decode_shared_into`] decodes payloads as refcounted slice
-/// views of the frame.
+/// to the pre-lifecycle format. The codec is zero-copy on the hot paths:
+/// encoding appends into a caller buffer with no per-message allocation
+/// ([`MuxBatch::encode_into`]), and [`MuxBatch::decode_shared_into`]
+/// decodes payloads as refcounted slice views of the frame.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MuxBatch {
     /// `(topic, messages)` sub-batches, in emission order. Kept sorted by
@@ -781,8 +568,8 @@ pub struct MuxBatch {
 }
 
 impl MuxBatch {
-    /// Frame-tag byte distinguishing a multiplexed frame from a [`Batch`]
-    /// (`0x03`) and from bare messages (0–2).
+    /// Frame-tag byte distinguishing a multiplexed frame from bare
+    /// messages (0–2).
     pub const FRAME_TAG: u8 = 4;
 
     /// Section-tag byte introducing the optional trailing [`TopicControl`]
@@ -906,8 +693,8 @@ impl MuxBatch {
     }
 
     /// Decodes a complete multiplexed frame, copying payloads into fresh
-    /// storage (the legacy path; [`MuxBatch::decode_shared`] is the
-    /// zero-copy one).
+    /// storage — the reference decode the property tests compare the
+    /// zero-copy [`MuxBatch::decode_shared`] against.
     pub fn decode(data: &[u8]) -> Result<MuxBatch, CodecError> {
         decode_mux(data, &mut copy_payload)
     }
@@ -1233,80 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip_empty_single_many() {
-        for msgs in [
-            vec![],
-            vec![msg(1, "solo")],
-            vec![
-                msg(1, "a"),
-                ack(1, 2, "a", None),
-                ack(1, 3, "a", Some(&[9, 7])),
-                WireMessage::Heartbeat {
-                    label: Label(4),
-                    seq: 5,
-                },
-                msg(2, ""),
-            ],
-        ] {
-            let batch: Batch = msgs.iter().cloned().collect();
-            let enc = batch.encode();
-            assert_eq!(enc.len(), batch.encoded_len());
-            let back = Batch::decode(&enc).unwrap();
-            assert_eq!(back, batch);
-            assert_eq!(back.messages(), &msgs[..]);
-        }
-    }
-
-    #[test]
-    fn batch_preserves_per_message_retransmit_keys() {
-        let msgs = [msg(1, "a"), ack(1, 2, "a", Some(&[1])), msg(3, "b")];
-        let batch: Batch = msgs.iter().cloned().collect();
-        let keys: Vec<u64> = batch.retransmit_keys().collect();
-        let direct: Vec<u64> = msgs.iter().map(|m| m.retransmit_key()).collect();
-        assert_eq!(keys, direct, "batching must not launder message identity");
-    }
-
-    #[test]
-    fn batch_drain_from_empties_and_keeps_capacity() {
-        let mut outbox = Vec::with_capacity(16);
-        outbox.push(msg(1, "x"));
-        outbox.push(msg(2, "y"));
-        let batch = Batch::drain_from(&mut outbox);
-        assert_eq!(batch.len(), 2);
-        assert!(outbox.is_empty());
-    }
-
-    #[test]
-    fn batch_decode_rejects_malformed_frames() {
-        let batch: Batch = vec![msg(7, "hello")].into_iter().collect();
-        let enc = batch.encode();
-        // Every strict prefix is truncated.
-        for cut in 0..enc.len() {
-            assert!(
-                matches!(Batch::decode(&enc[..cut]), Err(CodecError::Truncated)),
-                "prefix {cut}"
-            );
-        }
-        // Trailing garbage is rejected.
-        let mut long = enc.to_vec();
-        long.push(0);
-        assert!(matches!(
-            Batch::decode(&long),
-            Err(CodecError::TrailingBytes(1))
-        ));
-        // A bare-message frame is not a batch.
-        assert!(matches!(
-            Batch::decode(&msg(1, "m").encode()),
-            Err(CodecError::BadDiscriminant(0))
-        ));
-        // A member whose length prefix over-claims is truncated, and one
-        // whose member bytes disagree with the length is rejected too.
-        let mut frame = vec![Batch::FRAME_TAG, 0, 0, 0, 1];
-        frame.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert!(matches!(Batch::decode(&frame), Err(CodecError::Truncated)));
-    }
-
-    #[test]
     fn mux_roundtrip_and_entry_encoding_agree() {
         let entries = vec![
             (TopicId(0), msg(1, "a")),
@@ -1328,7 +1041,7 @@ mod tests {
         assert_eq!(enc.len(), mux.encoded_len());
         // Structured and flat-entry encoders produce identical bytes.
         let mut flat = BytesMut::new();
-        encode_frame_via_entries(&entries, &mut flat);
+        encode_mux_frame_into(&entries, &mut flat);
         assert_eq!(&enc[..], &flat[..]);
         // Both decode paths reproduce the original.
         assert_eq!(MuxBatch::decode(&enc).unwrap(), mux);
@@ -1337,10 +1050,15 @@ mod tests {
         let mut out = Vec::new();
         MuxBatch::decode_shared_into(&enc, &mut out).unwrap();
         assert_eq!(out, entries);
-    }
-
-    fn encode_frame_via_entries(entries: &[(TopicId, WireMessage)], buf: &mut BytesMut) {
-        encode_mux_frame_into(entries, buf);
+        // Batching must not launder message identity: every member keeps
+        // its own retransmission key, in order.
+        let keys: Vec<u64> = shared.iter().map(|(_, m)| m.retransmit_key()).collect();
+        let direct: Vec<u64> = entries.iter().map(|(_, m)| m.retransmit_key()).collect();
+        assert_eq!(keys, direct);
+        // The empty frame round-trips too.
+        let empty = MuxBatch::new();
+        assert_eq!(empty.encode().len(), empty.encoded_len());
+        assert_eq!(MuxBatch::decode(&empty.encode()).unwrap(), empty);
     }
 
     #[test]
@@ -1351,16 +1069,15 @@ mod tests {
         let back = MuxBatch::decode(&enc).unwrap();
         assert_eq!(back.sub_batches().len(), 1);
         assert_eq!(back.sub_batches()[0].0, TopicId::ZERO);
-        // A mux frame is NOT a batch frame and vice versa — the tags are
-        // disjoint, so a receiver can dispatch on the first byte.
+        // Only 0x04 opens a frame: the retired single-topic tag 0x03 and
+        // a bare message (discriminants 0-2) are both rejected.
         assert!(matches!(
-            Batch::decode(&enc),
-            Err(CodecError::BadDiscriminant(4))
-        ));
-        let batch: Batch = vec![msg(3, "only")].into_iter().collect();
-        assert!(matches!(
-            MuxBatch::decode(&batch.encode()),
+            MuxBatch::decode(&[3, 0, 0, 0, 0]),
             Err(CodecError::BadDiscriminant(3))
+        ));
+        assert!(matches!(
+            MuxBatch::decode(&msg(1, "m").encode()),
+            Err(CodecError::BadDiscriminant(0))
         ));
     }
 
@@ -1382,6 +1099,16 @@ mod tests {
         assert!(matches!(
             MuxBatch::decode(&long),
             Err(CodecError::TrailingBytes(1))
+        ));
+        // A member whose length prefix over-claims is truncated: one
+        // sub-batch (topic 0) of one message claiming u32::MAX bytes.
+        let mut frame = vec![MuxBatch::FRAME_TAG, 0, 0, 0, 1];
+        frame.extend_from_slice(&0u32.to_be_bytes());
+        frame.extend_from_slice(&1u32.to_be_bytes());
+        frame.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert!(matches!(
+            MuxBatch::decode(&frame),
+            Err(CodecError::Truncated)
         ));
         // Duplicate / descending topics are rejected.
         let dup = MuxBatch::from_entries(&[(TopicId(2), msg(1, "a"))]);

@@ -1,15 +1,17 @@
 //! Codec-equivalence and pool-reuse property tests (DESIGN.md §10).
 //!
-//! The zero-copy batch codec is only a *performance* plane: it must be
-//! observationally identical to the legacy path. These properties pin
-//! that down — byte-identical frames, identical decodes (shared-payload
-//! or copied), and a frame-buffer pool that stops allocating once warm.
+//! The zero-copy frame codec is only a *performance* plane: it must be
+//! observationally identical to the allocating `MuxBatch::encode` and the
+//! copying `MuxBatch::decode`, which stay as the reference. These
+//! properties pin that down — byte-identical frames, identical decodes
+//! (shared-payload or copied), identical rejections, and a frame-buffer
+//! pool that stops allocating once warm.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use urb_types::{
-    encode_frame_into, Batch, BatchPool, BufPool, Label, LabelSet, Payload, Tag, TagAck,
-    WireMessage,
+    encode_mux_frame_with_controls_into, BufPool, Label, LabelSet, MuxBatch, MuxPool, Payload, Tag,
+    TagAck, TopicControl, TopicId, WireMessage,
 };
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
@@ -44,63 +46,118 @@ fn arb_message() -> impl Strategy<Value = WireMessage> {
     ]
 }
 
+/// Topic-tagged entries in the ascending grouping every engine outbox has
+/// (possibly empty).
+fn arb_entries() -> impl Strategy<Value = Vec<(TopicId, WireMessage)>> {
+    proptest::collection::vec(
+        (0u32..6, proptest::collection::vec(arb_message(), 1..6)),
+        0..5,
+    )
+    .prop_map(|groups| {
+        let mut by_topic: std::collections::BTreeMap<u32, Vec<WireMessage>> = Default::default();
+        for (t, msgs) in groups {
+            by_topic.entry(t).or_default().extend(msgs);
+        }
+        by_topic
+            .into_iter()
+            .flat_map(|(t, msgs)| msgs.into_iter().map(move |m| (TopicId(t), m)))
+            .collect()
+    })
+}
+
+fn arb_controls() -> impl Strategy<Value = Vec<TopicControl>> {
+    proptest::collection::vec(
+        (0u8..4, any::<u32>(), any::<u8>(), any::<u32>()).prop_map(|(op, t, algorithm, param)| {
+            let topic = TopicId(t);
+            match op {
+                0 => TopicControl::Create {
+                    topic,
+                    algorithm,
+                    param,
+                },
+                1 => TopicControl::Retire { topic },
+                2 => TopicControl::Subscribe { topic },
+                _ => TopicControl::Unsubscribe { topic },
+            }
+        }),
+        0..4,
+    )
+}
+
+fn mux_of(entries: &[(TopicId, WireMessage)], controls: &[TopicControl]) -> MuxBatch {
+    let mut mux = MuxBatch::from_entries(entries);
+    for &c in controls {
+        mux.push_control(c);
+    }
+    mux
+}
+
 proptest! {
-    /// The zero-copy encode path (`encode_into` over a reused buffer, and
-    /// the outbox-slice form `encode_frame_into`) produces frames
-    /// byte-identical to the legacy `encode()` for any member set.
+    /// The zero-copy encode paths (`encode_into` over a pooled buffer, and
+    /// the outbox-slice form `encode_mux_frame_with_controls_into`) produce
+    /// frames byte-identical to the allocating `encode()` for any entry
+    /// set and control section.
     #[test]
-    fn zero_copy_and_legacy_frames_are_byte_identical(
-        msgs in proptest::collection::vec(arb_message(), 0..24),
+    fn zero_copy_and_allocating_frames_are_byte_identical(
+        entries in arb_entries(),
+        controls in arb_controls(),
     ) {
-        let batch: Batch = msgs.iter().cloned().collect();
-        let legacy = batch.encode();
+        let mux = mux_of(&entries, &controls);
+        let reference = mux.encode();
 
         let pool = BufPool::default();
         let mut pooled = pool.acquire();
-        batch.encode_into(&mut pooled);
-        prop_assert_eq!(&pooled[..], &legacy[..]);
+        mux.encode_into(&mut pooled);
+        prop_assert_eq!(&pooled[..], &reference[..]);
 
         let mut from_slice = pool.acquire();
-        encode_frame_into(&msgs, &mut from_slice);
-        prop_assert_eq!(&from_slice[..], &legacy[..]);
+        encode_mux_frame_with_controls_into(&entries, &controls, &mut from_slice);
+        prop_assert_eq!(&from_slice[..], &reference[..]);
     }
 
-    /// Both decode paths accept the frame and agree on every message —
-    /// shared-payload decoding changes storage, never values. All
-    /// `WireMessage` variants round-trip (the generator covers MSG, ACK
-    /// with and without labels, and heartbeats).
+    /// Both decode paths accept the frame and agree on every message and
+    /// control — shared-payload decoding changes storage, never values.
+    /// All `WireMessage` variants round-trip (the generator covers MSG,
+    /// ACK with and without labels, and heartbeats).
     #[test]
     fn shared_and_copying_decodes_agree(
-        msgs in proptest::collection::vec(arb_message(), 0..24),
+        entries in arb_entries(),
+        controls in arb_controls(),
     ) {
-        let batch: Batch = msgs.iter().cloned().collect();
-        let frame: Bytes = batch.encode();
+        let mux = mux_of(&entries, &controls);
+        let frame: Bytes = mux.encode();
 
-        let copied = Batch::decode(&frame).unwrap();
-        let shared = Batch::decode_shared(&frame).unwrap();
+        let copied = MuxBatch::decode(&frame).unwrap();
+        let shared = MuxBatch::decode_shared(&frame).unwrap();
         prop_assert_eq!(&copied, &shared);
-        prop_assert_eq!(shared.messages(), &msgs[..]);
+        prop_assert_eq!(&shared, &mux);
 
-        // The pooled-vector decode form agrees too.
-        let mut out = vec![WireMessage::Heartbeat { label: Label(0), seq: 0 }];
-        Batch::decode_shared_into(&frame, &mut out).unwrap();
-        prop_assert_eq!(&out[..], &msgs[..]);
+        // The scratch-vector decode form agrees too (and clears stale
+        // scratch contents first).
+        let mut out = vec![(TopicId(9), WireMessage::Heartbeat { label: Label(0), seq: 0 })];
+        let mut ctl = vec![TopicControl::Retire { topic: TopicId(9) }];
+        MuxBatch::decode_shared_with_controls_into(&frame, &mut out, &mut ctl).unwrap();
+        prop_assert_eq!(&out[..], &entries[..]);
+        prop_assert_eq!(&ctl[..], &controls[..]);
     }
 
     /// Malformed frames are rejected identically by both decode paths
     /// (same error taxonomy at the same cut).
     #[test]
     fn decode_paths_reject_identically(
-        msgs in proptest::collection::vec(arb_message(), 1..8),
+        entries in arb_entries(),
+        controls in arb_controls(),
         cut_frac in 0.0f64..1.0,
     ) {
-        let batch: Batch = msgs.into_iter().collect();
-        let enc = batch.encode();
+        let enc = mux_of(&entries, &controls).encode();
         let cut = ((enc.len() - 1) as f64 * cut_frac) as usize;
         let prefix = Bytes::copy_from_slice(&enc[..cut]);
+        let (mut out, mut ctl) = (Vec::new(), Vec::new());
+        let copied = MuxBatch::decode(&prefix).map(|_| ());
+        prop_assert_eq!(copied, MuxBatch::decode_shared(&prefix).map(|_| ()));
         prop_assert_eq!(
-            Batch::decode(&prefix).unwrap_err(),
-            Batch::decode_shared(&prefix).unwrap_err()
+            copied,
+            MuxBatch::decode_shared_with_controls_into(&prefix, &mut out, &mut ctl)
         );
     }
 
@@ -108,14 +165,12 @@ proptest! {
     /// allocations: after the first acquisition, every further frame is
     /// served from the recycled buffer.
     #[test]
-    fn warm_pool_stops_creating_buffers(
-        msgs in proptest::collection::vec(arb_message(), 1..16),
-    ) {
+    fn warm_pool_stops_creating_buffers(entries in arb_entries()) {
         let pool = BufPool::new(4);
-        let batch: Batch = msgs.into_iter().collect();
+        let mux = MuxBatch::from_entries(&entries);
         for _ in 0..32 {
             let mut frame = pool.acquire();
-            batch.encode_into(&mut frame);
+            mux.encode_into(&mut frame);
         }
         let s = pool.stats();
         prop_assert_eq!(s.created, 1, "only the cold-start allocation");
@@ -124,69 +179,75 @@ proptest! {
     }
 }
 
-/// Shared-payload decoding really does share: the decoded payloads alias
-/// the frame's storage (zero copies), while the legacy path's do not.
-#[test]
-fn decode_shared_payloads_alias_the_frame() {
-    let batch: Batch = vec![
-        WireMessage::Msg {
-            tag: Tag(1),
-            payload: Payload::from("first payload"),
-        },
-        WireMessage::Ack {
-            tag: Tag(1),
-            tag_ack: TagAck(2),
-            payload: Payload::from("second payload"),
-            labels: Some(LabelSet::from_iter([Label(9)])),
-        },
-    ]
-    .into_iter()
-    .collect();
-    let frame = batch.encode();
-    let shared = Batch::decode_shared(&frame).unwrap();
-    for (m, original) in shared.messages().iter().zip(batch.messages()) {
-        if let (
-            Some(WireMessage::Msg { payload, .. } | WireMessage::Ack { payload, .. }),
-            Some(WireMessage::Msg { payload: orig, .. } | WireMessage::Ack { payload: orig, .. }),
-        ) = (Some(m), Some(original))
-        {
-            assert_eq!(payload, orig, "values agree");
-            // Aliasing check: the shared payload's bytes live inside the
-            // frame's address range; a copied payload's do not.
-            let frame_range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
-            let p = payload.as_slice().as_ptr() as usize;
-            assert!(
-                payload.is_empty() || frame_range.contains(&p),
-                "shared payload must alias the frame storage"
-            );
-            let copied = Batch::decode(&frame).unwrap();
-            if let WireMessage::Msg { payload: c, .. } | WireMessage::Ack { payload: c, .. } =
-                &copied.messages()[0]
-            {
-                let cp = c.as_slice().as_ptr() as usize;
-                assert!(
-                    c.is_empty() || !frame_range.contains(&cp),
-                    "copied payload must not alias the frame"
-                );
-            }
-        }
+/// The payload of a MSG or ACK.
+fn payload_of(m: &WireMessage) -> &Payload {
+    match m {
+        WireMessage::Msg { payload, .. } | WireMessage::Ack { payload, .. } => payload,
+        WireMessage::Heartbeat { .. } => panic!("heartbeats carry no payload"),
     }
 }
 
-/// A `BatchPool`-backed decode loop reuses one vector for every frame.
+/// Shared-payload decoding really does share: the decoded payloads alias
+/// the frame's storage (zero copies), while the copying decode's do not.
 #[test]
-fn batch_pool_decode_loop_is_allocation_flat() {
-    let pool = BatchPool::new(2);
-    let batch: Batch = (0..8u128)
-        .map(|i| WireMessage::Msg {
-            tag: Tag(i),
-            payload: Payload::from("p"),
+fn decode_shared_payloads_alias_the_frame() {
+    let entries = [
+        (
+            TopicId(0),
+            WireMessage::Msg {
+                tag: Tag(1),
+                payload: Payload::from("first payload"),
+            },
+        ),
+        (
+            TopicId(3),
+            WireMessage::Ack {
+                tag: Tag(1),
+                tag_ack: TagAck(2),
+                payload: Payload::from("second payload"),
+                labels: Some(LabelSet::from_iter([Label(9)])),
+            },
+        ),
+    ];
+    let frame = MuxBatch::from_entries(&entries).encode();
+    let shared = MuxBatch::decode_shared(&frame).unwrap();
+    let copied = MuxBatch::decode(&frame).unwrap();
+    // Aliasing check: a shared payload's bytes live inside the frame's
+    // address range; a copied payload's do not.
+    let frame_range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
+    let inside = |p: &Payload| frame_range.contains(&(p.as_slice().as_ptr() as usize));
+    for (((_, s), (_, c)), (_, original)) in shared.iter().zip(copied.iter()).zip(&entries) {
+        assert_eq!(payload_of(s), payload_of(original), "values agree");
+        assert!(
+            inside(payload_of(s)),
+            "shared payload must alias the frame storage"
+        );
+        assert!(
+            !inside(payload_of(c)),
+            "copied payload must not alias the frame"
+        );
+    }
+}
+
+/// A `MuxPool`-backed decode loop reuses one vector for every frame.
+#[test]
+fn mux_pool_decode_loop_is_allocation_flat() {
+    let pool = MuxPool::new(2);
+    let entries: Vec<(TopicId, WireMessage)> = (0..8u128)
+        .map(|i| {
+            (
+                TopicId(1),
+                WireMessage::Msg {
+                    tag: Tag(i),
+                    payload: Payload::from("p"),
+                },
+            )
         })
         .collect();
-    let frame = batch.encode();
+    let frame = MuxBatch::from_entries(&entries).encode();
     for _ in 0..50 {
         let mut msgs = pool.acquire();
-        Batch::decode_shared_into(&frame, &mut msgs).unwrap();
+        MuxBatch::decode_shared_into(&frame, &mut msgs).unwrap();
         assert_eq!(msgs.len(), 8);
         pool.release(msgs);
     }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use urb_types::{
-    Batch, CodecError, Label, LabelSet, MuxBatch, Payload, Tag, TagAck, TopicId, WireMessage,
+    CodecError, Label, LabelSet, MuxBatch, Payload, Tag, TagAck, TopicId, WireMessage,
 };
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
@@ -92,31 +92,11 @@ proptest! {
         }
     }
 
-    /// Batch frames round-trip bit-exactly for any member set (including
-    /// empty), report their encoded length correctly, and preserve every
-    /// member's retransmission identity in order.
-    #[test]
-    fn batch_roundtrip_any_members(msgs in proptest::collection::vec(arb_message(), 0..24)) {
-        let batch: Batch = msgs.iter().cloned().collect();
-        let enc = batch.encode();
-        prop_assert_eq!(enc.len(), batch.encoded_len());
-        let back = Batch::decode(&enc).unwrap();
-        prop_assert_eq!(back.messages(), &msgs[..]);
-        let keys: Vec<u64> = back.retransmit_keys().collect();
-        let direct: Vec<u64> = msgs.iter().map(|m| m.retransmit_key()).collect();
-        prop_assert_eq!(keys, direct);
-    }
-
-    /// Decoding arbitrary bytes as a batch never panics.
-    #[test]
-    fn batch_decode_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = Batch::decode(&bytes); // must not panic
-    }
-
     /// Multiplexed frames round-trip bit-exactly for any topic-grouped
-    /// entry set: structured and flat decode paths agree, the encoded
-    /// length is reported correctly, and the ascending topic grouping
-    /// survives (DESIGN.md §12).
+    /// entry set (including empty): structured and flat decode paths
+    /// agree, the encoded length is reported correctly, the ascending
+    /// topic grouping survives (DESIGN.md §12) and every member keeps its
+    /// retransmission identity, in order.
     #[test]
     fn mux_roundtrip_any_entries(
         groups in proptest::collection::vec(
@@ -139,15 +119,29 @@ proptest! {
         prop_assert_eq!(enc.len(), mux.encoded_len());
         let back = MuxBatch::decode(&enc).unwrap();
         prop_assert_eq!(&back, &mux);
+        let keys: Vec<u64> = back.iter().map(|(_, m)| m.retransmit_key()).collect();
+        let direct: Vec<u64> = entries.iter().map(|(_, m)| m.retransmit_key()).collect();
+        prop_assert_eq!(keys, direct);
         let mut flat = Vec::new();
         MuxBatch::decode_shared_into(&enc, &mut flat).unwrap();
         prop_assert_eq!(flat, entries);
     }
 
-    /// Decoding arbitrary bytes as a mux frame never panics.
+    /// Decoding arbitrary bytes as a mux frame never panics — through the
+    /// copying decode and through the shared decode the runtime's ingress
+    /// uses, with and without a valid frame tag in front (so the fuzz
+    /// reaches the sub-batch and control-section parsers, not only the
+    /// tag check).
     #[test]
     fn mux_decode_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = MuxBatch::decode(&bytes); // must not panic
+        let mut tagged = vec![MuxBatch::FRAME_TAG];
+        tagged.extend_from_slice(&bytes);
+        for data in [bytes, tagged] {
+            let _ = MuxBatch::decode(&data); // must not panic
+            let frame = bytes::Bytes::from(data);
+            let (mut entries, mut controls) = (Vec::new(), Vec::new());
+            let _ = MuxBatch::decode_shared_with_controls_into(&frame, &mut entries, &mut controls);
+        }
     }
 
     /// Every strict prefix of a valid mux frame is rejected.
@@ -164,24 +158,23 @@ proptest! {
         prop_assert!(MuxBatch::decode(&enc[..cut]).is_err());
     }
 
-    /// Every strict prefix of a valid batch frame is rejected (with
-    /// `Truncated`, or `BadDiscriminant` for the zero-length prefix path
-    /// that exposes a member's first byte — never accepted).
+    /// A mux frame with trailing garbage is rejected. (Garbage that
+    /// happens to open with the control-section tag would *be* a control
+    /// section, so the first junk byte is steered off it.)
     #[test]
-    fn batch_prefixes_are_rejected(msgs in proptest::collection::vec(arb_message(), 1..8), cut_frac in 0.0f64..1.0) {
-        let batch: Batch = msgs.into_iter().collect();
-        let enc = batch.encode();
-        let cut = ((enc.len() - 1) as f64 * cut_frac) as usize;
-        prop_assert!(Batch::decode(&enc[..cut]).is_err());
-    }
-
-    /// A batch frame with trailing garbage is rejected.
-    #[test]
-    fn batch_trailing_garbage_rejected(msgs in proptest::collection::vec(arb_message(), 0..8), junk in proptest::collection::vec(any::<u8>(), 1..16)) {
-        let batch: Batch = msgs.into_iter().collect();
-        let mut enc = batch.encode().to_vec();
+    fn mux_trailing_garbage_rejected(
+        msgs in proptest::collection::vec(arb_message(), 0..8),
+        junk in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let entries: Vec<(TopicId, WireMessage)> =
+            msgs.into_iter().map(|m| (TopicId(2), m)).collect();
+        let mut enc = MuxBatch::from_entries(&entries).encode().to_vec();
+        let at = enc.len();
         enc.extend_from_slice(&junk);
-        prop_assert!(Batch::decode(&enc).is_err());
+        if enc[at] == MuxBatch::CONTROL_TAG {
+            enc[at] = 0;
+        }
+        prop_assert!(MuxBatch::decode(&enc).is_err());
     }
 
     /// The retransmission key is stable across label-set evolution for
