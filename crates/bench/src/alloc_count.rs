@@ -257,6 +257,70 @@ mod tests {
         }
     }
 
+    /// Algorithm 2's Task 1 walks `MSG`, not history, and collects
+    /// nothing: with 10 000 delivered-and-pruned tags settled in the table
+    /// and a few undelivered ones still in `MSG`, a warm tick re-sends
+    /// exactly those few and allocates nothing.
+    #[test]
+    fn alg2_tick_over_settled_history_is_allocation_free_when_counted() {
+        use urb_types::{Context, FdPair, FdView};
+        let view = FdView::from_pairs([FdPair {
+            label: Label(10),
+            number: 1,
+        }]);
+        let fd = FdSnapshot::new(view.clone(), view);
+        let mut proc = Algorithm::Quiescent.instantiate(3);
+        let mut rng = SplitMix64::new(7);
+        let (mut outbox, mut deliveries) = (Vec::new(), Vec::new());
+        let payload = Payload::from("settled");
+        for t in 0..10_008u128 {
+            let mut ctx = Context::new(&mut rng, &fd, &mut outbox, &mut deliveries);
+            proc.on_receive(
+                WireMessage::Msg {
+                    tag: Tag(t),
+                    payload: payload.clone(),
+                },
+                &mut ctx,
+            );
+            // The last 8 tags are never acknowledged: they stay in MSG.
+            if t < 10_000 {
+                proc.on_receive(
+                    WireMessage::Ack {
+                        tag: Tag(t),
+                        tag_ack: TagAck(t),
+                        payload: payload.clone(),
+                        labels: Some(LabelSet::from_iter([Label(10)])),
+                    },
+                    &mut ctx,
+                );
+            }
+            outbox.clear();
+        }
+        assert_eq!(deliveries.len(), 10_000);
+        // First tick: line-57 prunes the delivered tags, warms the outbox.
+        proc.on_tick(&mut Context::new(
+            &mut rng,
+            &fd,
+            &mut outbox,
+            &mut deliveries,
+        ));
+        assert_eq!(proc.stats().msg_set, 8);
+        assert_eq!(proc.stats().delivered, 10_000);
+        outbox.clear();
+        let (_, allocs) = count_thread_allocations(|| {
+            proc.on_tick(&mut Context::new(
+                &mut rng,
+                &fd,
+                &mut outbox,
+                &mut deliveries,
+            ));
+        });
+        assert_eq!(outbox.len(), 8, "Task 1 re-sends what is still in MSG");
+        if let Some(allocs) = allocs {
+            assert_eq!(allocs, 0, "an Alg 2 tick must not allocate");
+        }
+    }
+
     #[test]
     fn shared_decode_scratch_is_allocation_free_when_counted() {
         // Traffic-shaped frames: MSGs, ACKs with and without label sets,

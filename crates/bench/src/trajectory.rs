@@ -943,10 +943,21 @@ mod tests {
         }
     }
 
+    /// `allocs_per_run` comes from the process-wide allocation counter: with
+    /// `count-allocs` on it sees the thread pool's allocations and those of
+    /// whatever test runs beside this one. Everything *measured from the
+    /// runs* must be identical; that field is scrubbed before comparing.
+    fn scrub(mut t: Trajectory) -> Trajectory {
+        for p in &mut t.points {
+            p.allocs_per_run = None;
+        }
+        t
+    }
+
     #[test]
     fn deterministic_for_a_fixed_seed() {
-        let a = collect(&tiny());
-        let b = collect(&tiny());
+        let a = scrub(collect(&tiny()));
+        let b = scrub(collect(&tiny()));
         assert_eq!(a, b);
         std::env::set_var("URB_GIT_REV", "test-rev-0001");
         assert_eq!(a.to_json(), b.to_json(), "byte-identical files");
@@ -964,15 +975,6 @@ mod tests {
         let cfg = tiny();
         let serial = collect_with(&cfg, ExecMode::Serial);
         let parallel = collect_with(&cfg, ExecMode::Parallel);
-        // `allocs_per_run` is exec-mode-sensitive when counting is on
-        // (the thread pool allocates); everything *measured from the
-        // runs* must be identical.
-        let scrub = |mut t: Trajectory| {
-            for p in &mut t.points {
-                p.allocs_per_run = None;
-            }
-            t
-        };
         assert_eq!(scrub(serial), scrub(parallel));
     }
 

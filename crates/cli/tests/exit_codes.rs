@@ -74,6 +74,19 @@ fn scenario_unusable_spec_is_exit_two() {
     std::fs::write(&path, "name = \"bad\"\nn = 3\nwat = 1\n").unwrap();
     let out = run(&["scenario", path.to_str().unwrap()]);
     assert_eq!(code(&out), 2, "malformed spec: {out:?}");
+    // An algorithm parameter the system size cannot run is unusable
+    // input too — it must not reach the constructors' assertions.
+    for alg in ["backoff:0", "weakened:9"] {
+        std::fs::write(
+            &path,
+            format!("name = \"bad\"\nn = 4\nalgorithm = \"{alg}\"\n"),
+        )
+        .unwrap();
+        let out = run(&["scenario", path.to_str().unwrap()]);
+        assert_eq!(code(&out), 2, "{alg}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(alg), "names the algorithm: {stderr}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -475,6 +488,27 @@ fn node_corrupt_state_dir_is_exit_two() {
     assert_eq!(code(&out), 2, "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("snapshot.bin"), "{stderr}");
+
+    // So is a well-formed envelope of the retired version-1 layout: it is
+    // refused by version, never reinterpreted.
+    let mut v1 = b"URBS".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&[0u8; 16]); // empty body + trailer
+    std::fs::write(dir.join("snapshot.bin"), v1).unwrap();
+    let out = run(&[
+        "node",
+        "--id",
+        "0",
+        "--addrs",
+        "127.0.0.1:0",
+        "--run-ms",
+        "200",
+        "--state-dir",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 2, "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unsupported version 1"), "{stderr}");
 
     // A journal ending mid-record (length prefix promises more bytes
     // than the file holds) is equally fatal, and typed as such.

@@ -3,7 +3,7 @@
 //! The paper's Task 1 rebroadcasts every message in `MSG` on *every* sweep,
 //! forever. Fairness only requires each message to be sent *infinitely
 //! often* — nothing says how densely. This variant spaces retransmissions
-//! of each message exponentially (1, 2, 4, … sweeps apart, capped), which:
+//! of each message exponentially, which:
 //!
 //! * preserves every URB property — the fairness precondition ("sent
 //!   infinitely often") still holds, so all of the paper's proofs go
@@ -11,28 +11,36 @@
 //! * cuts steady-state traffic from `Θ(messages)` per sweep to
 //!   `Θ(messages / cap)` per sweep;
 //! * pays with tail latency under loss: a dropped wave now waits up to
-//!   `cap` sweeps for the next attempt.
+//!   `cap + 1` sweeps for the next attempt.
+//!
+//! The schedule: a message is sent on the first sweep after it enters
+//! `MSG`; each send doubles its `interval` (starting from 1, capped at
+//! `cap`) and the next send follows `interval` skipped sweeps later — a gap
+//! of `interval + 1` sweeps: 3, 5, 9, … up to `cap + 1` in steady state.
+//! Even `cap = 1` therefore sends every *other* sweep, not every sweep as
+//! the faithful algorithm does.
 //!
 //! Experiment E13 quantifies the trade-off against the faithful algorithm.
 //! This is exactly the kind of engineering the paper leaves on the table by
-//! never evaluating its algorithms; the variant keeps the delivery logic
-//! byte-identical to [`MajorityUrb`](crate::MajorityUrb) and only re-paces
-//! Task 1.
+//! never evaluating its algorithms. The reception path (lines 7–27) *is*
+//! [`MajorityUrb`](crate::MajorityUrb)'s; only Task 1 is re-paced.
 
-use std::collections::{BTreeMap, BTreeSet};
-use urb_types::{AnonProcess, Context, Payload, ProcessStats, Tag, TagAck, WireMessage};
+use crate::evidence::AckSet;
+use crate::majority;
+use crate::table::TagTable;
+use urb_types::{AnonProcess, Context, Payload, ProcessStats, Tag, WireMessage};
 
-/// Per-message retransmission pacing.
+/// Per-message retransmission pacing, kept beside each `MSG` entry.
 #[derive(Clone, Copy, Debug)]
 struct Pacing {
-    /// Current gap between sends, in sweeps.
+    /// Sweeps skipped after the latest send.
     interval: u32,
     /// Sweeps until the next send (0 = send on this sweep).
     countdown: u32,
 }
 
-impl Pacing {
-    fn fresh() -> Self {
+impl Default for Pacing {
+    fn default() -> Self {
         Pacing {
             interval: 1,
             countdown: 0,
@@ -41,130 +49,57 @@ impl Pacing {
 }
 
 /// Algorithm 1 with exponential Task-1 backoff (cap in sweeps).
-///
-/// Reception paths (lines 7–27) are identical to the faithful algorithm;
-/// only the Task-1 schedule differs.
 #[derive(Debug)]
 pub struct BackoffUrb {
-    n: usize,
     threshold: usize,
     cap: u32,
-    msgs: BTreeMap<Tag, (Payload, Pacing)>,
-    my_acks: BTreeMap<Tag, TagAck>,
-    all_acks: BTreeMap<Tag, (BTreeSet<TagAck>, Payload)>,
-    delivered: BTreeSet<Tag>,
+    table: TagTable<AckSet, Pacing>,
 }
 
 impl BackoffUrb {
-    /// New instance for `n` processes with retransmission gaps capped at
-    /// `cap` sweeps (`cap = 1` reproduces the faithful algorithm exactly).
+    /// New instance for `n` processes that skips at most `cap` sweeps
+    /// between two retransmissions of a message (see the module docs for
+    /// the exact schedule).
     pub fn new(n: usize, cap: u32) -> Self {
         assert!(n >= 1);
         assert!(cap >= 1, "a zero cap would stop retransmission entirely");
         BackoffUrb {
-            n,
             threshold: n / 2 + 1,
             cap,
-            msgs: BTreeMap::new(),
-            my_acks: BTreeMap::new(),
-            all_acks: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            table: TagTable::default(),
         }
-    }
-
-    /// The configured cap, in sweeps.
-    pub fn cap(&self) -> u32 {
-        self.cap
-    }
-
-    /// The system size this instance was configured for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    fn ack_for(&mut self, tag: Tag, payload: Payload, ctx: &mut Context<'_>) {
-        let tag_ack = match self.my_acks.get(&tag) {
-            Some(ta) => *ta,
-            None => {
-                let ta = TagAck::random(ctx.rng);
-                self.my_acks.insert(tag, ta);
-                ta
-            }
-        };
-        ctx.broadcast(WireMessage::Ack {
-            tag,
-            tag_ack,
-            payload,
-            labels: None,
-        });
     }
 }
 
 impl AnonProcess for BackoffUrb {
     fn urb_broadcast(&mut self, payload: Payload, ctx: &mut Context<'_>) -> Tag {
-        let tag = Tag::random(ctx.rng);
-        self.msgs.insert(tag, (payload.clone(), Pacing::fresh()));
-        ctx.broadcast(WireMessage::Msg { tag, payload });
-        tag
+        self.table.urb_broadcast(payload, ctx)
     }
 
     fn on_receive(&mut self, msg: WireMessage, ctx: &mut Context<'_>) {
-        match msg {
-            WireMessage::Msg { tag, payload } => {
-                self.msgs
-                    .entry(tag)
-                    .or_insert_with(|| (payload.clone(), Pacing::fresh()));
-                self.ack_for(tag, payload, ctx);
-            }
-            WireMessage::Ack {
-                tag,
-                tag_ack,
-                payload,
-                labels: _,
-            } => {
-                let (acks, body) = self
-                    .all_acks
-                    .entry(tag)
-                    .or_insert_with(|| (BTreeSet::new(), payload));
-                acks.insert(tag_ack);
-                if acks.len() >= self.threshold && !self.delivered.contains(&tag) {
-                    self.delivered.insert(tag);
-                    let fast = !self.msgs.contains_key(&tag);
-                    let body = body.clone();
-                    ctx.deliver(tag, body, fast);
-                }
-            }
-            WireMessage::Heartbeat { .. } => {}
-        }
+        majority::on_receive(&mut self.table, self.threshold, msg, ctx);
     }
 
     fn on_tick(&mut self, ctx: &mut Context<'_>) {
-        for (tag, (payload, pacing)) in self.msgs.iter_mut() {
-            if pacing.countdown == 0 {
-                ctx.broadcast(WireMessage::Msg {
-                    tag: *tag,
-                    payload: payload.clone(),
-                });
-                pacing.interval = (pacing.interval * 2).min(self.cap);
+        let cap = self.cap;
+        self.table.task1(ctx, |_, _, pacing| {
+            let due = pacing.countdown == 0;
+            if due {
+                pacing.interval = pacing.interval.saturating_mul(2).min(cap);
                 pacing.countdown = pacing.interval;
             } else {
                 pacing.countdown -= 1;
             }
-        }
+            (due, true)
+        });
     }
 
     fn is_quiescent(&self) -> bool {
-        self.msgs.is_empty()
+        self.table.is_quiescent()
     }
 
     fn stats(&self) -> ProcessStats {
-        ProcessStats {
-            msg_set: self.msgs.len(),
-            my_acks: self.my_acks.len(),
-            all_ack_entries: self.all_acks.values().map(|(a, _)| a.len()).sum(),
-            delivered: self.delivered.len(),
-            label_counters: 0,
-        }
+        self.table.stats()
     }
 
     fn algorithm_name(&self) -> &'static str {
@@ -218,24 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn delivery_logic_identical_to_majority() {
-        let mut h = StepHarness::new(3);
-        let mut p = BackoffUrb::new(5, 8); // threshold 3
-        let ack = |ta: u128| WireMessage::Ack {
-            tag: Tag(9),
-            tag_ack: TagAck(ta),
-            payload: Payload::from("m"),
-            labels: None,
-        };
-        assert!(h.receive(&mut p, ack(1)).deliveries.is_empty());
-        assert!(h.receive(&mut p, ack(2)).deliveries.is_empty());
-        let out = h.receive(&mut p, ack(3));
-        assert_eq!(out.deliveries.len(), 1);
-        assert!(out.deliveries[0].fast);
-        assert!(h.receive(&mut p, ack(4)).deliveries.is_empty());
-    }
-
-    #[test]
     fn stable_tag_ack_across_retransmissions() {
         let mut h = StepHarness::new(4);
         let mut p = BackoffUrb::new(3, 4);
@@ -269,5 +186,51 @@ mod tests {
     #[should_panic(expected = "zero cap")]
     fn zero_cap_rejected() {
         let _ = BackoffUrb::new(3, 0);
+    }
+
+    mod props {
+        use super::*;
+        use crate::MajorityUrb;
+        use proptest::prelude::*;
+        use urb_types::TagAck;
+
+        proptest! {
+            /// The same reception script drives `BackoffUrb` and
+            /// `MajorityUrb` to identical ACKs, deliveries and state sizes;
+            /// ticks in between only change *when* Task 1 sends, never what
+            /// the reception path does.
+            #[test]
+            fn reception_identical_to_majority(
+                cap in 1u32..6,
+                script in proptest::collection::vec((0u8..3, 0u8..5, 0u8..6), 1..120),
+            ) {
+                let (mut hb, mut hm) = (StepHarness::new(9), StepHarness::new(9));
+                let (mut b, mut m) = (BackoffUrb::new(5, cap), MajorityUrb::new(5));
+                let (mut sent_b, mut sent_m) = (0usize, 0usize);
+                for (kind, tg, ta) in script {
+                    let tag = Tag(tg as u128);
+                    let input = match kind {
+                        0 => msg(tg as u128),
+                        1 => WireMessage::Ack {
+                            tag,
+                            tag_ack: TagAck(ta as u128),
+                            payload: Payload::from("m"),
+                            labels: None,
+                        },
+                        _ => {
+                            sent_b += hb.tick(&mut b).msgs().len();
+                            sent_m += hm.tick(&mut m).msgs().len();
+                            continue;
+                        }
+                    };
+                    let (ob, om) = (hb.receive(&mut b, input.clone()), hm.receive(&mut m, input));
+                    prop_assert_eq!(ob.broadcasts, om.broadcasts);
+                    prop_assert_eq!(ob.deliveries, om.deliveries);
+                    prop_assert_eq!(b.stats(), m.stats());
+                }
+                prop_assert!(sent_b <= sent_m, "backoff never sends more than every sweep");
+                b.table.assert_consistent();
+            }
+        }
     }
 }

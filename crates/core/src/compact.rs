@@ -10,7 +10,6 @@
 //! never re-enters state (re-entering `URB_DELIVERED` empty would permit a
 //! duplicate delivery).
 
-use serde::Serialize;
 use std::collections::{BTreeSet, VecDeque};
 use urb_types::snapshot::{fnv1a, SnapshotError, SnapshotReader, SnapshotWriter};
 use urb_types::{FdSnapshot, Tag};
@@ -21,7 +20,7 @@ use urb_types::{FdSnapshot, Tag};
 /// still has copies in flight could re-enter state as a fresh message, so
 /// the capacity (with the grace period) bounds how old a duplicate the
 /// suppression can still catch — the trade-off DESIGN.md §14 spells out.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TombstoneRing {
     ring: VecDeque<Tag>,
     set: BTreeSet<Tag>,
@@ -55,16 +54,6 @@ impl TombstoneRing {
                 self.set.remove(&old);
             }
         }
-    }
-
-    /// Number of tags currently remembered.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when no tags are remembered.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     /// Evicts the oldest half of the ring (the [`SpillPolicy::Tombstones`]
@@ -129,7 +118,7 @@ mod tests {
         r.push(Tag(3));
         assert!(!r.contains(Tag(1)), "oldest evicted");
         assert!(r.contains(Tag(2)) && r.contains(Tag(3)));
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.ring.len(), 2);
     }
 
     #[test]
@@ -137,7 +126,7 @@ mod tests {
         let mut r = TombstoneRing::new(3);
         r.push(Tag(1));
         r.push(Tag(1));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.ring.len(), 1);
     }
 
     #[test]
@@ -145,7 +134,7 @@ mod tests {
         let mut r = TombstoneRing::new(0);
         r.push(Tag(1));
         assert!(!r.contains(Tag(1)));
-        assert!(r.is_empty());
+        assert!(r.ring.is_empty());
     }
 
     #[test]
@@ -171,7 +160,7 @@ mod tests {
         let mut reader = SnapshotReader::new(&body);
         let back = TombstoneRing::restore(&mut reader, 4).unwrap();
         reader.finish().unwrap();
-        assert_eq!(back.len(), 3);
+        assert_eq!(back.ring.len(), 3);
         assert!(back.contains(Tag(9)) && back.contains(Tag(5)) && back.contains(Tag(7)));
         // Eviction order survives: pushing two more drops 9 then 5.
         let mut back = back;

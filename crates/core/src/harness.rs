@@ -11,9 +11,7 @@
 //! deployment does.
 
 use urb_engine::{drive_step, StepBuffers, StepInput};
-use urb_types::{
-    AnonProcess, Delivery, FdSnapshot, Payload, RandomSource, SplitMix64, Tag, WireMessage,
-};
+use urb_types::{AnonProcess, Delivery, FdSnapshot, Payload, SplitMix64, Tag, WireMessage};
 
 /// Owns everything a protocol step needs, for driving one process by hand.
 pub struct StepHarness {
@@ -81,12 +79,6 @@ impl StepHarness {
     /// Every delivery since the harness was created.
     pub fn all_deliveries(&self) -> &[Delivery] {
         &self.delivery_history
-    }
-
-    /// Direct access to the deterministic RNG (e.g. to mint tags for
-    /// hand-crafted incoming messages).
-    pub fn rng(&mut self) -> &mut dyn RandomSource {
-        &mut self.rng
     }
 }
 

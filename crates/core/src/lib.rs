@@ -13,10 +13,16 @@
 //!   URB for `AAS_F[AΘ, AP*]`, tolerating any number of crashes. The
 //!   anonymous failure detector `AΘ` replaces the majority quorum in the
 //!   delivery condition and `AP*` lets Task 1 stop retransmitting.
+//! * [`backoff::BackoffUrb`] — an extension: Algorithm 1 with its Task 1
+//!   re-paced (ablation E13).
 //! * [`baseline`] — the weaker broadcast abstractions the paper's
 //!   introduction contrasts against (best-effort broadcast and an eager,
 //!   non-uniform reliable broadcast), used by the experiment harness to
 //!   demonstrate *why* uniformity needs the paper's machinery.
+//!
+//! The paper presents Algorithm 2 as Algorithm 1 with three edits, and the
+//! code follows it: the three variants share one crate-private per-tag
+//! record table and differ in their acknowledgment evidence and guards.
 //!
 //! Every state machine implements [`urb_types::AnonProcess`]; the
 //! discrete-event simulator (`urb-sim`) and the threaded runtime
@@ -31,14 +37,15 @@
 
 pub mod backoff;
 pub mod baseline;
-pub mod compact;
+mod compact;
+mod evidence;
 pub mod harness;
 pub mod majority;
 pub mod quiescent;
+mod table;
 
 pub use backoff::BackoffUrb;
 pub use baseline::{BestEffortBroadcast, EagerReliableBroadcast};
-pub use compact::TombstoneRing;
 pub use majority::MajorityUrb;
 pub use quiescent::{PruneRule, QuiescentUrb};
 
@@ -62,10 +69,13 @@ pub enum Algorithm {
     /// Algorithm 2 with the D4 dead-ACKer purge disabled (the paper's
     /// literal line-55 condition). Exists for ablation E12.
     QuiescentLiteral,
-    /// Extension: Algorithm 1 with exponential Task-1 backoff capped at
-    /// `cap` sweeps (ablation E13). `cap = 1` ≈ the faithful algorithm.
+    /// Extension: Algorithm 1 with exponential Task-1 backoff (ablation
+    /// E13): at most `cap` sweeps are skipped between two retransmissions of
+    /// a message, so even `cap = 1` sends every *other* sweep where the
+    /// faithful algorithm sends every sweep.
     MajorityBackoff {
-        /// Maximum gap between retransmissions of one message, in sweeps.
+        /// Maximum number of sweeps skipped between retransmissions of one
+        /// message (`>= 1`).
         cap: u32,
     },
     /// Best-effort broadcast baseline (send once, deliver on first receipt).
@@ -75,7 +85,20 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Instantiates the protocol state machine for a system of `n` processes.
+    /// Whether this algorithm can run in a system of `n` processes.
+    /// Everything that turns outside input — a wire `Create`, a scenario
+    /// file — into an `Algorithm` checks this before
+    /// [`Algorithm::instantiate`], which panics on what it rejects.
+    pub fn runs_with(self, n: usize) -> bool {
+        match self {
+            Algorithm::WeakenedMajority { threshold } => (1..=n).contains(&(threshold as usize)),
+            Algorithm::MajorityBackoff { cap } => n >= 1 && cap >= 1,
+            _ => n >= 1,
+        }
+    }
+
+    /// Instantiates the protocol state machine for a system of `n`
+    /// processes. Panics unless [`Algorithm::runs_with`] accepts `n`.
     pub fn instantiate(self, n: usize) -> Box<dyn AnonProcess + Send> {
         match self {
             Algorithm::Majority => Box::new(MajorityUrb::new(n)),
@@ -113,18 +136,19 @@ impl Algorithm {
     }
 
     /// Decodes an `(algorithm, param)` wire pair produced by
-    /// [`Algorithm::to_wire`]. Returns `None` for unknown codes — a
-    /// receiver drops the create rather than instantiating something it
-    /// does not understand.
+    /// [`Algorithm::to_wire`]. Returns `None` for unknown codes and for a
+    /// parameter no system size admits (threshold or cap of 0) — a receiver
+    /// drops the create rather than instantiating something it cannot run.
+    /// The `n`-dependent half of the check is [`Algorithm::runs_with`].
     pub fn from_wire(code: u8, param: u32) -> Option<Algorithm> {
-        match code {
-            0 => Some(Algorithm::Majority),
-            1 => Some(Algorithm::WeakenedMajority { threshold: param }),
-            2 => Some(Algorithm::Quiescent),
-            3 => Some(Algorithm::QuiescentLiteral),
-            4 => Some(Algorithm::MajorityBackoff { cap: param }),
-            5 => Some(Algorithm::BestEffort),
-            6 => Some(Algorithm::EagerRb),
+        match (code, param) {
+            (0, _) => Some(Algorithm::Majority),
+            (1, 1..) => Some(Algorithm::WeakenedMajority { threshold: param }),
+            (2, _) => Some(Algorithm::Quiescent),
+            (3, _) => Some(Algorithm::QuiescentLiteral),
+            (4, 1..) => Some(Algorithm::MajorityBackoff { cap: param }),
+            (5, _) => Some(Algorithm::BestEffort),
+            (6, _) => Some(Algorithm::EagerRb),
             _ => None,
         }
     }
@@ -176,6 +200,27 @@ mod tests {
             assert_eq!(Algorithm::from_wire(code, param), Some(alg));
         }
         assert_eq!(Algorithm::from_wire(200, 0), None);
+    }
+
+    #[test]
+    fn uninstantiable_parameters_are_rejected_not_asserted() {
+        // No system size admits a zero threshold or cap: refused at decode.
+        assert_eq!(Algorithm::from_wire(1, 0), None);
+        assert_eq!(Algorithm::from_wire(4, 0), None);
+        // The rest depends on n.
+        assert!(!Algorithm::WeakenedMajority { threshold: 9 }.runs_with(4));
+        assert!(Algorithm::WeakenedMajority { threshold: 4 }.runs_with(4));
+        assert!(!Algorithm::MajorityBackoff { cap: 0 }.runs_with(4));
+        assert!(Algorithm::MajorityBackoff { cap: u32::MAX }.runs_with(4));
+        assert!(!Algorithm::Quiescent.runs_with(0));
+        // Whatever `runs_with` accepts, `instantiate` builds.
+        for alg in [
+            Algorithm::WeakenedMajority { threshold: 1 },
+            Algorithm::MajorityBackoff { cap: u32::MAX },
+        ] {
+            assert!(alg.runs_with(1));
+            let _ = alg.instantiate(1);
+        }
     }
 
     #[test]

@@ -16,23 +16,13 @@
 //! failure detector a process can never learn that everyone has the message.
 //! Experiment E4 measures this directly.
 
-use crate::compact::TombstoneRing;
-use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::evidence::AckSet;
+use crate::table::TagTable;
 use urb_types::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use urb_types::{
-    AnonProcess, CompactionReport, Context, FdSnapshot, MemoryConfig, Payload, ProcessStats,
-    SpillPolicy, Tag, TagAck, WireMessage,
+    AnonProcess, CompactionReport, Context, FdSnapshot, MemoryConfig, Payload, ProcessStats, Tag,
+    WireMessage,
 };
-
-/// Per-tag acknowledgment bookkeeping (the `ALL_ACK_i` slice for one tag).
-#[derive(Clone, Debug, Serialize)]
-struct AckRecord {
-    /// Distinct acknowledgment tags received for this message (line 19–21).
-    acks: BTreeSet<TagAck>,
-    /// Payload learned from the ACKs (they piggyback `m`; DESIGN.md D1).
-    payload: Payload,
-}
 
 /// Algorithm 1: majority-based, non-quiescent URB (code of `p_i`).
 ///
@@ -51,20 +41,19 @@ struct AckRecord {
 /// let out = h.receive(&mut p, ack(2));
 /// assert_eq!(out.deliveries.len(), 1);          // majority reached
 /// assert!(out.deliveries[0].fast);              // before any MSG copy!
-/// assert!(p.is_quiescent() == false || p.stats().msg_set == 0);
+/// assert!(p.is_quiescent());                    // … so MSG is still empty
 /// ```
 ///
-/// State maps one-to-one to the paper's four sets:
+/// The paper's four sets are one record per tag in the shared table
+/// (`crate::table`), walked in tag order so the whole protocol is
+/// deterministic for a given seed:
 ///
-/// | paper              | field        |
-/// |--------------------|--------------|
-/// | `MSG_i`            | `msgs`       |
-/// | `MY_ACK_i`         | `my_acks`    |
-/// | `ALL_ACK_i`        | `all_acks`   |
-/// | `URB_DELIVERED_i`  | `delivered`  |
-///
-/// All collections are ordered (`BTreeMap`/`BTreeSet`) so iteration — and
-/// therefore the whole protocol — is deterministic for a given seed.
+/// | paper                 | record field                              |
+/// |-----------------------|-------------------------------------------|
+/// | `(m, tag) ∈ MSG_i`    | `in_msg` (+ the table's ordered MSG index) |
+/// | `MY_ACK_i`            | `my_ack`                                  |
+/// | `ALL_ACK_i`           | `evidence`: the set of distinct `tag_ack`s |
+/// | `URB_DELIVERED_i`     | `delivered`                               |
 #[derive(Clone, Debug)]
 pub struct MajorityUrb {
     n: usize,
@@ -72,20 +61,41 @@ pub struct MajorityUrb {
     /// algorithm this is the strict majority `⌊n/2⌋ + 1` (line 22); the
     /// Theorem-2 demonstration weakens it below a majority.
     threshold: usize,
-    msgs: BTreeMap<Tag, Payload>,
-    my_acks: BTreeMap<Tag, TagAck>,
-    all_acks: BTreeMap<Tag, AckRecord>,
-    delivered: BTreeSet<Tag>,
-    weakened: bool,
-    /// Bounded-memory mode (DESIGN.md §14); `None` = compaction off and
-    /// behavior byte-identical to the unbounded algorithm.
-    mem: Option<MemoryConfig>,
-    /// Grace clocks: consecutive stable compaction sweeps per candidate tag.
-    grace: BTreeMap<Tag, u32>,
-    /// Tags already compacted; late copies are dropped on receipt.
-    tombs: TombstoneRing,
-    /// Count of tags compacted so far, for diagnostics.
-    compacted: u64,
+    table: TagTable<AckSet>,
+}
+
+/// Lines 7–27: the reception handlers, over any Task-1 pacing `P` (the
+/// backoff variant re-paces Task 1 and shares everything else).
+pub(crate) fn on_receive<P: Default>(
+    table: &mut TagTable<AckSet, P>,
+    threshold: usize,
+    msg: WireMessage,
+    ctx: &mut Context<'_>,
+) {
+    match msg {
+        // Lines 7–17; line 8 stores every received message, delivered or not.
+        WireMessage::Msg { tag, payload } => table.on_msg(tag, payload, false, None, ctx),
+        // Lines 18–27. Line 22: "a majority of (m, tag, −) in ALL_ACK" — a
+        // strict majority of *distinct* tag_acks (or the configured
+        // threshold).
+        WireMessage::Ack {
+            tag,
+            tag_ack,
+            payload,
+            labels: _,
+        } => table.on_ack(
+            tag,
+            payload,
+            ctx,
+            |acks| {
+                acks.insert(tag_ack); // lines 19–21
+            },
+            |acks| acks.len() >= threshold,
+        ),
+        // Algorithm 1 runs without failure detectors; stray heartbeats
+        // (e.g. mixed deployments) are ignored.
+        WireMessage::Heartbeat { .. } => {}
+    }
 }
 
 impl MajorityUrb {
@@ -93,51 +103,11 @@ impl MajorityUrb {
     /// a strict majority (`> n/2`) of distinct `tag_ack`s.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "a system needs at least one process");
-        Self {
+        MajorityUrb {
             n,
             threshold: n / 2 + 1,
-            msgs: BTreeMap::new(),
-            my_acks: BTreeMap::new(),
-            all_acks: BTreeMap::new(),
-            delivered: BTreeSet::new(),
-            weakened: false,
-            mem: None,
-            grace: BTreeMap::new(),
-            tombs: TombstoneRing::new(0),
-            compacted: 0,
+            table: TagTable::default(),
         }
-    }
-
-    /// Number of tags reclaimed by the bounded-memory mode so far.
-    pub fn compacted_count(&self) -> u64 {
-        self.compacted
-    }
-
-    /// True when `tag` was compacted and is still tombstoned.
-    pub fn is_tombstoned(&self, tag: Tag) -> bool {
-        self.tombs.contains(tag)
-    }
-
-    /// Reclaims every entry held for `tag` and tombstones it. Returns the
-    /// number of state entries dropped (in [`ProcessStats::total`] units).
-    fn reclaim(&mut self, tag: Tag) -> usize {
-        let mut freed = 0;
-        if self.msgs.remove(&tag).is_some() {
-            freed += 1;
-        }
-        if self.my_acks.remove(&tag).is_some() {
-            freed += 1;
-        }
-        if let Some(rec) = self.all_acks.remove(&tag) {
-            freed += rec.acks.len();
-        }
-        if self.delivered.remove(&tag) {
-            freed += 1;
-        }
-        self.grace.remove(&tag);
-        self.tombs.push(tag);
-        self.compacted += 1;
-        freed
     }
 
     /// Algorithm 1 with an explicit delivery threshold.
@@ -148,142 +118,39 @@ impl MajorityUrb {
     /// agreement — exactly the run `R2` of the paper's proof.
     pub fn with_threshold(n: usize, threshold: usize) -> Self {
         assert!(threshold >= 1 && threshold <= n);
-        let mut p = Self::new(n);
-        p.weakened = threshold <= n / 2;
-        p.threshold = threshold;
-        p
-    }
-
-    /// The system size this instance was configured for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The delivery threshold in force.
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
-    /// Number of distinct acknowledgment tags seen for `tag`.
-    pub fn ack_count(&self, tag: Tag) -> usize {
-        self.all_acks.get(&tag).map_or(0, |r| r.acks.len())
-    }
-
-    /// True when this process has URB-delivered `tag`.
-    pub fn has_delivered(&self, tag: Tag) -> bool {
-        self.delivered.contains(&tag)
-    }
-
-    /// Lines 7–17: handle `(MSG, m, tag)`.
-    fn handle_msg(&mut self, tag: Tag, payload: Payload, ctx: &mut Context<'_>) {
-        // DESIGN.md §14: a compacted tag's late copies are dropped whole —
-        // re-acknowledging would mint a second tag_ack for the same process
-        // and break the distinct-ACK majority count.
-        if self.tombs.contains(tag) {
-            return;
-        }
-        // Lines 8–10: record the message for Task-1 retransmission.
-        self.msgs.entry(tag).or_insert_with(|| payload.clone());
-        // Lines 11–17: acknowledge with a *stable* tag_ack. First reception
-        // (from anyone, ourselves included) mints the tag_ack; every further
-        // reception re-broadcasts the identical ACK to beat message loss.
-        let tag_ack = match self.my_acks.get(&tag) {
-            Some(ta) => *ta, // lines 11–12
-            None => {
-                let ta = TagAck::random(ctx.rng); // line 14
-                self.my_acks.insert(tag, ta); // line 15
-                ta
-            }
-        };
-        ctx.broadcast(WireMessage::Ack {
-            tag,
-            tag_ack,
-            payload,
-            labels: None,
-        }); // lines 12 / 16
-    }
-
-    /// Lines 18–27: handle `(ACK, m, tag, tag_ack)`.
-    fn handle_ack(&mut self, tag: Tag, tag_ack: TagAck, payload: Payload, ctx: &mut Context<'_>) {
-        // DESIGN.md §14: ignore ACKs for compacted (already delivered) tags.
-        if self.tombs.contains(tag) {
-            return;
-        }
-        let rec = self.all_acks.entry(tag).or_insert_with(|| AckRecord {
-            acks: BTreeSet::new(),
-            payload,
-        });
-        rec.acks.insert(tag_ack); // lines 19–21
-
-        // Line 22: "a majority of (m, tag, −) in ALL_ACK" — strict majority
-        // of *distinct* tag_acks (or the configured threshold).
-        if rec.acks.len() >= self.threshold && !self.delivered.contains(&tag) {
-            // Lines 23–26.
-            self.delivered.insert(tag);
-            // The paper's fast-deliver remark: delivery may precede the
-            // reception of the MSG copy; we flag it for experiment E10.
-            let fast = !self.msgs.contains_key(&tag);
-            let body = rec.payload.clone();
-            ctx.deliver(tag, body, fast);
+        MajorityUrb {
+            threshold,
+            ..Self::new(n)
         }
     }
 }
 
 impl AnonProcess for MajorityUrb {
-    /// Lines 4–6, plus an immediate first Task-1 transmission (D7).
     fn urb_broadcast(&mut self, payload: Payload, ctx: &mut Context<'_>) -> Tag {
-        let tag = Tag::random(ctx.rng); // line 5
-        self.msgs.insert(tag, payload.clone()); // line 6
-                                                // Task 1 would send this on its next sweep anyway; sending now just
-                                                // shifts phase, and matches how the loop-forever task behaves from
-                                                // the moment the message enters MSG.
-        ctx.broadcast(WireMessage::Msg { tag, payload });
-        tag
+        self.table.urb_broadcast(payload, ctx)
     }
 
     fn on_receive(&mut self, msg: WireMessage, ctx: &mut Context<'_>) {
-        match msg {
-            WireMessage::Msg { tag, payload } => self.handle_msg(tag, payload, ctx),
-            WireMessage::Ack {
-                tag,
-                tag_ack,
-                payload,
-                labels: _,
-            } => self.handle_ack(tag, tag_ack, payload, ctx),
-            // Algorithm 1 runs without failure detectors; stray heartbeats
-            // (e.g. mixed deployments) are ignored.
-            WireMessage::Heartbeat { .. } => {}
-        }
+        on_receive(&mut self.table, self.threshold, msg, ctx);
     }
 
     /// Task 1, lines 28–32: rebroadcast every message in `MSG_i`, forever.
     fn on_tick(&mut self, ctx: &mut Context<'_>) {
-        for (tag, payload) in &self.msgs {
-            ctx.broadcast(WireMessage::Msg {
-                tag: *tag,
-                payload: payload.clone(),
-            });
-        }
+        self.table.task1(ctx, |_, _, _| (true, true));
     }
 
     /// Never quiescent once `MSG_i` is non-empty — the defining limitation
     /// of Algorithm 1 (Theorem 3's motivation).
     fn is_quiescent(&self) -> bool {
-        self.msgs.is_empty()
+        self.table.is_quiescent()
     }
 
     fn stats(&self) -> ProcessStats {
-        ProcessStats {
-            msg_set: self.msgs.len(),
-            my_acks: self.my_acks.len(),
-            all_ack_entries: self.all_acks.values().map(|r| r.acks.len()).sum(),
-            delivered: self.delivered.len(),
-            label_counters: 0,
-        }
+        self.table.stats()
     }
 
     fn algorithm_name(&self) -> &'static str {
-        if self.weakened {
+        if self.threshold <= self.n / 2 {
             "alg1-weakened"
         } else {
             "alg1-majority"
@@ -291,92 +158,37 @@ impl AnonProcess for MajorityUrb {
     }
 
     fn configure_memory(&mut self, cfg: MemoryConfig) {
-        self.tombs = TombstoneRing::new(cfg.tombstones);
-        self.mem = Some(cfg);
+        self.table.configure_memory(cfg);
     }
 
     /// Algorithm 1 stability rule (DESIGN.md §14): with no failure detector,
     /// the only proof that *every* correct process holds a message is `n`
-    /// distinct `tag_ack`s — each process re-uses one stable tag_ack per
-    /// tag, so `n` distinct ones mean all `n` processes acknowledged. After
-    /// the grace period the tag's entries (including its `MSG` entry) are
-    /// reclaimed; Task 1 stops rebroadcasting it, a deliberate deviation
-    /// from the rebroadcast-forever loop that is active only in
-    /// bounded-memory mode. With crashed processes `n` ACKs never arrive
-    /// and those tags are never reclaimed — Algorithm 1 has no way to rule
-    /// out a slow correct process, which is exactly why the paper needs
-    /// `AP*` for quiescence.
+    /// distinct `tag_ack`s. Reclaiming the record silences Task 1 for the
+    /// tag — a deviation from rebroadcast-forever that exists only in
+    /// bounded-memory mode. With a crashed process `n` ACKs never arrive and
+    /// the tag is never reclaimed: Algorithm 1 cannot rule out a slow correct
+    /// process, which is why the paper needs `AP*` for quiescence.
     fn compact(&mut self, _fd: &FdSnapshot) -> CompactionReport {
-        let Some(cfg) = self.mem else {
-            return CompactionReport::default();
-        };
-        let mut report = CompactionReport::default();
-        // No detector exists to signal suspicion, so conservative mode
-        // simply doubles the grace period.
-        let need = if cfg.conservative {
-            cfg.grace_ticks.saturating_mul(2)
-        } else {
-            cfg.grace_ticks
-        };
-        let over = cfg.ceiling.is_some_and(|c| self.stats().total() > c);
-        let candidates: Vec<Tag> = self.delivered.iter().copied().collect();
-        for tag in candidates {
-            let stable = self
-                .all_acks
-                .get(&tag)
-                .is_some_and(|r| r.acks.len() >= self.n);
-            if !stable {
-                self.grace.remove(&tag);
-                continue;
-            }
-            let clock = self.grace.entry(tag).or_insert(0);
-            *clock += 1;
-            if *clock > need || over {
-                report.reclaimed += self.reclaim(tag);
-                report.tombstoned += 1;
-            }
-        }
-        if over && cfg.spill == SpillPolicy::Tombstones {
-            self.tombs.shed_half();
-        }
-        report
+        let n = self.n;
+        // No detector signals suspicion, so conservative mode simply doubles
+        // the grace period.
+        self.table.compact(
+            |cfg| {
+                (
+                    cfg.grace_ticks
+                        .saturating_mul(1 + u32::from(cfg.conservative)),
+                    false,
+                )
+            },
+            |_, acks| acks.len() >= n,
+        )
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
         let mut w = SnapshotWriter::new();
         w.put_u64(self.n as u64);
         w.put_u64(self.threshold as u64);
-        w.put_u8(self.weakened as u8);
-        w.put_u64(self.compacted);
-        w.put_u64(self.msgs.len() as u64);
-        for (tag, payload) in &self.msgs {
-            w.put_u128(tag.0);
-            w.put_bytes(payload.as_slice());
-        }
-        w.put_u64(self.my_acks.len() as u64);
-        for (tag, ta) in &self.my_acks {
-            w.put_u128(tag.0);
-            w.put_u128(ta.0);
-        }
-        w.put_u64(self.all_acks.len() as u64);
-        for (tag, rec) in &self.all_acks {
-            w.put_u128(tag.0);
-            w.put_bytes(rec.payload.as_slice());
-            w.put_u64(rec.acks.len() as u64);
-            for ta in &rec.acks {
-                w.put_u128(ta.0);
-            }
-        }
-        w.put_u64(self.delivered.len() as u64);
-        for tag in &self.delivered {
-            w.put_u128(tag.0);
-        }
-        self.tombs.save(&mut w);
-        w.put_u64(self.grace.len() as u64);
-        for (tag, clock) in &self.grace {
-            w.put_u128(tag.0);
-            w.put_u32(*clock);
-        }
+        self.table.save(&mut w);
         Some(w.into_body())
     }
 
@@ -390,55 +202,7 @@ impl AnonProcess for MajorityUrb {
                 self.n, self.threshold
             )));
         }
-        let weakened = r.get_u8()?;
-        if weakened > 1 {
-            return Err(SnapshotError::Malformed(format!(
-                "weakened flag byte {weakened} is not a bool"
-            )));
-        }
-        if (weakened == 1) != self.weakened {
-            return Err(SnapshotError::Malformed(
-                "snapshot weakened flag does not match instance".to_string(),
-            ));
-        }
-        self.compacted = r.get_u64()?;
-        self.msgs.clear();
-        for _ in 0..r.get_u64()? {
-            let tag = Tag(r.get_u128()?);
-            let payload = Payload::copy_from_slice(r.get_bytes()?);
-            self.msgs.insert(tag, payload);
-        }
-        self.my_acks.clear();
-        for _ in 0..r.get_u64()? {
-            let tag = Tag(r.get_u128()?);
-            let ta = TagAck(r.get_u128()?);
-            self.my_acks.insert(tag, ta);
-        }
-        self.all_acks.clear();
-        for _ in 0..r.get_u64()? {
-            let tag = Tag(r.get_u128()?);
-            let payload = Payload::copy_from_slice(r.get_bytes()?);
-            let mut rec = AckRecord {
-                acks: BTreeSet::new(),
-                payload,
-            };
-            for _ in 0..r.get_u64()? {
-                rec.acks.insert(TagAck(r.get_u128()?));
-            }
-            self.all_acks.insert(tag, rec);
-        }
-        self.delivered.clear();
-        for _ in 0..r.get_u64()? {
-            self.delivered.insert(Tag(r.get_u128()?));
-        }
-        self.tombs = TombstoneRing::restore(&mut r, self.mem.map_or(0, |m| m.tombstones))?;
-        self.grace.clear();
-        for _ in 0..r.get_u64()? {
-            let tag = Tag(r.get_u128()?);
-            let clock = r.get_u32()?;
-            self.grace.insert(tag, clock);
-        }
-        r.finish()
+        self.table.restore(r)
     }
 }
 
@@ -446,6 +210,7 @@ impl AnonProcess for MajorityUrb {
 mod tests {
     use super::*;
     use crate::harness::StepHarness;
+    use urb_types::TagAck;
 
     fn msg(tag: u128, body: &str) -> WireMessage {
         WireMessage::Msg {
@@ -461,6 +226,11 @@ mod tests {
             payload: Payload::from(body),
             labels: None,
         }
+    }
+
+    /// Number of distinct acknowledgment tags seen for `tag`.
+    fn ack_count(p: &MajorityUrb, tag: Tag) -> usize {
+        p.table.evidence(tag).map_or(0, |acks| acks.len())
     }
 
     #[test]
@@ -545,7 +315,7 @@ mod tests {
         assert!(h.receive(&mut p, ack(9, 100, "m")).deliveries.is_empty());
         // Same tag_ack again (retransmission): still one distinct ACK.
         assert!(h.receive(&mut p, ack(9, 100, "m")).deliveries.is_empty());
-        assert_eq!(p.ack_count(Tag(9)), 1);
+        assert_eq!(ack_count(&p, Tag(9)), 1);
         assert_eq!(h.receive(&mut p, ack(9, 101, "m")).deliveries.len(), 1);
     }
 
@@ -633,10 +403,10 @@ mod tests {
     #[test]
     fn threshold_accessors() {
         let p = MajorityUrb::new(7);
-        assert_eq!(p.threshold(), 4);
-        assert_eq!(p.n(), 7);
+        assert_eq!(p.threshold, 4);
+        assert_eq!(p.n, 7);
         let p = MajorityUrb::new(8);
-        assert_eq!(p.threshold(), 5, "strict majority for even n");
+        assert_eq!(p.threshold, 5, "strict majority for even n");
     }
 
     #[test]
@@ -702,8 +472,8 @@ mod tests {
         for ta in [1, 2, 3] {
             h.receive(&mut p, ack(9, ta, "m"));
         }
-        assert!(p.has_delivered(Tag(9)));
-        assert_eq!(p.ack_count(Tag(9)), 3);
+        assert!(p.table.has_delivered(Tag(9)));
+        assert_eq!(ack_count(&p, Tag(9)), 3);
         p
     }
 
@@ -735,7 +505,7 @@ mod tests {
         let mut p = fully_acked(&mut h);
         p.configure_memory(mem(0));
         p.compact(&FdSnapshot::none());
-        assert!(p.is_tombstoned(Tag(9)));
+        assert!(p.table.is_tombstoned(Tag(9)));
         let out = h.receive(&mut p, msg(9, "m"));
         assert!(out.is_silent(), "no second tag_ack for a compacted tag");
         let out = h.receive(&mut p, ack(9, 4, "m"));
@@ -752,7 +522,7 @@ mod tests {
         assert_eq!(p.compact(&fd).tombstoned, 0); // clock 1
         assert_eq!(p.compact(&fd).tombstoned, 0); // clock 2
         assert_eq!(p.compact(&fd).tombstoned, 1); // clock 3 > 2
-        assert_eq!(p.compacted_count(), 1);
+        assert_eq!(p.table.compacted_count(), 1);
     }
 
     #[test]
@@ -763,8 +533,8 @@ mod tests {
         let mut q = MajorityUrb::new(3);
         q.restore_state(&body).unwrap();
         assert_eq!(q.stats(), p.stats());
-        assert_eq!(q.ack_count(Tag(9)), 3);
-        assert!(q.has_delivered(Tag(9)));
+        assert_eq!(ack_count(&q, Tag(9)), 3);
+        assert!(q.table.has_delivered(Tag(9)));
         assert_eq!(q.save_state().unwrap(), body);
     }
 
@@ -784,6 +554,7 @@ mod tests {
 
     mod props {
         use super::*;
+        use crate::table::testkit;
         use proptest::prelude::*;
 
         /// Arbitrary interleavings of MSG/ACK receptions never produce a
@@ -813,7 +584,7 @@ mod tests {
                             "duplicate delivery of {:?}", d.tag
                         );
                         delivered_tags.push(d.tag);
-                        prop_assert!(p.ack_count(d.tag) >= 3,
+                        prop_assert!(ack_count(&p, d.tag) >= 3,
                             "delivered below threshold");
                     }
                 }
@@ -821,8 +592,8 @@ mod tests {
                 // was delivered.
                 for tg in 0u8..4 {
                     let tag = Tag(tg as u128);
-                    if p.ack_count(tag) >= 3 {
-                        prop_assert!(p.has_delivered(tag));
+                    if ack_count(&p, tag) >= 3 {
+                        prop_assert!(p.table.has_delivered(tag));
                     }
                 }
             }
@@ -856,14 +627,51 @@ mod tests {
             }
         }
 
+        fn variant(weakened: bool, bounded: bool) -> MajorityUrb {
+            let mut p = if weakened {
+                MajorityUrb::with_threshold(3, 1)
+            } else {
+                MajorityUrb::new(3)
+            };
+            if bounded {
+                p.configure_memory(testkit::mem());
+            }
+            p
+        }
+
+        proptest! {
+            #[test]
+            fn table_stays_consistent_under_arbitrary_interleavings(
+                ops in testkit::ops(),
+                weakened in any::<bool>(),
+                bounded in any::<bool>(),
+            ) {
+                testkit::run_probed(variant(weakened, bounded), &ops, |p| {
+                    p.table.assert_consistent()
+                });
+            }
+
+            #[test]
+            fn mid_run_snapshot_restart_is_invisible(
+                ops in testkit::ops(),
+                cut in 0usize..100,
+                weakened in any::<bool>(),
+                bounded in any::<bool>(),
+            ) {
+                testkit::snapshot_restart_is_invisible(|| variant(weakened, bounded), &ops, cut);
+            }
+        }
+
         #[test]
         fn rng_is_actually_used_for_tags() {
-            // Two harnesses with different seeds produce different tags.
-            let mut h1 = StepHarness::new(1);
-            let mut h2 = StepHarness::new(2);
-            let t1 = Tag::random(h1.rng());
-            let t2 = Tag::random(h2.rng());
-            assert_ne!(t1, t2);
+            // `urb_broadcast` draws its tag from the context RNG: same seed,
+            // same tag; different seed, different tag.
+            let tag_for = |seed| {
+                let mut h = StepHarness::new(seed);
+                h.broadcast(&mut MajorityUrb::new(3), Payload::from("m")).0
+            };
+            assert_eq!(tag_for(1), tag_for(1));
+            assert_ne!(tag_for(1), tag_for(2));
         }
     }
 }

@@ -1,50 +1,42 @@
 //! **Algorithm 2** — Quiescent Uniform Reliable Broadcast in
 //! `AAS_F[AΘ, AP*]` (paper §VI).
 //!
-//! Two problems with Algorithm 1 are fixed at once:
+//! The paper presents it as Algorithm 1 with edits, and so does the code:
+//! `URB_broadcast`, the stable `tag_ack`, Task 1's walk over `MSG` and the
+//! record per tag are Algorithm 1's, in `crate::table`. What changes:
 //!
-//! 1. *Resilience.* Theorem 2 shows URB is unsolvable with `t ≥ n/2` in the
-//!    bare model. The anonymous failure detector `AΘ` circumvents it: an ACK
-//!    now carries the set of labels its sender currently sees in `a_theta`,
-//!    and a message is delivered once, for some `(label, number) ∈ a_theta`,
-//!    exactly `number` distinct ACKers have reported `label`
-//!    (line 46). `AΘ`-accuracy guarantees any such set of ACKers contains a
-//!    correct process — the URB delivery condition — with **any** number of
-//!    crashes.
-//! 2. *Quiescence.* `AP*` eventually outputs exactly the labels of the
-//!    correct processes. Once every pair `(label, number) ∈ a_p*` is matched
-//!    by the ACK counters for a delivered message (line 55), every correct
-//!    process provably has the message, so Task 1 can stop retransmitting it
-//!    (line 57) and the protocol goes silent — Theorem 3.
-//!
-//! ### Label-counter bookkeeping (lines 22–45)
-//!
-//! For each tracked message the process maintains
-//! `all_labels[tag_ack] = labels` (the label set most recently reported by
-//! that anonymous ACKer) and `label_counter[label] = |{tag_ack : label ∈
-//! all_labels[tag_ack]}|`. The paper's three reception cases (new ACK,
-//! repeated ACK with more labels, repeated ACK with fewer labels) are all
-//! instances of one *reconcile* operation that replaces the stored label set
-//! and repairs the counters — see DESIGN.md D3 for why we collapse the
-//! paper's (garbled) nested loops into this invariant-preserving form.
-//!
-//! ### The dead-ACKer purge (DESIGN.md D4)
+//! * **lines 8–12** — a message already URB-delivered does not (re-)enter
+//!   `MSG` (Alg 1 line 8 stores it unconditionally);
+//! * **lines 14 / 19** — the ACK carries `labels_i`, the labels currently in
+//!   `a_theta_i`, re-read on every retransmission;
+//! * **lines 22–45** — `ALL_ACK` becomes, per anonymous ACKer, the label set
+//!   it last reported, with a counter per label (`AckTable` in
+//!   `crate::evidence`); the paper's three reception cases are one
+//!   *reconcile* operation (DESIGN.md D3);
+//! * **line 46** — *resilience*: the delivery guard is "for some `(label,
+//!   number) ∈ a_theta`, exactly `number` distinct ACKers reported `label`"
+//!   instead of a majority. `AΘ`-accuracy guarantees any such set of ACKers
+//!   contains a correct process — the URB delivery condition — with **any**
+//!   number of crashes, which Theorem 2 rules out in the bare model;
+//! * **lines 55–57** — *quiescence*: Task 1 gains a prune guard. `AP*`
+//!   eventually outputs exactly the labels of the correct processes; once
+//!   every `(label, number) ∈ a_p*` is matched by the counters of a
+//!   delivered message, every correct process provably has it, so it leaves
+//!   `MSG` and the protocol goes silent — Theorem 3.
 //!
 //! The literal line-55 equality can be blocked forever by the ACK of a
-//! process that crashed *after* acknowledging: its `all_labels` entry still
-//! contains the crashed process's own label, which `AP*` has removed, so the
-//! label sets never reconverge. [`PruneRule::Purge`] (the default) removes
-//! entries containing labels absent from `a_p*` before evaluating the
-//! condition; [`PruneRule::Literal`] keeps the paper's literal condition for
-//! the E12 ablation, which demonstrates the blockage empirically.
+//! process that crashed *after* acknowledging: its entry still contains the
+//! crashed process's own label, which `AP*` has removed (DESIGN.md D4).
+//! [`PruneRule`] chooses between purging such entries and the paper's
+//! literal condition.
 
-use crate::compact::{fd_signature, TombstoneRing};
-use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::compact::fd_signature;
+use crate::evidence::AckTable;
+use crate::table::TagTable;
 use urb_types::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use urb_types::{
-    AnonProcess, CompactionReport, Context, FdSnapshot, FdView, Label, LabelSet, MemoryConfig,
-    Payload, ProcessStats, SpillPolicy, Tag, TagAck, WireMessage,
+    AnonProcess, CompactionReport, Context, FdSnapshot, FdView, MemoryConfig, Payload,
+    ProcessStats, Tag, WireMessage,
 };
 
 /// How the Task-1 prune condition (line 55) treats stale state.
@@ -57,115 +49,6 @@ pub enum PruneRule {
     /// The paper's literal condition, no purge. Quiescent only when crashed
     /// processes never acknowledged; used by ablation E12.
     Literal,
-}
-
-/// Acknowledgment table for one `(m, tag)` — the per-tag slice of the
-/// paper's `ALL_ACK_i`, `all_labels_i[(m,tag), −]` and
-/// `label_counter_i[(m,tag), −]` structures (allocated at line 24–25).
-#[derive(Clone, Debug, Default, Serialize)]
-struct AckTable {
-    /// `all_labels[(m,tag), tag_ack]` — latest label set per distinct ACKer.
-    entries: BTreeMap<TagAck, LabelSet>,
-    /// `label_counter[(m,tag), label]` — how many ACKers currently report
-    /// `label`. Invariant: `counters[l] == |{ta : l ∈ entries[ta]}|`,
-    /// entries with count 0 removed.
-    counters: BTreeMap<Label, u32>,
-    /// Payload learned from ACKs (they piggyback `m`; DESIGN.md D1).
-    payload: Payload,
-}
-
-impl AckTable {
-    fn new(payload: Payload) -> Self {
-        AckTable {
-            entries: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            payload,
-        }
-    }
-
-    /// Current counter for `label` (0 when absent).
-    fn counter(&self, label: Label) -> u32 {
-        self.counters.get(&label).copied().unwrap_or(0)
-    }
-
-    /// The reconcile operation (lines 27–45 collapsed, DESIGN.md D3):
-    /// replace the label set stored for `tag_ack` with `labels`, repairing
-    /// the counters. Handles all three of the paper's cases (first ACK from
-    /// this ACKer, repeated ACK with more labels, repeated ACK with fewer).
-    fn reconcile(&mut self, tag_ack: TagAck, labels: LabelSet) {
-        let old = self.entries.insert(tag_ack, labels.clone());
-        if let Some(old) = old {
-            // Decrement labels that disappeared (lines 38–44).
-            for l in old.difference(&labels) {
-                self.dec(l);
-            }
-            // Increment labels that are new (lines 34–37).
-            for l in labels.difference(&old) {
-                self.inc(l);
-            }
-        } else {
-            // First ACK from this ACKer (lines 27–32).
-            for l in labels.iter() {
-                self.inc(l);
-            }
-        }
-    }
-
-    fn inc(&mut self, label: Label) {
-        *self.counters.entry(label).or_insert(0) += 1;
-    }
-
-    fn dec(&mut self, label: Label) {
-        match self.counters.get_mut(&label) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.counters.remove(&label);
-            }
-            None => debug_assert!(false, "decrement of absent counter"),
-        }
-    }
-
-    /// Removes every entry whose label set contains a label outside `live`
-    /// (dead-ACKer purge, DESIGN.md D4). Returns how many entries went.
-    fn purge_dead(&mut self, live: &LabelSet) -> usize {
-        let dead: Vec<TagAck> = self
-            .entries
-            .iter()
-            .filter(|(_, ls)| !ls.is_subset(live))
-            .map(|(ta, _)| *ta)
-            .collect();
-        for ta in &dead {
-            if let Some(old) = self.entries.remove(ta) {
-                for l in old.iter() {
-                    self.dec(l);
-                }
-            }
-        }
-        dead.len()
-    }
-
-    /// Union of all stored label sets — the paper's
-    /// `all_labels_i[(m,tag), −]` as used on line 55.
-    fn label_union(&self) -> LabelSet {
-        let mut u = LabelSet::new();
-        for ls in self.entries.values() {
-            u.union_with(ls);
-        }
-        u
-    }
-
-    /// Re-derives the counters from the entries. Test/debug aid for the
-    /// counter invariant.
-    #[cfg(test)]
-    fn recomputed_counters(&self) -> BTreeMap<Label, u32> {
-        let mut m = BTreeMap::new();
-        for ls in self.entries.values() {
-            for l in ls.iter() {
-                *m.entry(l).or_insert(0u32) += 1;
-            }
-        }
-        m
-    }
 }
 
 /// Algorithm 2: quiescent URB with `AΘ` and `AP*` (code of `p_i`).
@@ -194,34 +77,43 @@ impl AckTable {
 /// assert!(p.is_quiescent());
 /// ```
 ///
-/// State maps to the paper's structures:
+/// The paper's structures are one record per tag in the shared table
+/// (`crate::table`):
 ///
-/// | paper                          | field        |
-/// |--------------------------------|--------------|
-/// | `MSG_i`                        | `msgs`       |
-/// | `MY_ACK_i`                     | `my_acks`    |
-/// | `ALL_ACK_i` + `all_labels_i` + `label_counter_i` | `acks` (per-tag ACK tables) |
-/// | `URB_DELIVERED_i`              | `delivered`  |
+/// | paper                          | record field                         |
+/// |--------------------------------|--------------------------------------|
+/// | `(m, tag) ∈ MSG_i`             | `in_msg` (+ the table's ordered MSG index) |
+/// | `MY_ACK_i`                     | `my_ack`                             |
+/// | `ALL_ACK_i` + `all_labels_i` + `label_counter_i` | `evidence`: the per-tag `AckTable` |
+/// | `URB_DELIVERED_i`              | `delivered`                          |
 #[derive(Clone, Debug)]
 pub struct QuiescentUrb {
-    msgs: BTreeMap<Tag, Payload>,
-    my_acks: BTreeMap<Tag, TagAck>,
-    acks: BTreeMap<Tag, AckTable>,
-    delivered: BTreeSet<Tag>,
+    table: TagTable<AckTable>,
     rule: PruneRule,
-    /// Count of prune events (messages removed from `MSG`), for diagnostics.
-    pruned: u64,
-    /// Bounded-memory mode (DESIGN.md §14); `None` = compaction off, state
-    /// and behavior byte-identical to the unbounded engine.
-    mem: Option<MemoryConfig>,
-    /// Grace clocks: consecutive stable compaction sweeps per candidate tag.
-    grace: BTreeMap<Tag, u32>,
-    /// Tags already compacted; late copies are dropped on receipt.
-    tombs: TombstoneRing,
     /// Detector-view fingerprint at the last sweep (conservative mode).
     fd_sig: u64,
-    /// Count of tags compacted so far, for diagnostics.
-    compacted: u64,
+}
+
+/// Line 55 (plus D4): may a delivered message stop being retransmitted?
+fn prune_ready(rule: PruneRule, acks: &mut AckTable, a_p_star: &FdView) -> bool {
+    // No AP* information yet — keep retransmitting. (An empty a_p* would
+    // make the universally-quantified condition vacuously true and prune
+    // everything instantly, which is clearly not the intent: AP*
+    // completeness guarantees the correct processes' pairs eventually
+    // appear.)
+    if a_p_star.is_empty() {
+        return false;
+    }
+    if rule == PruneRule::Purge {
+        acks.purge_dead(&a_p_star.labels());
+    }
+    // "each pair (label, number) ∈ a_p*: label_counter[(m,tag), label] =
+    // number ∧ all_labels[(m,tag), −] = {label | (label, −) ∈ a_p*}": the
+    // counters' keys *are* the union of the stored label sets (D3), so both
+    // halves are one comparison of two label-ordered lists. A `number` of 0
+    // matches nothing — counters are never 0.
+    let counters = acks.counters.iter().map(|(label, count)| (*label, *count));
+    counters.eq(a_p_star.iter().map(|pair| (pair.label, pair.number)))
 }
 
 impl QuiescentUrb {
@@ -234,186 +126,10 @@ impl QuiescentUrb {
     /// [`PruneRule::Literal`]).
     pub fn with_rule(rule: PruneRule) -> Self {
         QuiescentUrb {
-            msgs: BTreeMap::new(),
-            my_acks: BTreeMap::new(),
-            acks: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            table: TagTable::default(),
             rule,
-            pruned: 0,
-            mem: None,
-            grace: BTreeMap::new(),
-            tombs: TombstoneRing::new(0),
             fd_sig: 0,
-            compacted: 0,
         }
-    }
-
-    /// Number of tags reclaimed by the bounded-memory mode so far.
-    pub fn compacted_count(&self) -> u64 {
-        self.compacted
-    }
-
-    /// True when `tag` was compacted and is still tombstoned.
-    pub fn is_tombstoned(&self, tag: Tag) -> bool {
-        self.tombs.contains(tag)
-    }
-
-    /// True when this process has URB-delivered `tag`.
-    pub fn has_delivered(&self, tag: Tag) -> bool {
-        self.delivered.contains(&tag)
-    }
-
-    /// Number of messages this process has pruned from its `MSG` set.
-    pub fn pruned_count(&self) -> u64 {
-        self.pruned
-    }
-
-    /// Current counter for (`tag`, `label`) — test/diagnostic accessor.
-    pub fn label_counter(&self, tag: Tag, label: Label) -> u32 {
-        self.acks.get(&tag).map_or(0, |t| t.counter(label))
-    }
-
-    /// Lines 7–21: handle `(MSG, m, tag)`.
-    fn handle_msg(&mut self, tag: Tag, payload: Payload, ctx: &mut Context<'_>) {
-        // DESIGN.md §14: a compacted tag's late copies are dropped whole.
-        // Re-acknowledging would need MY_ACK back (gone), and re-entering
-        // MSG would resurrect a message every correct process already has.
-        if self.tombs.contains(tag) {
-            return;
-        }
-        // Lines 8–12: enter MSG only if neither tracked nor already
-        // delivered (a pruned message must not re-enter the rebroadcast set,
-        // or quiescence would be lost).
-        if !self.msgs.contains_key(&tag) && !self.delivered.contains(&tag) {
-            self.msgs.insert(tag, payload.clone());
-        }
-        // Lines 13–21: acknowledge with the stable tag_ack and the *current*
-        // a_theta labels (the label set is re-read on every retransmission —
-        // that is what lets receivers reconcile stale label information).
-        let tag_ack = match self.my_acks.get(&tag) {
-            Some(ta) => *ta, // lines 13–15
-            None => {
-                let ta = TagAck::random(ctx.rng); // line 17
-                self.my_acks.insert(tag, ta); // line 18
-                ta
-            }
-        };
-        let labels = ctx.fd.a_theta.labels(); // lines 14 / 19
-        ctx.broadcast(WireMessage::Ack {
-            tag,
-            tag_ack,
-            payload,
-            labels: Some(labels),
-        }); // lines 15 / 20
-    }
-
-    /// Lines 22–51: handle `(ACK, m, tag, tag_ack, labels_j)`.
-    fn handle_ack(
-        &mut self,
-        tag: Tag,
-        tag_ack: TagAck,
-        payload: Payload,
-        labels: Option<LabelSet>,
-        ctx: &mut Context<'_>,
-    ) {
-        // DESIGN.md §14: ignore ACKs for compacted tags — the tag was
-        // already delivered here, and rebuilding its ACK table would undo
-        // the reclamation for no protocol benefit.
-        if self.tombs.contains(tag) {
-            return;
-        }
-        // Lines 23–26: lazily allocate the per-tag table.
-        let table = self
-            .acks
-            .entry(tag)
-            .or_insert_with(|| AckTable::new(payload));
-        // Lines 27–45: reconcile this ACKer's label set (DESIGN.md D3).
-        table.reconcile(tag_ack, labels.unwrap_or_default());
-        // D4 extension (see module docs): purge entries carrying labels the
-        // detector no longer outputs before evaluating the delivery
-        // equality. Without this, an ACKer that crashes after acknowledging
-        // permanently inflates the counters of *live* labels past `number`
-        // once `number` shrinks — the equality is then missed forever and
-        // the message is never delivered (observed under online detectors;
-        // the paper's Lemma 1 implicitly assumes counters pass through
-        // `number`, which only holds if dead entries are dropped). Removing
-        // entries only lowers counters, so the condition gets *harder*:
-        // safety is unaffected, and liveness is restored because live
-        // ACKers keep refreshing their entries.
-        if self.rule == PruneRule::Purge && !ctx.fd.a_theta.is_empty() {
-            table.purge_dead(&ctx.fd.a_theta.labels());
-        }
-        // Lines 46–51: the AΘ delivery condition.
-        if !self.delivered.contains(&tag) {
-            let matched = ctx
-                .fd
-                .a_theta
-                .iter()
-                // number == 0 never triggers delivery: a pair whose label no
-                // correct process knows carries no evidence (and 0 == empty
-                // counter would mis-fire). The paper implicitly has
-                // number >= 1 (accuracy forces a correct knower).
-                .any(|pair| pair.number > 0 && table.counter(pair.label) == pair.number);
-            if matched {
-                self.delivered.insert(tag);
-                let fast = !self.msgs.contains_key(&tag);
-                let body = table.payload.clone();
-                ctx.deliver(tag, body, fast);
-            }
-        }
-    }
-
-    /// Line 55 (plus D4): may `tag` stop being retransmitted?
-    fn prune_ready(&mut self, tag: Tag, a_p_star: &FdView) -> bool {
-        // No AP* information yet — keep retransmitting. (An empty a_p* would
-        // make the universally-quantified condition vacuously true and prune
-        // everything instantly, which is clearly not the intent: AP*
-        // completeness guarantees the correct processes' pairs eventually
-        // appear.)
-        if a_p_star.is_empty() {
-            return false;
-        }
-        let Some(table) = self.acks.get_mut(&tag) else {
-            return false;
-        };
-        let live = a_p_star.labels();
-        if self.rule == PruneRule::Purge {
-            table.purge_dead(&live);
-        }
-        // "each pair (label, number) ∈ a_p*: label_counter[(m,tag), label] =
-        // number" …
-        for pair in a_p_star.iter() {
-            if pair.number == 0 || table.counter(pair.label) != pair.number {
-                return false;
-            }
-        }
-        // … "∧ all_labels[(m,tag), −] = {label | (label, −) ∈ a_p*}".
-        table.label_union() == live
-    }
-
-    /// Testing hook used by the simulator's diagnostics: evaluates the prune
-    /// condition without mutating (clone-based; cheap at protocol scale).
-    pub fn would_prune(&self, tag: Tag, a_p_star: &FdView) -> bool {
-        self.clone().prune_ready(tag, a_p_star)
-    }
-
-    /// Reclaims every entry held for `tag` and tombstones it. Returns the
-    /// number of state entries dropped (in [`ProcessStats::total`] units).
-    fn reclaim(&mut self, tag: Tag) -> usize {
-        let mut freed = 0;
-        if self.my_acks.remove(&tag).is_some() {
-            freed += 1;
-        }
-        if let Some(table) = self.acks.remove(&tag) {
-            freed += table.entries.len() + table.counters.len();
-        }
-        if self.delivered.remove(&tag) {
-            freed += 1;
-        }
-        self.grace.remove(&tag);
-        self.tombs.push(tag);
-        self.compacted += 1;
-        freed
     }
 }
 
@@ -424,61 +140,78 @@ impl Default for QuiescentUrb {
 }
 
 impl AnonProcess for QuiescentUrb {
-    /// Lines 4–6 plus the immediate first transmission (D7).
     fn urb_broadcast(&mut self, payload: Payload, ctx: &mut Context<'_>) -> Tag {
-        let tag = Tag::random(ctx.rng); // line 5
-        self.msgs.insert(tag, payload.clone()); // line 6
-        ctx.broadcast(WireMessage::Msg { tag, payload });
-        tag
+        self.table.urb_broadcast(payload, ctx)
     }
 
     fn on_receive(&mut self, msg: WireMessage, ctx: &mut Context<'_>) {
+        let (rule, fd) = (self.rule, ctx.fd);
+        let a_theta = &fd.a_theta;
         match msg {
-            WireMessage::Msg { tag, payload } => self.handle_msg(tag, payload, ctx),
+            // Lines 7–21: the ACK carries the *current* a_theta labels (re-read
+            // on every retransmission — that is what lets receivers reconcile
+            // stale label information).
+            WireMessage::Msg { tag, payload } => {
+                let labels = Some(a_theta.labels()); // lines 14 / 19
+                self.table.on_msg(tag, payload, true, labels, ctx)
+            }
+            // Lines 22–51.
             WireMessage::Ack {
                 tag,
                 tag_ack,
                 payload,
                 labels,
-            } => self.handle_ack(tag, tag_ack, payload, labels, ctx),
+            } => self.table.on_ack(
+                tag,
+                payload,
+                ctx,
+                |acks| {
+                    // Lines 27–45: reconcile this ACKer's label set (D3).
+                    acks.reconcile(tag_ack, labels.unwrap_or_default());
+                    // D4 at delivery too: an ACKer that crashes after
+                    // acknowledging inflates the counters of *live* labels
+                    // past `number` once `number` shrinks, and the equality
+                    // is then missed forever (the paper's Lemma 1 assumes
+                    // counters pass through `number`). Purging entries with
+                    // labels the detector no longer outputs only lowers
+                    // counters: safety is unaffected, and live ACKers keep
+                    // refreshing their entries.
+                    if rule == PruneRule::Purge && !a_theta.is_empty() {
+                        acks.purge_dead(&a_theta.labels());
+                    }
+                },
+                // Line 46, the AΘ delivery condition. number == 0 never
+                // triggers delivery: a pair whose label no correct process
+                // knows carries no evidence (and 0 == empty counter would
+                // mis-fire). The paper implicitly has number >= 1 (accuracy
+                // forces a correct knower).
+                |acks| {
+                    a_theta
+                        .iter()
+                        .any(|pair| pair.number > 0 && acks.counter(pair.label) == pair.number)
+                },
+            ),
             WireMessage::Heartbeat { .. } => {}
         }
     }
 
-    /// Task 1, lines 52–61: rebroadcast everything still in `MSG`, then
-    /// prune the messages whose line-55 condition holds.
+    /// Task 1, lines 52–61: rebroadcast everything still in `MSG`, and drop
+    /// from it the delivered messages whose line-55 condition holds.
     fn on_tick(&mut self, ctx: &mut Context<'_>) {
-        let tags: Vec<Tag> = self.msgs.keys().copied().collect();
-        let mut to_remove = Vec::new();
-        for tag in tags {
-            let payload = self.msgs[&tag].clone();
-            ctx.broadcast(WireMessage::Msg { tag, payload }); // line 54
-
-            // Lines 55–58: only a *delivered* message may be pruned.
-            if self.delivered.contains(&tag) && self.prune_ready(tag, &ctx.fd.a_p_star) {
-                to_remove.push(tag);
-            }
-        }
-        for tag in to_remove {
-            self.msgs.remove(&tag); // line 57
-            self.pruned += 1;
-        }
+        let (rule, fd) = (self.rule, ctx.fd);
+        // Line 54 sends every message; lines 55–58: only a *delivered* one
+        // may be pruned.
+        self.table.task1(ctx, |delivered, acks, _| {
+            (true, !(delivered && prune_ready(rule, acks, &fd.a_p_star)))
+        });
     }
 
-    /// Quiescent once `MSG_i` is empty: Task 1 sends nothing, and ACKs are
-    /// only ever triggered by incoming MSGs.
     fn is_quiescent(&self) -> bool {
-        self.msgs.is_empty()
+        self.table.is_quiescent()
     }
 
     fn stats(&self) -> ProcessStats {
-        ProcessStats {
-            msg_set: self.msgs.len(),
-            my_acks: self.my_acks.len(),
-            all_ack_entries: self.acks.values().map(|t| t.entries.len()).sum(),
-            delivered: self.delivered.len(),
-            label_counters: self.acks.values().map(|t| t.counters.len()).sum(),
-        }
+        self.table.stats()
     }
 
     fn algorithm_name(&self) -> &'static str {
@@ -489,8 +222,7 @@ impl AnonProcess for QuiescentUrb {
     }
 
     fn configure_memory(&mut self, cfg: MemoryConfig) {
-        self.tombs = TombstoneRing::new(cfg.tombstones);
-        self.mem = Some(cfg);
+        self.table.configure_memory(cfg);
     }
 
     /// Algorithm 2 stability rule (DESIGN.md §14): a tag may be reclaimed
@@ -499,149 +231,41 @@ impl AnonProcess for QuiescentUrb {
     /// holds — i.e. every correct process provably URB-delivered it — for
     /// `grace_ticks` consecutive sweeps.
     fn compact(&mut self, fd: &FdSnapshot) -> CompactionReport {
-        let Some(cfg) = self.mem else {
-            return CompactionReport::default();
-        };
-        let mut report = CompactionReport::default();
         // Conservative mode: any detector movement is treated as suspicion
         // and restarts every grace clock.
-        if cfg.conservative {
-            let sig = fd_signature(fd);
-            if sig != self.fd_sig {
-                self.fd_sig = sig;
-                self.grace.clear();
-            }
-        }
-        let over = cfg.ceiling.is_some_and(|c| self.stats().total() > c);
-        let candidates: Vec<Tag> = self.delivered.iter().copied().collect();
-        for tag in candidates {
-            let stable = !self.msgs.contains_key(&tag) && self.prune_ready(tag, &fd.a_p_star);
-            if !stable {
-                self.grace.remove(&tag);
-                continue;
-            }
-            let clock = self.grace.entry(tag).or_insert(0);
-            *clock += 1;
-            // Over the ceiling the grace period is waived for stable tags
-            // (the SpillPolicy::StableOnly floor: unstable state is never
-            // touched, no matter the pressure).
-            if *clock > cfg.grace_ticks || over {
-                report.reclaimed += self.reclaim(tag);
-                report.tombstoned += 1;
-            }
-        }
-        if over && cfg.spill == SpillPolicy::Tombstones {
-            self.tombs.shed_half();
-        }
-        report
+        let (rule, fd_sig) = (self.rule, &mut self.fd_sig);
+        self.table.compact(
+            |cfg| {
+                let moved = cfg.conservative && {
+                    let sig = fd_signature(fd);
+                    std::mem::replace(fd_sig, sig) != sig
+                };
+                (cfg.grace_ticks, moved)
+            },
+            |in_msg, acks| !in_msg && prune_ready(rule, acks, &fd.a_p_star),
+        )
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
         let mut w = SnapshotWriter::new();
-        w.put_u8(match self.rule {
-            PruneRule::Purge => 0,
-            PruneRule::Literal => 1,
-        });
-        w.put_u64(self.pruned);
-        w.put_u64(self.compacted);
+        w.put_u8(self.rule as u8);
         w.put_u64(self.fd_sig);
-        w.put_u64(self.msgs.len() as u64);
-        for (tag, payload) in &self.msgs {
-            w.put_u128(tag.0);
-            w.put_bytes(payload.as_slice());
-        }
-        w.put_u64(self.my_acks.len() as u64);
-        for (tag, ta) in &self.my_acks {
-            w.put_u128(tag.0);
-            w.put_u128(ta.0);
-        }
-        w.put_u64(self.acks.len() as u64);
-        for (tag, table) in &self.acks {
-            w.put_u128(tag.0);
-            w.put_bytes(table.payload.as_slice());
-            w.put_u64(table.entries.len() as u64);
-            for (ta, labels) in &table.entries {
-                w.put_u128(ta.0);
-                w.put_u64(labels.len() as u64);
-                for label in labels.iter() {
-                    w.put_u64(label.0);
-                }
-            }
-        }
-        w.put_u64(self.delivered.len() as u64);
-        for tag in &self.delivered {
-            w.put_u128(tag.0);
-        }
-        self.tombs.save(&mut w);
-        w.put_u64(self.grace.len() as u64);
-        for (tag, clock) in &self.grace {
-            w.put_u128(tag.0);
-            w.put_u32(*clock);
-        }
+        self.table.save(&mut w);
         Some(w.into_body())
     }
 
     fn restore_state(&mut self, body: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::new(body);
-        let rule = match r.get_u8()? {
-            0 => PruneRule::Purge,
-            1 => PruneRule::Literal,
-            other => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown prune rule byte {other}"
-                )))
-            }
-        };
-        if rule != self.rule {
+        if r.get_u8()? != self.rule as u8 {
             return Err(SnapshotError::Malformed(format!(
-                "snapshot prune rule {rule:?} does not match instance rule {:?}",
+                "snapshot prune rule does not match instance rule {:?}",
                 self.rule
             )));
         }
-        self.pruned = r.get_u64()?;
-        self.compacted = r.get_u64()?;
-        self.fd_sig = r.get_u64()?;
-        self.msgs.clear();
-        for _ in 0..r.get_u64()? {
-            let tag = Tag(r.get_u128()?);
-            let payload = Payload::copy_from_slice(r.get_bytes()?);
-            self.msgs.insert(tag, payload);
-        }
-        self.my_acks.clear();
-        for _ in 0..r.get_u64()? {
-            let tag = Tag(r.get_u128()?);
-            let ta = TagAck(r.get_u128()?);
-            self.my_acks.insert(tag, ta);
-        }
-        self.acks.clear();
-        for _ in 0..r.get_u64()? {
-            let tag = Tag(r.get_u128()?);
-            let payload = Payload::copy_from_slice(r.get_bytes()?);
-            let mut table = AckTable::new(payload);
-            for _ in 0..r.get_u64()? {
-                let ta = TagAck(r.get_u128()?);
-                let mut labels = LabelSet::new();
-                for _ in 0..r.get_u64()? {
-                    labels.insert(Label(r.get_u64()?));
-                }
-                // Rebuild through reconcile so the counter invariant is
-                // re-derived, never trusted from the file.
-                table.reconcile(ta, labels);
-            }
-            self.acks.insert(tag, table);
-        }
-        self.delivered.clear();
-        for _ in 0..r.get_u64()? {
-            self.delivered.insert(Tag(r.get_u128()?));
-        }
-        self.tombs = TombstoneRing::restore(&mut r, self.mem.map_or(0, |m| m.tombstones))?;
-        self.grace.clear();
-        for _ in 0..r.get_u64()? {
-            let tag = Tag(r.get_u128()?);
-            let clock = r.get_u32()?;
-            self.grace.insert(tag, clock);
-        }
-        r.finish()
+        let fd_sig = r.get_u64()?;
+        self.table.restore(r)?;
+        self.fd_sig = fd_sig;
+        Ok(())
     }
 }
 
@@ -649,7 +273,7 @@ impl AnonProcess for QuiescentUrb {
 mod tests {
     use super::*;
     use crate::harness::StepHarness;
-    use urb_types::{FdPair, FdSnapshot};
+    use urb_types::{FdPair, Label, LabelSet, TagAck};
 
     fn labels(ls: &[u64]) -> LabelSet {
         LabelSet::from_iter(ls.iter().map(|&l| Label(l)))
@@ -676,6 +300,11 @@ mod tests {
             payload: Payload::from(body),
             labels: Some(labels(ls)),
         }
+    }
+
+    /// Current counter for (`tag`, `label`).
+    fn label_counter(p: &QuiescentUrb, tag: Tag, label: Label) -> u32 {
+        p.table.evidence(tag).map_or(0, |acks| acks.counter(label))
     }
 
     /// Harness with `a_theta = a_p* = {(ℓ, n) for ℓ in ls}`.
@@ -732,7 +361,7 @@ mod tests {
         let mut p = QuiescentUrb::new();
         // Get tag 7 delivered via an ACK from one ACKer knowing label 10.
         h.receive(&mut p, ack(7, 100, "m", &[10]));
-        assert!(p.has_delivered(Tag(7)));
+        assert!(p.table.has_delivered(Tag(7)));
         assert_eq!(p.stats().msg_set, 0, "fast delivery: MSG never stored");
         // Now the MSG copy arrives late.
         let out = h.receive(&mut p, msg(7, "m"));
@@ -771,7 +400,7 @@ mod tests {
         let mut p = QuiescentUrb::new();
         h.receive(&mut p, ack(7, 100, "m", &[10]));
         h.receive(&mut p, ack(7, 100, "m", &[10]));
-        assert_eq!(p.label_counter(Tag(7), Label(10)), 1);
+        assert_eq!(label_counter(&p, Tag(7), Label(10)), 1);
     }
 
     #[test]
@@ -781,8 +410,8 @@ mod tests {
         let mut p = QuiescentUrb::new();
         h.receive(&mut p, ack(7, 100, "m", &[10]));
         h.receive(&mut p, ack(7, 100, "m", &[10, 20]));
-        assert_eq!(p.label_counter(Tag(7), Label(10)), 1);
-        assert_eq!(p.label_counter(Tag(7), Label(20)), 1);
+        assert_eq!(label_counter(&p, Tag(7), Label(10)), 1);
+        assert_eq!(label_counter(&p, Tag(7), Label(20)), 1);
     }
 
     #[test]
@@ -793,11 +422,11 @@ mod tests {
         let mut p = QuiescentUrb::new();
         h.receive(&mut p, ack(7, 100, "m", &[10, 20]));
         h.receive(&mut p, ack(7, 101, "m", &[10, 20]));
-        assert_eq!(p.label_counter(Tag(7), Label(20)), 2);
+        assert_eq!(label_counter(&p, Tag(7), Label(20)), 2);
         // ACKer 100 refreshes with label 20 gone.
         h.receive(&mut p, ack(7, 100, "m", &[10]));
-        assert_eq!(p.label_counter(Tag(7), Label(10)), 2);
-        assert_eq!(p.label_counter(Tag(7), Label(20)), 1);
+        assert_eq!(label_counter(&p, Tag(7), Label(10)), 2);
+        assert_eq!(label_counter(&p, Tag(7), Label(20)), 1);
     }
 
     #[test]
@@ -866,11 +495,11 @@ mod tests {
         let mut p = QuiescentUrb::new();
         h.receive(&mut p, msg(7, "m"));
         h.receive(&mut p, ack(7, 100, "m", &[10])); // delivers
-        assert!(p.has_delivered(Tag(7)));
+        assert!(p.table.has_delivered(Tag(7)));
         let out = h.tick(&mut p); // broadcasts once more, then prunes
         assert_eq!(out.msgs().len(), 1, "line 54 broadcast precedes prune");
         assert!(p.is_quiescent(), "line 57 removed the message");
-        assert_eq!(p.pruned_count(), 1);
+        assert_eq!(p.table.pruned_count(), 1);
         // Subsequent ticks are silent.
         assert!(h.tick(&mut p).is_silent());
     }
@@ -920,7 +549,7 @@ mod tests {
         h.receive(&mut p, msg(7, "m"));
         h.receive(&mut p, ack(7, 100, "m", &[10, 20])); // our own ACK, say
         h.receive(&mut p, ack(7, 101, "m", &[10, 20])); // the doomed ACKer → delivery
-        assert!(p.has_delivered(Tag(7)));
+        assert!(p.table.has_delivered(Tag(7)));
         // Process with label 20 crashes; detectors converge; the live ACKer
         // (100) refreshes its ACK with the shrunk label set; the dead one
         // (101) never will.
@@ -980,7 +609,7 @@ mod tests {
         h.receive(&mut p, ack(7, 100, "m", &[1, 2]));
         let out = h.receive(&mut p, ack(7, 102, "m", &[1, 2]));
         assert!(out.deliveries.is_empty(), "literal rule is stuck");
-        assert_eq!(p.label_counter(Tag(7), Label(1)), 3, "inflated forever");
+        assert_eq!(label_counter(&p, Tag(7), Label(1)), 3, "inflated forever");
     }
 
     #[test]
@@ -1017,18 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn would_prune_is_side_effect_free() {
-        let mut h = fd_harness(20, &[(10, 1)]);
-        let mut p = QuiescentUrb::new();
-        h.receive(&mut p, msg(7, "m"));
-        h.receive(&mut p, ack(7, 100, "m", &[10]));
-        let view = theta(&[(10, 1)]);
-        assert!(p.would_prune(Tag(7), &view));
-        assert!(!p.is_quiescent(), "would_prune must not mutate");
-        assert_eq!(p.stats().msg_set, 1);
-    }
-
-    #[test]
     fn stats_count_label_counters() {
         let mut h = fd_harness(21, &[(10, 2), (20, 2)]);
         let mut p = QuiescentUrb::new();
@@ -1059,7 +676,7 @@ mod tests {
         h.receive(&mut p, msg(7, "m"));
         h.receive(&mut p, ack(7, 100, "m", &[10])); // delivers
         h.tick(&mut p); // line-57 prune
-        assert!(p.is_quiescent() && p.has_delivered(Tag(7)));
+        assert!(p.is_quiescent() && p.table.has_delivered(Tag(7)));
         p
     }
 
@@ -1078,8 +695,8 @@ mod tests {
         );
         let s = p.stats();
         assert_eq!(s.total(), 0, "every entry for tag 7 reclaimed");
-        assert!(p.is_tombstoned(Tag(7)));
-        assert_eq!(p.compacted_count(), 1);
+        assert!(p.table.is_tombstoned(Tag(7)));
+        assert_eq!(p.table.compacted_count(), 1);
     }
 
     #[test]
@@ -1089,7 +706,7 @@ mod tests {
         p.configure_memory(mem(0, false));
         let fd = h.fd.clone();
         p.compact(&fd);
-        assert!(p.is_tombstoned(Tag(7)));
+        assert!(p.table.is_tombstoned(Tag(7)));
         // Late MSG copy: no ACK (would re-mint MY_ACK), no MSG re-entry.
         let out = h.receive(&mut p, msg(7, "m"));
         assert!(out.is_silent(), "late MSG of a tombstoned tag is dropped");
@@ -1120,7 +737,10 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(p.compact(&fd).tombstoned, 0);
         }
-        assert!(!p.is_tombstoned(Tag(7)), "unstable state is untouchable");
+        assert!(
+            !p.table.is_tombstoned(Tag(7)),
+            "unstable state is untouchable"
+        );
     }
 
     #[test]
@@ -1189,7 +809,59 @@ mod tests {
 
     mod props {
         use super::*;
+        use crate::table::testkit;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// Re-derives the counters from the entries.
+        fn recomputed_counters(table: &AckTable) -> BTreeMap<Label, u32> {
+            let mut m = BTreeMap::new();
+            for ls in table.entries.values() {
+                for l in ls.iter() {
+                    *m.entry(l).or_insert(0u32) += 1;
+                }
+            }
+            m
+        }
+
+        fn variant(literal: bool, bounded: bool) -> QuiescentUrb {
+            let mut p = QuiescentUrb::with_rule(if literal {
+                PruneRule::Literal
+            } else {
+                PruneRule::Purge
+            });
+            if bounded {
+                p.configure_memory(testkit::mem());
+            }
+            p
+        }
+
+        proptest! {
+            #[test]
+            fn table_stays_consistent_under_arbitrary_interleavings(
+                ops in testkit::ops(),
+                literal in any::<bool>(),
+                bounded in any::<bool>(),
+            ) {
+                testkit::run_probed(variant(literal, bounded), &ops, |p| {
+                    p.table.assert_consistent();
+                    // D3, on every record the run produced.
+                    for acks in p.table.evidences() {
+                        assert_eq!(acks.counters, recomputed_counters(acks));
+                    }
+                });
+            }
+
+            #[test]
+            fn mid_run_snapshot_restart_is_invisible(
+                ops in testkit::ops(),
+                cut in 0usize..100,
+                literal in any::<bool>(),
+                bounded in any::<bool>(),
+            ) {
+                testkit::snapshot_restart_is_invisible(|| variant(literal, bounded), &ops, cut);
+            }
+        }
 
         // Arbitrary reconcile sequences preserve the counter invariant
         // `counters[l] == |{ta : l ∈ entries[ta]}|` (DESIGN.md D3).
@@ -1201,11 +873,11 @@ mod tests {
                     0..60
                 )
             ) {
-                let mut table = AckTable::new(Payload::from("m"));
+                let mut table = AckTable::default();
                 for (ta, ls) in ops {
                     let set = LabelSet::from_iter(ls.into_iter().map(Label));
                     table.reconcile(TagAck(ta as u128), set);
-                    prop_assert_eq!(&table.counters, &table.recomputed_counters());
+                    prop_assert_eq!(&table.counters, &recomputed_counters(&table));
                 }
             }
 
@@ -1217,7 +889,7 @@ mod tests {
                 ),
                 live in proptest::collection::btree_set(0u64..8, 0..8)
             ) {
-                let mut table = AckTable::new(Payload::from("m"));
+                let mut table = AckTable::default();
                 for (ta, ls) in ops {
                     table.reconcile(
                         TagAck(ta as u128),
@@ -1226,7 +898,7 @@ mod tests {
                 }
                 let live = LabelSet::from_iter(live.into_iter().map(Label));
                 table.purge_dead(&live);
-                prop_assert_eq!(&table.counters, &table.recomputed_counters());
+                prop_assert_eq!(&table.counters, &recomputed_counters(&table));
                 // And every surviving entry is within the live set.
                 for ls in table.entries.values() {
                     prop_assert!(ls.is_subset(&live));

@@ -1,0 +1,548 @@
+//! The one per-tag record behind Algorithm 1, Algorithm 2 and the backoff
+//! variant.
+//!
+//! The paper presents Algorithm 2 as Algorithm 1 with three edits; this
+//! module is the part they share. A [`TagTable`] maps each `tag` to one
+//! [`TagState`] — the row the paper spreads over `MSG_i`, `MY_ACK_i`,
+//! `ALL_ACK_i` and `URB_DELIVERED_i`, with the payload stored once (a tag
+//! identifies its payload, DESIGN.md D2) — and implements everything that
+//! does not depend on *how* acknowledgments are counted. A variant adds its
+//! [`Evidence`] type and the closures it passes in: the delivery guard, the
+//! prune guard and the stability rule.
+//!
+//! Every walk is in tag order: Task-1 emission order and tombstone-ring
+//! push order are pinned by the golden traces.
+
+use crate::compact::TombstoneRing;
+use std::collections::btree_map::{BTreeMap, Entry};
+use urb_types::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use urb_types::{
+    CompactionReport, Context, LabelSet, MemoryConfig, Payload, ProcessStats, SpillPolicy, Tag,
+    TagAck, WireMessage,
+};
+
+/// The acknowledgments received for one tag — the per-tag slice of
+/// `ALL_ACK_i`. `Default` is "no ACK seen yet".
+pub(crate) trait Evidence: Default {
+    /// `(ALL_ACK entries, label counters)` held, in [`ProcessStats`] units.
+    fn sizes(&self) -> (usize, usize);
+    /// Writes the evidence of one snapshot record.
+    fn save(&self, w: &mut SnapshotWriter);
+    /// Reads back what [`Evidence::save`] wrote.
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
+}
+
+/// Everything a process holds for one `tag`.
+#[derive(Clone, Debug, Default)]
+struct TagState<E> {
+    payload: Payload,
+    /// `(m, tag) ∈ MSG_i`; mirrored by [`TagTable::msg`].
+    in_msg: bool,
+    /// `(m, tag) ∈ URB_DELIVERED_i`.
+    delivered: bool,
+    /// The `MY_ACK_i` entry.
+    my_ack: Option<TagAck>,
+    evidence: E,
+    /// Consecutive stable compaction sweeps (0 = clock not running).
+    grace: u32,
+}
+
+impl<E: Evidence> TagState<E> {
+    /// Entries this record contributes to [`ProcessStats::total`]; a record
+    /// at 0 is dropped (an ACK's evidence can be purged before anything
+    /// else happens to the tag).
+    fn entries(&self) -> usize {
+        let (acks, counters) = self.evidence.sizes();
+        usize::from(self.in_msg)
+            + usize::from(self.delivered)
+            + usize::from(self.my_ack.is_some())
+            + acks
+            + counters
+    }
+}
+
+/// Task 1 walks the records in step with `MSG_i` while there are at most
+/// this many records per `MSG_i` entry, and looks each entry up beyond that:
+/// a step of an in-order walk costs roughly a tenth of a tree descent.
+const MERGE_WALK_MAX_RATIO: usize = 8;
+
+/// The ordered `tag → TagState` table of one process. `P` is per-entry
+/// state of `MSG_i` (the backoff variant's pacing; `()` otherwise).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TagTable<E, P = ()> {
+    records: BTreeMap<Tag, TagState<E>>,
+    /// `MSG_i` as an ordered set: the tags whose record has `in_msg`. Task 1
+    /// walks this, not the records — with compaction off a settled record
+    /// stays forever, and scanning tens of thousands of them for the few
+    /// still in `MSG_i` costs hundreds of microseconds per tick.
+    msg: BTreeMap<Tag, P>,
+    /// Bounded-memory mode (DESIGN.md §14); `None` = compaction off and
+    /// behavior byte-identical to the unbounded algorithm.
+    mem: Option<MemoryConfig>,
+    /// Tags already compacted; late copies are dropped on receipt.
+    tombs: TombstoneRing,
+    /// Tags line-57 pruned out of `MSG_i` so far, for diagnostics.
+    pruned: u64,
+    /// Tags compacted so far, for diagnostics.
+    compacted: u64,
+}
+
+impl<E: Evidence, P: Default> TagTable<E, P> {
+    /// The record for `tag`, created on first sight, entered into `MSG_i`
+    /// unless `unless_delivered` holds it out.
+    fn enter(&mut self, tag: Tag, payload: &Payload, unless_delivered: bool) -> &mut TagState<E> {
+        let rec = self.records.entry(tag).or_insert_with(|| TagState {
+            payload: payload.clone(),
+            ..TagState::default()
+        });
+        let held_out = unless_delivered && rec.delivered;
+        if !rec.in_msg && !held_out {
+            rec.in_msg = true;
+            self.msg.insert(tag, P::default());
+        }
+        rec
+    }
+
+    /// Lines 4–6, plus an immediate first Task-1 transmission (D7): Task 1
+    /// would send the message on its next sweep anyway; sending now only
+    /// shifts phase.
+    pub(crate) fn urb_broadcast(&mut self, payload: Payload, ctx: &mut Context<'_>) -> Tag {
+        let tag = Tag::random(ctx.rng); // line 5
+        self.enter(tag, &payload, false); // line 6
+        ctx.broadcast(WireMessage::Msg { tag, payload });
+        tag
+    }
+
+    /// Reception of `(MSG, m, tag)` (Alg 1 lines 7–17, Alg 2 lines 7–21):
+    /// store the message and acknowledge it, `labels` riding on the ACK.
+    ///
+    /// Alg 1 line 8 puts every received message into `MSG_i`; Alg 2 lines
+    /// 8–12 (`unless_delivered`) keep a delivered one out — a pruned message
+    /// must not re-enter the rebroadcast set, or quiescence would be lost.
+    ///
+    /// The first reception (from anyone, ourselves included) mints the
+    /// `tag_ack`; every further one re-broadcasts the identical ACK to beat
+    /// message loss — a stable `tag_ack` is what makes distinct `tag_ack`s
+    /// count distinct processes. A compacted tag's late copies are dropped
+    /// whole (DESIGN.md §14): re-acknowledging would mint a second
+    /// `tag_ack` for the same process.
+    pub(crate) fn on_msg(
+        &mut self,
+        tag: Tag,
+        payload: Payload,
+        unless_delivered: bool,
+        labels: Option<LabelSet>,
+        ctx: &mut Context<'_>,
+    ) {
+        if self.tombs.contains(tag) {
+            return;
+        }
+        let rec = self.enter(tag, &payload, unless_delivered);
+        let tag_ack = *rec.my_ack.get_or_insert_with(|| TagAck::random(ctx.rng));
+        ctx.broadcast(WireMessage::Ack {
+            tag,
+            tag_ack,
+            payload,
+            labels,
+        });
+    }
+
+    /// Reception of an ACK for `tag`: `update` folds it into the evidence,
+    /// then — unless already delivered — `guard` is the variant's delivery
+    /// condition (Alg 1 line 22 / Alg 2 line 46). ACKs piggyback `m`
+    /// (DESIGN.md D1), so delivery may precede the MSG copy; that is the
+    /// `fast` flag experiment E10 counts. ACKs for a compacted tag are
+    /// ignored: it was delivered here already.
+    pub(crate) fn on_ack(
+        &mut self,
+        tag: Tag,
+        payload: Payload,
+        ctx: &mut Context<'_>,
+        update: impl FnOnce(&mut E),
+        guard: impl FnOnce(&E) -> bool,
+    ) {
+        if self.tombs.contains(tag) {
+            return;
+        }
+        let rec = match self.records.entry(tag) {
+            Entry::Vacant(slot) => slot.insert(TagState {
+                payload,
+                ..TagState::default()
+            }),
+            Entry::Occupied(slot) => {
+                let rec = slot.into_mut();
+                // The first ACK's copy of `m` replaces the MSG's. Equal by
+                // D2, but a payload is a view into the frame it arrived in,
+                // and the first ACK frame is the one every process ends up
+                // viewing: nodes sharing an address space then pin one
+                // buffer per tag, not the MSG frame and the broadcaster's
+                // original too (ledger `inproc_saturate`: 72 → 61 MB).
+                if rec.evidence.sizes() == (0, 0) {
+                    rec.payload = payload;
+                }
+                rec
+            }
+        };
+        update(&mut rec.evidence);
+        if !rec.delivered && guard(&rec.evidence) {
+            rec.delivered = true;
+            ctx.deliver(tag, rec.payload.clone(), !rec.in_msg);
+        }
+        if rec.entries() == 0 {
+            self.records.remove(&tag);
+        }
+    }
+
+    /// One Task-1 sweep over `MSG_i`, in tag order. For each message `each`
+    /// sees `(delivered, evidence, pacing)` and answers `(send, keep)`:
+    /// whether to rebroadcast it now and whether it stays in `MSG_i` (line
+    /// 57 when it does not). Allocates nothing and never costs more than
+    /// `O(|MSG_i| log |records|)`, so an Algorithm 2 process does not pay
+    /// for its settled history on every tick.
+    pub(crate) fn task1(
+        &mut self,
+        ctx: &mut Context<'_>,
+        mut each: impl FnMut(bool, &mut E, &mut P) -> (bool, bool),
+    ) {
+        let pruned = &mut self.pruned;
+        let mut visit = |tag: &Tag, rec: &mut TagState<E>, pace: &mut P| {
+            let (send, keep) = each(rec.delivered, &mut rec.evidence, pace);
+            if send {
+                let payload = rec.payload.clone();
+                ctx.broadcast(WireMessage::Msg { tag: *tag, payload });
+            }
+            *pruned += u64::from(!keep);
+            rec.in_msg = keep;
+            keep
+        };
+        const NO_RECORD: &str = "every MSG_i entry has a record";
+        if self.records.len() <= self.msg.len() * MERGE_WALK_MAX_RATIO {
+            // Most records are in MSG_i (Algorithm 1 never prunes): walking
+            // both maps in step beats a tree descent per message.
+            let mut walk = self.records.iter_mut();
+            self.msg.retain(|tag, pace| {
+                let (_, rec) = walk.find(|(t, _)| *t == tag).expect(NO_RECORD);
+                visit(tag, rec, pace)
+            });
+        } else {
+            let records = &mut self.records;
+            self.msg
+                .retain(|tag, pace| visit(tag, records.get_mut(tag).expect(NO_RECORD), pace));
+        }
+    }
+
+    /// Quiescent once `MSG_i` is empty: Task 1 sends nothing, and ACKs are
+    /// only ever triggered by incoming MSGs.
+    pub(crate) fn is_quiescent(&self) -> bool {
+        self.msg.is_empty()
+    }
+
+    pub(crate) fn stats(&self) -> ProcessStats {
+        let mut stats = ProcessStats {
+            msg_set: self.msg.len(),
+            ..ProcessStats::default()
+        };
+        for rec in self.records.values() {
+            let (acks, counters) = rec.evidence.sizes();
+            stats.my_acks += usize::from(rec.my_ack.is_some());
+            stats.all_ack_entries += acks;
+            stats.delivered += usize::from(rec.delivered);
+            stats.label_counters += counters;
+        }
+        stats
+    }
+
+    pub(crate) fn configure_memory(&mut self, cfg: MemoryConfig) {
+        self.tombs = TombstoneRing::new(cfg.tombstones);
+        self.mem = Some(cfg);
+    }
+
+    /// One bounded-memory sweep (DESIGN.md §14) over the delivered tags, in
+    /// tag order; nothing happens until [`TagTable::configure_memory`].
+    /// `plan` reads the variant's `(need, restart)` off the configuration
+    /// and `stable` is its stability rule, asked with `(in MSG_i,
+    /// evidence)`: a tag that stays stable for more than `need` consecutive
+    /// sweeps — or any stable tag while residency is over the ceiling — has
+    /// its record dropped and moves to the tombstone ring. Unstable state is
+    /// never touched, no matter the pressure. `restart` zeroes every grace
+    /// clock first.
+    pub(crate) fn compact(
+        &mut self,
+        plan: impl FnOnce(&MemoryConfig) -> (u32, bool),
+        mut stable: impl FnMut(bool, &mut E) -> bool,
+    ) -> CompactionReport {
+        let mut report = CompactionReport::default();
+        let Some(cfg) = self.mem else {
+            return report;
+        };
+        let (need, restart) = plan(&cfg);
+        let over = cfg.ceiling.is_some_and(|c| self.stats().total() > c);
+        self.records.retain(|tag, rec| {
+            if !rec.delivered {
+                return true;
+            }
+            if restart {
+                rec.grace = 0;
+            }
+            if !stable(rec.in_msg, &mut rec.evidence) {
+                rec.grace = 0;
+                return true;
+            }
+            rec.grace = rec.grace.saturating_add(1);
+            if rec.grace <= need && !over {
+                return true;
+            }
+            // Reclaim: every entry held for the tag goes, the tag is
+            // tombstoned.
+            report.reclaimed += rec.entries();
+            report.tombstoned += 1;
+            if rec.in_msg {
+                self.msg.remove(tag);
+            }
+            self.tombs.push(*tag);
+            self.compacted += 1;
+            false
+        });
+        if over && cfg.spill == SpillPolicy::Tombstones {
+            self.tombs.shed_half();
+        }
+        report
+    }
+
+    /// Writes the table as one record per tag, then the tombstone ring.
+    pub(crate) fn save(&self, w: &mut SnapshotWriter) {
+        w.put_u64(self.pruned);
+        w.put_u64(self.compacted);
+        w.put_u64(self.records.len() as u64);
+        for (tag, rec) in &self.records {
+            w.put_u128(tag.0);
+            w.put_bytes(rec.payload.as_slice());
+            w.put_u8(
+                u8::from(rec.in_msg)
+                    | (u8::from(rec.delivered) << 1)
+                    | (u8::from(rec.my_ack.is_some()) << 2),
+            );
+            if let Some(ta) = rec.my_ack {
+                w.put_u128(ta.0);
+            }
+            w.put_u32(rec.grace);
+            rec.evidence.save(w);
+        }
+        self.tombs.save(w);
+    }
+
+    /// Replaces the table with what [`TagTable::save`] wrote — the tail of
+    /// every variant's snapshot body, so `r` must end with it. `MSG_i` is
+    /// rebuilt from the records, never read from the file; on error the
+    /// table is unchanged.
+    pub(crate) fn restore(&mut self, mut r: SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let malformed = |why: &str| Err(SnapshotError::Malformed(why.to_string()));
+        let pruned = r.get_u64()?;
+        let compacted = r.get_u64()?;
+        let mut records = BTreeMap::new();
+        let mut msg = BTreeMap::new();
+        for _ in 0..r.get_u64()? {
+            let tag = Tag(r.get_u128()?);
+            if records
+                .last_key_value()
+                .is_some_and(|(last, _)| *last >= tag)
+            {
+                return malformed("records are not in ascending tag order");
+            }
+            let payload = Payload::copy_from_slice(r.get_bytes()?);
+            let flags = r.get_u8()?;
+            if flags > 7 {
+                return malformed("unknown record flag");
+            }
+            let rec = TagState {
+                payload,
+                in_msg: flags & 1 != 0,
+                delivered: flags & 2 != 0,
+                my_ack: match flags & 4 {
+                    0 => None,
+                    _ => Some(TagAck(r.get_u128()?)),
+                },
+                grace: r.get_u32()?,
+                evidence: E::restore(&mut r)?,
+            };
+            if rec.entries() == 0 || (rec.grace != 0 && !rec.delivered) {
+                return malformed("record holds nothing, or a grace clock without a delivery");
+            }
+            if rec.in_msg {
+                msg.insert(tag, P::default());
+            }
+            records.insert(tag, rec);
+        }
+        let tombs = TombstoneRing::restore(&mut r, self.mem.map_or(0, |m| m.tombstones))?;
+        r.finish()?;
+        (self.records, self.msg, self.tombs) = (records, msg, tombs);
+        (self.pruned, self.compacted) = (pruned, compacted);
+        Ok(())
+    }
+}
+
+/// Read-only views for the unit tests of the three variants.
+#[cfg(test)]
+impl<E: Evidence, P: Default> TagTable<E, P> {
+    /// The ACK evidence held for `tag`, if any record exists.
+    pub(crate) fn evidence(&self, tag: Tag) -> Option<&E> {
+        self.records.get(&tag).map(|rec| &rec.evidence)
+    }
+
+    /// The ACK evidence of every record, in tag order.
+    pub(crate) fn evidences(&self) -> impl Iterator<Item = &E> {
+        self.records.values().map(|rec| &rec.evidence)
+    }
+
+    /// True when this process has URB-delivered `tag`.
+    pub(crate) fn has_delivered(&self, tag: Tag) -> bool {
+        self.records.get(&tag).is_some_and(|rec| rec.delivered)
+    }
+
+    /// True when `tag` was compacted and is still tombstoned.
+    pub(crate) fn is_tombstoned(&self, tag: Tag) -> bool {
+        self.tombs.contains(tag)
+    }
+
+    /// Number of messages line-57 pruned from `MSG_i` so far.
+    pub(crate) fn pruned_count(&self) -> u64 {
+        self.pruned
+    }
+
+    /// Number of tags reclaimed by the bounded-memory mode so far.
+    pub(crate) fn compacted_count(&self) -> u64 {
+        self.compacted
+    }
+
+    /// Checks the `MSG_i` set against the records' `in_msg` flags, and that
+    /// no record holds nothing.
+    pub(crate) fn assert_consistent(&self) {
+        for (tag, rec) in &self.records {
+            assert!(rec.entries() > 0, "{tag:?}: record holds nothing");
+            assert_eq!(rec.in_msg, self.msg.contains_key(tag), "{tag:?}: MSG_i");
+            assert!(rec.grace == 0 || rec.delivered, "{tag:?}: grace clock");
+        }
+        let in_msg = self.records.values().filter(|rec| rec.in_msg).count();
+        assert_eq!(in_msg, self.msg.len(), "MSG_i has a tag without a record");
+    }
+}
+
+/// A random-script driver shared by the variants' property tests: each
+/// variant instantiates the same two checks for its own configurations.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use crate::harness::{StepHarness, StepOut};
+    use proptest::prelude::*;
+    use urb_types::{
+        AnonProcess, CompactionReport, FdPair, FdSnapshot, FdView, Label, LabelSet, MemoryConfig,
+        Payload, SpillPolicy, Tag, TagAck, WireMessage,
+    };
+
+    /// `(kind, tag, tag_ack, labels)`: one broadcast, MSG or ACK reception,
+    /// tick, compaction sweep or detector change.
+    pub(crate) type Op = (u8, u8, u8, Vec<u64>);
+
+    pub(crate) fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let labels = proptest::collection::vec(0u64..3, 0..3);
+        proptest::collection::vec((0u8..9, 0u8..5, 0u8..5, labels), 1..100)
+    }
+
+    /// A small ring, a one-sweep grace period and a low ceiling, so
+    /// reclamation, tombstoning, ring eviction and shedding all happen
+    /// within a hundred steps.
+    pub(crate) fn mem() -> MemoryConfig {
+        MemoryConfig {
+            grace_ticks: 1,
+            conservative: true,
+            tombstones: 2,
+            ceiling: Some(12),
+            spill: SpillPolicy::Tombstones,
+        }
+    }
+
+    fn view(pairs: &[(u64, u32)]) -> FdView {
+        FdView::from_pairs(pairs.iter().map(|&(l, number)| FdPair {
+            label: Label(l),
+            number,
+        }))
+    }
+
+    /// Applies one scripted step; returns what it emitted and reclaimed.
+    pub(crate) fn apply(
+        h: &mut StepHarness,
+        p: &mut dyn AnonProcess,
+        (kind, tag, ta, labels): &Op,
+    ) -> (StepOut, CompactionReport) {
+        let payload = Payload::from("m");
+        let tag = Tag(*tag as u128);
+        let out = match kind {
+            0 => h.broadcast(p, payload).1,
+            1..=2 => h.receive(p, WireMessage::Msg { tag, payload }),
+            3..=5 => h.receive(
+                p,
+                WireMessage::Ack {
+                    tag,
+                    tag_ack: TagAck(*ta as u128),
+                    payload,
+                    labels: Some(LabelSet::from_iter(labels.iter().map(|&l| Label(l)))),
+                },
+            ),
+            6 => h.tick(p),
+            7 => return (StepOut::default(), p.compact(&h.fd)),
+            _ => {
+                h.fd = match ta % 3 {
+                    0 => FdSnapshot::new(view(&[(0, 1)]), view(&[(0, 1)])),
+                    1 => FdSnapshot::new(view(&[(0, 2), (1, 2)]), view(&[(0, 2), (1, 2)])),
+                    _ => FdSnapshot::new(view(&[(0, 1), (1, 1)]), FdView::empty()),
+                };
+                StepOut::default()
+            }
+        };
+        (out, CompactionReport::default())
+    }
+
+    /// Runs `ops` from a fresh instance, calling `probe` after every step.
+    pub(crate) fn run_probed<V: AnonProcess>(mut p: V, ops: &[Op], probe: impl Fn(&V)) {
+        let mut h = StepHarness::new(5);
+        for op in ops {
+            apply(&mut h, &mut p, op);
+            probe(&p);
+        }
+    }
+
+    /// Snapshots after `ops[..cut]`, restores into a fresh instance, and
+    /// checks the restored instance is indistinguishable over `ops[cut..]`:
+    /// same outbox, deliveries and reclamation at every step, same final
+    /// snapshot bytes.
+    pub(crate) fn snapshot_restart_is_invisible<V: AnonProcess>(
+        make: impl Fn() -> V,
+        ops: &[Op],
+        cut: usize,
+    ) {
+        let (prefix, suffix) = ops.split_at(cut % (ops.len() + 1));
+        // Two harnesses in lockstep so both RNG streams stay aligned.
+        let (mut h1, mut h2) = (StepHarness::new(5), StepHarness::new(5));
+        let (mut p, mut twin) = (make(), make());
+        for op in prefix {
+            apply(&mut h1, &mut p, op);
+            apply(&mut h2, &mut twin, op);
+        }
+        let body = p.save_state().expect("variant snapshots");
+        let mut q = make();
+        q.restore_state(&body).expect("own snapshot restores");
+        assert_eq!(
+            q.save_state().as_ref(),
+            Some(&body),
+            "save → restore → save"
+        );
+        assert_eq!(q.stats(), p.stats());
+        for op in suffix {
+            let (a, ra) = apply(&mut h1, &mut p, op);
+            let (b, rb) = apply(&mut h2, &mut q, op);
+            assert_eq!(a.broadcasts, b.broadcasts);
+            assert_eq!(a.deliveries, b.deliveries);
+            assert_eq!(ra, rb);
+        }
+        assert_eq!(p.save_state(), q.save_state());
+    }
+}

@@ -128,10 +128,14 @@ impl NodeCore {
                 algorithm,
                 param,
             } => match Algorithm::from_wire(algorithm, param) {
-                Some(alg) => self.engine.create_topic(topic, alg.instantiate(self.n)),
-                // Unknown algorithm code (newer peer): refuse locally and
-                // do not forward — never instantiate state we cannot run.
-                None => false,
+                Some(alg) if alg.runs_with(self.n) => {
+                    self.engine.create_topic(topic, alg.instantiate(self.n))
+                }
+                // Unknown algorithm code (newer peer) or a parameter this
+                // cluster size cannot run: refuse locally and do not
+                // forward — any peer or one-shot client can send this, so
+                // it must never reach an assertion.
+                _ => false,
             },
             TopicControl::Retire { topic } => self.engine.retire_topic(topic),
             TopicControl::Subscribe { topic } => self.engine.subscribe(topic),
@@ -300,6 +304,31 @@ mod tests {
         core.receive(&frame).expect("well-formed frame");
         assert!(core.mux().controls.is_empty(), "the flood stops here");
         assert!(seal_frame(core.mux(), &pool).is_none());
+    }
+
+    #[test]
+    fn an_uninstantiable_create_is_refused_and_not_gossiped() {
+        // (algorithm, param) pairs `instantiate` would assert on for n = 3:
+        // backoff cap 0, weakened threshold 0, weakened threshold > n.
+        for (i, (algorithm, param)) in [(4u8, 0u32), (1, 0), (1, 9)].into_iter().enumerate() {
+            let topic = TopicId(7 + i as u32);
+            let create = TopicControl::Create {
+                topic,
+                algorithm,
+                param,
+            };
+            let mut frame = bytes::BytesMut::new();
+            urb_types::encode_mux_frame_with_controls_into(&[], &[create], &mut frame);
+            let mut core = core(1);
+            core.receive(&frame.freeze()).expect("well-formed frame");
+            assert!(!core.engine().has_instance(topic), "{create}: refused");
+            assert!(core.mux().controls.is_empty(), "{create}: not gossiped");
+            assert!(seal_frame(core.mux(), &BufPool::default()).is_none());
+            // The node is alive and still serves its own topic.
+            assert!(core.broadcast(TopicId(0), Payload::from("m")).is_some());
+            // Entered locally (`urb topic`), the same create changes nothing.
+            assert!(!core.control(create));
+        }
     }
 
     /// A backend that records what the loop hands it.

@@ -820,6 +820,20 @@ impl ScenarioSpec {
         if self.topics == 0 {
             return Err(SpecError::new("topics.count must be positive"));
         }
+        // Every algorithm the run will instantiate — the static one and
+        // each lifecycle create's — must be runnable at this n.
+        let created = self.topic_events.iter().filter_map(|e| match e.action {
+            TopicActionSpec::Create { algorithm, .. } => algorithm,
+            TopicActionSpec::Retire { .. } => None,
+        });
+        for alg in std::iter::once(self.algorithm).chain(created) {
+            if !alg.runs_with(n) {
+                return Err(SpecError::new(format!(
+                    "algorithm {:?} cannot run with n = {n}",
+                    format_algorithm(alg)
+                )));
+            }
+        }
         let mut cfg = SimConfig::new(n, self.algorithm)
             .seed(self.seed)
             .max_time(self.horizon);

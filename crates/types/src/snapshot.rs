@@ -22,8 +22,10 @@ use std::fmt;
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"URBS";
 
 /// Current snapshot schema version. Bump on any layout change; readers
-/// reject other versions rather than guessing.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// reject other versions rather than guessing. Version 2 writes protocol
+/// state as one record per tag (DESIGN.md §14); version 1 (five parallel
+/// per-tag maps) is refused, not migrated.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot (or journal record) could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -348,11 +350,14 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         let mut sealed = seal(&sample_body());
-        sealed[4] = 99;
-        assert_eq!(
-            unseal(&sealed),
-            Err(SnapshotError::UnsupportedVersion { found: 99 })
-        );
+        // A newer writer's file, and the retired version 1 layout.
+        for found in [99, 1] {
+            sealed[4] = found as u8;
+            assert_eq!(
+                unseal(&sealed),
+                Err(SnapshotError::UnsupportedVersion { found })
+            );
+        }
     }
 
     #[test]
