@@ -5,8 +5,8 @@
 //! row — `types.encode_ns_per_msg` / `types.decode_ns_per_msg`):
 //!
 //! * `channel` — a 16-message outbox crossing an 8-destination link mesh
-//!   through `transmit_batch` (one delay draw + one event per destination)
-//!   vs. 16 × 8 individual `transmit` calls;
+//!   as one `transmit_entries` frame per link (one delay draw + one event
+//!   per destination) vs. 16 × 8 single-message frames;
 //! * `sim_end_to_end` — a whole simulated run over the batched plane (the
 //!   number to compare against the pre-batching `end_to_end` history).
 
@@ -15,12 +15,12 @@ use std::hint::black_box;
 use urb_core::Algorithm;
 use urb_sim::channel::{Channel, DelayModel, LossModel};
 use urb_sim::{scenario, sim::run};
-use urb_types::{Payload, Tag, TagAck, WireMessage, Xoshiro256};
+use urb_types::{Payload, Tag, TagAck, TopicId, WireMessage, Xoshiro256};
 
-fn outbox(len: usize) -> Vec<WireMessage> {
+fn outbox(len: usize) -> Vec<(TopicId, WireMessage)> {
     (0..len)
         .map(|i| {
-            if i % 2 == 0 {
+            let msg = if i % 2 == 0 {
                 WireMessage::Msg {
                     tag: Tag(i as u128),
                     payload: Payload::from(vec![0x5Au8; 64]),
@@ -32,7 +32,8 @@ fn outbox(len: usize) -> Vec<WireMessage> {
                     payload: Payload::from(vec![0x5Au8; 64]),
                     labels: None,
                 }
-            }
+            };
+            (TopicId::ZERO, msg)
         })
         .collect()
 }
@@ -57,7 +58,7 @@ fn bench_channel_plane(c: &mut Criterion) {
         let mut verdicts = Vec::new();
         b.iter(|| {
             for ch in &mut channels {
-                black_box(ch.transmit_batch(msgs, &mut verdicts));
+                black_box(ch.transmit_entries(msgs, &mut verdicts));
             }
         })
     });
@@ -66,10 +67,11 @@ fn bench_channel_plane(c: &mut Criterion) {
         &msgs,
         |b, msgs| {
             let mut channels = mesh(8);
+            let mut verdicts = Vec::new();
             b.iter(|| {
                 for ch in &mut channels {
                     for m in msgs {
-                        black_box(ch.transmit(m));
+                        black_box(ch.transmit_entries(std::slice::from_ref(m), &mut verdicts));
                     }
                 }
             })

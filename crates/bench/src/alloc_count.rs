@@ -321,6 +321,60 @@ mod tests {
         }
     }
 
+    /// A checker node tick is the engine's: `Choice::Tick` steps
+    /// `tick_all` into the state's own buffers and routes straight out of
+    /// them — no per-tick topic list, no per-topic copy of the effects. On
+    /// a warm 3-topic state, applying the choice allocates exactly what
+    /// enumerating the enabled choices (which `apply` does first, to
+    /// validate it) allocates: the sweep itself adds nothing.
+    #[test]
+    fn checker_tick_on_a_warm_state_is_allocation_free_when_counted() {
+        use urb_check::{CheckModel, Choice};
+        let spec = urb_sim::ScenarioSpec::from_toml_str(
+            "name = \"warm-tick\"\nn = 3\nalgorithm = \"majority\"\nseed = 5\n\
+             [topics]\ncount = 3\n\
+             [[workload]]\ntopic = 0\ncount = 1\nspacing = 10\nstart = 10\n\
+             [[workload]]\ntopic = 1\ncount = 1\nspacing = 10\nstart = 11\n\
+             [[workload]]\ntopic = 2\ncount = 1\nspacing = 10\nstart = 12\n\
+             [check]\ntick_budget = 8\n",
+        )
+        .unwrap();
+        let model = CheckModel::from_spec(&spec, None).unwrap();
+        let mut st = model.initial();
+        // Every broadcast issued, every copy delivered: each engine holds
+        // one MSG per topic, nothing is pending.
+        let settle = |st: &mut urb_check::CheckState<'_>| {
+            while let Some(c) = st
+                .enabled_choices()
+                .into_iter()
+                .find(|c| matches!(c, Choice::Broadcast | Choice::Deliver { .. }))
+            {
+                st.apply(c).unwrap();
+            }
+        };
+        settle(&mut st);
+        // Warm-up: one tick grows the buffers and the pending list.
+        st.apply(Choice::Tick { pid: 0 }).unwrap();
+        settle(&mut st);
+        assert!(st.pending().is_empty());
+
+        let (enabled, enumerating) = count_thread_allocations(|| st.enabled_choices());
+        assert!(enabled.contains(&Choice::Tick { pid: 0 }));
+        let (applied, applying) = count_thread_allocations(|| st.apply(Choice::Tick { pid: 0 }));
+        applied.unwrap();
+        assert_eq!(
+            st.pending().len(),
+            9,
+            "3 topics re-sent one MSG each to 3 destinations"
+        );
+        if let (Some(enumerating), Some(applying)) = (enumerating, applying) {
+            assert_eq!(
+                applying, enumerating,
+                "the tick's sweep and routing must not allocate"
+            );
+        }
+    }
+
     #[test]
     fn shared_decode_scratch_is_allocation_free_when_counted() {
         // Traffic-shaped frames: MSGs, ACKs with and without label sets,

@@ -6,8 +6,10 @@
 //! resolves the same nondeterminism from explicit [`Choice`]s instead,
 //! so a schedule becomes a first-class, enumerable, serializable value.
 //! A [`CheckModel`] is built from a [`ScenarioSpec`]; [`CheckState`]
-//! applies choices one at a time through the engine's choice-point hooks
-//! ([`TopicEngine::step_observed`]), checks the URB integrity invariants
+//! applies choices one at a time through the engine's one stepping
+//! surface ([`TopicEngine::step_mux`] / [`TopicEngine::tick_all`], the
+//! calls the simulator makes), reads the new choice points off the step's
+//! buffers, checks the URB integrity invariants
 //! after every step, and evaluates the eventual properties (validity,
 //! agreement) at *silent* states — states where no choice is enabled and
 //! every surviving process is quiescent, so nothing can ever happen
@@ -16,8 +18,9 @@
 //! What carries over from the compiled scenario, and what the explorer
 //! owns (DESIGN.md §11):
 //!
-//! * **carried over** — system size, algorithm, workload (in plan
-//!   order), the crash *rules* (which processes the adversary may kill,
+//! * **carried over** — system size, algorithm, the `[memory]` table
+//!   (the fleet is built by the simulator's own constructor), workload (in
+//!   plan order), the crash *rules* (which processes the adversary may kill,
 //!   and for `on_first_delivery` rules, when the choice arms), and
 //!   structurally severed links (`loss = "always"` overrides);
 //! * **replaced by choices** — probabilistic loss becomes the bounded
@@ -26,17 +29,14 @@
 //!   [`Choice::Tick`]s. Time itself is abstracted to the step index.
 
 use std::collections::BTreeSet;
-use urb_core::Algorithm;
-use urb_engine::{StepBuffers, StepInput, StepObserver, TopicEngine};
+use urb_engine::{MuxBuffers, StepInput, TopicEngine};
 use urb_sim::checker::{check_urb, CheckReport};
 use urb_sim::metrics::{BroadcastRecord, DeliveryRecord};
 use urb_sim::{
-    CheckBounds, CrashRule, LossModel, PlannedBroadcast, ScenarioSpec, SpecError, TopicAction,
-    TopicEventCfg,
+    build_fleet, CheckBounds, CrashRule, LossModel, PlannedBroadcast, ScenarioSpec, SimConfig,
+    SpecError,
 };
-use urb_types::{
-    Delivery, FdPair, FdSnapshot, FdView, Label, SplitMix64, Tag, TopicId, WireMessage,
-};
+use urb_types::{FdPair, FdSnapshot, FdView, Label, SplitMix64, Tag, TopicId, WireMessage};
 
 /// One resolved nondeterministic decision — the unit of exploration and
 /// of counterexample replay.
@@ -97,17 +97,14 @@ pub struct PendingMsg {
 /// The immutable part of an exploration: everything derived from the
 /// scenario spec once, shared by every replay.
 pub struct CheckModel {
-    n: usize,
-    topics: u32,
-    algorithm: Algorithm,
-    seed: u64,
+    /// The compiled scenario, with the effective seed. The explorer reads
+    /// the plan, the crash rules and the fleet parameters off it; loss,
+    /// delay and tick timing are what the choices replace.
+    cfg: SimConfig,
+    /// The workload in plan (time) order.
     planned: Vec<PlannedBroadcast>,
-    topic_events: Vec<TopicEventCfg>,
-    drain_ticks: u32,
-    crash_rules: Vec<CrashRule>,
     severed: BTreeSet<(usize, usize)>,
     bounds: CheckBounds,
-    needs_fd: bool,
 }
 
 impl CheckModel {
@@ -116,7 +113,8 @@ impl CheckModel {
     /// when given — it feeds the engines' tag RNG streams and the
     /// random-walk strategy.
     pub fn from_spec(spec: &ScenarioSpec, seed: Option<u64>) -> Result<Self, SpecError> {
-        let cfg = spec.compile()?;
+        let mut cfg = spec.compile()?;
+        cfg.seed = seed.unwrap_or(spec.seed);
         let mut planned = cfg.broadcasts.clone();
         planned.sort_by_key(|b| b.time);
         let severed = cfg
@@ -126,23 +124,16 @@ impl CheckModel {
             .map(|ov| (ov.from, ov.to))
             .collect();
         Ok(CheckModel {
-            n: cfg.n,
-            topics: cfg.topics.max(1),
-            algorithm: cfg.algorithm,
-            seed: seed.unwrap_or(spec.seed),
+            cfg,
             planned,
-            topic_events: cfg.topic_events.clone(),
-            drain_ticks: cfg.drain_ticks,
-            crash_rules: (0..cfg.n).map(|i| cfg.crashes.rule(i)).collect(),
             severed,
             bounds: spec.check.clone(),
-            needs_fd: cfg.algorithm.needs_fd(),
         })
     }
 
     /// System size.
     pub fn n(&self) -> usize {
-        self.n
+        self.cfg.n
     }
 
     /// The exploration bounds the spec shipped (`[check]` table).
@@ -152,7 +143,7 @@ impl CheckModel {
 
     /// The seed the engines derive their tag streams from.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.cfg.seed
     }
 
     /// True when the scenario's crash plan can ever kill `pid` — i.e. its
@@ -161,58 +152,39 @@ impl CheckModel {
     /// can never crash commute freely, because no [`Choice::Crash`] can
     /// be interleaved between them to erase one of the two.
     pub fn crash_eligible(&self, pid: usize) -> bool {
-        !matches!(self.crash_rules[pid], CrashRule::Never)
+        !matches!(self.cfg.crashes.rule(pid), CrashRule::Never)
     }
 
-    /// A fresh initial state (same engine seeding scheme as the
-    /// simulator — one protocol instance per topic sharing the node's RNG
-    /// stream — so the canonical FIFO exploration mirrors a seeded run).
+    /// A fresh initial state: the fleet the simulator would build for the
+    /// same scenario (same constructor, same seeding scheme, same memory
+    /// and drain configuration), so the canonical FIFO exploration
+    /// mirrors a seeded run.
     pub fn initial(&self) -> CheckState<'_> {
-        let seed_mix = SplitMix64::new(self.seed ^ 0x5EED_0F00_D000_0001);
-        let engines = (0..self.n)
-            .map(|i| {
-                let mut e = TopicEngine::new(
-                    (0..self.topics)
-                        .map(|_| self.algorithm.instantiate(self.n))
-                        .collect(),
-                    seed_mix.split(i as u64),
-                );
-                e.set_drain_limit(self.drain_ticks);
-                e
-            })
-            .collect();
+        let cfg = &self.cfg;
+        let engines = build_fleet(
+            cfg.n,
+            cfg.topics,
+            cfg.algorithm,
+            &SplitMix64::new(cfg.seed ^ 0x5EED_0F00_D000_0001),
+            cfg.memory,
+            cfg.drain_ticks,
+        );
         CheckState {
             model: self,
             engines,
             pending: Vec::new(),
-            crashed: vec![false; self.n],
-            delivered_once: vec![false; self.n],
+            crashed: vec![false; cfg.n],
+            delivered_once: vec![false; cfg.n],
             next_broadcast: 0,
             next_topic_event: 0,
             drops_used: 0,
-            ticks_used: vec![0; self.n],
+            ticks_used: vec![0; cfg.n],
             steps: 0,
             broadcasts: Vec::new(),
             deliveries: Vec::new(),
             violation: None,
-            scratch: StepBuffers::new(),
+            mux: MuxBuffers::new(),
         }
-    }
-}
-
-/// Effects of one engine step, captured through the choice-point hooks.
-#[derive(Default)]
-struct Effects {
-    emitted: Vec<WireMessage>,
-    delivered: Vec<Delivery>,
-}
-
-impl StepObserver for Effects {
-    fn on_emit(&mut self, msg: &WireMessage) {
-        self.emitted.push(msg.clone());
-    }
-    fn on_deliver(&mut self, delivery: &Delivery) {
-        self.delivered.push(delivery.clone());
     }
 }
 
@@ -237,7 +209,9 @@ pub struct CheckState<'m> {
     broadcasts: Vec<BroadcastRecord>,
     deliveries: Vec<DeliveryRecord>,
     violation: Option<Vec<String>>,
-    scratch: StepBuffers,
+    /// What the choice being applied made the engine emit and deliver;
+    /// drained into `pending` / `deliveries` before `apply` returns.
+    mux: MuxBuffers,
 }
 
 impl<'m> CheckState<'m> {
@@ -281,13 +255,15 @@ impl<'m> CheckState<'m> {
     /// violation found under this detector is the algorithm's, not the
     /// model's (DESIGN.md §11).
     fn fd_snapshot(&self) -> FdSnapshot {
-        if !self.model.needs_fd {
+        if !self.model.cfg.algorithm.needs_fd() {
             return FdSnapshot::none();
         }
-        let crashable_alive = (0..self.model.n)
-            .filter(|&i| !self.crashed[i] && !matches!(self.model.crash_rules[i], CrashRule::Never))
+        let crashable_alive = (0..self.model.cfg.n)
+            .filter(|&i| {
+                !self.crashed[i] && !matches!(self.model.cfg.crashes.rule(i), CrashRule::Never)
+            })
             .count() as u32;
-        let view: FdView = (0..self.model.n)
+        let view: FdView = (0..self.model.cfg.n)
             .filter(|&i| !self.crashed[i])
             .map(|i| FdPair {
                 label: Label(i as u64 + 1),
@@ -300,38 +276,41 @@ impl<'m> CheckState<'m> {
         }
     }
 
-    /// Routes one emitted message to every destination: severed links
-    /// swallow their copy structurally (no budget), copies to crashed
-    /// processes vanish, everything else becomes a pending choice.
-    fn route(&mut self, from: usize, topic: TopicId, msg: &WireMessage) {
-        for to in 0..self.model.n {
-            if self.model.severed.contains(&(from, to)) || self.crashed[to] {
-                continue;
+    /// Turns what the step at `pid` left in the buffers into explorer
+    /// state. Every emission is routed to every destination — severed
+    /// links swallow their copy structurally (no budget), copies to
+    /// crashed processes vanish, everything else becomes a pending
+    /// deliver-or-drop choice; every URB-delivery is recorded (and arms
+    /// crash-on-delivery rules), then integrity is re-checked.
+    fn finish_step(&mut self, pid: usize) {
+        for (topic, msg) in self.mux.outbox.drain(..) {
+            for to in 0..self.model.cfg.n {
+                if self.model.severed.contains(&(pid, to)) || self.crashed[to] {
+                    continue;
+                }
+                self.pending.push(PendingMsg {
+                    from: pid,
+                    to,
+                    topic,
+                    msg: msg.clone(),
+                });
             }
-            self.pending.push(PendingMsg {
-                from,
-                to,
-                topic,
-                msg: msg.clone(),
-            });
         }
-    }
-
-    fn record_deliveries(&mut self, pid: usize, topic: TopicId, delivered: &[Delivery]) {
-        for d in delivered {
-            self.delivered_once[pid] = true;
+        if self.mux.deliveries.is_empty() {
+            return;
+        }
+        self.delivered_once[pid] = true;
+        for (topic, d) in self.mux.deliveries.drain(..) {
             self.deliveries.push(DeliveryRecord {
                 pid,
                 topic,
                 tag: d.tag,
                 time: self.steps,
                 fast: d.fast,
-                payload: d.payload.clone(),
+                payload: d.payload,
             });
         }
-        if !delivered.is_empty() {
-            self.check_integrity();
-        }
+        self.check_integrity();
     }
 
     /// Stepwise invariant: uniform integrity (no duplicate, no phantom,
@@ -342,7 +321,12 @@ impl<'m> CheckState<'m> {
             return;
         }
         let correct: Vec<bool> = self.crashed.iter().map(|c| !c).collect();
-        let report = check_urb(self.model.n, &correct, &self.broadcasts, &self.deliveries);
+        let report = check_urb(
+            self.model.cfg.n,
+            &correct,
+            &self.broadcasts,
+            &self.deliveries,
+        );
         if !report.integrity.ok() {
             self.violation = Some(
                 report
@@ -373,7 +357,7 @@ impl<'m> CheckState<'m> {
         // point against deliveries, ticks and crashes.
         match (
             self.model.planned.get(self.next_broadcast),
-            self.model.topic_events.get(self.next_topic_event),
+            self.model.cfg.topic_events.get(self.next_topic_event),
         ) {
             (Some(b), Some(e)) if e.time < b.time => out.push(Choice::TopicEvent),
             (Some(_), _) => out.push(Choice::Broadcast),
@@ -383,11 +367,11 @@ impl<'m> CheckState<'m> {
         for slot in 0..self.pending.len() {
             out.push(Choice::Deliver { slot });
         }
-        for pid in 0..self.model.n {
+        for pid in 0..self.model.cfg.n {
             if self.crashed[pid] {
                 continue;
             }
-            let armed = match self.model.crash_rules[pid] {
+            let armed = match self.model.cfg.crashes.rule(pid) {
                 CrashRule::Never => false,
                 CrashRule::At(_) => true,
                 CrashRule::OnFirstDelivery { .. } => self.delivered_once[pid],
@@ -396,7 +380,7 @@ impl<'m> CheckState<'m> {
                 out.push(Choice::Crash { pid });
             }
         }
-        for pid in 0..self.model.n {
+        for pid in 0..self.model.cfg.n {
             if !self.crashed[pid]
                 && self.ticks_used[pid] < self.model.bounds.tick_budget
                 && !self.engines[pid].is_quiescent()
@@ -451,18 +435,14 @@ impl<'m> CheckState<'m> {
                     return;
                 }
                 let fd = self.fd_snapshot();
-                let mut effects = Effects::default();
-                let mut scratch = std::mem::take(&mut self.scratch);
                 let tag = self.engines[b.pid]
-                    .step_observed(
+                    .step_mux(
                         b.topic,
                         StepInput::Broadcast(b.payload.clone()),
                         &fd,
-                        &mut scratch,
-                        &mut effects,
+                        &mut self.mux,
                     )
                     .expect("urb_broadcast assigns a tag");
-                self.scratch = scratch;
                 self.broadcasts.push(BroadcastRecord {
                     pid: b.pid,
                     topic: b.topic,
@@ -470,7 +450,7 @@ impl<'m> CheckState<'m> {
                     time: self.steps,
                     payload: b.payload,
                 });
-                self.finish_step(b.pid, b.topic, effects);
+                self.finish_step(b.pid);
             }
             Choice::Deliver { slot } => {
                 let p = self.pending.remove(slot);
@@ -482,48 +462,23 @@ impl<'m> CheckState<'m> {
                     return;
                 }
                 let fd = self.fd_snapshot();
-                let mut effects = Effects::default();
-                let mut scratch = std::mem::take(&mut self.scratch);
-                self.engines[p.to].step_observed(
-                    p.topic,
-                    StepInput::Receive(p.msg),
-                    &fd,
-                    &mut scratch,
-                    &mut effects,
-                );
-                self.scratch = scratch;
-                self.finish_step(p.to, p.topic, effects);
+                self.engines[p.to].step_mux(p.topic, StepInput::Receive(p.msg), &fd, &mut self.mux);
+                self.finish_step(p.to);
             }
             Choice::Drop { slot } => {
                 self.pending.remove(slot);
                 self.drops_used += 1;
             }
             Choice::Tick { pid } => {
-                // One node tick sweeps Task 1 of *every* topic instance,
-                // matching the simulator's topic-plane semantics (one
-                // budget unit per node tick, however many topics it has).
+                // One node tick — the simulator's, literally: Task 1 of
+                // *every* topic instance, then the reap of drained topics
+                // (never mid-delivery), then compaction when the scenario
+                // has a `[memory]` table. One budget unit however many
+                // topics the node serves.
                 self.ticks_used[pid] += 1;
                 let fd = self.fd_snapshot();
-                let topics: Vec<TopicId> = self.engines[pid].instance_topics().collect();
-                for topic in topics {
-                    let mut effects = Effects::default();
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    self.engines[pid].step_observed(
-                        topic,
-                        StepInput::Tick,
-                        &fd,
-                        &mut scratch,
-                        &mut effects,
-                    );
-                    self.scratch = scratch;
-                    self.finish_step(pid, topic, effects);
-                }
-                // The tick is also the reap point (the simulator's
-                // quiescence rule): drained instances free their state
-                // here, never mid-delivery.
-                if !self.model.topic_events.is_empty() {
-                    self.engines[pid].reap_drained(&fd);
-                }
+                self.engines[pid].tick_all(&fd, &mut self.mux);
+                self.finish_step(pid);
             }
             Choice::Crash { pid } => {
                 self.crashed[pid] = true;
@@ -532,35 +487,11 @@ impl<'m> CheckState<'m> {
                 self.pending.retain(|p| p.to != pid);
             }
             Choice::TopicEvent => {
-                let e = self.model.topic_events[self.next_topic_event].clone();
+                let action = self.model.cfg.topic_events[self.next_topic_event].action;
                 self.next_topic_event += 1;
-                match e.action {
-                    TopicAction::Create { topic, algorithm } => {
-                        let alg = algorithm.unwrap_or(self.model.algorithm);
-                        for pid in 0..self.model.n {
-                            if !self.crashed[pid] {
-                                self.engines[pid]
-                                    .create_topic(topic, alg.instantiate(self.model.n));
-                            }
-                        }
-                    }
-                    TopicAction::Retire { topic } => {
-                        for pid in 0..self.model.n {
-                            if !self.crashed[pid] {
-                                self.engines[pid].retire_topic(topic);
-                            }
-                        }
-                    }
-                }
+                action.apply(&mut self.engines, &self.crashed, self.model.cfg.algorithm);
             }
         }
-    }
-
-    fn finish_step(&mut self, pid: usize, topic: TopicId, effects: Effects) {
-        for m in &effects.emitted {
-            self.route(pid, topic, m);
-        }
-        self.record_deliveries(pid, topic, &effects.delivered);
     }
 
     /// True when no choice is enabled *and* every surviving process is
@@ -571,7 +502,7 @@ impl<'m> CheckState<'m> {
     pub fn is_silent(&self) -> bool {
         self.violation.is_none()
             && self.next_broadcast == self.model.planned.len()
-            && self.next_topic_event == self.model.topic_events.len()
+            && self.next_topic_event == self.model.cfg.topic_events.len()
             && self.pending.is_empty()
             && self
                 .engines
@@ -585,7 +516,12 @@ impl<'m> CheckState<'m> {
     /// and agreement with `correct = never crashed here`).
     pub fn report(&self) -> CheckReport {
         let correct: Vec<bool> = self.crashed.iter().map(|c| !c).collect();
-        check_urb(self.model.n, &correct, &self.broadcasts, &self.deliveries)
+        check_urb(
+            self.model.cfg.n,
+            &correct,
+            &self.broadcasts,
+            &self.deliveries,
+        )
     }
 
     /// Evaluates the eventual properties at a silent state, recording a
@@ -657,7 +593,7 @@ impl<'m> CheckState<'m> {
         fold(&mut h, self.next_broadcast as u64);
         // Folded only on lifecycle scenarios, so static digests (and the
         // persistent state-hash caches built from them) are unchanged.
-        if !self.model.topic_events.is_empty() {
+        if !self.model.cfg.topic_events.is_empty() {
             fold(&mut h, self.next_topic_event as u64);
         }
         fold(&mut h, self.drops_used as u64);
@@ -690,7 +626,7 @@ impl<'m> CheckState<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urb_sim::ScenarioSpec;
+    use urb_core::Algorithm;
 
     fn majority_spec(n: usize) -> ScenarioSpec {
         let mut spec = ScenarioSpec::new("model-test", n, Algorithm::Majority);

@@ -94,6 +94,40 @@ fn counterexamples_replay_and_survive_serialization() {
 }
 
 #[test]
+fn the_explorer_honours_the_memory_table() {
+    // The corpus entry with a one-slot tombstone ring: the explorer must
+    // build bounded-memory engines and compact on `Choice::Tick` like the
+    // simulator does — then some schedule evicts a tombstone while a copy
+    // of its message is still pending, and the tag is delivered twice.
+    // (An explorer that drops `[memory]` explores the unbounded protocol
+    // and reports PASS on a scenario the file does not describe.)
+    let spec = corpus_spec("undersized_tombstones");
+    assert_eq!(spec.memory.map(|m| m.tombstones), Some(1));
+    let outcome = check_scenario(&spec, None, None, None).unwrap();
+    assert!(outcome.passed(), "{}", outcome.verdict_line());
+    let cx = outcome.counterexample.expect("witness");
+    assert!(
+        cx.violation
+            .iter()
+            .any(|v| v.starts_with("integrity") && v.contains("2 times")),
+        "{:?}",
+        cx.violation
+    );
+    assert_eq!(cx.replay().unwrap(), cx.violation, "the witness replays");
+
+    // Same file, default ring: nothing to find at the same bounds.
+    let mut roomy = spec.clone();
+    roomy.memory.as_mut().unwrap().tombstones = urb_types::MemoryConfig::default().tombstones;
+    roomy.expect = Default::default();
+    let outcome = check_scenario(&roomy, None, None, None).unwrap();
+    assert!(
+        outcome.passed() && outcome.counterexample.is_none(),
+        "{}",
+        outcome.verdict_line()
+    );
+}
+
+#[test]
 fn clean_scenarios_pass_every_strategy() {
     // A correct algorithm under bounded exploration: nothing to find.
     // (Small n keeps full DFS exhaustion fast in debug builds.)

@@ -15,13 +15,18 @@
 //! * [`drive_step`] — the single implementation of "one protocol step":
 //!   every backend funnels through this function, so a step is *provably
 //!   identical* across the simulator, the runtime and the harness;
-//! * [`StepBuffers`] — the reusable outbox/delivery buffers a step fills
-//!   (drivers keep one per node or one per loop and reuse it, so the hot
-//!   path performs no steady-state allocation);
+//! * [`StepBuffers`] — the reusable outbox/delivery buffers one bare
+//!   [`drive_step`] fills (the engine's own scratch, and the test
+//!   harness's);
 //! * [`TopicEngine`] — the owning per-node engine: one protocol instance
 //!   per topic, one deterministic RNG stream, cumulative
 //!   [`EngineCounters`], the topic lifecycle and the snapshot plane. A
 //!   single-topic node is [`TopicEngine::single`];
+//! * **one stepping surface** (DESIGN.md §2): every driver steps into
+//!   [`MuxBuffers`] — [`TopicEngine::step_mux`] for one input,
+//!   [`TopicEngine::receive_mux_frame`] for a received frame, and
+//!   [`TopicEngine::tick_all`] for *the* node tick (sweep every instance →
+//!   reap drained topics → compact if memory is configured);
 //! * the **frame plane** (DESIGN.md §10, §12): [`MuxBuffers`] accumulates
 //!   what every stepped topic emitted, [`MuxBuffers::take_mux_frame`]
 //!   encodes it straight into a pooled buffer (zero per-message
@@ -81,29 +86,6 @@ impl StepBuffers {
     pub fn new() -> Self {
         StepBuffers::default()
     }
-
-    /// True when the step neither broadcast nor delivered anything.
-    pub fn is_silent(&self) -> bool {
-        self.outbox.is_empty() && self.deliveries.is_empty()
-    }
-}
-
-/// Observer of the **choice points** one protocol step opens up.
-///
-/// Every effect a step produces is a point where a scheduler may later
-/// interpose nondeterministically: each emitted wire message becomes a
-/// future delivery (or adversarial-drop) decision, and each URB-delivery
-/// is where crash-on-delivery adversaries arm. Backends that merely
-/// *execute* a schedule (the simulator's event queue, the runtime's
-/// channels) drain [`StepBuffers`] wholesale and never need this; the
-/// systematic explorer (`urb-check`) hooks it to register every effect as
-/// an explorable choice the moment [`TopicEngine::step_observed`] surfaces
-/// it.
-pub trait StepObserver {
-    /// One message left the step's outbox (in emission order).
-    fn on_emit(&mut self, msg: &WireMessage);
-    /// One URB-delivery fired during the step (in delivery order).
-    fn on_deliver(&mut self, delivery: &Delivery);
 }
 
 /// Executes one protocol step. **The** shared implementation: every
@@ -139,17 +121,6 @@ pub fn drive_step(
     }
 }
 
-/// Surfaces one finished step's buffered effects to an observer, in
-/// order, while the buffers still hold exactly that step's output.
-fn surface_effects(buf: &StepBuffers, obs: &mut dyn StepObserver) {
-    for m in &buf.outbox {
-        obs.on_emit(m);
-    }
-    for d in &buf.deliveries {
-        obs.on_deliver(d);
-    }
-}
-
 /// Cumulative per-node activity counters maintained by [`TopicEngine`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
@@ -165,7 +136,8 @@ pub struct EngineCounters {
     pub messages_out: u64,
     /// URB-deliveries produced across all steps.
     pub deliveries: u64,
-    /// Compaction sweeps executed ([`TopicEngine::compact_all`] calls).
+    /// Compaction sweeps executed (one per [`TopicEngine::tick_all`] once
+    /// [`TopicEngine::configure_memory`] was called, none before).
     pub compactions: u64,
     /// State entries reclaimed by compaction, in [`ProcessStats::total`]
     /// units (summed over every sweep and topic).
@@ -552,14 +524,6 @@ impl TopicEngine {
         self.slots.iter().filter(|s| !s.draining).map(|s| s.topic)
     }
 
-    /// Every topic currently holding an instance — live **and** draining —
-    /// ascending. This is the driver's sweep directory: Task-1 ticks must
-    /// cover draining instances too (retransmission is what drains them),
-    /// so sweeping `live_topics` alone would starve the drain.
-    pub fn instance_topics(&self) -> impl Iterator<Item = TopicId> + '_ {
-        self.slots.iter().map(|s| s.topic)
-    }
-
     /// Sets the drain budget (sweeps a draining topic may survive without
     /// reaching quiescence before it is reaped anyway).
     pub fn set_drain_limit(&mut self, limit: u32) {
@@ -691,69 +655,12 @@ impl TopicEngine {
         self.subscriptions.contains(&topic)
     }
 
-    /// Runs one step of `topic`'s instance (see [`drive_step`]) and
-    /// updates the counters. Panics when `topic` has no instance — the
-    /// stepping APIs are for topics the driver knows are present
-    /// (lifecycle-aware drivers consult [`TopicEngine::is_live`] /
-    /// [`TopicEngine::has_instance`] first).
-    pub fn step(
-        &mut self,
-        topic: TopicId,
-        input: StepInput,
-        fd: &FdSnapshot,
-        buf: &mut StepBuffers,
-    ) -> Option<Tag> {
-        let i = self.slot_index_or_panic(topic);
-        self.step_slot(i, input, fd, buf)
-    }
-
-    /// [`TopicEngine::step`] with the slot already resolved — the
-    /// directory-bypassing core every batched path funnels through once
-    /// it has probed (or run-length-cached) the slot index. Counter and
-    /// RNG behavior are exactly `step`'s.
-    fn step_slot(
-        &mut self,
-        i: usize,
-        input: StepInput,
-        fd: &FdSnapshot,
-        buf: &mut StepBuffers,
-    ) -> Option<Tag> {
-        self.counters.steps += 1;
-        match &input {
-            StepInput::Tick => self.counters.ticks += 1,
-            StepInput::Receive(_) => self.counters.receives += 1,
-            StepInput::Broadcast(_) => self.counters.broadcasts += 1,
-        }
-        let proc = self.slots[i].proc.as_mut();
-        let tag = drive_step(proc, input, fd, &mut self.rng, buf);
-        self.counters.messages_out += buf.outbox.len() as u64;
-        self.counters.deliveries += buf.deliveries.len() as u64;
-        tag
-    }
-
-    /// [`TopicEngine::step`] with choice-point hooks — the engine-level
-    /// entry point of the exploration plane (DESIGN.md §11): counters
-    /// update exactly as for `step`, then every emission and delivery the
-    /// step produced is surfaced to `obs`, in order, while `buf` still
-    /// holds exactly this step's output. The explorer turns each observed
-    /// emission into a pending deliver-or-drop choice and each observed
-    /// delivery into a potential crash point.
-    pub fn step_observed(
-        &mut self,
-        topic: TopicId,
-        input: StepInput,
-        fd: &FdSnapshot,
-        buf: &mut StepBuffers,
-        obs: &mut dyn StepObserver,
-    ) -> Option<Tag> {
-        let tag = self.step(topic, input, fd, buf);
-        surface_effects(buf, obs);
-        tag
-    }
-
     /// Steps `topic` and appends its tagged effects to `mux` (which is
     /// *not* cleared — successive topic steps accumulate into one
     /// multiplexed outbox, drained by [`MuxBuffers::take_mux_frame`]).
+    /// Panics when `topic` has no instance — drivers route only to topics
+    /// they know are present (lifecycle-aware ones consult
+    /// [`TopicEngine::is_live`] / [`TopicEngine::has_instance`] first).
     pub fn step_mux(
         &mut self,
         topic: TopicId,
@@ -765,8 +672,10 @@ impl TopicEngine {
         self.step_mux_slot(i, topic, input, fd, mux)
     }
 
-    /// [`TopicEngine::step_mux`] with the slot already resolved (see
-    /// [`TopicEngine::step_slot`]).
+    /// [`TopicEngine::step_mux`] with the slot already resolved: one
+    /// counted [`drive_step`] of the instance at slot `i` — the core every
+    /// stepping path funnels through once it has probed (or
+    /// run-length-cached) the slot index.
     fn step_mux_slot(
         &mut self,
         i: usize,
@@ -775,35 +684,47 @@ impl TopicEngine {
         fd: &FdSnapshot,
         mux: &mut MuxBuffers,
     ) -> Option<Tag> {
-        let mut scratch = std::mem::take(&mut self.batch_scratch);
-        let tag = self.step_slot(i, input, fd, &mut scratch);
-        mux.outbox
-            .extend(scratch.outbox.drain(..).map(|m| (topic, m)));
+        self.counters.steps += 1;
+        match &input {
+            StepInput::Tick => self.counters.ticks += 1,
+            StepInput::Receive(_) => self.counters.receives += 1,
+            StepInput::Broadcast(_) => self.counters.broadcasts += 1,
+        }
+        let buf = &mut self.batch_scratch;
+        let proc = self.slots[i].proc.as_mut();
+        let tag = drive_step(proc, input, fd, &mut self.rng, buf);
+        self.counters.messages_out += buf.outbox.len() as u64;
+        self.counters.deliveries += buf.deliveries.len() as u64;
+        mux.outbox.extend(buf.outbox.drain(..).map(|m| (topic, m)));
         mux.deliveries
-            .extend(scratch.deliveries.drain(..).map(|d| (topic, d)));
-        self.batch_scratch = scratch;
+            .extend(buf.deliveries.drain(..).map(|d| (topic, d)));
         tag
     }
 
     /// One Task-1 sweep of **every** topic instance — live *and* draining
     /// (a draining instance keeps retransmitting; that is what drains it)
     /// — ascending by topic, all effects accumulated into `mux` (cleared
-    /// first). This is "one node tick" on the topic plane: however many
+    /// first). This is **the** node tick, for every driver: however many
     /// instances swept, the caller drains exactly one multiplexed frame.
-    /// Finishes with a [`reap_drained`](TopicEngine::reap_drained) sweep,
-    /// which is free when nothing is draining.
+    /// Then, under the same snapshot, the two housekeeping passes that
+    /// belong to a tick and nowhere else: a
+    /// [`reap_drained`](TopicEngine::reap_drained) sweep (free when nothing
+    /// is draining) and — iff [`configure_memory`](TopicEngine::configure_memory)
+    /// was called — one compaction sweep (DESIGN.md §14). Neither draws
+    /// randomness nor emits.
     pub fn tick_all(&mut self, fd: &FdSnapshot, mux: &mut MuxBuffers) {
         mux.clear();
         // Slots are walked by index — the sweep *is* the directory, no
         // per-topic lookup needed (nothing reshapes the slot vector
         // mid-sweep; the reap below runs after).
-        let mut i = 0;
-        while i < self.slots.len() {
+        for i in 0..self.slots.len() {
             let topic = self.slots[i].topic;
             self.step_mux_slot(i, topic, StepInput::Tick, fd, mux);
-            i += 1;
         }
         self.reap_drained(fd);
+        if self.memory.is_some() {
+            self.compact_all(fd);
+        }
     }
 
     /// Feeds every entry of a received **multiplexed frame** through the
@@ -931,9 +852,11 @@ impl TopicEngine {
 
     /// A deterministic digest of this engine's *semantic* state across
     /// every topic instance: per-topic [`ProcessStats`], quiescence and
-    /// the algorithm name — deliberately **not** the history counters, so
-    /// two engines that converged to the same protocol state through
-    /// different schedules digest equally. The exploration plane folds
+    /// the algorithm name — deliberately **not** the history counters
+    /// (bounded-memory engines excepted: their reclaim totals stand in for
+    /// the tombstone rings), so two engines that converged to the same
+    /// protocol state through different schedules digest equally. The
+    /// exploration plane folds
     /// these per-node digests (plus its own pending-message and crash-set
     /// hashes) into the state hash it prunes on (DESIGN.md §11). The
     /// digest is approximate: distinct internal states with equal sizes
@@ -979,13 +902,22 @@ impl TopicEngine {
             fold(&mut h, 0x2E71_12ED_u64);
             fold(&mut h, t.0 as u64);
         }
+        if self.memory.is_some() {
+            // What compaction took away is semantic state that `stats`
+            // cannot see: a tombstoned tag is refused, a forgotten one is
+            // re-admitted. Folded for bounded-memory engines only, so every
+            // other digest is unchanged.
+            fold(&mut h, self.counters.reclaimed);
+            fold(&mut h, self.counters.tombstoned);
+        }
         h
     }
 
     /// Switches **every** topic instance into bounded-memory mode
-    /// (DESIGN.md §14). Call before stepping begins; with no call, the
-    /// engine never compacts and behaves byte-identically to the
-    /// pre-memory-plane engine.
+    /// (DESIGN.md §14): from here on every [`tick_all`](TopicEngine::tick_all)
+    /// ends with one compaction sweep. Call before stepping begins; with
+    /// no call, the engine never compacts and behaves byte-identically to
+    /// the pre-memory-plane engine.
     pub fn configure_memory(&mut self, cfg: MemoryConfig) {
         self.memory = Some(cfg);
         for slot in &mut self.slots {
@@ -993,13 +925,10 @@ impl TopicEngine {
         }
     }
 
-    /// One compaction sweep over every topic instance, under the caller's
-    /// current failure-detector snapshot. Drivers call this after their
-    /// per-topic Task-1 sweeps; an engine whose memory mode was never
-    /// configured reports an all-zero sweep and changes nothing. Totals
-    /// accumulate into [`EngineCounters::reclaimed`] /
-    /// [`EngineCounters::tombstoned`].
-    pub fn compact_all(&mut self, fd: &FdSnapshot) -> CompactionReport {
+    /// One compaction sweep over every topic instance, under the tick's
+    /// failure-detector snapshot. Totals accumulate into
+    /// [`EngineCounters::reclaimed`] / [`EngineCounters::tombstoned`].
+    fn compact_all(&mut self, fd: &FdSnapshot) {
         let mut total = CompactionReport::default();
         for slot in &mut self.slots {
             total.absorb(slot.proc.compact(fd));
@@ -1007,7 +936,6 @@ impl TopicEngine {
         self.counters.compactions += 1;
         self.counters.reclaimed += total.reclaimed as u64;
         self.counters.tombstoned += total.tombstoned as u64;
-        total
     }
 
     /// Serializes the whole engine — algorithm, per-topic protocol state,
@@ -1298,42 +1226,49 @@ mod tests {
 
     #[test]
     fn drive_step_clears_buffers_between_steps() {
-        let mut e = engine();
+        let mut proc = Scripted {
+            pending: Vec::new(),
+        };
+        let mut rng = SplitMix64::new(7);
         let fd = FdSnapshot::none();
         let mut buf = StepBuffers::new();
-        let tag = e.step(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
+        let tag = drive_step(
+            &mut proc,
+            StepInput::Broadcast(Payload::from("m")),
+            &fd,
+            &mut rng,
+            &mut buf,
+        );
         assert!(tag.is_some());
         assert_eq!(buf.outbox.len(), 1);
         // A silent step leaves empty buffers, not the previous contents.
-        let mut silent = topic_engine(1, 8);
-        silent.step(T0, StepInput::Tick, &fd, &mut buf);
-        assert!(buf.is_silent());
+        let mut silent = Scripted {
+            pending: Vec::new(),
+        };
+        drive_step(&mut silent, StepInput::Tick, &fd, &mut rng, &mut buf);
+        assert!(buf.outbox.is_empty() && buf.deliveries.is_empty());
     }
 
     #[test]
     fn identical_input_sequences_produce_identical_output() {
         // The cross-backend guarantee in miniature: same seed, same inputs
-        // => byte-identical emissions, whichever driver calls drive_step.
+        // => byte-identical emissions, whichever driver steps the engine.
         let fd = FdSnapshot::none();
         let run = || {
             let mut e = engine();
-            let mut buf = StepBuffers::new();
-            let mut log: Vec<WireMessage> = Vec::new();
-            e.step(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
-            log.extend(buf.outbox.iter().cloned());
-            e.step(
+            let mut mux = MuxBuffers::new();
+            e.step_mux(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut mux);
+            e.step_mux(
                 T0,
                 StepInput::Receive(WireMessage::Msg {
                     tag: Tag(9),
                     payload: Payload::from("x"),
                 }),
                 &fd,
-                &mut buf,
+                &mut mux,
             );
-            log.extend(buf.outbox.iter().cloned());
-            e.step(T0, StepInput::Tick, &fd, &mut buf);
-            log.extend(buf.outbox.iter().cloned());
-            log
+            e.step_mux(T0, StepInput::Tick, &fd, &mut mux);
+            mux.outbox
         };
         assert_eq!(run(), run());
     }
@@ -1381,74 +1316,55 @@ mod tests {
         assert_eq!(direct_rx.counters(), frame_rx.counters());
     }
 
-    /// Collects observed effects for the hook tests.
-    #[derive(Default)]
-    struct Log {
-        emits: Vec<WireMessage>,
-        delivers: usize,
-    }
-
-    impl StepObserver for Log {
-        fn on_emit(&mut self, msg: &WireMessage) {
-            self.emits.push(msg.clone());
-        }
-        fn on_deliver(&mut self, _d: &Delivery) {
-            self.delivers += 1;
-        }
-    }
-
     #[test]
     fn observed_step_surfaces_every_effect_in_order() {
+        // Every driver — the explorer included — reads a step's effects
+        // off the buffers it stepped into: emissions and deliveries, in
+        // order, tagged with their topic, accumulated until drained.
         let mut e = engine();
         let fd = FdSnapshot::none();
-        let mut buf = StepBuffers::new();
-        let mut log = Log::default();
-        e.step_observed(
-            T0,
-            StepInput::Broadcast(Payload::from("m")),
-            &fd,
-            &mut buf,
-            &mut log,
-        );
-        e.step_observed(
+        let mut mux = MuxBuffers::new();
+        e.step_mux(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut mux);
+        e.step_mux(
             T0,
             StepInput::Receive(WireMessage::Msg {
                 tag: Tag(3),
                 payload: Payload::from("x"),
             }),
             &fd,
-            &mut buf,
-            &mut log,
+            &mut mux,
         );
-        assert_eq!(log.emits.len(), 2, "MSG then ACK observed");
-        assert_eq!(log.emits[0].kind(), WireKind::Msg);
-        assert_eq!(log.emits[1].kind(), WireKind::Ack);
-        assert_eq!(log.delivers, 1);
-        // The hook observes, it does not consume: the buffers still hold
-        // the last step's output for the backend to drain.
-        assert_eq!(buf.outbox.len(), 1);
-        assert_eq!(buf.deliveries.len(), 1);
+        assert_eq!(mux.outbox.len(), 2, "MSG then ACK observed");
+        assert_eq!(mux.outbox[0].1.kind(), WireKind::Msg);
+        assert_eq!(mux.outbox[1].1.kind(), WireKind::Ack);
+        assert!(mux.outbox.iter().all(|(t, _)| *t == T0));
+        assert_eq!(mux.deliveries.len(), 1);
+        assert_eq!(mux.deliveries[0].0, T0);
     }
 
     #[test]
     fn observed_and_plain_steps_are_identical() {
+        // Stepping through the engine adds nothing to a bare `drive_step`
+        // of the same process on the same RNG stream: same tag, same
+        // emissions, and the counters count exactly what it produced.
         let fd = FdSnapshot::none();
-        let mut plain = engine();
+        let mut plain = Scripted {
+            pending: Vec::new(),
+        };
+        let mut rng = SplitMix64::new(7);
         let mut observed = engine();
         let mut a = StepBuffers::new();
-        let mut b = StepBuffers::new();
-        let mut log = Log::default();
-        plain.step(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut a);
-        observed.step_observed(
-            T0,
-            StepInput::Broadcast(Payload::from("m")),
-            &fd,
-            &mut b,
-            &mut log,
-        );
-        assert_eq!(a.outbox, b.outbox);
-        assert_eq!(plain.counters(), observed.counters());
-        assert_eq!(log.emits, b.outbox);
+        let mut b = MuxBuffers::new();
+        let input = || StepInput::Broadcast(Payload::from("m"));
+        let tag_a = drive_step(&mut plain, input(), &fd, &mut rng, &mut a);
+        let tag_b = observed.step_mux(T0, input(), &fd, &mut b);
+        assert_eq!(tag_a, tag_b);
+        let emitted: Vec<WireMessage> = b.outbox.iter().map(|(_, m)| m.clone()).collect();
+        assert_eq!(a.outbox, emitted);
+        let c = observed.counters();
+        assert_eq!((c.steps, c.broadcasts), (1, 1));
+        assert_eq!(c.messages_out, a.outbox.len() as u64);
+        assert_eq!(c.deliveries, a.deliveries.len() as u64);
     }
 
     #[test]
@@ -1458,13 +1374,13 @@ mod tests {
         let mut b = engine();
         let fresh = a.fingerprint();
         assert_eq!(fresh, b.fingerprint(), "equal states digest equally");
-        let mut buf = StepBuffers::new();
-        a.step(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
+        let mut mux = MuxBuffers::new();
+        a.step_mux(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut mux);
         assert_ne!(a.fingerprint(), fresh, "pending message changes the digest");
         // History alone (a silent tick) leaves the digest unchanged even
         // though the counters moved.
         let before = b.fingerprint();
-        b.step(T0, StepInput::Tick, &fd, &mut buf);
+        b.tick_all(&fd, &mut mux);
         assert_eq!(b.fingerprint(), before);
         assert_ne!(b.counters().steps, 0);
     }
@@ -1622,17 +1538,17 @@ mod tests {
     fn counters_track_activity() {
         let mut e = engine();
         let fd = FdSnapshot::none();
-        let mut buf = StepBuffers::new();
-        e.step(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut buf);
-        e.step(T0, StepInput::Tick, &fd, &mut buf);
-        e.step(
+        let mut mux = MuxBuffers::new();
+        e.step_mux(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut mux);
+        e.step_mux(T0, StepInput::Tick, &fd, &mut mux);
+        e.step_mux(
             T0,
             StepInput::Receive(WireMessage::Msg {
                 tag: Tag(1),
                 payload: Payload::from("z"),
             }),
             &fd,
-            &mut buf,
+            &mut mux,
         );
         let c = e.counters();
         assert_eq!(c.steps, 3);
@@ -1674,8 +1590,13 @@ mod tests {
             &mut mux,
         );
         assert_eq!(e.stats_for(TopicId(5)).msg_set, 1);
-        let report = e.compact_all(&fd);
-        assert_eq!(report.reclaimed, 1, "memory config reached the instance");
+        e.tick_all(&fd, &mut mux);
+        assert_eq!(e.stats_for(TopicId(5)).msg_set, 0);
+        assert_eq!(
+            e.counters().reclaimed,
+            1,
+            "memory config reached the instance"
+        );
     }
 
     #[test]
@@ -1996,19 +1917,141 @@ mod tests {
             );
         }
         assert_eq!(e.stats().msg_set, 2);
-        let report = e.compact_all(&fd);
-        assert_eq!(report.reclaimed, 2, "one pending message per topic");
-        assert_eq!(report.tombstoned, 2);
+        e.compact_all(&fd);
         assert_eq!(e.stats().msg_set, 0);
         let c = e.counters();
         assert_eq!(c.compactions, 1);
-        assert_eq!(c.reclaimed, 2);
+        assert_eq!(c.reclaimed, 2, "one pending message per topic");
         assert_eq!(c.tombstoned, 2);
         // A second sweep finds nothing but still counts as a sweep.
-        let empty = e.compact_all(&fd);
-        assert_eq!(empty.reclaimed, 0);
+        e.compact_all(&fd);
         assert_eq!(e.counters().compactions, 2);
         assert_eq!(e.counters().reclaimed, 2);
+    }
+
+    #[test]
+    fn tick_all_compacts_only_once_memory_is_configured() {
+        let fd = FdSnapshot::none();
+        let mut mux = MuxBuffers::new();
+        let mut plain = topic_engine(2, 14);
+        let mut bounded = topic_engine(2, 14);
+        bounded.configure_memory(MemoryConfig::default());
+        let fresh_bounded = bounded.fingerprint();
+        for e in [&mut plain, &mut bounded] {
+            e.step_mux(T0, StepInput::Broadcast(Payload::from("m")), &fd, &mut mux);
+            e.tick_all(&fd, &mut mux);
+            assert_eq!(mux.outbox.len(), 1, "the sweep ran before any compaction");
+        }
+        assert_eq!(plain.counters().compactions, 0);
+        assert_eq!(
+            plain.stats().msg_set,
+            1,
+            "never configured: never compacted"
+        );
+        let c = bounded.counters();
+        assert_eq!((c.compactions, c.reclaimed, c.tombstoned), (1, 1, 1));
+        assert_eq!(bounded.stats().msg_set, 0);
+        // Same stats as when it was fresh, but a tag is tombstoned now: the
+        // bounded digest sees that (the memory-less one folds no counters).
+        assert_ne!(bounded.fingerprint(), fresh_bounded);
+    }
+
+    // ---- the node tick (DESIGN.md §2) -----------------------------------
+
+    /// One churn operation of the tick-equivalence property below.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Create(u32),
+        Retire(u32),
+        Broadcast(u32),
+        Receive(u32, u128),
+        Tick,
+    }
+
+    fn arb_ops() -> impl proptest::prelude::Strategy<Value = Vec<Op>> {
+        use proptest::prelude::*;
+        let op = prop_oneof![
+            (0u32..4).prop_map(Op::Create),
+            (0u32..4).prop_map(Op::Retire),
+            (0u32..4).prop_map(Op::Broadcast),
+            ((0u32..4), (0u128..6)).prop_map(|(t, tag)| Op::Receive(t, tag)),
+            (0u32..3).prop_map(|_| Op::Tick),
+        ];
+        proptest::collection::vec(op, 1..60)
+    }
+
+    proptest::proptest! {
+        /// `tick_all` is the recipe every driver used to spell by hand —
+        /// per-slot `Tick` ascending, then `reap_drained`, then (memory
+        /// configured) one compaction sweep — and nothing else: under
+        /// random lifecycle and traffic churn both leave the same
+        /// emissions, deliveries, counters, digest and snapshot bytes.
+        #[test]
+        fn tick_all_is_sweep_then_reap_then_compact(
+            ops in arb_ops(),
+            memory in proptest::prelude::any::<bool>(),
+        ) {
+            let fd = FdSnapshot::none();
+            let build = || {
+                let mut e = topic_engine(2, 77);
+                e.set_drain_limit(2);
+                if memory {
+                    e.configure_memory(MemoryConfig::default());
+                }
+                e
+            };
+            let (mut ticked, mut spelled) = (build(), build());
+            let (mut out_a, mut out_b) = (MuxBuffers::new(), MuxBuffers::new());
+            for op in ops {
+                match op {
+                    Op::Create(t) => {
+                        ticked.create_topic(TopicId(t), scripted());
+                        spelled.create_topic(TopicId(t), scripted());
+                    }
+                    Op::Retire(t) => {
+                        ticked.retire_topic(TopicId(t));
+                        spelled.retire_topic(TopicId(t));
+                    }
+                    Op::Broadcast(t) if ticked.is_live(TopicId(t)) => {
+                        let input = || StepInput::Broadcast(Payload::from("b"));
+                        ticked.step_mux(TopicId(t), input(), &fd, &mut out_a);
+                        spelled.step_mux(TopicId(t), input(), &fd, &mut out_b);
+                    }
+                    Op::Receive(t, tag) if ticked.has_instance(TopicId(t)) => {
+                        let input = || StepInput::Receive(WireMessage::Msg {
+                            tag: Tag(tag),
+                            payload: Payload::from("r"),
+                        });
+                        ticked.step_mux(TopicId(t), input(), &fd, &mut out_a);
+                        spelled.step_mux(TopicId(t), input(), &fd, &mut out_b);
+                    }
+                    Op::Broadcast(_) | Op::Receive(..) => {}
+                    Op::Tick => {
+                        ticked.tick_all(&fd, &mut out_a);
+                        out_b.clear();
+                        let sweep: Vec<TopicId> = spelled.slots.iter().map(|s| s.topic).collect();
+                        for topic in sweep {
+                            spelled.step_mux(topic, StepInput::Tick, &fd, &mut out_b);
+                        }
+                        spelled.reap_drained(&fd);
+                        if memory {
+                            spelled.compact_all(&fd);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(&out_a.outbox, &out_b.outbox);
+                proptest::prop_assert_eq!(&out_a.deliveries, &out_b.deliveries);
+                proptest::prop_assert_eq!(ticked.counters(), spelled.counters());
+                proptest::prop_assert_eq!(ticked.fingerprint(), spelled.fingerprint());
+                proptest::prop_assert_eq!(
+                    ticked.save_snapshot().unwrap(),
+                    spelled.save_snapshot().unwrap()
+                );
+            }
+            if !memory {
+                proptest::prop_assert_eq!(ticked.counters().compactions, 0);
+            }
+        }
     }
 
     #[test]

@@ -127,18 +127,6 @@ pub struct Channel {
     dropped: u64,
 }
 
-/// The channel's verdict for one transmission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// Deliver after the given delay (≥ 1 tick).
-    Deliver {
-        /// Ticks until arrival.
-        delay: u64,
-    },
-    /// The transmission is lost.
-    Drop,
-}
-
 impl Channel {
     /// New channel with its own RNG stream.
     pub fn new(loss: LossModel, delay: DelayModel, rng: Xoshiro256) -> Self {
@@ -153,57 +141,16 @@ impl Channel {
         }
     }
 
-    /// Decides the fate of one transmission of `msg`.
-    pub fn transmit(&mut self, msg: &WireMessage) -> Verdict {
-        self.sent += 1;
-        if self.decide_loss(msg) {
-            self.dropped += 1;
-            return Verdict::Drop;
-        }
-        Verdict::Deliver {
-            delay: self.draw_delay(),
-        }
-    }
-
-    /// Decides the fates of every message in one batch transmission:
-    /// `verdicts[i]` is `true` when `msgs[i]` survives this channel. Loss
-    /// is decided **per message** against each message's own
-    /// [`WireMessage::retransmit_key`], so the fairness bookkeeping (and
-    /// the `BoundedBernoulli` hard cap) are identical to sending the
-    /// messages one by one. Returns the single arrival delay shared by the
-    /// surviving sub-batch (`None` when nothing survived) — the batch
-    /// travels as one frame, so its members arrive together.
-    pub fn transmit_batch(
-        &mut self,
-        msgs: &[WireMessage],
-        verdicts: &mut Vec<bool>,
-    ) -> Option<u64> {
-        verdicts.clear();
-        let mut any = false;
-        for msg in msgs {
-            self.sent += 1;
-            let lost = self.decide_loss(msg);
-            if lost {
-                self.dropped += 1;
-            } else {
-                any = true;
-            }
-            verdicts.push(!lost);
-        }
-        if any {
-            Some(self.draw_delay())
-        } else {
-            None
-        }
-    }
-
-    /// [`Channel::transmit_batch`] over the **multiplexed topic plane**:
-    /// the entries of one mux frame, each member's fairness identity
-    /// being its own `retransmit_key` decorrelated per topic via
-    /// [`TopicId::mix`] (topic 0 mixes to the legacy key, so single-topic
-    /// runs draw the identical RNG stream). Loss stays per message; the
-    /// surviving frame shares one arrival delay, exactly as for a
-    /// single-instance batch.
+    /// Decides the fates of the entries of one multiplexed frame:
+    /// `verdicts[i]` is `true` when `entries[i]` survives this channel.
+    /// Loss is decided **per message**, each member's fairness identity
+    /// being its own [`WireMessage::retransmit_key`] decorrelated per
+    /// topic via [`TopicId::mix`] (topic 0 mixes to the bare key, so
+    /// single-topic runs draw the RNG stream they always drew) — the
+    /// fairness bookkeeping and the `BoundedBernoulli` hard cap are
+    /// identical to sending the messages one by one. Returns the single
+    /// arrival delay shared by the surviving sub-batch (`None` when
+    /// nothing survived): a frame's members arrive together.
     pub fn transmit_entries(
         &mut self,
         entries: &[(TopicId, WireMessage)],
@@ -213,7 +160,7 @@ impl Channel {
         let mut any = false;
         for (topic, msg) in entries {
             self.sent += 1;
-            let lost = self.decide_loss_keyed(msg, || topic.mix(msg.retransmit_key()));
+            let lost = self.decide_loss(|| topic.mix(msg.retransmit_key()));
             if lost {
                 self.dropped += 1;
             } else {
@@ -228,13 +175,9 @@ impl Channel {
         }
     }
 
-    fn decide_loss(&mut self, msg: &WireMessage) -> bool {
-        self.decide_loss_keyed(msg, || msg.retransmit_key())
-    }
-
     /// One loss decision; `key` supplies the fairness identity lazily (it
     /// is only evaluated — and only matters — under `BoundedBernoulli`).
-    fn decide_loss_keyed(&mut self, _msg: &WireMessage, key: impl FnOnce() -> u64) -> bool {
+    fn decide_loss(&mut self, key: impl FnOnce() -> u64) -> bool {
         match self.loss {
             LossModel::None => false,
             LossModel::Bernoulli { p } => self.rng.gen_bool(p),
@@ -382,11 +325,21 @@ mod tests {
         Channel::new(loss, DelayModel::Constant(3), Xoshiro256::new(42))
     }
 
+    /// One single-message frame on topic 0: its arrival delay, or `None`
+    /// when the channel lost it.
+    fn send(c: &mut Channel, m: &WireMessage) -> Option<u64> {
+        c.transmit_entries(&[(TopicId::ZERO, m.clone())], &mut Vec::new())
+    }
+
+    fn frame(tags: impl IntoIterator<Item = u128>) -> Vec<(TopicId, WireMessage)> {
+        tags.into_iter().map(|t| (TopicId::ZERO, msg(t))).collect()
+    }
+
     #[test]
     fn reliable_channel_never_drops() {
         let mut c = channel(LossModel::None);
         for i in 0..1000 {
-            assert_eq!(c.transmit(&msg(i)), Verdict::Deliver { delay: 3 });
+            assert_eq!(send(&mut c, &msg(i)), Some(3));
         }
         assert_eq!(c.dropped(), 0);
         assert_eq!(c.sent(), 1000);
@@ -396,7 +349,7 @@ mod tests {
     fn severed_channel_drops_everything() {
         let mut c = channel(LossModel::Always);
         for i in 0..100 {
-            assert_eq!(c.transmit(&msg(i)), Verdict::Drop);
+            assert_eq!(send(&mut c, &msg(i)), None);
         }
         assert_eq!(c.dropped(), 100);
     }
@@ -405,7 +358,7 @@ mod tests {
     fn bernoulli_loss_rate_roughly_p() {
         let mut c = channel(LossModel::Bernoulli { p: 0.3 });
         for i in 0..20_000 {
-            let _ = c.transmit(&msg(i % 7));
+            let _ = send(&mut c, &msg(i % 7));
         }
         let rate = c.dropped() as f64 / c.sent() as f64;
         assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
@@ -423,12 +376,12 @@ mod tests {
         let mut consecutive = 0u32;
         let mut max_run = 0u32;
         for _ in 0..5_000 {
-            match c.transmit(&m) {
-                Verdict::Drop => {
+            match send(&mut c, &m) {
+                None => {
                     consecutive += 1;
                     max_run = max_run.max(consecutive);
                 }
-                Verdict::Deliver { .. } => consecutive = 0,
+                Some(_) => consecutive = 0,
             }
         }
         assert!(max_run <= 4, "fairness cap violated: run of {max_run}");
@@ -446,10 +399,10 @@ mod tests {
         let mut delivered_a = 0;
         let mut delivered_b = 0;
         for _ in 0..6 {
-            if matches!(c.transmit(&a), Verdict::Deliver { .. }) {
+            if send(&mut c, &a).is_some() {
                 delivered_a += 1;
             }
-            if matches!(c.transmit(&b), Verdict::Deliver { .. }) {
+            if send(&mut c, &b).is_some() {
                 delivered_b += 1;
             }
         }
@@ -460,9 +413,9 @@ mod tests {
     #[test]
     fn transmit_batch_decides_per_message_and_shares_delay() {
         let mut c = channel(LossModel::Bernoulli { p: 0.5 });
-        let msgs: Vec<WireMessage> = (0..64).map(msg).collect();
+        let msgs = frame(0..64);
         let mut verdicts = Vec::new();
-        let delay = c.transmit_batch(&msgs, &mut verdicts);
+        let delay = c.transmit_entries(&msgs, &mut verdicts);
         assert_eq!(verdicts.len(), 64);
         let survived = verdicts.iter().filter(|&&v| v).count();
         assert!(
@@ -482,11 +435,11 @@ mod tests {
             p: 1.0,
             max_consecutive: 2,
         });
-        let msgs = vec![msg(1), msg(2)];
+        let msgs = frame([1, 2]);
         let mut verdicts = Vec::new();
         let mut per_msg_deliveries = [0u32; 2];
         for _ in 0..6 {
-            let delay = c.transmit_batch(&msgs, &mut verdicts);
+            let delay = c.transmit_entries(&msgs, &mut verdicts);
             for (i, &ok) in verdicts.iter().enumerate() {
                 if ok {
                     per_msg_deliveries[i] += 1;
@@ -505,7 +458,7 @@ mod tests {
     fn transmit_batch_total_loss_returns_no_delay() {
         let mut c = channel(LossModel::Always);
         let mut verdicts = Vec::new();
-        assert_eq!(c.transmit_batch(&[msg(1), msg(2)], &mut verdicts), None);
+        assert_eq!(c.transmit_entries(&frame([1, 2]), &mut verdicts), None);
         assert_eq!(verdicts, vec![false, false]);
         assert_eq!(c.dropped(), 2);
     }
@@ -519,7 +472,7 @@ mod tests {
         });
         let mut drops = 0;
         for i in 0..50_000 {
-            if c.transmit(&msg(i)) == Verdict::Drop {
+            if send(&mut c, &msg(i)).is_none() {
                 drops += 1;
             }
         }
@@ -539,10 +492,8 @@ mod tests {
             Xoshiro256::new(7),
         );
         for i in 0..2_000 {
-            match c.transmit(&msg(i)) {
-                Verdict::Deliver { delay } => assert!((2..=9).contains(&delay)),
-                _ => unreachable!(),
-            }
+            let delay = send(&mut c, &msg(i)).expect("reliable channel");
+            assert!((2..=9).contains(&delay));
         }
         let mut g = Channel::new(
             LossModel::None,
@@ -554,10 +505,8 @@ mod tests {
             Xoshiro256::new(8),
         );
         for i in 0..2_000 {
-            match g.transmit(&msg(i)) {
-                Verdict::Deliver { delay } => assert!((1..=20).contains(&delay)),
-                _ => unreachable!(),
-            }
+            let delay = send(&mut g, &msg(i)).expect("reliable channel");
+            assert!((1..=20).contains(&delay));
         }
     }
 
@@ -566,7 +515,7 @@ mod tests {
         // A zero-latency delivery would mean "receive before send completes";
         // the queue needs strictly positive delays for causality.
         let mut c = Channel::new(LossModel::None, DelayModel::Constant(0), Xoshiro256::new(9));
-        assert_eq!(c.transmit(&msg(0)), Verdict::Deliver { delay: 1 });
+        assert_eq!(send(&mut c, &msg(0)), Some(1));
     }
 
     #[test]
@@ -574,13 +523,10 @@ mod tests {
         let rng = Xoshiro256::new(1);
         let mut m = ChannelMatrix::uniform(4, LossModel::Always, DelayModel::default(), &rng);
         for i in 0..4 {
-            assert!(matches!(
-                m.link_mut(i, i).transmit(&msg(1)),
-                Verdict::Deliver { .. }
-            ));
+            assert!(send(m.link_mut(i, i), &msg(1)).is_some());
         }
         // Cross links severed as configured.
-        assert_eq!(m.link_mut(0, 1).transmit(&msg(1)), Verdict::Drop);
+        assert_eq!(send(m.link_mut(0, 1), &msg(1)), None);
     }
 
     #[test]
@@ -588,12 +534,9 @@ mod tests {
         let rng = Xoshiro256::new(2);
         let mut m = ChannelMatrix::uniform(3, LossModel::None, DelayModel::default(), &rng);
         m.override_links(&[(0, 1), (0, 2)], LossModel::Always);
-        assert_eq!(m.link_mut(0, 1).transmit(&msg(1)), Verdict::Drop);
-        assert_eq!(m.link_mut(0, 2).transmit(&msg(1)), Verdict::Drop);
-        assert!(matches!(
-            m.link_mut(1, 0).transmit(&msg(1)),
-            Verdict::Deliver { .. }
-        ));
+        assert_eq!(send(m.link_mut(0, 1), &msg(1)), None);
+        assert_eq!(send(m.link_mut(0, 2), &msg(1)), None);
+        assert!(send(m.link_mut(1, 0), &msg(1)).is_some());
     }
 
     #[test]
@@ -601,13 +544,10 @@ mod tests {
         let rng = Xoshiro256::new(4);
         let mut m = ChannelMatrix::uniform(3, LossModel::None, DelayModel::Constant(2), &rng);
         m.override_delay(0, 1, DelayModel::Constant(40));
+        assert_eq!(send(m.link_mut(0, 1), &msg(1)), Some(40));
         assert_eq!(
-            m.link_mut(0, 1).transmit(&msg(1)),
-            Verdict::Deliver { delay: 40 }
-        );
-        assert_eq!(
-            m.link_mut(1, 0).transmit(&msg(1)),
-            Verdict::Deliver { delay: 2 },
+            send(m.link_mut(1, 0), &msg(1)),
+            Some(2),
             "reverse direction keeps the mesh delay"
         );
     }
@@ -616,9 +556,9 @@ mod tests {
     fn matrix_counters_aggregate() {
         let rng = Xoshiro256::new(3);
         let mut m = ChannelMatrix::uniform(2, LossModel::Always, DelayModel::default(), &rng);
-        let _ = m.link_mut(0, 1).transmit(&msg(1));
-        let _ = m.link_mut(1, 0).transmit(&msg(1));
-        let _ = m.link_mut(0, 0).transmit(&msg(1));
+        let _ = send(m.link_mut(0, 1), &msg(1));
+        let _ = send(m.link_mut(1, 0), &msg(1));
+        let _ = send(m.link_mut(0, 0), &msg(1));
         assert_eq!(m.total_sent(), 3);
         assert_eq!(m.total_dropped(), 2);
     }

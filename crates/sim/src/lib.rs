@@ -53,6 +53,7 @@ pub mod channel;
 pub mod checker;
 pub mod crash;
 pub mod event;
+mod lockstep;
 pub mod metrics;
 pub mod minitoml;
 pub mod openloop;
@@ -72,8 +73,8 @@ pub use metrics::{BroadcastRecord, DeliveryRecord, Metrics};
 pub use openloop::{open_loop, OpenLoopConfig, OpenLoopOutcome};
 pub use parallel::{run_many, run_many_on};
 pub use sim::{
-    run, Blackout, DelayOverride, FdKind, LinkOverride, PlannedBroadcast, RunOutcome, SimConfig,
-    TopicAction, TopicEventCfg,
+    build_fleet, run, Blackout, DelayOverride, FdKind, LinkOverride, PlannedBroadcast, RunOutcome,
+    SimConfig, TopicAction, TopicEventCfg,
 };
 pub use soak::{soak, SoakConfig, SoakOutcome, SoakSample};
 pub use spec::{CheckBounds, Expectations, ScenarioSpec, SpecError};

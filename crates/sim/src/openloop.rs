@@ -1,8 +1,7 @@
 //! The **open-loop workload plane** (DESIGN.md §16): arrival-rate-driven
-//! latency-under-load runs, executed by stepping [`TopicEngine`]s directly
-//! in lockstep — the same harness shape as the soak plane
-//! ([`mod@crate::soak`]), but driven by an *offered load* instead of a message
-//! count.
+//! latency-under-load runs on the lockstep mesh (`crate::lockstep`,
+//! DESIGN.md §2) — the harness the soak plane ([`mod@crate::soak`]) runs
+//! on, driven by an *offered load* instead of a message count.
 //!
 //! The BENCH grids are closed-loop: each run injects its workload as fast
 //! as the system absorbs it, so they measure protocol cost but can never
@@ -23,13 +22,10 @@
 //! byte-compatible across machines — which is what lets the trajectory
 //! schema pin them as count metrics.
 
+use crate::lockstep::Mesh;
 use std::collections::{HashMap, VecDeque};
 use urb_core::Algorithm;
-use urb_engine::{MuxBuffers, StepInput, TopicEngine};
-use urb_types::snapshot::fnv1a;
-use urb_types::{
-    FdPair, FdSnapshot, FdView, Label, Payload, SplitMix64, Tag, TopicId, WireMessage,
-};
+use urb_types::{Payload, Tag, TopicId};
 
 /// Configuration of one open-loop run.
 #[derive(Clone, Debug)]
@@ -144,211 +140,139 @@ fn percentile(sorted: &[u64], per_mille: u64) -> u64 {
     sorted[idx as usize]
 }
 
-struct OpenLoop {
-    cfg: OpenLoopConfig,
-    engines: Vec<TopicEngine>,
-    fd: FdSnapshot,
-    mux: MuxBuffers,
-    /// The instant lossless network: topic-tagged emissions awaiting
-    /// flood delivery to every process.
-    net: VecDeque<(TopicId, WireMessage)>,
-    /// Per-node ingress queues of pending arrivals (arrival index).
-    queues: Vec<VecDeque<u64>>,
+/// The latency log: which broadcasts are in flight, and what their
+/// origin-deliveries measured.
+struct Completions {
+    /// Horizon in ticks (completions below it count as in-horizon).
+    horizon: u64,
+    now: u64,
     /// In-flight broadcasts: tag → (arrival tick, origin pid).
     pending: HashMap<Tag, (u64, usize)>,
     latencies: Vec<u64>,
-    deliveries: u64,
-    transmissions: u64,
-    completed: u64,
-    completed_in_horizon: u64,
-    hashes: Vec<u64>,
-    peak_queue: usize,
-    now: u64,
+    in_horizon: u64,
 }
 
-impl OpenLoop {
-    fn new(cfg: OpenLoopConfig) -> Self {
-        assert!(cfg.n >= 1);
-        assert!(cfg.topics >= 1);
-        assert!(cfg.ticks >= 1);
-        assert!(cfg.rate_per_ktick >= 1, "open loop needs an arrival rate");
-        assert!(cfg.service_per_tick >= 1);
-        assert!(cfg.sweep_every >= 1);
-        // One static full view, as in the soak plane: every process is
-        // correct, so one label covering all n satisfies both detectors.
-        let view = FdView::from_pairs([FdPair {
-            label: Label(0x09E7),
-            number: cfg.n as u32,
-        }]);
-        let fd = if cfg.algorithm.needs_fd() {
-            FdSnapshot::new(view.clone(), view)
-        } else {
-            FdSnapshot::none()
-        };
-        let seed_mix = SplitMix64::new(cfg.seed ^ 0x09E7_100D_09E7_100D);
-        let engines: Vec<TopicEngine> = (0..cfg.n)
-            .map(|i| {
-                TopicEngine::new(
-                    (0..cfg.topics)
-                        .map(|_| cfg.algorithm.instantiate(cfg.n))
-                        .collect(),
-                    seed_mix.split(i as u64),
-                )
-            })
-            .collect();
-        let n = cfg.n;
-        OpenLoop {
-            cfg,
-            engines,
-            fd,
-            mux: MuxBuffers::new(),
-            net: VecDeque::new(),
-            queues: vec![VecDeque::new(); n],
-            pending: HashMap::new(),
-            latencies: Vec::new(),
-            deliveries: 0,
-            transmissions: 0,
-            completed: 0,
-            completed_in_horizon: 0,
-            hashes: vec![0xCBF2_9CE4_8422_2325; n],
-            peak_queue: 0,
-            now: 0,
-        }
-    }
-
-    /// Drains `mux` after steps at `pid`: emissions to the network,
-    /// deliveries to the hashes — and, at the origin, to the latency log.
-    fn record(&mut self, pid: usize) {
-        self.net.extend(self.mux.outbox.drain(..));
-        for (_, d) in self.mux.deliveries.drain(..) {
-            self.deliveries += 1;
-            self.hashes[pid] ^= fnv1a(&d.tag.0.to_le_bytes());
-            self.hashes[pid] = self.hashes[pid].wrapping_mul(0x1000_0000_01B3);
-            if let Some(&(arrived, origin)) = self.pending.get(&d.tag) {
-                if origin == pid {
-                    self.pending.remove(&d.tag);
-                    self.latencies.push(self.now - arrived);
-                    self.completed += 1;
-                    if self.now < self.cfg.ticks {
-                        self.completed_in_horizon += 1;
-                    }
+impl Completions {
+    /// One URB-delivery at `pid`: at the origin it completes the broadcast.
+    fn on_deliver(&mut self, pid: usize, tag: Tag) {
+        if let Some(&(arrived, origin)) = self.pending.get(&tag) {
+            if origin == pid {
+                self.pending.remove(&tag);
+                self.latencies.push(self.now - arrived);
+                if self.now < self.horizon {
+                    self.in_horizon += 1;
                 }
             }
         }
     }
+}
 
-    /// Floods every queued emission to every process, instantly and
-    /// losslessly, until the network is silent.
-    fn flood(&mut self) {
-        while let Some((topic, msg)) = self.net.pop_front() {
-            self.transmissions += self.cfg.n as u64;
-            for pid in 0..self.cfg.n {
-                self.engines[pid].step_mux(
-                    topic,
-                    StepInput::Receive(msg.clone()),
-                    &self.fd,
-                    &mut self.mux,
-                );
-                self.record(pid);
-            }
+/// Each node serves up to its per-tick budget from its ingress queue,
+/// then the mesh floods what that produced. Returns the broadcasts invoked.
+fn serve(
+    cfg: &OpenLoopConfig,
+    mesh: &mut Mesh,
+    queues: &mut [VecDeque<u64>],
+    log: &mut Completions,
+) -> u64 {
+    let mut injected = 0;
+    for (pid, queue) in queues.iter_mut().enumerate() {
+        for _ in 0..cfg.service_per_tick {
+            let Some(arrival) = queue.pop_front() else {
+                break;
+            };
+            let topic = TopicId((arrival % cfg.topics as u64) as u32);
+            let arrived = arrival * 1000 / cfg.rate_per_ktick;
+            let tag = mesh.broadcast(pid, topic, Payload::from("load"));
+            log.pending.insert(tag, (arrived, pid));
+            injected += 1;
+            mesh.absorb(pid, &mut |pid, tag| log.on_deliver(pid, tag));
         }
     }
-
-    /// Each node serves up to its per-tick budget from its ingress queue.
-    fn serve(&mut self, injected: &mut u64) {
-        for pid in 0..self.cfg.n {
-            for _ in 0..self.cfg.service_per_tick {
-                let Some(arrival) = self.queues[pid].pop_front() else {
-                    break;
-                };
-                let topic = TopicId((arrival % self.cfg.topics as u64) as u32);
-                let arrived = arrival * 1000 / self.cfg.rate_per_ktick;
-                let tag = self.engines[pid]
-                    .step_mux(
-                        topic,
-                        StepInput::Broadcast(Payload::from("load")),
-                        &self.fd,
-                        &mut self.mux,
-                    )
-                    .expect("urb_broadcast assigns a tag");
-                self.pending.insert(tag, (arrived, pid));
-                *injected += 1;
-                self.record(pid);
-            }
-        }
-        self.flood();
-    }
-
-    /// One Task-1 sweep of every instance of every process.
-    fn sweep(&mut self) {
-        for pid in 0..self.cfg.n {
-            self.engines[pid].tick_all(&self.fd, &mut self.mux);
-            self.record(pid);
-        }
-        self.flood();
-    }
-
-    fn run(mut self) -> OpenLoopOutcome {
-        let mut offered = 0u64;
-        let mut injected = 0u64;
-        let mut next_arrival = 0u64; // arrival index
-        for t in 0..self.cfg.ticks {
-            self.now = t;
-            // Arrivals scheduled for this tick enter their origin queue —
-            // unconditionally: the generator never waits for the system.
-            while next_arrival * 1000 / self.cfg.rate_per_ktick == t {
-                let pid = (next_arrival % self.cfg.n as u64) as usize;
-                self.queues[pid].push_back(next_arrival);
-                self.peak_queue = self.peak_queue.max(self.queues[pid].len());
-                offered += 1;
-                next_arrival += 1;
-            }
-            self.serve(&mut injected);
-            if (t + 1) % self.cfg.sweep_every == 0 {
-                self.sweep();
-            }
-        }
-        // Drain: keep serving (no new arrivals) until every queued
-        // arrival was injected and every broadcast completed. Bounded:
-        // the backlog is finite and service makes progress every tick.
-        let mut drain_ticks = 0u64;
-        while self.queues.iter().any(|q| !q.is_empty()) || !self.pending.is_empty() {
-            self.now = self.cfg.ticks + drain_ticks;
-            self.serve(&mut injected);
-            if (self.now + 1).is_multiple_of(self.cfg.sweep_every) {
-                self.sweep();
-            }
-            drain_ticks += 1;
-            assert!(
-                drain_ticks <= offered + self.cfg.sweep_every + 2,
-                "open-loop drain did not converge (backlog stuck)"
-            );
-        }
-        self.latencies.sort_unstable();
-        OpenLoopOutcome {
-            offered,
-            injected,
-            completed: self.completed,
-            completed_in_horizon: self.completed_in_horizon,
-            deliveries: self.deliveries,
-            transmissions: self.transmissions,
-            latency_p50: percentile(&self.latencies, 500),
-            latency_p90: percentile(&self.latencies, 900),
-            latency_p99: percentile(&self.latencies, 990),
-            latency_p999: percentile(&self.latencies, 999),
-            latency_max: self.latencies.last().copied().unwrap_or(0),
-            peak_queue_depth: self.peak_queue,
-            drain_ticks,
-            delivery_hashes: self.hashes,
-        }
-    }
+    mesh.flood(&mut |pid, tag| log.on_deliver(pid, tag));
+    injected
 }
 
 /// Executes one open-loop run. Pure function of the config: every number
 /// in the outcome derives from simulated ticks and counts, never wall
 /// clock.
 pub fn open_loop(cfg: OpenLoopConfig) -> OpenLoopOutcome {
-    OpenLoop::new(cfg).run()
+    assert!(cfg.topics >= 1);
+    assert!(cfg.ticks >= 1);
+    assert!(cfg.rate_per_ktick >= 1, "open loop needs an arrival rate");
+    assert!(cfg.service_per_tick >= 1);
+    assert!(cfg.sweep_every >= 1);
+    let mut mesh = Mesh::new(
+        cfg.n,
+        cfg.topics,
+        cfg.algorithm,
+        cfg.seed ^ 0x09E7_100D_09E7_100D,
+        0x09E7,
+        None,
+    );
+    // Per-node ingress queues of pending arrivals (arrival index).
+    let mut queues = vec![VecDeque::new(); cfg.n];
+    let mut log = Completions {
+        horizon: cfg.ticks,
+        now: 0,
+        pending: HashMap::new(),
+        latencies: Vec::new(),
+        in_horizon: 0,
+    };
+    let mut peak_queue = 0;
+    let mut offered = 0u64;
+    let mut injected = 0u64;
+    let mut next_arrival = 0u64; // arrival index
+    for t in 0..cfg.ticks {
+        log.now = t;
+        // Arrivals scheduled for this tick enter their origin queue —
+        // unconditionally: the generator never waits for the system.
+        while next_arrival * 1000 / cfg.rate_per_ktick == t {
+            let pid = (next_arrival % cfg.n as u64) as usize;
+            queues[pid].push_back(next_arrival);
+            peak_queue = peak_queue.max(queues[pid].len());
+            offered += 1;
+            next_arrival += 1;
+        }
+        injected += serve(&cfg, &mut mesh, &mut queues, &mut log);
+        if (t + 1) % cfg.sweep_every == 0 {
+            mesh.sweep(&mut |pid, tag| log.on_deliver(pid, tag));
+        }
+    }
+    // Drain: keep serving (no new arrivals) until every queued
+    // arrival was injected and every broadcast completed. Bounded:
+    // the backlog is finite and service makes progress every tick.
+    let mut drain_ticks = 0u64;
+    while queues.iter().any(|q| !q.is_empty()) || !log.pending.is_empty() {
+        log.now = cfg.ticks + drain_ticks;
+        injected += serve(&cfg, &mut mesh, &mut queues, &mut log);
+        if (log.now + 1).is_multiple_of(cfg.sweep_every) {
+            mesh.sweep(&mut |pid, tag| log.on_deliver(pid, tag));
+        }
+        drain_ticks += 1;
+        assert!(
+            drain_ticks <= offered + cfg.sweep_every + 2,
+            "open-loop drain did not converge (backlog stuck)"
+        );
+    }
+    let mut latencies = log.latencies;
+    latencies.sort_unstable();
+    OpenLoopOutcome {
+        offered,
+        injected,
+        completed: latencies.len() as u64,
+        completed_in_horizon: log.in_horizon,
+        deliveries: mesh.delivered.iter().sum(),
+        transmissions: mesh.transmissions,
+        latency_p50: percentile(&latencies, 500),
+        latency_p90: percentile(&latencies, 900),
+        latency_p99: percentile(&latencies, 990),
+        latency_p999: percentile(&latencies, 999),
+        latency_max: latencies.last().copied().unwrap_or(0),
+        peak_queue_depth: peak_queue,
+        drain_ticks,
+        delivery_hashes: mesh.hashes,
+    }
 }
 
 #[cfg(test)]

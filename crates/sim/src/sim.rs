@@ -10,10 +10,10 @@
 //! never process indices or the global clock.
 //!
 //! Protocol stepping itself lives in `urb-engine`
-//! ([`urb_engine::TopicEngine`] / `drive_step`): the simulator is an
-//! *adapter* that owns scheduling, the channel mesh, crash injection and
-//! measurement, and funnels every step through the same engine code the
-//! threaded runtime and the unit-test harness execute. Each node runs one
+//! ([`urb_engine::TopicEngine`]): the simulator is an *adapter* that owns
+//! scheduling, the channel mesh, crash injection and measurement, and
+//! steps through the one surface every driver uses — `step_mux` per
+//! message, `tick_all` per node tick (DESIGN.md §2). Each node runs one
 //! protocol instance per topic (DESIGN.md §12); outbound traffic moves on
 //! the multiplexed message plane — everything one step emits, across
 //! every topic, travels as a single topic-tagged frame per destination,
@@ -30,11 +30,11 @@ use crate::event::{Event, EventQueue, SchedulerPolicy};
 use crate::metrics::{BroadcastRecord, DeliveryRecord, Metrics, StatsSample};
 use crate::trace::{Trace, TraceConfig, TraceRecorder};
 use urb_core::Algorithm;
-use urb_engine::{EngineCounters, StepBuffers, StepInput, TopicEngine};
+use urb_engine::{EngineCounters, MuxBuffers, StepInput, TopicEngine};
 use urb_fd::{FdService, HeartbeatConfig, HeartbeatService, NoFd, OracleConfig, OracleFd};
 use urb_types::{
-    Delivery, MemoryConfig, MuxPool, Payload, ProcessStats, RandomSource, SplitMix64, Tag, TopicId,
-    WireKind, WireMessage, Xoshiro256,
+    MemoryConfig, MuxPool, Payload, ProcessStats, RandomSource, SplitMix64, Tag, TopicId, WireKind,
+    WireMessage, Xoshiro256,
 };
 
 /// Which failure-detector implementation a run uses.
@@ -95,8 +95,8 @@ pub enum TopicAction {
     },
     /// Retire a live topic: it stops accepting broadcasts, drains
     /// in-flight tags (retransmitting as usual) until quiescent or the
-    /// drain budget expires, then its state is compacted and freed
-    /// ([`urb_engine::TopicEngine::reap_drained`]).
+    /// drain budget expires, then its state is compacted and freed (the
+    /// reap at the end of a node tick).
     Retire {
         /// The topic to retire.
         topic: TopicId,
@@ -110,6 +110,57 @@ impl TopicAction {
             TopicAction::Create { topic, .. } | TopicAction::Retire { topic } => topic,
         }
     }
+
+    /// Applies the action at every non-crashed process of a fleet
+    /// (`inherit` is the algorithm a `Create` without one gets). Crashed
+    /// processes execute nothing — their stale instances are unreachable
+    /// state, exactly like the rest of a dead process's memory. The one
+    /// definition of "a lifecycle event happened", shared by the
+    /// simulator and the schedule checker.
+    pub fn apply(self, engines: &mut [TopicEngine], crashed: &[bool], inherit: Algorithm) {
+        let n = engines.len();
+        for (e, _) in engines.iter_mut().zip(crashed).filter(|(_, c)| !**c) {
+            match self {
+                TopicAction::Create { topic, algorithm } => {
+                    e.create_topic(topic, algorithm.unwrap_or(inherit).instantiate(n));
+                }
+                TopicAction::Retire { topic } => {
+                    e.retire_topic(topic);
+                }
+            }
+        }
+    }
+}
+
+/// Builds a simulated fleet: `n` engines of `topics` protocol instances
+/// each (ids `0..topics`), engine `i` drawing its tags from the `i`-th
+/// split of `streams`, with bounded-memory mode and the retirement drain
+/// budget configured. The one constructor every simulated driver — the
+/// event-queue simulator, the lockstep planes, the schedule checker —
+/// builds its engines with, so none of them can forget a knob.
+pub fn build_fleet(
+    n: usize,
+    topics: u32,
+    algorithm: Algorithm,
+    streams: &SplitMix64,
+    memory: Option<MemoryConfig>,
+    drain_limit: u32,
+) -> Vec<TopicEngine> {
+    (0..n)
+        .map(|i| {
+            let mut e = TopicEngine::new(
+                (0..topics.max(1))
+                    .map(|_| algorithm.instantiate(n))
+                    .collect(),
+                streams.split(i as u64),
+            );
+            if let Some(mem) = memory {
+                e.configure_memory(mem);
+            }
+            e.set_drain_limit(drain_limit);
+            e
+        })
+        .collect()
 }
 
 /// A directed-link loss override (partition adversaries).
@@ -491,9 +542,10 @@ struct Runner {
     /// (`urb-engine`) that the runtime and the harness also step through —
     /// one protocol instance per topic, sharing the node's RNG stream.
     engines: Vec<TopicEngine>,
-    /// Reusable step buffers (cleared by every step; zero steady-state
-    /// allocation on the hot path).
-    scratch: StepBuffers,
+    /// Reusable step buffers: every engine step lands here and is drained
+    /// before the event handler returns (zero steady-state allocation on
+    /// the hot path).
+    mux: MuxBuffers,
     /// Reusable per-link batch verdicts.
     verdicts: Vec<bool>,
     /// Reusable failure-detector outbox (heartbeat traffic, topic-less —
@@ -522,9 +574,6 @@ struct Runner {
     /// Topic-lifecycle events not yet applied (quiescence must wait for
     /// them — a pending retire is work the run still owes).
     pending_topic_events: usize,
-    /// Reusable per-tick sweep directory (the node's current instance
-    /// topics — zero steady-state allocation, like the other scratch).
-    sweep: Vec<TopicId>,
     /// Distinct-tag delivery count per process (stop_on_full_delivery).
     deliveries_per_pid: Vec<usize>,
     tracer: TraceRecorder,
@@ -564,24 +613,14 @@ pub fn run(config: SimConfig) -> RunOutcome {
     }
 
     let seed_mix = SplitMix64::new(config.seed ^ 0x5EED_0F00_D000_0001);
-    let mut engines: Vec<TopicEngine> = (0..n)
-        .map(|i| {
-            TopicEngine::new(
-                (0..topics)
-                    .map(|_| config.algorithm.instantiate(n))
-                    .collect(),
-                seed_mix.split(i as u64),
-            )
-        })
-        .collect();
-    if let Some(mem) = config.memory {
-        for e in &mut engines {
-            e.configure_memory(mem);
-        }
-    }
-    for e in &mut engines {
-        e.set_drain_limit(config.drain_ticks);
-    }
+    let engines = build_fleet(
+        n,
+        topics,
+        config.algorithm,
+        &seed_mix,
+        config.memory,
+        config.drain_ticks,
+    );
     let tick_rng = seed_mix.split(0xFFFF);
 
     let (fd, oracle_audit_handle): (Box<dyn FdService>, bool) = match config.fd {
@@ -602,7 +641,7 @@ pub fn run(config: SimConfig) -> RunOutcome {
 
     let mut runner = Runner {
         engines,
-        scratch: StepBuffers::new(),
+        mux: MuxBuffers::new(),
         verdicts: Vec::new(),
         fd_out: Vec::new(),
         // Retention sized to in-flight peaks: every scheduled Deliver event
@@ -623,7 +662,6 @@ pub fn run(config: SimConfig) -> RunOutcome {
         inflight_protocol: 0,
         pending_broadcasts: config.broadcasts.len(),
         pending_topic_events: config.topic_events.len(),
-        sweep: Vec::new(),
         deliveries_per_pid: vec![0; n],
         tracer: TraceRecorder::new(config.trace),
         now: 0,
@@ -725,18 +763,15 @@ impl Runner {
         })
     }
 
-    /// Runs one engine step of `pid`'s `topic` instance (the shared
-    /// `urb-engine` code path), records its deliveries, and returns
-    /// leaving the step's emissions in `self.scratch.outbox` for the
-    /// caller to tag and transmit. One failure-detector snapshot per
-    /// step, shared by every topic instance — detectors observe
-    /// processes, not topics.
+    /// Runs one engine step of `pid`'s `topic` instance, records its
+    /// deliveries, and returns leaving the step's emissions in
+    /// `self.mux.outbox` for the caller to transmit. One failure-detector
+    /// snapshot per step, shared by every topic instance — detectors
+    /// observe processes, not topics.
     fn engine_step(&mut self, pid: usize, topic: TopicId, input: StepInput) -> Option<Tag> {
         let snapshot = self.fd.snapshot(pid, self.now);
-        let tag = self.engines[pid].step(topic, input, &snapshot, &mut self.scratch);
-        let deliveries = std::mem::take(&mut self.scratch.deliveries);
-        self.handle_deliveries(pid, topic, &deliveries);
-        self.scratch.deliveries = deliveries;
+        let tag = self.engines[pid].step_mux(topic, input, &snapshot, &mut self.mux);
+        self.handle_deliveries(pid);
         tag
     }
 
@@ -748,42 +783,17 @@ impl Runner {
         let mut entries = self.batches.acquire();
         // Detector traffic first (preserving the unbatched order);
         // heartbeats are per-node, not per-topic — they ride topic 0.
-        let mut fd_out = std::mem::take(&mut self.fd_out);
-        fd_out.clear();
-        self.fd.on_tick(pid, self.now, &mut fd_out);
-        entries.extend(fd_out.drain(..).map(|m| (TopicId::ZERO, m)));
-        self.fd_out = fd_out;
-        // One Task-1 sweep per topic instance — live *and* draining
-        // (retransmission is what drains a retiring topic) — ascending,
-        // all into the same multiplexed outbox: one frame per node tick
-        // (DESIGN.md §12). Without lifecycle events the instance
-        // directory is exactly the configured `0..topics`, so this is
-        // byte-identical to the fixed-range sweep (and with one topic,
-        // to the pre-topic sweep).
-        let mut sweep = std::mem::take(&mut self.sweep);
-        sweep.clear();
-        sweep.extend(self.engines[pid].instance_topics());
-        for &topic in &sweep {
-            self.engine_step(pid, topic, StepInput::Tick);
-            entries.extend(self.scratch.outbox.drain(..).map(|m| (topic, m)));
-        }
-        self.sweep = sweep;
-        // Reap draining instances that went quiescent or exhausted the
-        // drain budget — compacting their state through the memory plane
-        // and freeing the slot (DESIGN.md §15). Gated on the lifecycle
-        // plane being in use at all: static runs take no detector
-        // snapshot here and stay byte-identical.
-        if !self.config.topic_events.is_empty() {
-            let snapshot = self.fd.snapshot(pid, self.now);
-            self.engines[pid].reap_drained(&snapshot);
-        }
-        // Bounded-memory mode: one compaction sweep per node tick, under
-        // the same detector the sweeps just observed. Draws no randomness
-        // and emits nothing, so the gated path stays byte-identical.
-        if self.config.memory.is_some() {
-            let snapshot = self.fd.snapshot(pid, self.now);
-            self.engines[pid].compact_all(&snapshot);
-        }
+        self.fd.on_tick(pid, self.now, &mut self.fd_out);
+        entries.extend(self.fd_out.drain(..).map(|m| (TopicId::ZERO, m)));
+        // The node tick (DESIGN.md §2): one Task-1 sweep per topic
+        // instance, ascending, into one multiplexed outbox — one frame per
+        // node tick — then the reap of drained topics and, in
+        // bounded-memory mode, one compaction sweep, all under the one
+        // detector snapshot.
+        let snapshot = self.fd.snapshot(pid, self.now);
+        self.engines[pid].tick_all(&snapshot, &mut self.mux);
+        self.handle_deliveries(pid);
+        entries.append(&mut self.mux.outbox);
         if entries.is_empty() {
             self.batches.release(entries);
         } else {
@@ -799,12 +809,11 @@ impl Runner {
         self.queue.push(next, Event::Tick { pid });
     }
 
-    fn on_deliver(&mut self, to: usize, _from: usize, entries: Vec<(TopicId, WireMessage)>) {
-        self.inflight_protocol -= entries
+    fn on_deliver(&mut self, to: usize, _from: usize, mut arrived: Vec<(TopicId, WireMessage)>) {
+        self.inflight_protocol -= arrived
             .iter()
             .filter(|(_, m)| m.kind() != WireKind::Heartbeat)
             .count();
-        let mut arrived = entries;
         if self.crashed[to] {
             // Arrived at a dead process: silently gone (vector recycled).
             self.batches.release(arrived);
@@ -830,8 +839,8 @@ impl Runner {
             }
             // Snapshot taken per message, exactly as in unbatched delivery.
             self.engine_step(to, topic, StepInput::Receive(msg));
-            emitted.extend(self.scratch.outbox.drain(..).map(|m| (topic, m)));
         }
+        emitted.append(&mut self.mux.outbox);
         self.batches.release(arrived);
         if emitted.is_empty() {
             self.batches.release(emitted);
@@ -877,40 +886,25 @@ impl Runner {
         };
         self.tracer.urb_broadcast(&rec);
         self.metrics.broadcasts.push(rec);
-        if !self.scratch.outbox.is_empty() {
+        if !self.mux.outbox.is_empty() {
             let mut out = self.batches.acquire();
-            out.extend(self.scratch.outbox.drain(..).map(|m| (topic, m)));
+            out.append(&mut self.mux.outbox);
             self.transmit(pid, out);
         }
     }
 
     /// Applies lifecycle plan entry `index` at every non-crashed process
-    /// (DESIGN.md §15). Crashed processes execute nothing — their stale
-    /// instances are unreachable state, exactly like the rest of a dead
-    /// process's memory.
+    /// (DESIGN.md §15).
     fn on_topic_event(&mut self, index: usize) {
         self.pending_topic_events -= 1;
         let action = self.config.topic_events[index].action;
-        let n = self.config.n;
-        match action {
-            TopicAction::Create { topic, algorithm } => {
-                self.metrics.hash_event(self.now, 5, topic.0 as u64);
-                let alg = algorithm.unwrap_or(self.config.algorithm);
-                for pid in 0..n {
-                    if !self.crashed[pid] {
-                        self.engines[pid].create_topic(topic, alg.instantiate(n));
-                    }
-                }
-            }
-            TopicAction::Retire { topic } => {
-                self.metrics.hash_event(self.now, 6, topic.0 as u64);
-                for pid in 0..n {
-                    if !self.crashed[pid] {
-                        self.engines[pid].retire_topic(topic);
-                    }
-                }
-            }
-        }
+        let kind = match action {
+            TopicAction::Create { .. } => 5,
+            TopicAction::Retire { .. } => 6,
+        };
+        self.metrics
+            .hash_event(self.now, kind, action.topic().0 as u64);
+        action.apply(&mut self.engines, &self.crashed, self.config.algorithm);
     }
 
     fn on_sample(&mut self) {
@@ -925,8 +919,9 @@ impl Runner {
         }
     }
 
-    fn handle_deliveries(&mut self, pid: usize, topic: TopicId, deliveries: &[Delivery]) {
-        for d in deliveries {
+    /// Records the URB-deliveries `pid`'s last step(s) left in `self.mux`.
+    fn handle_deliveries(&mut self, pid: usize) {
+        for (topic, d) in self.mux.deliveries.drain(..) {
             self.deliveries_per_pid[pid] += 1;
             let rec = DeliveryRecord {
                 pid,
@@ -934,7 +929,7 @@ impl Runner {
                 tag: d.tag,
                 time: self.now,
                 fast: d.fast,
-                payload: d.payload.clone(),
+                payload: d.payload,
             };
             self.tracer.urb_deliver(&rec);
             self.metrics.deliveries.push(rec);
@@ -1010,12 +1005,11 @@ impl Runner {
                 }
                 continue;
             }
-            let mut verdicts = std::mem::take(&mut self.verdicts);
             let delay = self
                 .channels
                 .link_mut(from, to)
-                .transmit_entries(&entries, &mut verdicts);
-            for ((_, m), ok) in entries.iter().zip(&verdicts) {
+                .transmit_entries(&entries, &mut self.verdicts);
+            for ((_, m), ok) in entries.iter().zip(&self.verdicts) {
                 if !ok {
                     self.metrics.on_drop(m.kind());
                     self.tracer.drop_copy(self.now, from, to, m.kind(), m.tag());
@@ -1026,7 +1020,7 @@ impl Runner {
                 survivors.extend(
                     entries
                         .iter()
-                        .zip(&verdicts)
+                        .zip(&self.verdicts)
                         .filter(|&(_, ok)| *ok)
                         .map(|(e, _)| e.clone()),
                 );
@@ -1043,7 +1037,6 @@ impl Runner {
                     },
                 );
             }
-            self.verdicts = verdicts;
         }
         self.batches.release(entries);
     }
@@ -1123,17 +1116,6 @@ impl Runner {
             }
             _ => None,
         };
-        self.finish_with(correct, report, per_topic, final_stats, fd_audit)
-    }
-
-    fn finish_with(
-        self,
-        correct: Vec<bool>,
-        report: CheckReport,
-        per_topic: Vec<TopicReport>,
-        final_stats: Vec<ProcessStats>,
-        fd_audit: Option<Result<(), String>>,
-    ) -> RunOutcome {
         RunOutcome {
             n: self.config.n,
             algorithm: self.config.algorithm.name(),

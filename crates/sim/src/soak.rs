@@ -1,17 +1,15 @@
 //! The **soak plane** (DESIGN.md §14): million-message memory-boundedness
-//! runs, executed by stepping [`TopicEngine`]s directly in lockstep instead
-//! of through the event queue.
+//! runs on the lockstep mesh (`crate::lockstep`, DESIGN.md §2) — engines
+//! stepped directly over a perfect network instead of through the event
+//! queue.
 //!
-//! The discrete-event driver ([`crate::sim::run`]) prices every message
-//! copy through the channel models; a soak does not care about loss or
-//! delay — it cares whether resident protocol state stays bounded when
-//! messages keep coming forever. So the soak harness floods every emission
-//! to every process immediately (a perfect, lossless, instant network),
-//! sweeps Task 1 and the compactor on a fixed cadence, and samples
+//! A soak does not care about loss or delay — it cares whether resident
+//! protocol state stays bounded when messages keep coming forever. So it
+//! floods every broadcast, runs one node tick per process (Task 1, then —
+//! in bounded-memory mode — the compactor) on a fixed cadence, and samples
 //! [`urb_types::ProcessStats::total`] as the run grows. One million
-//! messages take
-//! seconds this way, which is what makes the E20 plateau curve and the
-//! CI `soak-smoke` job affordable.
+//! messages take seconds this way, which is what makes the E20 plateau
+//! curve and the CI `soak-smoke` job affordable.
 //!
 //! Determinism is inherited from the engines: a soak is a pure function of
 //! its [`SoakConfig`], and because compaction draws no randomness, a
@@ -23,13 +21,9 @@
 //! torn down and restored from bytes at that point, and the outcome must
 //! be byte-identical to an undisturbed run.
 
-use std::collections::VecDeque;
+use crate::lockstep::Mesh;
 use urb_core::Algorithm;
-use urb_engine::{StepBuffers, StepInput, TopicEngine};
-use urb_types::snapshot::fnv1a;
-use urb_types::{
-    FdPair, FdSnapshot, FdView, Label, MemoryConfig, Payload, SplitMix64, TopicId, WireMessage,
-};
+use urb_types::{MemoryConfig, Payload, TopicId};
 
 /// Configuration of one soak run.
 #[derive(Clone, Debug)]
@@ -131,177 +125,58 @@ impl SoakOutcome {
     }
 }
 
-struct Soak {
-    cfg: SoakConfig,
-    engines: Vec<TopicEngine>,
-    fd: FdSnapshot,
-    buf: StepBuffers,
-    queue: VecDeque<WireMessage>,
-    delivered: Vec<u64>,
-    hashes: Vec<u64>,
-    samples: Vec<SoakSample>,
-    peak: usize,
-}
-
-impl Soak {
-    fn build_engines(cfg: &SoakConfig) -> Vec<TopicEngine> {
-        let seed_mix = SplitMix64::new(cfg.seed ^ 0x50AC_50AC_50AC_50AC);
-        let mut engines: Vec<TopicEngine> = (0..cfg.n)
-            .map(|i| {
-                TopicEngine::single(cfg.algorithm.instantiate(cfg.n), seed_mix.split(i as u64))
-            })
-            .collect();
-        if let Some(mem) = cfg.memory {
-            for e in &mut engines {
-                e.configure_memory(mem);
-            }
-        }
-        engines
-    }
-
-    fn new(cfg: SoakConfig) -> Self {
-        assert!(cfg.n >= 1);
-        assert!(cfg.sweep_every >= 1);
-        // Every process is correct and shares one static full view: both
-        // detectors report a single label covering all n processes, which
-        // satisfies AΘ (deliver once all n distinct ACKs carry it) and
-        // AP* (prune once the ACK table matches the full view).
-        let view = FdView::from_pairs([FdPair {
-            label: Label(0x50AC),
-            number: cfg.n as u32,
-        }]);
-        let fd = if cfg.algorithm.needs_fd() {
-            FdSnapshot::new(view.clone(), view)
-        } else {
-            FdSnapshot::none()
-        };
-        let engines = Self::build_engines(&cfg);
-        let n = cfg.n;
-        Soak {
-            cfg,
-            engines,
-            fd,
-            buf: StepBuffers::new(),
-            queue: VecDeque::new(),
-            delivered: vec![0; n],
-            hashes: vec![0xCBF2_9CE4_8422_2325; n],
-            samples: Vec::new(),
-            peak: 0,
-        }
-    }
-
-    fn record(&mut self, pid: usize) {
-        for d in &self.buf.deliveries {
-            self.delivered[pid] += 1;
-            self.hashes[pid] ^= fnv1a(&d.tag.0.to_le_bytes());
-            self.hashes[pid] = self.hashes[pid].wrapping_mul(0x1000_0000_01B3);
-        }
-        self.queue.extend(self.buf.outbox.drain(..));
-    }
-
-    /// Delivers every queued emission to every process, instantly and
-    /// losslessly, until the network is silent.
-    fn flood(&mut self) {
-        while let Some(msg) = self.queue.pop_front() {
-            for pid in 0..self.cfg.n {
-                self.engines[pid].step(
-                    TopicId::ZERO,
-                    StepInput::Receive(msg.clone()),
-                    &self.fd,
-                    &mut self.buf,
-                );
-                self.record(pid);
-            }
-        }
-    }
-
-    /// One Task-1 sweep of every process (flooding what it emits), then —
-    /// in bounded-memory mode — one compaction sweep, then a sample.
-    fn sweep(&mut self, messages_so_far: u64) {
-        for pid in 0..self.cfg.n {
-            self.engines[pid].step(TopicId::ZERO, StepInput::Tick, &self.fd, &mut self.buf);
-            self.record(pid);
-        }
-        self.flood();
-        if self.cfg.memory.is_some() {
-            for e in &mut self.engines {
-                e.compact_all(&self.fd);
-            }
-        }
-        let resident: usize = self.engines.iter().map(|e| e.stats().total()).sum();
-        self.peak = self.peak.max(resident);
-        self.samples.push(SoakSample {
-            messages: messages_so_far,
-            resident,
-        });
-    }
-
-    /// Serializes every engine, tears the fleet down and restores from
-    /// bytes into freshly-built engines — the simulated crash+recovery.
-    fn restart_from_snapshots(&mut self) {
-        let snapshots: Vec<Vec<u8>> = self
-            .engines
-            .iter()
-            .map(|e| {
-                e.save_snapshot()
-                    .expect("soak algorithms support snapshots")
-            })
-            .collect();
-        let mut fresh = Self::build_engines(&self.cfg);
-        for (e, bytes) in fresh.iter_mut().zip(&snapshots) {
-            e.restore_snapshot(bytes).expect("own snapshot restores");
-        }
-        self.engines = fresh;
-    }
-
-    fn run(mut self) -> SoakOutcome {
-        let payload = Payload::from("soak");
-        for i in 0..self.cfg.messages {
-            if self.cfg.snapshot_restart_at == Some(i) {
-                self.restart_from_snapshots();
-            }
-            let pid = (i % self.cfg.n as u64) as usize;
-            self.engines[pid].step(
-                TopicId::ZERO,
-                StepInput::Broadcast(payload.clone()),
-                &self.fd,
-                &mut self.buf,
-            );
-            self.record(pid);
-            self.flood();
-            if (i + 1) % self.cfg.sweep_every == 0 {
-                self.sweep(i + 1);
-            }
-        }
-        // Drain: enough sweeps to clear every grace clock, so everything
-        // stable at the end is also reclaimed (bounded mode).
-        let grace = self.cfg.memory.map_or(1, |m| m.grace_ticks + 2);
-        for _ in 0..grace.max(2) {
-            self.sweep(self.cfg.messages);
-        }
-        let final_resident: usize = self.engines.iter().map(|e| e.stats().total()).sum();
-        let (mut reclaimed, mut tombstoned) = (0u64, 0u64);
-        for e in &self.engines {
-            reclaimed += e.counters().reclaimed;
-            tombstoned += e.counters().tombstoned;
-        }
-        SoakOutcome {
-            messages: self.cfg.messages,
-            quiescent: self.engines.iter().all(|e| e.is_quiescent()),
-            delivered: self.delivered,
-            delivery_hashes: self.hashes,
-            peak_resident: self.peak,
-            final_resident,
-            samples: self.samples,
-            reclaimed,
-            tombstoned,
-        }
-    }
-}
-
 /// Executes one soak run. Pure function of the config.
 pub fn soak(cfg: SoakConfig) -> SoakOutcome {
-    Soak::new(cfg).run()
+    assert!(cfg.sweep_every >= 1);
+    let mut mesh = Mesh::new(
+        cfg.n,
+        1,
+        cfg.algorithm,
+        cfg.seed ^ 0x50AC_50AC_50AC_50AC,
+        0x50AC,
+        cfg.memory,
+    );
+    let mut ignore = |_, _| {};
+    let mut samples = Vec::new();
+    // One node tick per process (flooding what it emits), then a sample.
+    let mut sweep = |mesh: &mut Mesh, messages: u64| {
+        mesh.sweep(&mut |_, _| {});
+        samples.push(SoakSample {
+            messages,
+            resident: mesh.engines.iter().map(|e| e.stats().total()).sum(),
+        });
+    };
+    let payload = Payload::from("soak");
+    for i in 0..cfg.messages {
+        if cfg.snapshot_restart_at == Some(i) {
+            mesh.restart_from_snapshots();
+        }
+        let pid = (i % cfg.n as u64) as usize;
+        mesh.broadcast(pid, TopicId::ZERO, payload.clone());
+        mesh.absorb(pid, &mut ignore);
+        mesh.flood(&mut ignore);
+        if (i + 1) % cfg.sweep_every == 0 {
+            sweep(&mut mesh, i + 1);
+        }
+    }
+    // Drain: enough sweeps to clear every grace clock, so everything
+    // stable at the end is also reclaimed (bounded mode).
+    let grace = cfg.memory.map_or(1, |m| m.grace_ticks + 2);
+    for _ in 0..grace.max(2) {
+        sweep(&mut mesh, cfg.messages);
+    }
+    let counters = mesh.engines.iter().map(|e| e.counters());
+    SoakOutcome {
+        messages: cfg.messages,
+        quiescent: mesh.engines.iter().all(|e| e.is_quiescent()),
+        peak_resident: samples.iter().map(|s| s.resident).max().unwrap_or(0),
+        final_resident: samples.last().map_or(0, |s| s.resident),
+        reclaimed: counters.clone().map(|c| c.reclaimed).sum(),
+        tombstoned: counters.map(|c| c.tombstoned).sum(),
+        delivered: mesh.delivered,
+        delivery_hashes: mesh.hashes,
+        samples,
+    }
 }
 
 #[cfg(test)]

@@ -1109,6 +1109,10 @@ pub fn corpus() -> Vec<(&'static str, &'static str)> {
             "dynamic_topics",
             include_str!("../../../scenarios/dynamic_topics.toml"),
         ),
+        (
+            "undersized_tombstones",
+            include_str!("../../../scenarios/undersized_tombstones.toml"),
+        ),
     ]
 }
 

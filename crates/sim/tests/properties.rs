@@ -3,13 +3,19 @@
 //! workspace-level `tests/` directory.)
 
 use proptest::prelude::*;
-use urb_sim::channel::{Channel, DelayModel, Verdict};
+use urb_sim::channel::{Channel, DelayModel};
 use urb_sim::metrics::{BroadcastRecord, DeliveryRecord};
 use urb_sim::{check_urb, CrashPlan, LossModel};
-use urb_types::{Payload, Tag, WireMessage, Xoshiro256};
+use urb_types::{Payload, Tag, TopicId, WireMessage, Xoshiro256};
 
 fn body() -> Payload {
     Payload::from("m")
+}
+
+/// One single-message frame on topic 0: its arrival delay, or `None` when
+/// the channel lost it.
+fn send(c: &mut Channel, m: &WireMessage) -> Option<u64> {
+    c.transmit_entries(&[(TopicId::ZERO, m.clone())], &mut Vec::new())
 }
 
 fn arb_history(
@@ -89,9 +95,7 @@ proptest! {
         );
         let m = WireMessage::Msg { tag: Tag(42), payload: Payload::from("m") };
         for _round in 0..20 {
-            let delivered = (0..=cap).any(|_| {
-                matches!(c.transmit(&m), Verdict::Deliver { .. })
-            });
+            let delivered = (0..=cap).any(|_| send(&mut c, &m).is_some());
             prop_assert!(delivered, "a window of cap+1 sends must deliver");
         }
     }
@@ -111,12 +115,12 @@ proptest! {
         );
         let m = WireMessage::Msg { tag: Tag(1), payload: Payload::from("x") };
         for _ in 0..200 {
-            match c.transmit(&m) {
-                Verdict::Deliver { delay } => {
+            match send(&mut c, &m) {
+                Some(delay) => {
                     prop_assert!(delay >= 1);
                     prop_assert!(delay <= (min + span).max(1));
                 }
-                Verdict::Drop => prop_assert!(false, "reliable channel dropped"),
+                None => prop_assert!(false, "reliable channel dropped"),
             }
         }
     }
@@ -180,8 +184,8 @@ proptest! {
     fn lifecycle_interleavings_respect_the_state_machine(ops in arb_lifecycle_ops()) {
         use std::collections::BTreeSet;
         use urb_core::Algorithm;
-        use urb_engine::{MuxBuffers, StepBuffers, StepInput, TopicEngine};
-        use urb_types::{FdSnapshot, SplitMix64, TopicId};
+        use urb_engine::{MuxBuffers, StepInput, TopicEngine};
+        use urb_types::{FdSnapshot, SplitMix64};
 
         let n = 3;
         // Topic 0 is the static plane; 1..5 are dynamic. A short drain
@@ -193,7 +197,6 @@ proptest! {
         );
         engine.set_drain_limit(2);
         let fd = FdSnapshot::none();
-        let mut scratch = StepBuffers::new();
         let mut mux = MuxBuffers::new();
 
         // Reference model: the slot map is `live ∪ draining`; `retired`
@@ -243,16 +246,15 @@ proptest! {
                         // Only live topics accept broadcasts (the driver
                         // contract: it checks `is_live` first).
                         prop_assert!(engine.is_live(t));
-                        let tag = engine.step(
+                        let tag = engine.step_mux(
                             t,
                             StepInput::Broadcast(Payload::from("p")),
                             &fd,
-                            &mut scratch,
+                            &mut mux,
                         );
                         prop_assert!(tag.is_some());
                         broadcasts_on_live += 1;
-                        scratch.outbox.clear();
-                        scratch.deliveries.clear();
+                        mux.clear();
                     } else {
                         prop_assert!(!engine.is_live(t), "{} must not be live", t);
                     }

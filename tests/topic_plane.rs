@@ -6,6 +6,9 @@
 //!   the serial driver and the parallel executor produce bit-identical
 //!   traces. Regenerate after an intentional change with
 //!   `UPDATE_GOLDEN=1 cargo test --test topic_plane`;
+//! * a second golden file, `tests/golden/lifecycle_with_memory.json`, for
+//!   a lossy run with **both** `[[topics.events]]` and `[memory]`: the
+//!   node tick's sweep → reap → compact order, pinned;
 //! * **cross-backend parity** — the same multi-topic workload executed
 //!   by the discrete-event simulator and by the threaded runtime (with
 //!   sharded router lanes) delivers identical per-topic payload sets at
@@ -165,6 +168,95 @@ fn golden_dynamic_topics_delivery_trace() {
     assert_eq!(
         got, want,
         "dynamic_topics no longer replays to the recorded lifecycle trace; \
+         if the change is intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
+/// A lossy run where a topic is created, loaded and retired *while*
+/// ack-prefix compaction is on: the retiring instance drains, is reaped
+/// and the survivors compact in the same node ticks.
+const LIFECYCLE_WITH_MEMORY: &str = r#"
+name = "lifecycle_with_memory"
+seed = 43
+n = 4
+algorithm = "quiescent"
+horizon = 500_000
+stop = "quiescence"
+loss = { model = "bernoulli", p = 0.2 }
+
+[topics]
+count = 1
+drain_ticks = 8
+
+[[topics.events]]
+at = 100
+create = 1
+
+[[topics.events]]
+at = 1_500
+retire = 1
+
+[[workload]]
+topic = 0
+count = 8
+spacing = 200
+start = 10
+
+[[workload]]
+topic = 1
+count = 6
+spacing = 40
+start = 150
+
+[memory]
+grace_ticks = 1
+conservative = false
+tombstones = 64
+"#;
+
+#[test]
+fn golden_lifecycle_with_memory_trace() {
+    // The golden file was generated at d3874ca, where the simulator still
+    // spelled the node tick by hand (per-topic sweep, gated reap, gated
+    // compaction): `TopicEngine::tick_all` must reproduce its delivery
+    // trace, event hash and reap/compaction counters exactly.
+    let spec = ScenarioSpec::from_toml_str(LIFECYCLE_WITH_MEMORY).unwrap();
+    let out = urb_sim::run(spec.compile().unwrap());
+    assert!(out.all_topics_ok(), "{:?}", out.report.violations());
+    assert!(out.quiescent);
+    assert_eq!(out.topics_reclaimed(), 4, "4 processes × 1 retired topic");
+    let sum =
+        |f: fn(&urb_engine::EngineCounters) -> u64| -> u64 { out.counters.iter().map(f).sum() };
+    assert!(sum(|c| c.compactions) > 0 && sum(|c| c.tombstoned) > 0);
+    assert!(out.metrics.dropped.iter().sum::<u64>() > 0, "loss happened");
+
+    let rendered = render_topic_trace("lifecycle_with_memory", &out).replacen(
+        "  \"deliveries\": [",
+        &format!(
+            "  \"topics_reclaimed\": {},\n  \"compactions\": {},\n  \"reclaimed\": {},\n  \
+             \"tombstoned\": {},\n  \"deliveries\": [",
+            out.topics_reclaimed(),
+            sum(|c| c.compactions),
+            sum(|c| c.reclaimed),
+            sum(|c| c.tombstoned),
+        ),
+        1,
+    );
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/lifecycle_with_memory.json"
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &rendered).expect("write golden");
+        eprintln!("golden updated: {path}");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file present");
+    let got: serde_json::Value = serde_json::from_str(&rendered).unwrap();
+    let want: serde_json::Value = serde_json::from_str(&golden).unwrap();
+    assert_eq!(
+        got, want,
+        "lifecycle_with_memory no longer replays to the recorded trace; \
          if the change is intentional, regenerate with UPDATE_GOLDEN=1"
     );
 }
