@@ -187,15 +187,7 @@ mod tests {
 
     #[test]
     fn wire_codes_round_trip() {
-        for alg in [
-            Algorithm::Majority,
-            Algorithm::WeakenedMajority { threshold: 2 },
-            Algorithm::Quiescent,
-            Algorithm::QuiescentLiteral,
-            Algorithm::MajorityBackoff { cap: 8 },
-            Algorithm::BestEffort,
-            Algorithm::EagerRb,
-        ] {
+        for alg in EVERY_ALGORITHM {
             let (code, param) = alg.to_wire();
             assert_eq!(Algorithm::from_wire(code, param), Some(alg));
         }
@@ -221,6 +213,71 @@ mod tests {
             assert!(alg.runs_with(1));
             let _ = alg.instantiate(1);
         }
+    }
+
+    const EVERY_ALGORITHM: [Algorithm; 7] = [
+        Algorithm::Majority,
+        Algorithm::WeakenedMajority { threshold: 2 },
+        Algorithm::Quiescent,
+        Algorithm::QuiescentLiteral,
+        Algorithm::MajorityBackoff { cap: 8 },
+        Algorithm::BestEffort,
+        Algorithm::EagerRb,
+    ];
+
+    proptest::proptest! {
+        /// What lets `TopicEngine::tick_all` skip quiescent topics
+        /// (DESIGN.md §16): for every variant a driver can instantiate, a
+        /// quiescent instance's Task 1 is a no-op. A variant that keeps
+        /// per-instance tick state fails here.
+        #[test]
+        fn a_quiescent_instance_ignores_ticks(
+            ops in table::testkit::ops(),
+            bounded in proptest::prelude::any::<bool>(),
+        ) {
+            for alg in EVERY_ALGORITHM {
+                let mut p = alg.instantiate(5);
+                if bounded {
+                    p.configure_memory(table::testkit::mem());
+                }
+                table::testkit::quiescent_tick_is_a_noop(p.as_mut(), &ops);
+            }
+        }
+    }
+
+    /// The check above bites: best-effort broadcast plus the kind of state
+    /// the contract forbids — a sweep counter that advances while the
+    /// instance claims quiescence.
+    #[test]
+    #[should_panic(expected = "state moved")]
+    fn the_quiescence_check_catches_per_instance_tick_state() {
+        use urb_types::{Context, Payload, ProcessStats, Tag, WireMessage};
+        struct CountsSweeps(BestEffortBroadcast, usize);
+        impl AnonProcess for CountsSweeps {
+            fn urb_broadcast(&mut self, payload: Payload, ctx: &mut Context<'_>) -> Tag {
+                self.0.urb_broadcast(payload, ctx)
+            }
+            fn on_receive(&mut self, msg: WireMessage, ctx: &mut Context<'_>) {
+                self.0.on_receive(msg, ctx)
+            }
+            fn on_tick(&mut self, _ctx: &mut Context<'_>) {
+                self.1 += 1;
+            }
+            fn is_quiescent(&self) -> bool {
+                true
+            }
+            fn stats(&self) -> ProcessStats {
+                ProcessStats {
+                    label_counters: self.1,
+                    ..self.0.stats()
+                }
+            }
+            fn algorithm_name(&self) -> &'static str {
+                "counts-sweeps"
+            }
+        }
+        let mut p = CountsSweeps(BestEffortBroadcast::new(), 0);
+        table::testkit::quiescent_tick_is_a_noop(&mut p, &[(6, 0, 0, Vec::new())]);
     }
 
     #[test]

@@ -434,8 +434,8 @@ pub(crate) mod testkit {
     use crate::harness::{StepHarness, StepOut};
     use proptest::prelude::*;
     use urb_types::{
-        AnonProcess, CompactionReport, FdPair, FdSnapshot, FdView, Label, LabelSet, MemoryConfig,
-        Payload, SpillPolicy, Tag, TagAck, WireMessage,
+        AnonProcess, CompactionReport, Context, FdPair, FdSnapshot, FdView, Label, LabelSet,
+        MemoryConfig, Payload, SpillPolicy, SplitMix64, Tag, TagAck, WireMessage,
     };
 
     /// `(kind, tag, tag_ack, labels)`: one broadcast, MSG or ACK reception,
@@ -507,6 +507,46 @@ pub(crate) mod testkit {
         for op in ops {
             apply(&mut h, &mut p, op);
             probe(&p);
+        }
+    }
+
+    /// The [`AnonProcess::is_quiescent`] contract the engine's node tick
+    /// relies on to skip idle topics: at every point of the script where
+    /// `p` reports quiescence, one `on_tick` emits nothing, delivers
+    /// nothing, draws no randomness and leaves `stats()` and `save_state()`
+    /// as they were.
+    pub(crate) fn quiescent_tick_is_a_noop(p: &mut dyn AnonProcess, ops: &[Op]) {
+        let mut h = StepHarness::new(5);
+        for (at, op) in ops.iter().enumerate() {
+            apply(&mut h, p, op);
+            if !p.is_quiescent() {
+                continue;
+            }
+            let before = (p.stats(), p.save_state());
+            let mut rng = SplitMix64::new(11);
+            let (mut outbox, mut deliveries) = (Vec::new(), Vec::new());
+            p.on_tick(&mut Context::new(
+                &mut rng,
+                &h.fd,
+                &mut outbox,
+                &mut deliveries,
+            ));
+            assert!(outbox.is_empty(), "step {at}: a quiescent tick emitted");
+            assert!(
+                deliveries.is_empty(),
+                "step {at}: a quiescent tick delivered"
+            );
+            assert_eq!(
+                rng.state(),
+                11,
+                "step {at}: a quiescent tick drew randomness"
+            );
+            assert_eq!(
+                (p.stats(), p.save_state()),
+                before,
+                "step {at}: state moved"
+            );
+            assert!(p.is_quiescent(), "step {at}: a tick ended quiescence");
         }
     }
 

@@ -25,8 +25,9 @@
 //! * **one stepping surface** (DESIGN.md §2): every driver steps into
 //!   [`MuxBuffers`] — [`TopicEngine::step_mux`] for one input,
 //!   [`TopicEngine::receive_mux_frame`] for a received frame, and
-//!   [`TopicEngine::tick_all`] for *the* node tick (sweep every instance →
-//!   reap drained topics → compact if memory is configured);
+//!   [`TopicEngine::tick_all`] for *the* node tick (sweep every instance
+//!   that has work → reap drained topics → compact if memory is
+//!   configured);
 //! * the **frame plane** (DESIGN.md §10, §12): [`MuxBuffers`] accumulates
 //!   what every stepped topic emitted, [`MuxBuffers::take_mux_frame`]
 //!   encodes it straight into a pooled buffer (zero per-message
@@ -236,13 +237,22 @@ impl MuxBuffers {
 pub struct TopicEngine {
     /// Live and draining topic instances, sorted ascending by topic id —
     /// the interned slot map. Statically configured engines hold dense
-    /// ids `0..n` here. Ordered traversals (ticks, fingerprints,
-    /// snapshots, mux encoding) walk this vector; point lookups go
-    /// through `directory`.
+    /// ids `0..n` here. Ordered traversals of *every* instance
+    /// (fingerprints, snapshots, stats) walk this vector; point lookups go
+    /// through `directory`, the node tick through `active`.
     slots: Vec<TopicSlot>,
     /// The O(1) id → slot/tombstone directory (DESIGN.md §16), maintained
     /// incrementally by create/retire/reap and rebuilt on restore.
     directory: TopicDirectory,
+    /// The **active index** (DESIGN.md §16): the topics whose slot has
+    /// [`TopicSlot::active`] set — every slot that is draining or whose
+    /// instance is not quiescent, plus at most a few stale entries a tick
+    /// drops. [`tick_all`](TopicEngine::tick_all) sweeps this, not `slots`.
+    /// Appended to where a slot can gain work (the step funnel, create,
+    /// retire), sorted by the tick, rebuilt on restore.
+    active: Vec<TopicId>,
+    /// Number of draining slots (each of them is listed in `active`).
+    draining: usize,
     /// Tombstones of reaped topics: traffic addressed to these ids is
     /// dropped inert instead of erroring as unknown.
     retired: BTreeSet<TopicId>,
@@ -284,6 +294,19 @@ struct TopicSlot {
     /// Drain sweeps survived so far (compared against
     /// [`TopicEngine::drain_limit`]).
     drain_ticks: u32,
+    /// True while the topic is listed in [`TopicEngine::active`]. Unset
+    /// implies the instance is quiescent and the slot not draining; the
+    /// converse may lag by one tick.
+    active: bool,
+}
+
+impl TopicSlot {
+    /// Whether a node tick has anything to do here: Task 1 of a quiescent
+    /// instance is a no-op (the [`AnonProcess::is_quiescent`] contract),
+    /// and only a draining slot is ever reaped.
+    fn has_work(&self) -> bool {
+        self.draining || !self.proc.is_quiescent()
+    }
 }
 
 /// Default drain budget: a draining topic gets this many reap sweeps to
@@ -314,7 +337,7 @@ const DENSE_DIRECTORY_SLACK: u32 = 4096;
 /// configured engines and ascending runtime creation both land here);
 /// larger ids fall back to a hash map. Entries are slot indices, or the
 /// [`DIR_ABSENT`]/[`DIR_RETIRED`] sentinels. The sorted slot vector
-/// remains the source of truth for everything *ordered* — ticks,
+/// remains the source of truth for everything *ordered* —
 /// fingerprints, snapshots, mux encoding — the directory only answers
 /// point lookups, and create/retire/reap maintain it incrementally.
 struct TopicDirectory {
@@ -416,8 +439,10 @@ impl TopicEngine {
         assert!(!instances.is_empty(), "an engine needs at least one topic");
         let alg_name = instances[0].algorithm_name();
         let directory = TopicDirectory::with_dense(instances.len());
-        TopicEngine {
+        let mut engine = TopicEngine {
             directory,
+            active: Vec::new(),
+            draining: 0,
             slots: instances
                 .into_iter()
                 .enumerate()
@@ -426,6 +451,7 @@ impl TopicEngine {
                     proc,
                     draining: false,
                     drain_ticks: 0,
+                    active: false,
                 })
                 .collect(),
             retired: BTreeSet::new(),
@@ -438,6 +464,32 @@ impl TopicEngine {
             batch_scratch: StepBuffers::new(),
             mux_scratch: Vec::new(),
             control_scratch: Vec::new(),
+        };
+        engine.rebuild_active();
+        engine
+    }
+
+    /// Rebuilds the active index and the draining count from the slots —
+    /// construction and snapshot restore, where every slot's state is
+    /// replaced at once (the way the directory is rebuilt).
+    fn rebuild_active(&mut self) {
+        self.active.clear();
+        self.draining = 0;
+        for slot in &mut self.slots {
+            slot.active = slot.has_work();
+            if slot.active {
+                self.active.push(slot.topic);
+            }
+            self.draining += usize::from(slot.draining);
+        }
+    }
+
+    /// Lists slot `i` in the active index unless it already is.
+    fn activate(&mut self, i: usize) {
+        let slot = &mut self.slots[i];
+        if !slot.active {
+            slot.active = true;
+            self.active.push(slot.topic);
         }
     }
 
@@ -554,6 +606,7 @@ impl TopicEngine {
                         proc,
                         draining: false,
                         drain_ticks: 0,
+                        active: false,
                     },
                 );
                 // Incremental directory maintenance: the new id maps to
@@ -564,6 +617,9 @@ impl TopicEngine {
                 self.directory.set(topic.0, at as u32);
                 for j in (at + 1)..self.slots.len() {
                     self.directory.set(self.slots[j].topic.0, j as u32);
+                }
+                if self.slots[at].has_work() {
+                    self.activate(at);
                 }
                 self.counters.topics_created += 1;
                 true
@@ -582,6 +638,8 @@ impl TopicEngine {
             Some(i) if !self.slots[i].draining => {
                 self.slots[i].draining = true;
                 self.slots[i].drain_ticks = 0;
+                self.draining += 1;
+                self.activate(i);
                 self.counters.topics_retired += 1;
                 true
             }
@@ -595,25 +653,24 @@ impl TopicEngine {
     /// path ([`AnonProcess::compact`]), whatever survives is counted as
     /// reclaimed, and the slot is freed, leaving a retired-id tombstone.
     /// Returns the number of instances reclaimed. Called automatically at
-    /// the end of every [`tick_all`](TopicEngine::tick_all); a no-op (and
-    /// zero cost) for engines with nothing draining.
+    /// the end of every [`tick_all`](TopicEngine::tick_all); one counter
+    /// test for engines with nothing draining, and otherwise a walk of the
+    /// active index (every draining slot is listed), not of the slots.
     pub fn reap_drained(&mut self, fd: &FdSnapshot) -> usize {
-        if self.slots.iter().all(|s| !s.draining) {
+        if self.draining == 0 {
             return 0;
         }
-        let drain_limit = self.drain_limit;
         let mut reaped = 0usize;
-        let mut i = 0usize;
-        while i < self.slots.len() {
-            if !self.slots[i].draining {
-                i += 1;
-                continue;
-            }
+        let mut active = std::mem::take(&mut self.active);
+        active.retain(|&topic| {
+            let i = self.slot_index_or_panic(topic);
             let slot = &mut self.slots[i];
+            if !slot.draining {
+                return true;
+            }
             slot.drain_ticks += 1;
-            if !slot.proc.is_quiescent() && slot.drain_ticks <= drain_limit {
-                i += 1;
-                continue;
+            if !slot.proc.is_quiescent() && slot.drain_ticks <= self.drain_limit {
+                return true;
             }
             // Quiescent (the drain succeeded) or out of budget: compact,
             // count what is left, free the slot.
@@ -622,18 +679,21 @@ impl TopicEngine {
             self.counters.reclaimed += (report.reclaimed + remaining) as u64;
             self.counters.tombstoned += report.tombstoned as u64;
             self.counters.topics_reclaimed += 1;
-            let slot = self.slots.remove(i);
-            self.retired.insert(slot.topic);
-            self.subscriptions.remove(&slot.topic);
+            self.slots.remove(i);
+            self.draining -= 1;
+            self.retired.insert(topic);
+            self.subscriptions.remove(&topic);
             // Incremental directory maintenance: the reaped id becomes a
             // tombstone entry and every slot the removal shifted left is
             // re-pointed.
-            self.directory.set(slot.topic.0, DIR_RETIRED);
+            self.directory.set(topic.0, DIR_RETIRED);
             for j in i..self.slots.len() {
                 self.directory.set(self.slots[j].topic.0, j as u32);
             }
             reaped += 1;
-        }
+            false
+        });
+        self.active = active;
         reaped
     }
 
@@ -675,7 +735,11 @@ impl TopicEngine {
     /// [`TopicEngine::step_mux`] with the slot already resolved: one
     /// counted [`drive_step`] of the instance at slot `i` — the core every
     /// stepping path funnels through once it has probed (or
-    /// run-length-cached) the slot index.
+    /// run-length-cached) the slot index. Also the one place an instance
+    /// can leave quiescence, so the one place that lists a slot in the
+    /// active index on account of its instance: a `Receive`/`Broadcast`
+    /// landing on an unlisted slot asks the instance afterwards; a listed
+    /// slot (the hot path) pays one flag test.
     fn step_mux_slot(
         &mut self,
         i: usize,
@@ -690,6 +754,7 @@ impl TopicEngine {
             StepInput::Receive(_) => self.counters.receives += 1,
             StepInput::Broadcast(_) => self.counters.broadcasts += 1,
         }
+        let may_wake = !matches!(input, StepInput::Tick);
         let buf = &mut self.batch_scratch;
         let proc = self.slots[i].proc.as_mut();
         let tag = drive_step(proc, input, fd, &mut self.rng, buf);
@@ -698,29 +763,48 @@ impl TopicEngine {
         mux.outbox.extend(buf.outbox.drain(..).map(|m| (topic, m)));
         mux.deliveries
             .extend(buf.deliveries.drain(..).map(|d| (topic, d)));
+        let slot = &self.slots[i];
+        if may_wake && !slot.active && !slot.proc.is_quiescent() {
+            self.activate(i);
+        }
         tag
     }
 
-    /// One Task-1 sweep of **every** topic instance — live *and* draining
-    /// (a draining instance keeps retransmitting; that is what drains it)
-    /// — ascending by topic, all effects accumulated into `mux` (cleared
-    /// first). This is **the** node tick, for every driver: however many
-    /// instances swept, the caller drains exactly one multiplexed frame.
-    /// Then, under the same snapshot, the two housekeeping passes that
-    /// belong to a tick and nowhere else: a
-    /// [`reap_drained`](TopicEngine::reap_drained) sweep (free when nothing
-    /// is draining) and — iff [`configure_memory`](TopicEngine::configure_memory)
-    /// was called — one compaction sweep (DESIGN.md §14). Neither draws
-    /// randomness nor emits.
+    /// One Task-1 sweep of every topic instance **that has work** — the
+    /// active index: draining slots (a draining instance keeps
+    /// retransmitting; that is what drains it) and non-quiescent
+    /// instances — ascending by topic, all effects accumulated into `mux`
+    /// (cleared first). A quiescent instance's sweep is a no-op by the
+    /// [`AnonProcess::is_quiescent`] contract, so it is counted in
+    /// [`EngineCounters`] but not executed: a tick costs O(active), not
+    /// O(topics). This is **the** node tick, for every driver: however
+    /// many instances swept, the caller drains exactly one multiplexed
+    /// frame. Then, under the same snapshot, the two housekeeping passes
+    /// that belong to a tick and nowhere else: a
+    /// [`reap_drained`](TopicEngine::reap_drained) sweep (one counter test
+    /// when nothing is draining) and — iff
+    /// [`configure_memory`](TopicEngine::configure_memory) was called —
+    /// one compaction sweep (DESIGN.md §14). Neither draws randomness nor
+    /// emits.
     pub fn tick_all(&mut self, fd: &FdSnapshot, mux: &mut MuxBuffers) {
         mux.clear();
-        // Slots are walked by index — the sweep *is* the directory, no
-        // per-topic lookup needed (nothing reshapes the slot vector
-        // mid-sweep; the reap below runs after).
-        for i in 0..self.slots.len() {
-            let topic = self.slots[i].topic;
+        // Activation appends; Task-1 emission order is ascending topic.
+        self.active.sort_unstable();
+        // Nothing reshapes the slot vector or lists a topic mid-sweep (a
+        // `Tick` wakes nobody; the reap below runs after), so the index
+        // can be walked detached and each entry's slot probed once.
+        let mut active = std::mem::take(&mut self.active);
+        let elided = (self.slots.len() - active.len()) as u64;
+        active.retain(|&topic| {
+            let i = self.slot_index_or_panic(topic);
             self.step_mux_slot(i, topic, StepInput::Tick, fd, mux);
-        }
+            let slot = &mut self.slots[i];
+            slot.active = slot.has_work();
+            slot.active
+        });
+        self.active = active;
+        self.counters.steps += elided;
+        self.counters.ticks += elided;
         self.reap_drained(fd);
         if self.memory.is_some() {
             self.compact_all(fd);
@@ -812,9 +896,14 @@ impl TopicEngine {
     /// not-yet-reaped instance blocks quiescence exactly like a live one
     /// (the drain is bounded by the drain budget, so this resolves).
     pub fn is_quiescent(&self) -> bool {
-        self.slots
-            .iter()
-            .all(|s| !s.draining && s.proc.is_quiescent())
+        // Unlisted slots are quiescent and not draining; a listed one may
+        // have gone quiescent since (compaction, a lone `Tick`), so ask.
+        self.draining == 0
+            && self.active.iter().all(|&topic| {
+                self.slots[self.slot_index_or_panic(topic)]
+                    .proc
+                    .is_quiescent()
+            })
     }
 
     /// Aggregate state-size snapshot: the field-wise sum over every topic
@@ -1037,8 +1126,15 @@ impl TopicEngine {
         ] {
             *slot = r.get_u64()?;
         }
+        // Ids and drain counters are written as u64 words; one that does
+        // not fit a u32 is corruption, not a different topic.
+        let get_u32 = |r: &mut SnapshotReader<'_>, field: &str| {
+            let v = r.get_u64()?;
+            u32::try_from(v)
+                .map_err(|_| SnapshotError::Malformed(format!("{field} {v} does not fit a u32")))
+        };
         for i in 0..self.slots.len() {
-            let topic = TopicId(r.get_u64()? as u32);
+            let topic = TopicId(get_u32(&mut r, "slot topic id")?);
             if self.slots[i].topic != topic {
                 // The engine must be rebuilt with the snapshot's exact
                 // topic directory; drivers reconstruct dynamic instances
@@ -1049,7 +1145,7 @@ impl TopicEngine {
                 )));
             }
             let draining = r.get_u64()? != 0;
-            let drain_ticks = r.get_u64()? as u32;
+            let drain_ticks = get_u32(&mut r, "drain_ticks")?;
             self.slots[i].proc.restore_state(r.get_bytes()?)?;
             self.slots[i].draining = draining;
             self.slots[i].drain_ticks = drain_ticks;
@@ -1057,19 +1153,21 @@ impl TopicEngine {
         let retired = r.get_u64()? as usize;
         let mut retired_set = BTreeSet::new();
         for _ in 0..retired {
-            retired_set.insert(TopicId(r.get_u64()? as u32));
+            retired_set.insert(TopicId(get_u32(&mut r, "retired topic id")?));
         }
         let subs = r.get_u64()? as usize;
         let mut sub_set = BTreeSet::new();
         for _ in 0..subs {
-            sub_set.insert(TopicId(r.get_u64()? as u32));
+            sub_set.insert(TopicId(get_u32(&mut r, "subscription topic id")?));
         }
         r.finish()?;
         self.rng = SplitMix64::from_state(rng_state);
         self.counters = counters;
-        // The retired set was replaced wholesale: rebuild the O(1)
-        // directory so every tombstone (and every slot) resolves again.
+        // The retired set and every slot's state were replaced wholesale:
+        // rebuild the O(1) directory so every tombstone (and every slot)
+        // resolves again, and the active index with it.
         self.directory = TopicDirectory::rebuild(&self.slots, &retired_set);
+        self.rebuild_active();
         self.retired = retired_set;
         self.subscriptions = sub_set;
         Ok(())
@@ -1956,6 +2054,134 @@ mod tests {
         assert_ne!(bounded.fingerprint(), fresh_bounded);
     }
 
+    // ---- the active index (DESIGN.md §16) --------------------------------
+
+    #[test]
+    fn a_topic_is_swept_exactly_while_it_has_work() {
+        // Scripted goes quiescent only through compaction, so a bounded
+        // engine walks one topic through the whole cycle: idle → listed →
+        // stale → dropped → listed again → draining → reaped.
+        let fd = FdSnapshot::none();
+        let mut e = topic_engine(3, 70);
+        e.configure_memory(MemoryConfig::default());
+        let mut mux = MuxBuffers::new();
+        let t1 = TopicId(1);
+        let broadcast = |e: &mut TopicEngine, mux: &mut MuxBuffers| {
+            e.step_mux(t1, StepInput::Broadcast(Payload::from("m")), &fd, mux);
+        };
+        assert!(e.active.is_empty(), "fresh instances have no work");
+        e.tick_all(&fd, &mut mux);
+        assert!(mux.outbox.is_empty());
+        assert_eq!(e.counters().ticks, 3, "elided sweeps are still counted");
+
+        broadcast(&mut e, &mut mux);
+        broadcast(&mut e, &mut mux);
+        assert_eq!(e.active, vec![t1], "listed once, by the first broadcast");
+        e.tick_all(&fd, &mut mux);
+        assert_eq!(mux.outbox.len(), 2, "the listed topic was swept");
+        assert!(mux.outbox.iter().all(|(t, _)| *t == t1));
+        // The tick's compaction emptied it after the sweep decided to keep
+        // it: a stale entry, which the next tick sweeps silently and drops.
+        assert!(e.is_quiescent());
+        assert_eq!(e.active, vec![t1]);
+        e.tick_all(&fd, &mut mux);
+        assert!(mux.outbox.is_empty());
+        assert!(e.active.is_empty());
+
+        // A reception that leaves the instance quiescent lists nothing; the
+        // next broadcast lists it again.
+        let msg = WireMessage::Msg {
+            tag: Tag(5),
+            payload: Payload::from("r"),
+        };
+        e.step_mux(t1, StepInput::Receive(msg), &fd, &mut mux);
+        assert!(e.active.is_empty());
+        broadcast(&mut e, &mut mux);
+        assert_eq!(e.active, vec![t1]);
+        e.tick_all(&fd, &mut mux);
+        assert_eq!(mux.outbox.len(), 1);
+        e.tick_all(&fd, &mut mux);
+        assert!(e.active.is_empty());
+
+        // Retiring an idle topic lists it (only listed slots are reaped);
+        // the next tick reaps it and the entry goes with the slot.
+        assert!(e.retire_topic(t1));
+        assert_eq!((e.active.clone(), e.draining), (vec![t1], 1));
+        assert!(!e.is_quiescent(), "draining blocks quiescence");
+        e.tick_all(&fd, &mut mux);
+        assert!(e.is_retired(t1));
+        assert_eq!((e.active.len(), e.draining), (0, 0));
+        assert_eq!(e.reap_drained(&fd), 0);
+        let c = e.counters();
+        assert_eq!((c.ticks, c.steps), (3 * 6, 3 * 6 + 4), "6 ticks × 3 slots");
+    }
+
+    #[test]
+    fn activation_order_does_not_reorder_task1_emissions() {
+        let fd = FdSnapshot::none();
+        let mut e = topic_engine(4, 71);
+        let mut mux = MuxBuffers::new();
+        for t in [3u32, 0, 2] {
+            let input = StepInput::Broadcast(Payload::from("m"));
+            e.step_mux(TopicId(t), input, &fd, &mut mux);
+        }
+        assert_eq!(e.active, vec![TopicId(3), TopicId(0), TopicId(2)]);
+        e.tick_all(&fd, &mut mux);
+        let order: Vec<u32> = mux.outbox.iter().map(|(t, _)| t.0).collect();
+        assert_eq!(order, vec![0, 2, 3], "ascending topic, as a full sweep");
+    }
+
+    /// A hand-written engine snapshot body for a one-topic `Scripted`
+    /// engine (topic 0, nothing pending), with the given raw words where
+    /// [`TopicEngine::save_snapshot`] writes ids and the drain counter.
+    fn raw_snapshot(topic: u64, drain_ticks: u64, retired: &[u64], subs: &[u64]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_str("scripted");
+        w.put_u64(1); // topics
+        w.put_u64(9); // rng state
+        for _ in 0..12 {
+            w.put_u64(0); // counters
+        }
+        w.put_u64(topic);
+        w.put_u64(0); // draining
+        w.put_u64(drain_ticks);
+        let mut state = SnapshotWriter::new();
+        state.put_u64(0); // Scripted: no pending messages
+        w.put_bytes(&state.into_body());
+        for ids in [retired, subs] {
+            w.put_u64(ids.len() as u64);
+            for &id in ids {
+                w.put_u64(id);
+            }
+        }
+        w.into_envelope()
+    }
+
+    #[test]
+    fn restore_rejects_words_that_do_not_fit_a_u32() {
+        // The hand-written body is a snapshot the engine accepts …
+        let mut ok = engine();
+        ok.restore_snapshot(&raw_snapshot(0, 7, &[5], &[0, 6]))
+            .expect("in-range body restores");
+        assert!(ok.is_retired(TopicId(5)) && ok.is_subscribed(TopicId(6)));
+        // … and the same body with one word past u32::MAX is corruption,
+        // not the topic the word wraps to (1 << 32 wraps to topic 0).
+        let wrap = |id: u64| (1u64 << 32) + id;
+        for (bytes, field) in [
+            (raw_snapshot(wrap(0), 0, &[], &[]), "slot topic id"),
+            (raw_snapshot(0, wrap(1), &[], &[]), "drain_ticks"),
+            (raw_snapshot(0, 0, &[wrap(5)], &[]), "retired topic id"),
+            (raw_snapshot(0, 0, &[], &[wrap(6)]), "subscription topic id"),
+        ] {
+            match engine().restore_snapshot(&bytes) {
+                Err(SnapshotError::Malformed(why)) => {
+                    assert!(why.contains(field), "{field}: {why}")
+                }
+                other => panic!("{field}: expected Malformed, got {other:?}"),
+            }
+        }
+    }
+
     // ---- the node tick (DESIGN.md §2) -----------------------------------
 
     /// One churn operation of the tick-equivalence property below.
@@ -1966,6 +2192,29 @@ mod tests {
         Broadcast(u32),
         Receive(u32, u128),
         Tick,
+        Restore,
+    }
+
+    /// The active index against the slots it summarises: flags and list
+    /// agree, no topic is listed twice, and every slot with work is listed.
+    fn assert_index_consistent(e: &TopicEngine) {
+        let mut listed = e.active.clone();
+        listed.sort_unstable();
+        let flagged: Vec<TopicId> = e
+            .slots
+            .iter()
+            .filter(|s| s.active)
+            .map(|s| s.topic)
+            .collect();
+        assert_eq!(listed, flagged, "index and flags disagree (or a duplicate)");
+        for s in &e.slots {
+            assert!(
+                s.active || !s.has_work(),
+                "{} has work but is unlisted",
+                s.topic
+            );
+        }
+        assert_eq!(e.draining, e.slots.iter().filter(|s| s.draining).count());
     }
 
     fn arb_ops() -> impl proptest::prelude::Strategy<Value = Vec<Op>> {
@@ -1976,6 +2225,7 @@ mod tests {
             (0u32..4).prop_map(Op::Broadcast),
             ((0u32..4), (0u128..6)).prop_map(|(t, tag)| Op::Receive(t, tag)),
             (0u32..3).prop_map(|_| Op::Tick),
+            (0u32..1).prop_map(|_| Op::Restore),
         ];
         proptest::collection::vec(op, 1..60)
     }
@@ -2038,6 +2288,30 @@ mod tests {
                             spelled.compact_all(&fd);
                         }
                     }
+                    Op::Restore => {
+                        // Save, restore into a fresh engine brought to the
+                        // same topic directory, carry on with that one: the
+                        // index is rebuilt from the slots, and `spelled`
+                        // (never restored) must not be able to tell.
+                        let bytes = ticked.save_snapshot().unwrap();
+                        let mut fresh = build();
+                        for t in 0..4 {
+                            if ticked.has_instance(TopicId(t)) {
+                                fresh.create_topic(TopicId(t), scripted());
+                            } else if fresh.retire_topic(TopicId(t)) {
+                                fresh.reap_drained(&fd);
+                            }
+                        }
+                        fresh.restore_snapshot(&bytes).unwrap();
+                        ticked = fresh;
+                    }
+                }
+                for e in [&ticked, &spelled] {
+                    assert_index_consistent(e);
+                    proptest::prop_assert_eq!(
+                        e.is_quiescent(),
+                        e.slots.iter().all(|s| !s.draining && s.proc.is_quiescent())
+                    );
                 }
                 proptest::prop_assert_eq!(&out_a.outbox, &out_b.outbox);
                 proptest::prop_assert_eq!(&out_a.deliveries, &out_b.deliveries);

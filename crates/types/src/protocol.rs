@@ -195,12 +195,30 @@ pub trait AnonProcess {
     fn on_receive(&mut self, msg: WireMessage, ctx: &mut Context<'_>);
 
     /// One sweep of the paper's Task 1 (the `repeat forever` body). The
-    /// driver invokes this periodically (DESIGN.md D7).
+    /// driver invokes this periodically (DESIGN.md D7) — but **only while
+    /// the instance is not quiescent**: by the
+    /// [`is_quiescent`](AnonProcess::is_quiescent) contract a quiescent
+    /// instance's sweep is a no-op, and `TopicEngine::tick_all` counts it
+    /// without making the call (DESIGN.md §16, tick cost model). Keep no
+    /// per-instance state that a tick advances regardless of `MSG_i` (a
+    /// sweep counter, a pacing clock): hang it off the entries, the way
+    /// the backoff variant does.
     fn on_tick(&mut self, ctx: &mut Context<'_>);
 
     /// True when this process has nothing left to retransmit — i.e. its
     /// Task 1 sweep would broadcast no messages. Quiescence (Theorem 3) is
     /// "all correct processes quiescent and no messages in flight".
+    ///
+    /// **Contract** (what lets a node tick skip quiescent topics):
+    /// * while this returns `true`, [`on_tick`](AnonProcess::on_tick) is a
+    ///   no-op — no emission, no delivery, no `ctx.rng` draw, no state
+    ///   change;
+    /// * an instance leaves quiescence only through
+    ///   [`on_receive`](AnonProcess::on_receive),
+    ///   [`urb_broadcast`](AnonProcess::urb_broadcast) or
+    ///   [`restore_state`](AnonProcess::restore_state) — never on its own,
+    ///   and never through [`compact`](AnonProcess::compact), which may
+    ///   only move it *toward* quiescence.
     fn is_quiescent(&self) -> bool;
 
     /// Current state-size snapshot (experiment E9).
