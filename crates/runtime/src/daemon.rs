@@ -21,7 +21,7 @@
 //! resulting per-topic delivery **sets**. Those sets are the unit the
 //! parity and fault-injection suites assert on.
 
-use crate::node_core::{self, Backend, NodeCore};
+use crate::node_core::{self, Backend, NodeCore, FRAME_BUDGET};
 use crate::state::{StateDir, StateError};
 use crate::transport::{MeshConfig, NetError, NetStats, TcpMesh};
 use crate::MembershipRegistry;
@@ -199,11 +199,21 @@ struct MeshEgress {
 }
 
 impl MeshEgress {
+    /// Seals what the node staged and sends every frame to the peers and
+    /// the self-copy.
     fn flush(&self, mux: &mut MuxBuffers) {
-        if let Some(frame) = node_core::seal_frame(mux, &self.pool) {
+        let send = |frame: Bytes| {
             self.mesh.broadcast(&frame);
             let _ = self.loopback.send(frame);
-        }
+            true
+        };
+        node_core::seal_frames(
+            &mut mux.outbox,
+            &mut mux.controls,
+            &self.pool,
+            FRAME_BUDGET,
+            send,
+        );
     }
 }
 
@@ -382,7 +392,10 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
     // Startup workload: all broadcasts happen before any ingress is
     // consumed, so the node's tag draws are a deterministic RNG prefix —
     // a restarted node re-broadcasts the *identical* (tag, payload)
-    // messages, which URB integrity treats as retransmissions.
+    // messages, which URB integrity treats as retransmissions. They are
+    // staged and flushed once: the burst leaves as a few budgeted frames,
+    // not one frame per broadcast that would overflow the peers' writer
+    // queues before a writer has even dialled.
     for topic in 0..cfg.topics.max(1) {
         for i in 0..cfg.msgs {
             let payload = workload_payload(cfg.id, TopicId(topic), i);
@@ -394,10 +407,10 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
                 continue;
             }
             core.broadcast(TopicId(topic), payload);
-            egress.flush(core.mux());
-            log.record(core.mux())?;
         }
     }
+    egress.flush(core.mux());
+    log.record(core.mux())?;
 
     // The run budget and the snapshot cadence count from the end of the
     // startup burst.

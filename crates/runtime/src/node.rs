@@ -6,12 +6,14 @@
 //! **sharded wire plane** (DESIGN.md §12): everything one step emitted —
 //! across every topic — is partitioned by router lane
 //! (`lane = topic % lanes`) and leaves as one encoded multiplexed frame
-//! per lane with traffic, produced through the zero-copy codec into a
-//! pooled buffer. Router and channel costs scale with protocol steps and
-//! lanes, never with topic count times messages.
+//! per lane with traffic (more only past
+//! [`FRAME_BUDGET`](crate::node_core::FRAME_BUDGET)), produced through
+//! the zero-copy codec into a pooled buffer. Router and channel costs
+//! scale with protocol steps and lanes, never with topic count times
+//! messages.
 
 use crate::lanes::LaneDirectory;
-use crate::node_core::{self, Backend, NodeCore};
+use crate::node_core::{self, seal_frames, Backend, NodeCore, FRAME_BUDGET};
 use crate::registry::MembershipRegistry;
 use crate::transport::NetError;
 use crate::NodeInput;
@@ -22,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urb_core::Algorithm;
 use urb_engine::{MuxBuffers, MuxIngressError};
-use urb_types::{encode_mux_frame_with_controls_into, BufPool, Delivery, TopicId};
+use urb_types::{BufPool, Delivery, TopicId};
 
 /// Everything a node thread needs at spawn time.
 pub(crate) struct NodeSetup {
@@ -97,38 +99,29 @@ impl Backend for LaneBackend {
         (!self.stop.load(Ordering::Acquire)).then_some(next_tick)
     }
 
-    /// On a single-lane cluster the whole mux outbox drains as one frame;
-    /// with several lanes it is partitioned by `topic % lanes` (one pass
-    /// over the outbox, one over the controls) and sealed as one frame per
-    /// lane with traffic. A closed lane means the cluster is shutting
-    /// down.
+    /// On a single-lane cluster the whole mux outbox is sealed for that
+    /// lane; with several lanes it is partitioned by `topic % lanes` (one
+    /// pass over the outbox, one over the controls) and each lane's part
+    /// is sealed for its lane. A closed lane means the cluster is
+    /// shutting down.
     fn flush(&mut self, mux: &mut MuxBuffers) -> bool {
-        if self.egress.len() == 1 {
-            return match node_core::seal_frame(mux, &self.pool) {
-                Some(frame) => self.egress[0].send((self.pid, frame)).is_ok(),
-                None => true,
-            };
+        let (pid, pool) = (self.pid, &self.pool);
+        let seal = |outbox: &mut _, controls: &mut _, lane: &Sender<_>| {
+            seal_frames(outbox, controls, pool, FRAME_BUDGET, |frame| {
+                lane.send((pid, frame)).is_ok()
+            })
+        };
+        if let [lane] = &self.egress[..] {
+            return seal(&mut mux.outbox, &mut mux.controls, lane);
         }
         if mux.outbox.is_empty() && mux.controls.is_empty() {
             return true;
         }
         self.lane_dir.partition(&mut mux.outbox, &mut mux.controls);
-        for (lane, lane_tx) in self.egress.iter().enumerate() {
-            let (outbox, controls) = self.lane_dir.lane_parts_mut(lane);
-            if outbox.is_empty() && controls.is_empty() {
-                continue;
-            }
-            let mut scratch = self.pool.acquire();
-            encode_mux_frame_with_controls_into(outbox, controls, &mut scratch);
-            outbox.clear();
-            controls.clear();
-            let frame = Bytes::copy_from_slice(&scratch);
-            drop(scratch); // encode buffer back to the pool
-            if lane_tx.send((self.pid, frame)).is_err() {
-                return false;
-            }
-        }
-        true
+        self.egress.iter().enumerate().all(|(i, lane)| {
+            let (outbox, controls) = self.lane_dir.lane_parts_mut(i);
+            seal(outbox, controls, lane)
+        })
     }
 
     fn settle(&mut self, core: &mut NodeCore) -> Result<(), NetError> {

@@ -11,9 +11,10 @@
 //! `recv_timeout → {broadcast | control | frame | tick} → flush →
 //! deliveries` — which both [`crate::UrbCluster`]'s node threads and
 //! [`crate::run_node`] call. A [`Backend`] names the only things that
-//! differ between them: where a step's frame goes, what consumes its
+//! differ between them: where a step's frames go, what consumes its
 //! deliveries, when the loop ends, and what a frame the engine rejects
-//! means.
+//! means. Every backend turns staged egress into frames through one
+//! sealer, [`seal_frames`].
 
 use crate::registry::MembershipRegistry;
 use crate::transport::NetError;
@@ -24,16 +25,23 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urb_core::Algorithm;
 use urb_engine::{MuxBuffers, MuxIngressError, StepInput, TopicEngine};
-use urb_types::{BufPool, FdSnapshot, Payload, SplitMix64, Tag, TopicControl, TopicId};
+use urb_types::{
+    encode_mux_frame_with_controls_into, BufPool, FdSnapshot, Payload, SplitMix64, Tag,
+    TopicControl, TopicId, WireMessage,
+};
 
 /// One node of a cluster, sans-io: engine, step buffers, detector handle.
 pub(crate) struct NodeCore {
     pid: usize,
     n: usize,
     engine: TopicEngine,
-    /// What the current step emitted and delivered. Every input method
-    /// starts from empty buffers; the driver drains them (frame, then
-    /// deliveries) before feeding the next input.
+    /// What the steps since the last drain emitted and delivered.
+    /// [`broadcast`](NodeCore::broadcast) and
+    /// [`control`](NodeCore::control) append, so a driver may stage
+    /// several of them and flush once; [`receive`](NodeCore::receive) and
+    /// [`tick`](NodeCore::tick) start from empty buffers (the engine
+    /// clears them), so the driver drains (frames, then deliveries)
+    /// before feeding either.
     mux: MuxBuffers,
     registry: Arc<MembershipRegistry>,
 }
@@ -78,7 +86,8 @@ impl NodeCore {
         &mut self.engine
     }
 
-    /// What the last step emitted and delivered, for the driver to drain.
+    /// What the steps since the last drain emitted and delivered, for the
+    /// driver to drain.
     pub(crate) fn mux(&mut self) -> &mut MuxBuffers {
         &mut self.mux
     }
@@ -89,11 +98,11 @@ impl NodeCore {
         self.registry.snapshot(self.pid, Instant::now())
     }
 
-    /// `URB_broadcast(payload)` on `topic`. Broadcasts land only on live
-    /// instances: a retired, draining or never-created topic answers
-    /// `None` (refused invocation, DESIGN.md §15) instead of panicking.
+    /// `URB_broadcast(payload)` on `topic`, its emissions appended to the
+    /// staged buffers. Broadcasts land only on live instances: a retired,
+    /// draining or never-created topic answers `None` (refused
+    /// invocation, DESIGN.md §15) instead of panicking.
     pub(crate) fn broadcast(&mut self, topic: TopicId, payload: Payload) -> Option<Tag> {
-        self.mux.clear();
         if !self.engine.is_live(topic) {
             return None;
         }
@@ -105,10 +114,9 @@ impl NodeCore {
     }
 
     /// Applies one lifecycle control entered at this node; when it changed
-    /// state it rides the next outgoing frame so the rest of the cluster
-    /// converges. Returns whether it changed state.
+    /// state it is staged to ride the next outgoing frame so the rest of
+    /// the cluster converges. Returns whether it changed state.
     pub(crate) fn control(&mut self, ctl: TopicControl) -> bool {
-        self.mux.clear();
         let changed = self.apply(ctl);
         if changed {
             self.mux.controls.push(ctl);
@@ -147,7 +155,7 @@ impl NodeCore {
     /// fresh detector snapshot, then the frame's control section is
     /// applied and exactly the controls that changed state are queued for
     /// the next outgoing frame (gossip onward). On error nothing was
-    /// stepped and the buffers are empty.
+    /// stepped and the buffers are left as they were.
     pub(crate) fn receive(&mut self, frame: &Bytes) -> Result<(), MuxIngressError> {
         let (registry, pid) = (&self.registry, self.pid);
         self.engine
@@ -170,13 +178,95 @@ impl NodeCore {
     }
 }
 
-/// Seals what one step left in `mux` — outbox and pending controls — as
-/// one encoded frame through the zero-copy codec. `None` when the step
-/// emitted nothing.
-pub(crate) fn seal_frame(mux: &mut MuxBuffers, pool: &BufPool) -> Option<Bytes> {
-    let scratch = mux.take_mux_frame(pool)?;
-    // The encode buffer returns to the pool when `scratch` drops.
-    Some(Bytes::copy_from_slice(&scratch))
+/// The largest frame [`seal_frames`] builds, bytes: 1 MiB, a sixteenth of
+/// the [`MAX_FRAME_LEN`](crate::transport::MAX_FRAME_LEN) a peer's
+/// reassembler accepts. A longer frame is stream corruption to the
+/// receiver, which drops the connection — and the sender would re-seal
+/// the same frame on every tick — so a node's egress stays well inside
+/// the cap, and only a single entry larger than the budget leaves in a
+/// frame of its own. A per-step frame of the in-process planes is far
+/// smaller, so it is exactly the frame
+/// [`MuxBuffers::take_mux_frame`] seals.
+pub(crate) const FRAME_BUDGET: usize = 1 << 20;
+
+/// Mux frame layout (DESIGN.md §12), bytes: frame tag + sub-batch count,
+/// topic id + message count per sub-batch, a length prefix per message,
+/// section tag + count for the control section.
+const FRAME_HEADER: usize = 1 + 4;
+const SUB_BATCH_HEADER: usize = 4 + 4;
+const MESSAGE_PREFIX: usize = 4;
+const CONTROL_HEADER: usize = 1 + 4;
+
+/// Seals staged egress — topic-tagged outbox entries, then pending
+/// controls — into mux frames of at most `budget` bytes and hands them to
+/// `send` in order. Entries keep their order: a frame ends where the next
+/// entry would overflow the budget or where the topic goes down (a
+/// frame's sub-batches ascend), so decoding the frames in order gives
+/// back the outbox exactly; each control rides exactly one frame, after
+/// the last entries. An entry or control larger than the budget leaves
+/// in a frame of its own. Staged egress within the budget leaves as one
+/// frame, byte-identical to [`MuxBuffers::take_mux_frame`]'s. Both
+/// vectors are drained (capacity kept) and one pooled encode buffer
+/// serves every frame. Returns `false` once `send` does (the far side is
+/// gone); the rest is dropped.
+pub(crate) fn seal_frames(
+    outbox: &mut Vec<(TopicId, WireMessage)>,
+    controls: &mut Vec<TopicControl>,
+    pool: &BufPool,
+    budget: usize,
+    mut send: impl FnMut(Bytes) -> bool,
+) -> bool {
+    if outbox.is_empty() && controls.is_empty() {
+        return true;
+    }
+    let mut scratch = pool.acquire();
+    let mut open = true;
+    let mut seal = |entries: &[(TopicId, WireMessage)], ctls: &[TopicControl], len: usize| {
+        if open {
+            encode_mux_frame_with_controls_into(entries, ctls, &mut scratch);
+            debug_assert_eq!(
+                scratch.len(),
+                len,
+                "frame layout out of step with the codec"
+            );
+            open = send(Bytes::copy_from_slice(&scratch));
+            scratch.clear();
+        }
+    };
+    // The open frame is `outbox[first..]` + `controls[first_ctl..]` so
+    // far, `len` bytes encoded.
+    let (mut first, mut first_ctl, mut len) = (0, 0, FRAME_HEADER);
+    for (i, (topic, msg)) in outbox.iter().enumerate() {
+        let prev = outbox[first..i].last().map(|&(t, _)| t);
+        let msg_len = MESSAGE_PREFIX + msg.encoded_len();
+        let sub = if prev == Some(*topic) {
+            0
+        } else {
+            SUB_BATCH_HEADER
+        };
+        let grow = msg_len + sub;
+        if prev.is_some_and(|prev| prev > *topic || len + grow > budget) {
+            seal(&outbox[first..i], &[], len);
+            (first, len) = (i, FRAME_HEADER + SUB_BATCH_HEADER + msg_len);
+        } else {
+            len += grow;
+        }
+    }
+    for (j, ctl) in controls.iter().enumerate() {
+        let grow = ctl.encoded_len() + if j == first_ctl { CONTROL_HEADER } else { 0 };
+        let empty = first == outbox.len() && j == first_ctl;
+        if !empty && len + grow > budget {
+            seal(&outbox[first..], &controls[first_ctl..j], len);
+            (first, first_ctl) = (outbox.len(), j);
+            len = FRAME_HEADER + CONTROL_HEADER + ctl.encoded_len();
+        } else {
+            len += grow;
+        }
+    }
+    seal(&outbox[first..], &controls[first_ctl..], len);
+    outbox.clear();
+    controls.clear();
+    open
 }
 
 /// What differs between the backends of the node loop ([`run`]).
@@ -186,9 +276,10 @@ pub(crate) trait Backend {
     /// the instant the loop must wake by even if no input arrives.
     fn wake_at(&mut self, now: Instant, next_tick: Instant) -> Option<Instant>;
 
-    /// Sends the frame(s) of what one step left in `mux`'s outbox and
-    /// controls to every process, the sender included. `false` when the
-    /// far side is gone and the loop should end.
+    /// Seals what the staged steps left in `mux`'s outbox and controls
+    /// ([`seal_frames`], [`FRAME_BUDGET`]) and sends the frames to every
+    /// process, the sender included. `false` when the far side is gone
+    /// and the loop should end.
     fn flush(&mut self, mux: &mut MuxBuffers) -> bool;
 
     /// Consumes the step's deliveries (`core.mux().deliveries`) and does
@@ -202,7 +293,7 @@ pub(crate) trait Backend {
 
 /// The node loop. Blocks on the single input FIFO with the next tick as
 /// deadline, feeds whatever arrives to `core`, then flushes the step's
-/// frame and hands over its deliveries. Returns when the backend says so,
+/// frames and hands over its deliveries. Returns when the backend says so,
 /// on a crash/shutdown command, or when the input side is gone.
 pub(crate) fn run<I: Into<NodeInput>>(
     core: &mut NodeCore,
@@ -253,10 +344,192 @@ pub(crate) fn run<I: Into<NodeInput>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn core(topics: u32) -> NodeCore {
         let registry = Arc::new(MembershipRegistry::new(3, 1, Duration::from_millis(200)));
         NodeCore::new(0, 3, Algorithm::Majority, topics, 1, registry)
+    }
+
+    /// Every frame `seal_frames` makes of `mux` at `budget`.
+    fn seal_at(mux: &mut MuxBuffers, budget: usize) -> Vec<Bytes> {
+        let mut frames = Vec::new();
+        let pool = BufPool::default();
+        assert!(seal_frames(
+            &mut mux.outbox,
+            &mut mux.controls,
+            &pool,
+            budget,
+            |f| {
+                frames.push(f);
+                true
+            }
+        ));
+        frames
+    }
+
+    fn seal(mux: &mut MuxBuffers) -> Vec<Bytes> {
+        seal_at(mux, FRAME_BUDGET)
+    }
+
+    #[test]
+    fn broadcasts_and_controls_stage_until_the_driver_flushes() {
+        let mut core = core(2);
+        for i in 0..3 {
+            assert!(core
+                .broadcast(TopicId(0), Payload::from(format!("m{i}").as_str()))
+                .is_some());
+        }
+        assert!(core.control(TopicControl::Retire { topic: TopicId(1) }));
+        let frames = seal(core.mux());
+        assert_eq!(frames.len(), 1, "one flush, one frame");
+        let frame = urb_types::MuxBatch::decode(&frames[0]).unwrap();
+        assert_eq!(frame.len(), 3, "every staged MSG rides it");
+        assert_eq!(
+            frame.controls(),
+            &[TopicControl::Retire { topic: TopicId(1) }]
+        );
+        assert!(
+            seal(core.mux()).is_empty(),
+            "and the flush drained the stage"
+        );
+    }
+
+    #[test]
+    fn an_alg1_sweep_over_the_frame_cap_leaves_in_frames_a_peer_accepts() {
+        use crate::transport::{write_stream_frame, FrameReassembler, MAX_FRAME_LEN};
+        // Algorithm 1 never prunes: every tick re-sends all of `MSG_i`.
+        // Seventeen 1 MiB payloads (one shared buffer) make that sweep
+        // longer than the cap a peer's reassembler enforces.
+        let big = Payload::from(vec![7u8; 1 << 20]);
+        let mut core = core(1);
+        for _ in 0..17 {
+            assert!(core.broadcast(TopicId::ZERO, big.clone()).is_some());
+        }
+        core.mux().clear();
+        core.tick();
+        let sweep = urb_types::MuxBatch::from_entries(&core.mux().outbox);
+        assert_eq!(sweep.len(), 17, "the sweep re-sends every MSG");
+        assert!(
+            sweep.encoded_len() > MAX_FRAME_LEN,
+            "as one frame the sweep is stream corruption to a peer"
+        );
+        let mut reasm = FrameReassembler::new();
+        let mut resent = 0;
+        for frame in seal(core.mux()) {
+            let mut wire = Vec::new();
+            write_stream_frame(&frame, &mut wire);
+            reasm.push(&wire);
+            let got = reasm.next_frame().expect("under the cap").expect("whole");
+            assert_eq!(got, frame);
+            resent += urb_types::MuxBatch::decode(&got).unwrap().len();
+        }
+        assert_eq!(resent, 17, "and nothing of it is lost");
+    }
+
+    fn arb_message() -> impl Strategy<Value = WireMessage> {
+        let payload = || proptest::collection::vec(any::<u8>(), 0..48).prop_map(Payload::from);
+        prop_oneof![
+            (any::<u128>(), payload()).prop_map(|(t, payload)| WireMessage::Msg {
+                tag: Tag(t),
+                payload,
+            }),
+            (
+                any::<u128>(),
+                any::<u128>(),
+                payload(),
+                proptest::option::of(proptest::collection::vec(any::<u64>(), 0..4)),
+            )
+                .prop_map(|(t, a, payload, labels)| WireMessage::Ack {
+                    tag: Tag(t),
+                    tag_ack: urb_types::TagAck(a),
+                    payload,
+                    labels: labels.map(|ls| ls.into_iter().map(urb_types::Label).collect()),
+                }),
+            (any::<u64>(), any::<u64>()).prop_map(|(l, seq)| WireMessage::Heartbeat {
+                label: urb_types::Label(l),
+                seq,
+            }),
+        ]
+    }
+
+    fn arb_control() -> impl Strategy<Value = TopicControl> {
+        (0u8..4, 0u32..6, any::<u8>(), any::<u32>()).prop_map(|(op, t, algorithm, param)| {
+            let topic = TopicId(t);
+            match op {
+                0 => TopicControl::Create {
+                    topic,
+                    algorithm,
+                    param,
+                },
+                1 => TopicControl::Retire { topic },
+                2 => TopicControl::Subscribe { topic },
+                _ => TopicControl::Unsubscribe { topic },
+            }
+        })
+    }
+
+    proptest::proptest! {
+        /// The sealer over arbitrary staged egress and budgets: every
+        /// frame fits the budget unless it carries one oversize entry
+        /// alone, the frames decode in order to the outbox exactly and
+        /// to each control once, and egress within the budget seals to
+        /// the very bytes `take_mux_frame` produces.
+        #[test]
+        fn sealed_frames_fit_the_budget_and_decode_to_the_stage(
+            outbox in proptest::collection::vec((0u32..6, arb_message()), 0..40),
+            controls in proptest::collection::vec(arb_control(), 0..6),
+            budget in 1usize..1024,
+        ) {
+            let outbox: Vec<(TopicId, WireMessage)> =
+                outbox.into_iter().map(|(t, m)| (TopicId(t), m)).collect();
+            let mut mux = MuxBuffers::new();
+            mux.outbox = outbox.clone();
+            mux.controls = controls.clone();
+            let frames = seal_at(&mut mux, budget);
+            prop_assert!(mux.outbox.is_empty() && mux.controls.is_empty(), "stage drained");
+            prop_assert_eq!(frames.is_empty(), outbox.is_empty() && controls.is_empty());
+            let (mut entries, mut ctls) = (Vec::new(), Vec::new());
+            for frame in &frames {
+                let decoded = urb_types::MuxBatch::decode(frame).expect("a valid mux frame");
+                let parts = decoded.len() + decoded.controls().len();
+                prop_assert!(parts > 0, "no empty frame");
+                prop_assert!(
+                    frame.len() <= budget || parts == 1,
+                    "{} B over a {} B budget with {} parts", frame.len(), budget, parts
+                );
+                entries.extend(decoded.iter().map(|(t, m)| (t, m.clone())));
+                ctls.extend_from_slice(decoded.controls());
+            }
+            prop_assert_eq!(&entries, &outbox);
+            prop_assert_eq!(&ctls, &controls);
+
+            // Byte compatibility: a frame's worth of egress in the order
+            // an engine stages it (ascending topics) is the frame
+            // `take_mux_frame` seals, at the product budget and at any
+            // budget it fits.
+            let mut sorted = outbox;
+            sorted.sort_by_key(|&(t, _)| t);
+            let mut reference = MuxBuffers::new();
+            reference.outbox = sorted.clone();
+            reference.controls = controls.clone();
+            let whole = reference.take_mux_frame(&BufPool::default());
+            for budget in [budget, FRAME_BUDGET] {
+                mux.outbox = sorted.clone();
+                mux.controls = controls.clone();
+                let frames = seal_at(&mut mux, budget);
+                match &whole {
+                    None => prop_assert!(frames.is_empty()),
+                    Some(whole) if whole.len() <= budget => {
+                        prop_assert_eq!(frames.len(), 1);
+                        prop_assert_eq!(&frames[0][..], &whole[..]);
+                    }
+                    Some(_) => {
+                        prop_assert!(frames.len() > 1 || sorted.len() + controls.len() == 1)
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -299,11 +572,10 @@ mod tests {
         core.receive(&frame).expect("well-formed frame");
         assert!(core.engine().is_live(TopicId(7)));
         assert_eq!(core.mux().controls, vec![create], "news is gossiped on");
-        let pool = BufPool::default();
-        assert!(seal_frame(core.mux(), &pool).is_some());
+        assert_eq!(seal(core.mux()).len(), 1);
         core.receive(&frame).expect("well-formed frame");
         assert!(core.mux().controls.is_empty(), "the flood stops here");
-        assert!(seal_frame(core.mux(), &pool).is_none());
+        assert!(seal(core.mux()).is_empty());
     }
 
     #[test]
@@ -323,7 +595,7 @@ mod tests {
             core.receive(&frame.freeze()).expect("well-formed frame");
             assert!(!core.engine().has_instance(topic), "{create}: refused");
             assert!(core.mux().controls.is_empty(), "{create}: not gossiped");
-            assert!(seal_frame(core.mux(), &BufPool::default()).is_none());
+            assert!(seal(core.mux()).is_empty());
             // The node is alive and still serves its own topic.
             assert!(core.broadcast(TopicId(0), Payload::from("m")).is_some());
             // Entered locally (`urb topic`), the same create changes nothing.
@@ -344,7 +616,7 @@ mod tests {
             Some(next_tick)
         }
         fn flush(&mut self, mux: &mut MuxBuffers) -> bool {
-            self.frames.extend(seal_frame(mux, &BufPool::default()));
+            self.frames.extend(seal(mux));
             true
         }
         fn settle(&mut self, core: &mut NodeCore) -> Result<(), NetError> {

@@ -13,8 +13,8 @@
 //!
 //! Nodes and router exchange real wire bytes, not in-memory structs: a
 //! node encodes its step's mux outbox through the zero-copy codec
-//! (`MuxBuffers::take_mux_frame` on single-lane clusters, its per-lane
-//! `encode_mux_frame_into` partition twin otherwise) and decodes
+//! (`node_core::seal_frames`, over the whole outbox on single-lane
+//! clusters and over each lane's partition otherwise) and decodes
 //! incoming frames with shared payloads
 //! (`TopicEngine::receive_mux_frame`), so the runtime exercises the
 //! exact serialization boundary a networked deployment would.

@@ -2,7 +2,7 @@
 //!
 //! Connection lifecycle (DESIGN.md §13):
 //!
-//! * **Inbound** — a non-blocking accept loop takes connections from any
+//! * **Inbound** — a blocking accept loop takes connections from any
 //!   peer; each accepted stream gets a reader thread that reassembles
 //!   length-prefixed frames ([`super::framing`]) and funnels them into
 //!   the node's ingress channel. Inbound streams are *anonymous*: no
@@ -18,19 +18,26 @@
 //!   dropped and counted — bounded backpressure with exactly the
 //!   fair-lossy-channel semantics the protocols are proved against
 //!   (retransmission is the protocols' job, not the transport's).
-//! * **Shutdown** — [`TcpMesh::shutdown`] raises a stop flag every
-//!   thread polls, then joins accept, reader and writer threads.
+//! * **Shutdown** — [`TcpMesh::shutdown`] raises a stop flag and then
+//!   *wakes* every thread where it blocks: writers waiting for a frame
+//!   see their queues close, writers in dial back-off are unparked, the
+//!   accept loop gets one last connection from the mesh itself and, on
+//!   its way out, shuts down every inbound stream under its reader. No
+//!   transport thread wakes on a timer except to back off after a failed
+//!   dial or accept, so an idle mesh costs no CPU and a shutdown takes no
+//!   poll period.
 
 use super::framing::{write_stream_frame, FrameReassembler};
 use super::NetError;
 use bytes::Bytes;
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use parking_lot::Mutex;
+use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
 /// Configuration of one node's socket plane.
 #[derive(Clone, Debug)]
@@ -129,14 +136,17 @@ impl NetCounters {
     }
 }
 
-/// How often blocked threads wake to poll the stop flag.
-const POLL: Duration = Duration::from_millis(25);
+/// How long the accept loop backs off after a failed `accept` (out of
+/// file descriptors, say) before it tries again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(25);
 
 /// One node's socket plane: listener + per-peer writers. See the module
 /// docs for the lifecycle.
 pub struct TcpMesh {
     local_addr: SocketAddr,
     peer_txs: Vec<Sender<Bytes>>,
+    /// Raised by [`TcpMesh::shutdown`] before it wakes the threads; a
+    /// woken thread reads it and exits.
     stop: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -170,10 +180,6 @@ impl TcpMesh {
             reason: e.to_string(),
         })?;
         let local_addr = listener.local_addr().map_err(|e| NetError::Bind {
-            addr: config.listen.clone(),
-            reason: e.to_string(),
-        })?;
-        listener.set_nonblocking(true).map_err(|e| NetError::Bind {
             addr: config.listen.clone(),
             reason: e.to_string(),
         })?;
@@ -249,15 +255,39 @@ impl TcpMesh {
         self.counters.snapshot()
     }
 
-    /// Stops and joins every transport thread. Idempotent; also run by
-    /// `Drop`.
+    /// Stops and joins every transport thread, waking each where it
+    /// blocks rather than waiting for it to notice the stop flag.
+    /// Idempotent; also run by `Drop`.
     pub fn shutdown(&mut self) {
+        if self.threads.is_empty() {
+            return;
+        }
         self.stop.store(true, Ordering::Release);
-        self.peer_txs.clear(); // writers also see their queues close
+        // Writers blocked on their queue see it close.
+        self.peer_txs.clear();
+        // Writers in dial back-off park; `unpark` ends the wait early.
+        for t in &self.threads {
+            t.thread().unpark();
+        }
+        // The accept loop blocks in `accept`: hand it one last connection.
+        // It then shuts down every inbound stream, waking their readers.
+        let _ =
+            TcpStream::connect_timeout(&self_dial_addr(self.local_addr), Duration::from_secs(1));
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
+}
+
+/// Where the mesh dials itself to wake its accept loop: the listen
+/// address, with a wildcard IP replaced by loopback of the same family.
+fn self_dial_addr(listen: SocketAddr) -> SocketAddr {
+    let ip = match listen.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, listen.port())
 }
 
 impl Drop for TcpMesh {
@@ -266,8 +296,12 @@ impl Drop for TcpMesh {
     }
 }
 
-/// Accept loop: non-blocking accept, one reader thread per connection.
-/// Reader threads are joined here before the accept loop exits, so
+/// Accept loop: blocking accept, one reader thread per connection. The
+/// loop keeps a weak handle on each inbound stream (the reader owns it,
+/// so a finished reader's socket closes with it); once the stop flag is
+/// raised — [`TcpMesh::shutdown`] then dials the listener to end the
+/// blocking `accept` — it shuts down every stream still open, which ends
+/// each reader's blocking `read`, and joins the readers. So
 /// `TcpMesh::shutdown` observing this thread's exit means the whole
 /// inbound side is quiet.
 fn accept_main(
@@ -277,47 +311,56 @@ fn accept_main(
     counters: Arc<NetCounters>,
     max_frame: usize,
 ) {
-    let readers: Mutex<Vec<std::thread::JoinHandle<()>>> = Mutex::new(Vec::new());
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    let mut readers: Vec<(Weak<TcpStream>, std::thread::JoinHandle<()>)> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 counters.accepted.fetch_add(1, Ordering::Relaxed);
+                let stream = Arc::new(stream);
+                let weak = Arc::downgrade(&stream);
                 let ingress = ingress.clone();
-                let stop = Arc::clone(&stop);
                 let counters = Arc::clone(&counters);
                 let handle = std::thread::Builder::new()
                     .name("urb-net-reader".into())
-                    .spawn(move || reader_main(stream, ingress, stop, counters, max_frame))
+                    .spawn(move || reader_main(&stream, ingress, counters, max_frame))
                     .expect("spawn reader thread");
-                readers.lock().push(handle);
+                readers.push((weak, handle));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL), // transient accept error
+            // Out of file descriptors, say: back off rather than spin.
+            // `shutdown` unparks this thread, so the stop is not delayed.
+            Err(_) => std::thread::park_timeout(ACCEPT_RETRY),
         }
     }
-    for t in readers.into_inner() {
+    for (stream, _) in &readers {
+        if let Some(stream) = stream.upgrade() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+    for (_, t) in readers {
         let _ = t.join();
     }
 }
 
 /// Reader: reassemble length-prefixed frames from one inbound stream and
-/// funnel them into the node's ingress channel. Exits on peer close,
-/// stream corruption, stop, or ingress teardown.
+/// funnel them into the node's ingress channel. Blocks in `read` until
+/// bytes arrive; exits on peer close, stream corruption, a shutdown of
+/// the stream (the mesh stopping), or ingress teardown.
 fn reader_main(
-    stream: TcpStream,
+    mut stream: &TcpStream,
     ingress: Sender<Bytes>,
-    stop: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
     max_frame: usize,
 ) {
-    let mut stream = stream;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
     let mut reasm = FrameReassembler::with_max_frame(max_frame);
     let mut chunk = vec![0u8; 64 * 1024];
-    while !stop.load(Ordering::Acquire) {
+    loop {
         match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
+            Ok(0) => return, // peer closed, or the mesh shut the stream down
             Ok(n) => {
                 counters.bytes_recv.fetch_add(n as u64, Ordering::Relaxed);
                 reasm.push(&chunk[..n]);
@@ -340,7 +383,6 @@ fn reader_main(
                     }
                 }
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return, // reset/broken stream; peer will redial us
         }
@@ -350,6 +392,8 @@ fn reader_main(
 /// Writer: dial `addr` with capped exponential backoff, then drain the
 /// bounded queue onto the socket; any write error drops the connection
 /// (losing that frame — a channel drop) and returns to the dial loop.
+/// Between frames it blocks in `recv` and exits when the mesh drops the
+/// queue's sender; the dial back-off is its only timed wait.
 fn writer_main(
     addr: SocketAddr,
     queue: Receiver<Bytes>,
@@ -362,7 +406,7 @@ fn writer_main(
     let mut delay = backoff_initial;
     let mut scratch: Vec<u8> = Vec::new();
     while !stop.load(Ordering::Acquire) {
-        if conn.is_none() {
+        let Some(stream) = conn.as_mut() else {
             match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
                 Ok(stream) => {
                     let _ = stream.set_nodelay(true);
@@ -376,38 +420,45 @@ fn writer_main(
                 }
                 Err(_) => {
                     counters.dials_failed.fetch_add(1, Ordering::Relaxed);
-                    // Sleep in stop-aware slices so shutdown never waits
-                    // out a full capped delay.
-                    let mut remaining = delay;
-                    while remaining > Duration::ZERO && !stop.load(Ordering::Acquire) {
-                        let slice = remaining.min(POLL);
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
+                    back_off(delay, &stop);
                     delay = (delay * 2).min(backoff_cap);
-                    continue;
                 }
             }
+            continue;
+        };
+        // Frames still queued at shutdown are dropped, not written.
+        let Ok(frame) = queue.recv() else {
+            return; // mesh dropped
+        };
+        if stop.load(Ordering::Acquire) {
+            return;
         }
-        match queue.recv_timeout(POLL) {
-            Ok(frame) => {
-                scratch.clear();
-                write_stream_frame(&frame, &mut scratch);
-                let stream = conn.as_mut().expect("connected above");
-                if stream.write_all(&scratch).is_err() {
-                    // The frame is lost (lossy channel); redial with
-                    // backoff for the ones that follow.
-                    counters.send_failures.fetch_add(1, Ordering::Relaxed);
-                    conn = None;
-                } else {
-                    counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    counters
-                        .bytes_sent
-                        .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return, // mesh dropped
+        scratch.clear();
+        write_stream_frame(&frame, &mut scratch);
+        if stream.write_all(&scratch).is_err() {
+            // The frame is lost (lossy channel); redial with backoff for
+            // the ones that follow.
+            counters.send_failures.fetch_add(1, Ordering::Relaxed);
+            conn = None;
+        } else {
+            counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+            counters
+                .bytes_sent
+                .fetch_add(scratch.len() as u64, Ordering::Relaxed);
         }
+    }
+}
+
+/// Waits `delay` unless the mesh stops first: [`TcpMesh::shutdown`]
+/// raises `stop` and then unparks every transport thread, so the park
+/// ends early and the flag is already visible.
+fn back_off(delay: Duration, stop: &AtomicBool) {
+    let until = Instant::now() + delay;
+    while !stop.load(Ordering::Acquire) {
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return;
+        }
+        std::thread::park_timeout(left);
     }
 }

@@ -255,3 +255,87 @@ fn mesh_writer_reconnects_after_peer_restart() {
     mesh_a.shutdown();
     mesh_b.shutdown();
 }
+
+/// Reserves `n` loopback addresses by binding port 0 and letting go (a
+/// daemon's config names every peer up front).
+fn free_loopback_addrs(n: usize) -> Vec<String> {
+    let held: Vec<std::net::TcpListener> = (0..n)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
+        .collect();
+    held.iter()
+        .map(|l| l.local_addr().expect("bound").to_string())
+        .collect()
+}
+
+/// Three daemons on loopback, the way `urb cluster --local 3` runs them,
+/// each bursting twice as many broadcasts as a peer's writer queue holds
+/// frames. The burst leaves as budgeted frames, so no copy is dropped at
+/// a full queue and every node delivers everything.
+#[test]
+#[ignore = "binds loopback sockets; run via CI cluster-smoke or --ignored"]
+fn a_burst_larger_than_the_writer_queue_drops_nothing() {
+    use std::time::Duration;
+    use urb_runtime::{expected_payloads, run_node, NodeConfig};
+
+    const N: usize = 3;
+    let msgs = 2 * MeshConfig::new("127.0.0.1:0", vec![]).queue_depth;
+    let addrs = free_loopback_addrs(N);
+    let nodes: Vec<_> = (0..N)
+        .map(|id| {
+            let mut cfg = NodeConfig::new(id, N, urb_core::Algorithm::Quiescent, addrs.clone());
+            cfg.msgs = msgs;
+            cfg.expect = Some(N * msgs);
+            cfg.linger = Duration::from_millis(200);
+            cfg.run_for = Duration::from_secs(20);
+            std::thread::spawn(move || run_node(&cfg))
+        })
+        .collect();
+    let expected: Vec<String> = expected_payloads(N, TopicId::ZERO, msgs)
+        .into_iter()
+        .collect();
+    for node in nodes {
+        let report = node.join().expect("daemon thread").expect("daemon runs");
+        assert!(report.complete, "node {} incomplete", report.id);
+        assert_eq!(report.per_topic[0].payloads, expected, "node {}", report.id);
+        assert_eq!(
+            report.net.dropped_backpressure, 0,
+            "node {} dropped frames at a full writer queue: {:?}",
+            report.id, report.net
+        );
+    }
+}
+
+/// `TcpMesh::shutdown` wakes its threads where they block — a reader on
+/// an idle inbound connection, a writer in a long dial back-off, the
+/// accept loop — instead of waiting for them to poll a stop flag.
+#[test]
+#[ignore = "binds loopback sockets; run via CI cluster-smoke or --ignored"]
+fn shutdown_wakes_blocked_threads_at_once() {
+    use std::time::{Duration, Instant};
+
+    let mut took = Vec::new();
+    for _ in 0..5 {
+        // A peer address nobody listens on: the writer's first dial fails
+        // and it backs off for a minute.
+        let dead_peer = free_loopback_addrs(1).remove(0);
+        let mut config = MeshConfig::new("127.0.0.1:0", vec![dead_peer]);
+        config.dial_backoff = Duration::from_secs(60);
+        let (tx, _rx) = crossbeam_channel::unbounded();
+        let mut mesh = TcpMesh::start(config, tx).expect("bind");
+        let _idle = std::net::TcpStream::connect(mesh.local_addr()).expect("connect");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while mesh.stats().accepted < 1 || mesh.stats().dials_failed < 1 {
+            assert!(Instant::now() < deadline, "mesh never settled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let start = Instant::now();
+        mesh.shutdown();
+        took.push(start.elapsed());
+    }
+    took.sort();
+    assert!(
+        took[2] < Duration::from_millis(10),
+        "median shutdown {:?} (all: {took:?})",
+        took[2]
+    );
+}
