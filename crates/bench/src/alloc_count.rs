@@ -6,10 +6,12 @@
 //! operation** and this module's tests gate the zero-copy codec's "no
 //! per-message heap allocation in steady state" claim (DESIGN.md §10,
 //! §12, §16) — timing belongs to the wall-clock ledger, allocation counts
-//! are exact and belong here. Without the feature the module compiles to
-//! a no-op whose probes report `None` (the gates then pass vacuously), so
-//! callers need no `cfg` of their own and the default build keeps the
-//! workspace-wide `unsafe` ban.
+//! are exact and belong here. It also keeps a per-thread balance of live
+//! heap bytes, which gates what a protocol instance holds (DESIGN.md
+//! §14). Without the feature the module compiles to a no-op whose probes
+//! report `None` (the gates then pass vacuously), so callers need no
+//! `cfg` of their own and the default build keeps the workspace-wide
+//! `unsafe` ban.
 //!
 //! ```text
 //! cargo test -p urb-bench --features count-allocs
@@ -44,6 +46,18 @@ pub fn count_thread_allocations<T>(f: impl FnOnce() -> T) -> (T, Option<u64>) {
     (out, before.zip(after).map(|(b, a)| a - b))
 }
 
+/// Runs `f` and returns `(result, heap bytes the calling thread allocated
+/// and did not free while f ran)`: what the result holds, when `f` builds
+/// it and drops everything else. Requested sizes, not the allocator's
+/// rounded-up blocks. `None` when the `count-allocs` feature is off.
+#[cfg(test)]
+fn count_thread_live_bytes<T>(f: impl FnOnce() -> T) -> (T, Option<i64>) {
+    let before = imp::live_thread_bytes();
+    let out = f();
+    let after = imp::live_thread_bytes();
+    (out, before.zip(after).map(|(b, a)| a - b))
+}
+
 #[cfg(feature = "count-allocs")]
 #[allow(unsafe_code)]
 mod imp {
@@ -54,9 +68,11 @@ mod imp {
     static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
     thread_local! {
-        // Const-initialised and without a destructor, so touching it from
-        // inside the allocator neither allocates nor registers anything.
+        // Const-initialised and without a destructor, so touching them
+        // from inside the allocator neither allocates nor registers
+        // anything.
         static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+        static THREAD_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
     }
 
     fn count_one() {
@@ -66,26 +82,43 @@ mod imp {
         let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
     }
 
-    /// System allocator with an allocation counter bolted on. Only
-    /// `alloc`-family calls count (frees do not), since the claim under
-    /// test is about *creating* heap blocks on the hot path.
+    /// Moves the calling thread's live-byte balance by `grown - freed`.
+    fn count_bytes(grown: usize, freed: usize) {
+        let delta = grown as i64 - freed as i64;
+        let _ = THREAD_LIVE_BYTES.try_with(|c| c.set(c.get() + delta));
+    }
+
+    /// System allocator with counters bolted on. Allocation counts see
+    /// only `alloc`-family calls (frees do not), since that claim is about
+    /// *creating* heap blocks on the hot path; the live-byte balance sees
+    /// frees too. A block freed by another thread than the one that
+    /// allocated it moves both threads' balances.
     struct CountingAllocator;
 
     // SAFETY: defers verbatim to `System`, which upholds the GlobalAlloc
-    // contract; the counter side effect does not touch the memory.
+    // contract; the counter side effects do not touch the memory.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             count_one();
-            System.alloc(layout)
+            let ptr = System.alloc(layout);
+            if !ptr.is_null() {
+                count_bytes(layout.size(), 0);
+            }
+            ptr
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            count_bytes(0, layout.size());
             System.dealloc(ptr, layout)
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             count_one();
-            System.realloc(ptr, layout, new_size)
+            let moved = System.realloc(ptr, layout, new_size);
+            if !moved.is_null() {
+                count_bytes(new_size, layout.size());
+            }
+            moved
         }
     }
 
@@ -99,6 +132,11 @@ mod imp {
     pub(super) fn current_thread() -> Option<u64> {
         Some(THREAD_ALLOCATIONS.with(Cell::get))
     }
+
+    #[cfg(test)]
+    pub(super) fn live_thread_bytes() -> Option<i64> {
+        Some(THREAD_LIVE_BYTES.with(Cell::get))
+    }
 }
 
 #[cfg(not(feature = "count-allocs"))]
@@ -108,6 +146,11 @@ mod imp {
     }
 
     pub(super) fn current_thread() -> Option<u64> {
+        None
+    }
+
+    #[cfg(test)]
+    pub(super) fn live_thread_bytes() -> Option<i64> {
         None
     }
 }
@@ -133,6 +176,81 @@ mod tests {
                 assert!(counted.expect("feature on") >= 1, "the Vec allocation");
             } else {
                 assert!(counted.is_none());
+            }
+        }
+        let (value, live) = count_thread_live_bytes(|| {
+            let mut kept = Vec::with_capacity(8);
+            kept.extend_from_slice(&[1u64; 5]);
+            drop(black_box(vec![0u8; 4096]));
+            kept.reserve_exact(12); // realloc: 8 → 17 slots
+            kept
+        });
+        assert_eq!(value.len(), 5);
+        if cfg!(feature = "count-allocs") {
+            assert_eq!(live, Some(17 * 8), "what is kept, not what passed through");
+        } else {
+            assert!(live.is_none());
+        }
+    }
+
+    /// The per-instance footprint at topic scale (DESIGN.md §14): a topic
+    /// that saw one broadcast keeps one settled Algorithm 2 record. This
+    /// one has received its MSG and three labelled ACKs, delivered, and
+    /// been pruned by one tick; with a B-tree per table it held ≈ 2.7 KB.
+    #[test]
+    fn a_settled_alg2_record_holds_under_a_kibibyte_when_counted() {
+        use urb_types::{Context, FdPair, FdView};
+        let labels = [Label(10), Label(11), Label(12)];
+        let view = FdView::from_pairs(labels.map(|label| FdPair { label, number: 3 }));
+        let fd = FdSnapshot::new(view.clone(), view);
+        let mut rng = SplitMix64::new(3);
+        let (mut outbox, mut deliveries) = (Vec::with_capacity(8), Vec::with_capacity(8));
+        let (proc, held) = count_thread_live_bytes(|| {
+            let mut proc = Algorithm::Quiescent.instantiate(3);
+            let mut ctx = Context::new(&mut rng, &fd, &mut outbox, &mut deliveries);
+            let payload = Payload::from("settled");
+            proc.on_receive(
+                WireMessage::Msg {
+                    tag: Tag(7),
+                    payload: payload.clone(),
+                },
+                &mut ctx,
+            );
+            for ta in 0..3 {
+                proc.on_receive(
+                    WireMessage::Ack {
+                        tag: Tag(7),
+                        tag_ack: TagAck(ta),
+                        payload: payload.clone(),
+                        labels: Some(LabelSet::from_iter(labels)),
+                    },
+                    &mut ctx,
+                );
+            }
+            proc.on_tick(&mut ctx);
+            outbox.clear();
+            deliveries.clear();
+            proc
+        });
+        assert!(proc.is_quiescent(), "delivered and pruned");
+        assert_eq!(
+            (proc.stats().delivered, proc.stats().all_ack_entries),
+            (1, 3)
+        );
+        if let Some(held) = held {
+            assert!(held <= 1024, "one settled record holds {held} B of heap");
+        }
+    }
+
+    /// An idle instance is its box: empty tables allocate nothing, and the
+    /// bounded-memory state is a pointer until memory is configured (176 B
+    /// when that state was inline).
+    #[test]
+    fn an_idle_instance_holds_at_most_96_bytes_when_counted() {
+        for alg in [Algorithm::Quiescent, Algorithm::Majority] {
+            let (_idle, held) = count_thread_live_bytes(|| alg.instantiate(3));
+            if let Some(held) = held {
+                assert!(held <= 96, "an idle {} holds {held} B", alg.name());
             }
         }
     }

@@ -30,12 +30,17 @@ pub struct TombstoneRing {
 impl TombstoneRing {
     /// An empty ring holding at most `cap` tags (`cap == 0` disables
     /// tombstoning entirely).
-    pub fn new(cap: usize) -> Self {
+    pub const fn new(cap: usize) -> Self {
         TombstoneRing {
             ring: VecDeque::new(),
             set: BTreeSet::new(),
             cap,
         }
+    }
+
+    /// True when the ring remembers no tag.
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
     }
 
     /// True when `tag` was compacted and is still remembered.

@@ -4,15 +4,47 @@
 //! also carry the sender's `a_theta` labels, so its evidence is a small
 //! table ([`AckTable`]) with a per-label counter — and that is where the
 //! counter invariant of DESIGN.md D3 and the dead-ACKer purge of D4 live.
+//!
+//! Both are sorted `Vec`s, for the reason `LabelSet` is: in the model a
+//! tag's evidence holds at most one entry per distinct ACKer and one
+//! counter per label, both bounded by `n`, so a binary search and a short
+//! shift beat a tree on every path — and a one-ACK record pays for one
+//! small buffer, not an eleven-slot tree leaf.
 
 use crate::table::Evidence;
-use std::collections::{BTreeMap, BTreeSet};
 use urb_types::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use urb_types::{Label, LabelSet, TagAck};
 
+/// Rejects a restored list that is not strictly ascending: `save` never
+/// writes one, so a repeat or an inversion is a corrupt body, not state to
+/// merge.
+fn ascending<T: Ord>(last: Option<&T>, next: &T, what: &str) -> Result<(), SnapshotError> {
+    match last {
+        Some(last) if last >= next => Err(SnapshotError::Malformed(format!(
+            "{what} are not in strictly ascending order"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// Algorithm 1's slice of `ALL_ACK_i` for one tag: the distinct
-/// acknowledgment tags received (lines 19–21).
-pub(crate) type AckSet = BTreeSet<TagAck>;
+/// acknowledgment tags received (lines 19–21), ascending.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct AckSet(Vec<TagAck>);
+
+impl AckSet {
+    /// Number of distinct `tag_ack`s.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Adds `tag_ack`; a repeat is a no-op.
+    pub(crate) fn insert(&mut self, tag_ack: TagAck) {
+        if let Err(at) = self.0.binary_search(&tag_ack) {
+            self.0.insert(at, tag_ack);
+        }
+    }
+}
 
 impl Evidence for AckSet {
     fn sizes(&self) -> (usize, usize) {
@@ -20,38 +52,47 @@ impl Evidence for AckSet {
     }
 
     fn save(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.len() as u64);
-        for ta in self {
+        w.put_u64(self.0.len() as u64);
+        for ta in &self.0 {
             w.put_u128(ta.0);
         }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut acks = AckSet::new();
+        let mut acks = Vec::new();
         for _ in 0..r.get_u64()? {
-            acks.insert(TagAck(r.get_u128()?));
+            let ta = TagAck(r.get_u128()?);
+            ascending(acks.last(), &ta, "tag_acks")?;
+            acks.push(ta);
         }
-        Ok(acks)
+        Ok(AckSet(acks))
     }
 }
 
 /// Acknowledgment table for one `(m, tag)` — the per-tag slice of the
 /// paper's `ALL_ACK_i`, `all_labels_i[(m,tag), −]` and
 /// `label_counter_i[(m,tag), −]` structures (allocated at lines 24–25).
+///
+/// Both halves are vectors sorted by key: `entries` by `tag_ack`,
+/// `counters` by label, so the line-55 comparison against `a_p*` is one
+/// in-order walk. Inserting is linear in the number of distinct ACKers or
+/// labels, which the model bounds by `n`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AckTable {
     /// `all_labels[(m,tag), tag_ack]` — latest label set per distinct ACKer.
-    pub(crate) entries: BTreeMap<TagAck, LabelSet>,
+    pub(crate) entries: Vec<(TagAck, LabelSet)>,
     /// `label_counter[(m,tag), label]` — how many ACKers currently report
     /// `label`. Invariant (D3): `counters[l] == |{ta : l ∈ entries[ta]}|`,
     /// entries with count 0 removed.
-    pub(crate) counters: BTreeMap<Label, u32>,
+    pub(crate) counters: Vec<(Label, u32)>,
 }
 
 impl AckTable {
     /// Current counter for `label` (0 when absent).
     pub(crate) fn counter(&self, label: Label) -> u32 {
-        self.counters.get(&label).copied().unwrap_or(0)
+        self.counters
+            .binary_search_by_key(&label, |&(l, _)| l)
+            .map_or(0, |at| self.counters[at].1)
     }
 
     /// The reconcile operation (lines 27–45 collapsed, DESIGN.md D3):
@@ -59,20 +100,25 @@ impl AckTable {
     /// the counters. Handles all three of the paper's cases (first ACK from
     /// this ACKer, repeated ACK with more labels, repeated ACK with fewer).
     pub(crate) fn reconcile(&mut self, tag_ack: TagAck, labels: LabelSet) {
-        let old = self.entries.insert(tag_ack, labels.clone());
-        if let Some(old) = old {
-            // Decrement labels that disappeared (lines 38–44).
-            for l in old.difference(&labels) {
-                dec(&mut self.counters, l);
+        match self.entries.binary_search_by_key(&tag_ack, |(ta, _)| *ta) {
+            Ok(at) => {
+                let old = std::mem::replace(&mut self.entries[at].1, labels);
+                let new = &self.entries[at].1;
+                // Decrement labels that disappeared (lines 38–44).
+                for l in old.difference(new) {
+                    dec(&mut self.counters, l);
+                }
+                // Increment labels that are new (lines 34–37).
+                for l in new.difference(&old) {
+                    inc(&mut self.counters, l);
+                }
             }
-            // Increment labels that are new (lines 34–37).
-            for l in labels.difference(&old) {
-                *self.counters.entry(l).or_insert(0) += 1;
-            }
-        } else {
-            // First ACK from this ACKer (lines 27–32).
-            for l in labels.iter() {
-                *self.counters.entry(l).or_insert(0) += 1;
+            Err(at) => {
+                // First ACK from this ACKer (lines 27–32).
+                for l in labels.iter() {
+                    inc(&mut self.counters, l);
+                }
+                self.entries.insert(at, (tag_ack, labels));
             }
         }
     }
@@ -81,7 +127,7 @@ impl AckTable {
     /// (dead-ACKer purge, DESIGN.md D4).
     pub(crate) fn purge_dead(&mut self, live: &LabelSet) {
         let counters = &mut self.counters;
-        self.entries.retain(|_, labels| {
+        self.entries.retain(|(_, labels)| {
             let alive = labels.is_subset(live);
             if !alive {
                 for l in labels.iter() {
@@ -93,13 +139,20 @@ impl AckTable {
     }
 }
 
-fn dec(counters: &mut BTreeMap<Label, u32>, label: Label) {
-    match counters.get_mut(&label) {
-        Some(c) if *c > 1 => *c -= 1,
-        Some(_) => {
-            counters.remove(&label);
+fn inc(counters: &mut Vec<(Label, u32)>, label: Label) {
+    match counters.binary_search_by_key(&label, |&(l, _)| l) {
+        Ok(at) => counters[at].1 += 1,
+        Err(at) => counters.insert(at, (label, 1)),
+    }
+}
+
+fn dec(counters: &mut Vec<(Label, u32)>, label: Label) {
+    match counters.binary_search_by_key(&label, |&(l, _)| l) {
+        Ok(at) if counters[at].1 > 1 => counters[at].1 -= 1,
+        Ok(at) => {
+            counters.remove(at);
         }
-        None => debug_assert!(false, "decrement of absent counter"),
+        Err(_) => debug_assert!(false, "decrement of absent counter"),
     }
 }
 
@@ -119,18 +172,85 @@ impl Evidence for AckTable {
         }
     }
 
+    /// The counters are re-derived from the entries, never trusted from the
+    /// file.
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let mut table = AckTable::default();
         for _ in 0..r.get_u64()? {
             let ta = TagAck(r.get_u128()?);
+            ascending(table.entries.last().map(|(last, _)| last), &ta, "tag_acks")?;
             let mut labels = LabelSet::new();
             for _ in 0..r.get_u64()? {
-                labels.insert(Label(r.get_u64()?));
+                let label = Label(r.get_u64()?);
+                ascending(labels.as_slice().last(), &label, "labels")?;
+                labels.insert(label);
+                inc(&mut table.counters, label);
             }
-            // Rebuild through reconcile so the counter invariant is
-            // re-derived, never trusted from the file.
-            table.reconcile(ta, labels);
+            table.entries.push((ta, labels));
         }
         Ok(table)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Restores one evidence body written by hand.
+    fn restore<E: Evidence>(write: impl FnOnce(&mut SnapshotWriter)) -> Result<E, SnapshotError> {
+        let mut w = SnapshotWriter::new();
+        write(&mut w);
+        let body = w.into_body();
+        let mut r = SnapshotReader::new(&body);
+        let evidence = E::restore(&mut r)?;
+        r.finish()?;
+        Ok(evidence)
+    }
+
+    fn malformed<E: std::fmt::Debug>(got: Result<E, SnapshotError>) -> bool {
+        matches!(got, Err(SnapshotError::Malformed(_)))
+    }
+
+    #[test]
+    fn ack_set_restore_rejects_a_repeated_or_descending_tag_ack() {
+        let body = |tas: &'static [u128]| {
+            move |w: &mut SnapshotWriter| {
+                w.put_u64(tas.len() as u64);
+                for &ta in tas {
+                    w.put_u128(ta);
+                }
+            }
+        };
+        assert!(malformed(restore::<AckSet>(body(&[3, 3]))), "repeat");
+        assert!(malformed(restore::<AckSet>(body(&[5, 3]))), "descending");
+        assert_eq!(restore::<AckSet>(body(&[3, 5])).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn ack_table_restore_rejects_a_repeated_tag_ack_or_label() {
+        let body = |entries: &'static [(u128, &'static [u64])]| {
+            move |w: &mut SnapshotWriter| {
+                w.put_u64(entries.len() as u64);
+                for &(ta, labels) in entries {
+                    w.put_u128(ta);
+                    w.put_u64(labels.len() as u64);
+                    for &l in labels {
+                        w.put_u64(l);
+                    }
+                }
+            }
+        };
+        let repeated_ack = restore::<AckTable>(body(&[(3, &[1]), (3, &[2])]));
+        assert!(malformed(repeated_ack), "a tag_ack listed twice");
+        let repeated_label = restore::<AckTable>(body(&[(3, &[1, 1])]));
+        assert!(malformed(repeated_label), "a label listed twice");
+        assert!(malformed(restore::<AckTable>(body(&[(3, &[2, 1])]))));
+        let ok = restore::<AckTable>(body(&[(3, &[1, 2]), (4, &[2])])).unwrap();
+        assert_eq!((ok.counter(Label(1)), ok.counter(Label(2))), (1, 2));
+        let mut w = SnapshotWriter::new();
+        ok.save(&mut w);
+        let mut again = SnapshotWriter::new();
+        body(&[(3, &[1, 2]), (4, &[2])])(&mut again);
+        assert_eq!(w.into_body(), again.into_body(), "re-save is the input");
     }
 }

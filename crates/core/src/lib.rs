@@ -42,6 +42,7 @@ mod evidence;
 pub mod harness;
 pub mod majority;
 pub mod quiescent;
+mod sorted_map;
 mod table;
 
 pub use backoff::BackoffUrb;
@@ -278,6 +279,15 @@ mod tests {
         }
         let mut p = CountsSweeps(BestEffortBroadcast::new(), 0);
         table::testkit::quiescent_tick_is_a_noop(&mut p, &[(6, 0, 0, Vec::new())]);
+    }
+
+    /// At topic scale most instances are idle or hold one settled record:
+    /// an idle one is two empty maps, three words each, and a pointer
+    /// where the bounded-memory state would be.
+    #[test]
+    fn idle_instances_are_at_most_96_bytes() {
+        assert!(std::mem::size_of::<QuiescentUrb>() <= 96);
+        assert!(std::mem::size_of::<MajorityUrb>() <= 96);
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn prune_ready(rule: PruneRule, acks: &mut AckTable, a_p_star: &FdView) -> bool 
     // counters' keys *are* the union of the stored label sets (D3), so both
     // halves are one comparison of two label-ordered lists. A `number` of 0
     // matches nothing — counters are never 0.
-    let counters = acks.counters.iter().map(|(label, count)| (*label, *count));
+    let counters = acks.counters.iter().copied();
     counters.eq(a_p_star.iter().map(|pair| (pair.label, pair.number)))
 }
 
@@ -813,15 +813,18 @@ mod tests {
         use proptest::prelude::*;
         use std::collections::BTreeMap;
 
-        /// Re-derives the counters from the entries.
-        fn recomputed_counters(table: &AckTable) -> BTreeMap<Label, u32> {
+        /// Re-derives the counters from the entries, and checks both
+        /// halves are strictly ascending by key.
+        fn recomputed_counters(table: &AckTable) -> Vec<(Label, u32)> {
+            assert!(table.entries.windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(table.counters.windows(2).all(|w| w[0].0 < w[1].0));
             let mut m = BTreeMap::new();
-            for ls in table.entries.values() {
+            for (_, ls) in &table.entries {
                 for l in ls.iter() {
                     *m.entry(l).or_insert(0u32) += 1;
                 }
             }
-            m
+            m.into_iter().collect()
         }
 
         fn variant(literal: bool, bounded: bool) -> QuiescentUrb {
@@ -900,7 +903,7 @@ mod tests {
                 table.purge_dead(&live);
                 prop_assert_eq!(&table.counters, &recomputed_counters(&table));
                 // And every surviving entry is within the live set.
-                for ls in table.entries.values() {
+                for (_, ls) in &table.entries {
                     prop_assert!(ls.is_subset(&live));
                 }
             }

@@ -14,7 +14,7 @@
 //! push order are pinned by the golden traces.
 
 use crate::compact::TombstoneRing;
-use std::collections::btree_map::{BTreeMap, Entry};
+use crate::sorted_map::SortedMap;
 use urb_types::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use urb_types::{
     CompactionReport, Context, LabelSet, MemoryConfig, Payload, ProcessStats, SpillPolicy, Tag,
@@ -66,39 +66,71 @@ impl<E: Evidence> TagState<E> {
 /// a step of an in-order walk costs roughly a tenth of a tree descent.
 const MERGE_WALK_MAX_RATIO: usize = 8;
 
-/// The ordered `tag → TagState` table of one process. `P` is per-entry
-/// state of `MSG_i` (the backoff variant's pacing; `()` otherwise).
+/// The bounded-memory state of a table (DESIGN.md §14). Most instances
+/// never compact, so it lives behind one box that only exists once there
+/// is something to hold.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct TagTable<E, P = ()> {
-    records: BTreeMap<Tag, TagState<E>>,
-    /// `MSG_i` as an ordered set: the tags whose record has `in_msg`. Task 1
-    /// walks this, not the records — with compaction off a settled record
-    /// stays forever, and scanning tens of thousands of them for the few
-    /// still in `MSG_i` costs hundreds of microseconds per tick.
-    msg: BTreeMap<Tag, P>,
-    /// Bounded-memory mode (DESIGN.md §14); `None` = compaction off and
-    /// behavior byte-identical to the unbounded algorithm.
+struct Bounded {
+    /// `None` = compaction off and behavior byte-identical to the
+    /// unbounded algorithm (a restored ring is still honoured).
     mem: Option<MemoryConfig>,
     /// Tags already compacted; late copies are dropped on receipt.
     tombs: TombstoneRing,
-    /// Tags line-57 pruned out of `MSG_i` so far, for diagnostics.
-    pruned: u64,
     /// Tags compacted so far, for diagnostics.
     compacted: u64,
 }
 
+/// What a table without a [`Bounded`] box holds: nothing configured,
+/// nothing tombstoned.
+static UNBOUNDED: Bounded = Bounded {
+    mem: None,
+    tombs: TombstoneRing::new(0),
+    compacted: 0,
+};
+
+/// The ordered `tag → TagState` table of one process. `P` is per-entry
+/// state of `MSG_i` (the backoff variant's pacing; `()` otherwise).
+///
+/// Sized for the common case at topic scale, an instance holding one
+/// settled record or none: both maps are [`SortedMap`]s, a vector until
+/// they outgrow [`SPILL`](crate::sorted_map::SPILL) entries, and the
+/// bounded-memory state is one optional box.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TagTable<E, P = ()> {
+    records: SortedMap<Tag, TagState<E>>,
+    /// `MSG_i` as an ordered set: the tags whose record has `in_msg`. Task 1
+    /// walks this, not the records — with compaction off a settled record
+    /// stays forever, and scanning tens of thousands of them for the few
+    /// still in `MSG_i` costs hundreds of microseconds per tick.
+    msg: SortedMap<Tag, P>,
+    /// Tags line-57 pruned out of `MSG_i` so far, for diagnostics.
+    pruned: u64,
+    /// Allocated by [`TagTable::configure_memory`], or by a restore that
+    /// brings tombstones or a compacted count.
+    bounded: Option<Box<Bounded>>,
+}
+
 impl<E: Evidence, P: Default> TagTable<E, P> {
+    fn bounded(&self) -> &Bounded {
+        self.bounded.as_deref().unwrap_or(&UNBOUNDED)
+    }
+
+    /// True when `tag` was compacted and is still tombstoned.
+    pub(crate) fn is_tombstoned(&self, tag: Tag) -> bool {
+        self.bounded().tombs.contains(tag)
+    }
+
     /// The record for `tag`, created on first sight, entered into `MSG_i`
     /// unless `unless_delivered` holds it out.
     fn enter(&mut self, tag: Tag, payload: &Payload, unless_delivered: bool) -> &mut TagState<E> {
-        let rec = self.records.entry(tag).or_insert_with(|| TagState {
+        let rec = self.records.get_or_insert_with(tag, || TagState {
             payload: payload.clone(),
             ..TagState::default()
         });
         let held_out = unless_delivered && rec.delivered;
         if !rec.in_msg && !held_out {
             rec.in_msg = true;
-            self.msg.insert(tag, P::default());
+            self.msg.get_or_insert_with(tag, P::default);
         }
         rec
     }
@@ -134,7 +166,7 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         labels: Option<LabelSet>,
         ctx: &mut Context<'_>,
     ) {
-        if self.tombs.contains(tag) {
+        if self.is_tombstoned(tag) {
             return;
         }
         let rec = self.enter(tag, &payload, unless_delivered);
@@ -161,28 +193,19 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         update: impl FnOnce(&mut E),
         guard: impl FnOnce(&E) -> bool,
     ) {
-        if self.tombs.contains(tag) {
+        if self.is_tombstoned(tag) {
             return;
         }
-        let rec = match self.records.entry(tag) {
-            Entry::Vacant(slot) => slot.insert(TagState {
-                payload,
-                ..TagState::default()
-            }),
-            Entry::Occupied(slot) => {
-                let rec = slot.into_mut();
-                // The first ACK's copy of `m` replaces the MSG's. Equal by
-                // D2, but a payload is a view into the frame it arrived in,
-                // and the first ACK frame is the one every process ends up
-                // viewing: nodes sharing an address space then pin one
-                // buffer per tag, not the MSG frame and the broadcaster's
-                // original too (ledger `inproc_saturate`: 72 → 61 MB).
-                if rec.evidence.sizes() == (0, 0) {
-                    rec.payload = payload;
-                }
-                rec
-            }
-        };
+        let rec = self.records.get_or_insert_with(tag, TagState::default);
+        // A new record takes this copy of `m`, and the first ACK's copy
+        // replaces the MSG's. Equal by D2, but a payload is a view into the
+        // frame it arrived in, and the first ACK frame is the one every
+        // process ends up viewing: nodes sharing an address space then pin
+        // one buffer per tag, not the MSG frame and the broadcaster's
+        // original too (ledger `inproc_saturate`: 72 → 61 MB).
+        if rec.evidence.sizes() == (0, 0) {
+            rec.payload = payload;
+        }
         update(&mut rec.evidence);
         if !rec.delivered && guard(&rec.evidence) {
             rec.delivered = true;
@@ -253,8 +276,9 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
     }
 
     pub(crate) fn configure_memory(&mut self, cfg: MemoryConfig) {
-        self.tombs = TombstoneRing::new(cfg.tombstones);
-        self.mem = Some(cfg);
+        let bounded = self.bounded.get_or_insert_default();
+        bounded.tombs = TombstoneRing::new(cfg.tombstones);
+        bounded.mem = Some(cfg);
     }
 
     /// One bounded-memory sweep (DESIGN.md §14) over the delivered tags, in
@@ -272,12 +296,24 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         mut stable: impl FnMut(bool, &mut E) -> bool,
     ) -> CompactionReport {
         let mut report = CompactionReport::default();
-        let Some(cfg) = self.mem else {
+        let TagTable {
+            records,
+            msg,
+            bounded: Some(bounded),
+            ..
+        } = self
+        else {
+            return report;
+        };
+        let Some(cfg) = bounded.mem else {
             return report;
         };
         let (need, restart) = plan(&cfg);
-        let over = cfg.ceiling.is_some_and(|c| self.stats().total() > c);
-        self.records.retain(|tag, rec| {
+        // Residency is `stats().total()`: the records' entries sum to it.
+        let over = cfg
+            .ceiling
+            .is_some_and(|c| records.values().map(TagState::entries).sum::<usize>() > c);
+        records.retain(|tag, rec| {
             if !rec.delivered {
                 return true;
             }
@@ -297,24 +333,25 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             report.reclaimed += rec.entries();
             report.tombstoned += 1;
             if rec.in_msg {
-                self.msg.remove(tag);
+                msg.remove(tag);
             }
-            self.tombs.push(*tag);
-            self.compacted += 1;
+            bounded.tombs.push(*tag);
+            bounded.compacted += 1;
             false
         });
         if over && cfg.spill == SpillPolicy::Tombstones {
-            self.tombs.shed_half();
+            bounded.tombs.shed_half();
         }
         report
     }
 
     /// Writes the table as one record per tag, then the tombstone ring.
     pub(crate) fn save(&self, w: &mut SnapshotWriter) {
+        let bounded = self.bounded();
         w.put_u64(self.pruned);
-        w.put_u64(self.compacted);
+        w.put_u64(bounded.compacted);
         w.put_u64(self.records.len() as u64);
-        for (tag, rec) in &self.records {
+        for (tag, rec) in self.records.iter() {
             w.put_u128(tag.0);
             w.put_bytes(rec.payload.as_slice());
             w.put_u8(
@@ -328,7 +365,7 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             w.put_u32(rec.grace);
             rec.evidence.save(w);
         }
-        self.tombs.save(w);
+        bounded.tombs.save(w);
     }
 
     /// Replaces the table with what [`TagTable::save`] wrote — the tail of
@@ -339,14 +376,11 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         let malformed = |why: &str| Err(SnapshotError::Malformed(why.to_string()));
         let pruned = r.get_u64()?;
         let compacted = r.get_u64()?;
-        let mut records = BTreeMap::new();
-        let mut msg = BTreeMap::new();
+        let mut records = SortedMap::default();
+        let mut msg = SortedMap::default();
         for _ in 0..r.get_u64()? {
             let tag = Tag(r.get_u128()?);
-            if records
-                .last_key_value()
-                .is_some_and(|(last, _)| *last >= tag)
-            {
+            if records.last_key().is_some_and(|last| *last >= tag) {
                 return malformed("records are not in ascending tag order");
             }
             let payload = Payload::copy_from_slice(r.get_bytes()?);
@@ -369,14 +403,21 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
                 return malformed("record holds nothing, or a grace clock without a delivery");
             }
             if rec.in_msg {
-                msg.insert(tag, P::default());
+                msg.get_or_insert_with(tag, P::default);
             }
-            records.insert(tag, rec);
+            records.get_or_insert_with(tag, || rec);
         }
-        let tombs = TombstoneRing::restore(&mut r, self.mem.map_or(0, |m| m.tombstones))?;
+        let mem = self.bounded().mem;
+        let tombs = TombstoneRing::restore(&mut r, mem.map_or(0, |m| m.tombstones))?;
         r.finish()?;
-        (self.records, self.msg, self.tombs) = (records, msg, tombs);
-        (self.pruned, self.compacted) = (pruned, compacted);
+        (self.records, self.msg, self.pruned) = (records, msg, pruned);
+        self.bounded = (mem.is_some() || compacted != 0 || !tombs.is_empty()).then(|| {
+            Box::new(Bounded {
+                mem,
+                tombs,
+                compacted,
+            })
+        });
         Ok(())
     }
 }
@@ -399,11 +440,6 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         self.records.get(&tag).is_some_and(|rec| rec.delivered)
     }
 
-    /// True when `tag` was compacted and is still tombstoned.
-    pub(crate) fn is_tombstoned(&self, tag: Tag) -> bool {
-        self.tombs.contains(tag)
-    }
-
     /// Number of messages line-57 pruned from `MSG_i` so far.
     pub(crate) fn pruned_count(&self) -> u64 {
         self.pruned
@@ -411,19 +447,25 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
 
     /// Number of tags reclaimed by the bounded-memory mode so far.
     pub(crate) fn compacted_count(&self) -> u64 {
-        self.compacted
+        self.bounded().compacted
     }
 
-    /// Checks the `MSG_i` set against the records' `in_msg` flags, and that
-    /// no record holds nothing.
+    /// Checks the `MSG_i` set against the records' `in_msg` flags, that no
+    /// record holds nothing, and that no bounded-memory box was allocated
+    /// for nothing.
     pub(crate) fn assert_consistent(&self) {
-        for (tag, rec) in &self.records {
+        for (tag, rec) in self.records.iter() {
             assert!(rec.entries() > 0, "{tag:?}: record holds nothing");
             assert_eq!(rec.in_msg, self.msg.contains_key(tag), "{tag:?}: MSG_i");
             assert!(rec.grace == 0 || rec.delivered, "{tag:?}: grace clock");
         }
         let in_msg = self.records.values().filter(|rec| rec.in_msg).count();
         assert_eq!(in_msg, self.msg.len(), "MSG_i has a tag without a record");
+        let bounded = self.bounded.as_deref();
+        assert!(
+            bounded.is_none_or(|b| b.mem.is_some() || b.compacted > 0 || !b.tombs.is_empty()),
+            "a bounded-memory box holding nothing"
+        );
     }
 }
 
@@ -442,9 +484,16 @@ pub(crate) mod testkit {
     /// tick, compaction sweep or detector change.
     pub(crate) type Op = (u8, u8, u8, Vec<u64>);
 
+    /// Half the scripts draw tags from `0..5`, so receptions pile onto a few
+    /// records; the other half from `0..40`, so a table outgrows the sorted
+    /// map's vector ([`SPILL`](crate::sorted_map::SPILL) entries) and runs
+    /// on the tree.
     pub(crate) fn ops() -> impl Strategy<Value = Vec<Op>> {
-        let labels = proptest::collection::vec(0u64..3, 0..3);
-        proptest::collection::vec((0u8..9, 0u8..5, 0u8..5, labels), 1..100)
+        let script = |tags: u8| {
+            let labels = proptest::collection::vec(0u64..3, 0..3);
+            proptest::collection::vec((0u8..9, 0..tags, 0u8..5, labels), 1..100)
+        };
+        prop_oneof![script(5), script(40)]
     }
 
     /// A small ring, a one-sweep grace period and a low ceiling, so
