@@ -4,7 +4,7 @@
 //! A daemon node is the [`crate::transport::TcpMesh`] socket plane
 //! under the **same node core and node loop** the threaded runtime's node
 //! threads run (`node_core`): only the backend differs — frames go to
-//! real sockets instead of in-process router lanes, deliveries into
+//! real sockets instead of in-process inboxes, deliveries into
 //! per-topic sets (and the durable journal) instead of a channel, and a
 //! frame the codec rejects is dropped like a lost message instead of
 //! treated as a bug. Protocol logic, codec and tick cadence are untouched.
@@ -21,12 +21,13 @@
 //! resulting per-topic delivery **sets**. Those sets are the unit the
 //! parity and fault-injection suites assert on.
 
-use crate::node_core::{self, Backend, NodeCore, FRAME_BUDGET};
+use crate::node_core::{self, Backend, Node, NodeCore, FRAME_BUDGET};
 use crate::state::{StateDir, StateError};
 use crate::transport::{MeshConfig, NetError, NetStats, TcpMesh};
 use crate::MembershipRegistry;
 use bytes::Bytes;
 use crossbeam_channel::{unbounded, Sender};
+use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -415,7 +416,7 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
     // The run budget and the snapshot cadence count from the end of the
     // startup burst.
     let start = Instant::now();
-    let mut backend = MeshBackend {
+    let backend = MeshBackend {
         cfg,
         egress,
         log,
@@ -424,7 +425,11 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
         linger_until: None,
         complete: cfg.expect.is_none(),
     };
-    node_core::run(&mut core, &ingress_rx, cfg.tick_interval, &mut backend)?;
+    // The loop locks the node for every input; nothing else steps it, so
+    // the lock is never contended.
+    let node = Mutex::new(Node { core, backend });
+    node_core::run(&node, &ingress_rx, cfg.tick_interval)?;
+    let Node { core, mut backend } = node.into_inner();
 
     // Final recovery point so a clean exit restarts exactly where it
     // stopped (no journal replay needed).

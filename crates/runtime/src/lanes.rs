@@ -1,14 +1,14 @@
 //! Per-lane topic directories (DESIGN.md §16).
 //!
-//! The router shards traffic by `lane = topic % lanes`. Before this
-//! module, every multi-lane flush in the node loop recomputed that
-//! membership per entry — and, worse, filtered the whole control list
-//! once *per lane* (`O(lanes × controls)` with a fresh `Vec` allocated
-//! per lane per flush). A [`LaneDirectory`] precomputes the owned-topic
-//! map once, answers `topic → lane` with a single dense-array probe, and
-//! owns reusable per-lane partitions so a flush is one allocation-free
-//! pass over the outbox and one over the controls, regardless of lane
-//! count.
+//! A [`LaneDirectory`] shards egress by `lane = topic % lanes`: it
+//! precomputes the owned-topic map once, answers `topic → lane` with a
+//! single dense-array probe, and owns reusable per-lane partitions so a
+//! partition is one allocation-free pass over the outbox and one over the
+//! controls, regardless of lane count. The in-process runtime no longer
+//! shards its medium into lanes (every node fans its own frames out,
+//! DESIGN.md §12), so nothing in the product partitions by lane; the
+//! directory stays public because the wall-clock ledger pins
+//! `LaneDirectory::{new, partition}` for its micro row.
 
 use urb_types::{TopicControl, TopicId, WireMessage};
 
@@ -33,7 +33,7 @@ pub struct LaneDirectory {
 }
 
 impl LaneDirectory {
-    /// Directory for `lanes` router lanes (clamped to at least one).
+    /// Directory for `lanes` lanes (clamped to at least one).
     pub fn new(lanes: usize) -> Self {
         let lanes = lanes.max(1);
         LaneDirectory {
@@ -67,12 +67,6 @@ impl LaneDirectory {
             return self.map[id] as usize;
         }
         id % self.lanes
-    }
-
-    /// True when `lane` owns `topic` — the membership predicate the flush
-    /// used to recompute per frame.
-    pub fn owns(&mut self, lane: usize, topic: TopicId) -> bool {
-        self.lane_of(topic) == lane
     }
 
     /// Partitions one step's egress by owning lane in a single pass over

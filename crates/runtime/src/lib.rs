@@ -1,12 +1,14 @@
 //! # `urb-runtime`
 //!
 //! A real concurrent deployment of the paper's protocols: one OS thread per
-//! anonymous process, an in-process router — sharded into one or more
-//! **lanes** with topics distributed `topic % lanes` (DESIGN.md §12) —
-//! that implements the lossy broadcast medium over the multiplexed
-//! message plane, explicit crash injection, and a registry-backed failure
-//! detector. Every protocol step runs through the shared `urb-engine`
-//! layer — the *same* code path the discrete-event simulator executes —
+//! anonymous process, a lossy broadcast medium in which every node fans
+//! its own multiplexed frames out to every inbox (DESIGN.md §12),
+//! explicit crash injection, and a registry-backed failure detector.
+//! `URB_broadcast` is a local step of the invoking process, so
+//! [`UrbCluster::broadcast_on`] takes it on the caller's thread, under
+//! the node's lock, and returns the tag without a round trip. Every
+//! protocol step runs through the shared `urb-engine` layer — the *same*
+//! code path the discrete-event simulator executes —
 //! so the runtime deploys byte-for-byte the state machines the simulator
 //! proves things about. Each node runs one protocol instance per topic
 //! ([`urb_engine::TopicEngine`]); deliveries carry their
@@ -51,7 +53,7 @@ pub use router::TrafficStats;
 pub use state::{RecoveredState, StateDir, StateError};
 pub use transport::{MeshConfig, NetError, NetStats, TcpMesh};
 
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,25 +71,22 @@ pub struct ClusterConfig {
     pub n: usize,
     /// Protocol to run.
     pub algorithm: Algorithm,
-    /// Bernoulli loss probability applied to every routed copy
-    /// (sender-to-self copies are never lost, mirroring the simulator).
+    /// Bernoulli loss probability applied to every message copy a node
+    /// sends (sender-to-self copies are never lost, mirroring the
+    /// simulator).
     pub loss: f64,
     /// Task-1 sweep period.
     pub tick_interval: Duration,
     /// How long after `crash()` the victim's label disappears from detector
     /// views (the `AP*` removal latency, in real time).
     pub detection_delay: Duration,
-    /// Seed for the router's loss RNG and the label draws (tags still use
-    /// per-node seeded streams, so runs are loss-pattern-reproducible even
-    /// though thread interleaving is not).
+    /// Seed for the label draws and the per-node tag and loss streams (a
+    /// node's loss pattern is a function of `(seed, pid)` and the frames
+    /// it sends, even though thread interleaving is not reproducible).
     pub seed: u64,
     /// Number of concurrent URB instances (topics) every node serves
     /// (DESIGN.md §12). Defaults to 1.
     pub topics: u32,
-    /// Number of router lanes the topics are sharded across
-    /// (`lane = topic % router_lanes`); each lane is its own thread.
-    /// Defaults to 1, the pre-topic single-router design.
-    pub router_lanes: usize,
 }
 
 impl ClusterConfig {
@@ -101,19 +100,12 @@ impl ClusterConfig {
             detection_delay: Duration::from_millis(200),
             seed: 0x5EED,
             topics: 1,
-            router_lanes: 1,
         }
     }
 
     /// Sets the number of topics per node.
     pub fn topics(mut self, topics: u32) -> Self {
         self.topics = topics.max(1);
-        self
-    }
-
-    /// Sets the number of router lanes.
-    pub fn router_lanes(mut self, lanes: usize) -> Self {
-        self.router_lanes = lanes.max(1);
         self
     }
 
@@ -130,32 +122,15 @@ impl ClusterConfig {
     }
 }
 
-/// Commands a node thread accepts.
-pub(crate) enum Command {
-    /// Invoke `URB_broadcast(payload)` on one topic instance; reply with
-    /// the assigned tag, or `None` when the topic is not live at that
-    /// node (refused invocation — DESIGN.md §15).
-    Broadcast(TopicId, Payload, Sender<Option<Tag>>),
-    /// Apply one lifecycle control operation (create/retire/subscribe/
-    /// unsubscribe — DESIGN.md §15) and gossip it to the rest of the
-    /// cluster if it changed state; reply with whether it did.
-    Control(TopicControl, Sender<bool>),
-    /// Crash-stop immediately.
-    Crash,
-    /// Graceful shutdown (test teardown; not a crash).
-    Shutdown,
-}
-
-/// Everything the node loop consumes, funnelled through one FIFO so it
-/// blocks on a single receive with a tick deadline (network frames from
-/// the router or the sockets, commands from the cluster handle).
+/// What a node loop's inbox carries.
 pub(crate) enum NodeInput {
-    /// A surviving sub-batch from a router lane, as an encoded
-    /// multiplexed wire frame (decoded by the node with shared payloads —
-    /// DESIGN.md §10/§12).
+    /// An encoded multiplexed wire frame from a peer or from the node
+    /// itself (decoded by the node with shared payloads — DESIGN.md
+    /// §10/§12).
     Net(bytes::Bytes),
-    /// A control command from the cluster handle.
-    Cmd(Command),
+    /// Wakes a waiting in-process node loop to exit: the node was
+    /// stopped.
+    Stop,
 }
 
 /// A daemon node's ingress carries encoded frames only.
@@ -168,13 +143,10 @@ impl From<bytes::Bytes> for NodeInput {
 /// A running cluster of anonymous processes.
 pub struct UrbCluster {
     config: ClusterConfig,
-    input_txs: Vec<Sender<NodeInput>>,
-    /// Per-node crash-stop flags. Set *before* the wake-up command is
-    /// enqueued and checked by the node on every loop iteration, so a
-    /// crash takes effect within one protocol step even when the node's
-    /// input FIFO holds a deep network backlog (a queued `Cmd` alone
-    /// would only fire after the backlog drained).
-    stop_flags: Vec<Arc<std::sync::atomic::AtomicBool>>,
+    /// Every node, shared with its thread. A broadcast or control locks
+    /// the node and steps it on the caller's thread; a stopped node
+    /// refuses.
+    nodes: Vec<Arc<Mutex<node::LocalNode>>>,
     delivery_rxs: Vec<Receiver<(TopicId, Delivery)>>,
     /// Per-process delivery log: every delivery ever drained from a node's
     /// stream lands here (with its topic), so waiting for one tag never
@@ -189,7 +161,7 @@ pub struct UrbCluster {
 }
 
 impl UrbCluster {
-    /// Spawns `config.n` node threads plus the router.
+    /// Spawns `config.n` node threads.
     pub fn spawn(config: ClusterConfig) -> Self {
         let n = config.n;
         assert!(n >= 1);
@@ -200,66 +172,49 @@ impl UrbCluster {
         ));
         let traffic = Arc::new(router::TrafficCounters::default());
 
-        // Wiring: nodes → router lanes (ingress, encoded mux frames;
-        // lane = topic % lanes), lanes → nodes (the same funnelled input
-        // channel the cluster handle commands through). One frame-buffer
-        // pool serves every thread.
+        // Wiring: every node fans its frames out to every inbox itself.
+        // One frame-buffer pool serves every thread.
         let pool = urb_types::BufPool::default();
-        let lanes = config.router_lanes.max(1);
-        let mut input_txs = Vec::with_capacity(n);
-        let mut input_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<NodeInput>();
-            input_txs.push(tx);
-            input_rxs.push(rx);
-        }
-
-        let mut threads = Vec::with_capacity(n + lanes);
-        let mut ingress_txs = Vec::with_capacity(lanes);
-        for lane in 0..lanes {
-            let (ingress_tx, ingress_rx) = unbounded::<(usize, bytes::Bytes)>();
-            ingress_txs.push(ingress_tx);
-            threads.push(router::spawn_router_lane(
-                lane,
-                ingress_rx,
-                input_txs.clone(),
+        let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| unbounded::<NodeInput>()).unzip();
+        let mut nodes = Vec::with_capacity(n);
+        let mut threads = Vec::with_capacity(n);
+        let mut delivery_rxs = Vec::with_capacity(n);
+        for (pid, inputs) in inbox_rxs.into_iter().enumerate() {
+            let (del_tx, del_rx) = unbounded();
+            delivery_rxs.push(del_rx);
+            let core = node_core::NodeCore::new(
+                pid,
+                n,
+                config.algorithm,
+                config.topics,
+                config.seed,
+                Arc::clone(&registry),
+            );
+            let fanout = router::Fanout::new(
+                pid,
+                inbox_txs.clone(),
                 config.loss,
                 config.seed,
                 Arc::clone(&traffic),
                 pool.clone(),
-            ));
-        }
-
-        let mut delivery_rxs = Vec::with_capacity(n);
-        let mut stop_flags = Vec::with_capacity(n);
-        for (pid, inputs) in input_rxs.into_iter().enumerate() {
-            let (del_tx, del_rx) = unbounded();
-            delivery_rxs.push(del_rx);
-            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            stop_flags.push(Arc::clone(&stop));
-            threads.push(node::spawn_node(node::NodeSetup {
+            );
+            let backend = node::LocalBackend::new(fanout, del_tx, pool.clone());
+            let node = Arc::new(Mutex::new(node_core::Node { core, backend }));
+            threads.push(node::spawn_node(
                 pid,
-                algorithm: config.algorithm,
-                n,
-                topics: config.topics,
-                seed: config.seed,
-                tick_interval: config.tick_interval,
+                Arc::clone(&node),
                 inputs,
-                stop,
-                egress: ingress_txs.clone(),
-                deliveries: del_tx,
-                registry: Arc::clone(&registry),
-                pool: pool.clone(),
-            }));
+                config.tick_interval,
+            ));
+            nodes.push(node);
         }
-        drop(ingress_txs); // each lane exits when every node sender is gone
 
         UrbCluster {
             delivery_log: Mutex::new(vec![Vec::new(); n]),
             subscribers: Mutex::new(Vec::new()),
             config,
-            input_txs,
-            stop_flags,
+            nodes,
             delivery_rxs,
             registry,
             traffic,
@@ -298,38 +253,20 @@ impl UrbCluster {
     /// yet created, retired): a refused invocation, DESIGN.md §15.
     /// Dynamically created topics (see [`UrbCluster::create_topic`]) are
     /// broadcastable the moment the create reaches the node, so ids at or
-    /// above the configured dense range are legal here.
+    /// above the configured dense range are legal here. The step, and
+    /// the fan-out of its frame, run on the caller's thread under the
+    /// node's lock.
     pub fn broadcast_on(&self, pid: usize, topic: TopicId, payload: Payload) -> Option<Tag> {
-        // A crashed/stopped process refuses immediately. Without this check
-        // a broadcast racing the node's exit would sit in the dead input
-        // queue and only fail via the reply timeout below.
-        if self.stop_flags[pid].load(std::sync::atomic::Ordering::Acquire) {
-            return None;
-        }
-        let (tx, rx) = bounded(1);
-        self.input_txs[pid]
-            .send(NodeInput::Cmd(Command::Broadcast(topic, payload, tx)))
-            .ok()?;
-        rx.recv_timeout(Duration::from_secs(10)).ok().flatten()
+        node::step(&self.nodes[pid], |core| core.broadcast(topic, payload)).flatten()
     }
 
-    /// Sends one lifecycle control operation to process `pid`, which
-    /// applies it locally and gossips it to the rest of the cluster when
-    /// it changed state (idempotent flood — DESIGN.md §15). Returns
-    /// whether the operation changed that node's state (`false` also
-    /// covers a crashed/stopped target).
+    /// Applies one lifecycle control operation at process `pid`, which
+    /// gossips it to the rest of the cluster when it changed state
+    /// (idempotent flood — DESIGN.md §15). Returns whether the operation
+    /// changed that node's state (`false` also covers a crashed/stopped
+    /// target).
     fn control(&self, pid: usize, ctl: TopicControl) -> bool {
-        if self.stop_flags[pid].load(std::sync::atomic::Ordering::Acquire) {
-            return false;
-        }
-        let (tx, rx) = bounded(1);
-        if self.input_txs[pid]
-            .send(NodeInput::Cmd(Command::Control(ctl, tx)))
-            .is_err()
-        {
-            return false;
-        }
-        rx.recv_timeout(Duration::from_secs(10)).unwrap_or(false)
+        node::step(&self.nodes[pid], |core| core.control(ctl)).unwrap_or(false)
     }
 
     /// Creates `topic` cluster-wide, entering it at process `pid` and
@@ -403,16 +340,15 @@ impl UrbCluster {
     }
 
     /// Crash-stops process `pid` (idempotent) and informs the membership
-    /// registry, which starts the detection-delay clock. The stop flag is
-    /// raised first so the victim halts within one step even with a deep
-    /// input backlog; the command only wakes it if it was idle.
+    /// registry, which starts the detection-delay clock. From the moment
+    /// this returns the node refuses every caller, and its thread halts
+    /// within one step even with a deep input backlog.
     pub fn crash(&self, pid: usize) {
-        self.stop_flags[pid].store(true, std::sync::atomic::Ordering::Release);
-        let _ = self.input_txs[pid].send(NodeInput::Cmd(Command::Crash));
+        node::stop(&self.nodes[pid]);
         self.registry.mark_crashed(pid, Instant::now());
     }
 
-    /// Aggregate router traffic so far.
+    /// Aggregate traffic so far.
     pub fn traffic(&self) -> TrafficStats {
         self.traffic.snapshot()
     }
@@ -439,8 +375,8 @@ impl UrbCluster {
         }
     }
 
-    /// Blocks until no protocol message (MSG/ACK) has crossed the router
-    /// for `idle`, or until `timeout`. Returns `true` on quiescence.
+    /// Blocks until no node has sent a protocol message (MSG/ACK) for
+    /// `idle`, or until `timeout`. Returns `true` on quiescence.
     pub fn await_quiescence(&self, idle: Duration, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
@@ -462,9 +398,8 @@ impl UrbCluster {
 
     /// Gracefully stops every thread. Call at the end of a test/example.
     pub fn shutdown(&self) {
-        for (flag, tx) in self.stop_flags.iter().zip(&self.input_txs) {
-            flag.store(true, std::sync::atomic::Ordering::Release);
-            let _ = tx.send(NodeInput::Cmd(Command::Shutdown));
+        for node in &self.nodes {
+            node::stop(node);
         }
         let mut threads = self.threads.lock();
         for t in threads.drain(..) {
@@ -521,14 +456,10 @@ mod tests {
 
     #[test]
     fn multi_topic_cluster_shards_lanes_and_subscriptions() {
-        // 3 topics over 2 router lanes: each topic's broadcast reaches
-        // everyone, the per-topic logs stay disjoint, and a subscription
-        // sees exactly its own topic's deliveries.
-        let cluster = UrbCluster::spawn(
-            ClusterConfig::new(3, Algorithm::Majority)
-                .topics(3)
-                .router_lanes(2),
-        );
+        // 3 topics: each topic's broadcast reaches everyone, the
+        // per-topic logs stay disjoint, and a subscription sees exactly
+        // its own topic's deliveries.
+        let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Majority).topics(3));
         let feed = cluster.subscribe(TopicId(2));
         let mut tags = Vec::new();
         for t in 0..3u32 {
@@ -624,7 +555,7 @@ mod tests {
     fn lossy_cluster_still_gossips_create_and_retire() {
         // Loss thins messages, not lifecycle controls: a create entered at
         // node 0 leaves as a control-only frame (nothing else is in
-        // flight) and must reach node 1 through a lossy router; likewise
+        // flight) and must reach node 1 through a lossy fan-out; likewise
         // the retire. No nudge traffic — the control frame alone carries
         // it.
         let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Quiescent).loss(0.05));
@@ -667,5 +598,125 @@ mod tests {
         let who = cluster.await_delivery_everywhere(tag, Duration::from_secs(10));
         assert_eq!(who, vec![0, 2]);
         cluster.shutdown();
+    }
+
+    /// Waits until every node in `pids` has delivered `count` messages,
+    /// then returns each node's delivered tags.
+    fn await_log_len(
+        cluster: &UrbCluster,
+        pids: &[usize],
+        count: usize,
+        timeout: Duration,
+    ) -> Vec<Vec<Tag>> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let logs: Vec<Vec<Tag>> = pids
+                .iter()
+                .map(|&pid| cluster.delivery_log(pid).iter().map(|d| d.tag).collect())
+                .collect();
+            if logs.iter().all(|log| log.len() >= count) || Instant::now() >= deadline {
+                return logs;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    /// Every broadcast delivered exactly once at every node of `logs`.
+    fn assert_exactly_once(logs: &[Vec<Tag>], tags: &[Tag]) {
+        let mut want = tags.to_vec();
+        want.sort_unstable();
+        for (i, log) in logs.iter().enumerate() {
+            let mut got = log.clone();
+            got.sort_unstable();
+            assert_eq!(got.len(), want.len(), "log {i}: delivered count");
+            assert!(got == want, "log {i}: not every broadcast exactly once");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_step_nodes_on_their_own_threads() {
+        // Four callers, two on node 0 and one each on nodes 1 and 2,
+        // broadcast while the node threads are busy receiving each
+        // other's traffic: tags stay distinct and every broadcast is
+        // delivered exactly once everywhere.
+        const PER_CALLER: usize = 300;
+        let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Quiescent));
+        let tags: Vec<Tag> = std::thread::scope(|s| {
+            let callers: Vec<_> = [0, 0, 1, 2]
+                .into_iter()
+                .enumerate()
+                .map(|(caller, pid)| {
+                    let cluster = &cluster;
+                    s.spawn(move || {
+                        (0..PER_CALLER)
+                            .map(|i| {
+                                let payload = Payload::from(format!("c{caller}.m{i}").as_str());
+                                cluster
+                                    .broadcast_on(pid, TopicId::ZERO, payload)
+                                    .expect("tag")
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let distinct: std::collections::BTreeSet<Tag> = tags.iter().copied().collect();
+        assert_eq!(distinct.len(), tags.len(), "every tag distinct");
+        let logs = await_log_len(&cluster, &[0, 1, 2], tags.len(), Duration::from_secs(60));
+        assert_exactly_once(&logs, &tags);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_caller_in_a_tight_loop_does_not_starve_the_node_threads() {
+        // One caller broadcasts at node 0 with no pause. It takes node
+        // 0's lock once per call; node 0's thread must still get it often
+        // enough to receive, or nothing is ever delivered.
+        const CALLS: usize = 20_000;
+        let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Quiescent));
+        let tags: Vec<Tag> = (0..CALLS)
+            .map(|i| {
+                let payload = Payload::from(format!("m{i}").as_str());
+                cluster
+                    .broadcast_on(0, TopicId::ZERO, payload)
+                    .expect("tag")
+            })
+            .collect();
+        let logs = await_log_len(&cluster, &[0, 1, 2], CALLS, Duration::from_secs(120));
+        assert_exactly_once(&logs, &tags);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn crashed_and_exited_nodes_refuse_on_the_callers_thread() {
+        let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Majority));
+        // A crash refuses from the moment `crash` returns.
+        cluster.crash(1);
+        assert!(cluster.broadcast_on(1, TopicId::ZERO, "x".into()).is_none());
+        assert!(!cluster.create_topic(1, TopicId(7), Algorithm::Majority));
+        // A node whose thread ended on its own (here: it panics on a
+        // frame no peer could have sealed) refuses too.
+        let garbage = NodeInput::Net(bytes::Bytes::copy_from_slice(&[0x42, 0, 1]));
+        let inbox = cluster.nodes[2].lock().backend.fanout.inboxes[2].clone();
+        assert!(inbox.send(garbage).is_ok());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.broadcast_on(2, TopicId::ZERO, "y".into()).is_some() {
+            assert!(Instant::now() < deadline, "node 2's thread never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(!cluster.create_topic(2, TopicId(7), Algorithm::Majority));
+        // The one node left still serves; after shutdown nobody does.
+        assert!(cluster.broadcast_on(0, TopicId::ZERO, "z".into()).is_some());
+        cluster.shutdown();
+        for pid in 0..3 {
+            assert!(cluster
+                .broadcast_on(pid, TopicId::ZERO, "late".into())
+                .is_none());
+            assert!(!cluster.create_topic(pid, TopicId(8), Algorithm::Majority));
+        }
     }
 }

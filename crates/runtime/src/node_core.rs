@@ -7,20 +7,23 @@
 //! fills and the detector handle, takes the detector snapshot before
 //! every step, applies lifecycle controls and re-queues the ones that
 //! changed state, and treats [`TopicEngine::tick_all`] as *the* reap
-//! point. [`run`] is the loop around it —
-//! `recv_timeout → {broadcast | control | frame | tick} → flush →
-//! deliveries` — which both [`crate::UrbCluster`]'s node threads and
-//! [`crate::run_node`] call. A [`Backend`] names the only things that
-//! differ between them: where a step's frames go, what consumes its
+//! point. A [`Node`] is the core plus its [`Backend`], which names the
+//! only things that differ between [`crate::UrbCluster`]'s node threads
+//! and [`crate::run_node`]: where a step's frames go, what consumes its
 //! deliveries, when the loop ends, and what a frame the engine rejects
-//! means. Every backend turns staged egress into frames through one
-//! sealer, [`seal_frames`].
+//! means. [`run`] is the loop around a node behind a lock —
+//! `recv_timeout → lock → {frame | tick} → flush → deliveries → unlock` —
+//! which both call; `URB_broadcast` and lifecycle controls are steps
+//! whoever holds the lock may take, so the in-process runtime takes them
+//! on the caller's thread. Every backend turns staged egress into frames
+//! through one sealer, [`seal_frames`].
 
 use crate::registry::MembershipRegistry;
 use crate::transport::NetError;
-use crate::{Command, NodeInput};
+use crate::NodeInput;
 use bytes::Bytes;
 use crossbeam_channel::{Receiver, RecvTimeoutError};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urb_core::Algorithm;
@@ -271,9 +274,10 @@ pub(crate) fn seal_frames(
 
 /// What differs between the backends of the node loop ([`run`]).
 pub(crate) trait Backend {
-    /// Called before every wait, with the instant the next Task-1 tick is
-    /// due. `None` ends the loop (crash-stop, run budget spent); otherwise
-    /// the instant the loop must wake by even if no input arrives.
+    /// Called after every step and before the first wait, with the
+    /// instant the next Task-1 tick is due. `None` ends the loop
+    /// (crash-stop, run budget spent); otherwise the instant the loop
+    /// must wake by even if no input arrives.
     fn wake_at(&mut self, now: Instant, next_tick: Instant) -> Option<Instant>;
 
     /// Seals what the staged steps left in `mux`'s outbox and controls
@@ -291,54 +295,67 @@ pub(crate) trait Backend {
     fn rejected(&mut self, err: MuxIngressError);
 }
 
-/// The node loop. Blocks on the single input FIFO with the next tick as
-/// deadline, feeds whatever arrives to `core`, then flushes the step's
-/// frames and hands over its deliveries. Returns when the backend says so,
-/// on a crash/shutdown command, or when the input side is gone.
-pub(crate) fn run<I: Into<NodeInput>>(
-    core: &mut NodeCore,
+/// A node: its core and the backend its steps drain into. [`run`] and
+/// every other thread that steps the node hold it behind one lock, so
+/// a step, its flush and its deliveries are one critical section.
+pub(crate) struct Node<B> {
+    pub(crate) core: NodeCore,
+    pub(crate) backend: B,
+}
+
+impl<B: Backend> Node<B> {
+    /// Sends what the steps since the last drain staged and hands over
+    /// their deliveries. `Ok(false)` when the backend's far side is gone.
+    pub(crate) fn drain(&mut self) -> Result<bool, NetError> {
+        if !self.backend.flush(self.core.mux()) {
+            return Ok(false);
+        }
+        self.backend.settle(&mut self.core)?;
+        Ok(true)
+    }
+}
+
+/// The node loop. Waits on the single input FIFO with the next tick as
+/// deadline and the node unlocked, then locks it, feeds whatever arrived
+/// to the core, drains the step and asks the backend when to wake next.
+/// Returns when the backend says so, on a stop wake-up, or when the input
+/// side is gone.
+pub(crate) fn run<B: Backend, I: Into<NodeInput>>(
+    node: &Mutex<Node<B>>,
     inputs: &Receiver<I>,
     tick_interval: Duration,
-    backend: &mut impl Backend,
 ) -> Result<(), NetError> {
     let mut next_tick = Instant::now() + tick_interval;
-    loop {
-        let now = Instant::now();
-        let Some(wake) = backend.wake_at(now, next_tick) else {
-            return Ok(());
-        };
-        match inputs
-            .recv_timeout(wake.saturating_duration_since(now))
-            .map(Into::into)
-        {
-            Ok(NodeInput::Cmd(Command::Broadcast(topic, payload, reply))) => {
-                let _ = reply.send(core.broadcast(topic, payload));
-            }
-            Ok(NodeInput::Cmd(Command::Control(ctl, reply))) => {
-                let _ = reply.send(core.control(ctl));
-            }
-            // Crash-stop: drop everything on the floor and exit.
-            Ok(NodeInput::Cmd(Command::Crash | Command::Shutdown)) => return Ok(()),
-            Ok(NodeInput::Net(frame)) => {
-                if let Err(err) = core.receive(&frame) {
-                    backend.rejected(err);
-                    continue;
+    let mut wake = node.lock().backend.wake_at(Instant::now(), next_tick);
+    while let Some(deadline) = wake {
+        let input = inputs
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            .map(Into::into);
+        let mut guard = node.lock();
+        let node = &mut *guard;
+        let stepped = match input {
+            Ok(NodeInput::Net(frame)) => match node.core.receive(&frame) {
+                Ok(()) => true,
+                Err(err) => {
+                    node.backend.rejected(err);
+                    false
                 }
-            }
+            },
+            Ok(NodeInput::Stop) | Err(RecvTimeoutError::Disconnected) => return Ok(()),
+            // Woke for the backend's deadline, not the tick.
+            Err(RecvTimeoutError::Timeout) if Instant::now() < next_tick => false,
             Err(RecvTimeoutError::Timeout) => {
-                if Instant::now() < next_tick {
-                    continue; // woke for the backend's deadline, not the tick
-                }
-                core.tick();
+                node.core.tick();
                 next_tick = Instant::now() + tick_interval;
+                true
             }
-            Err(RecvTimeoutError::Disconnected) => return Ok(()),
-        }
-        if !backend.flush(core.mux()) {
+        };
+        if stepped && !node.drain()? {
             return Ok(());
         }
-        backend.settle(core)?;
+        wake = node.backend.wake_at(Instant::now(), next_tick);
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -631,35 +648,48 @@ mod tests {
     #[test]
     fn a_rejected_frame_goes_to_the_backend_and_the_loop_keeps_serving() {
         let (tx, rx) = crossbeam_channel::unbounded::<NodeInput>();
-        let (reply_tx, reply_rx) = crossbeam_channel::bounded(1);
-        let inputs = [
-            NodeInput::Net(Bytes::copy_from_slice(&[0x42, 0, 1])),
-            NodeInput::Cmd(Command::Broadcast(
-                TopicId::ZERO,
-                Payload::from("after the garbage"),
-                reply_tx,
-            )),
-            NodeInput::Cmd(Command::Shutdown),
-        ];
-        for input in inputs {
-            assert!(tx.send(input).is_ok());
-        }
-        let mut core = core(1);
-        let mut probe = Probe::default();
-        run(&mut core, &rx, Duration::from_secs(60), &mut probe).unwrap();
+        let node = Mutex::new(Node {
+            core: core(1),
+            backend: Probe::default(),
+        });
+        std::thread::scope(|s| {
+            let looping = s.spawn(|| run(&node, &rx, Duration::from_secs(60)));
+            assert!(tx
+                .send(NodeInput::Net(Bytes::copy_from_slice(&[0x42, 0, 1])))
+                .is_ok());
+            while node.lock().backend.rejected.is_empty() {
+                std::thread::yield_now();
+            }
+            // After the garbage, a broadcast through the lock, on this
+            // thread, the way `UrbCluster::broadcast_on` takes one.
+            let frame = {
+                let mut node = node.lock();
+                let tag = node
+                    .core
+                    .broadcast(TopicId::ZERO, Payload::from("after the garbage"));
+                assert!(tag.is_some(), "broadcast still served");
+                assert!(node.drain().unwrap());
+                assert_eq!(
+                    node.backend.frames.len(),
+                    1,
+                    "and its MSG left as one frame"
+                );
+                node.backend.frames[0].clone()
+            };
+            // The node's own copy of that frame comes back like any other.
+            for input in [NodeInput::Net(frame), NodeInput::Stop] {
+                assert!(tx.send(input).is_ok());
+            }
+            looping.join().unwrap().unwrap();
+        });
+        let probe = node.into_inner().backend;
         assert!(matches!(probe.rejected[..], [MuxIngressError::Codec(_)]));
-        assert!(
-            reply_rx.try_recv().unwrap().is_some(),
-            "broadcast still served"
-        );
-        assert_eq!(probe.frames.len(), 1, "and its MSG left as one frame");
-        // The node's own copy of that frame comes back like any other.
-        core.receive(&probe.frames[0]).unwrap();
+        assert_eq!(probe.deliveries, 0, "one ACK of three is no majority");
+        assert_eq!(probe.frames.len(), 2);
         assert_eq!(
-            core.mux().deliveries.len(),
-            0,
-            "one ACK of three is no majority"
+            urb_types::MuxBatch::decode(&probe.frames[1]).unwrap().len(),
+            1,
+            "but the MSG is acknowledged"
         );
-        assert_eq!(core.mux().outbox.len(), 1, "but the MSG is acknowledged");
     }
 }

@@ -59,39 +59,34 @@ impl MembershipRegistry {
         self.state.read().crashed_at[pid].is_some()
     }
 
-    /// Labels currently *visible*: alive processes, plus crashed ones whose
-    /// detection delay has not yet elapsed.
-    fn visible(&self, now: Instant) -> Vec<Label> {
-        let st = self.state.read();
-        self.labels
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| match st.crashed_at[i] {
-                None => true,
-                Some(t) => now.saturating_duration_since(t) < self.detection_delay,
-            })
-            .map(|(_, &l)| l)
-            .collect()
-    }
-
-    /// Number of processes not yet known to have crashed.
-    fn alive_count(&self, now: Instant) -> u32 {
-        self.visible(now).len() as u32
-    }
-
-    /// The detector snapshot served to process `pid` at `now`. Crashed
-    /// processes get empty views (they are about to stop anyway; an oracle
-    /// may output anything for them, and empty is trivially accurate).
+    /// The detector snapshot served to process `pid` at `now`, read from
+    /// one registry state. Visible labels are those of alive processes
+    /// plus crashed ones whose detection delay has not yet elapsed, each
+    /// paired with `number` = how many are visible. Crashed processes get
+    /// empty views (they are about to stop anyway; an oracle may output
+    /// anything for them, and empty is trivially accurate).
     pub fn snapshot(&self, pid: usize, now: Instant) -> FdSnapshot {
-        if self.is_crashed(pid) {
+        let st = self.state.read();
+        if st.crashed_at[pid].is_some() {
             return FdSnapshot::none();
         }
-        let number = self.alive_count(now);
-        let view = FdView::from_pairs(
-            self.visible(now)
-                .into_iter()
-                .map(|label| FdPair { label, number }),
+        let mut pairs = Vec::with_capacity(self.labels.len());
+        pairs.extend(
+            self.labels
+                .iter()
+                .zip(&st.crashed_at)
+                .filter(|(_, crashed)| match crashed {
+                    None => true,
+                    Some(t) => now.saturating_duration_since(*t) < self.detection_delay,
+                })
+                .map(|(&label, _)| FdPair { label, number: 0 }),
         );
+        drop(st);
+        let number = pairs.len() as u32;
+        for pair in &mut pairs {
+            pair.number = number;
+        }
+        let view = FdView::from_pairs(pairs);
         FdSnapshot::new(view.clone(), view)
     }
 }
@@ -156,5 +151,31 @@ mod tests {
         for i in 0..16 {
             assert!(seen.insert(r.label_of(i)));
         }
+    }
+
+    #[test]
+    fn every_snapshot_reads_one_registry_state() {
+        // With no detection delay a crash removes the label at once, so
+        // a snapshot that read the registry twice around it would pair
+        // a 3-process `number` with a 2-label view.
+        let r = MembershipRegistry::new(3, 6, Duration::ZERO);
+        let consistent = |s: &FdSnapshot| {
+            s.a_theta
+                .iter()
+                .all(|p| p.number as usize == s.a_theta.len())
+                && s.a_theta == s.a_p_star
+        };
+        let before = r.snapshot(0, Instant::now());
+        assert_eq!(before.a_theta.len(), 3);
+        assert!(consistent(&before));
+        std::thread::scope(|s| {
+            s.spawn(|| r.mark_crashed(2, Instant::now()));
+            for _ in 0..1_000 {
+                assert!(consistent(&r.snapshot(0, Instant::now())));
+            }
+        });
+        let after = r.snapshot(0, Instant::now());
+        assert_eq!(after.a_theta.len(), 2);
+        assert!(consistent(&after));
     }
 }

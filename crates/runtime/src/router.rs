@@ -1,64 +1,61 @@
-//! The lossy broadcast medium of the threaded runtime — the sharded wire
-//! plane of the topic system (DESIGN.md §12).
+//! The lossy broadcast medium of the threaded runtime: sender-side
+//! fan-out (DESIGN.md §12).
 //!
-//! One or more **router lanes** (threads) fan every node's outgoing
-//! **encoded multiplexed frame** out to all `n` inboxes (sender included
-//! — the paper's `broadcast` primitive). Topics are sharded across lanes
-//! (`lane = topic % lanes`): each node partitions its step's topic-tagged
-//! outbox by lane and sends one [`urb_types::MuxBatch`] frame per lane
-//! that has traffic, so independent topics ride independent router
-//! threads and the routing plane scales with cores, not with topic
-//! count. A single-lane single-topic cluster degenerates to the previous
-//! one-router design.
+//! A node routes its own frames. Every encoded multiplexed frame a node
+//! seals goes, on the sending thread and under the node's lock, to all
+//! `n` inboxes (sender included — the paper's `broadcast` primitive).
+//! There is no router thread: a frame copy crosses one thread boundary,
+//! from the sender to the receiver's inbox. Because one sender's frames
+//! are pushed in the order it seals them, each (sender, receiver) pair
+//! is FIFO, which the control flood relies on (a `Create` reaches a peer
+//! before the first `MSG` on its topic).
 //!
-//! Nodes and router exchange real wire bytes, not in-memory structs: a
-//! node encodes its step's mux outbox through the zero-copy codec
-//! (`node_core::seal_frames`, over the whole outbox on single-lane
-//! clusters and over each lane's partition otherwise) and decodes
-//! incoming frames with shared payloads
-//! (`TopicEngine::receive_mux_frame`), so the runtime exercises the
-//! exact serialization boundary a networked deployment would.
+//! Nodes exchange real wire bytes, not in-memory structs: a node encodes
+//! its step's mux outbox through the zero-copy codec
+//! (`node_core::seal_frames`) and decodes incoming frames with shared
+//! payloads (`TopicEngine::receive_mux_frame`), so the runtime exercises
+//! the exact serialization boundary a networked deployment would.
 //!
-//! Loss is applied **per message copy**, exactly as in the unbatched
-//! design: each lane decodes its ingress frame once (zero-copy — the
-//! decoded payloads are refcounted views of the frame), drops each
-//! message independently per destination, and forwards
+//! Loss is applied **per message copy**: [`Fanout::route`] decodes the
+//! frame once (zero-copy — the decoded payloads are refcounted views of
+//! the frame), drops each message independently per destination from
+//! the sender's own loss stream (seeded from `(seed, pid)`), and forwards
 //!
 //! * the **original frame** (a refcount bump, no bytes touched) to every
-//!   destination whose sub-batch survived intact;
+//!   destination whose copy survived intact;
 //! * a **re-encoded thinned frame** (built in a pooled buffer, no
-//!   per-message allocation) when loss thinned the batch.
+//!   per-message allocation) when loss thinned it.
 //!
-//! Loss thins *messages* — the unit the fair-lossy axioms quantify over.
-//! A frame's lifecycle control section (DESIGN.md §15) is not a message:
-//! it reaches every destination intact, on the thinned frame too, and a
-//! frame with nothing but controls left is still forwarded.
+//! The sender's own copy is never thinned. Loss thins *messages* — the
+//! unit the fair-lossy axioms quantify over. A frame's lifecycle control
+//! section (DESIGN.md §15) is not a message: it reaches every
+//! destination intact, on the thinned frame too, and a frame with nothing
+//! but controls left is still forwarded.
 //!
 //! Traffic counters count *messages*, not frames, so quiescence
-//! observation and statistics are unchanged by batching, multiplexing or
-//! sharding — every lane writes the same shared counters.
+//! observation and statistics are unchanged by batching or multiplexing
+//! — every sender writes the same shared counters.
 
 use crate::NodeInput;
 use bytes::Bytes;
-use crossbeam_channel::{Receiver, Sender};
-use parking_lot::Mutex;
+use crossbeam_channel::Sender;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 use urb_types::{
     encode_mux_frame_with_controls_into, BufPool, MuxBatch, RandomSource, TopicControl, TopicId,
     WireKind, WireMessage, Xoshiro256,
 };
 
-/// Aggregate router statistics (summed across every lane).
+/// Aggregate routing statistics (summed across every sender).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// MSG + ACK messages routed (broadcast invocations, not copies).
     pub protocol_messages: u64,
     /// Heartbeats routed.
     pub heartbeats: u64,
-    /// Multiplexed frames routed (one per producing protocol step and
-    /// lane with traffic).
+    /// Multiplexed frames sealed and routed (one per producing protocol
+    /// step, more only past the frame budget).
     pub batches: u64,
     /// Message copies dropped by loss injection.
     pub dropped_copies: u64,
@@ -72,7 +69,7 @@ pub struct TrafficStats {
     pub reencoded_frames: u64,
 }
 
-/// Shared counters written by every router lane.
+/// Shared counters written by every sending node.
 #[derive(Default)]
 pub struct TrafficCounters {
     protocol_messages: AtomicU64,
@@ -82,8 +79,15 @@ pub struct TrafficCounters {
     delivered_copies: AtomicU64,
     forwarded_frames: AtomicU64,
     reencoded_frames: AtomicU64,
-    /// Instant of the last MSG/ACK routed (quiescence detection).
-    last_protocol: Mutex<Option<Instant>>,
+    /// Nanoseconds after [`epoch`], plus one, of the last MSG/ACK routed
+    /// (quiescence detection); 0 while none was.
+    last_protocol: AtomicU64,
+}
+
+/// What `TrafficCounters::last_protocol` counts from.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
 }
 
 impl TrafficCounters {
@@ -100,103 +104,132 @@ impl TrafficCounters {
         }
     }
 
-    /// When the last protocol message crossed any lane.
+    /// When the last protocol message was routed by any node.
     pub fn last_protocol_activity(&self) -> Option<Instant> {
-        *self.last_protocol.lock()
+        match self.last_protocol.load(Ordering::Relaxed) {
+            0 => None,
+            ns => Some(epoch() + Duration::from_nanos(ns - 1)),
+        }
+    }
+
+    fn protocol_activity_now(&self) {
+        let ns = epoch().elapsed().as_nanos() as u64 + 1;
+        self.last_protocol.fetch_max(ns, Ordering::Relaxed);
     }
 }
 
-/// Spawns one router lane thread. It exits when every node-side sender
-/// for this lane is gone. Frame buffers for thinned sub-batches come
-/// from `pool` (shared with the nodes), so the lane allocates nothing
-/// per message. `lane` seeds the lane's own loss RNG stream, so
-/// different lanes drop independently.
-pub fn spawn_router_lane(
-    lane: usize,
-    ingress: Receiver<(usize, Bytes)>,
-    inboxes: Vec<Sender<NodeInput>>,
+/// One node's half of the lossy medium: its loss stream, the inboxes it
+/// fans out to and the scratch [`Fanout::route`] reuses, so routing a
+/// frame allocates nothing per message. Thinned frames are re-encoded in
+/// buffers from `pool` (shared with every node).
+pub(crate) struct Fanout {
+    from: usize,
+    pub(crate) inboxes: Vec<Sender<NodeInput>>,
     loss: f64,
-    seed: u64,
+    rng: Xoshiro256,
     counters: Arc<TrafficCounters>,
     pool: BufPool,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("urb-router-{lane}"))
-        .spawn(move || {
-            let mut rng = Xoshiro256::new(seed ^ 0x4007_E4B0_5555_0001 ^ (lane as u64) << 40);
-            // Reusable scratch: the decoded ingress entries and controls,
-            // and the per-destination survivor list.
-            let mut decoded: Vec<(TopicId, WireMessage)> = Vec::new();
-            let mut controls: Vec<TopicControl> = Vec::new();
-            let mut survivors: Vec<(TopicId, WireMessage)> = Vec::new();
-            while let Ok((from, frame)) = ingress.recv() {
-                // In-process frames come from the node's zero-copy mux
-                // encode; a decode failure is a codec bug, not a network
-                // condition.
-                MuxBatch::decode_shared_with_controls_into(&frame, &mut decoded, &mut controls)
-                    .expect("malformed frame from node — codec bug");
-                counters.batches.fetch_add(1, Ordering::Relaxed);
-                let mut protocol = 0u64;
-                let mut heartbeats = 0u64;
-                for (_, msg) in &decoded {
-                    match msg.kind() {
-                        WireKind::Heartbeat => heartbeats += 1,
-                        _ => protocol += 1,
-                    }
+    /// The decoded frame, its controls, and one destination's survivors.
+    decoded: Vec<(TopicId, WireMessage)>,
+    controls: Vec<TopicControl>,
+    survivors: Vec<(TopicId, WireMessage)>,
+}
+
+impl Fanout {
+    /// The fan-out of node `from`, whose loss stream is a function of
+    /// `(seed, from)` alone.
+    pub(crate) fn new(
+        from: usize,
+        inboxes: Vec<Sender<NodeInput>>,
+        loss: f64,
+        seed: u64,
+        counters: Arc<TrafficCounters>,
+        pool: BufPool,
+    ) -> Self {
+        Fanout {
+            from,
+            inboxes,
+            loss,
+            rng: Xoshiro256::new(seed ^ 0x4007_E4B0_5555_0001 ^ (from as u64) << 40),
+            counters,
+            pool,
+            decoded: Vec::new(),
+            controls: Vec::new(),
+            survivors: Vec::new(),
+        }
+    }
+
+    /// Wakes the owning node's loop so it sees it was stopped.
+    pub(crate) fn wake_self(&self) {
+        let _ = self.inboxes[self.from].send(NodeInput::Stop);
+    }
+
+    /// Routes one sealed frame to every inbox, thinning each copy but the
+    /// sender's own. A closed inbox is a stopped node; copies to it
+    /// vanish, like messages to a dead process.
+    pub(crate) fn route(&mut self, frame: Bytes) {
+        // In-process frames come from the node's own zero-copy mux
+        // encode; a decode failure is a codec bug, not a network
+        // condition.
+        MuxBatch::decode_shared_with_controls_into(&frame, &mut self.decoded, &mut self.controls)
+            .expect("malformed frame from node — codec bug");
+        let counters = &self.counters;
+        counters.batches.fetch_add(1, Ordering::Relaxed);
+        let heartbeats = self
+            .decoded
+            .iter()
+            .filter(|(_, msg)| msg.kind() == WireKind::Heartbeat)
+            .count() as u64;
+        let protocol = self.decoded.len() as u64 - heartbeats;
+        counters.heartbeats.fetch_add(heartbeats, Ordering::Relaxed);
+        if protocol > 0 {
+            counters
+                .protocol_messages
+                .fetch_add(protocol, Ordering::Relaxed);
+            counters.protocol_activity_now();
+        }
+        for (to, inbox) in self.inboxes.iter().enumerate() {
+            let thin = to != self.from && self.loss > 0.0;
+            let outgoing = if thin {
+                self.survivors.clear();
+                let (rng, loss) = (&mut self.rng, self.loss);
+                let survivors = self.decoded.iter().filter(|_| !rng.gen_bool(loss));
+                self.survivors.extend(survivors.cloned());
+                let dropped = self.decoded.len() - self.survivors.len();
+                counters
+                    .dropped_copies
+                    .fetch_add(dropped as u64, Ordering::Relaxed);
+                if self.survivors.is_empty() && self.controls.is_empty() {
+                    continue;
                 }
-                counters.heartbeats.fetch_add(heartbeats, Ordering::Relaxed);
-                if protocol > 0 {
-                    counters
-                        .protocol_messages
-                        .fetch_add(protocol, Ordering::Relaxed);
-                    *counters.last_protocol.lock() = Some(Instant::now());
+                if dropped == 0 {
+                    // Nothing dropped: forward the original frame.
+                    counters.forwarded_frames.fetch_add(1, Ordering::Relaxed);
+                    frame.clone()
+                } else {
+                    let mut buf = self.pool.acquire();
+                    encode_mux_frame_with_controls_into(&self.survivors, &self.controls, &mut buf);
+                    counters.reencoded_frames.fetch_add(1, Ordering::Relaxed);
+                    Bytes::copy_from_slice(&buf)
                 }
-                for (to, inbox) in inboxes.iter().enumerate() {
-                    // Per-copy loss, per message inside the frame; the
-                    // sender-to-self sub-batch is never thinned.
-                    let thin = to != from && loss > 0.0;
-                    let outgoing: Bytes = if thin {
-                        survivors.clear();
-                        survivors.extend(decoded.iter().filter(|_| !rng.gen_bool(loss)).cloned());
-                        counters
-                            .dropped_copies
-                            .fetch_add((decoded.len() - survivors.len()) as u64, Ordering::Relaxed);
-                        if survivors.is_empty() && controls.is_empty() {
-                            continue;
-                        }
-                        if survivors.len() == decoded.len() {
-                            // Nothing dropped: the original frame is the
-                            // sub-batch — forward it untouched.
-                            counters.forwarded_frames.fetch_add(1, Ordering::Relaxed);
-                            frame.clone()
-                        } else {
-                            let mut buf = pool.acquire();
-                            encode_mux_frame_with_controls_into(&survivors, &controls, &mut buf);
-                            counters.reencoded_frames.fetch_add(1, Ordering::Relaxed);
-                            Bytes::copy_from_slice(&buf)
-                        }
-                    } else {
-                        counters.forwarded_frames.fetch_add(1, Ordering::Relaxed);
-                        frame.clone()
-                    };
-                    let count = if thin { survivors.len() } else { decoded.len() } as u64;
-                    // A closed inbox = crashed/stopped node; copies to it
-                    // simply vanish, like messages to a dead process.
-                    if inbox.send(NodeInput::Net(outgoing)).is_ok() {
-                        counters
-                            .delivered_copies
-                            .fetch_add(count, Ordering::Relaxed);
-                    }
-                }
+            } else {
+                counters.forwarded_frames.fetch_add(1, Ordering::Relaxed);
+                frame.clone()
+            };
+            let count = if thin { &self.survivors } else { &self.decoded }.len() as u64;
+            if inbox.send(NodeInput::Net(outgoing)).is_ok() {
+                counters
+                    .delivered_copies
+                    .fetch_add(count, Ordering::Relaxed);
             }
-        })
-        .expect("spawn router lane thread")
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::unbounded;
+    use crossbeam_channel::{unbounded, Receiver};
     use urb_types::{Payload, Tag};
 
     fn frame_of(entries: &[(u32, u128)]) -> Bytes {
@@ -217,36 +250,31 @@ mod tests {
         mux.encode()
     }
 
-    fn recv_mux(rx: &crossbeam_channel::Receiver<NodeInput>) -> MuxBatch {
+    fn recv_mux(rx: &Receiver<NodeInput>) -> MuxBatch {
         match rx.try_recv().expect("an input") {
             NodeInput::Net(frame) => MuxBatch::decode_shared(&frame).expect("valid frame"),
-            NodeInput::Cmd(_) => panic!("router never sends commands"),
+            NodeInput::Stop => panic!("routing never sends a stop"),
         }
+    }
+
+    /// `n` inboxes and the fan-out of node `from` over them.
+    fn fanout(
+        from: usize,
+        n: usize,
+        loss: f64,
+        seed: u64,
+        pool: BufPool,
+    ) -> (Fanout, Vec<Receiver<NodeInput>>, Arc<TrafficCounters>) {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let counters = Arc::new(TrafficCounters::default());
+        let fanout = Fanout::new(from, txs, loss, seed, Arc::clone(&counters), pool);
+        (fanout, rxs, counters)
     }
 
     #[test]
     fn fans_out_to_all_including_sender() {
-        let (tx, rx) = unbounded();
-        let mut inbox_rx = Vec::new();
-        let mut inbox_tx = Vec::new();
-        for _ in 0..3 {
-            let (t, r) = unbounded();
-            inbox_tx.push(t);
-            inbox_rx.push(r);
-        }
-        let counters = Arc::new(TrafficCounters::default());
-        let h = spawn_router_lane(
-            0,
-            rx,
-            inbox_tx,
-            0.0,
-            1,
-            Arc::clone(&counters),
-            BufPool::default(),
-        );
-        tx.send((1, frame_of(&[(0, 7)]))).unwrap();
-        drop(tx);
-        h.join().unwrap();
+        let (mut fanout, inbox_rx, counters) = fanout(1, 3, 0.0, 1, BufPool::default());
+        fanout.route(frame_of(&[(0, 7)]));
         for r in &inbox_rx {
             let mux = recv_mux(r);
             assert_eq!(mux.sub_batches()[0].1[0].tag(), Some(Tag(7)));
@@ -265,27 +293,8 @@ mod tests {
 
     #[test]
     fn self_copy_survives_total_loss() {
-        let (tx, rx) = unbounded();
-        let mut inbox_rx = Vec::new();
-        let mut inbox_tx = Vec::new();
-        for _ in 0..2 {
-            let (t, r) = unbounded();
-            inbox_tx.push(t);
-            inbox_rx.push(r);
-        }
-        let counters = Arc::new(TrafficCounters::default());
-        let h = spawn_router_lane(
-            0,
-            rx,
-            inbox_tx,
-            1.0,
-            2,
-            Arc::clone(&counters),
-            BufPool::default(),
-        );
-        tx.send((0, frame_of(&[(0, 9)]))).unwrap();
-        drop(tx);
-        h.join().unwrap();
+        let (mut fanout, inbox_rx, counters) = fanout(0, 2, 1.0, 2, BufPool::default());
+        fanout.route(frame_of(&[(0, 9)]));
         assert_eq!(recv_mux(&inbox_rx[0]).len(), 1, "self copy delivered");
         assert!(inbox_rx[1].try_recv().is_err(), "peer copy lost");
         assert_eq!(counters.snapshot().dropped_copies, 1);
@@ -297,29 +306,15 @@ mod tests {
         // loss 1.0 a control-only frame is forwarded as it is, and a
         // data + control frame arrives stripped of its messages but with
         // its controls.
-        let (tx, rx) = unbounded();
-        let (self_tx, self_rx) = unbounded();
-        let (peer_tx, peer_rx) = unbounded();
-        let counters = Arc::new(TrafficCounters::default());
-        let h = spawn_router_lane(
-            0,
-            rx,
-            vec![self_tx, peer_tx],
-            1.0,
-            4,
-            Arc::clone(&counters),
-            BufPool::default(),
-        );
+        let (mut fanout, inbox_rx, counters) = fanout(0, 2, 1.0, 4, BufPool::default());
         let ctl = TopicControl::Retire { topic: TopicId(3) };
         let mut control_only = MuxBatch::new();
         control_only.push_control(ctl);
-        tx.send((0, control_only.encode())).unwrap();
+        fanout.route(control_only.encode());
         let mut mixed = MuxBatch::decode(&frame_of(&[(0, 5), (3, 6)])).unwrap();
         mixed.push_control(ctl);
-        tx.send((0, mixed.encode())).unwrap();
-        drop(tx);
-        h.join().unwrap();
-        for (rx, survivors) in [(&self_rx, 2), (&peer_rx, 0)] {
+        fanout.route(mixed.encode());
+        for (rx, survivors) in [(&inbox_rx[0], 2), (&inbox_rx[1], 0)] {
             let first = recv_mux(rx);
             assert_eq!((first.len(), first.controls()), (0, &[ctl][..]));
             let second = recv_mux(rx);
@@ -336,26 +331,12 @@ mod tests {
         // sub-batch is (with overwhelming probability) neither empty nor
         // complete — loss applies per message, not per frame or topic —
         // and the thinned destination receives a re-encoded mux frame.
-        let (tx, rx) = unbounded();
-        let (peer_tx, peer_rx) = unbounded();
-        let (self_tx, self_rx) = unbounded();
-        let counters = Arc::new(TrafficCounters::default());
         let pool = BufPool::default();
-        let h = spawn_router_lane(
-            0,
-            rx,
-            vec![self_tx, peer_tx],
-            0.5,
-            3,
-            Arc::clone(&counters),
-            pool.clone(),
-        );
+        let (mut fanout, inbox_rx, counters) = fanout(0, 2, 0.5, 3, pool.clone());
         let entries: Vec<(u32, u128)> = (0..64).map(|i| ((i / 32) as u32, i)).collect();
-        tx.send((0, frame_of(&entries))).unwrap();
-        drop(tx);
-        h.join().unwrap();
-        assert_eq!(recv_mux(&self_rx).len(), 64, "self sub-batch intact");
-        let survived_mux = recv_mux(&peer_rx);
+        fanout.route(frame_of(&entries));
+        assert_eq!(recv_mux(&inbox_rx[0]).len(), 64, "self sub-batch intact");
+        let survived_mux = recv_mux(&inbox_rx[1]);
         let survived = survived_mux.len();
         assert!(survived > 0 && survived < 64, "got {survived}/64");
         let s = counters.snapshot();
@@ -367,18 +348,7 @@ mod tests {
 
     #[test]
     fn heartbeats_counted_separately() {
-        let (tx, rx) = unbounded();
-        let (t, _r) = unbounded();
-        let counters = Arc::new(TrafficCounters::default());
-        let h = spawn_router_lane(
-            0,
-            rx,
-            vec![t],
-            0.0,
-            3,
-            Arc::clone(&counters),
-            BufPool::default(),
-        );
+        let (mut fanout, _inbox_rx, counters) = fanout(0, 1, 0.0, 3, BufPool::default());
         let hb = MuxBatch::from_entries(&[(
             TopicId::ZERO,
             WireMessage::Heartbeat {
@@ -386,9 +356,7 @@ mod tests {
                 seq: 0,
             },
         )]);
-        tx.send((0, hb.encode())).unwrap();
-        drop(tx);
-        h.join().unwrap();
+        fanout.route(hb.encode());
         let s = counters.snapshot();
         assert_eq!(s.heartbeats, 1);
         assert_eq!(s.protocol_messages, 0);

@@ -1,7 +1,7 @@
 //! Real-socket transport for the runtime (DESIGN.md §13).
 //!
-//! The threaded runtime's router lanes move encoded
-//! [`urb_types::MuxBatch`] frames between nodes over in-process channels;
+//! The threaded runtime's nodes fan encoded [`urb_types::MuxBatch`]
+//! frames out to each other over in-process channels;
 //! this module moves the **same frames** over TCP instead, behind the
 //! same `NodeInput::Net(Bytes)` boundary, so nothing above the transport
 //! — engine, protocols, codec — changes when the cluster becomes N OS

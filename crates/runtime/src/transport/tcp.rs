@@ -235,7 +235,7 @@ impl TcpMesh {
     /// bounded backpressure, semantically a lossy-channel drop. The
     /// sender's own copy is the caller's business (the daemon loops it
     /// back directly, never through a socket, mirroring the in-process
-    /// router's never-lost self-copy).
+    /// fan-out's never-lost self-copy).
     pub fn broadcast(&self, frame: &Bytes) {
         for tx in &self.peer_txs {
             match tx.try_send(frame.clone()) {

@@ -30,7 +30,7 @@ use std::fmt;
 /// Unlike [`Tag`]/[`TagAck`]/[`Label`] it is *not* random: topics are
 /// small dense indices (`0 .. topic_count`) assigned by configuration,
 /// because every layer keys per-topic state by it (protocol-instance
-/// maps, router lanes, per-topic verdicts). Topic `0` is the implicit
+/// maps, per-topic verdicts). Topic `0` is the implicit
 /// default everywhere, which keeps every single-topic artifact
 /// byte-identical to the pre-topic system (DESIGN.md §12).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]

@@ -10,8 +10,8 @@
 //!   a lossy run with **both** `[[topics.events]]` and `[memory]`: the
 //!   node tick's sweep → reap → compact order, pinned;
 //! * **cross-backend parity** — the same multi-topic workload executed
-//!   by the discrete-event simulator and by the threaded runtime (with
-//!   sharded router lanes) delivers identical per-topic payload sets at
+//!   by the discrete-event simulator and by the threaded runtime
+//!   delivers identical per-topic payload sets at
 //!   every process: both backends drive the same `TopicEngine` code;
 //! * **per-topic verdicts** — a multi-topic sim run reports one URB
 //!   verdict per instance, and a violation on one topic does not leak
@@ -290,12 +290,8 @@ fn sim_and_runtime_agree_on_a_multi_topic_run() {
     let sim_out = urb_sim::run(cfg);
     assert!(sim_out.all_topics_ok(), "{:?}", sim_out.report.violations());
 
-    // Runtime side: 2 topics sharded over 2 router lanes.
-    let cluster = UrbCluster::spawn(
-        ClusterConfig::new(n, Algorithm::Majority)
-            .topics(2)
-            .router_lanes(2),
-    );
+    // Runtime side: 2 topics.
+    let cluster = UrbCluster::spawn(ClusterConfig::new(n, Algorithm::Majority).topics(2));
     let mut tags = Vec::new();
     for (i, &(topic, text)) in payloads.iter().enumerate() {
         let tag = cluster
