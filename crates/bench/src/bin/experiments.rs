@@ -1,11 +1,12 @@
 //! Experiment runner: regenerates every table of the reproduction.
 //!
 //! ```text
-//! cargo run -p urb-bench --release --bin experiments            # all, E1..E12
+//! cargo run -p urb-bench --release --bin experiments            # all, E1–E23
 //! cargo run -p urb-bench --release --bin experiments -- e4 e12  # a subset
 //! ```
 //!
-//! Output is markdown; `EXPERIMENTS.md` archives a full run with commentary.
+//! Output is markdown, one table per experiment; `DESIGN.md` §5 says what
+//! each one checks.
 
 use std::time::Instant;
 use urb_bench::experiments::{run_experiment, ALL_IDS};

@@ -2,14 +2,11 @@
 //!
 //! The experiment harness of the reproduction. The paper has no empirical
 //! evaluation; every experiment here validates one of its *claims*
-//! (theorems, lemmas, remarks — see `DESIGN.md` §5 for the index) and emits
-//! a markdown table. `EXPERIMENTS.md` archives a full run.
+//! (theorems, lemmas, remarks — see `DESIGN.md` §5 for the index of
+//! E1–E23) and emits a markdown table.
 //!
 //! Run everything: `cargo run -p urb-bench --release --bin experiments`
 //! Run one:        `cargo run -p urb-bench --release --bin experiments -- e4`
-//!
-//! The `benches/` directory adds Criterion micro-benchmarks (protocol step
-//! latency, codec throughput, detector snapshot cost, end-to-end runs).
 //!
 //! Beyond the experiment tables, this crate is the **performance plane**
 //! (DESIGN.md §10):

@@ -14,8 +14,7 @@
 //! }
 //! ```
 //!
-//! The body under `data` is whatever the producing subsystem hand-rolls
-//! (the offline `serde` shim generates nothing — see `vendor/README.md`);
+//! The body under `data` is whatever the producing subsystem hand-rolls;
 //! the envelope pins the four fields a trajectory diff needs to line two
 //! files up: same schema, same kind, which seed, which commit.
 

@@ -82,8 +82,7 @@ fn choice_from_value(v: &Value) -> Result<Choice, String> {
 }
 
 impl Counterexample {
-    /// The JSON body (hand-rolled like every emitter in the workspace —
-    /// the offline `serde` shim generates nothing).
+    /// The JSON body (hand-rolled like every emitter in the workspace).
     pub fn body_json(&self) -> String {
         let mut s = String::with_capacity(1024 + self.spec_toml.len() * 2);
         s.push_str("{\n");

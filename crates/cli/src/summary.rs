@@ -1,10 +1,9 @@
 //! Machine-readable run summary (`urb run --json`).
 
-use serde::Serialize;
 use urb_sim::RunOutcome;
 
 /// One topic's verdict row inside a [`RunSummary`] (DESIGN.md §12).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TopicSummary {
     /// Topic id.
     pub topic: u32,
@@ -21,7 +20,7 @@ pub struct TopicSummary {
 }
 
 /// Everything a script needs from one run, JSON-serializable.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunSummary {
     /// System size.
     pub n: usize,
@@ -114,9 +113,8 @@ impl RunSummary {
 
     /// Pretty JSON rendering.
     ///
-    /// Hand-rolled emitter (the offline `serde` shim's derives generate
-    /// nothing — see `vendor/README.md`); field names and layout match
-    /// what `serde_json::to_string_pretty` would produce.
+    /// Hand-rolled emitter; field names and layout match what
+    /// `serde_json::to_string_pretty` would produce.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         fn num_list(v: &[usize]) -> String {

@@ -163,6 +163,62 @@ fn check_unusable_input_is_exit_two() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn deeply_nested_input_is_rejected_not_a_stack_overflow() {
+    // 200 000 open brackets: each loader must refuse the file with its
+    // documented code (2, or 1 for `bench --validate`), never abort.
+    let deep_json = tmp("deep.json");
+    let deep_toml = tmp("deep.toml");
+    std::fs::write(&deep_json, "[".repeat(200_000)).unwrap();
+    std::fs::write(&deep_toml, format!("k = {}", "[".repeat(200_000))).unwrap();
+    let (json, toml) = (deep_json.to_str().unwrap(), deep_toml.to_str().unwrap());
+    for (args, want) in [
+        (vec!["scenario", json], 2),
+        (vec!["scenario", toml], 2),
+        (vec!["check", "--replay", json], 2),
+        (vec!["bench", "--validate", json], 1),
+    ] {
+        let out = run(&args);
+        assert_eq!(code(&out), want, "{args:?}: {out:?}");
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(text.contains("nesting deeper than 128"), "{args:?}: {text}");
+    }
+    for p in [deep_json, deep_toml] {
+        std::fs::remove_file(&p).ok();
+    }
+}
+
+#[test]
+fn check_json_reports_per_strategy_cost_fields() {
+    // The fields a dfs / dpor-lite / random cost comparison reads.
+    let spec = repo_root().join("scenarios/clean_smoke.toml");
+    for strategy in ["dfs", "dpor-lite", "random"] {
+        let out = run(&[
+            "check",
+            spec.to_str().unwrap(),
+            "--strategy",
+            strategy,
+            "--depth",
+            "6",
+            "--json",
+        ]);
+        assert_eq!(code(&out), 0, "{strategy}: {out:?}");
+        let v: serde_json::Value =
+            serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+        let data = &v["data"];
+        assert_eq!(data["strategy"], strategy);
+        let stats = &data["stats"];
+        assert!(stats["states"].as_u64().unwrap() > 0, "{strategy}: {v:?}");
+        for field in ["states_per_sec", "dedup_hit_rate", "dpor_pruned"] {
+            assert!(stats[field].as_f64().is_some(), "{strategy}.{field}: {v:?}");
+        }
+    }
+}
+
 // ------------------------------------------------------------------
 // `urb check --jobs / --cache` — parallel frontier and persistent
 // state cache, exercised end to end on the binary.

@@ -51,10 +51,10 @@ use bytes::Bytes;
 use std::collections::{BTreeSet, HashMap};
 use urb_types::snapshot::unseal;
 use urb_types::{
-    encode_mux_frame_with_controls_into, AnonProcess, BufPool, CodecError, CompactionReport,
-    Context, Delivery, FdSnapshot, MemoryConfig, MuxBatch, Payload, PooledBuf, ProcessStats,
-    RandomSource, SnapshotError, SnapshotReader, SnapshotWriter, SplitMix64, Tag, TopicControl,
-    TopicId, WireMessage,
+    encode_mux_frame_with_controls_into, AnonProcess, BufPool, CodecError, Context, Delivery,
+    FdSnapshot, MemoryConfig, MuxBatch, Payload, PooledBuf, ProcessStats, RandomSource,
+    SnapshotError, SnapshotReader, SnapshotWriter, SplitMix64, Tag, TopicControl, TopicId,
+    WireMessage,
 };
 
 /// One input to a protocol step — the three entry points of the paper's
@@ -520,8 +520,7 @@ impl TopicEngine {
     /// Resolves `topic`'s full lifecycle verdict in one directory probe:
     /// live/draining (with the slot index), retired tombstone, or never
     /// known. This is the dispatch hot path's entire lookup — and the
-    /// surface the equivalence tests and A/B benches compare against a
-    /// binary-search model.
+    /// surface the equivalence tests compare against a binary-search model.
     #[inline]
     pub fn resolve(&self, topic: TopicId) -> TopicState {
         match self.directory.entry(topic.0) {
@@ -1018,13 +1017,15 @@ impl TopicEngine {
     /// failure-detector snapshot. Totals accumulate into
     /// [`EngineCounters::reclaimed`] / [`EngineCounters::tombstoned`].
     fn compact_all(&mut self, fd: &FdSnapshot) {
-        let mut total = CompactionReport::default();
+        let (mut reclaimed, mut tombstoned) = (0, 0);
         for slot in &mut self.slots {
-            total.absorb(slot.proc.compact(fd));
+            let swept = slot.proc.compact(fd);
+            reclaimed += swept.reclaimed;
+            tombstoned += swept.tombstoned;
         }
         self.counters.compactions += 1;
-        self.counters.reclaimed += total.reclaimed as u64;
-        self.counters.tombstoned += total.tombstoned as u64;
+        self.counters.reclaimed += reclaimed as u64;
+        self.counters.tombstoned += tombstoned as u64;
     }
 
     /// Serializes the whole engine — algorithm, per-topic protocol state,
@@ -1210,7 +1211,7 @@ impl std::error::Error for MuxIngressError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urb_types::{Label, LabelSet, TagAck, WireKind};
+    use urb_types::{CompactionReport, Label, LabelSet, TagAck, WireKind};
 
     /// A scripted protocol: acks every MSG, re-broadcasts on tick.
     struct Scripted {

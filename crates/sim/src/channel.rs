@@ -26,12 +26,11 @@
 //! senders crash and therefore stop retransmitting: "sent an arbitrary but
 //! finite number of times" carries no delivery guarantee).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use urb_types::{RandomSource, TopicId, WireMessage, Xoshiro256};
 
 /// Per-transmission loss behaviour of a directed channel.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LossModel {
     /// Reliable: nothing is ever lost.
     None,
@@ -82,7 +81,7 @@ impl LossModel {
 }
 
 /// Per-transmission delay of a directed channel, in ticks.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DelayModel {
     /// Fixed delay.
     Constant(u64),

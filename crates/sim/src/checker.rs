@@ -17,12 +17,11 @@
 //!   only if `m` was previously URB-broadcast.
 
 use crate::metrics::{BroadcastRecord, DeliveryRecord};
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use urb_types::{Tag, TopicId};
 
 /// Verdict of one property.
-#[derive(Clone, Debug, Serialize, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PropertyVerdict {
     /// The property holds on this run.
     Holds,
@@ -46,7 +45,7 @@ impl PropertyVerdict {
 }
 
 /// Combined report for one run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CheckReport {
     /// Validity verdict.
     pub validity: PropertyVerdict,
@@ -158,7 +157,7 @@ pub fn check_urb(
 }
 
 /// One topic's URB verdict on a multi-instance run (DESIGN.md §12).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TopicReport {
     /// The URB instance this verdict covers.
     pub topic: TopicId,

@@ -4,11 +4,10 @@
 //! Everything the experiment suite (E4–E10) reports is collected here, in
 //! one pass, while the simulation runs — no post-hoc trace scraping.
 
-use serde::Serialize;
 use urb_types::{Payload, ProcessStats, Tag, TopicId, WireKind};
 
 /// One URB-broadcast invocation, as observed by the driver.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BroadcastRecord {
     /// Broadcasting process.
     pub pid: usize,
@@ -24,7 +23,7 @@ pub struct BroadcastRecord {
 }
 
 /// One URB-delivery, as observed by the driver.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeliveryRecord {
     /// Delivering process.
     pub pid: usize,
@@ -42,7 +41,7 @@ pub struct DeliveryRecord {
 }
 
 /// A timed sample of every process's state sizes (experiment E9).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct StatsSample {
     /// Sample time.
     pub time: u64,
@@ -51,7 +50,7 @@ pub struct StatsSample {
 }
 
 /// All measurements for one simulated run.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Transmissions attempted, per message kind (one broadcast to `n`
     /// processes counts `n` transmissions).

@@ -22,11 +22,15 @@
 //! and an integer literal *beyond* that range is rejected rather than
 //! silently rounded (a quietly-altered seed would defeat the plane's
 //! replay-determinism guarantee). Duplicate keys and duplicate table
-//! headers are errors, not merges.
+//! headers are errors, not merges. Arrays and inline tables nest at most
+//! 128 deep, the JSON loader's limit too.
 
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest nesting of arrays and inline tables [`parse`] accepts.
+const MAX_DEPTH: usize = 128;
 
 /// A parse error with the 1-based line it occurred on.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,9 +53,11 @@ impl std::error::Error for TomlError {}
 /// [`Value::Object`] tree.
 pub fn parse(input: &str) -> Result<Value, TomlError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
         line: 1,
+        depth: 0,
     };
     let mut root = BTreeMap::new();
     // Path of the table subsequent `key = value` lines land in.
@@ -177,9 +183,12 @@ fn open_table(root: &mut BTreeMap<String, Value>, path: &[String]) -> Result<Str
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     line: usize,
+    /// Arrays and inline tables currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -290,13 +299,27 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, TomlError> {
         match self.peek() {
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_inline_table(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_inline_table),
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'-' | b'+' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err_at("expected a value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, TomlError>,
+    ) -> Result<Value, TomlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err_at(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, lit: &str, value: Value) -> Result<Value, TomlError> {
@@ -343,11 +366,13 @@ impl<'a> Parser<'a> {
                     self.advance();
                 }
                 Some(_) => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err_at("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // newline: all ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\' | b'\n')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -431,8 +456,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text: String = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err_at("invalid UTF-8 in number"))?
+        let text: String = self.src[start..self.pos]
             .chars()
             .filter(|&c| c != '_')
             .collect();
@@ -560,6 +584,36 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_limit = format!("k = {}{}\n", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past = format!(
+            "k = {}{}\n",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
+        let err = parse(&past).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(parse(&format!("k = {}", "[".repeat(200_000))).is_err());
+        assert!(parse(&format!("k = {}", "{a = ".repeat(200_000))).is_err());
+        assert!(parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn multi_mebibyte_documents_parse_in_linear_time() {
+        // Many short strings, and one long one with multi-byte characters:
+        // both took minutes when each character re-validated the rest of
+        // the input.
+        let items = vec![r#""ab\u00e9\n""#; 200_000].join(",\n");
+        let doc = format!("short = [{items}]\nlong = \"{}\"\n", "é".repeat(1 << 20));
+        assert!(doc.len() > 4 << 20);
+        let v = parse(&doc).unwrap();
+        assert_eq!(v["short"].as_array().unwrap().len(), 200_000);
+        assert_eq!(v["short"][7], "abé\n");
+        assert_eq!(v["long"].as_str().unwrap().chars().count(), 1 << 20);
     }
 
     #[test]

@@ -559,7 +559,6 @@ struct Runner {
     tick_rng: SplitMix64,
     channels: ChannelMatrix,
     fd: Box<dyn FdService>,
-    oracle_audit_handle: bool,
     crashed: Vec<bool>,
     crash_times: Vec<Option<u64>>,
     crash_armed: Vec<bool>,
@@ -623,19 +622,16 @@ pub fn run(config: SimConfig) -> RunOutcome {
     );
     let tick_rng = seed_mix.split(0xFFFF);
 
-    let (fd, oracle_audit_handle): (Box<dyn FdService>, bool) = match config.fd {
-        FdKind::None => (Box::new(NoFd), false),
-        FdKind::Oracle(cfg) => (
-            Box::new(OracleFd::new(
-                config.crashes.static_times(),
-                config.seed,
-                cfg,
-            )),
-            true,
-        ),
+    let fd: Box<dyn FdService> = match config.fd {
+        FdKind::None => Box::new(NoFd),
+        FdKind::Oracle(cfg) => Box::new(OracleFd::new(
+            config.crashes.static_times(),
+            config.seed,
+            cfg,
+        )),
         FdKind::Heartbeat(cfg) => {
             let (svc, _labels) = HeartbeatService::new(n, config.seed, cfg);
-            (Box::new(svc), false)
+            Box::new(svc)
         }
     };
 
@@ -652,7 +648,6 @@ pub fn run(config: SimConfig) -> RunOutcome {
         tick_rng,
         channels,
         fd,
-        oracle_audit_handle,
         crashed: vec![false; n],
         crash_times: vec![None; n],
         crash_armed: vec![false; n],
@@ -1083,7 +1078,7 @@ impl Runner {
         // removal clock. Skipped when a declared-faulty process never
         // crashed within the horizon (its removal clocks never started).
         let fd_audit = match self.config.fd {
-            FdKind::Oracle(cfg) if self.oracle_audit_handle => {
+            FdKind::Oracle(cfg) => {
                 let mut actual = self.config.crashes.static_times();
                 let mut resolvable = true;
                 for (slot, resolved) in actual.iter_mut().zip(&self.crash_times) {

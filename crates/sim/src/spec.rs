@@ -1,5 +1,5 @@
-//! The declarative scenario plane: serde-backed scenario specs, loadable
-//! from TOML or JSON, compiled onto the event-queue machinery.
+//! The declarative scenario plane: scenario specs, loadable from TOML or
+//! JSON, compiled onto the event-queue machinery.
 //!
 //! A [`ScenarioSpec`] is a complete, self-contained description of one
 //! adversarial run — topology, workload, per-link loss and delay models,
@@ -28,8 +28,8 @@
 //! violation (the Theorem-2 corpus entry does).
 //!
 //! The schema is documented in DESIGN.md §9; the shipped corpus lives in
-//! `scenarios/` and is embedded here via [`corpus`] so tests, benches and
-//! examples replay it regardless of working directory.
+//! `scenarios/` and is embedded here via [`corpus`] so tests, experiments
+//! and examples replay it regardless of working directory.
 
 use crate::adversary::Schedule;
 use crate::channel::{DelayModel, LossModel};
@@ -1060,7 +1060,7 @@ impl ScenarioSpec {
 // The embedded corpus.
 
 /// The shipped scenario corpus (`scenarios/*.toml`), embedded so tests,
-/// benches and examples replay it regardless of working directory. Pairs
+/// experiments and examples replay it regardless of working directory. Pairs
 /// of `(file stem, TOML text)`.
 pub fn corpus() -> Vec<(&'static str, &'static str)> {
     vec![

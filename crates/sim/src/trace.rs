@@ -15,11 +15,10 @@
 //! `max_events` when on, so the hot path stays allocation-light.
 
 use crate::metrics::{BroadcastRecord, DeliveryRecord};
-use serde::Serialize;
 use urb_types::{Tag, WireKind};
 
 /// What kind of thing happened.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceKind {
     /// A broadcast primitive invocation put copies on the wire.
     Send,
@@ -37,7 +36,7 @@ pub enum TraceKind {
 
 /// One trace event. `from`/`to` are driver-side indices (the protocol never
 /// sees them); `tag` is present for MSG/ACK events.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TraceEvent {
     /// Simulated time.
     pub time: u64,
@@ -103,7 +102,7 @@ impl Default for TraceConfig {
 }
 
 /// A recorded trace.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// The events, in execution order.
     pub events: Vec<TraceEvent>,
@@ -135,10 +134,8 @@ impl Trace {
 
     /// JSON export (pretty-printed).
     ///
-    /// Hand-rolled emitter (the offline `serde` shim's derives generate
-    /// nothing — see `vendor/README.md`); the layout matches what
-    /// `serde_json::to_string_pretty` produces for these types, so external
-    /// tooling is unaffected by the shim.
+    /// Hand-rolled emitter; the layout matches what
+    /// `serde_json::to_string_pretty` produces for these types.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         fn opt_num(v: Option<impl std::fmt::Display>) -> String {

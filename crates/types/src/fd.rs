@@ -13,10 +13,9 @@
 //! protocol and detector crates.
 
 use crate::ids::{Label, LabelSet};
-use serde::{Deserialize, Serialize};
 
 /// One `(label, number)` pair as output by `AΘ` or `AP*`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FdPair {
     /// Temporary anonymous identifier of some process.
     pub label: Label,
@@ -30,7 +29,7 @@ pub struct FdPair {
 ///
 /// Stored sorted by label so lookups are `O(log n)` and equality is
 /// structural.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct FdView {
     pairs: Vec<FdPair>,
 }

@@ -18,7 +18,6 @@
 //! simulator's debug assertions additionally detect collisions outright.
 
 use crate::rng::RandomSource;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one URB *instance* (a "topic"): an independent broadcast
@@ -33,7 +32,7 @@ use std::fmt;
 /// maps, per-topic verdicts). Topic `0` is the implicit
 /// default everywhere, which keeps every single-topic artifact
 /// byte-identical to the pre-topic system (DESIGN.md §12).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TopicId(pub u32);
 
 impl TopicId {
@@ -66,7 +65,7 @@ impl fmt::Display for TopicId {
 /// Drawn by the broadcasting process in `URB_broadcast` (Algorithm 1/2,
 /// line 5). The pair `(m, tag)` of the paper is keyed by `tag` alone here —
 /// see DESIGN.md D2.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tag(pub u128);
 
 /// Unique random identifier of one process's acknowledgment of one message
@@ -76,14 +75,14 @@ pub struct Tag(pub u128);
 /// and re-uses it verbatim on retransmissions (the `MY_ACK` set enforces
 /// this), so counting *distinct* `TagAck`s for a tag counts distinct
 /// processes that received the message.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TagAck(pub u128);
 
 /// Temporary anonymous process identifier exposed by `AΘ` / `AP*` (§V).
 ///
 /// Labels are drawn by the failure-detector layer; no process (not even the
 /// labelled one) knows the label↔process mapping, which preserves anonymity.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Label(pub u64);
 
 impl Tag {
@@ -137,7 +136,7 @@ impl fmt::Display for Label {
 /// Kept sorted and deduplicated so that set operations are `O(n)` merges and
 /// equality is structural. Label sets are tiny (≤ number of processes), so a
 /// sorted `Vec` beats hash sets on every path the protocol exercises.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct LabelSet(Vec<Label>);
 
 impl LabelSet {

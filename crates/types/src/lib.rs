@@ -16,7 +16,7 @@
 //! * [`payload`] — cheaply clonable application payloads.
 //! * [`wire`] — the wire messages `MSG`, `ACK` and `HEARTBEAT` and the
 //!   one frame type that carries them ([`wire::MuxBatch`]), with a compact
-//!   hand-rolled binary codec (plus `serde` for trace export).
+//!   hand-rolled binary codec.
 //! * [`pool`] — recycled frame buffers and entry vectors
 //!   ([`pool::BufPool`], [`pool::MuxPool`]) for the zero-copy frame
 //!   plane (DESIGN.md §10).
@@ -46,7 +46,7 @@ pub mod wire;
 pub use fd::{FdPair, FdSnapshot, FdView};
 pub use ids::{Label, LabelSet, Tag, TagAck, TopicId};
 pub use payload::Payload;
-pub use pool::{BufPool, MuxPool, PoolStats, PooledBuf, VecPool};
+pub use pool::{BufPool, MuxPool, PoolStats, PooledBuf};
 pub use protocol::{
     AnonProcess, CompactionReport, Context, Delivery, MemoryConfig, ProcessStats, SpillPolicy,
 };

@@ -6,14 +6,13 @@
 //! reference-counted rather than deep-cloned.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An opaque application message (the paper's `m`).
 ///
 /// Cloning is `O(1)` (atomic refcount bump). Equality/hash are by content,
 /// which matches the paper's treatment of `m` as a value.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Payload(Bytes);
 
 impl Payload {

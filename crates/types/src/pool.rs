@@ -29,7 +29,7 @@
 //!    returns are dropped (counted in [`PoolStats::discarded`]), which
 //!    bounds worst-case memory under load spikes.
 //! 4. Losing a pooled object (dropping a [`MuxPool`] vector instead of
-//!    calling [`VecPool::release`]) is safe — it merely forfeits the
+//!    calling [`MuxPool::release`]) is safe — it merely forfeits the
 //!    recycling; nothing dangles.
 //!
 //! [`PoolStats`] makes the steady-state claim testable: once a workload
@@ -37,6 +37,7 @@
 //! (asserted by `pool_reaches_steady_state` below and by the sim/runtime
 //! integration tests).
 
+use crate::ids::TopicId;
 use crate::wire::WireMessage;
 use bytes::BytesMut;
 use std::ops::{Deref, DerefMut};
@@ -44,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Cumulative counters of one pool. Snapshot via [`BufPool::stats`] /
-/// [`VecPool::stats`].
+/// [`MuxPool::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Total acquisitions (`recycled + created`).
@@ -133,9 +134,9 @@ impl<T> Shelf<T> {
     }
 }
 
-/// Default retention bound used by [`BufPool::default`] and
-/// [`VecPool::default`]: generous enough for one object per node of a
-/// large cluster, small enough to bound idle memory.
+/// Default retention bound used by [`BufPool::default`]: generous enough
+/// for one object per node of a large cluster, small enough to bound idle
+/// memory.
 pub const DEFAULT_MAX_RETAINED: usize = 64;
 
 /// A pool of recycled frame buffers for the wire codec.
@@ -245,55 +246,34 @@ impl std::fmt::Debug for PooledBuf {
     }
 }
 
-/// A pool of recycled vectors of `T` for routed sub-batches.
+/// A pool of recycled `Vec<(TopicId, WireMessage)>` entry vectors for
+/// routed sub-batches (topic-tagged entries of the multiplexed frame
+/// plane, DESIGN.md §12).
 ///
-/// Unlike [`BufPool`] this hands out plain `Vec<T>` values (they
-/// typically move *into* an event and come back much later via
-/// [`VecPool::release`]), so recycling is explicit rather than RAII;
-/// dropping a vector instead of releasing it is safe and merely forfeits
-/// the reuse.
-///
-/// The message plane instantiates it as [`MuxPool`]
-/// (`Vec<(TopicId, WireMessage)>` — topic-tagged entries of the
-/// multiplexed frame plane, DESIGN.md §12).
-pub struct VecPool<T> {
-    shelf: Arc<Shelf<Vec<T>>>,
+/// Unlike [`BufPool`] this hands out plain vectors (they typically move
+/// *into* an event and come back much later via [`MuxPool::release`]),
+/// so recycling is explicit rather than RAII; dropping a vector instead
+/// of releasing it is safe and merely forfeits the reuse.
+#[derive(Clone)]
+pub struct MuxPool {
+    shelf: Arc<Shelf<Vec<(TopicId, WireMessage)>>>,
 }
 
-// Derived `Clone` would demand `T: Clone`; the handle only clones the Arc.
-impl<T> Clone for VecPool<T> {
-    fn clone(&self) -> Self {
-        VecPool {
-            shelf: Arc::clone(&self.shelf),
-        }
-    }
-}
-
-/// Recycled `Vec<(TopicId, WireMessage)>` entry vectors (the multiplexed
-/// topic plane).
-pub type MuxPool = VecPool<(crate::ids::TopicId, WireMessage)>;
-
-impl<T> Default for VecPool<T> {
-    fn default() -> Self {
-        VecPool::new(DEFAULT_MAX_RETAINED)
-    }
-}
-
-impl<T> VecPool<T> {
+impl MuxPool {
     /// A pool retaining at most `max_retained` idle vectors.
     pub fn new(max_retained: usize) -> Self {
-        VecPool {
+        MuxPool {
             shelf: Arc::new(Shelf::new(max_retained)),
         }
     }
 
     /// Acquires an empty vector (recycled when possible).
-    pub fn acquire(&self) -> Vec<T> {
+    pub fn acquire(&self) -> Vec<(TopicId, WireMessage)> {
         self.shelf.take(Vec::new)
     }
 
     /// Returns a vector to the pool (cleared here; capacity retained).
-    pub fn release(&self, mut v: Vec<T>) {
+    pub fn release(&self, mut v: Vec<(TopicId, WireMessage)>) {
         v.clear();
         self.shelf.put(v);
     }
@@ -309,9 +289,9 @@ impl<T> VecPool<T> {
     }
 }
 
-impl<T> std::fmt::Debug for VecPool<T> {
+impl std::fmt::Debug for MuxPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VecPool")
+        f.debug_struct("MuxPool")
             .field("idle", &self.idle())
             .field("stats", &self.stats())
             .finish()
@@ -378,8 +358,7 @@ mod tests {
 
     #[test]
     fn mux_pool_recycles_tagged_entry_vectors() {
-        use crate::ids::TopicId;
-        let pool: crate::pool::MuxPool = crate::pool::MuxPool::new(4);
+        let pool = MuxPool::new(4);
         let mut v = pool.acquire();
         v.push((
             TopicId(1),

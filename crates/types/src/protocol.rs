@@ -26,10 +26,9 @@ use crate::payload::Payload;
 use crate::rng::RandomSource;
 use crate::snapshot::SnapshotError;
 use crate::wire::WireMessage;
-use serde::{Deserialize, Serialize};
 
 /// One URB-delivery handed to the application layer.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Delivery {
     /// Tag of the delivered message (unique message identity).
     pub tag: Tag,
@@ -83,7 +82,7 @@ impl<'a> Context<'a> {
 
 /// Sizes of the per-process protocol state, for the memory experiments (E9)
 /// and for quiescence diagnostics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProcessStats {
     /// `|MSG_i|` — messages still being rebroadcast by Task 1.
     pub msg_set: usize,
@@ -106,7 +105,7 @@ impl ProcessStats {
 
 /// What a forced (over-ceiling) compaction sweep may reclaim beyond the
 /// stable prefix (DESIGN.md §14).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpillPolicy {
     /// Only entries that already satisfy the stability rule may go; the
     /// grace period is waived under pressure but unstable state is never
@@ -129,7 +128,7 @@ pub enum SpillPolicy {
 /// are ignored instead of re-entering state. Without a `MemoryConfig`
 /// (the default everywhere) compaction never runs and behavior is
 /// byte-identical to the unbounded engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryConfig {
     /// Consecutive stable tick sweeps a tag must survive before its
     /// entries are reclaimed. Higher values keep state longer but shrug
@@ -165,20 +164,12 @@ impl Default for MemoryConfig {
 }
 
 /// What one [`AnonProcess::compact`] sweep reclaimed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompactionReport {
     /// State entries dropped (summed in [`ProcessStats::total`] units).
     pub reclaimed: usize,
     /// Tags moved into the tombstone ring this sweep.
     pub tombstoned: usize,
-}
-
-impl CompactionReport {
-    /// Merges another sweep's counts into this one.
-    pub fn absorb(&mut self, other: CompactionReport) {
-        self.reclaimed += other.reclaimed;
-        self.tombstoned += other.tombstoned;
-    }
 }
 
 /// A broadcast protocol instance at one anonymous process.

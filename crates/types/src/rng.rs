@@ -19,8 +19,6 @@
 //! Neither is cryptographic; the paper only needs tags to be *unique with
 //! overwhelming probability*, which 128-bit draws from either provide.
 
-use serde::{Deserialize, Serialize};
-
 /// Source of uniformly distributed random words.
 ///
 /// Object-safe so that protocol code can hold `&mut dyn RandomSource`
@@ -76,7 +74,7 @@ pub trait RandomSource {
 
 /// SplitMix64 generator (Steele, Lea, Flood — "Fast splittable pseudorandom
 /// number generators", OOPSLA 2014).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -124,7 +122,7 @@ impl RandomSource for SplitMix64 {
 }
 
 /// xoshiro256++ generator (Blackman & Vigna, 2019).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Xoshiro256 {
     s: [u64; 4],
 }

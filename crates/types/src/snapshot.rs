@@ -15,7 +15,6 @@
 //! round-trip tests assert `fingerprint()` equality after
 //! serialize → truncate → restore.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Magic prefix of every snapshot envelope (`b"URBS"`).
@@ -28,7 +27,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"URBS";
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot (or journal record) could not be decoded.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The file does not start with [`SNAPSHOT_MAGIC`] — not a snapshot.
     BadMagic,

@@ -23,7 +23,7 @@
 //! The codec is a hand-rolled length-prefixed binary format (via `bytes`),
 //! because the simulator and runtime move millions of messages per run and
 //! the format doubles as the unit the channel-loss layer hashes for its
-//! fairness bookkeeping. `serde` derives exist as well, for trace export.
+//! fairness bookkeeping.
 //!
 //! The hot paths are zero-copy (DESIGN.md §10): frames are encoded into a
 //! reusable buffer — typically from a [`crate::BufPool`] — with no
@@ -36,11 +36,10 @@
 use crate::ids::{Label, LabelSet, Tag, TagAck, TopicId};
 use crate::payload::Payload;
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Discriminant of a wire message, used by metrics and loss bookkeeping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum WireKind {
     /// An application message retransmission (`MSG`).
     Msg,
@@ -81,7 +80,7 @@ impl fmt::Display for WireKind {
 /// cannot determine who sent a message, and the type system enforces that
 /// here. (The simulator tracks provenance out-of-band, for metrics and the
 /// fairness bookkeeping only — protocol code never sees it.)
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub enum WireMessage {
     /// `(MSG, m, tag)` — a message to be URB-delivered (Algorithm 1/2,
     /// Task 1 line 30/54).
@@ -423,7 +422,7 @@ impl fmt::Debug for WireMessage {
 /// code pair so receivers can materialize the correct protocol state
 /// machine; the codes are assigned by `urb_core::Algorithm::to_wire` and
 /// are opaque at this layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TopicControl {
     /// Create `topic`, instantiating algorithm `(algorithm, param)` lazily
     /// on first receipt.
@@ -556,7 +555,7 @@ impl fmt::Display for TopicControl {
 /// encoding appends into a caller buffer with no per-message allocation
 /// ([`MuxBatch::encode_into`]), and [`MuxBatch::decode_shared_into`]
 /// decodes payloads as refcounted slice views of the frame.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MuxBatch {
     /// `(topic, messages)` sub-batches, in emission order. Kept sorted by
     /// topic by [`MuxBatch::push`] (topics are stepped in ascending order,

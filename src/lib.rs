@@ -34,8 +34,8 @@
 //! assert!(outcome.all_ok());
 //! ```
 //!
-//! See `README.md` for the tour, `DESIGN.md` for the architecture and
-//! `EXPERIMENTS.md` for the measured results.
+//! See `README.md` for the tour and `DESIGN.md` for the architecture and
+//! the index of experiments E1–E23.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
