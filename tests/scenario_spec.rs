@@ -10,7 +10,10 @@
 //!   `tests/golden/partition_heal.json`, and the serial driver and the
 //!   parallel executor (the two simulator execution backends) produce
 //!   bit-identical traces. Regenerate the golden after an intentional
-//!   change with `UPDATE_GOLDEN=1 cargo test --test scenario_spec`.
+//!   change with `UPDATE_GOLDEN=1 cargo test --test scenario_spec`;
+//! * a **corpus pin** — every corpus scenario, at its own seed, runs to
+//!   the trace hash, delivery count, verdict and frame count recorded in
+//!   `tests/golden/corpus.json` (regenerated the same way).
 
 use proptest::prelude::*;
 use urb_sim::adversary::Schedule;
@@ -283,6 +286,53 @@ fn golden_partition_heal_delivery_trace() {
     assert_eq!(
         got, want,
         "partition_heal no longer replays to the recorded delivery trace; \
+         if the change is intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
+/// One row per corpus scenario, run at its own seed: what the run hashed,
+/// delivered, sent and concluded. Everything a driver refactor must leave
+/// byte-identical, in one file.
+fn render_corpus_pin() -> String {
+    let rows: Vec<String> = corpus()
+        .into_iter()
+        .map(|(name, text)| {
+            let spec = ScenarioSpec::from_toml_str(text).unwrap();
+            let out = urb_sim::run(spec.compile().unwrap());
+            let verdict = if spec.expect.check(&out).is_empty() {
+                "pass"
+            } else {
+                "fail"
+            };
+            format!(
+                "    {{\"scenario\": \"{name}\", \"trace_hash\": \"{:#018x}\", \
+                 \"deliveries\": {}, \"urb_ok\": {}, \"verdict\": \"{verdict}\", \
+                 \"frames_sent\": {}}}",
+                out.metrics.trace_hash,
+                out.metrics.deliveries.len(),
+                out.all_topics_ok(),
+                out.metrics.frames_sent,
+            )
+        })
+        .collect();
+    format!("{{\n  \"corpus\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
+}
+
+#[test]
+fn golden_corpus_outcomes() {
+    let rendered = render_corpus_pin();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/corpus.json");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &rendered).expect("write golden");
+        eprintln!("golden updated: {path}");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file present");
+    let got: serde_json::Value = serde_json::from_str(&rendered).unwrap();
+    let want: serde_json::Value = serde_json::from_str(&golden).unwrap();
+    assert_eq!(
+        got, want,
+        "the corpus no longer runs to the pinned outcomes; \
          if the change is intentional, regenerate with UPDATE_GOLDEN=1"
     );
 }
