@@ -53,10 +53,17 @@ pub fn build_config(args: &RunArgs) -> SimConfig {
     if args.trace.is_some() {
         cfg.trace = TraceConfig::full(1_000_000);
     }
-    // Non-quiescent algorithms would run to the horizon; end once the URB
-    // verdict is decided (quiescent ones still get their quiescence flag
-    // because stop_on_quiescence remains on and is checked first).
-    cfg.stop_on_full_delivery = true;
+    // An algorithm that never goes quiescent would run to the horizon, so
+    // its run ends once the URB verdict is decided. One that can go
+    // quiescent runs on until it does: a process delivers before it can
+    // prune, so stopping at full delivery would always end the run first
+    // and the report would never say `quiescent`.
+    cfg.stop_on_full_delivery = !matches!(
+        cfg.algorithm,
+        urb_core::Algorithm::Quiescent
+            | urb_core::Algorithm::QuiescentLiteral
+            | urb_core::Algorithm::BestEffort
+    );
     cfg
 }
 
@@ -1101,7 +1108,15 @@ mod tests {
         assert!(matches!(cfg.loss, LossModel::None));
         assert!(matches!(cfg.fd, FdKind::None));
         assert_eq!(cfg.crashes.faulty_count(), 2);
-        assert!(cfg.stop_on_full_delivery);
+        assert!(!cfg.stop_on_full_delivery, "Algorithm 2 runs to quiescence");
+        let cfg = build_config(&RunArgs {
+            algorithm: urb_core::Algorithm::Majority,
+            ..args
+        });
+        assert!(
+            cfg.stop_on_full_delivery,
+            "Algorithm 1 never goes quiescent"
+        );
     }
 
     #[test]

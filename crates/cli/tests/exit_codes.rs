@@ -386,6 +386,16 @@ fn run_topics_flag_reports_per_topic_verdict_rows() {
     }
 }
 
+#[test]
+fn run_reports_the_default_algorithm_quiescent() {
+    // Algorithm 2 delivers before it can prune: a run that stopped at
+    // full delivery would end before it ever went quiescent.
+    let out = run(&["run", "--json", "--n", "5", "--msgs", "2", "--loss", "0"]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let v: serde_json::Value = serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    assert_eq!(v["data"]["quiescent"], true, "{v:?}");
+}
+
 // ------------------------------------------------------------------
 // `urb bench --diff` — the perf-regression gate.
 
