@@ -6,10 +6,9 @@
 //! resolves the same nondeterminism from explicit [`Choice`]s instead,
 //! so a schedule becomes a first-class, enumerable, serializable value.
 //! A [`CheckModel`] is built from a [`ScenarioSpec`]; [`CheckState`]
-//! applies choices one at a time through the engine's one stepping
-//! surface ([`TopicEngine::step_mux`] / [`TopicEngine::tick_all`], the
-//! calls the simulator makes), reads the new choice points off the step's
-//! buffers, checks the URB integrity invariants
+//! applies choices one at a time by stepping the same [`Node`]s the
+//! simulator and the runtimes step, reads the new choice points off the
+//! step's buffers, checks the URB integrity invariants
 //! after every step, and evaluates the eventual properties (validity,
 //! agreement) at *silent* states — states where no choice is enabled and
 //! every surviving process is quiescent, so nothing can ever happen
@@ -29,7 +28,7 @@
 //!   [`Choice::Tick`]s. Time itself is abstracted to the step index.
 
 use std::collections::BTreeSet;
-use urb_engine::{MuxBuffers, StepInput, TopicEngine};
+use urb_engine::Node;
 use urb_sim::checker::{check_urb, CheckReport};
 use urb_sim::metrics::{BroadcastRecord, DeliveryRecord};
 use urb_sim::{
@@ -161,7 +160,7 @@ impl CheckModel {
     /// mirrors a seeded run.
     pub fn initial(&self) -> CheckState<'_> {
         let cfg = &self.cfg;
-        let engines = build_fleet(
+        let nodes = build_fleet(
             cfg.n,
             cfg.topics,
             cfg.algorithm,
@@ -171,7 +170,7 @@ impl CheckModel {
         );
         CheckState {
             model: self,
-            engines,
+            nodes,
             pending: Vec::new(),
             crashed: vec![false; cfg.n],
             delivered_once: vec![false; cfg.n],
@@ -183,19 +182,21 @@ impl CheckModel {
             broadcasts: Vec::new(),
             deliveries: Vec::new(),
             violation: None,
-            mux: MuxBuffers::new(),
         }
     }
 }
 
-/// One explored protocol state: the engines plus the explorer-owned
+/// One explored protocol state: the nodes plus the explorer-owned
 /// network/adversary bookkeeping. Reconstructed by replaying a choice
 /// prefix from [`CheckModel::initial`] (states are not clonable — the
 /// protocol instances are trait objects — so the explorer is *stateless*
 /// in the model-checking sense).
 pub struct CheckState<'m> {
     model: &'m CheckModel,
-    engines: Vec<TopicEngine>,
+    /// What the choice being applied made a node emit and deliver is
+    /// drained from its buffers into `pending` / `deliveries` before
+    /// `apply` returns.
+    nodes: Vec<Node>,
     /// Pending messages, in routing order; `Choice::Deliver`/`Drop`
     /// slots index this list at apply time.
     pending: Vec<PendingMsg>,
@@ -209,9 +210,6 @@ pub struct CheckState<'m> {
     broadcasts: Vec<BroadcastRecord>,
     deliveries: Vec<DeliveryRecord>,
     violation: Option<Vec<String>>,
-    /// What the choice being applied made the engine emit and deliver;
-    /// drained into `pending` / `deliveries` before `apply` returns.
-    mux: MuxBuffers,
 }
 
 impl<'m> CheckState<'m> {
@@ -283,7 +281,8 @@ impl<'m> CheckState<'m> {
     /// deliver-or-drop choice; every URB-delivery is recorded (and arms
     /// crash-on-delivery rules), then integrity is re-checked.
     fn finish_step(&mut self, pid: usize) {
-        for (topic, msg) in self.mux.outbox.drain(..) {
+        let mux = self.nodes[pid].mux();
+        for (topic, msg) in mux.outbox.drain(..) {
             for to in 0..self.model.cfg.n {
                 if self.model.severed.contains(&(pid, to)) || self.crashed[to] {
                     continue;
@@ -296,11 +295,11 @@ impl<'m> CheckState<'m> {
                 });
             }
         }
-        if self.mux.deliveries.is_empty() {
+        if mux.deliveries.is_empty() {
             return;
         }
         self.delivered_once[pid] = true;
-        for (topic, d) in self.mux.deliveries.drain(..) {
+        for (topic, d) in mux.deliveries.drain(..) {
             self.deliveries.push(DeliveryRecord {
                 pid,
                 topic,
@@ -383,7 +382,7 @@ impl<'m> CheckState<'m> {
         for pid in 0..self.model.cfg.n {
             if !self.crashed[pid]
                 && self.ticks_used[pid] < self.model.bounds.tick_budget
-                && !self.engines[pid].is_quiescent()
+                && !self.nodes[pid].engine().is_quiescent()
             {
                 out.push(Choice::Tick { pid });
             }
@@ -428,21 +427,11 @@ impl<'m> CheckState<'m> {
                 if self.crashed[b.pid] {
                     return; // invoking a crashed process is a no-op
                 }
-                if !self.engines[b.pid].is_live(b.topic) {
-                    // Refused invocation (DESIGN.md §15): the target
-                    // topic is not live at this process — same inert
-                    // outcome as the simulator's out-of-window guard.
-                    return;
-                }
                 let fd = self.fd_snapshot();
-                let tag = self.engines[b.pid]
-                    .step_mux(
-                        b.topic,
-                        StepInput::Broadcast(b.payload.clone()),
-                        &fd,
-                        &mut self.mux,
-                    )
-                    .expect("urb_broadcast assigns a tag");
+                let Some(tag) = self.nodes[b.pid].broadcast(b.topic, b.payload.clone(), &fd) else {
+                    // Refused: the topic is not live at this process.
+                    return;
+                };
                 self.broadcasts.push(BroadcastRecord {
                     pid: b.pid,
                     topic: b.topic,
@@ -453,16 +442,11 @@ impl<'m> CheckState<'m> {
                 self.finish_step(b.pid);
             }
             Choice::Deliver { slot } => {
+                // Delivery into a retired (reclaimed) instance is inert:
+                // the copy is consumed and nothing steps.
                 let p = self.pending.remove(slot);
-                if !self.engines[p.to].has_instance(p.topic) {
-                    // Delivery into a retired (reclaimed) instance is
-                    // inert: the copy is consumed, no engine steps —
-                    // the model-level statement of "retirement frees
-                    // state without reviving it".
-                    return;
-                }
                 let fd = self.fd_snapshot();
-                self.engines[p.to].step_mux(p.topic, StepInput::Receive(p.msg), &fd, &mut self.mux);
+                self.nodes[p.to].receive(p.topic, p.msg, &fd);
                 self.finish_step(p.to);
             }
             Choice::Drop { slot } => {
@@ -477,7 +461,7 @@ impl<'m> CheckState<'m> {
                 // topics the node serves.
                 self.ticks_used[pid] += 1;
                 let fd = self.fd_snapshot();
-                self.engines[pid].tick_all(&fd, &mut self.mux);
+                self.nodes[pid].tick(&fd);
                 self.finish_step(pid);
             }
             Choice::Crash { pid } => {
@@ -489,7 +473,12 @@ impl<'m> CheckState<'m> {
             Choice::TopicEvent => {
                 let action = self.model.cfg.topic_events[self.next_topic_event].action;
                 self.next_topic_event += 1;
-                action.apply(&mut self.engines, &self.crashed, self.model.cfg.algorithm);
+                let control = action.control(self.model.cfg.algorithm);
+                for (node, &crashed) in self.nodes.iter_mut().zip(&self.crashed) {
+                    if !crashed {
+                        node.apply(control);
+                    }
+                }
             }
         }
     }
@@ -505,10 +494,10 @@ impl<'m> CheckState<'m> {
             && self.next_topic_event == self.model.cfg.topic_events.len()
             && self.pending.is_empty()
             && self
-                .engines
+                .nodes
                 .iter()
                 .enumerate()
-                .all(|(i, e)| self.crashed[i] || e.is_quiescent())
+                .all(|(i, node)| self.crashed[i] || node.engine().is_quiescent())
     }
 
     /// The full URB report of this execution (integrity stepwise plus —
@@ -539,7 +528,7 @@ impl<'m> CheckState<'m> {
     }
 
     /// The pruning digest: per-node semantic fingerprints
-    /// ([`TopicEngine::fingerprint`]), the crash set, the pending-message
+    /// ([`urb_engine::TopicEngine::fingerprint`]), the crash set, the pending-message
     /// *multiset* of `(from, to, content)` triples (sorted, so slot
     /// order — which is behaviourally irrelevant — does not split
     /// states; `from` is kept because it decides droppability, so a
@@ -557,13 +546,13 @@ impl<'m> CheckState<'m> {
             }
         }
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (i, e) in self.engines.iter().enumerate() {
+        for (i, node) in self.nodes.iter().enumerate() {
             fold(
                 &mut h,
                 if self.crashed[i] {
                     0xDEAD
                 } else {
-                    e.fingerprint()
+                    node.engine().fingerprint()
                 },
             );
         }
@@ -603,13 +592,13 @@ impl<'m> CheckState<'m> {
         h
     }
 
-    /// Topic instances reclaimed so far, summed over every engine — the
+    /// Topic instances reclaimed so far, summed over every node — the
     /// model-checker's view of the lifecycle counters
     /// ([`urb_engine::EngineCounters::topics_reclaimed`]).
     pub fn topics_reclaimed(&self) -> u64 {
-        self.engines
+        self.nodes
             .iter()
-            .map(|e| e.counters().topics_reclaimed)
+            .map(|n| n.engine().counters().topics_reclaimed)
             .sum()
     }
 

@@ -1,17 +1,18 @@
 //! A tiny single-process driving harness for unit tests, doctests and
-//! examples — the third adapter over the shared engine.
+//! examples.
 //!
 //! [`StepHarness`] owns the RNG, the scripted failure-detector snapshot and
 //! the reusable [`StepBuffers`] a [`urb_types::Context`] borrows, so a test
 //! can feed a state machine one event at a time and inspect exactly what it
 //! broadcast and delivered — no network, no scheduler. Every step goes
-//! through [`urb_engine::drive_step`], the *same* code path the
-//! discrete-event simulator (`urb-sim`) and the threaded runtime
-//! (`urb-runtime`) execute, so what a unit test observes is what a
-//! deployment does.
+//! through [`drive_step`], the dispatch every node's step comes down to
+//! in the simulator, the checker and the runtimes alike, so what a unit
+//! test observes is what a deployment does.
 
-use urb_engine::{drive_step, StepBuffers, StepInput};
-use urb_types::{AnonProcess, Delivery, FdSnapshot, Payload, SplitMix64, Tag, WireMessage};
+use urb_types::{
+    drive_step, AnonProcess, Delivery, FdSnapshot, Payload, SplitMix64, StepBuffers, StepInput,
+    Tag, WireMessage,
+};
 
 /// Owns everything a protocol step needs, for driving one process by hand.
 pub struct StepHarness {
@@ -20,6 +21,7 @@ pub struct StepHarness {
     /// between steps to script detector behaviour.
     pub fd: FdSnapshot,
     buf: StepBuffers,
+    #[cfg(test)]
     outbox_history: Vec<WireMessage>,
     delivery_history: Vec<Delivery>,
 }
@@ -31,6 +33,7 @@ impl StepHarness {
             rng: SplitMix64::new(seed),
             fd: FdSnapshot::none(),
             buf: StepBuffers::new(),
+            #[cfg(test)]
             outbox_history: Vec::new(),
             delivery_history: Vec::new(),
         }
@@ -62,6 +65,7 @@ impl StepHarness {
     }
 
     fn collect(&mut self) -> StepOut {
+        #[cfg(test)]
         self.outbox_history.extend(self.buf.outbox.iter().cloned());
         self.delivery_history
             .extend(self.buf.deliveries.iter().cloned());
@@ -69,11 +73,6 @@ impl StepHarness {
             broadcasts: self.buf.outbox.clone(),
             deliveries: self.buf.deliveries.clone(),
         }
-    }
-
-    /// Every message broadcast since the harness was created.
-    pub fn all_broadcasts(&self) -> &[WireMessage] {
-        &self.outbox_history
     }
 
     /// Every delivery since the harness was created.
@@ -118,6 +117,13 @@ impl StepOut {
 mod tests {
     use super::*;
     use crate::MajorityUrb;
+
+    impl StepHarness {
+        /// Every message broadcast since the harness was created.
+        fn all_broadcasts(&self) -> &[WireMessage] {
+            &self.outbox_history
+        }
+    }
 
     #[test]
     fn harness_accumulates_history() {

@@ -4,30 +4,32 @@
 //! workspace.
 //!
 //! Several drivers execute the paper's protocols: the discrete-event
-//! simulator (`urb-sim`), the schedule explorer (`urb-check`), the
-//! threaded and socket runtimes (`urb-runtime`) and the single-process
-//! test harness (`urb_core::harness`). Before this crate existed each of
-//! them re-implemented the same cycle — take a failure-detector snapshot,
-//! run one protocol step through the sans-io [`AnonProcess`] trait,
-//! collect the URB deliveries, drain the outbox toward the network. The
-//! engine owns that cycle once:
+//! simulator and its lockstep planes (`urb-sim`), the schedule explorer
+//! (`urb-check`) and the threaded and socket runtimes (`urb-runtime`).
+//! Before this crate existed each of them re-implemented the same cycle —
+//! take a failure-detector snapshot, run one protocol step through the
+//! sans-io [`AnonProcess`] trait, collect the URB deliveries, drain the
+//! outbox toward the network — and each guarded it its own way. The
+//! engine owns that cycle once, as one node every driver steps:
 //!
-//! * [`drive_step`] — the single implementation of "one protocol step":
-//!   every backend funnels through this function, so a step is *provably
-//!   identical* across the simulator, the runtime and the harness;
-//! * [`StepBuffers`] — the reusable outbox/delivery buffers one bare
-//!   [`drive_step`] fills (the engine's own scratch, and the test
-//!   harness's);
-//! * [`TopicEngine`] — the owning per-node engine: one protocol instance
+//! * [`Node`] — one process of the paper: its [`TopicEngine`], the
+//!   [`MuxBuffers`] its steps fill and the system size. `broadcast`
+//!   (refused unless the topic is live), per-message `receive` (inert
+//!   without an instance), `receive_frame`, `tick` and `apply` /
+//!   `control` — the one place a [`TopicControl`] is decoded and
+//!   validated. The detector view is an argument of every step: the node
+//!   reads no clock and holds no detector;
+//! * [`TopicEngine`] — the node's per-topic layer: one protocol instance
 //!   per topic, one deterministic RNG stream, cumulative
-//!   [`EngineCounters`], the topic lifecycle and the snapshot plane. A
-//!   single-topic node is [`TopicEngine::single`];
-//! * **one stepping surface** (DESIGN.md §2): every driver steps into
+//!   [`EngineCounters`], the topic lifecycle and the snapshot plane;
+//! * **one stepping surface** (DESIGN.md §2): every step lands in
 //!   [`MuxBuffers`] — [`TopicEngine::step_mux`] for one input,
 //!   [`TopicEngine::receive_mux_frame`] for a received frame, and
 //!   [`TopicEngine::tick_all`] for *the* node tick (sweep every instance
 //!   that has work → reap drained topics → compact if memory is
-//!   configured);
+//!   configured). Each of them runs [`drive_step`], the one dispatch of a
+//!   protocol step (defined in `urb-types` beside the trait it drives, so
+//!   `urb_core`'s single-process test harness calls it too);
 //! * the **frame plane** (DESIGN.md §10, §12): [`MuxBuffers`] accumulates
 //!   what every stepped topic emitted, [`MuxBuffers::take_mux_frame`]
 //!   encodes it straight into a pooled buffer (zero per-message
@@ -37,12 +39,12 @@
 //!   steps, not messages, while per-message `retransmit_key` identity
 //!   (the fair-lossy bookkeeping unit) is preserved.
 //!
-//! What stays backend-specific is exactly what *differs* between backends:
+//! What stays driver-specific is exactly what *differs* between drivers:
 //! where the [`FdSnapshot`] comes from (oracle/heartbeat service keyed by
-//! simulated time, membership registry keyed by wall-clock time, or a
-//! scripted snapshot in tests) and what happens to the drained frame
-//! (event-queue scheduling, channel send, socket write, or test
-//! inspection).
+//! simulated time, the checker's perfect detector, membership registry
+//! keyed by wall-clock time), how a node's tag stream is derived, and
+//! what happens to the drained frame (event-queue scheduling, pending
+//! choices, channel send, socket write).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -50,77 +52,16 @@
 use bytes::Bytes;
 use std::collections::{BTreeSet, HashMap};
 use urb_types::snapshot::unseal;
+pub use urb_types::StepInput;
+use urb_types::{drive_step, StepBuffers};
 use urb_types::{
-    encode_mux_frame_with_controls_into, AnonProcess, BufPool, CodecError, Context, Delivery,
-    FdSnapshot, MemoryConfig, MuxBatch, Payload, PooledBuf, ProcessStats, RandomSource,
-    SnapshotError, SnapshotReader, SnapshotWriter, SplitMix64, Tag, TopicControl, TopicId,
-    WireMessage,
+    encode_mux_frame_with_controls_into, AnonProcess, BufPool, CodecError, Delivery, FdSnapshot,
+    MemoryConfig, MuxBatch, PooledBuf, ProcessStats, SnapshotError, SnapshotReader, SnapshotWriter,
+    SplitMix64, Tag, TopicControl, TopicId, WireMessage,
 };
 
-/// One input to a protocol step — the three entry points of the paper's
-/// pseudocode.
-#[derive(Clone, Debug)]
-pub enum StepInput {
-    /// One Task-1 sweep (the `repeat forever` body).
-    Tick,
-    /// One incoming wire message (`receive_i`).
-    Receive(WireMessage),
-    /// An application-level `URB_broadcast(payload)` invocation.
-    Broadcast(Payload),
-}
-
-/// Reusable buffers one protocol step fills.
-///
-/// Drivers allocate one of these per node (or per loop) and reuse it for
-/// every step; [`drive_step`] clears it first, so after the call it holds
-/// exactly what *this* step emitted.
-#[derive(Debug, Default)]
-pub struct StepBuffers {
-    /// Messages the step broadcast (the paper's `broadcast_i`), in order.
-    pub outbox: Vec<WireMessage>,
-    /// URB-deliveries the step produced, in order.
-    pub deliveries: Vec<Delivery>,
-}
-
-impl StepBuffers {
-    /// Fresh, empty buffers.
-    pub fn new() -> Self {
-        StepBuffers::default()
-    }
-}
-
-/// Executes one protocol step. **The** shared implementation: every
-/// backend's step goes through this function.
-///
-/// Clears `buf`, builds the paper-shaped [`Context`] over it, dispatches
-/// `input` to the matching [`AnonProcess`] entry point and returns the
-/// assigned [`Tag`] for broadcast inputs (`None` otherwise). The caller
-/// supplies the [`FdSnapshot`] taken immediately before the step — the
-/// paper's read-only detector variable semantics — because *where* the
-/// snapshot comes from is the one genuinely backend-specific part of the
-/// cycle.
-pub fn drive_step(
-    proc: &mut dyn AnonProcess,
-    input: StepInput,
-    fd: &FdSnapshot,
-    rng: &mut dyn RandomSource,
-    buf: &mut StepBuffers,
-) -> Option<Tag> {
-    buf.outbox.clear();
-    buf.deliveries.clear();
-    let mut ctx = Context::new(rng, fd, &mut buf.outbox, &mut buf.deliveries);
-    match input {
-        StepInput::Tick => {
-            proc.on_tick(&mut ctx);
-            None
-        }
-        StepInput::Receive(msg) => {
-            proc.on_receive(msg, &mut ctx);
-            None
-        }
-        StepInput::Broadcast(payload) => Some(proc.urb_broadcast(payload, &mut ctx)),
-    }
-}
+mod node;
+pub use node::Node;
 
 /// Cumulative per-node activity counters maintained by [`TopicEngine`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -218,7 +159,7 @@ impl MuxBuffers {
 /// The paper's protocols are per-instance state machines; a node serving
 /// many topics runs one instance each and multiplexes their traffic over
 /// the shared links (DESIGN.md §12). `TopicEngine` owns that map. With
-/// exactly one topic ([`TopicEngine::single`]) it is bit-for-bit the
+/// exactly one topic it is bit-for-bit the
 /// pre-topic single-instance engine — same RNG consumption, same counters
 /// — which is what keeps every single-topic artifact byte-identical.
 ///
@@ -491,11 +432,6 @@ impl TopicEngine {
             slot.active = true;
             self.active.push(slot.topic);
         }
-    }
-
-    /// Single-topic convenience constructor.
-    pub fn single(proc: Box<dyn AnonProcess + Send>, rng: SplitMix64) -> Self {
-        TopicEngine::new(vec![proc], rng)
     }
 
     /// Number of topic instances this engine currently holds (live plus
@@ -1211,7 +1147,7 @@ impl std::error::Error for MuxIngressError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urb_types::{CompactionReport, Label, LabelSet, TagAck, WireKind};
+    use urb_types::{CompactionReport, Context, Label, LabelSet, Payload, TagAck, WireKind};
 
     /// A scripted protocol: acks every MSG, re-broadcasts on tick.
     struct Scripted {
@@ -2426,7 +2362,7 @@ mod tests {
 
     #[test]
     fn save_snapshot_errors_for_unsupported_algorithms() {
-        let e = TopicEngine::single(Box::new(Opaque), SplitMix64::new(1));
+        let e = TopicEngine::new(vec![Box::new(Opaque)], SplitMix64::new(1));
         assert!(matches!(
             e.save_snapshot(),
             Err(SnapshotError::Malformed(_))

@@ -2,7 +2,7 @@
 //! socket-distributed URB cluster (DESIGN.md §13).
 //!
 //! A daemon node is the [`crate::transport::TcpMesh`] socket plane
-//! under the **same node core and node loop** the threaded runtime's node
+//! under the **same node and node loop** the threaded runtime's node
 //! threads run (`node_core`): only the backend differs — frames go to
 //! real sockets instead of in-process inboxes, deliveries into
 //! per-topic sets (and the durable journal) instead of a channel, and a
@@ -21,7 +21,7 @@
 //! resulting per-topic delivery **sets**. Those sets are the unit the
 //! parity and fault-injection suites assert on.
 
-use crate::node_core::{self, Backend, Node, NodeCore, FRAME_BUDGET};
+use crate::node_core::{self, Backend, Node};
 use crate::state::{StateDir, StateError};
 use crate::transport::{MeshConfig, NetError, NetStats, TcpMesh};
 use crate::MembershipRegistry;
@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urb_core::Algorithm;
 use urb_engine::{MuxBuffers, MuxIngressError, TopicEngine};
-use urb_types::{BufPool, Payload, TopicControl, TopicId};
+use urb_types::{Payload, TopicControl, TopicId};
 
 /// Configuration of one daemon node (the `urb node` subcommand's flags).
 #[derive(Clone, Debug)]
@@ -190,34 +190,6 @@ pub fn expected_payloads(n: usize, topic: TopicId, msgs: usize) -> BTreeSet<Stri
         .collect()
 }
 
-/// Where a daemon node's frames go: to the peers over the [`TcpMesh`] and
-/// back to the node itself through its own ingress FIFO — the never-lost
-/// self-copy of the broadcast primitive, without a socket.
-struct MeshEgress {
-    mesh: TcpMesh,
-    loopback: Sender<Bytes>,
-    pool: BufPool,
-}
-
-impl MeshEgress {
-    /// Seals what the node staged and sends every frame to the peers and
-    /// the self-copy.
-    fn flush(&self, mux: &mut MuxBuffers) {
-        let send = |frame: Bytes| {
-            self.mesh.broadcast(&frame);
-            let _ = self.loopback.send(frame);
-            true
-        };
-        node_core::seal_frames(
-            &mut mux.outbox,
-            &mut mux.controls,
-            &self.pool,
-            FRAME_BUDGET,
-            send,
-        );
-    }
-}
-
 /// What a daemon node delivered, and (with `--state-dir`) its durable
 /// copy (DESIGN.md §14).
 struct DeliveryLog {
@@ -265,12 +237,16 @@ fn state_err(e: StateError) -> NetError {
     NetError::State(e.to_string())
 }
 
-/// The socket backend of the node loop: [`MeshEgress`] for frames,
-/// [`DeliveryLog`] for deliveries; the run ends on the wall-clock budget,
-/// or once the expectation is met and the linger has passed.
+/// The socket backend of the node loop: frames go to the peers over the
+/// [`TcpMesh`] and back to the node itself through its own ingress FIFO
+/// (the never-lost self-copy of the broadcast primitive, without a
+/// socket), deliveries into the [`DeliveryLog`]; the run ends on the
+/// wall-clock budget, or once the expectation is met and the linger has
+/// passed.
 struct MeshBackend<'a> {
     cfg: &'a NodeConfig,
-    egress: MeshEgress,
+    mesh: TcpMesh,
+    loopback: Sender<Bytes>,
     log: DeliveryLog,
     deadline: Instant,
     next_snapshot: Instant,
@@ -295,16 +271,17 @@ impl Backend for MeshBackend<'_> {
         }
     }
 
-    fn flush(&mut self, mux: &mut MuxBuffers) -> bool {
-        self.egress.flush(mux);
+    fn send(&mut self, frame: Bytes) -> bool {
+        self.mesh.broadcast(&frame);
+        let _ = self.loopback.send(frame);
         true
     }
 
-    fn settle(&mut self, core: &mut NodeCore) -> Result<(), NetError> {
-        self.log.record(core.mux())?;
+    fn settle(&mut self, node: &mut urb_engine::Node) -> Result<(), NetError> {
+        self.log.record(node.mux())?;
         let now = Instant::now();
         if now >= self.next_snapshot {
-            self.log.write_snapshot(core.engine())?;
+            self.log.write_snapshot(node.engine())?;
             self.next_snapshot = Instant::now() + self.cfg.snapshot_interval;
         }
         if let Some(expect) = self.cfg.expect {
@@ -347,17 +324,6 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
     let (ingress_tx, ingress_rx) = unbounded::<Bytes>();
     let mesh = TcpMesh::start(MeshConfig::new(listen, peers), ingress_tx.clone())?;
 
-    // The registry is local but seed-derived, so every process in the
-    // cluster serves identical all-alive FD views without coordination.
-    let registry = MembershipRegistry::new(cfg.n, cfg.seed, Duration::from_millis(500));
-    let mut core = NodeCore::new(
-        cfg.id,
-        cfg.n,
-        cfg.algorithm,
-        cfg.topics,
-        cfg.seed,
-        Arc::new(registry),
-    );
     let mut delivered: Vec<BTreeSet<String>> = vec![BTreeSet::new(); cfg.topics.max(1) as usize];
 
     // Durable state (DESIGN.md §14): recover before the first broadcast.
@@ -365,30 +331,49 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
     // foundation makes a stale engine indistinguishable from lost
     // messages, so peers' retransmissions refill the gap — while the
     // delivered sets (snapshot + journal replay) lose nothing.
-    let state = match &cfg.state_dir {
+    let (state, recovered_engine) = match &cfg.state_dir {
         Some(dir) => {
             let (state, recovered) = StateDir::open(dir).map_err(state_err)?;
-            if let Some(blob) = &recovered.engine {
-                core.engine_mut()
-                    .restore_snapshot(blob)
-                    .map_err(|e| NetError::State(format!("snapshot.bin does not restore: {e}")))?;
-            }
             for (t, set) in recovered.delivered.into_iter().enumerate() {
                 if let Some(slot) = delivered.get_mut(t) {
                     *slot = set;
                 }
             }
-            Some(state)
+            (Some(state), recovered.engine)
         }
-        None => None,
+        None => (None, None),
     };
 
-    let egress = MeshEgress {
+    // The run budget and the snapshot cadence are set again once the
+    // startup burst is out.
+    let backend = MeshBackend {
+        cfg,
         mesh,
         loopback: ingress_tx,
-        pool: BufPool::default(),
+        log: DeliveryLog { delivered, state },
+        deadline: Instant::now(),
+        next_snapshot: Instant::now(),
+        linger_until: None,
+        complete: cfg.expect.is_none(),
     };
-    let mut log = DeliveryLog { delivered, state };
+    // The registry is local but seed-derived, so every process in the
+    // cluster serves identical all-alive FD views without coordination.
+    let registry = MembershipRegistry::new(cfg.n, cfg.seed, Duration::from_millis(500));
+    let mut node = Node::new(
+        cfg.id,
+        cfg.n,
+        cfg.algorithm,
+        cfg.topics,
+        cfg.seed,
+        Arc::new(registry),
+        backend,
+    );
+    if let Some(blob) = &recovered_engine {
+        node.inner
+            .engine_mut()
+            .restore_snapshot(blob)
+            .map_err(|e| NetError::State(format!("snapshot.bin does not restore: {e}")))?;
+    }
 
     // Startup workload: all broadcasts happen before any ingress is
     // consumed, so the node's tag draws are a deterministic RNG prefix —
@@ -404,43 +389,38 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
             // delivered: its restored engine (and its peers) still hold
             // and retransmit them, and a fresh tag draw here would
             // duplicate the message under a second identity.
-            if log.delivered[topic as usize].contains(&payload.as_text()) {
+            if node.backend.log.delivered[topic as usize].contains(&payload.as_text()) {
                 continue;
             }
-            core.broadcast(TopicId(topic), payload);
+            node.broadcast(TopicId(topic), payload);
         }
     }
-    egress.flush(core.mux());
-    log.record(core.mux())?;
+    node.flush();
+    node.backend.log.record(node.inner.mux())?;
 
     // The run budget and the snapshot cadence count from the end of the
     // startup burst.
     let start = Instant::now();
-    let backend = MeshBackend {
-        cfg,
-        egress,
-        log,
-        deadline: start + cfg.run_for,
-        next_snapshot: start + cfg.snapshot_interval,
-        linger_until: None,
-        complete: cfg.expect.is_none(),
-    };
+    node.backend.deadline = start + cfg.run_for;
+    node.backend.next_snapshot = start + cfg.snapshot_interval;
     // The loop locks the node for every input; nothing else steps it, so
     // the lock is never contended.
-    let node = Mutex::new(Node { core, backend });
+    let node = Mutex::new(node);
     node_core::run(&node, &ingress_rx, cfg.tick_interval)?;
-    let Node { core, mut backend } = node.into_inner();
+    let node = node.into_inner();
+    let mut backend = node.backend;
 
     // Final recovery point so a clean exit restarts exactly where it
     // stopped (no journal replay needed).
-    backend.log.write_snapshot(core.engine())?;
+    let engine = node.inner.engine();
+    backend.log.write_snapshot(engine)?;
 
-    backend.egress.mesh.shutdown();
+    backend.mesh.shutdown();
     Ok(NodeReport {
         id: cfg.id,
         complete: backend.complete,
-        topics_live: core.engine().live_topics().count(),
-        topics_reclaimed: core.engine().counters().topics_reclaimed,
+        topics_live: engine.live_topics().count(),
+        topics_reclaimed: engine.counters().topics_reclaimed,
         per_topic: backend
             .log
             .delivered
@@ -452,7 +432,7 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
             })
             .collect(),
         // Counters read after shutdown, so nothing is in flight.
-        net: backend.egress.mesh.stats(),
+        net: backend.mesh.stats(),
     })
 }
 

@@ -173,7 +173,7 @@ impl UrbCluster {
         let traffic = Arc::new(router::TrafficCounters::default());
 
         // Wiring: every node fans its frames out to every inbox itself.
-        // One frame-buffer pool serves every thread.
+        // One frame-buffer pool serves every fan-out.
         let pool = urb_types::BufPool::default();
         let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) =
             (0..n).map(|_| unbounded::<NodeInput>()).unzip();
@@ -183,14 +183,6 @@ impl UrbCluster {
         for (pid, inputs) in inbox_rxs.into_iter().enumerate() {
             let (del_tx, del_rx) = unbounded();
             delivery_rxs.push(del_rx);
-            let core = node_core::NodeCore::new(
-                pid,
-                n,
-                config.algorithm,
-                config.topics,
-                config.seed,
-                Arc::clone(&registry),
-            );
             let fanout = router::Fanout::new(
                 pid,
                 inbox_txs.clone(),
@@ -199,8 +191,16 @@ impl UrbCluster {
                 Arc::clone(&traffic),
                 pool.clone(),
             );
-            let backend = node::LocalBackend::new(fanout, del_tx, pool.clone());
-            let node = Arc::new(Mutex::new(node_core::Node { core, backend }));
+            let backend = node::LocalBackend::new(fanout, del_tx);
+            let node = Arc::new(Mutex::new(node_core::Node::new(
+                pid,
+                n,
+                config.algorithm,
+                config.topics,
+                config.seed,
+                Arc::clone(&registry),
+                backend,
+            )));
             threads.push(node::spawn_node(
                 pid,
                 Arc::clone(&node),
@@ -257,7 +257,7 @@ impl UrbCluster {
     /// the fan-out of its frame, run on the caller's thread under the
     /// node's lock.
     pub fn broadcast_on(&self, pid: usize, topic: TopicId, payload: Payload) -> Option<Tag> {
-        node::step(&self.nodes[pid], |core| core.broadcast(topic, payload)).flatten()
+        node::step(&self.nodes[pid], |node| node.broadcast(topic, payload)).flatten()
     }
 
     /// Applies one lifecycle control operation at process `pid`, which
@@ -266,7 +266,7 @@ impl UrbCluster {
     /// changed that node's state (`false` also covers a crashed/stopped
     /// target).
     fn control(&self, pid: usize, ctl: TopicControl) -> bool {
-        node::step(&self.nodes[pid], |core| core.control(ctl)).unwrap_or(false)
+        node::step(&self.nodes[pid], |node| node.inner.control(ctl)).unwrap_or(false)
     }
 
     /// Creates `topic` cluster-wide, entering it at process `pid` and

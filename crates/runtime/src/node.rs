@@ -16,16 +16,17 @@
 //! inbox by the sender itself ([`Fanout`]). Holding the lock across the
 //! send keeps each (sender, receiver) pair FIFO.
 
-use crate::node_core::{self, seal_frames, Backend, Node, NodeCore, FRAME_BUDGET};
+use crate::node_core::{self, Backend, Node};
 use crate::router::Fanout;
 use crate::transport::NetError;
 use crate::NodeInput;
+use bytes::Bytes;
 use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use urb_engine::{MuxBuffers, MuxIngressError};
-use urb_types::{BufPool, Delivery, TopicId};
+use urb_engine::MuxIngressError;
+use urb_types::{Delivery, TopicId};
 
 /// A node of the in-process runtime.
 pub(crate) type LocalNode = Node<LocalBackend>;
@@ -50,14 +51,17 @@ pub(crate) fn spawn_node(
 }
 
 /// Takes one step on the caller's thread: locks the node, refuses if it
-/// is stopped, otherwise applies `step` to its core and drains what it
-/// staged before unlocking.
-pub(crate) fn step<T>(node: &Mutex<LocalNode>, step: impl FnOnce(&mut NodeCore) -> T) -> Option<T> {
+/// is stopped, otherwise applies `step` to it and drains what it staged
+/// before unlocking.
+pub(crate) fn step<T>(
+    node: &Mutex<LocalNode>,
+    step: impl FnOnce(&mut LocalNode) -> T,
+) -> Option<T> {
     let mut node = node.lock();
     if node.backend.stopped {
         return None;
     }
-    let out = step(&mut node.core);
+    let out = step(&mut node);
     node.drain()
         .expect("the in-process backend never fails a step");
     Some(out)
@@ -89,21 +93,14 @@ pub(crate) struct LocalBackend {
     stopped: bool,
     pub(crate) fanout: Fanout,
     deliveries: Sender<(TopicId, Delivery)>,
-    /// Cluster-shared frame-buffer pool (encode scratch returns here).
-    pool: BufPool,
 }
 
 impl LocalBackend {
-    pub(crate) fn new(
-        fanout: Fanout,
-        deliveries: Sender<(TopicId, Delivery)>,
-        pool: BufPool,
-    ) -> Self {
+    pub(crate) fn new(fanout: Fanout, deliveries: Sender<(TopicId, Delivery)>) -> Self {
         LocalBackend {
             stopped: false,
             fanout,
             deliveries,
-            pool,
         }
     }
 }
@@ -113,22 +110,13 @@ impl Backend for LocalBackend {
         (!self.stopped).then_some(next_tick)
     }
 
-    fn flush(&mut self, mux: &mut MuxBuffers) -> bool {
-        let fanout = &mut self.fanout;
-        seal_frames(
-            &mut mux.outbox,
-            &mut mux.controls,
-            &self.pool,
-            FRAME_BUDGET,
-            |frame| {
-                fanout.route(frame);
-                true
-            },
-        )
+    fn send(&mut self, frame: Bytes) -> bool {
+        self.fanout.route(frame);
+        true
     }
 
-    fn settle(&mut self, core: &mut NodeCore) -> Result<(), NetError> {
-        for (topic, d) in core.mux().deliveries.drain(..) {
+    fn settle(&mut self, node: &mut urb_engine::Node) -> Result<(), NetError> {
+        for (topic, d) in node.mux().deliveries.drain(..) {
             let _ = self.deliveries.send((topic, d));
         }
         Ok(())

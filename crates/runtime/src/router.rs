@@ -12,8 +12,8 @@
 //!
 //! Nodes exchange real wire bytes, not in-memory structs: a node encodes
 //! its step's mux outbox through the zero-copy codec
-//! (`node_core::seal_frames`) and decodes incoming frames with shared
-//! payloads (`TopicEngine::receive_mux_frame`), so the runtime exercises
+//! (`urb_types::seal_frames`) and decodes incoming frames with shared
+//! payloads (`urb_engine::Node::receive_frame`), so the runtime exercises
 //! the exact serialization boundary a networked deployment would.
 //!
 //! Loss is applied **per message copy**: [`Fanout::route`] decodes the

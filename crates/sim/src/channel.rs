@@ -121,8 +121,10 @@ pub struct Channel {
     consecutive: HashMap<u64, u32>,
     /// Gilbert–Elliott bad-state flag (`Burst` only).
     in_burst: bool,
-    /// Counters for tests/metrics.
+    /// Counters the unit tests read.
+    #[cfg(test)]
     sent: u64,
+    #[cfg(test)]
     dropped: u64,
 }
 
@@ -135,7 +137,9 @@ impl Channel {
             rng,
             consecutive: HashMap::new(),
             in_burst: false,
+            #[cfg(test)]
             sent: 0,
+            #[cfg(test)]
             dropped: 0,
         }
     }
@@ -158,13 +162,13 @@ impl Channel {
         verdicts.clear();
         let mut any = false;
         for (topic, msg) in entries {
-            self.sent += 1;
             let lost = self.decide_loss(|| topic.mix(msg.retransmit_key()));
-            if lost {
-                self.dropped += 1;
-            } else {
-                any = true;
+            #[cfg(test)]
+            {
+                self.sent += 1;
+                self.dropped += u64::from(lost);
             }
+            any |= !lost;
             verdicts.push(!lost);
         }
         if any {
@@ -229,16 +233,6 @@ impl Channel {
             }
         }
     }
-
-    /// Transmissions attempted on this channel.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Transmissions dropped by this channel.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 /// The full `n × n` mesh of directed channels (self-channel included: the
@@ -296,22 +290,36 @@ impl ChannelMatrix {
     pub fn n(&self) -> usize {
         self.n
     }
-
-    /// Total transmissions attempted across all links.
-    pub fn total_sent(&self) -> u64 {
-        self.channels.iter().map(|c| c.sent()).sum()
-    }
-
-    /// Total transmissions dropped across all links.
-    pub fn total_dropped(&self) -> u64 {
-        self.channels.iter().map(|c| c.dropped()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use urb_types::{Payload, Tag};
+
+    impl Channel {
+        /// Transmissions attempted on this channel.
+        fn sent(&self) -> u64 {
+            self.sent
+        }
+
+        /// Transmissions dropped by this channel.
+        fn dropped(&self) -> u64 {
+            self.dropped
+        }
+    }
+
+    impl ChannelMatrix {
+        /// Total transmissions attempted across all links.
+        fn total_sent(&self) -> u64 {
+            self.channels.iter().map(|c| c.sent()).sum()
+        }
+
+        /// Total transmissions dropped across all links.
+        fn total_dropped(&self) -> u64 {
+            self.channels.iter().map(|c| c.dropped()).sum()
+        }
+    }
 
     fn msg(tag: u128) -> WireMessage {
         WireMessage::Msg {

@@ -1,5 +1,5 @@
-//! The **lockstep mesh**: `n` [`TopicEngine`]s stepped directly, in
-//! lockstep, over a perfect network — the harness both the soak plane
+//! The **lockstep mesh**: `n` [`Node`]s stepped in lockstep over a
+//! perfect network — the harness both the soak plane
 //! ([`mod@crate::soak`], DESIGN.md §14) and the open-loop plane
 //! ([`mod@crate::openloop`], DESIGN.md §16) run on.
 //!
@@ -9,8 +9,8 @@
 //! other where the latency knee sits. So the mesh floods every emission to
 //! every process instantly and losslessly, every process is correct and
 //! shares one static full failure-detector view, and a sweep is one node
-//! tick ([`TopicEngine::tick_all`]: Task 1 → reap → compact if configured)
-//! per process. Deliveries fold into per-process order-sensitive rolling
+//! tick ([`Node::tick`]: Task 1 → reap → compact if configured) per
+//! process. Deliveries fold into per-process order-sensitive rolling
 //! hashes, so two runs delivered identically iff their hashes match.
 //!
 //! Everything is a pure function of the constructor arguments. Each plane
@@ -21,7 +21,7 @@
 use crate::sim::build_fleet;
 use std::collections::VecDeque;
 use urb_core::Algorithm;
-use urb_engine::{MuxBuffers, StepInput, TopicEngine, DEFAULT_DRAIN_LIMIT};
+use urb_engine::{Node, DEFAULT_DRAIN_LIMIT};
 use urb_types::snapshot::fnv1a;
 use urb_types::{
     FdPair, FdSnapshot, FdView, Label, MemoryConfig, Payload, SplitMix64, Tag, TopicId, WireMessage,
@@ -30,11 +30,10 @@ use urb_types::{
 pub(crate) struct Mesh {
     /// Builds the fleet again from scratch, identically — what a snapshot
     /// restart restores into.
-    fleet: Box<dyn Fn() -> Vec<TopicEngine>>,
+    fleet: Box<dyn Fn() -> Vec<Node>>,
     /// The fleet; read-only outside this module (end-of-run read-outs).
-    pub engines: Vec<TopicEngine>,
+    pub nodes: Vec<Node>,
     fd: FdSnapshot,
-    mux: MuxBuffers,
     /// The instant lossless network: topic-tagged emissions awaiting
     /// flood delivery to every process.
     net: VecDeque<(TopicId, WireMessage)>,
@@ -48,7 +47,7 @@ pub(crate) struct Mesh {
 }
 
 impl Mesh {
-    /// `n` engines of `topics` instances each. Every process is correct
+    /// `n` nodes of `topics` instances each. Every process is correct
     /// and shares one static full view: both detectors report the single
     /// label `label` covering all `n` processes, which satisfies `AΘ`
     /// (deliver once all `n` distinct ACKs carry it) and `AP*` (prune once
@@ -71,17 +70,16 @@ impl Mesh {
         } else {
             FdSnapshot::none()
         };
-        // Engine `i` draws its tags from the `i`-th split of the plane's
+        // Node `i` draws its tags from the `i`-th split of the plane's
         // salted root seed.
         let fleet = move || {
             let streams = SplitMix64::new(salted_seed);
             build_fleet(n, topics, algorithm, &streams, memory, DEFAULT_DRAIN_LIMIT)
         };
         Mesh {
-            engines: fleet(),
+            nodes: fleet(),
             fleet: Box::new(fleet),
             fd,
-            mux: MuxBuffers::new(),
             net: VecDeque::new(),
             delivered: vec![0; n],
             hashes: vec![0xCBF2_9CE4_8422_2325; n],
@@ -93,22 +91,18 @@ impl Mesh {
     /// stay buffered until the caller [`absorb`](Mesh::absorb)s them — so
     /// it can file the returned tag first.
     pub fn broadcast(&mut self, pid: usize, topic: TopicId, payload: Payload) -> Tag {
-        self.engines[pid]
-            .step_mux(
-                topic,
-                StepInput::Broadcast(payload),
-                &self.fd,
-                &mut self.mux,
-            )
-            .expect("urb_broadcast assigns a tag")
+        self.nodes[pid]
+            .broadcast(topic, payload, &self.fd)
+            .expect("every topic of the mesh is live")
     }
 
     /// Drains what `pid`'s last step(s) produced: emissions onto the
     /// network, deliveries into the counts and hashes and — in order — to
     /// `on_deliver(pid, tag)`.
     pub fn absorb(&mut self, pid: usize, on_deliver: &mut impl FnMut(usize, Tag)) {
-        self.net.extend(self.mux.outbox.drain(..));
-        for (_, d) in self.mux.deliveries.drain(..) {
+        let mux = self.nodes[pid].mux();
+        self.net.extend(mux.outbox.drain(..));
+        for (_, d) in mux.deliveries.drain(..) {
             self.delivered[pid] += 1;
             self.hashes[pid] ^= fnv1a(&d.tag.0.to_le_bytes());
             self.hashes[pid] = self.hashes[pid].wrapping_mul(0x1000_0000_01B3);
@@ -120,14 +114,9 @@ impl Mesh {
     /// losslessly, until the network is silent.
     pub fn flood(&mut self, on_deliver: &mut impl FnMut(usize, Tag)) {
         while let Some((topic, msg)) = self.net.pop_front() {
-            self.transmissions += self.engines.len() as u64;
-            for pid in 0..self.engines.len() {
-                self.engines[pid].step_mux(
-                    topic,
-                    StepInput::Receive(msg.clone()),
-                    &self.fd,
-                    &mut self.mux,
-                );
+            self.transmissions += self.nodes.len() as u64;
+            for pid in 0..self.nodes.len() {
+                self.nodes[pid].receive(topic, msg.clone(), &self.fd);
                 self.absorb(pid, on_deliver);
             }
         }
@@ -135,25 +124,28 @@ impl Mesh {
 
     /// One node tick of every process, then a flood of what they emitted.
     pub fn sweep(&mut self, on_deliver: &mut impl FnMut(usize, Tag)) {
-        for pid in 0..self.engines.len() {
-            self.engines[pid].tick_all(&self.fd, &mut self.mux);
+        for pid in 0..self.nodes.len() {
+            self.nodes[pid].tick(&self.fd);
             self.absorb(pid, on_deliver);
         }
         self.flood(on_deliver);
     }
 
     /// Serializes every engine, tears the fleet down and restores from
-    /// bytes into freshly-built engines — a simulated crash + recovery of
+    /// bytes into freshly-built nodes — a simulated crash + recovery of
     /// the whole mesh.
     pub fn restart_from_snapshots(&mut self) {
         let mut fresh = (self.fleet)();
-        for (new, old) in fresh.iter_mut().zip(&self.engines) {
+        for (new, old) in fresh.iter_mut().zip(&self.nodes) {
             let bytes = old
+                .engine()
                 .save_snapshot()
                 .expect("lockstep algorithms support snapshots");
-            new.restore_snapshot(&bytes).expect("own snapshot restores");
+            new.engine_mut()
+                .restore_snapshot(&bytes)
+                .expect("own snapshot restores");
         }
-        self.engines = fresh;
+        self.nodes = fresh;
     }
 }
 
@@ -191,13 +183,17 @@ mod tests {
     fn flood_feeds_every_emission_to_every_engine_exactly_once() {
         let mesh = run(9, 3);
         assert!(mesh.net.is_empty(), "flood ran the network silent");
-        let emitted: u64 = mesh.engines.iter().map(|e| e.counters().messages_out).sum();
+        let emitted: u64 = mesh
+            .nodes
+            .iter()
+            .map(|n| n.engine().counters().messages_out)
+            .sum();
         assert!(emitted > 0);
-        for (pid, e) in mesh.engines.iter().enumerate() {
-            assert_eq!(e.counters().receives, emitted, "process {pid}");
+        for (pid, n) in mesh.nodes.iter().enumerate() {
+            assert_eq!(n.engine().counters().receives, emitted, "process {pid}");
         }
         assert_eq!(mesh.transmissions, 3 * emitted, "n copies per emission");
-        assert!(mesh.engines.iter().all(|e| e.is_quiescent()));
+        assert!(mesh.nodes.iter().all(|n| n.engine().is_quiescent()));
     }
 
     #[test]
@@ -212,7 +208,12 @@ mod tests {
             mesh.flood(&mut ignore);
         }
         assert_eq!(straight.hashes, restarted.hashes);
-        let stats = |m: &Mesh| m.engines.iter().map(|e| e.stats()).collect::<Vec<_>>();
+        let stats = |m: &Mesh| {
+            m.nodes
+                .iter()
+                .map(|n| n.engine().stats())
+                .collect::<Vec<_>>()
+        };
         assert_eq!(stats(&straight), stats(&restarted));
     }
 }

@@ -9,11 +9,12 @@
 //! only ever sees [`urb_types::WireMessage`]s and [`urb_types::FdSnapshot`]s,
 //! never process indices or the global clock.
 //!
-//! Protocol stepping itself lives in `urb-engine`
-//! ([`urb_engine::TopicEngine`]): the simulator is an *adapter* that owns
-//! scheduling, the channel mesh, crash injection and measurement, and
-//! steps through the one surface every driver uses — `step_mux` per
-//! message, `tick_all` per node tick (DESIGN.md §2). Each node runs one
+//! Protocol stepping itself lives in `urb-engine`: every process is a
+//! [`urb_engine::Node`], the node the runtimes and the checker step too.
+//! The simulator is an *adapter* that owns scheduling, the channel mesh,
+//! crash injection and measurement, and supplies what differs between
+//! drivers — the detector view of each step, each process's tag stream
+//! and the routing of what a step emitted (DESIGN.md §2). Each node runs one
 //! protocol instance per topic (DESIGN.md §12); outbound traffic moves on
 //! the multiplexed message plane — everything one step emits, across
 //! every topic, travels as a single topic-tagged frame per destination,
@@ -30,11 +31,11 @@ use crate::event::{Event, EventQueue, SchedulerPolicy};
 use crate::metrics::{BroadcastRecord, DeliveryRecord, Metrics, StatsSample};
 use crate::trace::{Trace, TraceConfig, TraceRecorder};
 use urb_core::Algorithm;
-use urb_engine::{EngineCounters, MuxBuffers, StepInput, TopicEngine};
+use urb_engine::{EngineCounters, Node};
 use urb_fd::{FdService, HeartbeatConfig, HeartbeatService, NoFd, OracleConfig, OracleFd};
 use urb_types::{
-    MemoryConfig, MuxPool, Payload, ProcessStats, RandomSource, SplitMix64, Tag, TopicId, WireKind,
-    WireMessage, Xoshiro256,
+    MemoryConfig, MuxPool, Payload, ProcessStats, RandomSource, SplitMix64, Tag, TopicControl,
+    TopicId, WireKind, WireMessage, Xoshiro256,
 };
 
 /// Which failure-detector implementation a run uses.
@@ -65,12 +66,13 @@ pub struct PlannedBroadcast {
 
 /// A planned topic-lifecycle change (DESIGN.md §15). In the simulator,
 /// lifecycle is deterministic **global configuration** — like crash plans:
-/// the event applies at every non-crashed process at `time`, atomically
-/// from the run's point of view. The wire-level [`urb_types::TopicControl`]
-/// gossip (where nodes learn lifecycle from each other's frames, with
-/// races) is exercised by the engine tests and the runtime/daemon plane;
-/// keeping the simulator's plan global costs no randomness, which is what
-/// pins static runs byte-identical.
+/// at `time` the event's [`TopicControl`] is applied ([`Node::apply`]) at
+/// every non-crashed process in the same step, atomically from the run's
+/// point of view; crashed processes execute nothing. The wire-level
+/// gossip of the same controls (where nodes learn lifecycle from each
+/// other's frames, with races) is exercised by the engine tests and the
+/// runtime/daemon plane; keeping the simulator's plan global costs no
+/// randomness, which is what pins static runs byte-identical.
 #[derive(Clone, Debug)]
 pub struct TopicEventCfg {
     /// Instant the change applies.
@@ -111,33 +113,29 @@ impl TopicAction {
         }
     }
 
-    /// Applies the action at every non-crashed process of a fleet
-    /// (`inherit` is the algorithm a `Create` without one gets). Crashed
-    /// processes execute nothing — their stale instances are unreachable
-    /// state, exactly like the rest of a dead process's memory. The one
-    /// definition of "a lifecycle event happened", shared by the
-    /// simulator and the schedule checker.
-    pub fn apply(self, engines: &mut [TopicEngine], crashed: &[bool], inherit: Algorithm) {
-        let n = engines.len();
-        for (e, _) in engines.iter_mut().zip(crashed).filter(|(_, c)| !**c) {
-            match self {
-                TopicAction::Create { topic, algorithm } => {
-                    e.create_topic(topic, algorithm.unwrap_or(inherit).instantiate(n));
-                }
-                TopicAction::Retire { topic } => {
-                    e.retire_topic(topic);
+    /// The control every live process applies ([`Node::apply`]);
+    /// `inherit` is the algorithm a `Create` without one gets.
+    pub fn control(self, inherit: Algorithm) -> TopicControl {
+        match self {
+            TopicAction::Create { topic, algorithm } => {
+                let (algorithm, param) = algorithm.unwrap_or(inherit).to_wire();
+                TopicControl::Create {
+                    topic,
+                    algorithm,
+                    param,
                 }
             }
+            TopicAction::Retire { topic } => TopicControl::Retire { topic },
         }
     }
 }
 
-/// Builds a simulated fleet: `n` engines of `topics` protocol instances
-/// each (ids `0..topics`), engine `i` drawing its tags from the `i`-th
+/// Builds a simulated fleet: `n` nodes of `topics` protocol instances
+/// each (ids `0..topics`), node `i` drawing its tags from the `i`-th
 /// split of `streams`, with bounded-memory mode and the retirement drain
 /// budget configured. The one constructor every simulated driver — the
 /// event-queue simulator, the lockstep planes, the schedule checker —
-/// builds its engines with, so none of them can forget a knob.
+/// builds its nodes with, so none of them can forget a knob.
 pub fn build_fleet(
     n: usize,
     topics: u32,
@@ -145,20 +143,16 @@ pub fn build_fleet(
     streams: &SplitMix64,
     memory: Option<MemoryConfig>,
     drain_limit: u32,
-) -> Vec<TopicEngine> {
+) -> Vec<Node> {
     (0..n)
         .map(|i| {
-            let mut e = TopicEngine::new(
-                (0..topics.max(1))
-                    .map(|_| algorithm.instantiate(n))
-                    .collect(),
-                streams.split(i as u64),
-            );
+            let mut node = Node::new(n, algorithm, topics, streams.split(i as u64));
+            let e = node.engine_mut();
             if let Some(mem) = memory {
                 e.configure_memory(mem);
             }
             e.set_drain_limit(drain_limit);
-            e
+            node
         })
         .collect()
 }
@@ -450,6 +444,19 @@ impl SimConfig {
         self.max_time = t;
         self
     }
+
+    /// Every topic the run can serve, ascending: the configured
+    /// `0..topics` plus every topic a lifecycle event creates.
+    fn known_topics(&self) -> Vec<TopicId> {
+        let mut known: Vec<TopicId> = (0..self.topics.max(1)).map(TopicId).collect();
+        known.extend(self.topic_events.iter().filter_map(|e| match e.action {
+            TopicAction::Create { topic, .. } => Some(topic),
+            TopicAction::Retire { .. } => None,
+        }));
+        known.sort_unstable();
+        known.dedup();
+        known
+    }
 }
 
 /// Everything observed in one run.
@@ -538,14 +545,12 @@ impl RunOutcome {
 
 struct Runner {
     config: SimConfig,
-    /// One topic engine per process: the shared per-node driving layer
-    /// (`urb-engine`) that the runtime and the harness also step through —
-    /// one protocol instance per topic, sharing the node's RNG stream.
-    engines: Vec<TopicEngine>,
-    /// Reusable step buffers: every engine step lands here and is drained
-    /// before the event handler returns (zero steady-state allocation on
-    /// the hot path).
-    mux: MuxBuffers,
+    /// One node per process — the node the runtimes and the checker step
+    /// too: one protocol instance per topic, sharing the node's RNG
+    /// stream. What a step leaves in a node's buffers is drained before
+    /// the event handler returns (zero steady-state allocation on the hot
+    /// path).
+    nodes: Vec<Node>,
     /// Reusable per-link batch verdicts.
     verdicts: Vec<bool>,
     /// Reusable failure-detector outbox (heartbeat traffic, topic-less —
@@ -585,17 +590,10 @@ pub fn run(config: SimConfig) -> RunOutcome {
     assert!(n >= 1);
     assert_eq!(config.crashes.n(), n, "crash plan size mismatch");
     let topics = config.topics.max(1);
-    let dynamic: std::collections::BTreeSet<TopicId> = config
-        .topic_events
-        .iter()
-        .filter_map(|e| match e.action {
-            TopicAction::Create { topic, .. } => Some(topic),
-            TopicAction::Retire { .. } => None,
-        })
-        .collect();
+    let known = config.known_topics();
     for b in &config.broadcasts {
         assert!(
-            b.topic.0 < topics || dynamic.contains(&b.topic),
+            known.binary_search(&b.topic).is_ok(),
             "broadcast targets topic {} but the run has {} topic(s) and no create event for it",
             b.topic,
             topics
@@ -612,7 +610,7 @@ pub fn run(config: SimConfig) -> RunOutcome {
     }
 
     let seed_mix = SplitMix64::new(config.seed ^ 0x5EED_0F00_D000_0001);
-    let engines = build_fleet(
+    let nodes = build_fleet(
         n,
         topics,
         config.algorithm,
@@ -636,8 +634,7 @@ pub fn run(config: SimConfig) -> RunOutcome {
     };
 
     let mut runner = Runner {
-        engines,
-        mux: MuxBuffers::new(),
+        nodes,
         verdicts: Vec::new(),
         fd_out: Vec::new(),
         // Retention sized to in-flight peaks: every scheduled Deliver event
@@ -738,10 +735,10 @@ impl Runner {
             && self.pending_topic_events == 0
             && self.inflight_protocol == 0
             && self
-                .engines
+                .nodes
                 .iter()
                 .enumerate()
-                .all(|(i, e)| self.crashed[i] || e.is_quiescent())
+                .all(|(i, node)| self.crashed[i] || node.engine().is_quiescent())
     }
 
     /// Full delivery: every plan-correct process has delivered one distinct
@@ -756,18 +753,6 @@ impl Runner {
             !matches!(self.config.crashes.rule(pid), CrashRule::Never)
                 || self.deliveries_per_pid[pid] >= k
         })
-    }
-
-    /// Runs one engine step of `pid`'s `topic` instance, records its
-    /// deliveries, and returns leaving the step's emissions in
-    /// `self.mux.outbox` for the caller to transmit. One failure-detector
-    /// snapshot per step, shared by every topic instance — detectors
-    /// observe processes, not topics.
-    fn engine_step(&mut self, pid: usize, topic: TopicId, input: StepInput) -> Option<Tag> {
-        let snapshot = self.fd.snapshot(pid, self.now);
-        let tag = self.engines[pid].step_mux(topic, input, &snapshot, &mut self.mux);
-        self.handle_deliveries(pid);
-        tag
     }
 
     fn on_tick(&mut self, pid: usize) {
@@ -786,9 +771,9 @@ impl Runner {
         // bounded-memory mode, one compaction sweep, all under the one
         // detector snapshot.
         let snapshot = self.fd.snapshot(pid, self.now);
-        self.engines[pid].tick_all(&snapshot, &mut self.mux);
+        self.nodes[pid].tick(&snapshot);
         self.handle_deliveries(pid);
-        entries.append(&mut self.mux.outbox);
+        entries.append(&mut self.nodes[pid].mux().outbox);
         if entries.is_empty() {
             self.batches.release(entries);
         } else {
@@ -823,19 +808,15 @@ impl Runner {
                 .hash_event(self.now, 2, msg.content_hash() ^ to as u64);
             self.metrics.on_receive(msg.kind());
             self.tracer.receive(self.now, to, msg.kind(), msg.tag());
+            // Detector processing first: traffic for a topic holding no
+            // instance here is inert at the node, not at the detector.
             self.fd.on_receive(to, self.now, &msg);
-            // In-flight traffic for a topic holding no instance here —
-            // reclaimed after retirement, or never created — is dropped
-            // inert *after* detector processing: the channel delivered
-            // it, the protocol just has nobody to hand it to (DESIGN.md
-            // §15). Static runs always hold every configured instance.
-            if !self.engines[to].has_instance(topic) {
-                continue;
-            }
             // Snapshot taken per message, exactly as in unbatched delivery.
-            self.engine_step(to, topic, StepInput::Receive(msg));
+            let snapshot = self.fd.snapshot(to, self.now);
+            self.nodes[to].receive(topic, msg, &snapshot);
+            self.handle_deliveries(to);
         }
-        emitted.append(&mut self.mux.outbox);
+        emitted.append(&mut self.nodes[to].mux().outbox);
         self.batches.release(arrived);
         if emitted.is_empty() {
             self.batches.release(emitted);
@@ -860,18 +841,14 @@ impl Runner {
         if self.crashed[pid] {
             return; // invoking a crashed process is a no-op
         }
-        if !self.engines[pid].is_live(topic) {
-            // The instance is not live at this process — not yet created,
-            // draining, or retired. The invocation is refused: a retiring
-            // topic accepts no new broadcasts (the quiescence rule,
-            // DESIGN.md §15). Unreachable without lifecycle events, where
-            // every configured topic is live for the whole run.
+        let snapshot = self.fd.snapshot(pid, self.now);
+        let Some(tag) = self.nodes[pid].broadcast(topic, payload.clone(), &snapshot) else {
+            // Refused: the topic is not live at this process (DESIGN.md
+            // §15). Unreachable without lifecycle events.
             return;
-        }
+        };
         self.metrics.hash_event(self.now, 4, pid as u64);
-        let tag = self
-            .engine_step(pid, topic, StepInput::Broadcast(payload.clone()))
-            .expect("urb_broadcast assigns a tag");
+        self.handle_deliveries(pid);
         let rec = BroadcastRecord {
             pid,
             topic,
@@ -881,9 +858,10 @@ impl Runner {
         };
         self.tracer.urb_broadcast(&rec);
         self.metrics.broadcasts.push(rec);
-        if !self.mux.outbox.is_empty() {
+        let outbox = &mut self.nodes[pid].mux().outbox;
+        if !outbox.is_empty() {
             let mut out = self.batches.acquire();
-            out.append(&mut self.mux.outbox);
+            out.append(outbox);
             self.transmit(pid, out);
         }
     }
@@ -899,11 +877,16 @@ impl Runner {
         };
         self.metrics
             .hash_event(self.now, kind, action.topic().0 as u64);
-        action.apply(&mut self.engines, &self.crashed, self.config.algorithm);
+        let control = action.control(self.config.algorithm);
+        for (node, &crashed) in self.nodes.iter_mut().zip(&self.crashed) {
+            if !crashed {
+                node.apply(control);
+            }
+        }
     }
 
     fn on_sample(&mut self) {
-        let per_process = self.engines.iter().map(|e| e.stats()).collect();
+        let per_process = self.nodes.iter().map(|n| n.engine().stats()).collect();
         self.metrics.stats_samples.push(StatsSample {
             time: self.now,
             per_process,
@@ -914,9 +897,9 @@ impl Runner {
         }
     }
 
-    /// Records the URB-deliveries `pid`'s last step(s) left in `self.mux`.
+    /// Records the URB-deliveries `pid`'s last step(s) left in its buffers.
     fn handle_deliveries(&mut self, pid: usize) {
-        for (topic, d) in self.mux.deliveries.drain(..) {
+        for (topic, d) in self.nodes[pid].mux().deliveries.drain(..) {
             self.deliveries_per_pid[pid] += 1;
             let rec = DeliveryRecord {
                 pid,
@@ -1047,30 +1030,17 @@ impl Runner {
             &self.metrics.broadcasts,
             &self.metrics.deliveries,
         );
-        // The verdict directory: every statically configured topic plus
-        // every dynamically created one. A retired topic keeps its row —
+        // The verdict directory. A retired topic keeps its row —
         // retirement truncates "eventually", it does not erase
         // obligations incurred while live (DESIGN.md §15).
-        let mut known: Vec<TopicId> = (0..self.config.topics.max(1)).map(TopicId).collect();
-        known.extend(
-            self.config
-                .topic_events
-                .iter()
-                .filter_map(|e| match e.action {
-                    TopicAction::Create { topic, .. } => Some(topic),
-                    TopicAction::Retire { .. } => None,
-                }),
-        );
-        known.sort_unstable();
-        known.dedup();
         let per_topic = check_urb_per_topics(
             n,
             &correct,
-            &known,
+            &self.config.known_topics(),
             &self.metrics.broadcasts,
             &self.metrics.deliveries,
         );
-        let final_stats = self.engines.iter().map(|e| e.stats()).collect();
+        let final_stats = self.nodes.iter().map(|n| n.engine().stats()).collect();
 
         // Oracle audit: reconstruct a reference oracle with the *actual*
         // crash times (dynamic triggers resolved during the run), then
@@ -1114,7 +1084,7 @@ impl Runner {
         RunOutcome {
             n: self.config.n,
             algorithm: self.config.algorithm.name(),
-            counters: self.engines.iter().map(|e| e.counters()).collect(),
+            counters: self.nodes.iter().map(|n| n.engine().counters()).collect(),
             correct,
             quiescent: self.metrics.quiescent_at_end,
             last_protocol_send: self.metrics.last_protocol_send,

@@ -1,5 +1,5 @@
 //! The **soak plane** (DESIGN.md §14): million-message memory-boundedness
-//! runs on the lockstep mesh (`crate::lockstep`, DESIGN.md §2) — engines
+//! runs on the lockstep mesh (`crate::lockstep`, DESIGN.md §2) — nodes
 //! stepped directly over a perfect network instead of through the event
 //! queue.
 //!
@@ -143,7 +143,7 @@ pub fn soak(cfg: SoakConfig) -> SoakOutcome {
         mesh.sweep(&mut |_, _| {});
         samples.push(SoakSample {
             messages,
-            resident: mesh.engines.iter().map(|e| e.stats().total()).sum(),
+            resident: mesh.nodes.iter().map(|n| n.engine().stats().total()).sum(),
         });
     };
     let payload = Payload::from("soak");
@@ -165,10 +165,10 @@ pub fn soak(cfg: SoakConfig) -> SoakOutcome {
     for _ in 0..grace.max(2) {
         sweep(&mut mesh, cfg.messages);
     }
-    let counters = mesh.engines.iter().map(|e| e.counters());
+    let counters = mesh.nodes.iter().map(|n| n.engine().counters());
     SoakOutcome {
         messages: cfg.messages,
-        quiescent: mesh.engines.iter().all(|e| e.is_quiescent()),
+        quiescent: mesh.nodes.iter().all(|n| n.engine().is_quiescent()),
         peak_resident: samples.iter().map(|s| s.resident).max().unwrap_or(0),
         final_resident: samples.last().map_or(0, |s| s.resident),
         reclaimed: counters.clone().map(|c| c.reclaimed).sum(),

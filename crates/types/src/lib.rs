@@ -24,6 +24,9 @@
 //! * [`protocol`] — the sans-io [`protocol::AnonProcess`] trait implemented
 //!   by every algorithm in `urb-core`, plus the [`protocol::Context`]
 //!   handed to each protocol step.
+//! * [`step`] — one protocol step: its input ([`step::StepInput`]) and
+//!   the one dispatch every driver's step comes down to
+//!   ([`step::drive_step`]).
 //! * [`rng`] — a small deterministic PRNG family (SplitMix64 and
 //!   xoshiro256++) so that simulations are bit-reproducible.
 //!
@@ -41,6 +44,7 @@ pub mod pool;
 pub mod protocol;
 pub mod rng;
 pub mod snapshot;
+pub mod step;
 pub mod wire;
 
 pub use fd::{FdPair, FdSnapshot, FdView};
@@ -52,7 +56,8 @@ pub use protocol::{
 };
 pub use rng::{RandomSource, SplitMix64, Xoshiro256};
 pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+pub use step::{drive_step, StepBuffers, StepInput};
 pub use wire::{
-    encode_mux_frame_into, encode_mux_frame_with_controls_into, CodecError, MuxBatch, TopicControl,
-    WireKind, WireMessage,
+    encode_mux_frame_into, encode_mux_frame_with_controls_into, seal_frames, CodecError, MuxBatch,
+    TopicControl, WireKind, WireMessage,
 };

@@ -35,6 +35,7 @@
 
 use crate::ids::{Label, LabelSet, Tag, TagAck, TopicId};
 use crate::payload::Payload;
+use crate::pool::BufPool;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 
@@ -656,15 +657,11 @@ impl MuxBatch {
         let controls = if self.controls.is_empty() {
             0
         } else {
-            1 + 4 + self.controls.iter().map(|c| c.encoded_len()).sum::<usize>()
+            CONTROL_HEADER + self.controls.iter().map(|c| c.encoded_len()).sum::<usize>()
         };
-        1 + 4
-            + self
-                .subs
-                .iter()
-                .map(|(_, sub)| 4 + 4 + sub.iter().map(|m| 4 + m.encoded_len()).sum::<usize>())
-                .sum::<usize>()
-            + controls
+        let message = |m: &WireMessage| MESSAGE_PREFIX + m.encoded_len();
+        let sub = |sub: &[WireMessage]| SUB_BATCH_HEADER + sub.iter().map(message).sum::<usize>();
+        FRAME_HEADER + self.subs.iter().map(|(_, s)| sub(s)).sum::<usize>() + controls
     }
 
     /// Encodes the frame into a freshly allocated buffer.
@@ -738,6 +735,14 @@ impl MuxBatch {
     }
 }
 
+/// Mux frame layout, bytes: frame tag + sub-batch count, topic id +
+/// message count per sub-batch, a length prefix per message, section tag
+/// + count for the control section.
+const FRAME_HEADER: usize = 1 + 4;
+const SUB_BATCH_HEADER: usize = 4 + 4;
+const MESSAGE_PREFIX: usize = 4;
+const CONTROL_HEADER: usize = 1 + 4;
+
 /// Encodes topic-tagged messages (ascending topic order) as one
 /// multiplexed frame appended to `buf` — the free-function twin of
 /// [`MuxBatch::encode_into`] for callers holding a flat entry slice (the
@@ -786,6 +791,78 @@ pub fn encode_mux_frame_with_controls_into(
         i = end;
     }
     encode_control_section_into(controls, buf);
+}
+
+/// Seals staged egress — topic-tagged outbox entries, then pending
+/// controls — into mux frames of at most `budget` bytes and hands them to
+/// `send` in order. Entries keep their order: a frame ends where the next
+/// entry would overflow the budget or where the topic goes down (a
+/// frame's sub-batches ascend), so decoding the frames in order gives
+/// back the outbox exactly; each control rides exactly one frame, after
+/// the last entries. An entry or control larger than the budget leaves
+/// in a frame of its own. Staged egress within the budget leaves as one
+/// frame, byte-identical to [`encode_mux_frame_with_controls_into`]'s.
+/// Both vectors are drained (capacity kept) and one pooled encode buffer
+/// serves every frame. Returns `false` once `send` does (the far side is
+/// gone); the rest is dropped.
+pub fn seal_frames(
+    outbox: &mut Vec<(TopicId, WireMessage)>,
+    controls: &mut Vec<TopicControl>,
+    pool: &BufPool,
+    budget: usize,
+    mut send: impl FnMut(Bytes) -> bool,
+) -> bool {
+    if outbox.is_empty() && controls.is_empty() {
+        return true;
+    }
+    let mut scratch = pool.acquire();
+    let mut open = true;
+    let mut seal = |entries: &[(TopicId, WireMessage)], ctls: &[TopicControl], len: usize| {
+        if open {
+            encode_mux_frame_with_controls_into(entries, ctls, &mut scratch);
+            debug_assert_eq!(
+                scratch.len(),
+                len,
+                "frame layout out of step with the codec"
+            );
+            open = send(Bytes::copy_from_slice(&scratch));
+            scratch.clear();
+        }
+    };
+    // The open frame is `outbox[first..]` + `controls[first_ctl..]` so
+    // far, `len` bytes encoded.
+    let (mut first, mut first_ctl, mut len) = (0, 0, FRAME_HEADER);
+    for (i, (topic, msg)) in outbox.iter().enumerate() {
+        let prev = outbox[first..i].last().map(|&(t, _)| t);
+        let msg_len = MESSAGE_PREFIX + msg.encoded_len();
+        let sub = if prev == Some(*topic) {
+            0
+        } else {
+            SUB_BATCH_HEADER
+        };
+        let grow = msg_len + sub;
+        if prev.is_some_and(|prev| prev > *topic || len + grow > budget) {
+            seal(&outbox[first..i], &[], len);
+            (first, len) = (i, FRAME_HEADER + SUB_BATCH_HEADER + msg_len);
+        } else {
+            len += grow;
+        }
+    }
+    for (j, ctl) in controls.iter().enumerate() {
+        let grow = ctl.encoded_len() + if j == first_ctl { CONTROL_HEADER } else { 0 };
+        let empty = first == outbox.len() && j == first_ctl;
+        if !empty && len + grow > budget {
+            seal(&outbox[first..], &controls[first_ctl..j], len);
+            (first, first_ctl) = (outbox.len(), j);
+            len = FRAME_HEADER + CONTROL_HEADER + ctl.encoded_len();
+        } else {
+            len += grow;
+        }
+    }
+    seal(&outbox[first..], &controls[first_ctl..], len);
+    outbox.clear();
+    controls.clear();
+    open
 }
 
 /// Appends the optional control section: written only when `controls` is
@@ -837,7 +914,7 @@ fn decode_mux_entries_and_controls(
     let sub_count = read_u32(data, &mut pos) as usize;
     let mut last_topic: Option<u32> = None;
     for _ in 0..sub_count {
-        need(data, pos, 4 + 4)?;
+        need(data, pos, SUB_BATCH_HEADER)?;
         let topic = read_u32(data, &mut pos);
         if last_topic.is_some_and(|prev| topic <= prev) {
             return Err(CodecError::UnorderedTopics);
@@ -845,7 +922,7 @@ fn decode_mux_entries_and_controls(
         last_topic = Some(topic);
         let count = read_u32(data, &mut pos) as usize;
         for _ in 0..count {
-            need(data, pos, 4)?;
+            need(data, pos, MESSAGE_PREFIX)?;
             let len = read_u32(data, &mut pos) as usize;
             need(data, pos, len)?;
             let member_end = pos + len;
@@ -903,6 +980,7 @@ impl std::error::Error for CodecError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn msg(tag: u128, body: &str) -> WireMessage {
         WireMessage::Msg {
@@ -1232,5 +1310,127 @@ mod tests {
             seen[k.index()] = true;
         }
         assert!(seen.iter().all(|&x| x));
+    }
+
+    /// Every frame `seal_frames` makes of the staged egress at `budget`.
+    fn seal_at(
+        outbox: &mut Vec<(TopicId, WireMessage)>,
+        controls: &mut Vec<TopicControl>,
+        budget: usize,
+    ) -> Vec<Bytes> {
+        let mut frames = Vec::new();
+        assert!(seal_frames(
+            outbox,
+            controls,
+            &BufPool::default(),
+            budget,
+            |f| {
+                frames.push(f);
+                true
+            }
+        ));
+        frames
+    }
+
+    fn arb_message() -> impl Strategy<Value = WireMessage> {
+        let payload = || proptest::collection::vec(any::<u8>(), 0..48).prop_map(Payload::from);
+        prop_oneof![
+            (any::<u128>(), payload()).prop_map(|(t, payload)| WireMessage::Msg {
+                tag: Tag(t),
+                payload,
+            }),
+            (
+                any::<u128>(),
+                any::<u128>(),
+                payload(),
+                proptest::option::of(proptest::collection::vec(any::<u64>(), 0..4)),
+            )
+                .prop_map(|(t, a, payload, labels)| WireMessage::Ack {
+                    tag: Tag(t),
+                    tag_ack: TagAck(a),
+                    payload,
+                    labels: labels.map(|ls| ls.into_iter().map(Label).collect()),
+                }),
+            (any::<u64>(), any::<u64>()).prop_map(|(l, seq)| WireMessage::Heartbeat {
+                label: Label(l),
+                seq,
+            }),
+        ]
+    }
+
+    fn arb_control() -> impl Strategy<Value = TopicControl> {
+        (0u8..4, 0u32..6, any::<u8>(), any::<u32>()).prop_map(|(op, t, algorithm, param)| {
+            let topic = TopicId(t);
+            match op {
+                0 => TopicControl::Create {
+                    topic,
+                    algorithm,
+                    param,
+                },
+                1 => TopicControl::Retire { topic },
+                2 => TopicControl::Subscribe { topic },
+                _ => TopicControl::Unsubscribe { topic },
+            }
+        })
+    }
+
+    proptest! {
+        /// The sealer over arbitrary staged egress and budgets: every
+        /// frame fits the budget unless it carries one oversize entry
+        /// alone, the frames decode in order to the outbox exactly and
+        /// to each control once, and egress within the budget seals to
+        /// the very bytes the one-frame encoder produces.
+        #[test]
+        fn sealed_frames_fit_the_budget_and_decode_to_the_stage(
+            outbox in proptest::collection::vec((0u32..6, arb_message()), 0..40),
+            controls in proptest::collection::vec(arb_control(), 0..6),
+            budget in 1usize..1024,
+        ) {
+            let outbox: Vec<(TopicId, WireMessage)> =
+                outbox.into_iter().map(|(t, m)| (TopicId(t), m)).collect();
+            let (mut stage, mut staged_controls) = (outbox.clone(), controls.clone());
+            let frames = seal_at(&mut stage, &mut staged_controls, budget);
+            prop_assert!(stage.is_empty() && staged_controls.is_empty(), "stage drained");
+            prop_assert_eq!(frames.is_empty(), outbox.is_empty() && controls.is_empty());
+            let (mut entries, mut ctls) = (Vec::new(), Vec::new());
+            for frame in &frames {
+                let decoded = MuxBatch::decode(frame).expect("a valid mux frame");
+                let parts = decoded.len() + decoded.controls().len();
+                prop_assert!(parts > 0, "no empty frame");
+                prop_assert!(
+                    frame.len() <= budget || parts == 1,
+                    "{} B over a {} B budget with {} parts", frame.len(), budget, parts
+                );
+                entries.extend(decoded.iter().map(|(t, m)| (t, m.clone())));
+                ctls.extend_from_slice(decoded.controls());
+            }
+            prop_assert_eq!(&entries, &outbox);
+            prop_assert_eq!(&ctls, &controls);
+
+            // Byte compatibility: a frame's worth of egress in the order
+            // an engine stages it (ascending topics) is the one frame
+            // the encoder writes, at a 1 MiB budget and at any budget it
+            // fits.
+            let mut sorted = outbox;
+            sorted.sort_by_key(|&(t, _)| t);
+            let whole = (!sorted.is_empty() || !controls.is_empty()).then(|| {
+                let mut buf = BytesMut::new();
+                encode_mux_frame_with_controls_into(&sorted, &controls, &mut buf);
+                buf
+            });
+            for budget in [budget, 1 << 20] {
+                let frames = seal_at(&mut sorted.clone(), &mut controls.clone(), budget);
+                match &whole {
+                    None => prop_assert!(frames.is_empty()),
+                    Some(whole) if whole.len() <= budget => {
+                        prop_assert_eq!(frames.len(), 1);
+                        prop_assert_eq!(&frames[0][..], &whole[..]);
+                    }
+                    Some(_) => {
+                        prop_assert!(frames.len() > 1 || sorted.len() + controls.len() == 1)
+                    }
+                }
+            }
+        }
     }
 }
