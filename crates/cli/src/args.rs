@@ -2,6 +2,8 @@
 //! vetted offline crates; a CLI parser is 150 lines we can own).
 
 use urb_core::Algorithm;
+use urb_sim::TopicAction;
+use urb_types::TopicId;
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -39,9 +41,9 @@ USAGE:
                            spawn an N-process loopback cluster, wait for
                            it, and report per-topic delivery verdicts
     urb topic OP [flags]   send one lifecycle control operation (create |
-                           retire | subscribe | unsubscribe) to a running
-                           `urb node`, which applies it and gossips it to
-                           the rest of the cluster (DESIGN.md §15)
+                           retire) to a running `urb node`, which applies
+                           it and gossips it to the rest of the cluster
+                           (DESIGN.md §15)
     urb help               this text
 
 FLAGS (scenario):
@@ -96,7 +98,7 @@ FLAGS (node):
     --json            print the node report as enveloped JSON
 
 FLAGS (topic):
-    OP                create | retire | subscribe | unsubscribe
+    OP                create | retire
     --addr HOST:PORT  listen address of any running node   [required]
     --topic N         the topic id                         [required]
     --alg NAME        protocol of a created topic (see run
@@ -159,31 +161,15 @@ pub enum Command {
     Help,
 }
 
-/// The lifecycle operation of `urb topic` (DESIGN.md §15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopicOp {
-    /// Create (and go live on) a topic.
-    Create,
-    /// Retire a topic: drain, then reclaim.
-    Retire,
-    /// Record engine-level delivery interest.
-    Subscribe,
-    /// Clear engine-level delivery interest.
-    Unsubscribe,
-}
-
 /// Flags of `urb topic` (one-shot control client).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopicArgs {
-    /// Which lifecycle operation to send.
-    pub op: TopicOp,
+    /// The lifecycle operation to send (DESIGN.md §15); a create without
+    /// `--alg` runs [`Algorithm::Majority`].
+    pub action: TopicAction,
     /// Listen address of the target node (any cluster member; the
     /// control gossips from there).
     pub addr: String,
-    /// The topic id.
-    pub topic: u32,
-    /// Protocol a created topic runs (`Create` only).
-    pub algorithm: Algorithm,
 }
 
 /// Flags of `urb node` (one OS process of a socket cluster).
@@ -848,21 +834,15 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             }))
         }
         "topic" => {
-            let op = match it.next().map(String::as_str) {
-                Some("create") => TopicOp::Create,
-                Some("retire") => TopicOp::Retire,
-                Some("subscribe") => TopicOp::Subscribe,
-                Some("unsubscribe") => TopicOp::Unsubscribe,
+            let create = match it.next().map(String::as_str) {
+                Some("create") => true,
+                Some("retire") => false,
                 Some(other) => {
-                    let ops = "create | retire | subscribe | unsubscribe";
-                    return Err(format!("unknown topic operation {other:?} ({ops})"));
+                    return Err(format!(
+                        "unknown topic operation {other:?} (create | retire)"
+                    ));
                 }
-                None => {
-                    return Err(
-                        "topic needs an operation (create | retire | subscribe | unsubscribe)"
-                            .into(),
-                    )
-                }
+                None => return Err("topic needs an operation (create | retire)".into()),
             };
             let mut addr: Option<String> = None;
             let mut topic: Option<u32> = None;
@@ -886,15 +866,16 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown flag {other:?}")),
                 }
             }
-            if algorithm.is_some() && op != TopicOp::Create {
+            let addr = addr.ok_or("topic needs --addr (a running node's listen address)")?;
+            let topic = TopicId(topic.ok_or("topic needs --topic N")?);
+            let action = if create {
+                TopicAction::Create { topic, algorithm }
+            } else if algorithm.is_some() {
                 return Err("--alg only applies to `topic create`".into());
-            }
-            Ok(Command::Topic(TopicArgs {
-                op,
-                addr: addr.ok_or("topic needs --addr (a running node's listen address)")?,
-                topic: topic.ok_or("topic needs --topic N")?,
-                algorithm: algorithm.unwrap_or(Algorithm::Majority),
-            }))
+            } else {
+                TopicAction::Retire { topic }
+            };
+            Ok(Command::Topic(TopicArgs { action, addr }))
         }
         other => Err(format!("unknown subcommand {other:?}")),
     }
@@ -1118,6 +1099,32 @@ mod tests {
     }
 
     #[test]
+    fn every_node_alg_formats_to_a_token_node_parses_back() {
+        // `urb cluster` passes its children `--alg format_algorithm(alg)`.
+        let node_alg =
+            |token: &str| match parse(&argv(&format!("node --id 0 --addrs h:1 --alg {token}"))) {
+                Ok(Command::Node(a)) => Ok(a.algorithm),
+                other => Err(format!("{token}: {other:?}")),
+            };
+        for name in [
+            "majority",
+            "alg1",
+            "quiescent",
+            "alg2",
+            "quiescent-literal",
+            "literal",
+            "best-effort",
+            "beb",
+            "eager-rb",
+            "rb",
+        ] {
+            let alg = node_alg(name).unwrap();
+            let token = urb_sim::spec::format_algorithm(alg);
+            assert_eq!(node_alg(&token), Ok(alg), "{name} → {token}");
+        }
+    }
+
+    #[test]
     fn node_parses_flags_and_validates() {
         match parse(&argv(
             "node --id 1 --addrs 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
@@ -1189,30 +1196,43 @@ mod tests {
         .unwrap()
         {
             Command::Topic(a) => {
-                assert_eq!(a.op, TopicOp::Create);
+                assert_eq!(
+                    a.action,
+                    TopicAction::Create {
+                        topic: TopicId(7),
+                        algorithm: Some(Algorithm::Quiescent),
+                    }
+                );
                 assert_eq!(a.addr, "127.0.0.1:7001");
-                assert_eq!(a.topic, 7);
-                assert_eq!(a.algorithm, Algorithm::Quiescent);
+            }
+            _ => panic!(),
+        }
+        match parse(&argv("topic create --addr h:1 --topic 3")).unwrap() {
+            Command::Topic(a) => {
+                let (algorithm, param) = Algorithm::Majority.to_wire();
+                assert_eq!(
+                    a.action.control(Algorithm::Majority),
+                    urb_types::TopicControl::Create {
+                        topic: TopicId(3),
+                        algorithm,
+                        param,
+                    },
+                    "a create without --alg runs majority"
+                );
             }
             _ => panic!(),
         }
         match parse(&argv("topic retire --addr h:1 --topic 2")).unwrap() {
             Command::Topic(a) => {
-                assert_eq!(a.op, TopicOp::Retire);
-                assert_eq!(a.algorithm, Algorithm::Majority, "default unused");
+                assert_eq!(a.action, TopicAction::Retire { topic: TopicId(2) });
             }
             _ => panic!(),
         }
-        match parse(&argv("topic subscribe --addr h:1 --topic 0")).unwrap() {
-            Command::Topic(a) => assert_eq!(a.op, TopicOp::Subscribe),
-            _ => panic!(),
-        }
-        match parse(&argv("topic unsubscribe --addr h:1 --topic 0")).unwrap() {
-            Command::Topic(a) => assert_eq!(a.op, TopicOp::Unsubscribe),
-            _ => panic!(),
-        }
         assert!(parse(&argv("topic")).is_err(), "operation required");
-        assert!(parse(&argv("topic destroy --addr h:1 --topic 1")).is_err());
+        for op in ["destroy", "subscribe", "unsubscribe"] {
+            let err = parse(&argv(&format!("topic {op} --addr h:1 --topic 1"))).unwrap_err();
+            assert!(err.contains("unknown topic operation"), "{op}: {err}");
+        }
         assert!(parse(&argv("topic create --topic 1")).is_err(), "--addr");
         assert!(parse(&argv("topic create --addr h:1")).is_err(), "--topic");
         assert!(

@@ -666,23 +666,6 @@ pub const NODE_REPORT_KIND: &str = "node-report";
 /// Envelope kind of `urb cluster --json` bodies.
 pub const CLUSTER_REPORT_KIND: &str = "cluster-report";
 
-/// The CLI token for `--alg` that parses back to `alg` (the launcher
-/// spawns `urb node` children with it; `Algorithm::name()` strings are
-/// report labels, not flag values).
-fn alg_flag(alg: urb_core::Algorithm) -> &'static str {
-    use urb_core::Algorithm;
-    match alg {
-        Algorithm::Majority => "majority",
-        Algorithm::Quiescent => "quiescent",
-        Algorithm::QuiescentLiteral => "quiescent-literal",
-        Algorithm::BestEffort => "best-effort",
-        Algorithm::EagerRb => "eager-rb",
-        // Parameterized variants are sim-only; the node parser never
-        // produces them.
-        other => unreachable!("{} has no CLI flag token", other.name()),
-    }
-}
-
 /// The JSON body of a node report (split out for tests; the cluster
 /// launcher parses it back out of each child's envelope).
 pub fn node_report_body(n: usize, alg: urb_core::Algorithm, report: &NodeReport) -> String {
@@ -809,31 +792,16 @@ pub fn node_cmd(args: NodeArgs) {
 /// the rest of the cluster. Exit codes: 0 = sent, 2 = connect/send
 /// failure (the daemon's config-error convention).
 pub fn topic_cmd(args: crate::args::TopicArgs) {
-    use crate::args::TopicOp;
-    use urb_types::{TopicControl, TopicId};
-    let topic = TopicId(args.topic);
-    let ctl = match args.op {
-        TopicOp::Create => {
-            let (algorithm, param) = args.algorithm.to_wire();
-            TopicControl::Create {
-                topic,
-                algorithm,
-                param,
-            }
-        }
-        TopicOp::Retire => TopicControl::Retire { topic },
-        TopicOp::Subscribe => TopicControl::Subscribe { topic },
-        TopicOp::Unsubscribe => TopicControl::Unsubscribe { topic },
-    };
+    use urb_sim::TopicAction;
+    let ctl = args.action.control(urb_core::Algorithm::Majority);
     match urb_runtime::send_control(&args.addr, ctl) {
         Ok(()) => {
-            let verb = match args.op {
-                TopicOp::Create => "create",
-                TopicOp::Retire => "retire",
-                TopicOp::Subscribe => "subscribe",
-                TopicOp::Unsubscribe => "unsubscribe",
+            let verb = match args.action {
+                TopicAction::Create { .. } => "create",
+                TopicAction::Retire { .. } => "retire",
             };
-            println!("topic {}: {verb} sent to {}", args.topic, args.addr);
+            let topic = args.action.topic().0;
+            println!("topic {topic}: {verb} sent to {}", args.addr);
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -957,7 +925,7 @@ pub fn cluster_cmd(args: ClusterArgs) {
                 "--addrs",
                 &addr_list,
                 "--alg",
-                alg_flag(args.algorithm),
+                &urb_sim::spec::format_algorithm(args.algorithm),
                 "--topics",
                 &args.topics.to_string(),
                 "--msgs",

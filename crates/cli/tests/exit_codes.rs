@@ -90,6 +90,28 @@ fn scenario_unusable_spec_is_exit_two() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn scenario_integers_past_u32_are_exit_two_not_wrapped() {
+    // The corpus's two-topic smoke with a topic count and a workload
+    // topic past u32::MAX: unusable input naming the key, not a run on
+    // the wrapped value (2 topics, topic 1) that passes.
+    let smoke =
+        std::fs::read_to_string(repo_root().join("scenarios/two_topics_smoke.toml")).unwrap();
+    let path = tmp("u32_wrap.toml");
+    for (from, to, key) in [
+        ("count = 2\n", "count = 4294967298\n", "topics.count"),
+        ("topic = 1\n", "topic = 4294967297\n", "workload.topic"),
+    ] {
+        assert!(smoke.contains(from));
+        std::fs::write(&path, smoke.replacen(from, to, 1)).unwrap();
+        let out = run(&["scenario", path.to_str().unwrap()]);
+        assert_eq!(code(&out), 2, "{key}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(key), "names {key}: {stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 // ------------------------------------------------------------------
 // `urb check` — exploration verdicts and counterexample replay.
 
@@ -555,26 +577,32 @@ fn node_corrupt_state_dir_is_exit_two() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("snapshot.bin"), "{stderr}");
 
-    // So is a well-formed envelope of the retired version-1 layout: it is
+    // So is a well-formed envelope of a retired layout (version 1: five
+    // per-tag maps; version 2: a trailing subscription set): it is
     // refused by version, never reinterpreted.
-    let mut v1 = b"URBS".to_vec();
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&[0u8; 16]); // empty body + trailer
-    std::fs::write(dir.join("snapshot.bin"), v1).unwrap();
-    let out = run(&[
-        "node",
-        "--id",
-        "0",
-        "--addrs",
-        "127.0.0.1:0",
-        "--run-ms",
-        "200",
-        "--state-dir",
-        dir.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 2, "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unsupported version 1"), "{stderr}");
+    for version in [1u32, 2] {
+        let mut old = b"URBS".to_vec();
+        old.extend_from_slice(&version.to_le_bytes());
+        old.extend_from_slice(&[0u8; 16]); // empty body + trailer
+        std::fs::write(dir.join("snapshot.bin"), old).unwrap();
+        let out = run(&[
+            "node",
+            "--id",
+            "0",
+            "--addrs",
+            "127.0.0.1:0",
+            "--run-ms",
+            "200",
+            "--state-dir",
+            dir.to_str().unwrap(),
+        ]);
+        assert_eq!(code(&out), 2, "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unsupported version {version}")),
+            "{stderr}"
+        );
+    }
 
     // A journal ending mid-record (length prefix promises more bytes
     // than the file holds) is equally fatal, and typed as such.
@@ -650,6 +678,14 @@ fn usage_errors_are_exit_two() {
     assert_eq!(code(&run(&["frobnicate"])), 2);
     assert_eq!(code(&run(&["check"])), 2);
     assert_eq!(code(&run(&["bench", "--diff", "one.json"])), 2);
+    // `urb topic` sends create or retire only; anything else is refused
+    // at parse time, before a connection is attempted.
+    for op in ["subscribe", "unsubscribe"] {
+        let out = run(&["topic", op, "--addr", "127.0.0.1:1", "--topic", "0"]);
+        assert_eq!(code(&out), 2, "{op}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown topic operation"), "{op}: {stderr}");
+    }
 }
 
 #[test]

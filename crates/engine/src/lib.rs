@@ -61,7 +61,7 @@ use urb_types::{
 };
 
 mod node;
-pub use node::Node;
+pub use node::{Node, TopicAction};
 
 /// Cumulative per-node activity counters maintained by [`TopicEngine`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -197,9 +197,6 @@ pub struct TopicEngine {
     /// Tombstones of reaped topics: traffic addressed to these ids is
     /// dropped inert instead of erroring as unknown.
     retired: BTreeSet<TopicId>,
-    /// Topics this node has subscribed to (delivery-interest bookkeeping
-    /// for drivers; the engine itself delivers per instance regardless).
-    subscriptions: BTreeSet<TopicId>,
     /// Remembered memory configuration, applied to late-created instances
     /// so they compact like the statically configured ones.
     memory: Option<MemoryConfig>,
@@ -396,7 +393,6 @@ impl TopicEngine {
                 })
                 .collect(),
             retired: BTreeSet::new(),
-            subscriptions: BTreeSet::new(),
             memory: None,
             drain_limit: DEFAULT_DRAIN_LIMIT,
             alg_name,
@@ -617,7 +613,6 @@ impl TopicEngine {
             self.slots.remove(i);
             self.draining -= 1;
             self.retired.insert(topic);
-            self.subscriptions.remove(&topic);
             // Incremental directory maintenance: the reaped id becomes a
             // tombstone entry and every slot the removal shifted left is
             // re-pointed.
@@ -630,24 +625,6 @@ impl TopicEngine {
         });
         self.active = active;
         reaped
-    }
-
-    /// Records this node's delivery interest in `topic`. Pure
-    /// bookkeeping at the engine level (drivers decide what subscription
-    /// means for routing); returns `false` when already subscribed.
-    pub fn subscribe(&mut self, topic: TopicId) -> bool {
-        self.subscriptions.insert(topic)
-    }
-
-    /// Drops this node's delivery interest in `topic`; returns `false`
-    /// when there was no subscription.
-    pub fn unsubscribe(&mut self, topic: TopicId) -> bool {
-        self.subscriptions.remove(&topic)
-    }
-
-    /// True when this node recorded delivery interest in `topic`.
-    pub fn is_subscribed(&self, topic: TopicId) -> bool {
-        self.subscriptions.contains(&topic)
     }
 
     /// Steps `topic` and appends its tagged effects to `mux` (which is
@@ -1011,10 +988,6 @@ impl TopicEngine {
         for t in &self.retired {
             w.put_u64(t.0 as u64);
         }
-        w.put_u64(self.subscriptions.len() as u64);
-        for t in &self.subscriptions {
-            w.put_u64(t.0 as u64);
-        }
         Ok(w.into_envelope())
     }
 
@@ -1092,11 +1065,6 @@ impl TopicEngine {
         for _ in 0..retired {
             retired_set.insert(TopicId(get_u32(&mut r, "retired topic id")?));
         }
-        let subs = r.get_u64()? as usize;
-        let mut sub_set = BTreeSet::new();
-        for _ in 0..subs {
-            sub_set.insert(TopicId(get_u32(&mut r, "subscription topic id")?));
-        }
         r.finish()?;
         self.rng = SplitMix64::from_state(rng_state);
         self.counters = counters;
@@ -1106,7 +1074,6 @@ impl TopicEngine {
         self.directory = TopicDirectory::rebuild(&self.slots, &retired_set);
         self.rebuild_active();
         self.retired = retired_set;
-        self.subscriptions = sub_set;
         Ok(())
     }
 }
@@ -1865,17 +1832,6 @@ mod tests {
     }
 
     #[test]
-    fn subscriptions_are_bookkeeping() {
-        let mut e = topic_engine(1, 46);
-        assert!(!e.is_subscribed(TopicId(0)));
-        assert!(e.subscribe(TopicId(0)));
-        assert!(!e.subscribe(TopicId(0)), "second subscribe is a no-op");
-        assert!(e.is_subscribed(TopicId(0)));
-        assert!(e.unsubscribe(TopicId(0)));
-        assert!(!e.unsubscribe(TopicId(0)));
-    }
-
-    #[test]
     fn lifecycle_changes_the_fingerprint_but_static_engines_digest_stably() {
         let fd = FdSnapshot::none();
         let a = topic_engine(2, 47);
@@ -1906,7 +1862,6 @@ mod tests {
         let fd = FdSnapshot::none();
         let mut e = topic_engine(2, 49);
         e.create_topic(TopicId(4), scripted());
-        e.subscribe(TopicId(4));
         let mut mux = MuxBuffers::new();
         e.step_mux(
             TopicId(4),
@@ -1932,7 +1887,6 @@ mod tests {
         assert_eq!(back.fingerprint(), e.fingerprint());
         assert_eq!(back.counters(), e.counters());
         assert!(back.is_retired(TopicId(1)));
-        assert!(back.is_subscribed(TopicId(4)));
         assert_eq!(back.stats_for(TopicId(4)).msg_set, 1);
     }
 
@@ -2071,7 +2025,7 @@ mod tests {
     /// A hand-written engine snapshot body for a one-topic `Scripted`
     /// engine (topic 0, nothing pending), with the given raw words where
     /// [`TopicEngine::save_snapshot`] writes ids and the drain counter.
-    fn raw_snapshot(topic: u64, drain_ticks: u64, retired: &[u64], subs: &[u64]) -> Vec<u8> {
+    fn raw_snapshot(topic: u64, drain_ticks: u64, retired: &[u64]) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.put_str("scripted");
         w.put_u64(1); // topics
@@ -2085,11 +2039,9 @@ mod tests {
         let mut state = SnapshotWriter::new();
         state.put_u64(0); // Scripted: no pending messages
         w.put_bytes(&state.into_body());
-        for ids in [retired, subs] {
-            w.put_u64(ids.len() as u64);
-            for &id in ids {
-                w.put_u64(id);
-            }
+        w.put_u64(retired.len() as u64);
+        for &id in retired {
+            w.put_u64(id);
         }
         w.into_envelope()
     }
@@ -2098,17 +2050,16 @@ mod tests {
     fn restore_rejects_words_that_do_not_fit_a_u32() {
         // The hand-written body is a snapshot the engine accepts …
         let mut ok = engine();
-        ok.restore_snapshot(&raw_snapshot(0, 7, &[5], &[0, 6]))
+        ok.restore_snapshot(&raw_snapshot(0, 7, &[5]))
             .expect("in-range body restores");
-        assert!(ok.is_retired(TopicId(5)) && ok.is_subscribed(TopicId(6)));
+        assert!(ok.is_retired(TopicId(5)));
         // … and the same body with one word past u32::MAX is corruption,
         // not the topic the word wraps to (1 << 32 wraps to topic 0).
         let wrap = |id: u64| (1u64 << 32) + id;
         for (bytes, field) in [
-            (raw_snapshot(wrap(0), 0, &[], &[]), "slot topic id"),
-            (raw_snapshot(0, wrap(1), &[], &[]), "drain_ticks"),
-            (raw_snapshot(0, 0, &[wrap(5)], &[]), "retired topic id"),
-            (raw_snapshot(0, 0, &[], &[wrap(6)]), "subscription topic id"),
+            (raw_snapshot(wrap(0), 0, &[]), "slot topic id"),
+            (raw_snapshot(0, wrap(1), &[]), "drain_ticks"),
+            (raw_snapshot(0, 0, &[wrap(5)]), "retired topic id"),
         ] {
             match engine().restore_snapshot(&bytes) {
                 Err(SnapshotError::Malformed(why)) => {
@@ -2117,6 +2068,25 @@ mod tests {
                 other => panic!("{field}: expected Malformed, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_version_2_snapshot_is_refused_by_version() {
+        // Version 2 ended the body with a subscription set. A well-formed
+        // v2 envelope (here: the v3 body plus an empty set) is refused by
+        // its version, never parsed as a v3 body.
+        let v3 = engine().save_snapshot().unwrap();
+        let mut body = unseal(&v3).unwrap().to_vec();
+        body.extend_from_slice(&0u64.to_le_bytes());
+        let mut v2 = b"URBS".to_vec();
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        v2.extend_from_slice(&body);
+        v2.extend_from_slice(&urb_types::snapshot::fnv1a(&body).to_le_bytes());
+        assert_eq!(
+            engine().restore_snapshot(&v2),
+            Err(SnapshotError::UnsupportedVersion { found: 2 })
+        );
     }
 
     // ---- the node tick (DESIGN.md §2) -----------------------------------

@@ -3,7 +3,7 @@
 //! decides what no driver decides for itself: a broadcast lands only on
 //! a live topic, a message for a topic with no instance is inert, and a
 //! lifecycle control is decoded and validated in one place
-//! ([`Node::apply`]). A driver supplies the detector view of each step
+//! ([`Node::apply`]) and encoded in one ([`TopicAction::control`]). A driver supplies the detector view of each step
 //! (the node reads no clock), the tag stream, and the routing.
 
 use crate::{MuxBuffers, MuxIngressError, StepInput, TopicEngine};
@@ -129,8 +129,59 @@ impl Node {
                 _ => false,
             },
             TopicControl::Retire { topic } => self.engine.retire_topic(topic),
-            TopicControl::Subscribe { topic } => self.engine.subscribe(topic),
-            TopicControl::Unsubscribe { topic } => self.engine.unsubscribe(topic),
+        }
+    }
+}
+
+/// The two lifecycle transitions (DESIGN.md §15): what a simulator plan
+/// schedules, what a scenario's `[[topics.events]]` entry decodes to and
+/// what `urb topic` and `UrbCluster::create_topic` send.
+/// [`TopicAction::control`] is the one place one is encoded as a wire
+/// [`TopicControl`], as [`Node::apply`] is the one place one is decoded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TopicAction {
+    /// Bring a topic live (lazy instantiation): every process creates a
+    /// fresh protocol instance for `topic`. Idempotent — creating an
+    /// already-live topic is a no-op. A previously retired id is
+    /// re-created clean.
+    Create {
+        /// The topic to instantiate.
+        topic: TopicId,
+        /// Algorithm for the new instance; `None` inherits the one
+        /// [`TopicAction::control`] is given (a run's or a cluster's).
+        algorithm: Option<Algorithm>,
+    },
+    /// Retire a live topic: it stops accepting broadcasts, drains
+    /// in-flight tags (retransmitting as usual) until quiescent or the
+    /// drain budget expires, then its state is compacted and freed (the
+    /// reap at the end of a node tick).
+    Retire {
+        /// The topic to retire.
+        topic: TopicId,
+    },
+}
+
+impl TopicAction {
+    /// The topic this action touches.
+    pub fn topic(&self) -> TopicId {
+        match *self {
+            TopicAction::Create { topic, .. } | TopicAction::Retire { topic } => topic,
+        }
+    }
+
+    /// The control every live process applies ([`Node::apply`]);
+    /// `inherit` is the algorithm a `Create` without one gets.
+    pub fn control(self, inherit: Algorithm) -> TopicControl {
+        match self {
+            TopicAction::Create { topic, algorithm } => {
+                let (algorithm, param) = algorithm.unwrap_or(inherit).to_wire();
+                TopicControl::Create {
+                    topic,
+                    algorithm,
+                    param,
+                }
+            }
+            TopicAction::Retire { topic } => TopicControl::Retire { topic },
         }
     }
 }
@@ -268,8 +319,6 @@ mod tests {
         /// Create under a wire code no algorithm has.
         CreateUnknown(u32, u8),
         Retire(u32),
-        Subscribe(u32),
-        Unsubscribe(u32),
     }
 
     fn algorithm(pick: usize, param: u32) -> Algorithm {
@@ -287,16 +336,14 @@ mod tests {
     fn arb_op() -> impl Strategy<Value = Op> {
         // Topics 0..4 over a node configured with 0..2: two topics
         // exist from the start, two only once a script creates them.
-        (0u8..8, 0u32..4, any::<usize>(), 0u32..5, 7u8..255).prop_map(
+        (0u8..6, 0u32..4, any::<usize>(), 0u32..5, 7u8..255).prop_map(
             |(kind, topic, pick, param, code)| match kind {
                 0 => Op::Broadcast(topic),
                 1 => Op::Receive(topic, pick),
                 2 => Op::Tick,
                 3 => Op::Create(topic, pick, param),
                 4 => Op::CreateUnknown(topic, code),
-                5 => Op::Retire(topic),
-                6 => Op::Subscribe(topic),
-                _ => Op::Unsubscribe(topic),
+                _ => Op::Retire(topic),
             },
         )
     }
@@ -340,12 +387,6 @@ mod tests {
                 Op::Retire(t) => {
                     e.retire_topic(TopicId(t));
                 }
-                Op::Subscribe(t) => {
-                    e.subscribe(TopicId(t));
-                }
-                Op::Unsubscribe(t) => {
-                    e.unsubscribe(TopicId(t));
-                }
             }
         }
     }
@@ -375,12 +416,6 @@ mod tests {
             }
             Op::Retire(t) => {
                 node.apply(TopicControl::Retire { topic: TopicId(t) });
-            }
-            Op::Subscribe(t) => {
-                node.apply(TopicControl::Subscribe { topic: TopicId(t) });
-            }
-            Op::Unsubscribe(t) => {
-                node.apply(TopicControl::Unsubscribe { topic: TopicId(t) });
             }
         }
     }

@@ -3,11 +3,10 @@
 //! representation it replaced.
 //!
 //! A `Model` keeps the old layout — a sorted `Vec` of (topic, draining)
-//! probed by `binary_search`, plus `BTreeSet`s for retired tombstones and
-//! subscriptions — and both it and a real [`TopicEngine`] are driven
-//! through the same random create/retire/subscribe/tick churn. After
-//! every operation the engine's one-probe [`TopicEngine::resolve`]
-//! verdicts, subscription bookkeeping and lifecycle
+//! probed by `binary_search`, plus a `BTreeSet` of retired tombstones —
+//! and both it and a real [`TopicEngine`] are driven through the same
+//! random create/retire/tick churn. After every operation the engine's
+//! one-probe [`TopicEngine::resolve`] verdicts and lifecycle
 //! [`EngineCounters`](urb_engine::EngineCounters) must match the model
 //! exactly, across the dense, slack-boundary and hash-map id lanes.
 
@@ -45,13 +44,12 @@ fn inert() -> Box<dyn AnonProcess + Send> {
 }
 
 /// The pre-directory representation, verbatim: sorted slot vector probed
-/// by binary search, tombstones and subscriptions in ordered sets.
+/// by binary search, tombstones in an ordered set.
 #[derive(Default)]
 struct Model {
     /// (topic, draining), ascending by topic.
     slots: Vec<(TopicId, bool)>,
     retired: BTreeSet<TopicId>,
-    subs: BTreeSet<TopicId>,
     created: u64,
     retired_ct: u64,
     reclaimed: u64,
@@ -100,7 +98,6 @@ impl Model {
             if self.slots[i].1 {
                 let (t, _) = self.slots.remove(i);
                 self.retired.insert(t);
-                self.subs.remove(&t);
                 self.reclaimed += 1;
             } else {
                 i += 1;
@@ -114,8 +111,6 @@ impl Model {
 enum Op {
     Create(TopicId),
     Retire(TopicId),
-    Subscribe(TopicId),
-    Unsubscribe(TopicId),
     Tick,
 }
 
@@ -133,8 +128,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         arb_topic().prop_map(Op::Create),
         arb_topic().prop_map(Op::Retire),
-        arb_topic().prop_map(Op::Subscribe),
-        arb_topic().prop_map(Op::Unsubscribe),
         (0u32..1u32).prop_map(|_| Op::Tick),
     ]
 }
@@ -153,7 +146,7 @@ proptest! {
         let mut probe: BTreeSet<TopicId> = ops
             .iter()
             .filter_map(|op| match op {
-                Op::Create(t) | Op::Retire(t) | Op::Subscribe(t) | Op::Unsubscribe(t) => Some(*t),
+                Op::Create(t) | Op::Retire(t) => Some(*t),
                 Op::Tick => None,
             })
             .collect();
@@ -171,12 +164,6 @@ proptest! {
                 Op::Retire(t) => {
                     prop_assert_eq!(engine.retire_topic(t), model.retire(t), "retire {} at op {}", t, step);
                 }
-                Op::Subscribe(t) => {
-                    prop_assert_eq!(engine.subscribe(t), model.subs.insert(t), "subscribe {} at op {}", t, step);
-                }
-                Op::Unsubscribe(t) => {
-                    prop_assert_eq!(engine.unsubscribe(t), model.subs.remove(&t), "unsubscribe {} at op {}", t, step);
-                }
                 Op::Tick => {
                     engine.tick_all(&fd, &mut mux);
                     model.tick();
@@ -188,7 +175,6 @@ proptest! {
                     "verdict for {} diverged after op {} ({:?})", t, step, op
                 );
                 prop_assert_eq!(engine.is_retired(t), model.retired.contains(&t));
-                prop_assert_eq!(engine.is_subscribed(t), model.subs.contains(&t));
             }
             prop_assert_eq!(engine.topic_count(), model.slots.len());
         }

@@ -158,7 +158,7 @@ pub struct NodeReport {
 /// length-prefixed control-only frame, close. The daemon applies the
 /// control and gossips it to the rest of the cluster exactly like a
 /// control received from a peer (idempotent flood — DESIGN.md §15).
-/// This is what `urb topic create|retire|subscribe|unsubscribe` runs.
+/// This is what `urb topic create|retire` runs.
 pub fn send_control(addr: &str, ctl: TopicControl) -> Result<(), NetError> {
     use std::io::Write;
     let mut frame = bytes::BytesMut::new();

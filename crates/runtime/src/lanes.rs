@@ -144,7 +144,7 @@ mod tests {
         ];
         let mut controls = vec![
             TopicControl::Retire { topic: TopicId(4) },
-            TopicControl::Subscribe { topic: TopicId(5) },
+            TopicControl::Retire { topic: TopicId(5) },
         ];
         dir.partition(&mut outbox, &mut controls);
         assert!(outbox.is_empty() && controls.is_empty(), "inputs drained");
@@ -161,7 +161,7 @@ mod tests {
             lane1.iter().map(|e| e.0).collect::<Vec<_>>(),
             vec![TopicId(1), TopicId(3)]
         );
-        assert_eq!(ctl1, &vec![TopicControl::Subscribe { topic: TopicId(5) }]);
+        assert_eq!(ctl1, &vec![TopicControl::Retire { topic: TopicId(5) }]);
     }
 
     #[test]

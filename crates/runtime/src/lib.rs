@@ -58,6 +58,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urb_core::Algorithm;
+use urb_engine::TopicAction;
 use urb_types::{Delivery, Payload, Tag, TopicControl, TopicId};
 
 /// One per-topic delivery subscription: the topic filter and the
@@ -275,15 +276,11 @@ impl UrbCluster {
     /// reaches it). Returns `false` when the entry node already had the
     /// topic live (the operation is idempotent).
     pub fn create_topic(&self, pid: usize, topic: TopicId, algorithm: Algorithm) -> bool {
-        let (code, param) = algorithm.to_wire();
-        self.control(
-            pid,
-            TopicControl::Create {
-                topic,
-                algorithm: code,
-                param,
-            },
-        )
+        let create = TopicAction::Create {
+            topic,
+            algorithm: Some(algorithm),
+        };
+        self.control(pid, create.control(algorithm))
     }
 
     /// Retires `topic` cluster-wide, entering at process `pid`: the
@@ -293,18 +290,6 @@ impl UrbCluster {
     /// instance to retire.
     pub fn retire_topic(&self, pid: usize, topic: TopicId) -> bool {
         self.control(pid, TopicControl::Retire { topic })
-    }
-
-    /// Marks process `pid` as interested in `topic`'s deliveries at the
-    /// engine layer (engine-level subscription bookkeeping; delivery
-    /// routing to [`UrbCluster::subscribe`] channels is unaffected).
-    pub fn subscribe_topic(&self, pid: usize, topic: TopicId) -> bool {
-        self.control(pid, TopicControl::Subscribe { topic })
-    }
-
-    /// Clears process `pid`'s engine-level interest in `topic`.
-    pub fn unsubscribe_topic(&self, pid: usize, topic: TopicId) -> bool {
-        self.control(pid, TopicControl::Unsubscribe { topic })
     }
 
     /// Everything process `pid` has URB-delivered so far, in order,

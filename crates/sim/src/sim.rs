@@ -31,15 +31,16 @@ use crate::event::{Event, EventQueue, SchedulerPolicy};
 use crate::metrics::{BroadcastRecord, DeliveryRecord, Metrics, StatsSample};
 use crate::trace::{Trace, TraceConfig, TraceRecorder};
 use urb_core::Algorithm;
+pub use urb_engine::TopicAction;
 use urb_engine::{EngineCounters, Node};
 use urb_fd::{FdService, HeartbeatConfig, HeartbeatService, NoFd, OracleConfig, OracleFd};
 use urb_types::{
-    MemoryConfig, MuxPool, Payload, ProcessStats, RandomSource, SplitMix64, Tag, TopicControl,
-    TopicId, WireKind, WireMessage, Xoshiro256,
+    MemoryConfig, MuxPool, Payload, ProcessStats, RandomSource, SplitMix64, Tag, TopicId, WireKind,
+    WireMessage, Xoshiro256,
 };
 
 /// Which failure-detector implementation a run uses.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FdKind {
     /// No detector (Algorithm 1 and the baselines).
     None,
@@ -66,68 +67,19 @@ pub struct PlannedBroadcast {
 
 /// A planned topic-lifecycle change (DESIGN.md §15). In the simulator,
 /// lifecycle is deterministic **global configuration** — like crash plans:
-/// at `time` the event's [`TopicControl`] is applied ([`Node::apply`]) at
+/// at `time` the event's [`urb_types::TopicControl`] is applied ([`Node::apply`]) at
 /// every non-crashed process in the same step, atomically from the run's
 /// point of view; crashed processes execute nothing. The wire-level
 /// gossip of the same controls (where nodes learn lifecycle from each
 /// other's frames, with races) is exercised by the engine tests and the
 /// runtime/daemon plane; keeping the simulator's plan global costs no
 /// randomness, which is what pins static runs byte-identical.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TopicEventCfg {
     /// Instant the change applies.
     pub time: u64,
     /// What changes.
     pub action: TopicAction,
-}
-
-/// The two lifecycle transitions a plan can schedule.
-#[derive(Clone, Copy, Debug)]
-pub enum TopicAction {
-    /// Bring a topic live (lazy instantiation): every process creates a
-    /// fresh protocol instance for `topic`. Idempotent — creating an
-    /// already-live topic is a no-op. A previously retired id is
-    /// re-created clean.
-    Create {
-        /// The topic to instantiate.
-        topic: TopicId,
-        /// Algorithm for the new instance; `None` inherits the run's
-        /// [`SimConfig::algorithm`].
-        algorithm: Option<Algorithm>,
-    },
-    /// Retire a live topic: it stops accepting broadcasts, drains
-    /// in-flight tags (retransmitting as usual) until quiescent or the
-    /// drain budget expires, then its state is compacted and freed (the
-    /// reap at the end of a node tick).
-    Retire {
-        /// The topic to retire.
-        topic: TopicId,
-    },
-}
-
-impl TopicAction {
-    /// The topic this action touches.
-    pub fn topic(&self) -> TopicId {
-        match *self {
-            TopicAction::Create { topic, .. } | TopicAction::Retire { topic } => topic,
-        }
-    }
-
-    /// The control every live process applies ([`Node::apply`]);
-    /// `inherit` is the algorithm a `Create` without one gets.
-    pub fn control(self, inherit: Algorithm) -> TopicControl {
-        match self {
-            TopicAction::Create { topic, algorithm } => {
-                let (algorithm, param) = algorithm.unwrap_or(inherit).to_wire();
-                TopicControl::Create {
-                    topic,
-                    algorithm,
-                    param,
-                }
-            }
-            TopicAction::Retire { topic } => TopicControl::Retire { topic },
-        }
-    }
 }
 
 /// Builds a simulated fleet: `n` nodes of `topics` protocol instances

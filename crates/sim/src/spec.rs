@@ -37,7 +37,7 @@ use crate::crash::{CrashPlan, CrashRule};
 use crate::minitoml;
 use crate::sim::{
     Blackout, DelayOverride, FdKind, LinkOverride, PlannedBroadcast, RunOutcome, SimConfig,
-    TopicAction,
+    TopicAction, TopicEventCfg,
 };
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -108,18 +108,6 @@ impl StopRule {
     }
 }
 
-/// Failure-detector selection in a spec. Absent = pick by algorithm
-/// (exactly what [`SimConfig::new`] does).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FdSpec {
-    /// No detector.
-    None,
-    /// The audited `AΘ`/`AP*` oracle (DESIGN.md D5/D6).
-    Oracle(OracleConfig),
-    /// The realistic heartbeat estimator.
-    Heartbeat(HeartbeatConfig),
-}
-
 /// The application workload of a scenario.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorkloadSpec {
@@ -155,48 +143,6 @@ pub struct TopicWorkload {
     pub spacing: u64,
     /// Invocation time of the first broadcast.
     pub start: u64,
-}
-
-/// One `[[topics.events]]` entry: a planned topic-lifecycle change
-/// (DESIGN.md §15, schema in §9). Events compile to
-/// [`crate::sim::TopicEventCfg`]s applied at every non-crashed process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TopicEventSpec {
-    /// Instant the change applies.
-    pub at: u64,
-    /// What changes.
-    pub action: TopicActionSpec,
-}
-
-/// The lifecycle transition of one `[[topics.events]]` entry — exactly one
-/// of the `create` / `retire` keys.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TopicActionSpec {
-    /// `create = <topic>`: bring a dynamic topic live. The id must lie
-    /// outside the static `[topics].count` range and must not already be
-    /// live at `at`.
-    Create {
-        /// The topic to instantiate.
-        topic: u32,
-        /// Optional `algorithm` key: the new instance's protocol; absent
-        /// inherits the scenario's algorithm.
-        algorithm: Option<Algorithm>,
-    },
-    /// `retire = <topic>`: drain and reclaim a live topic (static or
-    /// dynamic).
-    Retire {
-        /// The topic to retire.
-        topic: u32,
-    },
-}
-
-impl TopicActionSpec {
-    /// The topic this action touches.
-    pub fn topic(&self) -> u32 {
-        match *self {
-            TopicActionSpec::Create { topic, .. } | TopicActionSpec::Retire { topic } => topic,
-        }
-    }
 }
 
 impl Default for WorkloadSpec {
@@ -407,8 +353,11 @@ pub struct ScenarioSpec {
     /// `[topics]` table is absent (DESIGN.md §12).
     pub topics: u32,
     /// Planned topic-lifecycle events (`[[topics.events]]`, DESIGN.md
-    /// §15), in file order; compiled sorted by time.
-    pub topic_events: Vec<TopicEventSpec>,
+    /// §15), in file order; compiled sorted by time. A `create` must
+    /// name an id outside `0..topics` that is not live at its time; a
+    /// `retire` must name a live topic; `algorithm` absent inherits the
+    /// scenario's.
+    pub topic_events: Vec<TopicEventCfg>,
     /// `[topics].drain_ticks`: the drain budget for retiring topics
     /// (absent = the engine default).
     pub drain_ticks: Option<u32>,
@@ -430,8 +379,9 @@ pub struct ScenarioSpec {
     pub loss: LossModel,
     /// Mesh-wide delay model.
     pub delay: DelayModel,
-    /// Failure-detector selection (absent = by algorithm).
-    pub fd: Option<FdSpec>,
+    /// Failure-detector selection (absent = pick by algorithm, exactly
+    /// what [`SimConfig::new`] does).
+    pub fd: Option<FdKind>,
     /// Per-link loss/delay overrides.
     pub links: Vec<LinkSpec>,
     /// Raw time-windowed link outages.
@@ -550,9 +500,10 @@ impl ScenarioSpec {
         if let Some(v) = map.get("topics") {
             let t = as_table(v, "topics")?;
             check_keys(t, &["count", "drain_ticks", "events"], "topics")?;
-            spec.topics = req_u64(t, "count")? as u32;
+            spec.topics = fit_u32(req_u64(t, "count")?, "topics.count")?;
             if let Some(d) = t.get("drain_ticks") {
-                spec.drain_ticks = Some(as_u64(d, "topics.drain_ticks")? as u32);
+                let d = as_u64(d, "topics.drain_ticks")?;
+                spec.drain_ticks = Some(fit_u32(d, "topics.drain_ticks")?);
             }
             if let Some(evs) = t.get("events") {
                 for item in as_array(evs, "topics.events")? {
@@ -657,16 +608,16 @@ impl ScenarioSpec {
             }
             for e in &self.topic_events {
                 let _ = writeln!(s, "\n[[topics.events]]");
-                let _ = writeln!(s, "at = {}", e.at);
+                let _ = writeln!(s, "at = {}", e.time);
                 match e.action {
-                    TopicActionSpec::Create { topic, algorithm } => {
-                        let _ = writeln!(s, "create = {topic}");
+                    TopicAction::Create { topic, algorithm } => {
+                        let _ = writeln!(s, "create = {}", topic.0);
                         if let Some(a) = algorithm {
                             let _ = writeln!(s, "algorithm = {}", toml_str(&format_algorithm(a)));
                         }
                     }
-                    TopicActionSpec::Retire { topic } => {
-                        let _ = writeln!(s, "retire = {topic}");
+                    TopicAction::Retire { topic } => {
+                        let _ = writeln!(s, "retire = {}", topic.0);
                     }
                 }
             }
@@ -823,8 +774,8 @@ impl ScenarioSpec {
         // Every algorithm the run will instantiate — the static one and
         // each lifecycle create's — must be runnable at this n.
         let created = self.topic_events.iter().filter_map(|e| match e.action {
-            TopicActionSpec::Create { algorithm, .. } => algorithm,
-            TopicActionSpec::Retire { .. } => None,
+            TopicAction::Create { algorithm, .. } => algorithm,
+            TopicAction::Retire { .. } => None,
         });
         for alg in std::iter::once(self.algorithm).chain(created) {
             if !alg.runs_with(n) {
@@ -851,12 +802,8 @@ impl ScenarioSpec {
             StopRule::FullDelivery => (true, true),
             StopRule::Horizon => (false, false),
         };
-        if let Some(fd) = &self.fd {
-            cfg.fd = match fd {
-                FdSpec::None => FdKind::None,
-                FdSpec::Oracle(c) => FdKind::Oracle(*c),
-                FdSpec::Heartbeat(c) => FdKind::Heartbeat(*c),
-            };
+        if let Some(fd) = self.fd {
+            cfg.fd = fd;
         }
 
         // Lifecycle plan (DESIGN.md §15): events apply in time order
@@ -865,12 +812,13 @@ impl ScenarioSpec {
         // that are not currently live; retires must target something
         // live at that instant.
         let mut events = self.topic_events.clone();
-        events.sort_by_key(|e| e.at);
+        events.sort_by_key(|e| e.time);
         let mut live: std::collections::BTreeSet<u32> = (0..self.topics).collect();
         let mut dynamic: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
         for e in &events {
+            let topic = e.action.topic().0;
             match e.action {
-                TopicActionSpec::Create { topic, .. } => {
+                TopicAction::Create { .. } => {
                     if topic < self.topics {
                         return Err(SpecError::new(format!(
                             "topics.events: create of topic {topic} which is statically \
@@ -882,37 +830,23 @@ impl ScenarioSpec {
                         return Err(SpecError::new(format!(
                             "topics.events: create of topic {topic} at t={} while it is \
                              already live",
-                            e.at
+                            e.time
                         )));
                     }
                     dynamic.insert(topic);
                 }
-                TopicActionSpec::Retire { topic } => {
+                TopicAction::Retire { .. } => {
                     if !live.remove(&topic) {
                         return Err(SpecError::new(format!(
                             "topics.events: retire of topic {topic} at t={} while it is \
                              not live",
-                            e.at
+                            e.time
                         )));
                     }
                 }
             }
         }
-        cfg.topic_events = events
-            .iter()
-            .map(|e| crate::sim::TopicEventCfg {
-                time: e.at,
-                action: match e.action {
-                    TopicActionSpec::Create { topic, algorithm } => TopicAction::Create {
-                        topic: TopicId(topic),
-                        algorithm,
-                    },
-                    TopicActionSpec::Retire { topic } => TopicAction::Retire {
-                        topic: TopicId(topic),
-                    },
-                },
-            })
-            .collect();
+        cfg.topic_events = events;
         if let Some(d) = self.drain_ticks {
             cfg.drain_ticks = d;
         }
@@ -1242,6 +1176,13 @@ fn opt_u64(map: &BTreeMap<String, Value>, key: &str, default: u64) -> Result<u64
     }
 }
 
+/// Narrows a decoded integer into a `u32` field; a value past `u32::MAX`
+/// is an error naming `key`, never the id it would wrap to.
+fn fit_u32(v: u64, key: &str) -> Result<u32, SpecError> {
+    u32::try_from(v)
+        .map_err(|_| SpecError::new(format!("{key} = {v} does not fit a u32 (max {})", u32::MAX)))
+}
+
 fn req_usize(map: &BTreeMap<String, Value>, key: &str) -> Result<usize, SpecError> {
     Ok(req_u64(map, key)? as usize)
 }
@@ -1331,7 +1272,7 @@ fn decode_loss(v: &Value) -> Result<LossModel, SpecError> {
             check_keys(map, &["model", "p", "max_consecutive"], "loss")?;
             Ok(LossModel::BoundedBernoulli {
                 p: opt_f64(map, "p", 0.0)?,
-                max_consecutive: req_u64(map, "max_consecutive")? as u32,
+                max_consecutive: fit_u32(req_u64(map, "max_consecutive")?, "loss.max_consecutive")?,
             })
         }
         "burst" => {
@@ -1417,13 +1358,13 @@ fn encode_delay(delay: &DelayModel) -> String {
     }
 }
 
-fn decode_fd(v: &Value) -> Result<FdSpec, SpecError> {
+fn decode_fd(v: &Value) -> Result<FdKind, SpecError> {
     let map = as_table(v, "fd")?;
     let kind = req_str(map, "kind")?;
     match kind.as_str() {
         "none" => {
             check_keys(map, &["kind"], "fd")?;
-            Ok(FdSpec::None)
+            Ok(FdKind::None)
         }
         "oracle" => {
             check_keys(
@@ -1439,7 +1380,7 @@ fn decode_fd(v: &Value) -> Result<FdSpec, SpecError> {
                 "fd",
             )?;
             let d = OracleConfig::default();
-            Ok(FdSpec::Oracle(OracleConfig {
+            Ok(FdKind::Oracle(OracleConfig {
                 appearance_spread: opt_u64(map, "appearance_spread", d.appearance_spread)?,
                 theta_removal_delay: opt_u64(map, "theta_removal_delay", d.theta_removal_delay)?,
                 pstar_removal_delay: opt_u64(map, "pstar_removal_delay", d.pstar_removal_delay)?,
@@ -1453,7 +1394,7 @@ fn decode_fd(v: &Value) -> Result<FdSpec, SpecError> {
         "heartbeat" => {
             check_keys(map, &["kind", "period", "timeout"], "fd")?;
             let d = HeartbeatConfig::default();
-            Ok(FdSpec::Heartbeat(HeartbeatConfig {
+            Ok(FdKind::Heartbeat(HeartbeatConfig {
                 period: opt_u64(map, "period", d.period)?,
                 timeout: opt_u64(map, "timeout", d.timeout)?,
             }))
@@ -1464,14 +1405,14 @@ fn decode_fd(v: &Value) -> Result<FdSpec, SpecError> {
     }
 }
 
-fn encode_fd(fd: &FdSpec) -> String {
+fn encode_fd(fd: &FdKind) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "\n[fd]");
     match fd {
-        FdSpec::None => {
+        FdKind::None => {
             let _ = writeln!(s, "kind = \"none\"");
         }
-        FdSpec::Oracle(c) => {
+        FdKind::Oracle(c) => {
             let _ = writeln!(s, "kind = \"oracle\"");
             let _ = writeln!(s, "appearance_spread = {}", c.appearance_spread);
             let _ = writeln!(s, "theta_removal_delay = {}", c.theta_removal_delay);
@@ -1479,7 +1420,7 @@ fn encode_fd(fd: &FdSpec) -> String {
             let _ = writeln!(s, "pstar_ready_slack = {}", c.pstar_ready_slack);
             let _ = writeln!(s, "faulty_knowledge = {}", c.faulty_knowledge);
         }
-        FdSpec::Heartbeat(c) => {
+        FdKind::Heartbeat(c) => {
             let _ = writeln!(s, "kind = \"heartbeat\"");
             let _ = writeln!(s, "period = {}", c.period);
             let _ = writeln!(s, "timeout = {}", c.timeout);
@@ -1519,7 +1460,7 @@ fn decode_workload(v: &Value) -> Result<WorkloadSpec, SpecError> {
                 let map = as_table(item, "workload")?;
                 check_keys(map, &["topic", "count", "spacing", "start"], "workload")?;
                 Ok(TopicWorkload {
-                    topic: opt_u64(map, "topic", 0)? as u32,
+                    topic: fit_u32(opt_u64(map, "topic", 0)?, "workload.topic")?,
                     count: req_usize(map, "count")?,
                     spacing: opt_u64(map, "spacing", 100)?,
                     start: opt_u64(map, "start", 10)?,
@@ -1551,7 +1492,7 @@ fn decode_workload(v: &Value) -> Result<WorkloadSpec, SpecError> {
                 Ok(BroadcastSpec {
                     time: req_u64(map, "time")?,
                     pid: req_usize(map, "pid")?,
-                    topic: opt_u64(map, "topic", 0)? as u32,
+                    topic: fit_u32(opt_u64(map, "topic", 0)?, "workload.explicit.topic")?,
                     payload: req_str(map, "payload")?,
                 })
             })
@@ -1714,7 +1655,7 @@ fn decode_schedule(v: &Value) -> Result<Schedule, SpecError> {
                 start: opt_u64(map, "start", 0)?,
                 cut: req_u64(map, "cut")?,
                 heal: req_u64(map, "heal")?,
-                cycles: req_u64(map, "cycles")? as u32,
+                cycles: fit_u32(req_u64(map, "cycles")?, "schedule.cycles")?,
             })
         }
         other => Err(SpecError::new(format!(
@@ -1788,17 +1729,18 @@ fn encode_schedule(s: &Schedule) -> String {
     out
 }
 
-fn decode_topic_event(v: &Value) -> Result<TopicEventSpec, SpecError> {
+fn decode_topic_event(v: &Value) -> Result<TopicEventCfg, SpecError> {
     let map = as_table(v, "topics.events")?;
     check_keys(
         map,
         &["at", "create", "retire", "algorithm"],
         "topics.events",
     )?;
-    let at = req_u64(map, "at")?;
+    let time = req_u64(map, "at")?;
+    let topic = |v: &Value, key: &str| Ok::<_, SpecError>(TopicId(fit_u32(as_u64(v, key)?, key)?));
     let action = match (map.get("create"), map.get("retire")) {
-        (Some(c), None) => TopicActionSpec::Create {
-            topic: as_u64(c, "topics.events.create")? as u32,
+        (Some(c), None) => TopicAction::Create {
+            topic: topic(c, "topics.events.create")?,
             algorithm: map
                 .get("algorithm")
                 .map(|a| parse_algorithm(as_str(a, "topics.events.algorithm")?))
@@ -1810,8 +1752,8 @@ fn decode_topic_event(v: &Value) -> Result<TopicEventSpec, SpecError> {
                     "topics.events: `algorithm` only applies to `create` entries",
                 ));
             }
-            TopicActionSpec::Retire {
-                topic: as_u64(r, "topics.events.retire")? as u32,
+            TopicAction::Retire {
+                topic: topic(r, "topics.events.retire")?,
             }
         }
         _ => {
@@ -1820,7 +1762,7 @@ fn decode_topic_event(v: &Value) -> Result<TopicEventSpec, SpecError> {
             ))
         }
     };
-    Ok(TopicEventSpec { at, action })
+    Ok(TopicEventCfg { time, action })
 }
 
 fn decode_expect(v: &Value) -> Result<Expectations, SpecError> {
@@ -1893,11 +1835,20 @@ fn decode_check(v: &Value) -> Result<CheckBounds, SpecError> {
         None => None,
     };
     let bounds = CheckBounds {
-        depth: opt_u64(map, "depth", d.depth as u64)? as u32,
-        max_drops: opt_u64(map, "max_drops", d.max_drops as u64)? as u32,
-        tick_budget: opt_u64(map, "tick_budget", d.tick_budget as u64)? as u32,
-        delay_budget: opt_u64(map, "delay_budget", d.delay_budget as u64)? as u32,
-        walks: opt_u64(map, "walks", d.walks as u64)? as u32,
+        depth: fit_u32(opt_u64(map, "depth", d.depth.into())?, "check.depth")?,
+        max_drops: fit_u32(
+            opt_u64(map, "max_drops", d.max_drops.into())?,
+            "check.max_drops",
+        )?,
+        tick_budget: fit_u32(
+            opt_u64(map, "tick_budget", d.tick_budget.into())?,
+            "check.tick_budget",
+        )?,
+        delay_budget: fit_u32(
+            opt_u64(map, "delay_budget", d.delay_budget.into())?,
+            "check.delay_budget",
+        )?,
+        walks: fit_u32(opt_u64(map, "walks", d.walks.into())?, "check.walks")?,
         strategy,
     };
     if bounds.depth == 0 {
@@ -1936,7 +1887,10 @@ fn decode_memory(v: &Value) -> Result<MemoryConfig, SpecError> {
         None => d.spill,
     };
     Ok(MemoryConfig {
-        grace_ticks: opt_u64(map, "grace_ticks", d.grace_ticks as u64)? as u32,
+        grace_ticks: fit_u32(
+            opt_u64(map, "grace_ticks", d.grace_ticks.into())?,
+            "memory.grace_ticks",
+        )?,
         conservative: match map.get("conservative") {
             Some(v) => as_bool(v, "memory.conservative")?,
             None => d.conservative,
@@ -2022,7 +1976,7 @@ mod tests {
             p_more: 0.5,
             cap: 30,
         };
-        spec.fd = Some(FdSpec::Heartbeat(HeartbeatConfig {
+        spec.fd = Some(FdKind::Heartbeat(HeartbeatConfig {
             period: 25,
             timeout: 150,
         }));
@@ -2267,25 +2221,25 @@ mod tests {
         assert_eq!(spec.topic_events.len(), 3);
         assert_eq!(
             spec.topic_events[0],
-            TopicEventSpec {
-                at: 100,
-                action: TopicActionSpec::Create {
-                    topic: 1,
+            TopicEventCfg {
+                time: 100,
+                action: TopicAction::Create {
+                    topic: TopicId(1),
                     algorithm: Some(Algorithm::Majority),
                 },
             }
         );
         assert_eq!(
             spec.topic_events[1].action,
-            TopicActionSpec::Create {
-                topic: 2,
+            TopicAction::Create {
+                topic: TopicId(2),
                 algorithm: None,
             },
-            "omitted algorithm defaults to the run's at compile time"
+            "omitted algorithm inherits the run's"
         );
         assert_eq!(
             spec.topic_events[2].action,
-            TopicActionSpec::Retire { topic: 1 }
+            TopicAction::Retire { topic: TopicId(1) }
         );
         let cfg = spec.compile().unwrap();
         assert_eq!(cfg.topic_events.len(), 3);
@@ -2294,6 +2248,81 @@ mod tests {
         // Round trip: the emitted TOML re-parses to the same spec.
         let parsed = ScenarioSpec::from_toml_str(&spec.to_toml()).unwrap();
         assert_eq!(parsed, spec, "round trip through:\n{}", spec.to_toml());
+    }
+
+    #[test]
+    fn u32_keys_past_u32_max_are_errors_naming_the_key() {
+        // Each key decodes into a u32 field. One past u32::MAX (or a value
+        // that would wrap to a valid id) is a spec error naming the key,
+        // never the value it wraps to.
+        let base = "name = \"w\"\nn = 2\n";
+        let big = "4294967298"; // (1 << 32) + 2: wraps to 2
+        for (body, key) in [
+            (format!("[topics]\ncount = {big}\n"), "topics.count"),
+            (
+                format!("[topics]\ncount = 1\ndrain_ticks = {big}\n"),
+                "topics.drain_ticks",
+            ),
+            (
+                format!(
+                    "loss = {{ model = \"bounded-bernoulli\", p = 0.1, \
+                     max_consecutive = {big} }}\n"
+                ),
+                "loss.max_consecutive",
+            ),
+            (
+                format!("[[workload]]\ntopic = {big}\ncount = 1\n"),
+                "workload.topic",
+            ),
+            (
+                format!(
+                    "[[workload.explicit]]\ntime = 1\npid = 0\ntopic = {big}\n\
+                     payload = \"x\"\n"
+                ),
+                "workload.explicit.topic",
+            ),
+            (
+                format!(
+                    "[[schedule]]\nkind = \"churn\"\na = [0]\nb = [1]\ncut = 1\n\
+                     heal = 2\ncycles = {big}\n"
+                ),
+                "schedule.cycles",
+            ),
+            (
+                format!("[topics]\ncount = 1\n[[topics.events]]\nat = 1\ncreate = {big}\n"),
+                "topics.events.create",
+            ),
+            (
+                format!("[topics]\ncount = 1\n[[topics.events]]\nat = 1\nretire = {big}\n"),
+                "topics.events.retire",
+            ),
+            (format!("[check]\ndepth = {big}\n"), "check.depth"),
+            (format!("[check]\nmax_drops = {big}\n"), "check.max_drops"),
+            (
+                format!("[check]\ntick_budget = {big}\n"),
+                "check.tick_budget",
+            ),
+            (
+                format!("[check]\ndelay_budget = {big}\n"),
+                "check.delay_budget",
+            ),
+            (format!("[check]\nwalks = {big}\n"), "check.walks"),
+            (
+                format!("[memory]\ngrace_ticks = {big}\n"),
+                "memory.grace_ticks",
+            ),
+        ] {
+            let toml = format!("{base}{body}");
+            let err = ScenarioSpec::from_toml_str(&toml).unwrap_err();
+            assert!(
+                err.message.contains(key) && err.message.contains("does not fit a u32"),
+                "{toml:?} → {err}"
+            );
+        }
+        // u32::MAX itself still fits.
+        let spec =
+            ScenarioSpec::from_toml_str(&format!("{base}[check]\nwalks = 4294967295\n")).unwrap();
+        assert_eq!(spec.check.walks, u32::MAX);
     }
 
     #[test]

@@ -150,8 +150,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Topic-lifecycle interleavings (DESIGN.md §15). Model-based: an arbitrary
-// sequence of create / retire / subscribe / unsubscribe / broadcast / tick
-// operations is applied to a `TopicEngine` next to a trivial reference
+// sequence of create / retire / broadcast / tick operations is applied to a `TopicEngine` next to a trivial reference
 // model of the lifecycle state machine, and the two must agree after every
 // step — in particular, no instance ever serves traffic after retirement
 // and a re-created `TopicId` always starts clean.
@@ -161,8 +160,6 @@ proptest! {
 enum LifecycleOp {
     Create(u32),
     Retire(u32),
-    Subscribe(u32),
-    Unsubscribe(u32),
     Broadcast(u32),
     Tick,
 }
@@ -171,8 +168,6 @@ fn arb_lifecycle_ops() -> impl Strategy<Value = Vec<LifecycleOp>> {
     let op = prop_oneof![
         (1u32..5).prop_map(LifecycleOp::Create),
         (0u32..5).prop_map(LifecycleOp::Retire),
-        (0u32..5).prop_map(LifecycleOp::Subscribe),
-        (0u32..5).prop_map(LifecycleOp::Unsubscribe),
         (0u32..5).prop_map(LifecycleOp::Broadcast),
         (0u32..1).prop_map(|_| LifecycleOp::Tick),
     ];
@@ -204,7 +199,6 @@ proptest! {
         // starts-clean check on re-creation.
         let mut live: BTreeSet<TopicId> = [TopicId::ZERO].into();
         let mut draining: BTreeSet<TopicId> = BTreeSet::new();
-        let mut subs: BTreeSet<TopicId> = BTreeSet::new();
         let mut broadcasts_on_live = 0u64;
 
         for op in ops {
@@ -229,16 +223,6 @@ proptest! {
                     if live.remove(&t) {
                         draining.insert(t);
                     }
-                }
-                LifecycleOp::Subscribe(t) => {
-                    let t = TopicId(t);
-                    engine.subscribe(t);
-                    subs.insert(t);
-                }
-                LifecycleOp::Unsubscribe(t) => {
-                    let t = TopicId(t);
-                    engine.unsubscribe(t);
-                    subs.remove(&t);
                 }
                 LifecycleOp::Broadcast(t) => {
                     let t = TopicId(t);
@@ -272,9 +256,6 @@ proptest! {
                         .collect();
                     for t in reaped {
                         draining.remove(&t);
-                        // Reaping also drops the subscription: a
-                        // reclaimed instance has no readers.
-                        subs.remove(&t);
                     }
                     mux.clear();
                 }
@@ -289,7 +270,6 @@ proptest! {
                     live.contains(&t) || draining.contains(&t),
                     "instance map of {}", t
                 );
-                prop_assert_eq!(engine.is_subscribed(t), subs.contains(&t));
                 if engine.is_retired(t) {
                     // Reaped means gone: a retired topic holds no state
                     // and serves no traffic until re-created.

@@ -21,10 +21,12 @@ use std::fmt;
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"URBS";
 
 /// Current snapshot schema version. Bump on any layout change; readers
-/// reject other versions rather than guessing. Version 2 writes protocol
-/// state as one record per tag (DESIGN.md §14); version 1 (five parallel
-/// per-tag maps) is refused, not migrated.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// reject other versions rather than guessing. Version 3 writes protocol
+/// state as one record per tag and ends the engine body with the retired
+/// tombstones (DESIGN.md §14); version 2 (which also carried a
+/// subscription set) and version 1 (five parallel per-tag maps) are
+/// refused, not migrated.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot (or journal record) could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -349,8 +351,8 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         let mut sealed = seal(&sample_body());
-        // A newer writer's file, and the retired version 1 layout.
-        for found in [99, 1] {
+        // A newer writer's file, and the retired version 1 and 2 layouts.
+        for found in [99, 1, 2] {
             sealed[4] = found as u8;
             assert_eq!(
                 unseal(&sealed),

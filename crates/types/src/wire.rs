@@ -413,8 +413,7 @@ impl fmt::Debug for WireMessage {
 /// section of a [`MuxBatch`] frame (DESIGN.md §15).
 ///
 /// Control operations ride the existing multiplexed wire format — a node
-/// that wants to create, retire, subscribe to or unsubscribe from a topic
-/// appends `TopicControl` entries to the frame it was going to send anyway
+/// that wants to create or retire a topic appends `TopicControl` entries to the frame it was going to send anyway
 /// (or sends a control-only frame). The payload sub-batches and the control
 /// section are independent: a frame may carry either, both, or (vacuously)
 /// neither.
@@ -441,26 +440,13 @@ pub enum TopicControl {
         /// The topic to retire.
         topic: TopicId,
     },
-    /// Subscribe the sender to `topic`'s deliveries.
-    Subscribe {
-        /// The topic to subscribe to.
-        topic: TopicId,
-    },
-    /// Drop the sender's subscription to `topic`.
-    Unsubscribe {
-        /// The topic to unsubscribe from.
-        topic: TopicId,
-    },
 }
 
 impl TopicControl {
     /// The topic this control operation concerns.
     pub fn topic(self) -> TopicId {
         match self {
-            TopicControl::Create { topic, .. }
-            | TopicControl::Retire { topic }
-            | TopicControl::Subscribe { topic }
-            | TopicControl::Unsubscribe { topic } => topic,
+            TopicControl::Create { topic, .. } | TopicControl::Retire { topic } => topic,
         }
     }
 
@@ -469,8 +455,6 @@ impl TopicControl {
         match self {
             TopicControl::Create { .. } => 0,
             TopicControl::Retire { .. } => 1,
-            TopicControl::Subscribe { .. } => 2,
-            TopicControl::Unsubscribe { .. } => 3,
         }
     }
 
@@ -478,7 +462,7 @@ impl TopicControl {
     pub fn encoded_len(self) -> usize {
         match self {
             TopicControl::Create { .. } => 1 + 4 + 1 + 4,
-            _ => 1 + 4,
+            TopicControl::Retire { .. } => 1 + 4,
         }
     }
 
@@ -510,8 +494,6 @@ impl TopicControl {
                 })
             }
             1 => Ok(TopicControl::Retire { topic }),
-            2 => Ok(TopicControl::Subscribe { topic }),
-            3 => Ok(TopicControl::Unsubscribe { topic }),
             b => Err(CodecError::BadDiscriminant(b)),
         }
     }
@@ -526,8 +508,6 @@ impl fmt::Display for TopicControl {
                 param,
             } => write!(f, "create({}, alg={algorithm}/{param})", topic.0),
             TopicControl::Retire { topic } => write!(f, "retire({})", topic.0),
-            TopicControl::Subscribe { topic } => write!(f, "subscribe({})", topic.0),
-            TopicControl::Unsubscribe { topic } => write!(f, "unsubscribe({})", topic.0),
         }
     }
 }
@@ -1220,9 +1200,8 @@ mod tests {
                 algorithm: 2,
                 param: 0,
             },
-            TopicControl::Subscribe { topic: TopicId(7) },
             TopicControl::Retire { topic: TopicId(3) },
-            TopicControl::Unsubscribe { topic: TopicId(1) },
+            TopicControl::Retire { topic: TopicId(1) },
         ];
         // Payload + control frame.
         let entries = vec![(TopicId(0), msg(1, "a")), (TopicId(7), msg(2, "b"))];
@@ -1292,14 +1271,13 @@ mod tests {
                 "prefix {cut} gave {err:?}"
             );
         }
-        // An unknown control op byte is rejected.
-        let mut bad = enc.to_vec();
+        // Any op byte but create (0) and retire (1) is rejected.
         let op_pos = enc.len() - ctl.encoded_len();
-        bad[op_pos] = 9;
-        assert!(matches!(
-            MuxBatch::decode(&bad),
-            Err(CodecError::BadDiscriminant(9))
-        ));
+        for op in [2, 3, 9] {
+            let mut bad = enc.to_vec();
+            bad[op_pos] = op;
+            assert_eq!(MuxBatch::decode(&bad), Err(CodecError::BadDiscriminant(op)));
+        }
     }
 
     #[test]
@@ -1359,19 +1337,20 @@ mod tests {
     }
 
     fn arb_control() -> impl Strategy<Value = TopicControl> {
-        (0u8..4, 0u32..6, any::<u8>(), any::<u32>()).prop_map(|(op, t, algorithm, param)| {
-            let topic = TopicId(t);
-            match op {
-                0 => TopicControl::Create {
-                    topic,
-                    algorithm,
-                    param,
-                },
-                1 => TopicControl::Retire { topic },
-                2 => TopicControl::Subscribe { topic },
-                _ => TopicControl::Unsubscribe { topic },
-            }
-        })
+        (any::<bool>(), 0u32..6, any::<u8>(), any::<u32>()).prop_map(
+            |(create, t, algorithm, param)| {
+                let topic = TopicId(t);
+                if create {
+                    TopicControl::Create {
+                        topic,
+                        algorithm,
+                        param,
+                    }
+                } else {
+                    TopicControl::Retire { topic }
+                }
+            },
+        )
     }
 
     proptest! {

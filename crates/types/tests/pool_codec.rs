@@ -67,19 +67,20 @@ fn arb_entries() -> impl Strategy<Value = Vec<(TopicId, WireMessage)>> {
 
 fn arb_controls() -> impl Strategy<Value = Vec<TopicControl>> {
     proptest::collection::vec(
-        (0u8..4, any::<u32>(), any::<u8>(), any::<u32>()).prop_map(|(op, t, algorithm, param)| {
-            let topic = TopicId(t);
-            match op {
-                0 => TopicControl::Create {
-                    topic,
-                    algorithm,
-                    param,
-                },
-                1 => TopicControl::Retire { topic },
-                2 => TopicControl::Subscribe { topic },
-                _ => TopicControl::Unsubscribe { topic },
-            }
-        }),
+        (any::<bool>(), any::<u32>(), any::<u8>(), any::<u32>()).prop_map(
+            |(create, t, algorithm, param)| {
+                let topic = TopicId(t);
+                if create {
+                    TopicControl::Create {
+                        topic,
+                        algorithm,
+                        param,
+                    }
+                } else {
+                    TopicControl::Retire { topic }
+                }
+            },
+        ),
         0..4,
     )
 }
