@@ -375,6 +375,104 @@ mod tests {
         }
     }
 
+    /// Algorithm 2 ingress allocates nothing in steady state (DESIGN.md
+    /// §10): under a live 3-label `a_theta`/`a_p*` view, a warm frame of
+    /// MSGs and labelled ACKs for tags already delivered and pruned — on
+    /// topics holding one record and one holding 40, past the sorted
+    /// vector — is received with a fresh clone of the view per entry, as
+    /// a driver's closure hands it out. Each received MSG is acknowledged
+    /// with the view's label set, each ACK's decoded set is reconciled
+    /// and purged against it. Conservative compaction is on, so every tick
+    /// fingerprints the view once per instance.
+    #[test]
+    fn alg2_ingress_under_a_live_view_is_allocation_free_when_counted() {
+        use urb_types::{FdPair, FdView, MemoryConfig};
+        let labels = [Label(10), Label(11), Label(12)];
+        let view = FdView::from_pairs(labels.map(|label| FdPair { label, number: 3 }));
+        let fd = FdSnapshot::new(view.clone(), view);
+        let mut engine = TopicEngine::new(
+            (0..4)
+                .map(|_| Algorithm::Quiescent.instantiate(3))
+                .collect(),
+            SplitMix64::new(31),
+        );
+        engine.configure_memory(MemoryConfig {
+            grace_ticks: u32::MAX,
+            conservative: true,
+            ..MemoryConfig::default()
+        });
+        let mut mux = MuxBuffers::new();
+        let payload = Payload::from("settled");
+        let copies = |tag: Tag| {
+            let acks = (0..3u128).map(move |ta| WireMessage::Ack {
+                tag,
+                tag_ack: TagAck(ta),
+                payload: Payload::from("settled"),
+                labels: Some(LabelSet::from_iter(labels)),
+            });
+            std::iter::once(WireMessage::Msg {
+                tag,
+                payload: Payload::from("settled"),
+            })
+            .chain(acks)
+        };
+        // Topics 0–2 settle one tag each, topic 3 settles 40; the frame
+        // carries every copy of topics 0–2 and of every fifth tag of 3.
+        let mut entries: Vec<(TopicId, WireMessage)> = Vec::new();
+        for t in 0..4u32 {
+            let topic = TopicId(t);
+            for k in 0..if t == 3 { 40 } else { 1 } {
+                let tag = engine
+                    .step_mux(topic, StepInput::Broadcast(payload.clone()), &fd, &mut mux)
+                    .expect("broadcast assigns a tag");
+                for msg in copies(tag) {
+                    engine.step_mux(topic, StepInput::Receive(msg), &fd, &mut mux);
+                }
+                if k % 5 == 0 {
+                    entries.extend(copies(tag).map(|msg| (topic, msg)));
+                }
+            }
+        }
+        mux.clear();
+        engine.tick_all(&fd, &mut mux);
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.delivered, stats.msg_set),
+            (43, 0),
+            "delivered, pruned"
+        );
+        let pool = BufPool::new(2);
+        let frame = {
+            let mut buf = pool.acquire();
+            encode_mux_frame_into(&entries, &mut buf);
+            Bytes::copy_from_slice(&buf)
+        };
+        let receive_and_tick = |engine: &mut TopicEngine, mux: &mut MuxBuffers| {
+            engine
+                .receive_mux_frame(black_box(&frame), mux, |_, _| fd.clone())
+                .expect("well-formed frame");
+            assert_eq!(mux.outbox.len(), 11, "every MSG is acknowledged");
+            mux.clear();
+            engine.tick_all(black_box(&fd), mux);
+            black_box(&mux);
+        };
+        // Warm-up: grow the scratch, outbox and active index.
+        for _ in 0..4 {
+            receive_and_tick(&mut engine, &mut mux);
+        }
+        let (_, allocs) = count_thread_allocations(|| {
+            for _ in 0..32 {
+                receive_and_tick(&mut engine, &mut mux);
+            }
+        });
+        let stats = engine.stats();
+        assert_eq!((stats.delivered, stats.msg_set), (43, 0), "nothing moved");
+        assert_eq!(engine.counters().reclaimed, 0, "the grace period holds");
+        if let Some(allocs) = allocs {
+            assert_eq!(allocs, 0, "warm Algorithm 2 ingress must not allocate");
+        }
+    }
+
     /// The node tick sweeps the engine's active index, not its slots
     /// (DESIGN.md §16): with 100 000 topics of which 1 000 hold a message,
     /// a warm `tick_all` re-sends exactly those 1 000, ascending by topic
@@ -571,9 +669,11 @@ mod tests {
             }
         });
         if let Some(allocs) = allocs {
-            // Label sets still allocate (they own their storage); payload
-            // bytes do not. The measured rate must therefore be far below
-            // one allocation *per message* (a copying decode's floor).
+            // A label set of at most three labels is stored inline; the
+            // frame's 4- and 5-label sets still allocate their shared
+            // blocks. Payload bytes never do. The measured rate must
+            // therefore be far below one allocation *per message* (a
+            // copying decode's floor).
             let per_message = allocs as f64 / (64 * entries.len()) as f64;
             assert!(per_message < 1.0, "shared decode allocs/msg: {per_message}");
         }

@@ -11,7 +11,9 @@
 //! duplicate delivery).
 
 use std::collections::{BTreeSet, VecDeque};
-use urb_types::snapshot::{fnv1a, SnapshotError, SnapshotReader, SnapshotWriter};
+use urb_types::snapshot::{
+    fnv1a_continue, SnapshotError, SnapshotReader, SnapshotWriter, FNV1A_OFFSET,
+};
 use urb_types::{FdSnapshot, Tag};
 
 /// Bounded FIFO memory of compacted tags.
@@ -97,16 +99,23 @@ impl TombstoneRing {
 
 /// Order-stable fingerprint of a failure-detector snapshot, used by the
 /// conservative mode to notice "the view changed" and reset grace clocks.
+///
+/// FNV-1a over each view's pair count (`u64`) then its pairs (`u64`
+/// label, `u32` number), little-endian — the bytes a [`SnapshotWriter`]
+/// would produce, hashed where they lie: the value is saved in snapshots,
+/// and a compaction sweep computes it for every instance without
+/// allocating.
 pub fn fd_signature(fd: &FdSnapshot) -> u64 {
-    let mut w = SnapshotWriter::new();
+    let mut h = FNV1A_OFFSET;
+    let mut eat = |bytes: &[u8]| h = fnv1a_continue(h, bytes);
     for view in [&fd.a_theta, &fd.a_p_star] {
-        w.put_u64(view.len() as u64);
+        eat(&(view.len() as u64).to_le_bytes());
         for pair in view.iter() {
-            w.put_u64(pair.label.0);
-            w.put_u32(pair.number);
+            eat(&pair.label.0.to_le_bytes());
+            eat(&pair.number.to_le_bytes());
         }
     }
-    fnv1a(w.as_slice())
+    h
 }
 
 #[cfg(test)]
@@ -173,6 +182,43 @@ mod tests {
         back.push(Tag(2));
         assert!(!back.contains(Tag(9)));
         assert!(back.contains(Tag(5)));
+    }
+
+    /// The signature is saved in snapshots, so hashing in place must give
+    /// exactly the value of hashing the encoded views.
+    #[test]
+    fn fd_signature_is_the_hash_of_the_encoded_views() {
+        let encoded = |fd: &FdSnapshot| {
+            let mut w = SnapshotWriter::new();
+            for view in [&fd.a_theta, &fd.a_p_star] {
+                w.put_u64(view.len() as u64);
+                for pair in view.iter() {
+                    w.put_u64(pair.label.0);
+                    w.put_u32(pair.number);
+                }
+            }
+            urb_types::snapshot::fnv1a(w.as_slice())
+        };
+        let view = |pairs: &[(u64, u32)]| {
+            FdView::from_pairs(pairs.iter().map(|&(l, number)| FdPair {
+                label: Label(l),
+                number,
+            }))
+        };
+        let wide: Vec<(u64, u32)> = (0..9).map(|l| (l << 40 | 7, 9)).collect();
+        for fd in [
+            FdSnapshot::none(),
+            FdSnapshot::new(view(&[(1, 2)]), FdView::empty()),
+            FdSnapshot::new(
+                view(&[(10, 3), (11, 3), (12, 3)]),
+                view(&[(10, 3), (12, 3)]),
+            ),
+            FdSnapshot::new(view(&wide), view(&[(u64::MAX, u32::MAX)])),
+        ] {
+            assert_eq!(fd_signature(&fd), encoded(&fd), "{fd:?}");
+        }
+        // Pinned: the value a snapshot of the empty view holds.
+        assert_eq!(fd_signature(&FdSnapshot::none()), 0x6D4E_AFB9_60FF_6465);
     }
 
     #[test]

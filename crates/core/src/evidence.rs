@@ -5,11 +5,12 @@
 //! table ([`AckTable`]) with a per-label counter — and that is where the
 //! counter invariant of DESIGN.md D3 and the dead-ACKer purge of D4 live.
 //!
-//! Both are sorted `Vec`s, for the reason `LabelSet` is: in the model a
-//! tag's evidence holds at most one entry per distinct ACKer and one
-//! counter per label, both bounded by `n`, so a binary search and a short
-//! shift beat a tree on every path — and a one-ACK record pays for one
-//! small buffer, not an eleven-slot tree leaf.
+//! Both are sorted `Vec`s: in the model a tag's evidence holds at most one
+//! entry per distinct ACKer and one counter per label, both bounded by
+//! `n`, so a binary search and a short shift beat a tree on every path —
+//! and a one-ACK record pays for one small buffer, not an eleven-slot tree
+//! leaf. An entry's label set is the ACK's own, moved in: for small `n` it
+//! is stored inline and costs no allocation of its own.
 
 use crate::table::Evidence;
 use urb_types::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};

@@ -42,6 +42,7 @@ mod evidence;
 pub mod harness;
 pub mod majority;
 pub mod quiescent;
+mod record_map;
 mod sorted_map;
 mod table;
 

@@ -105,7 +105,7 @@ fn prune_ready(rule: PruneRule, acks: &mut AckTable, a_p_star: &FdView) -> bool 
         return false;
     }
     if rule == PruneRule::Purge {
-        acks.purge_dead(&a_p_star.labels());
+        acks.purge_dead(a_p_star.labels());
     }
     // "each pair (label, number) ∈ a_p*: label_counter[(m,tag), label] =
     // number ∧ all_labels[(m,tag), −] = {label | (label, −) ∈ a_p*}": the
@@ -152,7 +152,7 @@ impl AnonProcess for QuiescentUrb {
             // on every retransmission — that is what lets receivers reconcile
             // stale label information).
             WireMessage::Msg { tag, payload } => {
-                let labels = Some(a_theta.labels()); // lines 14 / 19
+                let labels = Some(a_theta.labels().clone()); // lines 14 / 19
                 self.table.on_msg(tag, payload, true, labels, ctx)
             }
             // Lines 22–51.
@@ -177,7 +177,7 @@ impl AnonProcess for QuiescentUrb {
                     // counters: safety is unaffected, and live ACKers keep
                     // refreshing their entries.
                     if rule == PruneRule::Purge && !a_theta.is_empty() {
-                        acks.purge_dead(&a_theta.labels());
+                        acks.purge_dead(a_theta.labels());
                     }
                 },
                 // Line 46, the AΘ delivery condition. number == 0 never

@@ -1,17 +1,17 @@
-//! The ordered map behind a process's per-tag tables.
+//! The ordered map behind a process's `MSG_i` set.
 //!
-//! At topic scale most protocol instances hold one record, ever: a topic
+//! At topic scale most protocol instances hold one message, ever: a topic
 //! that saw one broadcast keeps one settled tag. A `BTreeMap` allocates an
-//! eleven-slot leaf for its first entry, so a one-record table paid for
+//! eleven-slot leaf for its first entry, so a one-entry table paid for
 //! eleven. [`SortedMap`] is a sorted `Vec` of pairs while it holds at most
 //! [`SPILL`] entries — one binary search per lookup, one slot for the first
 //! entry — and a boxed `BTreeMap` beyond that, where a `Vec`'s shifting
 //! insert would start to cost. Either way it iterates in key order, which
-//! is what keeps Task-1 emission and tombstone push order pinned.
+//! is what keeps Task-1 emission order pinned. The records themselves are
+//! looked up by hash instead ([`RecordMap`](crate::record_map::RecordMap)).
 
-use std::collections::btree_map::{self, BTreeMap};
+use std::collections::BTreeMap;
 use std::mem;
-use std::slice;
 
 /// A map with more entries than this is a tree. One that shrinks to half of
 /// it goes back to a vector, so a map hovering at the threshold does not
@@ -28,6 +28,34 @@ pub(crate) enum SortedMap<K, V> {
     /// More than `SPILL / 2` entries.
     #[allow(clippy::box_collection)] // unboxed, the map would be four words
     Large(Box<BTreeMap<K, V>>),
+}
+
+/// The position of `key` in `v`, which is strictly ascending by key: `Ok`
+/// where it is, `Err` where it would go. A small map of either kind is
+/// such a vector.
+pub(crate) fn position<K: Ord, V>(v: &[(K, V)], key: &K) -> Result<usize, usize> {
+    v.binary_search_by(|(k, _)| k.cmp(key))
+}
+
+/// The value for `key` in the ascending `v`, inserting `make()` where it
+/// sorts when absent. An empty vector's first insert reserves exactly one
+/// slot.
+pub(crate) fn get_or_insert_sorted<K: Ord, V>(
+    v: &mut Vec<(K, V)>,
+    key: K,
+    make: impl FnOnce() -> V,
+) -> &mut V {
+    let at = match position(v, &key) {
+        Ok(at) => at,
+        Err(at) => {
+            if v.capacity() == 0 {
+                v.reserve_exact(1);
+            }
+            v.insert(at, (key, make()));
+            at
+        }
+    };
+    &mut v[at].1
 }
 
 impl<K, V> Default for SortedMap<K, V> {
@@ -51,21 +79,8 @@ impl<K: Ord, V> SortedMap<K, V> {
     #[cfg(test)]
     pub(crate) fn get(&self, key: &K) -> Option<&V> {
         match self {
-            SortedMap::Small(v) => v
-                .binary_search_by(|(k, _)| k.cmp(key))
-                .ok()
-                .map(|at| &v[at].1),
+            SortedMap::Small(v) => position(v, key).ok().map(|at| &v[at].1),
             SortedMap::Large(m) => m.get(key),
-        }
-    }
-
-    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        match self {
-            SortedMap::Small(v) => v
-                .binary_search_by(|(k, _)| k.cmp(key))
-                .ok()
-                .map(|at| &mut v[at].1),
-            SortedMap::Large(m) => m.get_mut(key),
         }
     }
 
@@ -78,34 +93,19 @@ impl<K: Ord, V> SortedMap<K, V> {
     /// map's first insert allocates exactly one slot.
     pub(crate) fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
         if let SortedMap::Small(v) = self {
-            if v.len() == SPILL && v.binary_search_by(|(k, _)| k.cmp(&key)).is_err() {
+            if v.len() == SPILL && position(v, &key).is_err() {
                 *self = SortedMap::Large(Box::new(mem::take(v).into_iter().collect()));
             }
         }
         match self {
-            SortedMap::Small(v) => {
-                let at = match v.binary_search_by(|(k, _)| k.cmp(&key)) {
-                    Ok(at) => at,
-                    Err(at) => {
-                        if v.capacity() == 0 {
-                            v.reserve_exact(1);
-                        }
-                        v.insert(at, (key, make()));
-                        at
-                    }
-                };
-                &mut v[at].1
-            }
+            SortedMap::Small(v) => get_or_insert_sorted(v, key, make),
             SortedMap::Large(m) => m.entry(key).or_insert_with(make),
         }
     }
 
     pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
         let removed = match self {
-            SortedMap::Small(v) => v
-                .binary_search_by(|(k, _)| k.cmp(key))
-                .ok()
-                .map(|at| v.remove(at).1),
+            SortedMap::Small(v) => position(v, key).ok().map(|at| v.remove(at).1),
             SortedMap::Large(m) => m.remove(key),
         };
         self.fold();
@@ -121,30 +121,17 @@ impl<K: Ord, V> SortedMap<K, V> {
         self.fold();
     }
 
-    /// The greatest key.
-    pub(crate) fn last_key(&self) -> Option<&K> {
-        match self {
-            SortedMap::Small(v) => v.last().map(|(k, _)| k),
-            SortedMap::Large(m) => m.last_key_value().map(|(k, _)| k),
-        }
-    }
-
-    pub(crate) fn iter(&self) -> Iter<'_, K, V> {
-        match self {
-            SortedMap::Small(v) => Iter::Small(v.iter()),
-            SortedMap::Large(m) => Iter::Large(m.iter()),
-        }
-    }
-
-    pub(crate) fn iter_mut(&mut self) -> IterMut<'_, K, V> {
-        match self {
-            SortedMap::Small(v) => IterMut::Small(v.iter_mut()),
-            SortedMap::Large(m) => IterMut::Large(m.iter_mut()),
-        }
-    }
-
-    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
+    /// The entries in key order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        let (small, large) = match self {
+            SortedMap::Small(v) => (v.as_slice(), None),
+            SortedMap::Large(m) => (&[][..], Some(m.iter())),
+        };
+        small
+            .iter()
+            .map(|(k, v)| (k, v))
+            .chain(large.into_iter().flatten())
     }
 
     /// A tree that shrank to half the threshold becomes a vector again.
@@ -157,44 +144,12 @@ impl<K: Ord, V> SortedMap<K, V> {
     }
 }
 
-/// In-order iterator over a [`SortedMap`].
-pub(crate) enum Iter<'a, K, V> {
-    Small(slice::Iter<'a, (K, V)>),
-    Large(btree_map::Iter<'a, K, V>),
-}
-
-impl<'a, K, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            Iter::Small(it) => it.next().map(|(k, v)| (k, v)),
-            Iter::Large(it) => it.next(),
-        }
-    }
-}
-
-/// In-order iterator over a [`SortedMap`], values mutable.
-pub(crate) enum IterMut<'a, K, V> {
-    Small(slice::IterMut<'a, (K, V)>),
-    Large(btree_map::IterMut<'a, K, V>),
-}
-
-impl<'a, K, V> Iterator for IterMut<'a, K, V> {
-    type Item = (&'a K, &'a mut V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            IterMut::Small(it) => it.next().map(|(k, v)| (&*k, v)),
-            IterMut::Large(it) => it.next(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record_map::RecordMap;
     use proptest::prelude::*;
+    use urb_types::Tag;
 
     #[test]
     fn the_map_is_three_words() {
@@ -250,12 +205,16 @@ mod tests {
         })
     }
 
-    proptest! {
-        #[test]
-        fn behaves_like_a_btree_map(ops in script()) {
-            let mut map: SortedMap<u8, u8> = SortedMap::default();
-            let mut oracle: BTreeMap<u8, u8> = BTreeMap::new();
-            for (kind, key, value) in ops {
+    /// Runs `ops` on a fresh `$map` and a `BTreeMap`, comparing after every
+    /// step. A macro, not a generic function: both maps have the same
+    /// inherent methods and no trait in common.
+    macro_rules! check {
+        ($map:ty, $small:path, $ops:expr) => {{
+            let mut map = <$map>::default();
+            let mut oracle: BTreeMap<Tag, u8> = BTreeMap::new();
+            for &(kind, key, value) in $ops {
+                // Spread the keys over both halves of a tag.
+                let key = Tag(u128::from(key) * 0x0001_0000_0000_0000_0001_0000_0000_0001);
                 match kind {
                     0 => {
                         *map.get_or_insert_with(key, || value) = value;
@@ -267,46 +226,42 @@ mod tests {
                     }
                     2 => prop_assert_eq!(map.remove(&key), oracle.remove(&key)),
                     3 => {
-                        let m = value % 4 + 2;
+                        let m = u128::from(value % 4 + 2);
                         let mut seen = Vec::new();
-                        map.retain(|k, v| {
+                        map.retain(|k: &Tag, v: &mut u8| {
                             seen.push(*k);
                             *v = v.wrapping_add(1);
-                            k % m != 0
+                            k.0 % m != 0
                         });
-                        let expected: Vec<u8> = oracle.keys().copied().collect();
+                        let expected: Vec<Tag> = oracle.keys().copied().collect();
                         prop_assert_eq!(seen, expected, "retain visits in key order");
                         oracle.retain(|k, v| {
                             *v = v.wrapping_add(1);
-                            k % m != 0
+                            k.0 % m != 0
                         });
                     }
-                    _ => {
-                        prop_assert_eq!(map.get(&key), oracle.get(&key));
-                        prop_assert_eq!(map.contains_key(&key), oracle.contains_key(&key));
-                        if let Some(v) = map.get_mut(&key) {
-                            *v = value;
-                            oracle.insert(key, value);
-                        }
-                    }
+                    _ => prop_assert_eq!(map.get(&key), oracle.get(&key)),
                 }
-                prop_assert!(
-                    map.iter().map(|(k, v)| (*k, *v)).eq(oracle.iter().map(|(k, v)| (*k, *v)))
-                );
+                let entries: Vec<(Tag, u8)> = map.iter().map(|(k, v)| (*k, *v)).collect();
+                let expected: Vec<(Tag, u8)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+                prop_assert_eq!(entries, expected, "iter visits in key order");
                 prop_assert_eq!(map.len(), oracle.len());
-                prop_assert_eq!(map.is_empty(), oracle.is_empty());
-                prop_assert_eq!(map.last_key(), oracle.keys().next_back());
-                for (_, v) in map.iter_mut() {
-                    *v = v.wrapping_mul(3);
-                }
-                for v in oracle.values_mut() {
-                    *v = v.wrapping_mul(3);
-                }
+                // Small at most `SPILL`, large above `SPILL / 2`.
                 match &map {
-                    SortedMap::Small(v) => prop_assert!(v.len() <= SPILL),
-                    SortedMap::Large(m) => prop_assert!(m.len() > SPILL / 2),
+                    $small(v) => prop_assert!(v.len() <= SPILL),
+                    _ => prop_assert!(map.len() > SPILL / 2),
                 }
             }
+        }};
+    }
+
+    proptest! {
+        /// Both tag-keyed maps of a table: the `MSG_i` map and the record
+        /// map.
+        #[test]
+        fn behaves_like_a_btree_map(ops in script()) {
+            check!(SortedMap<Tag, u8>, SortedMap::Small, &ops);
+            check!(RecordMap<u8>, RecordMap::Small, &ops);
         }
     }
 }

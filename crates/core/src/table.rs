@@ -11,9 +11,11 @@
 //! prune guard and the stability rule.
 //!
 //! Every walk is in tag order: Task-1 emission order and tombstone-ring
-//! push order are pinned by the golden traces.
+//! push order are pinned by the golden traces. A reception finds its
+//! record in `O(1)` however many the table holds.
 
 use crate::compact::TombstoneRing;
+use crate::record_map::RecordMap;
 use crate::sorted_map::SortedMap;
 use urb_types::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use urb_types::{
@@ -61,11 +63,6 @@ impl<E: Evidence> TagState<E> {
     }
 }
 
-/// Task 1 walks the records in step with `MSG_i` while there are at most
-/// this many records per `MSG_i` entry, and looks each entry up beyond that:
-/// a step of an in-order walk costs roughly a tenth of a tree descent.
-const MERGE_WALK_MAX_RATIO: usize = 8;
-
 /// The bounded-memory state of a table (DESIGN.md §14). Most instances
 /// never compact, so it lives behind one box that only exists once there
 /// is something to hold.
@@ -92,12 +89,14 @@ static UNBOUNDED: Bounded = Bounded {
 /// state of `MSG_i` (the backoff variant's pacing; `()` otherwise).
 ///
 /// Sized for the common case at topic scale, an instance holding one
-/// settled record or none: both maps are [`SortedMap`]s, a vector until
-/// they outgrow [`SPILL`](crate::sorted_map::SPILL) entries, and the
-/// bounded-memory state is one optional box.
+/// settled record or none: both maps are a sorted vector until they
+/// outgrow [`SPILL`](crate::sorted_map::SPILL) entries, and the
+/// bounded-memory state is one optional box. Past that, the records sit
+/// behind a hashed index ([`RecordMap`]) and `MSG_i` in a tree.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TagTable<E, P = ()> {
-    records: SortedMap<Tag, TagState<E>>,
+    /// The records, found by hash; walked in tag order only by sorting.
+    records: RecordMap<TagState<E>>,
     /// `MSG_i` as an ordered set: the tags whose record has `in_msg`. Task 1
     /// walks this, not the records — with compaction off a settled record
     /// stays forever, and scanning tens of thousands of them for the few
@@ -219,16 +218,19 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
     /// One Task-1 sweep over `MSG_i`, in tag order. For each message `each`
     /// sees `(delivered, evidence, pacing)` and answers `(send, keep)`:
     /// whether to rebroadcast it now and whether it stays in `MSG_i` (line
-    /// 57 when it does not). Allocates nothing and never costs more than
-    /// `O(|MSG_i| log |records|)`, so an Algorithm 2 process does not pay
-    /// for its settled history on every tick.
+    /// 57 when it does not). Allocates nothing and costs `O(|MSG_i|)`
+    /// record lookups, so an Algorithm 2 process does not pay for its
+    /// settled history on every tick.
     pub(crate) fn task1(
         &mut self,
         ctx: &mut Context<'_>,
         mut each: impl FnMut(bool, &mut E, &mut P) -> (bool, bool),
     ) {
-        let pruned = &mut self.pruned;
-        let mut visit = |tag: &Tag, rec: &mut TagState<E>, pace: &mut P| {
+        let (records, pruned) = (&mut self.records, &mut self.pruned);
+        self.msg.retain(|tag, pace| {
+            let rec = records
+                .get_mut(tag)
+                .expect("every MSG_i entry has a record");
             let (send, keep) = each(rec.delivered, &mut rec.evidence, pace);
             if send {
                 let payload = rec.payload.clone();
@@ -237,21 +239,7 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             *pruned += u64::from(!keep);
             rec.in_msg = keep;
             keep
-        };
-        const NO_RECORD: &str = "every MSG_i entry has a record";
-        if self.records.len() <= self.msg.len() * MERGE_WALK_MAX_RATIO {
-            // Most records are in MSG_i (Algorithm 1 never prunes): walking
-            // both maps in step beats a tree descent per message.
-            let mut walk = self.records.iter_mut();
-            self.msg.retain(|tag, pace| {
-                let (_, rec) = walk.find(|(t, _)| *t == tag).expect(NO_RECORD);
-                visit(tag, rec, pace)
-            });
-        } else {
-            let records = &mut self.records;
-            self.msg
-                .retain(|tag, pace| visit(tag, records.get_mut(tag).expect(NO_RECORD), pace));
-        }
+        });
     }
 
     /// Quiescent once `MSG_i` is empty: Task 1 sends nothing, and ACKs are
@@ -376,13 +364,15 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         let malformed = |why: &str| Err(SnapshotError::Malformed(why.to_string()));
         let pruned = r.get_u64()?;
         let compacted = r.get_u64()?;
-        let mut records = SortedMap::default();
+        let mut records = RecordMap::default();
         let mut msg = SortedMap::default();
+        let mut last = None;
         for _ in 0..r.get_u64()? {
             let tag = Tag(r.get_u128()?);
-            if records.last_key().is_some_and(|last| *last >= tag) {
+            if last.is_some_and(|last| last >= tag) {
                 return malformed("records are not in ascending tag order");
             }
+            last = Some(tag);
             let payload = Payload::copy_from_slice(r.get_bytes()?);
             let flags = r.get_u8()?;
             if flags > 7 {
@@ -486,8 +476,8 @@ pub(crate) mod testkit {
 
     /// Half the scripts draw tags from `0..5`, so receptions pile onto a few
     /// records; the other half from `0..40`, so a table outgrows the sorted
-    /// map's vector ([`SPILL`](crate::sorted_map::SPILL) entries) and runs
-    /// on the tree.
+    /// vectors ([`SPILL`](crate::sorted_map::SPILL) entries) and runs on the
+    /// record index and the `MSG_i` tree.
     pub(crate) fn ops() -> impl Strategy<Value = Vec<Op>> {
         let script = |tags: u8| {
             let labels = proptest::collection::vec(0u64..3, 0..3);

@@ -79,17 +79,13 @@ impl Node {
         }
     }
 
-    /// One received frame: every entry steps its instance under a fresh
-    /// view from `fd`, then the frame's controls are applied and exactly
-    /// those that changed state stay queued to gossip onward. On error
-    /// nothing was stepped.
-    pub fn receive_frame(
-        &mut self,
-        frame: &Bytes,
-        mut fd: impl FnMut() -> FdSnapshot,
-    ) -> Result<(), MuxIngressError> {
+    /// One received frame: every entry steps its instance under the view
+    /// `fd` — a frame is received at one instant — then the frame's
+    /// controls are applied and exactly those that changed state stay
+    /// queued to gossip onward. On error nothing was stepped.
+    pub fn receive_frame(&mut self, frame: &Bytes, fd: &FdSnapshot) -> Result<(), MuxIngressError> {
         self.engine
-            .receive_mux_frame(frame, &mut self.mux, |_, _| fd())?;
+            .receive_mux_frame(frame, &mut self.mux, |_, _| fd.clone())?;
         let mut controls = std::mem::take(&mut self.mux.controls);
         controls.retain(|&ctl| self.apply(ctl));
         self.mux.controls = controls;
@@ -268,12 +264,12 @@ mod tests {
         };
         let frame = control_frame(create);
         let mut node = node(1);
-        node.receive_frame(&frame, FdSnapshot::none)
+        node.receive_frame(&frame, &FdSnapshot::none())
             .expect("well-formed frame");
         assert!(node.engine().is_live(TopicId(7)));
         assert_eq!(node.mux().controls, vec![create], "news is gossiped on");
         assert!(flush(&mut node).is_some());
-        node.receive_frame(&frame, FdSnapshot::none)
+        node.receive_frame(&frame, &FdSnapshot::none())
             .expect("well-formed frame");
         assert!(node.mux().controls.is_empty(), "the flood stops here");
         assert!(flush(&mut node).is_none());
@@ -291,7 +287,7 @@ mod tests {
                 param,
             };
             let mut node = node(1);
-            node.receive_frame(&control_frame(create), FdSnapshot::none)
+            node.receive_frame(&control_frame(create), &FdSnapshot::none())
                 .expect("well-formed frame");
             assert!(!node.engine().has_instance(topic), "{create}: refused");
             assert!(node.mux().controls.is_empty(), "{create}: not gossiped");

@@ -110,11 +110,12 @@ impl<B: Backend> Node<B> {
         self.inner.broadcast(topic, payload, &fd)
     }
 
-    /// One received frame, a fresh detector view per entry.
+    /// One received frame under one detector view: the frame arrives at one
+    /// instant, and the registry only moves on a crash plus the detection
+    /// delay.
     fn receive(&mut self, frame: &Bytes) -> Result<(), MuxIngressError> {
-        let (registry, pid) = (&self.registry, self.pid);
-        self.inner
-            .receive_frame(frame, || registry.snapshot(pid, Instant::now()))
+        let fd = self.fd();
+        self.inner.receive_frame(frame, &fd)
     }
 
     /// One node tick.

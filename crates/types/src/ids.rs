@@ -19,6 +19,8 @@
 
 use crate::rng::RandomSource;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Identifier of one URB *instance* (a "topic"): an independent broadcast
 /// group multiplexed over the shared channel mesh.
@@ -130,80 +132,156 @@ impl fmt::Display for Label {
     }
 }
 
+/// Labels a [`LabelSet`] holds without a heap block. A representation
+/// constant: three covers `a_theta` in every system of up to three
+/// processes and keeps the set at four words, so a
+/// [`WireMessage`](crate::WireMessage) stays 96 B. A larger set is one
+/// shared block instead.
+const INLINE: usize = 3;
+
 /// A small sorted set of [`Label`]s, as attached to Algorithm 2's `ACK`
 /// messages (`labels_i ← {label | (label, −) ∈ a_theta_i}`, lines 14/19).
 ///
 /// Kept sorted and deduplicated so that set operations are `O(n)` merges and
-/// equality is structural. Label sets are tiny (≤ number of processes), so a
-/// sorted `Vec` beats hash sets on every path the protocol exercises.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct LabelSet(Vec<Label>);
+/// equality is structural. A set of at most three labels is stored inline,
+/// and a larger one in a block shared by every clone, so decoding a
+/// labelled ACK or copying `a_theta`'s set into one allocates nothing for
+/// small systems and is a reference-count bump beyond them. Either way the
+/// set is a sorted slice ([`LabelSet::as_slice`]): its encoding, equality
+/// and hash are those of the slice.
+#[derive(Clone)]
+pub struct LabelSet(Labels);
+
+#[derive(Clone)]
+enum Labels {
+    /// The first `len` slots, ascending; the others are unused. Every set
+    /// of at most [`INLINE`] labels is stored this way.
+    Inline(u8, [Label; INLINE]),
+    /// More than [`INLINE`] labels, ascending.
+    Shared(Arc<[Label]>),
+}
 
 impl LabelSet {
     /// Creates an empty set.
-    pub fn new() -> Self {
-        LabelSet(Vec::new())
+    pub const fn new() -> Self {
+        LabelSet(Labels::Inline(0, [Label(0); INLINE]))
+    }
+
+    /// The set holding exactly `sorted`, which must be strictly ascending.
+    fn from_sorted(sorted: &[Label]) -> Self {
+        if sorted.len() > INLINE {
+            return LabelSet(Labels::Shared(sorted.into()));
+        }
+        let mut inline = [Label(0); INLINE];
+        inline[..sorted.len()].copy_from_slice(sorted);
+        LabelSet(Labels::Inline(sorted.len() as u8, inline))
     }
 
     /// Builds a set from arbitrary (possibly unsorted / duplicated) labels.
+    /// Allocates only when more than three labels arrive, and sorts only
+    /// when they do not arrive strictly ascending — as a decoded ACK's and
+    /// a detector view's do.
     #[allow(clippy::should_implement_trait)] // also impls FromIterator below
     pub fn from_iter<I: IntoIterator<Item = Label>>(iter: I) -> Self {
-        let mut v: Vec<Label> = iter.into_iter().collect();
-        v.sort_unstable();
-        v.dedup();
-        LabelSet(v)
+        let mut iter = iter.into_iter();
+        let mut inline = [Label(0); INLINE];
+        let mut len = 0;
+        let mut ascending = true;
+        while let Some(label) = iter.next() {
+            if len == INLINE {
+                let mut all = inline.to_vec();
+                all.push(label);
+                all.extend(iter);
+                all.sort_unstable();
+                all.dedup();
+                return LabelSet::from_sorted(&all);
+            }
+            ascending &= len == 0 || inline[len - 1] < label;
+            inline[len] = label;
+            len += 1;
+        }
+        if !ascending {
+            let held = &mut inline[..len];
+            held.sort_unstable();
+            let mut distinct = 1;
+            for at in 1..len {
+                if held[distinct - 1] != held[at] {
+                    held[distinct] = held[at];
+                    distinct += 1;
+                }
+            }
+            len = distinct;
+        }
+        LabelSet(Labels::Inline(len as u8, inline))
     }
 
     /// Number of labels in the set.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// True when the set has no labels.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_slice().is_empty()
     }
 
-    /// Membership test (binary search over the sorted backing vector).
+    /// Membership test (binary search over the sorted labels).
     pub fn contains(&self, label: Label) -> bool {
-        self.0.binary_search(&label).is_ok()
+        self.as_slice().binary_search(&label).is_ok()
     }
 
     /// Inserts a label; returns `true` if it was not already present.
     pub fn insert(&mut self, label: Label) -> bool {
-        match self.0.binary_search(&label) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.0.insert(pos, label);
-                true
+        let Err(pos) = self.as_slice().binary_search(&label) else {
+            return false;
+        };
+        match &mut self.0 {
+            Labels::Inline(len, inline) if usize::from(*len) < INLINE => {
+                inline.copy_within(pos..usize::from(*len), pos + 1);
+                inline[pos] = label;
+                *len += 1;
+            }
+            _ => {
+                let mut all = self.as_slice().to_vec();
+                all.insert(pos, label);
+                *self = LabelSet::from_sorted(&all);
             }
         }
+        true
     }
 
     /// Removes a label; returns `true` if it was present.
     pub fn remove(&mut self, label: Label) -> bool {
-        match self.0.binary_search(&label) {
-            Ok(pos) => {
-                self.0.remove(pos);
-                true
+        let Ok(pos) = self.as_slice().binary_search(&label) else {
+            return false;
+        };
+        match &mut self.0 {
+            Labels::Inline(len, inline) => {
+                inline.copy_within(pos + 1..usize::from(*len), pos);
+                *len -= 1;
             }
-            Err(_) => false,
+            Labels::Shared(shared) => {
+                let mut all = shared.to_vec();
+                all.remove(pos);
+                *self = LabelSet::from_sorted(&all);
+            }
         }
+        true
     }
 
     /// Iterates the labels in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = Label> + '_ {
-        self.0.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// Labels present in `self` but not in `other` (ascending order).
     pub fn difference<'a>(&'a self, other: &'a LabelSet) -> impl Iterator<Item = Label> + 'a {
-        self.0.iter().copied().filter(move |l| !other.contains(*l))
+        self.iter().filter(move |l| !other.contains(*l))
     }
 
     /// True when every label of `self` is in `other`.
     pub fn is_subset(&self, other: &LabelSet) -> bool {
-        self.0.iter().all(|l| other.contains(*l))
+        self.iter().all(|l| other.contains(l))
     }
 
     /// In-place union with `other`.
@@ -213,15 +291,38 @@ impl LabelSet {
         }
     }
 
-    /// Read-only view of the sorted backing slice.
+    /// The labels, ascending.
     pub fn as_slice(&self) -> &[Label] {
-        &self.0
+        match &self.0 {
+            Labels::Inline(len, inline) => &inline[..usize::from(*len)],
+            Labels::Shared(shared) => shared,
+        }
+    }
+}
+
+impl Default for LabelSet {
+    fn default() -> Self {
+        LabelSet::new()
+    }
+}
+
+impl PartialEq for LabelSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for LabelSet {}
+
+impl Hash for LabelSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
     }
 }
 
 impl fmt::Debug for LabelSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.0.iter()).finish()
+        f.debug_set().entries(self.as_slice()).finish()
     }
 }
 
@@ -235,7 +336,7 @@ impl<'a> IntoIterator for &'a LabelSet {
     type Item = Label;
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, Label>>;
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter().copied()
+        self.as_slice().iter().copied()
     }
 }
 
@@ -283,6 +384,17 @@ mod tests {
         let s = LabelSet::from_iter([Label(5), Label(1), Label(5), Label(3)]);
         let v: Vec<Label> = s.iter().collect();
         assert_eq!(v, vec![Label(1), Label(3), Label(5)]);
+        // Inline-sized input: out of order, repeated, or both.
+        for (input, set) in [
+            (&[5, 1, 5][..], &[1, 5][..]),
+            (&[3, 3], &[3]),
+            (&[9, 2, 4], &[2, 4, 9]),
+            (&[2, 4, 9], &[2, 4, 9]),
+            (&[], &[]),
+        ] {
+            let s = LabelSet::from_iter(input.iter().map(|&l| Label(l)));
+            assert!(s.iter().map(|l| l.0).eq(set.iter().copied()), "{input:?}");
+        }
     }
 
     #[test]
@@ -317,6 +429,58 @@ mod tests {
         assert_eq!(TopicId::default(), TopicId::ZERO);
         assert_eq!(format!("{}", TopicId(3)), "3");
         assert_eq!(format!("{:?}", TopicId(3)), "Topic(3)");
+    }
+
+    #[test]
+    fn a_label_set_is_four_words_and_a_wire_message_96_bytes() {
+        assert_eq!(std::mem::size_of::<LabelSet>(), 32);
+        assert_eq!(std::mem::size_of::<Option<LabelSet>>(), 32);
+        assert_eq!(std::mem::size_of::<crate::WireMessage>(), 96);
+    }
+
+    /// Sets around the inline capacity behave the same either side of it:
+    /// growing past it and shrinking back keep the labels, equality and
+    /// hash are the sorted slice's, and only a larger set is shared.
+    #[test]
+    fn label_sets_cross_the_inline_capacity_both_ways() {
+        use std::hash::BuildHasher;
+        let hash = std::collections::hash_map::RandomState::new();
+        let mut grown = LabelSet::new();
+        for l in (0..2 * INLINE as u64).rev() {
+            assert!(grown.insert(Label(l * 3)));
+            let built = LabelSet::from_iter(
+                grown
+                    .as_slice()
+                    .iter()
+                    .rev()
+                    .chain(grown.as_slice())
+                    .copied(),
+            );
+            assert_eq!(grown, built, "insert and from_iter agree");
+            assert_eq!(
+                hash.hash_one(&grown),
+                hash.hash_one(grown.as_slice().to_vec())
+            );
+            assert_eq!(
+                matches!(grown.0, Labels::Shared(_)),
+                grown.len() > INLINE,
+                "{grown:?}"
+            );
+        }
+        assert!(grown.as_slice().windows(2).all(|w| w[0] < w[1]));
+        let shared = grown.clone();
+        while grown.len() > 1 {
+            let l = grown.as_slice()[1];
+            assert!(grown.remove(l));
+            assert!(!grown.remove(l));
+            assert_eq!(matches!(grown.0, Labels::Shared(_)), grown.len() > INLINE);
+        }
+        assert_eq!(grown.len(), 1);
+        assert_eq!(shared.len(), 2 * INLINE, "a clone is not edited through");
+        assert_eq!(
+            format!("{:?}", LabelSet::from_iter([Label(1 << 32)])),
+            "{Label(00000001)}"
+        );
     }
 
     #[test]

@@ -92,7 +92,16 @@ impl std::error::Error for SnapshotError {}
 /// FNV-1a over a byte slice — the same fold the engine fingerprint uses,
 /// cheap and endianness-free.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    fnv1a_continue(FNV1A_OFFSET, bytes)
+}
+
+/// The FNV-1a state before any byte.
+pub const FNV1A_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a state `h`: `fnv1a(a ++ b)` is
+/// `fnv1a_continue(fnv1a(a), b)`, so a value can be hashed piece by piece
+/// without being encoded into a buffer first.
+pub fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01B3);

@@ -366,11 +366,9 @@ fn decode_message_at(
                     need(data, *pos, 4)?;
                     let n = read_u32(data, pos) as usize;
                     need(data, *pos, 8 * n)?;
-                    let mut labels = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        labels.push(Label(read_u64(data, pos)));
-                    }
-                    Some(LabelSet::from_iter(labels))
+                    Some(LabelSet::from_iter(
+                        (0..n).map(|_| Label(read_u64(data, pos))),
+                    ))
                 }
                 b => return Err(CodecError::BadDiscriminant(b)),
             };
