@@ -633,6 +633,78 @@ mod tests {
         }
     }
 
+    /// A label set past the inline capacity — `a_theta` in a system of
+    /// more than three processes — is one block. Decoding a labelled ACK
+    /// that carries one allocates that block and nothing else, as the
+    /// sorted `Vec` it replaced did; restoring a record whose three ACKers
+    /// reported such a set allocates one block per ACKer more than
+    /// restoring three-label sets does, however large the set. (The
+    /// restored label counters are one sorted `Vec` of `n` pairs, whose
+    /// growth is the same either way and is taken out.)
+    #[test]
+    fn label_sets_past_the_inline_capacity_cost_one_block_when_counted() {
+        use urb_types::{Context, FdPair, FdView};
+        // (allocations over 64 decodes, allocations of one restore)
+        let costs = |n: u32| {
+            let labels: Vec<Label> = (0..u64::from(n)).map(|l| Label(10 + l)).collect();
+            let ack = |ta: u128| WireMessage::Ack {
+                tag: Tag(7),
+                tag_ack: TagAck(ta),
+                payload: Payload::from("settled"),
+                labels: Some(LabelSet::from_iter(labels.iter().copied())),
+            };
+            let frame = MuxBatch::from_entries(&[(TopicId::ZERO, ack(0))]).encode();
+            let mut out = Vec::new();
+            MuxBatch::decode_shared_into(&frame, &mut out).unwrap(); // warm scratch
+            let (_, decode) = count_thread_allocations(|| {
+                for _ in 0..64 {
+                    MuxBatch::decode_shared_into(black_box(&frame), &mut out).unwrap();
+                }
+            });
+            let view = FdView::from_pairs(labels.iter().map(|&label| FdPair { label, number: n }));
+            let fd = FdSnapshot::new(view.clone(), view);
+            let mut rng = SplitMix64::new(3);
+            let (mut outbox, mut deliveries) = (Vec::new(), Vec::new());
+            let mut proc = Algorithm::Quiescent.instantiate(n as usize);
+            let mut ctx = Context::new(&mut rng, &fd, &mut outbox, &mut deliveries);
+            let msg = WireMessage::Msg {
+                tag: Tag(7),
+                payload: Payload::from("settled"),
+            };
+            proc.on_receive(msg, &mut ctx);
+            for ta in 0..3 {
+                proc.on_receive(ack(ta), &mut ctx);
+            }
+            assert_eq!(proc.stats().all_ack_entries, 3);
+            let body = proc.save_state().expect("Algorithm 2 saves its state");
+            let mut fresh = Algorithm::Quiescent.instantiate(n as usize);
+            let (restored, restore) = count_thread_allocations(|| fresh.restore_state(&body));
+            restored.expect("restores");
+            assert_eq!(fresh.save_state(), Some(body), "{n} labels round-trip");
+            let (_, counters) = count_thread_allocations(|| {
+                let mut counters = Vec::new();
+                for &label in &labels {
+                    counters.push((label, 3u32));
+                }
+                counters
+            });
+            decode.zip(restore.zip(counters).map(|(all, counters)| all - counters))
+        };
+        let Some((decode, inline_restore)) = costs(3) else {
+            return;
+        };
+        assert_eq!(decode, 0, "a three-label set decodes inline");
+        for n in [4, 5, 32] {
+            let (decode, restore) = costs(n).expect("counted");
+            assert_eq!(decode, 64, "{n} labels: one block per decoded ACK");
+            assert_eq!(
+                restore,
+                inline_restore + 3,
+                "{n} labels: one block per ACKer's set"
+            );
+        }
+    }
+
     #[test]
     fn shared_decode_scratch_is_allocation_free_when_counted() {
         // Traffic-shaped frames: MSGs, ACKs with and without label sets,
@@ -670,10 +742,11 @@ mod tests {
         });
         if let Some(allocs) = allocs {
             // A label set of at most three labels is stored inline; the
-            // frame's 4- and 5-label sets still allocate their shared
-            // blocks. Payload bytes never do. The measured rate must
-            // therefore be far below one allocation *per message* (a
-            // copying decode's floor).
+            // frame's 4- and 5-label sets allocate one shared block each,
+            // so a frame costs two allocations (four when every non-empty
+            // set was a `Vec`). Payload bytes never allocate. The measured
+            // rate must therefore be far below one allocation *per
+            // message* (a copying decode's floor).
             let per_message = allocs as f64 / (64 * entries.len()) as f64;
             assert!(per_message < 1.0, "shared decode allocs/msg: {per_message}");
         }

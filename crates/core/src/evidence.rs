@@ -180,14 +180,16 @@ impl Evidence for AckTable {
         for _ in 0..r.get_u64()? {
             let ta = TagAck(r.get_u128()?);
             ascending(table.entries.last().map(|(last, _)| last), &ta, "tag_acks")?;
-            let mut labels = LabelSet::new();
-            for _ in 0..r.get_u64()? {
-                let label = Label(r.get_u64()?);
-                ascending(labels.as_slice().last(), &label, "labels")?;
-                labels.insert(label);
+            // Checked label by label, then built as one set.
+            let count = r.get_u64()?;
+            let labels = r.get_u64s(count)?.map(Label);
+            let mut last = None;
+            for label in labels.clone() {
+                ascending(last.as_ref(), &label, "labels")?;
                 inc(&mut table.counters, label);
+                last = Some(label);
             }
-            table.entries.push((ta, labels));
+            table.entries.push((ta, LabelSet::from_iter(labels)));
         }
         Ok(table)
     }
@@ -252,6 +254,52 @@ mod tests {
         ok.save(&mut w);
         let mut again = SnapshotWriter::new();
         body(&[(3, &[1, 2]), (4, &[2])])(&mut again);
+        assert_eq!(w.into_body(), again.into_body(), "re-save is the input");
+    }
+
+    /// Sets past a label set's inline capacity restore like small ones:
+    /// rejected out of order or repeated, and otherwise counted and saved
+    /// back byte for byte.
+    #[test]
+    fn ack_table_restore_handles_sets_of_more_than_three_labels() {
+        let body = |entries: Vec<(u128, Vec<u64>)>| {
+            move |w: &mut SnapshotWriter| {
+                w.put_u64(entries.len() as u64);
+                for (ta, labels) in &entries {
+                    w.put_u128(*ta);
+                    w.put_u64(labels.len() as u64);
+                    for &l in labels {
+                        w.put_u64(l);
+                    }
+                }
+            }
+        };
+        let repeated = restore::<AckTable>(body(vec![(3, vec![1, 2, 3, 4, 4])]));
+        assert!(
+            malformed(repeated),
+            "a label listed twice past the inline sets"
+        );
+        let descending = restore::<AckTable>(body(vec![(3, vec![1, 2, 3, 5, 4])]));
+        assert!(malformed(descending));
+        let entries = vec![
+            (3, (1..=32).collect::<Vec<u64>>()),
+            (4, vec![2, 4, 6, 8, 10]),
+            (7, vec![4]),
+        ];
+        let ok = restore::<AckTable>(body(entries.clone())).unwrap();
+        assert_eq!(ok.entries[0].1.len(), 32);
+        assert_eq!(
+            (
+                ok.counter(Label(1)),
+                ok.counter(Label(4)),
+                ok.counter(Label(32))
+            ),
+            (1, 3, 1)
+        );
+        let mut w = SnapshotWriter::new();
+        ok.save(&mut w);
+        let mut again = SnapshotWriter::new();
+        body(entries)(&mut again);
         assert_eq!(w.into_body(), again.into_body(), "re-save is the input");
     }
 }

@@ -209,14 +209,20 @@ impl<V> RecordMap<V> {
     }
 
     /// Keeps the entries `keep` accepts, visiting them in tag order. A
-    /// large map sorts its entries in place and rebuilds its index.
+    /// large map sorts its entries in place unless they already are, and
+    /// rebuilds its index only when an entry moved or left.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Tag, &mut V) -> bool) {
         match self {
             RecordMap::Small(v) => v.retain_mut(|(k, val)| keep(k, val)),
             RecordMap::Large(ix) => {
-                ix.entries.sort_unstable_by_key(|(k, _)| *k);
+                let (len, sorted) = (ix.entries.len(), ix.entries.is_sorted_by_key(|(k, _)| *k));
+                if !sorted {
+                    ix.entries.sort_unstable_by_key(|(k, _)| *k);
+                }
                 ix.entries.retain_mut(|(k, val)| keep(k, val));
-                ix.reindex(ix.entries.len());
+                if !sorted || ix.entries.len() < len {
+                    ix.reindex(ix.entries.len());
+                }
             }
         }
         self.fold();

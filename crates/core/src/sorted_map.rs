@@ -89,6 +89,14 @@ impl<K: Ord, V> SortedMap<K, V> {
         self.get(key).is_some()
     }
 
+    #[cfg(test)]
+    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        match self {
+            SortedMap::Small(v) => position(v, key).ok().map(|at| &mut v[at].1),
+            SortedMap::Large(m) => m.get_mut(key),
+        }
+    }
+
     /// The value for `key`, inserting `make()` first when absent. An empty
     /// map's first insert allocates exactly one slot.
     pub(crate) fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
@@ -189,7 +197,8 @@ mod tests {
     }
 
     /// `(kind, key, value)`: insert, get-or-insert, remove, retain (keeps
-    /// keys whose remainder mod `value % 4 + 2` is non-zero), get.
+    /// keys whose remainder mod `value % 4 + 2` is non-zero), get, then
+    /// get_mut adding `value`.
     type Op = (u8, u8, u8);
 
     /// Insert-heavy and remove-heavy phases over keys `0..48`, so a script
@@ -240,7 +249,18 @@ mod tests {
                             k.0 % m != 0
                         });
                     }
-                    _ => prop_assert_eq!(map.get(&key), oracle.get(&key)),
+                    _ => {
+                        prop_assert_eq!(map.get(&key), oracle.get(&key));
+                        let got = map.get_mut(&key).map(|v: &mut u8| {
+                            *v = v.wrapping_add(value);
+                            *v
+                        });
+                        let expected = oracle.get_mut(&key).map(|v| {
+                            *v = v.wrapping_add(value);
+                            *v
+                        });
+                        prop_assert_eq!(got, expected);
+                    }
                 }
                 let entries: Vec<(Tag, u8)> = map.iter().map(|(k, v)| (*k, *v)).collect();
                 let expected: Vec<(Tag, u8)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();

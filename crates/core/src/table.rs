@@ -420,7 +420,7 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         self.records.get(&tag).map(|rec| &rec.evidence)
     }
 
-    /// The ACK evidence of every record, in tag order.
+    /// The ACK evidence of every record, in no particular order.
     pub(crate) fn evidences(&self) -> impl Iterator<Item = &E> {
         self.records.values().map(|rec| &rec.evidence)
     }

@@ -143,12 +143,15 @@ const INLINE: usize = 3;
 /// messages (`labels_i ← {label | (label, −) ∈ a_theta_i}`, lines 14/19).
 ///
 /// Kept sorted and deduplicated so that set operations are `O(n)` merges and
-/// equality is structural. A set of at most three labels is stored inline,
-/// and a larger one in a block shared by every clone, so decoding a
-/// labelled ACK or copying `a_theta`'s set into one allocates nothing for
-/// small systems and is a reference-count bump beyond them. Either way the
-/// set is a sorted slice ([`LabelSet::as_slice`]): its encoding, equality
-/// and hash are those of the slice.
+/// equality is structural. A set of at most three labels is stored inline
+/// and allocates nothing. A larger one is a single block shared by every
+/// clone: building it — decoding a labelled ACK, say — allocates once, as a
+/// sorted `Vec` would, and cloning it — copying `a_theta`'s set into an
+/// ACK — is a reference-count bump. Inserting into or removing from a
+/// shared set builds a new block, so a large set is better collected with
+/// [`LabelSet::from_iter`] than grown label by label. Either way the set is
+/// a sorted slice ([`LabelSet::as_slice`]): its encoding, equality and hash
+/// are those of the slice.
 #[derive(Clone)]
 pub struct LabelSet(Labels);
 
@@ -167,52 +170,34 @@ impl LabelSet {
         LabelSet(Labels::Inline(0, [Label(0); INLINE]))
     }
 
-    /// The set holding exactly `sorted`, which must be strictly ascending.
-    fn from_sorted(sorted: &[Label]) -> Self {
-        if sorted.len() > INLINE {
-            return LabelSet(Labels::Shared(sorted.into()));
-        }
-        let mut inline = [Label(0); INLINE];
-        inline[..sorted.len()].copy_from_slice(sorted);
-        LabelSet(Labels::Inline(sorted.len() as u8, inline))
-    }
-
     /// Builds a set from arbitrary (possibly unsorted / duplicated) labels.
-    /// Allocates only when more than three labels arrive, and sorts only
-    /// when they do not arrive strictly ascending — as a decoded ACK's and
-    /// a detector view's do.
+    /// Up to three labels are kept inline and allocate nothing. A larger
+    /// set is one shared block, allocated once when the input's length is
+    /// known up front — as a decoded ACK's, a detector view's and a slice's
+    /// are. Input that does not arrive strictly ascending is sorted in place.
     #[allow(clippy::should_implement_trait)] // also impls FromIterator below
     pub fn from_iter<I: IntoIterator<Item = Label>>(iter: I) -> Self {
         let mut iter = iter.into_iter();
         let mut inline = [Label(0); INLINE];
         let mut len = 0;
-        let mut ascending = true;
         while let Some(label) = iter.next() {
             if len == INLINE {
-                let mut all = inline.to_vec();
-                all.push(label);
-                all.extend(iter);
-                all.sort_unstable();
-                all.dedup();
-                return LabelSet::from_sorted(&all);
+                // Exact-length input collects straight into the block.
+                let mut block: Arc<[Label]> =
+                    inline.into_iter().chain(Some(label)).chain(iter).collect();
+                let held = Arc::get_mut(&mut block).expect("a new block has one owner");
+                let distinct = sort_dedup(held);
+                if distinct == block.len() {
+                    return LabelSet(Labels::Shared(block));
+                }
+                // Repeated labels: the distinct ones, a second time.
+                return LabelSet::from_iter(block[..distinct].iter().copied());
             }
-            ascending &= len == 0 || inline[len - 1] < label;
             inline[len] = label;
             len += 1;
         }
-        if !ascending {
-            let held = &mut inline[..len];
-            held.sort_unstable();
-            let mut distinct = 1;
-            for at in 1..len {
-                if held[distinct - 1] != held[at] {
-                    held[distinct] = held[at];
-                    distinct += 1;
-                }
-            }
-            len = distinct;
-        }
-        LabelSet(Labels::Inline(len as u8, inline))
+        let distinct = sort_dedup(&mut inline[..len]);
+        LabelSet(Labels::Inline(distinct as u8, inline))
     }
 
     /// Number of labels in the set.
@@ -242,9 +227,8 @@ impl LabelSet {
                 *len += 1;
             }
             _ => {
-                let mut all = self.as_slice().to_vec();
-                all.insert(pos, label);
-                *self = LabelSet::from_sorted(&all);
+                let (below, above) = self.as_slice().split_at(pos);
+                *self = LabelSet::from_iter(below.iter().chain([&label]).chain(above).copied());
             }
         }
         true
@@ -261,9 +245,8 @@ impl LabelSet {
                 *len -= 1;
             }
             Labels::Shared(shared) => {
-                let mut all = shared.to_vec();
-                all.remove(pos);
-                *self = LabelSet::from_sorted(&all);
+                *self =
+                    LabelSet::from_iter(shared[..pos].iter().chain(&shared[pos + 1..]).copied());
             }
         }
         true
@@ -298,6 +281,23 @@ impl LabelSet {
             Labels::Shared(shared) => shared,
         }
     }
+}
+
+/// Sorts `held` and moves its distinct labels to the front; returns how
+/// many there are. Strictly ascending input is only checked.
+fn sort_dedup(held: &mut [Label]) -> usize {
+    if held.is_sorted_by(|a, b| a < b) {
+        return held.len();
+    }
+    held.sort_unstable();
+    let mut distinct = 1;
+    for at in 1..held.len() {
+        if held[distinct - 1] != held[at] {
+            held[distinct] = held[at];
+            distinct += 1;
+        }
+    }
+    distinct
 }
 
 impl Default for LabelSet {
@@ -384,13 +384,16 @@ mod tests {
         let s = LabelSet::from_iter([Label(5), Label(1), Label(5), Label(3)]);
         let v: Vec<Label> = s.iter().collect();
         assert_eq!(v, vec![Label(1), Label(3), Label(5)]);
-        // Inline-sized input: out of order, repeated, or both.
+        // Out of order, repeated, or both.
         for (input, set) in [
             (&[5, 1, 5][..], &[1, 5][..]),
             (&[3, 3], &[3]),
             (&[9, 2, 4], &[2, 4, 9]),
             (&[2, 4, 9], &[2, 4, 9]),
             (&[], &[]),
+            // Past the inline capacity: repeated, and out of order.
+            (&[9, 2, 4, 7, 2, 9], &[2, 4, 7, 9]),
+            (&[8, 6, 4, 2, 0], &[0, 2, 4, 6, 8]),
         ] {
             let s = LabelSet::from_iter(input.iter().map(|&l| Label(l)));
             assert!(s.iter().map(|l| l.0).eq(set.iter().copied()), "{input:?}");

@@ -289,6 +289,25 @@ impl<'a> SnapshotReader<'a> {
         ))
     }
 
+    /// Reads `count` little-endian `u64`s at once, failing before it reads
+    /// any when the body is too short to hold them all. The iterator knows
+    /// its length, so collecting it allocates once, at the right size.
+    pub fn get_u64s(
+        &mut self,
+        count: u64,
+    ) -> Result<impl ExactSizeIterator<Item = u64> + Clone + 'a, SnapshotError> {
+        let len = usize::try_from(count)
+            .ok()
+            .and_then(|count| count.checked_mul(8))
+            .ok_or(SnapshotError::Truncated {
+                offset: self.body.len(),
+            })?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+    }
+
     /// Reads a little-endian `u128`.
     pub fn get_u128(&mut self) -> Result<u128, SnapshotError> {
         Ok(u128::from_le_bytes(
@@ -410,6 +429,28 @@ mod tests {
         r.get_u8().unwrap();
         let err = r.get_u32().unwrap_err();
         assert_eq!(err, SnapshotError::Truncated { offset: 2 });
+    }
+
+    /// A run of `u64`s reads like one `get_u64` per value, and a count
+    /// the body cannot hold — however large — fails without reading.
+    #[test]
+    fn reader_reads_a_run_of_u64s_or_nothing() {
+        let mut w = SnapshotWriter::new();
+        for v in [3u64, u64::MAX, 0, 1 << 40] {
+            w.put_u64(v);
+        }
+        let body = w.into_body();
+        let mut r = SnapshotReader::new(&body);
+        r.get_u64().unwrap();
+        for count in [4, 1 << 61, u64::MAX] {
+            let err = r.get_u64s(count).err();
+            assert_eq!(err, Some(SnapshotError::Truncated { offset: 32 }));
+        }
+        assert_eq!(r.offset(), 8, "a failed read consumes nothing");
+        let run = r.get_u64s(3).unwrap();
+        assert_eq!(run.len(), 3);
+        assert_eq!(run.collect::<Vec<_>>(), [u64::MAX, 0, 1 << 40]);
+        r.finish().unwrap();
     }
 
     #[test]
