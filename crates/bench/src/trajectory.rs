@@ -775,6 +775,15 @@ pub fn validate_json(text: &str) -> Result<(), String> {
                     p["allocs_per_run"].is_null() || p["allocs_per_run"].as_f64().is_some(),
                 );
                 field("runs > 0", p["runs"].as_u64().is_some_and(|r| r > 0));
+                // The diff pairs points by id, so a repeated id would
+                // hide its second point from the gate.
+                let id = p["id"].as_str();
+                if let Some(first) = points[..i]
+                    .iter()
+                    .position(|q| id.is_some() && q["id"].as_str() == id)
+                {
+                    errors.push(format!("points[{i}].id repeats points[{first}].id"));
+                }
             }
         }
     }
@@ -1001,6 +1010,14 @@ mod tests {
         assert!(validate_json(&bad).unwrap_err().contains("kind"));
         let bad = good.replace("\"runs\":", "\"runs_gone\":");
         assert!(validate_json(&bad).unwrap_err().contains("runs"));
+        // tiny() collects e1 then e11; naming both e1 repeats an id.
+        let twice = good.replace("\"id\": \"e11\"", "\"id\": \"e1\"");
+        assert_ne!(twice, good);
+        assert_eq!(
+            validate_json(&twice).unwrap_err(),
+            "points[1].id repeats points[0].id"
+        );
+        assert!(diff_json(&good, &twice).unwrap_err().contains("repeats"));
     }
 
     #[test]

@@ -46,7 +46,6 @@
 //!   and freshly-explored rows, dominance-compacted, sorted. Equal
 //!   inputs produce byte-equal cache files.
 
-use crate::model::CheckModel;
 use crate::Strategy;
 use std::collections::HashMap;
 use std::fmt;
@@ -144,17 +143,6 @@ impl CacheBinding {
             mode: format!("{}{}", strategy.as_str(), if dpor { "+ind" } else { "" }),
             spec_digest: format!("{digest:016x}"),
         }
-    }
-
-    /// Convenience: binding for a model-backed run (seed already
-    /// resolved by [`CheckModel::from_spec`]).
-    pub fn for_model(
-        spec: &ScenarioSpec,
-        strategy: Strategy,
-        dpor: bool,
-        model: &CheckModel,
-    ) -> Self {
-        CacheBinding::new(spec, strategy, dpor, model.seed())
     }
 
     fn header_line(&self) -> String {

@@ -1,8 +1,26 @@
-//! Hand-rolled flag parsing (the workspace keeps its dependency set to the
-//! vetted offline crates; a CLI parser is 150 lines we can own).
+//! Flag parsing for the `urb` binary.
+//!
+//! [`parse`] turns an argv into a [`Command`]. Where the library has a
+//! config type for what a subcommand runs, the flags parse straight into
+//! it: `urb node` into a [`NodeConfig`], `urb bench` into a
+//! [`TrajectoryConfig`], `urb check` into [`ExploreOptions`], `--fd` into
+//! an [`FdKind`]. A command then runs what was parsed without copying it.
+//!
+//! One reader, `Flags`, walks every subcommand's argv and words its
+//! errors one way: `--x needs a value`, `--x: <why the value did not
+//! parse>`, `unknown flag "--x"`. Each value is checked once, by the
+//! library where it has a parser ([`Strategy::parse`],
+//! [`experiments::ALL_IDS`]). A usage error comes back as its text; `main`
+//! prints it above [`USAGE`] and exits 2.
 
+use std::fmt::Display;
+use std::str::FromStr;
+use std::time::Duration;
+use urb_bench::{experiments, TrajectoryConfig};
+use urb_check::{ExploreOptions, Strategy};
 use urb_core::Algorithm;
-use urb_sim::TopicAction;
+use urb_runtime::NodeConfig;
+use urb_sim::{FdKind, TopicAction};
 use urb_types::TopicId;
 
 /// Usage text.
@@ -130,7 +148,7 @@ FLAGS (run / sweep):
 ";
 
 /// A parsed invocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Command {
     /// `urb run`.
     Run(RunArgs),
@@ -152,7 +170,12 @@ pub enum Command {
         json: bool,
     },
     /// `urb node`.
-    Node(NodeArgs),
+    Node {
+        /// The daemon's config, `n` = the number of `--addrs`.
+        config: NodeConfig,
+        /// Machine-readable output.
+        json: bool,
+    },
     /// `urb cluster`.
     Cluster(ClusterArgs),
     /// `urb topic <op>`.
@@ -170,35 +193,6 @@ pub struct TopicArgs {
     /// Listen address of the target node (any cluster member; the
     /// control gossips from there).
     pub addr: String,
-}
-
-/// Flags of `urb node` (one OS process of a socket cluster).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeArgs {
-    /// This node's id, `0 <= id < addrs.len()`.
-    pub id: usize,
-    /// Listen addresses of every node, in id order.
-    pub addrs: Vec<String>,
-    /// Listen-address override (`None` = `addrs[id]`).
-    pub listen: Option<String>,
-    /// Protocol.
-    pub algorithm: Algorithm,
-    /// Concurrent URB instances (topics).
-    pub topics: u32,
-    /// Broadcasts this node performs per topic.
-    pub msgs: usize,
-    /// Cluster-wide seed.
-    pub seed: u64,
-    /// Deliveries per topic to wait for (`None` = run the full budget).
-    pub expect: Option<usize>,
-    /// Wall-clock budget, milliseconds.
-    pub run_ms: u64,
-    /// Post-expectation serve time, milliseconds.
-    pub linger_ms: u64,
-    /// Machine-readable output.
-    pub json: bool,
-    /// Durable state directory for crash recovery (`None` = stateless).
-    pub state_dir: Option<String>,
 }
 
 /// Flags of `urb cluster` (loopback launcher).
@@ -221,7 +215,7 @@ pub struct ClusterArgs {
 }
 
 /// Flags of `urb scenario`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScenarioArgs {
     /// Path of the scenario spec file.
     pub path: String,
@@ -234,21 +228,14 @@ pub struct ScenarioArgs {
 }
 
 /// Flags of `urb check`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckArgs {
-    /// Path of the scenario spec file (empty in `--replay` mode).
+    /// Path of the scenario spec file (`None` in `--replay` mode).
     pub path: Option<String>,
     /// Replay this counterexample file instead of exploring.
     pub replay: Option<String>,
-    /// Strategy override (`None` = the spec's `[check]` table, then dfs).
-    pub strategy: Option<String>,
-    /// Depth-bound override.
-    pub depth: Option<u32>,
-    /// Seed override.
-    pub seed: Option<u64>,
-    /// Exploration worker threads (`None` = 1; byte-identical results
-    /// for every value).
-    pub jobs: Option<usize>,
+    /// The `--strategy`, `--depth`, `--seed` and `--jobs` overrides.
+    pub explore: ExploreOptions,
     /// Persistent state-hash cache file.
     pub cache: Option<String>,
     /// Counterexample trace output path.
@@ -258,7 +245,7 @@ pub struct CheckArgs {
 }
 
 /// Flags of `urb bench`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Trajectory output path (`None` = human table only).
     pub json: Option<String>,
@@ -266,33 +253,10 @@ pub struct BenchArgs {
     pub validate: Option<String>,
     /// Diff these two trajectory files instead of collecting.
     pub diff: Option<(String, String)>,
-    /// Root seed for the grids.
-    pub seed: u64,
-    /// Seeds per grid cell.
-    pub seeds: u64,
-    /// Experiment ids to cover (`None` = all of e1..e23).
-    pub experiments: Option<Vec<String>>,
-    /// Topic-count cells of the e22 open-loop grid (`None` = the pinned
-    /// defaults the committed trajectory files use).
-    pub load_topics: Option<Vec<u32>>,
-    /// Offered-load cells of the e23 open-loop grid, in messages per
-    /// kilotick (`None` = pinned defaults).
-    pub rates: Option<Vec<u64>>,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs {
-            json: None,
-            validate: None,
-            diff: None,
-            seed: 1,
-            seeds: 3,
-            experiments: None,
-            load_topics: None,
-            rates: None,
-        }
-    }
+    /// What to collect: [`TrajectoryConfig::full`] with seed 1, narrowed
+    /// by `--seed`, `--seeds`, `--experiments`, `--load-topics` and
+    /// `--rates`.
+    pub trajectory: TrajectoryConfig,
 }
 
 /// Flags shared by `run` and `sweep`.
@@ -318,22 +282,11 @@ pub struct RunArgs {
     /// Horizon.
     pub horizon: u64,
     /// Detector override (`None` = pick by algorithm).
-    pub fd: Option<FdChoice>,
+    pub fd: Option<FdKind>,
     /// Trace output path.
     pub trace: Option<String>,
     /// Machine-readable output.
     pub json: bool,
-}
-
-/// Detector selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FdChoice {
-    /// The audited oracle.
-    Oracle,
-    /// The heartbeat estimator.
-    Heartbeat,
-    /// No detector.
-    None,
 }
 
 impl Default for RunArgs {
@@ -355,6 +308,84 @@ impl Default for RunArgs {
     }
 }
 
+/// Reads one subcommand's argv: each flag (or positional argument) in
+/// turn, then the flag's value, raw or parsed.
+struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+    /// The argument [`Flags::next`] returned last.
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value, as given.
+    fn value(&mut self) -> Result<&'a str, String> {
+        match self.rest.next() {
+            Some(v) => Ok(v),
+            None => Err(format!("{} needs a value", self.flag)),
+        }
+    }
+
+    /// The current flag's value, parsed.
+    fn parse<T>(&mut self) -> Result<T, String>
+    where
+        T: FromStr,
+        T::Err: Display,
+    {
+        let raw = self.value()?;
+        raw.parse().map_err(|e| format!("{}: {e}", self.flag))
+    }
+
+    /// The current flag's value as a comma-separated list of strictly
+    /// positive integers (the open-loop grid cells of `urb bench`).
+    fn positive_list<T>(&mut self) -> Result<Vec<T>, String>
+    where
+        T: FromStr + PartialEq + From<u8>,
+        T::Err: Display,
+    {
+        let name = self.flag;
+        let vals: Vec<T> = list(self.value()?)
+            .map(|s| s.parse::<T>().map_err(|e| format!("{name}: {s:?}: {e}")))
+            .collect::<Result<_, _>>()?;
+        if vals.is_empty() {
+            return Err(format!("{name} needs at least one value"));
+        }
+        if vals.contains(&T::from(0)) {
+            return Err(format!("{name} values must be positive"));
+        }
+        Ok(vals)
+    }
+
+    /// The current flag's value, an algorithm name or alias.
+    fn algorithm(&mut self) -> Result<Algorithm, String> {
+        self.value().and_then(parse_algorithm)
+    }
+
+    /// The error for an argument the subcommand does not take.
+    fn unknown(&self) -> String {
+        format!("unknown flag {:?}", self.flag)
+    }
+}
+
+/// `value` if it is not zero, else `{flag} must be positive`.
+fn positive<T: PartialEq + From<u8>>(flag: &str, value: T) -> Result<T, String> {
+    if value == T::from(0) {
+        return Err(format!("{flag} must be positive"));
+    }
+    Ok(value)
+}
+
+/// The non-empty items of a comma-separated list.
+fn list(raw: &str) -> impl Iterator<Item = &str> {
+    raw.split(',').map(str::trim).filter(|s| !s.is_empty())
+}
+
+/// The CLI's algorithm names, with the short aliases `alg1`, `alg2`,
+/// `literal`, `beb` and `rb`.
 fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
     Ok(match s {
         "majority" | "alg1" => Algorithm::Majority,
@@ -366,519 +397,293 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
     })
 }
 
-/// Parses a comma-separated list of strictly positive integers (the
-/// open-loop grid cells of `urb bench`). Empty list, a non-numeric
-/// value, or a zero is a usage error.
-fn positive_list<T>(raw: &str, name: &str) -> Result<Vec<T>, String>
-where
-    T: std::str::FromStr + PartialEq + From<u8>,
-    T::Err: std::fmt::Display,
-{
-    let vals: Vec<T> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse::<T>().map_err(|e| format!("{name}: {s:?}: {e}")))
+/// Parses `--experiments`: each id canonicalized to the grids' literal
+/// `e<n>` (any case, leading zeros dropped), one of
+/// [`experiments::ALL_IDS`], and named once.
+fn experiment_ids(raw: &str) -> Result<Vec<String>, String> {
+    let ids: Vec<String> = list(raw)
+        .map(|id| {
+            let lower = id.to_lowercase();
+            lower
+                .strip_prefix('e')
+                .filter(|digits| digits.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|digits| digits.parse::<u32>().ok())
+                .map(|n| format!("e{n}"))
+                .filter(|canonical| experiments::ALL_IDS.contains(&canonical.as_str()))
+                .ok_or_else(|| {
+                    let all = experiments::ALL_IDS;
+                    format!(
+                        "unknown experiment id {id:?} (use {}..{})",
+                        all[0],
+                        all[all.len() - 1]
+                    )
+                })
+        })
         .collect::<Result<_, _>>()?;
-    if vals.is_empty() {
-        return Err(format!("{name} needs at least one value"));
+    if ids.is_empty() {
+        return Err("--experiments needs at least one id".into());
     }
-    if vals.contains(&T::from(0u8)) {
-        return Err(format!("{name} values must be positive"));
+    if let Some(twice) = ids
+        .iter()
+        .enumerate()
+        .find_map(|(i, id)| ids[..i].contains(id).then_some(id))
+    {
+        return Err(format!("--experiments names {twice} twice"));
     }
-    Ok(vals)
+    Ok(ids)
 }
 
 /// Parses an argv (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, String> {
-    let mut it = argv.iter();
-    let sub = match it.next() {
-        None => return Ok(Command::Help),
-        Some(s) => s.as_str(),
+    let Some((sub, rest)) = argv.split_first() else {
+        return Ok(Command::Help);
     };
-    match sub {
+    let f = Flags {
+        rest: rest.iter(),
+        flag: "",
+    };
+    match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "theorem2" => {
-            let mut n = 6usize;
-            let mut seed = 1u64;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, String> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--n" => n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?
-                    }
-                    "--json" => json = true,
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            if n < 2 {
-                return Err("--n must be at least 2".into());
-            }
-            Ok(Command::Theorem2 { n, seed, json })
-        }
-        "bench" => {
-            let mut args = BenchArgs::default();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, String> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--json" => args.json = Some(value("--json")?),
-                    "--validate" => args.validate = Some(value("--validate")?),
-                    "--diff" => {
-                        let old = value("--diff")?;
-                        let new = it
-                            .next()
-                            .cloned()
-                            .ok_or("--diff needs two files: OLD NEW")?;
-                        args.diff = Some((old, new));
-                    }
-                    "--seed" => {
-                        args.seed = value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?
-                    }
-                    "--seeds" => {
-                        args.seeds = value("--seeds")?
-                            .parse()
-                            .map_err(|e| format!("--seeds: {e}"))?
-                    }
-                    "--experiments" => {
-                        // Canonicalize each id to exactly "e<n>": the
-                        // trajectory grids match these strings literally.
-                        let ids: Vec<String> = value("--experiments")?
-                            .split(',')
-                            .map(str::trim)
-                            .filter(|s| !s.is_empty())
-                            .map(|id| {
-                                let lower = id.to_lowercase();
-                                match lower.strip_prefix('e') {
-                                    Some(digits) if digits.bytes().all(|b| b.is_ascii_digit()) => {
-                                        match digits.parse::<u32>() {
-                                            Ok(n @ 1..=23) => Ok(format!("e{n}")),
-                                            _ => Err(format!(
-                                                "unknown experiment id {id:?} (use e1..e23)"
-                                            )),
-                                        }
-                                    }
-                                    _ => Err(format!("unknown experiment id {id:?} (use e1..e23)")),
-                                }
-                            })
-                            .collect::<Result<_, _>>()?;
-                        if ids.is_empty() {
-                            return Err("--experiments needs at least one id".into());
-                        }
-                        args.experiments = Some(ids);
-                    }
-                    "--load-topics" => {
-                        args.load_topics =
-                            Some(positive_list(&value("--load-topics")?, "--load-topics")?);
-                    }
-                    "--rates" => {
-                        args.rates = Some(positive_list(&value("--rates")?, "--rates")?);
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            if args.seeds == 0 {
-                return Err("--seeds must be positive".into());
-            }
-            Ok(Command::Bench(args))
-        }
-        "check" => {
-            let mut path: Option<String> = None;
-            let mut args = CheckArgs::default();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, String> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--replay" => args.replay = Some(value("--replay")?),
-                    "--strategy" => {
-                        let s = value("--strategy")?;
-                        if !matches!(s.as_str(), "dfs" | "dpor-lite" | "random") {
-                            return Err(format!(
-                                "unknown strategy {s:?} (dfs | dpor-lite | random)"
-                            ));
-                        }
-                        args.strategy = Some(s);
-                    }
-                    "--depth" => {
-                        let d: u32 = value("--depth")?
-                            .parse()
-                            .map_err(|e| format!("--depth: {e}"))?;
-                        if d == 0 {
-                            return Err("--depth must be positive".into());
-                        }
-                        args.depth = Some(d);
-                    }
-                    "--seed" => {
-                        args.seed = Some(
-                            value("--seed")?
-                                .parse()
-                                .map_err(|e| format!("--seed: {e}"))?,
-                        )
-                    }
-                    "--jobs" => {
-                        let jobs: usize = value("--jobs")?
-                            .parse()
-                            .map_err(|e| format!("--jobs: {e}"))?;
-                        if jobs == 0 {
-                            return Err("--jobs must be positive".into());
-                        }
-                        args.jobs = Some(jobs);
-                    }
-                    "--cache" => args.cache = Some(value("--cache")?),
-                    "--trace" => args.trace = Some(value("--trace")?),
-                    "--json" => args.json = true,
-                    other if other.starts_with("--") => {
-                        return Err(format!("unknown flag {other:?}"))
-                    }
-                    file => {
-                        if path.replace(file.to_string()).is_some() {
-                            return Err("check takes exactly one FILE".into());
-                        }
-                    }
-                }
-            }
-            args.path = path;
-            match (&args.path, &args.replay) {
-                (None, None) => return Err("check needs a scenario FILE (or --replay FILE)".into()),
-                (Some(_), Some(_)) => {
-                    return Err("check takes either a scenario FILE or --replay, not both".into())
-                }
-                _ => {}
-            }
-            Ok(Command::Check(args))
-        }
-        "scenario" => {
-            let mut path: Option<String> = None;
-            let mut args = ScenarioArgs {
-                path: String::new(),
-                seed: None,
-                trace: None,
-                json: false,
-            };
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, String> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--seed" => {
-                        args.seed = Some(
-                            value("--seed")?
-                                .parse()
-                                .map_err(|e| format!("--seed: {e}"))?,
-                        )
-                    }
-                    "--trace" => args.trace = Some(value("--trace")?),
-                    "--json" => args.json = true,
-                    other if other.starts_with("--") => {
-                        return Err(format!("unknown flag {other:?}"))
-                    }
-                    file => {
-                        if path.replace(file.to_string()).is_some() {
-                            return Err("scenario takes exactly one FILE".into());
-                        }
-                    }
-                }
-            }
-            args.path = path.ok_or("scenario needs a FILE argument")?;
-            Ok(Command::Scenario(args))
-        }
-        "run" | "sweep" => {
-            let mut args = RunArgs::default();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, String> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--n" => args.n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-                    "--topics" => {
-                        args.topics = value("--topics")?
-                            .parse()
-                            .map_err(|e| format!("--topics: {e}"))?
-                    }
-                    "--alg" => args.algorithm = parse_algorithm(&value("--alg")?)?,
-                    "--loss" => {
-                        args.loss = value("--loss")?
-                            .parse()
-                            .map_err(|e| format!("--loss: {e}"))?
-                    }
-                    "--burst" => args.burst = true,
-                    "--crashes" => {
-                        args.crashes = value("--crashes")?
-                            .parse()
-                            .map_err(|e| format!("--crashes: {e}"))?
-                    }
-                    "--msgs" => {
-                        args.msgs = value("--msgs")?
-                            .parse()
-                            .map_err(|e| format!("--msgs: {e}"))?
-                    }
-                    "--seed" => {
-                        args.seed = value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?
-                    }
-                    "--horizon" => {
-                        args.horizon = value("--horizon")?
-                            .parse()
-                            .map_err(|e| format!("--horizon: {e}"))?
-                    }
-                    "--fd" => {
-                        args.fd = Some(match value("--fd")?.as_str() {
-                            "oracle" => FdChoice::Oracle,
-                            "heartbeat" | "hb" => FdChoice::Heartbeat,
-                            "none" => FdChoice::None,
-                            other => return Err(format!("unknown detector {other:?}")),
-                        })
-                    }
-                    "--trace" => args.trace = Some(value("--trace")?),
-                    "--json" => args.json = true,
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            if args.n == 0 {
-                return Err("--n must be positive".into());
-            }
-            if args.topics == 0 {
-                return Err("--topics must be positive".into());
-            }
-            if args.crashes >= args.n {
-                return Err("--crashes must leave at least one correct process (t <= n-1)".into());
-            }
-            if !(0.0..=1.0).contains(&args.loss) {
-                return Err("--loss must be in [0, 1]".into());
-            }
-            if sub == "run" {
-                Ok(Command::Run(args))
-            } else {
-                Ok(Command::Sweep(args))
-            }
-        }
-        "node" => {
-            let mut id: Option<usize> = None;
-            let mut addrs: Vec<String> = Vec::new();
-            let mut listen: Option<String> = None;
-            let mut algorithm = Algorithm::Majority;
-            let mut topics = 1u32;
-            let mut msgs = 1usize;
-            let mut seed = 0x5EEDu64;
-            let mut expect: Option<usize> = None;
-            let mut run_ms = 20_000u64;
-            let mut linger_ms = 500u64;
-            let mut json = false;
-            let mut state_dir: Option<String> = None;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, String> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--id" => id = Some(value("--id")?.parse().map_err(|e| format!("--id: {e}"))?),
-                    "--addrs" => {
-                        addrs = value("--addrs")?
-                            .split(',')
-                            .map(str::trim)
-                            .filter(|s| !s.is_empty())
-                            .map(String::from)
-                            .collect();
-                    }
-                    "--listen" => listen = Some(value("--listen")?),
-                    "--alg" => algorithm = parse_algorithm(&value("--alg")?)?,
-                    "--topics" => {
-                        topics = value("--topics")?
-                            .parse()
-                            .map_err(|e| format!("--topics: {e}"))?
-                    }
-                    "--msgs" => {
-                        msgs = value("--msgs")?
-                            .parse()
-                            .map_err(|e| format!("--msgs: {e}"))?
-                    }
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?
-                    }
-                    "--expect" => {
-                        expect = Some(
-                            value("--expect")?
-                                .parse()
-                                .map_err(|e| format!("--expect: {e}"))?,
-                        )
-                    }
-                    "--run-ms" => {
-                        run_ms = value("--run-ms")?
-                            .parse()
-                            .map_err(|e| format!("--run-ms: {e}"))?
-                    }
-                    "--linger-ms" => {
-                        linger_ms = value("--linger-ms")?
-                            .parse()
-                            .map_err(|e| format!("--linger-ms: {e}"))?
-                    }
-                    "--json" => json = true,
-                    "--state-dir" => state_dir = Some(value("--state-dir")?),
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            let id = id.ok_or("node needs --id")?;
-            if addrs.is_empty() {
-                return Err("node needs --addrs (one listen address per node)".into());
-            }
-            if id >= addrs.len() {
-                return Err(format!(
-                    "--id {id} out of range for {} --addrs entries",
-                    addrs.len()
-                ));
-            }
-            if topics == 0 {
-                return Err("--topics must be positive".into());
-            }
-            Ok(Command::Node(NodeArgs {
-                id,
-                addrs,
-                listen,
-                algorithm,
-                topics,
-                msgs,
-                seed,
-                expect,
-                run_ms,
-                linger_ms,
-                json,
-                state_dir,
-            }))
-        }
-        "cluster" => {
-            let mut local: Option<usize> = None;
-            let mut algorithm = Algorithm::Majority;
-            let mut topics = 1u32;
-            let mut msgs = 1usize;
-            let mut seed = 0x5EEDu64;
-            let mut run_ms = 20_000u64;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, String> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--local" => {
-                        local = Some(
-                            value("--local")?
-                                .parse()
-                                .map_err(|e| format!("--local: {e}"))?,
-                        )
-                    }
-                    "--alg" => algorithm = parse_algorithm(&value("--alg")?)?,
-                    "--topics" => {
-                        topics = value("--topics")?
-                            .parse()
-                            .map_err(|e| format!("--topics: {e}"))?
-                    }
-                    "--msgs" => {
-                        msgs = value("--msgs")?
-                            .parse()
-                            .map_err(|e| format!("--msgs: {e}"))?
-                    }
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?
-                    }
-                    "--run-ms" => {
-                        run_ms = value("--run-ms")?
-                            .parse()
-                            .map_err(|e| format!("--run-ms: {e}"))?
-                    }
-                    "--json" => json = true,
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            let local = local.ok_or("cluster needs --local N")?;
-            if local == 0 {
-                return Err("--local must be at least 1".into());
-            }
-            if topics == 0 {
-                return Err("--topics must be positive".into());
-            }
-            Ok(Command::Cluster(ClusterArgs {
-                local,
-                algorithm,
-                topics,
-                msgs,
-                seed,
-                run_ms,
-                json,
-            }))
-        }
-        "topic" => {
-            let create = match it.next().map(String::as_str) {
-                Some("create") => true,
-                Some("retire") => false,
-                Some(other) => {
-                    return Err(format!(
-                        "unknown topic operation {other:?} (create | retire)"
-                    ));
-                }
-                None => return Err("topic needs an operation (create | retire)".into()),
-            };
-            let mut addr: Option<String> = None;
-            let mut topic: Option<u32> = None;
-            let mut algorithm: Option<Algorithm> = None;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, String> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--addr" => addr = Some(value("--addr")?),
-                    "--topic" => {
-                        topic = Some(
-                            value("--topic")?
-                                .parse()
-                                .map_err(|e| format!("--topic: {e}"))?,
-                        )
-                    }
-                    "--alg" => algorithm = Some(parse_algorithm(&value("--alg")?)?),
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            let addr = addr.ok_or("topic needs --addr (a running node's listen address)")?;
-            let topic = TopicId(topic.ok_or("topic needs --topic N")?);
-            let action = if create {
-                TopicAction::Create { topic, algorithm }
-            } else if algorithm.is_some() {
-                return Err("--alg only applies to `topic create`".into());
-            } else {
-                TopicAction::Retire { topic }
-            };
-            Ok(Command::Topic(TopicArgs { action, addr }))
-        }
+        "run" => run(f).map(Command::Run),
+        "sweep" => run(f).map(Command::Sweep),
+        "scenario" => scenario(f).map(Command::Scenario),
+        "check" => check(f).map(Command::Check),
+        "bench" => bench(f).map(Command::Bench),
+        "theorem2" => theorem2(f),
+        "node" => node(f),
+        "cluster" => cluster(f).map(Command::Cluster),
+        "topic" => topic(f).map(Command::Topic),
         other => Err(format!("unknown subcommand {other:?}")),
     }
+}
+
+fn run(mut f: Flags) -> Result<RunArgs, String> {
+    let mut args = RunArgs::default();
+    while let Some(flag) = f.next() {
+        match flag {
+            "--n" => args.n = f.parse()?,
+            "--topics" => args.topics = f.parse()?,
+            "--alg" => args.algorithm = f.algorithm()?,
+            "--loss" => args.loss = f.parse()?,
+            "--burst" => args.burst = true,
+            "--crashes" => args.crashes = f.parse()?,
+            "--msgs" => args.msgs = f.parse()?,
+            "--seed" => args.seed = f.parse()?,
+            "--horizon" => args.horizon = f.parse()?,
+            "--fd" => {
+                args.fd = Some(match f.value()? {
+                    "oracle" => FdKind::Oracle(Default::default()),
+                    "heartbeat" | "hb" => FdKind::Heartbeat(Default::default()),
+                    "none" => FdKind::None,
+                    other => return Err(format!("unknown detector {other:?}")),
+                })
+            }
+            "--trace" => args.trace = Some(f.parse()?),
+            "--json" => args.json = true,
+            _ => return Err(f.unknown()),
+        }
+    }
+    positive("--n", args.n)?;
+    positive("--topics", args.topics)?;
+    if args.crashes >= args.n {
+        return Err("--crashes must leave at least one correct process (t <= n-1)".into());
+    }
+    if !(0.0..=1.0).contains(&args.loss) {
+        return Err("--loss must be in [0, 1]".into());
+    }
+    Ok(args)
+}
+
+fn scenario(mut f: Flags) -> Result<ScenarioArgs, String> {
+    let mut args = ScenarioArgs::default();
+    let mut path = None;
+    while let Some(flag) = f.next() {
+        match flag {
+            "--seed" => args.seed = Some(f.parse()?),
+            "--trace" => args.trace = Some(f.parse()?),
+            "--json" => args.json = true,
+            _ if flag.starts_with("--") => return Err(f.unknown()),
+            file => {
+                if path.replace(file).is_some() {
+                    return Err("scenario takes exactly one FILE".into());
+                }
+            }
+        }
+    }
+    args.path = path.ok_or("scenario needs a FILE argument")?.into();
+    Ok(args)
+}
+
+fn check(mut f: Flags) -> Result<CheckArgs, String> {
+    let mut args = CheckArgs::default();
+    while let Some(flag) = f.next() {
+        match flag {
+            "--replay" => args.replay = Some(f.parse()?),
+            "--strategy" => args.explore.strategy = Some(f.value().and_then(Strategy::parse)?),
+            "--depth" => args.explore.depth = Some(positive(flag, f.parse()?)?),
+            "--seed" => args.explore.seed = Some(f.parse()?),
+            "--jobs" => args.explore.jobs = positive(flag, f.parse()?)?,
+            "--cache" => args.cache = Some(f.parse()?),
+            "--trace" => args.trace = Some(f.parse()?),
+            "--json" => args.json = true,
+            _ if flag.starts_with("--") => return Err(f.unknown()),
+            file => {
+                if args.path.replace(file.into()).is_some() {
+                    return Err("check takes exactly one FILE".into());
+                }
+            }
+        }
+    }
+    match (&args.path, &args.replay) {
+        (None, None) => Err("check needs a scenario FILE (or --replay FILE)".into()),
+        (Some(_), Some(_)) => {
+            Err("check takes either a scenario FILE or --replay, not both".into())
+        }
+        _ => Ok(args),
+    }
+}
+
+fn bench(mut f: Flags) -> Result<BenchArgs, String> {
+    let mut args = BenchArgs {
+        json: None,
+        validate: None,
+        diff: None,
+        trajectory: TrajectoryConfig::full(1),
+    };
+    while let Some(flag) = f.next() {
+        match flag {
+            "--json" => args.json = Some(f.parse()?),
+            "--validate" => args.validate = Some(f.parse()?),
+            "--diff" => {
+                let old = f.parse()?;
+                let new = f.value().map_err(|_| "--diff needs two files: OLD NEW")?;
+                args.diff = Some((old, new.into()));
+            }
+            "--seed" => args.trajectory.seed = f.parse()?,
+            "--seeds" => args.trajectory.seeds_per_cell = f.parse()?,
+            "--experiments" => args.trajectory.ids = experiment_ids(f.value()?)?,
+            "--load-topics" => args.trajectory.load_topics = Some(f.positive_list()?),
+            "--rates" => args.trajectory.rates = Some(f.positive_list()?),
+            _ => return Err(f.unknown()),
+        }
+    }
+    positive("--seeds", args.trajectory.seeds_per_cell)?;
+    Ok(args)
+}
+
+fn theorem2(mut f: Flags) -> Result<Command, String> {
+    let (mut n, mut seed, mut json) = (6, 1, false);
+    while let Some(flag) = f.next() {
+        match flag {
+            "--n" => n = f.parse()?,
+            "--seed" => seed = f.parse()?,
+            "--json" => json = true,
+            _ => return Err(f.unknown()),
+        }
+    }
+    if n < 2 {
+        return Err("--n must be at least 2".into());
+    }
+    Ok(Command::Theorem2 { n, seed, json })
+}
+
+fn node(mut f: Flags) -> Result<Command, String> {
+    // `NodeConfig::new`'s defaults are the CLI's; `n` follows `--addrs`.
+    let mut config = NodeConfig::new(0, 0, Algorithm::Majority, Vec::new());
+    let (mut id, mut json) = (None, false);
+    while let Some(flag) = f.next() {
+        match flag {
+            "--id" => id = Some(f.parse()?),
+            "--addrs" => config.addrs = list(f.value()?).map(String::from).collect(),
+            "--listen" => config.listen = Some(f.parse()?),
+            "--alg" => config.algorithm = f.algorithm()?,
+            "--topics" => config.topics = f.parse()?,
+            "--msgs" => config.msgs = f.parse()?,
+            "--seed" => config.seed = f.parse()?,
+            "--expect" => config.expect = Some(f.parse()?),
+            "--run-ms" => config.run_for = Duration::from_millis(f.parse()?),
+            "--linger-ms" => config.linger = Duration::from_millis(f.parse()?),
+            "--json" => json = true,
+            "--state-dir" => config.state_dir = Some(f.parse()?),
+            _ => return Err(f.unknown()),
+        }
+    }
+    config.id = id.ok_or("node needs --id")?;
+    config.n = config.addrs.len();
+    if config.n == 0 {
+        return Err("node needs --addrs (one listen address per node)".into());
+    }
+    if config.id >= config.n {
+        return Err(format!(
+            "--id {} out of range for {} --addrs entries",
+            config.id, config.n
+        ));
+    }
+    positive("--topics", config.topics)?;
+    Ok(Command::Node { config, json })
+}
+
+fn cluster(mut f: Flags) -> Result<ClusterArgs, String> {
+    let mut local = None;
+    let mut args = ClusterArgs {
+        local: 0,
+        algorithm: Algorithm::Majority,
+        topics: 1,
+        msgs: 1,
+        seed: 0x5EED,
+        run_ms: 20_000,
+        json: false,
+    };
+    while let Some(flag) = f.next() {
+        match flag {
+            "--local" => local = Some(f.parse()?),
+            "--alg" => args.algorithm = f.algorithm()?,
+            "--topics" => args.topics = f.parse()?,
+            "--msgs" => args.msgs = f.parse()?,
+            "--seed" => args.seed = f.parse()?,
+            "--run-ms" => args.run_ms = f.parse()?,
+            "--json" => args.json = true,
+            _ => return Err(f.unknown()),
+        }
+    }
+    args.local = local.ok_or("cluster needs --local N")?;
+    if args.local == 0 {
+        return Err("--local must be at least 1".into());
+    }
+    positive("--topics", args.topics)?;
+    Ok(args)
+}
+
+fn topic(mut f: Flags) -> Result<TopicArgs, String> {
+    let create = match f.next() {
+        Some("create") => true,
+        Some("retire") => false,
+        Some(other) => {
+            return Err(format!(
+                "unknown topic operation {other:?} (create | retire)"
+            ))
+        }
+        None => return Err("topic needs an operation (create | retire)".into()),
+    };
+    let (mut addr, mut topic, mut algorithm) = (None, None, None);
+    while let Some(flag) = f.next() {
+        match flag {
+            "--addr" => addr = Some(f.parse()?),
+            "--topic" => topic = Some(f.parse()?),
+            "--alg" => algorithm = Some(f.algorithm()?),
+            _ => return Err(f.unknown()),
+        }
+    }
+    let addr = addr.ok_or("topic needs --addr (a running node's listen address)")?;
+    let topic = TopicId(topic.ok_or("topic needs --topic N")?);
+    let action = if create {
+        TopicAction::Create { topic, algorithm }
+    } else if algorithm.is_some() {
+        return Err("--alg only applies to `topic create`".into());
+    } else {
+        TopicAction::Retire { topic }
+    };
+    Ok(TopicArgs { action, addr })
 }
 
 #[cfg(test)]
@@ -891,9 +696,9 @@ mod tests {
 
     #[test]
     fn empty_is_help() {
-        assert_eq!(parse(&[]).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
+        assert!(matches!(parse(&[]).unwrap(), Command::Help));
+        assert!(matches!(parse(&argv("help")).unwrap(), Command::Help));
+        assert!(matches!(parse(&argv("--help")).unwrap(), Command::Help));
     }
 
     #[test]
@@ -925,7 +730,7 @@ mod tests {
                 assert_eq!(a.msgs, 4);
                 assert_eq!(a.seed, 99);
                 assert_eq!(a.horizon, 5000);
-                assert_eq!(a.fd, Some(FdChoice::None));
+                assert_eq!(a.fd, Some(FdKind::None));
                 assert_eq!(a.trace.as_deref(), Some("/tmp/t.json"));
                 assert!(a.json);
                 assert!(a.burst);
@@ -999,10 +804,10 @@ mod tests {
         {
             Command::Check(a) => {
                 assert_eq!(a.path.as_deref(), Some("scenarios/theorem2_violation.toml"));
-                assert_eq!(a.strategy.as_deref(), Some("dpor-lite"));
-                assert_eq!(a.depth, Some(40));
-                assert_eq!(a.seed, Some(5));
-                assert_eq!(a.jobs, Some(4));
+                assert_eq!(a.explore.strategy, Some(Strategy::DporLite));
+                assert_eq!(a.explore.depth, Some(40));
+                assert_eq!(a.explore.seed, Some(5));
+                assert_eq!(a.explore.jobs, 4);
                 assert_eq!(a.cache.as_deref(), Some("/tmp/urb.cache"));
                 assert_eq!(a.trace.as_deref(), Some("/tmp/cx.json"));
                 assert!(a.json);
@@ -1051,7 +856,13 @@ mod tests {
     #[test]
     fn bench_parses_flags_and_validates_ids() {
         match parse(&argv("bench")).unwrap() {
-            Command::Bench(a) => assert_eq!(a, BenchArgs::default()),
+            Command::Bench(a) => {
+                assert_eq!((a.json, a.validate, a.diff), (None, None, None));
+                let t = a.trajectory;
+                assert_eq!((t.seed, t.seeds_per_cell), (1, 3));
+                assert_eq!(t.ids, experiments::ALL_IDS, "every experiment");
+                assert_eq!((t.load_topics, t.rates), (None, None));
+            }
             _ => panic!(),
         }
         match parse(&argv(
@@ -1061,11 +872,11 @@ mod tests {
         {
             Command::Bench(a) => {
                 assert_eq!(a.json.as_deref(), Some("BENCH_PR3.json"));
-                assert_eq!(a.seed, 9);
-                assert_eq!(a.seeds, 2);
+                assert_eq!(a.trajectory.seed, 9);
+                assert_eq!(a.trajectory.seeds_per_cell, 2);
                 assert_eq!(
-                    a.experiments,
-                    Some(vec!["e1".into(), "e4".into(), "e17".into()]),
+                    a.trajectory.ids,
+                    ["e1", "e4", "e17"],
                     "ids normalized to lowercase"
                 );
             }
@@ -1077,19 +888,17 @@ mod tests {
         }
         assert!(parse(&argv("bench --experiments e99")).is_err());
         match parse(&argv("bench --experiments e18,e19")).unwrap() {
-            Command::Bench(a) => assert_eq!(
-                a.experiments,
-                Some(vec!["e18".into(), "e19".into()]),
-                "topic-plane ids accepted"
-            ),
+            Command::Bench(a) => {
+                assert_eq!(a.trajectory.ids, ["e18", "e19"], "topic-plane ids accepted")
+            }
             _ => panic!(),
         }
         assert!(parse(&argv("bench --experiments e0")).is_err());
         assert!(parse(&argv("bench --experiments e+1")).is_err(), "no sign");
         match parse(&argv("bench --experiments e01")).unwrap() {
             Command::Bench(a) => assert_eq!(
-                a.experiments,
-                Some(vec!["e1".into()]),
+                a.trajectory.ids,
+                ["e1"],
                 "leading zeros canonicalized to the grid's literal ids"
             ),
             _ => panic!(),
@@ -1099,11 +908,22 @@ mod tests {
     }
 
     #[test]
+    fn bench_rejects_a_repeated_experiment_id() {
+        // The trajectory diff pairs points by id, so a second point with
+        // the same id would never be compared.
+        for ids in ["e2,e2", "e2,E2", "e1,e2,e02", "e4,e1,e4"] {
+            let err = parse(&argv(&format!("bench --experiments {ids}"))).unwrap_err();
+            assert!(err.starts_with("--experiments names e"), "{ids}: {err}");
+            assert!(err.ends_with(" twice"), "{ids}: {err}");
+        }
+    }
+
+    #[test]
     fn every_node_alg_formats_to_a_token_node_parses_back() {
         // `urb cluster` passes its children `--alg format_algorithm(alg)`.
         let node_alg =
             |token: &str| match parse(&argv(&format!("node --id 0 --addrs h:1 --alg {token}"))) {
-                Ok(Command::Node(a)) => Ok(a.algorithm),
+                Ok(Command::Node { config, .. }) => Ok(config.algorithm),
                 other => Err(format!("{token}: {other:?}")),
             };
         for name in [
@@ -1133,18 +953,20 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Node(a) => {
+            Command::Node { config: a, json } => {
                 assert_eq!(a.id, 1);
                 assert_eq!(a.addrs.len(), 3);
+                assert_eq!(a.n, 3, "one node per address");
                 assert_eq!(a.algorithm, Algorithm::Quiescent);
                 assert_eq!(a.topics, 2);
                 assert_eq!(a.msgs, 3);
                 assert_eq!(a.seed, 9);
                 assert_eq!(a.expect, Some(9));
-                assert_eq!(a.run_ms, 5000);
-                assert_eq!(a.linger_ms, 100);
+                assert_eq!(a.run_for, Duration::from_millis(5000));
+                assert_eq!(a.linger, Duration::from_millis(100));
                 assert!(a.listen.is_none());
-                assert!(a.json);
+                assert!(a.state_dir.is_none());
+                assert!(json);
             }
             _ => panic!(),
         }
@@ -1153,7 +975,7 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Node(a) => {
+            Command::Node { config: a, .. } => {
                 assert_eq!(a.listen.as_deref(), Some("0.0.0.0:7001"));
                 assert_eq!(a.algorithm, Algorithm::Majority, "default");
                 assert!(a.expect.is_none());
@@ -1245,10 +1067,7 @@ mod tests {
     #[test]
     fn bench_accepts_e23() {
         match parse(&argv("bench --experiments e21,e22,e23")).unwrap() {
-            Command::Bench(a) => assert_eq!(
-                a.experiments,
-                Some(vec!["e21".into(), "e22".into(), "e23".into()])
-            ),
+            Command::Bench(a) => assert_eq!(a.trajectory.ids, ["e21", "e22", "e23"]),
             _ => panic!(),
         }
         assert!(parse(&argv("bench --experiments e24")).is_err());
@@ -1258,16 +1077,16 @@ mod tests {
     fn bench_open_loop_grid_flags() {
         match parse(&argv("bench --load-topics 1,64 --rates 500,9000")).unwrap() {
             Command::Bench(a) => {
-                assert_eq!(a.load_topics, Some(vec![1, 64]));
-                assert_eq!(a.rates, Some(vec![500, 9_000]));
+                assert_eq!(a.trajectory.load_topics, Some(vec![1, 64]));
+                assert_eq!(a.trajectory.rates, Some(vec![500, 9_000]));
             }
             _ => panic!(),
         }
         // Defaults stay None: the committed trajectory files pin them.
         match parse(&argv("bench")).unwrap() {
             Command::Bench(a) => {
-                assert_eq!(a.load_topics, None);
-                assert_eq!(a.rates, None);
+                assert_eq!(a.trajectory.load_topics, None);
+                assert_eq!(a.trajectory.rates, None);
             }
             _ => panic!(),
         }
@@ -1282,6 +1101,226 @@ mod tests {
             parse(&argv("bench --load-topics")).is_err(),
             "missing value"
         );
+    }
+
+    /// Every distinct usage error `parse` can return, each pinned by one
+    /// argv and its exact text (`main` prints it after `error: `).
+    #[test]
+    fn every_usage_error_has_its_exact_text() {
+        let table: &[(&str, &str)] = &[
+            ("frobnicate", "unknown subcommand \"frobnicate\""),
+            ("run --wat 3", "unknown flag \"--wat\""),
+            ("check a.toml --wat", "unknown flag \"--wat\""),
+            ("run --alg", "--alg needs a value"),
+            ("check a.toml --cache", "--cache needs a value"),
+            ("run --n x", "--n: invalid digit found in string"),
+            ("run --loss x", "--loss: invalid float literal"),
+            (
+                "run --seed 99999999999999999999",
+                "--seed: number too large to fit in target type",
+            ),
+            ("run --alg paxos", "unknown algorithm \"paxos\""),
+            ("run --fd psychic", "unknown detector \"psychic\""),
+            ("run --n 0", "--n must be positive"),
+            ("run --topics 0", "--topics must be positive"),
+            (
+                "run --crashes 5 --n 5",
+                "--crashes must leave at least one correct process (t <= n-1)",
+            ),
+            ("run --loss 1.5", "--loss must be in [0, 1]"),
+            ("theorem2 --n 1", "--n must be at least 2"),
+            (
+                "bench --diff only-one.json",
+                "--diff needs two files: OLD NEW",
+            ),
+            (
+                "bench --experiments e99",
+                "unknown experiment id \"e99\" (use e1..e23)",
+            ),
+            (
+                "bench --experiments e1,x2",
+                "unknown experiment id \"x2\" (use e1..e23)",
+            ),
+            (
+                "bench --experiments ,",
+                "--experiments needs at least one id",
+            ),
+            ("bench --experiments e2,e2", "--experiments names e2 twice"),
+            (
+                "bench --rates abc",
+                "--rates: \"abc\": invalid digit found in string",
+            ),
+            ("bench --rates ,", "--rates needs at least one value"),
+            (
+                "bench --load-topics 0,5",
+                "--load-topics values must be positive",
+            ),
+            ("bench --seeds 0", "--seeds must be positive"),
+            ("check", "check needs a scenario FILE (or --replay FILE)"),
+            ("check a.toml b.toml", "check takes exactly one FILE"),
+            (
+                "check a.toml --replay b.json",
+                "check takes either a scenario FILE or --replay, not both",
+            ),
+            (
+                "check a.toml --strategy bfs",
+                "unknown strategy \"bfs\" (dfs | dpor-lite | random)",
+            ),
+            ("check a.toml --depth 0", "--depth must be positive"),
+            ("check a.toml --jobs 0", "--jobs must be positive"),
+            ("scenario", "scenario needs a FILE argument"),
+            ("scenario a.toml b.toml", "scenario takes exactly one FILE"),
+            ("node", "node needs --id"),
+            (
+                "node --id 0",
+                "node needs --addrs (one listen address per node)",
+            ),
+            (
+                "node --id 3 --addrs a:1,b:2",
+                "--id 3 out of range for 2 --addrs entries",
+            ),
+            (
+                "node --id 0 --addrs a:1 --topics 0",
+                "--topics must be positive",
+            ),
+            ("cluster", "cluster needs --local N"),
+            ("cluster --local 0", "--local must be at least 1"),
+            ("cluster --local 3 --topics 0", "--topics must be positive"),
+            ("topic", "topic needs an operation (create | retire)"),
+            (
+                "topic destroy",
+                "unknown topic operation \"destroy\" (create | retire)",
+            ),
+            (
+                "topic create --topic 1",
+                "topic needs --addr (a running node's listen address)",
+            ),
+            ("topic create --addr h:1", "topic needs --topic N"),
+            (
+                "topic retire --addr h:1 --topic 1 --alg majority",
+                "--alg only applies to `topic create`",
+            ),
+            // Where an argv has two errors, which one is reported.
+            ("run --n 0 --wat", "unknown flag \"--wat\""),
+            (
+                "run --crashes 9 --loss 2",
+                "--crashes must leave at least one correct process (t <= n-1)",
+            ),
+            ("bench --seeds 0 --wat", "unknown flag \"--wat\""),
+            (
+                "bench --experiments e2,e2,e99",
+                "unknown experiment id \"e99\" (use e1..e23)",
+            ),
+            ("node --topics 0", "node needs --id"),
+            ("cluster --topics 0", "cluster needs --local N"),
+            ("check a.toml --depth 0 --wat", "--depth must be positive"),
+        ];
+        for (line, want) in table {
+            match parse(&argv(line)) {
+                Err(got) => assert_eq!(&got, want, "urb {line}"),
+                Ok(cmd) => panic!("urb {line}: parsed as {cmd:?}, want {want:?}"),
+            }
+        }
+    }
+
+    /// The flags `USAGE` lists for each subcommand: its `FLAGS (...)`
+    /// section, or its synopsis line when it has none (`theorem2`).
+    fn usage_flags() -> Vec<(&'static str, Vec<&'static str>)> {
+        let mut out: Vec<(&str, Vec<&str>)> = Vec::new();
+        let mut section: Vec<&str> = Vec::new();
+        for line in USAGE.lines() {
+            if let Some(names) = line
+                .strip_prefix("FLAGS (")
+                .and_then(|s| s.strip_suffix("):"))
+            {
+                section = names.split(" / ").collect();
+                out.extend(section.iter().map(|&sub| (sub, Vec::new())));
+            } else if let Some(flag) = line
+                .split_whitespace()
+                .next()
+                .filter(|t| t.starts_with("--"))
+            {
+                for (_, flags) in out.iter_mut().filter(|(sub, _)| section.contains(sub)) {
+                    flags.push(flag);
+                }
+            }
+        }
+        let synopsis = USAGE
+            .lines()
+            .find(|l| l.trim_start().starts_with("urb theorem2 "))
+            .expect("theorem2 synopsis");
+        let theorem2 = synopsis
+            .split_whitespace()
+            .filter_map(|t| t.strip_prefix('['))
+            .map(|t| t.trim_end_matches(']'))
+            .filter(|t| t.starts_with("--"))
+            .collect();
+        out.push(("theorem2", theorem2));
+        out
+    }
+
+    #[test]
+    fn usage_text_and_parser_agree_on_flags() {
+        // An argv that satisfies each subcommand's required arguments.
+        let base = |sub: &str, flag: &str| -> Vec<String> {
+            argv(match sub {
+                "check" if flag == "--replay" => "check",
+                "check" => "check a.toml",
+                "scenario" => "scenario a.toml",
+                "node" => "node --id 0 --addrs h:1,h:2",
+                "cluster" => "cluster --local 2",
+                "topic" => "topic create --addr h:1 --topic 1",
+                other => other,
+            })
+        };
+        // A valid value for each flag (none for a switch).
+        let value = |sub: &str, flag: &str| -> &'static str {
+            match (sub, flag) {
+                ("bench", "--json") => "out.json",
+                (_, "--json" | "--burst") => "",
+                (_, "--alg") => "majority",
+                (_, "--fd") => "oracle",
+                (_, "--strategy") => "dpor-lite",
+                (_, "--experiments") => "e1,e2",
+                (_, "--loss") => "0.5",
+                (_, "--diff") => "old.json new.json",
+                (_, "--addrs") => "h:1,h:2",
+                (_, "--addr" | "--listen") => "h:1",
+                (_, "--id") => "1",
+                (_, "--replay" | "--validate" | "--cache" | "--trace" | "--state-dir") => "f",
+                _ => "2",
+            }
+        };
+        let listed = usage_flags();
+        let subs: Vec<&str> = listed.iter().map(|(s, _)| *s).collect();
+        assert_eq!(
+            subs,
+            [
+                "scenario", "check", "bench", "node", "topic", "cluster", "run", "sweep",
+                "theorem2"
+            ]
+        );
+        let all: std::collections::BTreeSet<&str> =
+            listed.iter().flat_map(|(_, f)| f.iter().copied()).collect();
+        for (sub, flags) in &listed {
+            assert!(!flags.is_empty(), "{sub} lists no flags");
+            for flag in &all {
+                let mut line = base(sub, flag);
+                line.push(flag.to_string());
+                line.extend(argv(value(sub, flag)));
+                let got = parse(&line);
+                if flags.contains(flag) {
+                    assert!(got.is_ok(), "urb {}: {got:?}", line.join(" "));
+                } else {
+                    assert_eq!(
+                        got.err(),
+                        Some(format!("unknown flag {flag:?}")),
+                        "urb {}",
+                        line.join(" ")
+                    );
+                }
+            }
+        }
     }
 
     #[test]

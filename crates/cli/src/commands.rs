@@ -4,18 +4,101 @@
 //! the shared envelope from [`urb_bench::report`]
 //! (`schema_version`/`kind`/`seed`/`git_rev` around a kind-specific
 //! `data` body), so scripts consume one shape (DESIGN.md §10).
+//!
+//! A command prints its report and returns. One that does not reach a
+//! passing verdict returns a [`Failure`]: the exit code and the lines
+//! `main` prints to stderr before it exits with that code.
 
-use crate::args::{BenchArgs, CheckArgs, ClusterArgs, FdChoice, NodeArgs, RunArgs, ScenarioArgs};
+use crate::args::{
+    BenchArgs, CheckArgs, ClusterArgs, Command, RunArgs, ScenarioArgs, TopicArgs, USAGE,
+};
 use crate::summary::RunSummary;
 use urb_bench::report;
-use urb_bench::trajectory::{self, TrajectoryConfig};
+use urb_bench::trajectory;
 use urb_check::{
     check_scenario_with, CacheBinding, CacheSession, CheckOutcome, Counterexample, ExploreOptions,
     Strategy,
 };
-use urb_fd::{HeartbeatConfig, OracleConfig};
-use urb_runtime::NodeReport;
-use urb_sim::{scenario, CrashPlan, FdKind, LossModel, ScenarioSpec, SimConfig, TraceConfig};
+use urb_runtime::{NodeConfig, NodeReport};
+use urb_sim::{scenario, CrashPlan, LossModel, RunOutcome, ScenarioSpec, SimConfig, TraceConfig};
+
+/// Why a command exits nonzero.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Failure {
+    /// 1 = a verdict failed (or its output could not be written),
+    /// 2 = unusable input or config.
+    pub code: u8,
+    /// What `main` prints to stderr, one line each; empty when the
+    /// report already said why.
+    pub lines: Vec<String>,
+}
+
+impl Failure {
+    /// Exit 1 with these lines.
+    fn verdict(lines: Vec<String>) -> Self {
+        Failure { code: 1, lines }
+    }
+}
+
+/// A plain message is unusable input or config: exit 2 with
+/// `error: {message}`.
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure {
+            code: 2,
+            lines: vec![format!("error: {message}")],
+        }
+    }
+}
+
+/// Exit 0 if the verdict holds, else exit 1 with nothing more to say.
+fn holds(ok: bool) -> Result<(), Failure> {
+    if ok {
+        Ok(())
+    } else {
+        Err(Failure::verdict(Vec::new()))
+    }
+}
+
+/// Reads an input file; an unreadable one is unusable input.
+fn read_input(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// Writes an output file; a failed write fails the command with exit 1.
+fn write_output(what: &str, path: &str, contents: &str) -> Result<(), Failure> {
+    std::fs::write(path, contents)
+        .map_err(|e| Failure::verdict(vec![format!("error writing {what} to {path}: {e}")]))
+}
+
+/// Writes a run's event trace and says so on stderr.
+fn write_trace(path: &str, out: &RunOutcome) -> Result<(), Failure> {
+    write_output("trace", path, &out.trace.to_json())?;
+    eprintln!("trace: {} events written to {path}", out.trace.len());
+    Ok(())
+}
+
+/// Runs one parsed command.
+pub fn execute(command: Command) -> Result<(), Failure> {
+    match command {
+        Command::Run(args) => run_cmd(args),
+        Command::Sweep(args) => {
+            sweep_cmd(args);
+            Ok(())
+        }
+        Command::Scenario(args) => scenario_cmd(args),
+        Command::Check(args) => check_cmd(args),
+        Command::Bench(args) => bench_cmd(args),
+        Command::Theorem2 { n, seed, json } => theorem2_cmd(n, seed, json),
+        Command::Node { config, json } => node_cmd(&config, json),
+        Command::Cluster(args) => cluster_cmd(args),
+        Command::Topic(args) => topic_cmd(args),
+        Command::Help => {
+            print!("{USAGE}");
+            Ok(())
+        }
+    }
+}
 
 /// Envelope kind of `urb run --json` / `urb scenario --json` bodies.
 pub const RUN_SUMMARY_KIND: &str = "run-summary";
@@ -44,11 +127,9 @@ pub fn build_config(args: &RunArgs) -> SimConfig {
     if args.crashes > 0 {
         cfg.crashes = CrashPlan::random(args.n, args.crashes, 400, args.seed ^ 0xC11, Some(0));
     }
-    match args.fd {
-        Some(FdChoice::Oracle) => cfg.fd = FdKind::Oracle(OracleConfig::default()),
-        Some(FdChoice::Heartbeat) => cfg.fd = FdKind::Heartbeat(HeartbeatConfig::default()),
-        Some(FdChoice::None) => cfg.fd = FdKind::None,
-        None => {} // SimConfig::new already picked by algorithm
+    // Without `--fd`, SimConfig::new already picked by algorithm.
+    if let Some(fd) = args.fd {
+        cfg.fd = fd;
     }
     if args.trace.is_some() {
         cfg.trace = TraceConfig::full(1_000_000);
@@ -68,17 +149,10 @@ pub fn build_config(args: &RunArgs) -> SimConfig {
 }
 
 /// `urb run`.
-pub fn run_cmd(args: RunArgs) {
-    let cfg = build_config(&args);
-    let out = urb_sim::run(cfg);
+pub fn run_cmd(args: RunArgs) -> Result<(), Failure> {
+    let out = urb_sim::run(build_config(&args));
     if let Some(path) = &args.trace {
-        match std::fs::write(path, out.trace.to_json()) {
-            Ok(()) => eprintln!("trace: {} events written to {path}", out.trace.len()),
-            Err(e) => {
-                eprintln!("error writing trace to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_trace(path, &out)?;
     }
     let summary = RunSummary::from_outcome(&out);
     if args.json {
@@ -89,16 +163,13 @@ pub fn run_cmd(args: RunArgs) {
     } else {
         print!("{}", summary.render_text());
     }
-    if !out.all_ok() {
-        std::process::exit(1);
-    }
+    holds(out.all_ok())
 }
 
 /// Loads and compiles a scenario spec file, applying CLI overrides.
 /// Returns the spec plus its runnable config (split out for tests).
 pub fn load_scenario(args: &ScenarioArgs) -> Result<(ScenarioSpec, urb_sim::SimConfig), String> {
-    let text = std::fs::read_to_string(&args.path)
-        .map_err(|e| format!("cannot read {}: {e}", args.path))?;
+    let text = read_input(&args.path)?;
     let mut spec = ScenarioSpec::from_named_str(&args.path, &text)
         .map_err(|e| format!("{}: {e}", args.path))?;
     if let Some(seed) = args.seed {
@@ -113,23 +184,11 @@ pub fn load_scenario(args: &ScenarioArgs) -> Result<(ScenarioSpec, urb_sim::SimC
 
 /// `urb scenario <file>`: replay a declarative scenario and check its
 /// `[expect]` verdict on top of the per-run URB property checker.
-pub fn scenario_cmd(args: ScenarioArgs) {
-    let (spec, cfg) = match load_scenario(&args) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+pub fn scenario_cmd(args: ScenarioArgs) -> Result<(), Failure> {
+    let (spec, cfg) = load_scenario(&args)?;
     let out = urb_sim::run(cfg);
     if let Some(path) = &args.trace {
-        match std::fs::write(path, out.trace.to_json()) {
-            Ok(()) => eprintln!("trace: {} events written to {path}", out.trace.len()),
-            Err(e) => {
-                eprintln!("error writing trace to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_trace(path, &out)?;
     }
     let summary = RunSummary::from_outcome(&out);
     if args.json {
@@ -155,13 +214,14 @@ pub fn scenario_cmd(args: ScenarioArgs) {
         if !args.json {
             println!("scenario verdict: PASS");
         }
-    } else {
-        for f in &fails {
-            eprintln!("scenario expectation failed: {f}");
-        }
-        eprintln!("scenario verdict: FAIL ({})", spec.name);
-        std::process::exit(1);
+        return Ok(());
     }
+    let mut lines: Vec<String> = fails
+        .iter()
+        .map(|f| format!("scenario expectation failed: {f}"))
+        .collect();
+    lines.push(format!("scenario verdict: FAIL ({})", spec.name));
+    Err(Failure::verdict(lines))
 }
 
 /// The JSON body of a check report (split out for tests). The optional
@@ -240,124 +300,72 @@ pub fn check_report_body(outcome: &CheckOutcome) -> String {
 
 /// `urb check --replay <file>`: re-execute a recorded counterexample and
 /// verify it reproduces the recorded violation and delivery trace.
-fn check_replay_cmd(path: &str, json: bool) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let cx = match Counterexample::parse(&text) {
-        Ok(cx) => cx,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match cx.replay() {
-        Ok(violation) => {
-            if json {
-                let body = format!(
-                    "{{\n  \"scenario\": \"{}\",\n  \"reproduced\": true,\n  \
-                     \"violation\": [{}]\n}}",
-                    serde_json::escape(&cx.scenario),
-                    violation
-                        .iter()
-                        .map(|v| format!("\"{}\"", serde_json::escape(v)))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                println!("{}", report::envelope("check-replay", cx.seed, &body));
-            } else {
-                println!(
-                    "replay: {} ({} choices) reproduced the recorded violation:",
-                    cx.scenario,
-                    cx.choices.len()
-                );
-                for v in &violation {
-                    println!("  {v}");
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("replay FAILED: {e}");
-            std::process::exit(1);
+fn check_replay_cmd(path: &str, json: bool) -> Result<(), Failure> {
+    let text = read_input(path)?;
+    let cx = Counterexample::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let violation = cx
+        .replay()
+        .map_err(|e| Failure::verdict(vec![format!("replay FAILED: {e}")]))?;
+    if json {
+        let body = format!(
+            "{{\n  \"scenario\": \"{}\",\n  \"reproduced\": true,\n  \
+             \"violation\": [{}]\n}}",
+            serde_json::escape(&cx.scenario),
+            violation
+                .iter()
+                .map(|v| format!("\"{}\"", serde_json::escape(v)))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        println!("{}", report::envelope("check-replay", cx.seed, &body));
+    } else {
+        println!(
+            "replay: {} ({} choices) reproduced the recorded violation:",
+            cx.scenario,
+            cx.choices.len()
+        );
+        for v in &violation {
+            println!("  {v}");
         }
     }
+    Ok(())
 }
 
 /// `urb check <scenario>`: systematic bounded exploration of the
 /// scenario's schedule space (DESIGN.md §11). Exit codes: 0 = the check
 /// passed (expected violation found, or clean scenario survived), 1 =
 /// check failed, 2 = usage/spec errors.
-pub fn check_cmd(args: CheckArgs) {
+pub fn check_cmd(args: CheckArgs) -> Result<(), Failure> {
     if let Some(path) = &args.replay {
-        check_replay_cmd(path, args.json);
-        return;
+        return check_replay_cmd(path, args.json);
     }
     let path = args.path.as_deref().expect("parser enforces FILE");
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let spec = match ScenarioSpec::from_named_str(path, &text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let strategy_override = args
-        .strategy
-        .as_deref()
-        .map(|s| Strategy::parse(s).expect("parser validated"));
+    let text = read_input(path)?;
+    let spec = ScenarioSpec::from_named_str(path, &text).map_err(|e| format!("{path}: {e}"))?;
     // Resolve the strategy up front: the cache binding must name the
     // mode the run will actually use.
-    let strategy = match Strategy::resolve(&spec, strategy_override) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let strategy =
+        Strategy::resolve(&spec, args.explore.strategy).map_err(|e| format!("{path}: {e}"))?;
     let mut session = match &args.cache {
         None => None,
         Some(cache_path) => {
             let dpor = strategy == Strategy::DporLite;
-            let seed = args.seed.unwrap_or(spec.seed);
+            let seed = args.explore.seed.unwrap_or(spec.seed);
             let binding = CacheBinding::new(&spec, strategy, dpor, seed);
-            match CacheSession::open(cache_path, binding) {
-                Ok(s) => {
-                    if let Some(reason) = s.stale() {
-                        eprintln!("cache: ignoring {cache_path} ({reason})");
-                    }
-                    Some(s)
-                }
-                Err(e) => {
-                    eprintln!("error: {cache_path}: {e}");
-                    std::process::exit(2);
-                }
+            let s = CacheSession::open(cache_path, binding)
+                .map_err(|e| format!("{cache_path}: {e}"))?;
+            if let Some(reason) = s.stale() {
+                eprintln!("cache: ignoring {cache_path} ({reason})");
             }
+            Some(s)
         }
     };
     let opts = ExploreOptions {
         strategy: Some(strategy),
-        depth: args.depth,
-        seed: args.seed,
-        jobs: args.jobs.unwrap_or(1),
-        ..ExploreOptions::default()
+        ..args.explore
     };
-    let mut outcome = match check_scenario_with(&spec, &opts, session.as_mut()) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let mut outcome =
+        check_scenario_with(&spec, &opts, session.as_mut()).map_err(|e| format!("{path}: {e}"))?;
     if let Some(session) = &session {
         // A failed save degrades the next run to a cold start — warn,
         // don't fail the verdict.
@@ -384,10 +392,7 @@ pub fn check_cmd(args: CheckArgs) {
                     outcome.seed,
                     &cx.body_json(),
                 );
-                if let Err(e) = std::fs::write(trace_path, file) {
-                    eprintln!("error writing counterexample to {trace_path}: {e}");
-                    std::process::exit(1);
-                }
+                write_output("counterexample", trace_path, &file)?;
                 eprintln!(
                     "counterexample: {} choices written to {trace_path}",
                     cx.choices.len()
@@ -441,103 +446,56 @@ pub fn check_cmd(args: CheckArgs) {
         }
         println!("check verdict: {}", outcome.verdict_line());
     }
-    if !outcome.passed() {
-        std::process::exit(1);
-    }
-}
-
-/// Builds the trajectory configuration from CLI flags (split out for
-/// tests).
-pub fn build_trajectory_config(args: &BenchArgs) -> TrajectoryConfig {
-    let mut cfg = TrajectoryConfig::full(args.seed);
-    cfg.seeds_per_cell = args.seeds;
-    if let Some(ids) = &args.experiments {
-        cfg.ids = ids.clone();
-    }
-    cfg.load_topics = args.load_topics.clone();
-    cfg.rates = args.rates.clone();
-    cfg
+    holds(outcome.passed())
 }
 
 /// `urb bench`: either validates an existing trajectory file
 /// (`--validate`) or runs the reduced experiment grids, prints the human
 /// summary, and — with `--json` — writes the schema-versioned trajectory
 /// file (DESIGN.md §10).
-pub fn bench_cmd(args: BenchArgs) {
+pub fn bench_cmd(args: BenchArgs) -> Result<(), Failure> {
     if let Some((old, new)) = &args.diff {
-        let read = |path: &str| -> String {
-            std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(2);
-            })
-        };
-        let (old_text, new_text) = (read(old), read(new));
-        match trajectory::diff_json(&old_text, &new_text) {
-            Ok(diff) => {
-                println!("bench diff: {old} → {new}");
-                print!("{}", diff.render());
-                if diff.is_clean() {
-                    println!(
-                        "bench diff: OK ({} overlapping points identical)",
-                        diff.matched.len()
-                    );
-                } else {
-                    eprintln!("bench diff: FAIL");
-                    std::process::exit(1);
-                }
-                return;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+        let (old_text, new_text) = (read_input(old)?, read_input(new)?);
+        let diff = trajectory::diff_json(&old_text, &new_text)?;
+        println!("bench diff: {old} → {new}");
+        print!("{}", diff.render());
+        if !diff.is_clean() {
+            return Err(Failure::verdict(vec!["bench diff: FAIL".into()]));
         }
+        println!(
+            "bench diff: OK ({} overlapping points identical)",
+            diff.matched.len()
+        );
+        return Ok(());
     }
     if let Some(path) = &args.validate {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match trajectory::validate_json(&text) {
-            Ok(()) => {
-                println!(
-                    "{path}: valid bench trajectory (schema v{})",
-                    report::SCHEMA_VERSION
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: schema violations: {e}");
-                std::process::exit(1);
-            }
-        }
+        trajectory::validate_json(&read_input(path)?)
+            .map_err(|e| Failure::verdict(vec![format!("{path}: schema violations: {e}")]))?;
+        println!(
+            "{path}: valid bench trajectory (schema v{})",
+            report::SCHEMA_VERSION
+        );
+        return Ok(());
     }
-    let cfg = build_trajectory_config(&args);
+    let cfg = &args.trajectory;
     eprintln!(
         "bench: collecting {} experiment grids, {} seeds/cell, seed {} …",
         cfg.ids.len(),
         cfg.seeds_per_cell,
         cfg.seed
     );
-    let traj = trajectory::collect(&cfg);
+    let traj = trajectory::collect(cfg);
     traj.summary_table().print();
     if let Some(path) = &args.json {
         let json = traj.to_json();
         trajectory::validate_json(&json).expect("fresh trajectory conforms to its schema");
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!(
-                "bench: trajectory ({} experiments) written to {path}",
-                traj.points.len()
-            ),
-            Err(e) => {
-                eprintln!("error writing trajectory to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_output("trajectory", path, &json)?;
+        eprintln!(
+            "bench: trajectory ({} experiments) written to {path}",
+            traj.points.len()
+        );
     }
+    Ok(())
 }
 
 /// The loss rates `urb sweep` visits.
@@ -610,7 +568,7 @@ pub fn theorem2_body(n: usize, arm1: &urb_sim::RunOutcome, arm2: &urb_sim::RunOu
 /// (`schema_version`/`kind`/`seed`/`git_rev`/`data`) every other
 /// subcommand emits. Exit 1 when either horn fails to materialize (the
 /// adversary regressed).
-pub fn theorem2_cmd(n: usize, seed: u64, json: bool) {
+pub fn theorem2_cmd(n: usize, seed: u64, json: bool) -> Result<(), Failure> {
     let s1 = n.div_ceil(2);
     let arm1 = urb_sim::run(scenario::theorem2_partition(n, seed));
     let arm2 = urb_sim::run(scenario::theorem2_control(n, seed));
@@ -655,9 +613,11 @@ pub fn theorem2_cmd(n: usize, seed: u64, json: bool) {
         );
     }
     if !demonstrated {
-        eprintln!("theorem2: expected adversary behaviour not observed");
-        std::process::exit(1);
+        return Err(Failure::verdict(vec![
+            "theorem2: expected adversary behaviour not observed".into(),
+        ]));
     }
+    Ok(())
 }
 
 /// Envelope kind of `urb node --json` bodies.
@@ -723,39 +683,23 @@ pub fn node_report_body(n: usize, alg: urb_core::Algorithm, report: &NodeReport)
 /// `urb node`: run one OS process of a socket cluster (DESIGN.md §13).
 /// Exit codes: 0 = ran to completion (expectation met or none set),
 /// 1 = `--expect` unmet at the deadline, 2 = bad config / bind failure.
-pub fn node_cmd(args: NodeArgs) {
-    let n = args.addrs.len();
-    let mut cfg = urb_runtime::NodeConfig::new(args.id, n, args.algorithm, args.addrs.clone());
-    cfg.topics = args.topics;
-    cfg.seed = args.seed;
-    cfg.msgs = args.msgs;
-    cfg.listen = args.listen.clone();
-    cfg.run_for = std::time::Duration::from_millis(args.run_ms);
-    cfg.linger = std::time::Duration::from_millis(args.linger_ms);
-    cfg.expect = args.expect;
-    cfg.state_dir = args.state_dir.as_ref().map(std::path::PathBuf::from);
-    let report = match urb_runtime::run_node(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if args.json {
+pub fn node_cmd(cfg: &NodeConfig, json: bool) -> Result<(), Failure> {
+    let report = urb_runtime::run_node(cfg).map_err(|e| e.to_string())?;
+    if json {
         println!(
             "{}",
             report::envelope(
                 NODE_REPORT_KIND,
-                args.seed,
-                &node_report_body(n, args.algorithm, &report)
+                cfg.seed,
+                &node_report_body(cfg.n, cfg.algorithm, &report)
             )
         );
     } else {
         println!(
             "node {}/{} ({}): {}",
             report.id,
-            n,
-            args.algorithm.name(),
+            cfg.n,
+            cfg.algorithm.name(),
             if report.complete {
                 "complete"
             } else {
@@ -776,14 +720,14 @@ pub fn node_cmd(args: NodeArgs) {
         );
     }
     if !report.complete {
-        eprintln!(
+        return Err(Failure::verdict(vec![format!(
             "node {}: --expect {} not met within {} ms",
-            args.id,
-            args.expect.unwrap_or(0),
-            args.run_ms
-        );
-        std::process::exit(1);
+            cfg.id,
+            cfg.expect.unwrap_or(0),
+            cfg.run_for.as_millis()
+        )]));
     }
+    Ok(())
 }
 
 /// `urb topic <op>`: one-shot lifecycle control client (DESIGN.md §15).
@@ -791,23 +735,17 @@ pub fn node_cmd(args: NodeArgs) {
 /// frame, and exits. The node applies the operation and gossips it to
 /// the rest of the cluster. Exit codes: 0 = sent, 2 = connect/send
 /// failure (the daemon's config-error convention).
-pub fn topic_cmd(args: crate::args::TopicArgs) {
+pub fn topic_cmd(args: TopicArgs) -> Result<(), Failure> {
     use urb_sim::TopicAction;
     let ctl = args.action.control(urb_core::Algorithm::Majority);
-    match urb_runtime::send_control(&args.addr, ctl) {
-        Ok(()) => {
-            let verb = match args.action {
-                TopicAction::Create { .. } => "create",
-                TopicAction::Retire { .. } => "retire",
-            };
-            let topic = args.action.topic().0;
-            println!("topic {topic}: {verb} sent to {}", args.addr);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
+    urb_runtime::send_control(&args.addr, ctl).map_err(|e| e.to_string())?;
+    let verb = match args.action {
+        TopicAction::Create { .. } => "create",
+        TopicAction::Retire { .. } => "retire",
+    };
+    let topic = args.action.topic().0;
+    println!("topic {topic}: {verb} sent to {}", args.addr);
+    Ok(())
 }
 
 /// One child's contribution to the cluster verdict.
@@ -885,21 +823,19 @@ pub fn cluster_report_body(
 /// full expected payload set on every topic. Exit codes: 0 = all
 /// verdicts pass, 1 = a node failed or a delivery set diverged, 2 = bad
 /// config / spawn failure.
-pub fn cluster_cmd(args: ClusterArgs) {
+pub fn cluster_cmd(args: ClusterArgs) -> Result<(), Failure> {
     let n = args.local;
     // Reserve concrete loopback ports by binding ephemeral listeners,
     // recording their addresses, then releasing them for the children.
     // (The standard reserve-then-rebind pattern; the race window is
     // harmless on a workstation/CI loopback.)
     let addrs: Vec<String> = {
-        let listeners: Vec<std::net::TcpListener> = (0..n)
+        let listeners = (0..n)
             .map(|_| {
-                std::net::TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| {
-                    eprintln!("error: cannot reserve a loopback port: {e}");
-                    std::process::exit(2);
-                })
+                std::net::TcpListener::bind("127.0.0.1:0")
+                    .map_err(|e| format!("cannot reserve a loopback port: {e}"))
             })
-            .collect();
+            .collect::<Result<Vec<_>, _>>()?;
         listeners
             .iter()
             .map(|l| {
@@ -909,10 +845,7 @@ pub fn cluster_cmd(args: ClusterArgs) {
             })
             .collect()
     };
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("error: cannot locate the urb binary: {e}");
-        std::process::exit(2);
-    });
+    let exe = std::env::current_exe().map_err(|e| format!("cannot locate the urb binary: {e}"))?;
     let expect = n * args.msgs;
     let addr_list = addrs.join(",");
     let mut children = Vec::with_capacity(n);
@@ -941,20 +874,16 @@ pub fn cluster_cmd(args: ClusterArgs) {
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::inherit())
             .spawn()
-            .unwrap_or_else(|e| {
-                eprintln!("error: cannot spawn node {id}: {e}");
-                std::process::exit(2);
-            });
+            .map_err(|e| format!("cannot spawn node {id}: {e}"))?;
         children.push(child);
     }
     // Every child self-terminates by its --run-ms deadline, so a plain
     // wait is already bounded.
     let mut verdicts = Vec::with_capacity(n);
     for (id, child) in children.into_iter().enumerate() {
-        let out = child.wait_with_output().unwrap_or_else(|e| {
-            eprintln!("error: node {id} did not exit cleanly: {e}");
-            std::process::exit(2);
-        });
+        let out = child
+            .wait_with_output()
+            .map_err(|e| format!("node {id} did not exit cleanly: {e}"))?;
         let text = String::from_utf8_lossy(&out.stdout);
         let mut verdict = ChildVerdict {
             id,
@@ -1046,21 +975,18 @@ pub fn cluster_cmd(args: ClusterArgs) {
             if parity_ok { "PASS" } else { "FAIL" }
         );
     }
-    if !parity_ok {
-        std::process::exit(1);
-    }
-}
-
-/// `urb run` used by tests: returns the summary instead of printing.
-pub fn run_for_test(args: &RunArgs) -> RunSummary {
-    let out = urb_sim::run(build_config(args));
-    RunSummary::from_outcome(&out)
+    holds(parity_ok)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::RunArgs;
+    use urb_sim::FdKind;
+
+    /// `urb run` without the printing: the summary it would report.
+    fn run_for_test(args: &RunArgs) -> RunSummary {
+        RunSummary::from_outcome(&urb_sim::run(build_config(args)))
+    }
 
     #[test]
     fn build_config_maps_flags() {
@@ -1068,7 +994,7 @@ mod tests {
             n: 7,
             loss: 0.0,
             crashes: 2,
-            fd: Some(FdChoice::None),
+            fd: Some(FdKind::None),
             ..RunArgs::default()
         };
         let cfg = build_config(&args);
@@ -1170,19 +1096,21 @@ mod tests {
 
     #[test]
     fn bench_config_maps_flags() {
-        let cfg = build_trajectory_config(&BenchArgs::default());
+        let bench = |line: &str| {
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            match crate::args::parse(&argv) {
+                Ok(Command::Bench(args)) => args.trajectory,
+                other => panic!("{line}: {other:?}"),
+            }
+        };
+        let cfg = bench("bench");
         assert_eq!(cfg.ids.len(), 23, "all experiments by default");
         assert_eq!(cfg.seeds_per_cell, 3);
         assert_eq!(cfg.load_topics, None, "pinned open-loop defaults");
         assert_eq!(cfg.rates, None);
-        let cfg = build_trajectory_config(&BenchArgs {
-            seed: 9,
-            seeds: 2,
-            experiments: Some(vec!["e1".into(), "e4".into()]),
-            load_topics: Some(vec![1, 64]),
-            rates: Some(vec![500, 9_000]),
-            ..BenchArgs::default()
-        });
+        let cfg = bench(
+            "bench --seed 9 --seeds 2 --experiments e1,e4 --load-topics 1,64 --rates 500,9000",
+        );
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.seeds_per_cell, 2);
         assert_eq!(cfg.ids, vec!["e1".to_string(), "e4".to_string()]);

@@ -17,30 +17,30 @@
 //!
 //! Everything the CLI does goes through the same `urb_sim::run` entry point
 //! the tests and experiments use; the CLI only parses flags and formats
-//! output (human text by default, `--json` for machines).
+//! output (human text by default, `--json` for machines). This is the one
+//! place the process exits: 0 = the verdict holds, 1 = a verdict failed,
+//! 2 = unusable input or config.
 
-use urb_cli::args::{parse, Command};
+use std::process::ExitCode;
+use urb_cli::args::{parse, USAGE};
 use urb_cli::commands;
 
-fn main() {
+fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&argv) {
-        Ok(Command::Run(cfg)) => commands::run_cmd(cfg),
-        Ok(Command::Scenario(args)) => commands::scenario_cmd(args),
-        Ok(Command::Check(args)) => commands::check_cmd(args),
-        Ok(Command::Bench(args)) => commands::bench_cmd(args),
-        Ok(Command::Theorem2 { n, seed, json }) => commands::theorem2_cmd(n, seed, json),
-        Ok(Command::Sweep(cfg)) => commands::sweep_cmd(cfg),
-        Ok(Command::Node(args)) => commands::node_cmd(args),
-        Ok(Command::Cluster(args)) => commands::cluster_cmd(args),
-        Ok(Command::Topic(args)) => commands::topic_cmd(args),
-        Ok(Command::Help) => {
-            print!("{}", urb_cli::args::USAGE);
-        }
+    let command = match parse(&argv) {
+        Ok(command) => command,
         Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{}", urb_cli::args::USAGE);
-            std::process::exit(2);
+            eprint!("error: {e}\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match commands::execute(command) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(failure) => {
+            for line in &failure.lines {
+                eprintln!("{line}");
+            }
+            ExitCode::from(failure.code)
         }
     }
 }

@@ -722,6 +722,42 @@ fn bench_open_loop_ids_and_grid_flags() {
 }
 
 #[test]
+fn a_repeated_experiment_id_is_refused() {
+    // As a flag: a usage error, before anything is collected.
+    let out = run(&["bench", "--experiments", "e2,e2", "--seeds", "1"]);
+    assert_eq!(code(&out), 2, "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: --experiments names e2 twice\n"),
+        "{stderr}"
+    );
+    // In a file: a schema violation, so neither --validate nor --diff
+    // passes a point the diff would never compare.
+    let one = trajectory_json(1000);
+    let point_start = one.find("{\"id\"").unwrap();
+    let point_end = one[point_start..].find('}').unwrap() + point_start + 1;
+    let point = &one[point_start..point_end];
+    let twice = one.replacen(point, &format!("{point},\n      {point}"), 1);
+    let path = tmp("repeated_id.json");
+    std::fs::write(&path, &twice).unwrap();
+    let out = run(&["bench", "--validate", path.to_str().unwrap()]);
+    assert_eq!(code(&out), 1, "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("points[1].id repeats points[0].id"),
+        "{stderr}"
+    );
+    let out = run(&[
+        "bench",
+        "--diff",
+        path.to_str().unwrap(),
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 2, "{out:?}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn committed_baselines_diff_cleanly() {
     // The exact invocations the CI gate runs: both committed baselines
     // must be schema-valid, self-identical, and — crucially — agree with

@@ -141,11 +141,6 @@ impl Metrics {
         topics
     }
 
-    /// Number of URB-deliveries on one topic.
-    pub fn deliveries_for(&self, topic: TopicId) -> usize {
-        self.deliveries.iter().filter(|d| d.topic == topic).count()
-    }
-
     /// Folds an event into the determinism hash.
     pub fn hash_event(&mut self, time: u64, discriminant: u64, detail: u64) {
         let mut h = self.trace_hash ^ 0xcbf2_9ce4_8422_2325;
