@@ -53,60 +53,8 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use std::time::Instant;
 use urb_sim::metrics::DeliveryRecord;
-use urb_sim::{Expectations, ScenarioSpec, SpecError};
+use urb_sim::{Expectations, ScenarioSpec, SpecError, Strategy};
 use urb_types::{RandomSource, SplitMix64};
-
-/// Which exploration strategy to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Bounded DFS with state-hash pruning.
-    #[default]
-    Dfs,
-    /// Delay-bounded search around the canonical schedule, with the
-    /// sleep-set partial-order reduction.
-    DporLite,
-    /// Seeded random-walk fallback.
-    Random,
-}
-
-impl Strategy {
-    /// CLI/spec name of the strategy.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Strategy::Dfs => "dfs",
-            Strategy::DporLite => "dpor-lite",
-            Strategy::Random => "random",
-        }
-    }
-
-    /// Parses a strategy name (`dfs` | `dpor-lite` | `random`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "dfs" => Strategy::Dfs,
-            "dpor-lite" => Strategy::DporLite,
-            "random" => Strategy::Random,
-            other => {
-                return Err(format!(
-                    "unknown strategy {other:?} (dfs | dpor-lite | random)"
-                ))
-            }
-        })
-    }
-
-    /// Resolves the strategy one `urb check` run uses: an explicit
-    /// override wins, else the spec's `[check] strategy`, else the
-    /// default. Shared by the explorer and the CLI so the cache binding
-    /// and the actual run can never disagree.
-    pub fn resolve(spec: &ScenarioSpec, overridden: Option<Strategy>) -> Result<Self, SpecError> {
-        Ok(match overridden {
-            Some(s) => s,
-            None => match spec.check.strategy.as_deref() {
-                Some(name) => Strategy::parse(name).map_err(|message| SpecError { message })?,
-                None => Strategy::default(),
-            },
-        })
-    }
-}
 
 /// Exploration throughput and coverage counters — the bench plane of the
 /// checker (`states/sec`, dedup hit-rate) and the honesty report of a
@@ -318,7 +266,7 @@ pub fn check_scenario_with(
     mut cache: Option<&mut CacheSession>,
 ) -> Result<CheckOutcome, SpecError> {
     let model = CheckModel::from_spec(spec, opts.seed)?;
-    let strategy = Strategy::resolve(spec, opts.strategy)?;
+    let strategy = Strategy::resolve(spec, opts.strategy);
     let depth = opts.depth.unwrap_or(spec.check.depth);
     let jobs = opts.jobs.max(1);
     let dpor = opts.dpor.unwrap_or(strategy == Strategy::DporLite);

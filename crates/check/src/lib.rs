@@ -61,6 +61,7 @@ pub mod model;
 pub use cache::{CacheBinding, CacheError, CacheSession, CacheStats};
 pub use counterexample::Counterexample;
 pub use explorer::{
-    check_scenario, check_scenario_with, CheckOutcome, ExplorationStats, ExploreOptions, Strategy,
+    check_scenario, check_scenario_with, CheckOutcome, ExplorationStats, ExploreOptions,
 };
 pub use model::{CheckModel, CheckState, Choice};
+pub use urb_sim::Strategy;

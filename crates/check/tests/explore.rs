@@ -191,7 +191,7 @@ fn expected_violation_not_found_fails_the_check() {
 #[test]
 fn depth_and_strategy_overrides_beat_the_spec() {
     let mut spec = corpus_spec("theorem2_violation");
-    spec.check.strategy = Some("random".into());
+    spec.check.strategy = Some(Strategy::Random);
     let outcome = check_scenario(&spec, None, Some(3), None).unwrap();
     assert_eq!(outcome.strategy, Strategy::Random, "spec strategy honored");
     assert_eq!(outcome.depth, 3, "CLI depth override wins");
@@ -260,7 +260,7 @@ fn determinism_matrix_jobs_times_cache() {
     }
 
     let spec = corpus_spec("two_topics_smoke");
-    let strategy = Strategy::resolve(&spec, None).unwrap();
+    let strategy = Strategy::resolve(&spec, None);
     let mut cold = Vec::new();
     let mut warm = Vec::new();
     for jobs in [1usize, 2, 4] {

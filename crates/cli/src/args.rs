@@ -20,6 +20,7 @@ use urb_bench::{experiments, TrajectoryConfig};
 use urb_check::{ExploreOptions, Strategy};
 use urb_core::Algorithm;
 use urb_runtime::NodeConfig;
+use urb_sim::spec::MAX_N;
 use urb_sim::{FdKind, TopicAction};
 use urb_types::TopicId;
 
@@ -484,6 +485,9 @@ fn run(mut f: Flags) -> Result<RunArgs, String> {
         }
     }
     positive("--n", args.n)?;
+    if args.n > MAX_N {
+        return Err(format!("--n must be at most {MAX_N}"));
+    }
     positive("--topics", args.topics)?;
     if args.crashes >= args.n {
         return Err("--crashes must leave at least one correct process (t <= n-1)".into());
@@ -1122,6 +1126,7 @@ mod tests {
             ("run --alg paxos", "unknown algorithm \"paxos\""),
             ("run --fd psychic", "unknown detector \"psychic\""),
             ("run --n 0", "--n must be positive"),
+            ("run --n 5000000", "--n must be at most 1024"),
             ("run --topics 0", "--topics must be positive"),
             (
                 "run --crashes 5 --n 5",

@@ -344,8 +344,7 @@ pub fn check_cmd(args: CheckArgs) -> Result<(), Failure> {
     let spec = ScenarioSpec::from_named_str(path, &text).map_err(|e| format!("{path}: {e}"))?;
     // Resolve the strategy up front: the cache binding must name the
     // mode the run will actually use.
-    let strategy =
-        Strategy::resolve(&spec, args.explore.strategy).map_err(|e| format!("{path}: {e}"))?;
+    let strategy = Strategy::resolve(&spec, args.explore.strategy);
     let mut session = match &args.cache {
         None => None,
         Some(cache_path) => {

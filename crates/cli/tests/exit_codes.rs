@@ -112,6 +112,90 @@ fn scenario_integers_past_u32_are_exit_two_not_wrapped() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Writes `body` to a scratch spec and runs `urb <sub> <spec>`: the spec
+/// must be refused with exit 2 and an error naming each of `names`.
+fn assert_refused(sub: &str, file: &str, body: &str, names: &[&str]) {
+    let path = tmp(file);
+    std::fs::write(&path, body).unwrap();
+    let out = run(&[sub, path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code(&out), 2, "{sub} {body:?}: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for name in names {
+        assert!(stderr.contains(name), "names {name}: {stderr}");
+    }
+}
+
+#[test]
+fn generated_workload_times_past_u64_are_exit_two_not_wrapped() {
+    // Broadcast 2048 would land at 10 + 2048 · 2^53, which wraps to 10:
+    // before the fix this planned 2 broadcasts and passed.
+    assert_refused(
+        "scenario",
+        "spacing_wrap.toml",
+        "name = \"w\"\nn = 3\nhorizon = 100\n\
+         [workload]\ncount = 4096\nspacing = 9007199254740992\n",
+        &["workload.spacing", "9007199254740992"],
+    );
+}
+
+#[test]
+fn schedule_times_past_u64_are_exit_two_not_wrapped() {
+    // Churn's cycle i starts at start + i·(cut + heal): cycle 4096 at
+    // 4096 · 2^53 = 2^65. TOML integers stop at 2^53, JSON numbers do
+    // not: crash-storm's second victim lands at start + width = 2·10^19.
+    assert_refused(
+        "scenario",
+        "churn_wrap.toml",
+        "name = \"w\"\nn = 4\n[[schedule]]\nkind = \"churn\"\na = [0]\nb = [1]\n\
+         cut = 4503599627370496\nheal = 4503599627370496\ncycles = 4097\n",
+        &["churn", "cut + heal"],
+    );
+    assert_refused(
+        "scenario",
+        "storm_wrap.json",
+        r#"{"name": "w", "n": 4, "schedule": [
+            {"kind": "crash-storm", "count": 2, "start": 1e19, "width": 1e19}]}"#,
+        &["crash-storm", "width"],
+    );
+}
+
+#[test]
+fn oversized_system_is_exit_two_not_an_abort() {
+    // n = 5 000 000 asked for about 3.8 PB of per-link state.
+    let spec = "name = \"big\"\nn = 5000000\n";
+    assert_refused("scenario", "big_n.toml", spec, &["n = 5000000", "1024"]);
+    assert_refused("check", "big_n_check.toml", spec, &["n = 5000000", "1024"]);
+    let out = run(&["run", "--n", "5000000"]);
+    assert_eq!(code(&out), 2, "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--n must be at most 1024"), "{stderr}");
+}
+
+#[test]
+fn oversized_counts_are_exit_two_not_an_abort() {
+    // 4·10^9 cycles of a one-link churn asked for 8·10^9 blackouts.
+    assert_refused(
+        "scenario",
+        "big_churn.toml",
+        "name = \"big\"\nn = 2\n[[schedule]]\nkind = \"churn\"\na = [0]\nb = [1]\n\
+         cut = 1\nheal = 1\ncycles = 4000000000\n",
+        &["churn", "cycles = 4000000000"],
+    );
+    assert_refused(
+        "scenario",
+        "big_topics.toml",
+        "name = \"big\"\nn = 2\n[topics]\ncount = 4000000000\n",
+        &["topics.count", "4000000000"],
+    );
+    assert_refused(
+        "scenario",
+        "big_workload.toml",
+        "name = \"big\"\nn = 2\n[workload]\ncount = 3000000000\n",
+        &["workload.count", "3000000000"],
+    );
+}
+
 // ------------------------------------------------------------------
 // `urb check` — exploration verdicts and counterexample replay.
 

@@ -18,6 +18,10 @@ use crate::channel::DelayModel;
 use crate::crash::{CrashPlan, CrashRule};
 use crate::sim::{Blackout, DelayOverride, SimConfig};
 
+/// The most link windows one churn schedule may cut, so no file can ask
+/// for more blackouts than memory holds: the corpus cuts 54.
+const MAX_WINDOWS: u64 = 1 << 20;
+
 /// One named adversary shape. See the variant docs for the exact
 /// compilation; all times are simulated ticks, all windows half-open
 /// `[start, end)`.
@@ -98,13 +102,7 @@ pub enum Schedule {
 impl Schedule {
     /// The schedule's spec-file name (`kind = "…"`).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Schedule::PartitionHeal { .. } => "partition-heal",
-            Schedule::AckStarvation { .. } => "ack-starvation",
-            Schedule::TargetedDelay { .. } => "targeted-delay",
-            Schedule::CrashStorm { .. } => "crash-storm",
-            Schedule::Churn { .. } => "churn",
-        }
+        crate::spec::schedule_kind(self)
     }
 
     /// Compiles this schedule onto `cfg`, composing with whatever the spec
@@ -177,14 +175,21 @@ impl Schedule {
                         "crash-storm: cannot pick {count} victims from {n} processes"
                     ));
                 }
+                let gaps = victims.len().saturating_sub(1) as u64;
                 for (i, &pid) in victims.iter().enumerate() {
                     // Evenly spaced across the window; a single victim (or
-                    // zero width) crashes right at `start`.
-                    let at = if victims.len() > 1 {
-                        start + i as u64 * width / (victims.len() as u64 - 1)
-                    } else {
-                        *start
+                    // zero width) crashes right at `start`. The offset is
+                    // at most `width`, so only the sum can overflow.
+                    let offset = match gaps {
+                        0 => 0,
+                        _ => (u128::from(i as u64) * u128::from(*width) / u128::from(gaps)) as u64,
                     };
+                    let at = start.checked_add(offset).ok_or_else(|| {
+                        format!(
+                            "crash-storm: victim {i} at start + width × {i}/{gaps} is past \
+                             the last tick (u64::MAX)"
+                        )
+                    })?;
                     rules[pid] = CrashRule::At(at);
                 }
                 let plan = CrashPlan::from_rules(rules);
@@ -206,9 +211,29 @@ impl Schedule {
                 if *cut == 0 || *cycles == 0 {
                     return Err("churn: cut length and cycle count must be positive".into());
                 }
-                for i in 0..u64::from(*cycles) {
-                    let s = start + i * (cut + heal);
-                    cfg.blackouts.extend(Blackout::partition(a, b, s, s + cut));
+                // Each cycle cuts every link between the groups both ways.
+                let windows = u64::from(*cycles) * (2 * a.len() * b.len()) as u64;
+                if windows > MAX_WINDOWS {
+                    return Err(format!(
+                        "churn: cycles = {cycles} cut {windows} link windows, above the \
+                         maximum {MAX_WINDOWS}"
+                    ));
+                }
+                // Cycle `i` cuts from `start + i·(cut + heal)`; a cycle
+                // past the last tick is an error, never a wrapped window.
+                let past = |i: u32| {
+                    format!(
+                        "churn: cycle {i} at start + {i}·(cut + heal) runs past the last \
+                         tick (u64::MAX)"
+                    )
+                };
+                let mut s = *start;
+                for i in 0..*cycles {
+                    let end = s.checked_add(*cut).ok_or_else(|| past(i))?;
+                    cfg.blackouts.extend(Blackout::partition(a, b, s, end));
+                    if i + 1 < *cycles {
+                        s = end.checked_add(*heal).ok_or_else(|| past(i + 1))?;
+                    }
                 }
                 Ok(())
             }

@@ -77,5 +77,5 @@ pub use sim::{
     SimConfig, TopicAction, TopicEventCfg,
 };
 pub use soak::{soak, SoakConfig, SoakOutcome, SoakSample};
-pub use spec::{CheckBounds, Expectations, ScenarioSpec, SpecError};
+pub use spec::{CheckBounds, Expectations, ScenarioSpec, SpecError, Strategy};
 pub use trace::{Trace, TraceConfig, TraceEvent, TraceKind};

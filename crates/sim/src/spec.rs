@@ -21,15 +21,23 @@
 //!            Schedule::apply (adversary library)      Expectations::check
 //! ```
 //!
-//! Everything is checked: decoding rejects unknown keys (typos fail loudly,
-//! not silently), [`ScenarioSpec::compile`] validates ranges and resilience
-//! bounds, and [`Expectations`] turn the run's machine-checked URB verdict
-//! into a scenario-level pass/fail — a spec can legitimately *expect* a
-//! violation (the Theorem-2 corpus entry does).
+//! Every key of the file is declared once, in the schema module: its
+//! name, type, default, range and doc line. [`ScenarioSpec::from_value`]
+//! reads that table (rejecting unknown keys, so typos fail loudly, and
+//! integers out of range or past `u32::MAX`), and so does
+//! [`ScenarioSpec::to_toml`]. [`ScenarioSpec::compile`] checks the rules
+//! that tie keys together — pid ranges, resilience bounds, probability
+//! ranges, the topic lifecycle — and [`Expectations`] turn the run's
+//! machine-checked URB verdict into a scenario-level pass/fail: a spec can
+//! legitimately *expect* a violation (the Theorem-2 corpus entry does).
 //!
-//! The schema is documented in DESIGN.md §9; the shipped corpus lives in
-//! `scenarios/` and is embedded here via [`corpus`] so tests, experiments
-//! and examples replay it regardless of working directory.
+//! DESIGN.md §9 lists the schema (a test keeps it in step); the shipped
+//! corpus lives in `scenarios/` and is embedded here via [`corpus`] so
+//! tests, experiments and examples replay it regardless of working
+//! directory.
+
+mod schema;
+pub(crate) use schema::schedule_kind;
 
 use crate::adversary::Schedule;
 use crate::channel::{DelayModel, LossModel};
@@ -42,7 +50,6 @@ use crate::sim::{
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 use urb_core::Algorithm;
 use urb_fd::{HeartbeatConfig, OracleConfig};
 use urb_types::{MemoryConfig, Payload, SpillPolicy, TopicId};
@@ -83,29 +90,6 @@ pub enum StopRule {
     /// Run to the horizon regardless (quiescence-curve measurements,
     /// impossibility adversaries that must observe continued silence).
     Horizon,
-}
-
-impl StopRule {
-    fn as_str(self) -> &'static str {
-        match self {
-            StopRule::Quiescence => "quiescence",
-            StopRule::FullDelivery => "full-delivery",
-            StopRule::Horizon => "horizon",
-        }
-    }
-
-    fn from_str(s: &str) -> Result<Self, SpecError> {
-        Ok(match s {
-            "quiescence" => StopRule::Quiescence,
-            "full-delivery" => StopRule::FullDelivery,
-            "horizon" => StopRule::Horizon,
-            other => {
-                return Err(SpecError::new(format!(
-                    "unknown stop rule {other:?} (quiescence | full-delivery | horizon)"
-                )))
-            }
-        })
-    }
 }
 
 /// The application workload of a scenario.
@@ -301,6 +285,41 @@ impl Expectations {
     }
 }
 
+/// An exploration strategy of `urb check` (DESIGN.md §11), named by
+/// `[check] strategy` and `--strategy`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum Strategy {
+    /// Bounded DFS with state-hash pruning.
+    #[default]
+    Dfs,
+    /// Delay-bounded search around the canonical schedule, with the
+    /// sleep-set partial-order reduction.
+    DporLite,
+    /// Seeded random-walk fallback.
+    Random,
+}
+
+impl Strategy {
+    /// CLI/spec name of the strategy.
+    pub fn as_str(self) -> &'static str {
+        schema::name_of(self)
+    }
+
+    /// Parses a strategy name (`dfs` | `dpor-lite` | `random`).
+    pub fn parse(s: &str) -> Result<Self, String> {
+        schema::lookup(s)
+            .ok_or_else(|| format!("unknown strategy {s:?} ({})", schema::names::<Self>()))
+    }
+
+    /// Resolves the strategy one `urb check` run uses: an explicit
+    /// override wins, else the spec's `[check] strategy`, else the
+    /// default. Shared by the explorer and the CLI so the cache binding
+    /// and the actual run can never disagree.
+    pub fn resolve(spec: &ScenarioSpec, overridden: Option<Strategy>) -> Self {
+        overridden.or(spec.check.strategy).unwrap_or_default()
+    }
+}
+
 /// The `[check]` table: per-scenario bounds for the systematic explorer
 /// (`urb-check`, DESIGN.md §11). A scenario ships the exploration budget
 /// that makes its interesting schedules reachable — depth of the choice
@@ -319,9 +338,8 @@ pub struct CheckBounds {
     pub delay_budget: u32,
     /// Number of walks of the seeded random-walk strategy.
     pub walks: u32,
-    /// Default strategy for this scenario (`"dfs"`, `"dpor-lite"` or
-    /// `"random"`; `None` = the CLI default).
-    pub strategy: Option<String>,
+    /// Default strategy for this scenario (`None` = the CLI default).
+    pub strategy: Option<Strategy>,
 }
 
 impl Default for CheckBounds {
@@ -336,6 +354,21 @@ impl Default for CheckBounds {
         }
     }
 }
+
+/// The largest system size a scenario file or `urb run --n` may ask for.
+/// The corpus runs n ≤ 8 and the largest committed measurement n = 64.
+/// Per-link state grows as n², so an unbounded n let one file abort the
+/// process on allocation (n = 5 000 000 asked for 3.8 PB).
+pub const MAX_N: usize = 1024;
+
+/// The largest `[topics] count`: the corpus runs at most 2 topics and the
+/// open-loop grids 64. Every process holds one instance per topic; at the
+/// ~140 B an idle instance costs, `MAX_N × MAX_TOPICS` is about 0.6 GB.
+const MAX_TOPICS: u32 = 4096;
+
+/// The most broadcasts one workload may plan (each is a queued event
+/// with its payload): the corpus plans at most 40.
+const MAX_BROADCASTS: usize = 1 << 20;
 
 /// A complete declarative scenario. See the module docs for the pipeline
 /// and DESIGN.md §9 for the file schema.
@@ -461,305 +494,6 @@ impl ScenarioSpec {
         }
     }
 
-    /// Decodes a spec from the shared [`Value`] tree. Unknown keys are
-    /// rejected at every level.
-    pub fn from_value(value: &Value) -> Result<Self, SpecError> {
-        let map = as_table(value, "scenario")?;
-        check_keys(
-            map,
-            &[
-                "name",
-                "description",
-                "seed",
-                "n",
-                "topics",
-                "algorithm",
-                "horizon",
-                "tick_interval",
-                "tick_jitter",
-                "stats_interval",
-                "window",
-                "stop",
-                "loss",
-                "delay",
-                "fd",
-                "link",
-                "blackout",
-                "workload",
-                "crash",
-                "crash_random",
-                "schedule",
-                "expect",
-                "check",
-                "memory",
-            ],
-            "scenario",
-        )?;
-        let n = req_usize(map, "n")?;
-        let mut spec = ScenarioSpec::new(&req_str(map, "name")?, n, Algorithm::Quiescent);
-        if let Some(v) = map.get("topics") {
-            let t = as_table(v, "topics")?;
-            check_keys(t, &["count", "drain_ticks", "events"], "topics")?;
-            spec.topics = fit_u32(req_u64(t, "count")?, "topics.count")?;
-            if let Some(d) = t.get("drain_ticks") {
-                let d = as_u64(d, "topics.drain_ticks")?;
-                spec.drain_ticks = Some(fit_u32(d, "topics.drain_ticks")?);
-            }
-            if let Some(evs) = t.get("events") {
-                for item in as_array(evs, "topics.events")? {
-                    spec.topic_events.push(decode_topic_event(item)?);
-                }
-            }
-        }
-        spec.algorithm = match map.get("algorithm") {
-            Some(v) => parse_algorithm(as_str(v, "algorithm")?)?,
-            None => Algorithm::Quiescent,
-        };
-        spec.description = opt_str(map, "description", "")?;
-        spec.seed = opt_u64(map, "seed", spec.seed)?;
-        spec.horizon = opt_u64(map, "horizon", spec.horizon)?;
-        spec.tick_interval = opt_u64(map, "tick_interval", spec.tick_interval)?;
-        spec.tick_jitter = opt_u64(map, "tick_jitter", spec.tick_jitter)?;
-        spec.stats_interval = opt_u64(map, "stats_interval", spec.stats_interval)?;
-        spec.window = opt_u64(map, "window", spec.window)?;
-        if let Some(v) = map.get("stop") {
-            spec.stop = StopRule::from_str(as_str(v, "stop")?)?;
-        }
-        if let Some(v) = map.get("loss") {
-            spec.loss = decode_loss(v)?;
-        }
-        if let Some(v) = map.get("delay") {
-            spec.delay = decode_delay(v)?;
-        }
-        if let Some(v) = map.get("fd") {
-            spec.fd = Some(decode_fd(v)?);
-        }
-        if let Some(v) = map.get("link") {
-            for item in as_array(v, "link")? {
-                spec.links.push(decode_link(item)?);
-            }
-        }
-        if let Some(v) = map.get("blackout") {
-            for item in as_array(v, "blackout")? {
-                spec.blackouts.push(decode_blackout(item)?);
-            }
-        }
-        if let Some(v) = map.get("workload") {
-            spec.workload = decode_workload(v)?;
-        }
-        if let Some(v) = map.get("crash") {
-            for item in as_array(v, "crash")? {
-                spec.crashes.push(decode_crash(item)?);
-            }
-        }
-        if let Some(v) = map.get("crash_random") {
-            spec.crash_random = Some(decode_crash_random(v)?);
-        }
-        if let Some(v) = map.get("schedule") {
-            for item in as_array(v, "schedule")? {
-                spec.schedules.push(decode_schedule(item)?);
-            }
-        }
-        if let Some(v) = map.get("expect") {
-            spec.expect = decode_expect(v)?;
-        }
-        if let Some(v) = map.get("check") {
-            spec.check = decode_check(v)?;
-        }
-        if let Some(v) = map.get("memory") {
-            spec.memory = Some(decode_memory(v)?);
-        }
-        Ok(spec)
-    }
-
-    /// Renders the spec as canonical TOML. The guarantee the round-trip
-    /// property test enforces: `from_toml_str(spec.to_toml()) == spec`.
-    pub fn to_toml(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        let _ = writeln!(s, "name = {}", toml_str(&self.name));
-        if !self.description.is_empty() {
-            let _ = writeln!(s, "description = {}", toml_str(&self.description));
-        }
-        let _ = writeln!(s, "seed = {}", self.seed);
-        let _ = writeln!(s, "n = {}", self.n);
-        let _ = writeln!(
-            s,
-            "algorithm = {}",
-            toml_str(&format_algorithm(self.algorithm))
-        );
-        let _ = writeln!(s, "horizon = {}", self.horizon);
-        let _ = writeln!(s, "tick_interval = {}", self.tick_interval);
-        let _ = writeln!(s, "tick_jitter = {}", self.tick_jitter);
-        if self.stats_interval != 0 {
-            let _ = writeln!(s, "stats_interval = {}", self.stats_interval);
-        }
-        let _ = writeln!(s, "window = {}", self.window);
-        let _ = writeln!(s, "stop = {}", toml_str(self.stop.as_str()));
-        let _ = writeln!(s, "loss = {}", encode_loss(&self.loss));
-        let _ = writeln!(s, "delay = {}", encode_delay(&self.delay));
-        if let Some(fd) = &self.fd {
-            s.push_str(&encode_fd(fd));
-        }
-        if self.topics != 1 || self.drain_ticks.is_some() || !self.topic_events.is_empty() {
-            let _ = writeln!(s, "\n[topics]");
-            let _ = writeln!(s, "count = {}", self.topics);
-            if let Some(d) = self.drain_ticks {
-                let _ = writeln!(s, "drain_ticks = {d}");
-            }
-            for e in &self.topic_events {
-                let _ = writeln!(s, "\n[[topics.events]]");
-                let _ = writeln!(s, "at = {}", e.time);
-                match e.action {
-                    TopicAction::Create { topic, algorithm } => {
-                        let _ = writeln!(s, "create = {}", topic.0);
-                        if let Some(a) = algorithm {
-                            let _ = writeln!(s, "algorithm = {}", toml_str(&format_algorithm(a)));
-                        }
-                    }
-                    TopicAction::Retire { topic } => {
-                        let _ = writeln!(s, "retire = {}", topic.0);
-                    }
-                }
-            }
-        }
-        match &self.workload {
-            WorkloadSpec::Generated {
-                count,
-                spacing,
-                start,
-            } => {
-                let _ = writeln!(s, "\n[workload]");
-                let _ = writeln!(s, "count = {count}");
-                let _ = writeln!(s, "spacing = {spacing}");
-                let _ = writeln!(s, "start = {start}");
-            }
-            WorkloadSpec::PerTopic(list) => {
-                for w in list {
-                    let _ = writeln!(s, "\n[[workload]]");
-                    let _ = writeln!(s, "topic = {}", w.topic);
-                    let _ = writeln!(s, "count = {}", w.count);
-                    let _ = writeln!(s, "spacing = {}", w.spacing);
-                    let _ = writeln!(s, "start = {}", w.start);
-                }
-            }
-            WorkloadSpec::Explicit(list) => {
-                for b in list {
-                    let _ = writeln!(s, "\n[[workload.explicit]]");
-                    let _ = writeln!(s, "time = {}", b.time);
-                    let _ = writeln!(s, "pid = {}", b.pid);
-                    if b.topic != 0 {
-                        let _ = writeln!(s, "topic = {}", b.topic);
-                    }
-                    let _ = writeln!(s, "payload = {}", toml_str(&b.payload));
-                }
-            }
-        }
-        for c in &self.crashes {
-            let _ = writeln!(s, "\n[[crash]]");
-            let _ = writeln!(s, "pid = {}", c.pid);
-            match c.rule {
-                CrashRule::At(t) => {
-                    let _ = writeln!(s, "at = {t}");
-                }
-                CrashRule::OnFirstDelivery { delay } => {
-                    let _ = writeln!(s, "on_first_delivery = true");
-                    let _ = writeln!(s, "delay = {delay}");
-                }
-                // `never` exempts the pid from a [crash_random] draw.
-                CrashRule::Never => {
-                    let _ = writeln!(s, "never = true");
-                }
-            }
-        }
-        if let Some(r) = &self.crash_random {
-            let _ = writeln!(s, "\n[crash_random]");
-            let _ = writeln!(s, "count = {}", r.count);
-            let _ = writeln!(s, "horizon = {}", r.horizon);
-            if let Some(p) = r.protect {
-                let _ = writeln!(s, "protect = {p}");
-            }
-        }
-        for l in &self.links {
-            let _ = writeln!(s, "\n[[link]]");
-            let _ = writeln!(s, "from = {}", l.from);
-            let _ = writeln!(s, "to = {}", l.to);
-            if let Some(loss) = &l.loss {
-                let _ = writeln!(s, "loss = {}", encode_loss(loss));
-            }
-            if let Some(delay) = &l.delay {
-                let _ = writeln!(s, "delay = {}", encode_delay(delay));
-            }
-        }
-        for b in &self.blackouts {
-            let _ = writeln!(s, "\n[[blackout]]");
-            let _ = writeln!(s, "from = {}", b.from);
-            let _ = writeln!(s, "to = {}", b.to);
-            let _ = writeln!(s, "start = {}", b.start);
-            let _ = writeln!(s, "end = {}", b.end);
-        }
-        for sched in &self.schedules {
-            s.push_str(&encode_schedule(sched));
-        }
-        if !self.expect.is_unconstrained() {
-            let _ = writeln!(s, "\n[expect]");
-            let mut bool_line = |key: &str, v: Option<bool>| {
-                if let Some(b) = v {
-                    let _ = writeln!(s, "{key} = {b}");
-                }
-            };
-            bool_line("all_ok", self.expect.all_ok);
-            bool_line("validity", self.expect.validity);
-            bool_line("agreement", self.expect.agreement);
-            bool_line("integrity", self.expect.integrity);
-            bool_line("quiescent", self.expect.quiescent);
-            bool_line("topics_all_ok", self.expect.topics_all_ok);
-            if let Some(m) = self.expect.min_deliveries {
-                let _ = writeln!(s, "min_deliveries = {m}");
-            }
-            if let Some(m) = self.expect.min_deliveries_per_topic {
-                let _ = writeln!(s, "min_deliveries_per_topic = {m}");
-            }
-            if let Some(m) = self.expect.min_reclaimed_topics {
-                let _ = writeln!(s, "min_reclaimed_topics = {m}");
-            }
-        }
-        if self.check != CheckBounds::default() {
-            let d = CheckBounds::default();
-            let _ = writeln!(s, "\n[check]");
-            let mut num_line = |key: &str, v: u32, default: u32| {
-                if v != default {
-                    let _ = writeln!(s, "{key} = {v}");
-                }
-            };
-            num_line("depth", self.check.depth, d.depth);
-            num_line("max_drops", self.check.max_drops, d.max_drops);
-            num_line("tick_budget", self.check.tick_budget, d.tick_budget);
-            num_line("delay_budget", self.check.delay_budget, d.delay_budget);
-            num_line("walks", self.check.walks, d.walks);
-            if let Some(st) = &self.check.strategy {
-                let _ = writeln!(s, "strategy = {}", toml_str(st));
-            }
-        }
-        if let Some(m) = &self.memory {
-            let _ = writeln!(s, "\n[memory]");
-            let _ = writeln!(s, "grace_ticks = {}", m.grace_ticks);
-            let _ = writeln!(s, "conservative = {}", m.conservative);
-            let _ = writeln!(s, "tombstones = {}", m.tombstones);
-            if let Some(c) = m.ceiling {
-                let _ = writeln!(s, "ceiling = {c}");
-            }
-            let _ = writeln!(
-                s,
-                "spill = {}",
-                toml_str(match m.spill {
-                    SpillPolicy::StableOnly => "stable-only",
-                    SpillPolicy::Tombstones => "tombstones",
-                })
-            );
-        }
-        s
-    }
-
     /// Compiles the spec into a runnable [`SimConfig`], validating every
     /// cross-field constraint on the way (pid ranges, resilience bounds,
     /// probability ranges, window sanity).
@@ -867,18 +601,29 @@ impl ScenarioSpec {
                 count,
                 spacing,
                 start,
-            } => (0..*count)
-                .map(|i| PlannedBroadcast {
-                    time: start + i as u64 * spacing,
-                    pid: i % n,
-                    topic: TopicId::ZERO,
-                    payload: Payload::from(format!("m{i}").as_str()),
-                })
-                .collect(),
+            } => {
+                check_stream(*count, *spacing, *start)?;
+                (0..*count)
+                    .map(|i| PlannedBroadcast {
+                        time: start + i as u64 * spacing,
+                        pid: i % n,
+                        topic: TopicId::ZERO,
+                        payload: Payload::from(format!("m{i}").as_str()),
+                    })
+                    .collect()
+            }
             WorkloadSpec::PerTopic(list) => {
+                let total: usize = list.iter().map(|w| w.count).sum();
+                if total > MAX_BROADCASTS {
+                    return Err(SpecError::new(format!(
+                        "workload.count: the [[workload]] streams plan {total} broadcasts, \
+                         above the maximum {MAX_BROADCASTS}"
+                    )));
+                }
                 let mut planned = Vec::new();
                 for w in list {
                     check_topic(w.topic, "workload topic")?;
+                    check_stream(w.count, w.spacing, w.start)?;
                     for i in 0..w.count {
                         planned.push(PlannedBroadcast {
                             time: w.start + i as u64 * w.spacing,
@@ -997,56 +742,28 @@ impl ScenarioSpec {
 /// experiments and examples replay it regardless of working directory. Pairs
 /// of `(file stem, TOML text)`.
 pub fn corpus() -> Vec<(&'static str, &'static str)> {
-    vec![
-        (
-            "clean_smoke",
-            include_str!("../../../scenarios/clean_smoke.toml"),
-        ),
-        (
-            "lossy_crashes",
-            include_str!("../../../scenarios/lossy_crashes.toml"),
-        ),
-        (
-            "partition_heal",
-            include_str!("../../../scenarios/partition_heal.toml"),
-        ),
-        (
-            "ack_starvation",
-            include_str!("../../../scenarios/ack_starvation.toml"),
-        ),
-        ("churn", include_str!("../../../scenarios/churn.toml")),
-        (
-            "crash_storm",
-            include_str!("../../../scenarios/crash_storm.toml"),
-        ),
-        (
-            "targeted_delay",
-            include_str!("../../../scenarios/targeted_delay.toml"),
-        ),
-        (
-            "theorem2_violation",
-            include_str!("../../../scenarios/theorem2_violation.toml"),
-        ),
-        (
-            "two_topics_smoke",
-            include_str!("../../../scenarios/two_topics_smoke.toml"),
-        ),
-        (
-            "cross_topic_storm",
-            include_str!("../../../scenarios/cross_topic_storm.toml"),
-        ),
-        (
-            "bounded_memory",
-            include_str!("../../../scenarios/bounded_memory.toml"),
-        ),
-        (
-            "dynamic_topics",
-            include_str!("../../../scenarios/dynamic_topics.toml"),
-        ),
-        (
-            "undersized_tombstones",
-            include_str!("../../../scenarios/undersized_tombstones.toml"),
-        ),
+    macro_rules! corpus {
+        ($($stem:ident),*) => {
+            vec![$((
+                stringify!($stem),
+                include_str!(concat!("../../../scenarios/", stringify!($stem), ".toml")),
+            )),*]
+        };
+    }
+    corpus![
+        clean_smoke,
+        lossy_crashes,
+        partition_heal,
+        ack_starvation,
+        churn,
+        crash_storm,
+        targeted_delay,
+        theorem2_violation,
+        two_topics_smoke,
+        cross_topic_storm,
+        bounded_memory,
+        dynamic_topics,
+        undersized_tombstones
     ]
 }
 
@@ -1069,136 +786,21 @@ pub fn parse_algorithm(s: &str) -> Result<Algorithm, SpecError> {
             .map_err(|_| SpecError::new(format!("bad weakened threshold in {s:?}")))?;
         return Ok(Algorithm::WeakenedMajority { threshold });
     }
-    Ok(match s {
-        "majority" => Algorithm::Majority,
-        "quiescent" => Algorithm::Quiescent,
-        "quiescent-literal" => Algorithm::QuiescentLiteral,
-        "best-effort" => Algorithm::BestEffort,
-        "eager-rb" => Algorithm::EagerRb,
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown algorithm {other:?} (majority | quiescent | quiescent-literal | \
-                 best-effort | eager-rb | backoff:<cap> | weakened:<threshold>)"
-            )))
-        }
+    schema::lookup(s).ok_or_else(|| {
+        let named = schema::names::<Algorithm>();
+        SpecError::new(format!(
+            "unknown algorithm {s:?} ({named} | backoff:<cap> | weakened:<threshold>)"
+        ))
     })
 }
 
 /// Inverse of [`parse_algorithm`].
 pub fn format_algorithm(alg: Algorithm) -> String {
     match alg {
-        Algorithm::Majority => "majority".into(),
-        Algorithm::Quiescent => "quiescent".into(),
-        Algorithm::QuiescentLiteral => "quiescent-literal".into(),
-        Algorithm::BestEffort => "best-effort".into(),
-        Algorithm::EagerRb => "eager-rb".into(),
         Algorithm::MajorityBackoff { cap } => format!("backoff:{cap}"),
         Algorithm::WeakenedMajority { threshold } => format!("weakened:{threshold}"),
+        named => schema::name_of(named).into(),
     }
-}
-
-// ------------------------------------------------------------------
-// Value-tree decoding helpers.
-
-fn as_table<'a>(v: &'a Value, what: &str) -> Result<&'a BTreeMap<String, Value>, SpecError> {
-    match v {
-        Value::Object(map) => Ok(map),
-        _ => Err(SpecError::new(format!("{what} must be a table"))),
-    }
-}
-
-fn as_array<'a>(v: &'a Value, what: &str) -> Result<&'a Vec<Value>, SpecError> {
-    v.as_array()
-        .ok_or_else(|| SpecError::new(format!("{what} must be an array")))
-}
-
-fn as_str<'a>(v: &'a Value, what: &str) -> Result<&'a str, SpecError> {
-    v.as_str()
-        .ok_or_else(|| SpecError::new(format!("{what} must be a string")))
-}
-
-fn as_u64(v: &Value, what: &str) -> Result<u64, SpecError> {
-    v.as_u64()
-        .ok_or_else(|| SpecError::new(format!("{what} must be a non-negative integer")))
-}
-
-fn as_f64(v: &Value, what: &str) -> Result<f64, SpecError> {
-    v.as_f64()
-        .ok_or_else(|| SpecError::new(format!("{what} must be a number")))
-}
-
-fn as_bool(v: &Value, what: &str) -> Result<bool, SpecError> {
-    v.as_bool()
-        .ok_or_else(|| SpecError::new(format!("{what} must be a boolean")))
-}
-
-fn check_keys(
-    map: &BTreeMap<String, Value>,
-    allowed: &[&str],
-    what: &str,
-) -> Result<(), SpecError> {
-    for key in map.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(SpecError::new(format!(
-                "unknown key `{key}` in {what} (allowed: {})",
-                allowed.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn req_str(map: &BTreeMap<String, Value>, key: &str) -> Result<String, SpecError> {
-    match map.get(key) {
-        Some(v) => Ok(as_str(v, key)?.to_string()),
-        None => Err(SpecError::new(format!("missing required key `{key}`"))),
-    }
-}
-
-fn opt_str(map: &BTreeMap<String, Value>, key: &str, default: &str) -> Result<String, SpecError> {
-    match map.get(key) {
-        Some(v) => Ok(as_str(v, key)?.to_string()),
-        None => Ok(default.to_string()),
-    }
-}
-
-fn req_u64(map: &BTreeMap<String, Value>, key: &str) -> Result<u64, SpecError> {
-    match map.get(key) {
-        Some(v) => as_u64(v, key),
-        None => Err(SpecError::new(format!("missing required key `{key}`"))),
-    }
-}
-
-fn opt_u64(map: &BTreeMap<String, Value>, key: &str, default: u64) -> Result<u64, SpecError> {
-    match map.get(key) {
-        Some(v) => as_u64(v, key),
-        None => Ok(default),
-    }
-}
-
-/// Narrows a decoded integer into a `u32` field; a value past `u32::MAX`
-/// is an error naming `key`, never the id it would wrap to.
-fn fit_u32(v: u64, key: &str) -> Result<u32, SpecError> {
-    u32::try_from(v)
-        .map_err(|_| SpecError::new(format!("{key} = {v} does not fit a u32 (max {})", u32::MAX)))
-}
-
-fn req_usize(map: &BTreeMap<String, Value>, key: &str) -> Result<usize, SpecError> {
-    Ok(req_u64(map, key)? as usize)
-}
-
-fn opt_f64(map: &BTreeMap<String, Value>, key: &str, default: f64) -> Result<f64, SpecError> {
-    match map.get(key) {
-        Some(v) => as_f64(v, key),
-        None => Ok(default),
-    }
-}
-
-fn pid_list(v: &Value, what: &str) -> Result<Vec<usize>, SpecError> {
-    as_array(v, what)?
-        .iter()
-        .map(|item| Ok(as_u64(item, what)? as usize))
-        .collect()
 }
 
 fn check_pid(n: usize, pid: usize, what: &str) -> Result<(), SpecError> {
@@ -1208,6 +810,20 @@ fn check_pid(n: usize, pid: usize, what: &str) -> Result<(), SpecError> {
         )))
     } else {
         Ok(())
+    }
+}
+
+/// A generated stream's last broadcast, at `start + (count - 1) × spacing`,
+/// must fall on a representable tick: an error naming `spacing`, never a
+/// time that wraps around to an early one.
+fn check_stream(count: usize, spacing: u64, start: u64) -> Result<(), SpecError> {
+    let last = count.saturating_sub(1) as u64;
+    match spacing.checked_mul(last).and_then(|t| t.checked_add(start)) {
+        Some(_) => Ok(()),
+        None => Err(SpecError::new(format!(
+            "workload.spacing = {spacing}: broadcast {last} at start + {last} × spacing \
+             is past the last tick (u64::MAX)"
+        ))),
     }
 }
 
@@ -1236,678 +852,6 @@ fn check_loss(loss: &LossModel) -> Result<(), SpecError> {
         }
     }
 }
-
-fn decode_loss(v: &Value) -> Result<LossModel, SpecError> {
-    if let Some(s) = v.as_str() {
-        return match s {
-            "none" => Ok(LossModel::None),
-            "always" => Ok(LossModel::Always),
-            other => Err(SpecError::new(format!(
-                "loss {other:?} needs a table form (only \"none\" and \"always\" are bare)"
-            ))),
-        };
-    }
-    let map = as_table(v, "loss")?;
-    let model = req_str(map, "model")?;
-    match model.as_str() {
-        "none" => {
-            check_keys(map, &["model"], "loss")?;
-            Ok(LossModel::None)
-        }
-        "always" => {
-            check_keys(map, &["model"], "loss")?;
-            Ok(LossModel::Always)
-        }
-        "bernoulli" => {
-            check_keys(map, &["model", "p"], "loss")?;
-            Ok(LossModel::Bernoulli {
-                p: as_f64(
-                    map.get("p")
-                        .ok_or_else(|| SpecError::new("bernoulli loss needs `p`"))?,
-                    "p",
-                )?,
-            })
-        }
-        "bounded-bernoulli" => {
-            check_keys(map, &["model", "p", "max_consecutive"], "loss")?;
-            Ok(LossModel::BoundedBernoulli {
-                p: opt_f64(map, "p", 0.0)?,
-                max_consecutive: fit_u32(req_u64(map, "max_consecutive")?, "loss.max_consecutive")?,
-            })
-        }
-        "burst" => {
-            check_keys(map, &["model", "p_enter", "p_exit", "p_loss"], "loss")?;
-            Ok(LossModel::Burst {
-                p_enter: opt_f64(map, "p_enter", 0.0)?,
-                p_exit: opt_f64(map, "p_exit", 1.0)?,
-                p_loss: opt_f64(map, "p_loss", 0.0)?,
-            })
-        }
-        other => Err(SpecError::new(format!(
-            "unknown loss model {other:?} (none | bernoulli | bounded-bernoulli | burst | always)"
-        ))),
-    }
-}
-
-fn encode_loss(loss: &LossModel) -> String {
-    match loss {
-        LossModel::None => "{ model = \"none\" }".into(),
-        LossModel::Always => "{ model = \"always\" }".into(),
-        LossModel::Bernoulli { p } => format!("{{ model = \"bernoulli\", p = {p:?} }}"),
-        LossModel::BoundedBernoulli { p, max_consecutive } => format!(
-            "{{ model = \"bounded-bernoulli\", p = {p:?}, max_consecutive = {max_consecutive} }}"
-        ),
-        LossModel::Burst {
-            p_enter,
-            p_exit,
-            p_loss,
-        } => format!(
-            "{{ model = \"burst\", p_enter = {p_enter:?}, p_exit = {p_exit:?}, p_loss = {p_loss:?} }}"
-        ),
-    }
-}
-
-fn decode_delay(v: &Value) -> Result<DelayModel, SpecError> {
-    let map = as_table(v, "delay")?;
-    let model = req_str(map, "model")?;
-    match model.as_str() {
-        "constant" => {
-            check_keys(map, &["model", "ticks"], "delay")?;
-            Ok(DelayModel::Constant(req_u64(map, "ticks")?))
-        }
-        "uniform" => {
-            check_keys(map, &["model", "min", "max"], "delay")?;
-            let min = req_u64(map, "min")?;
-            let max = req_u64(map, "max")?;
-            if max < min {
-                return Err(SpecError::new(format!(
-                    "uniform delay max {max} below min {min}"
-                )));
-            }
-            Ok(DelayModel::Uniform { min, max })
-        }
-        "geometric" => {
-            check_keys(map, &["model", "base", "p_more", "cap"], "delay")?;
-            let p_more = opt_f64(map, "p_more", 0.0)?;
-            if !(0.0..1.0).contains(&p_more) {
-                return Err(SpecError::new(format!(
-                    "geometric delay p_more {p_more} not in [0, 1)"
-                )));
-            }
-            Ok(DelayModel::GeometricTail {
-                base: opt_u64(map, "base", 1)?,
-                p_more,
-                cap: req_u64(map, "cap")?,
-            })
-        }
-        other => Err(SpecError::new(format!(
-            "unknown delay model {other:?} (constant | uniform | geometric)"
-        ))),
-    }
-}
-
-fn encode_delay(delay: &DelayModel) -> String {
-    match delay {
-        DelayModel::Constant(t) => format!("{{ model = \"constant\", ticks = {t} }}"),
-        DelayModel::Uniform { min, max } => {
-            format!("{{ model = \"uniform\", min = {min}, max = {max} }}")
-        }
-        DelayModel::GeometricTail { base, p_more, cap } => {
-            format!("{{ model = \"geometric\", base = {base}, p_more = {p_more:?}, cap = {cap} }}")
-        }
-    }
-}
-
-fn decode_fd(v: &Value) -> Result<FdKind, SpecError> {
-    let map = as_table(v, "fd")?;
-    let kind = req_str(map, "kind")?;
-    match kind.as_str() {
-        "none" => {
-            check_keys(map, &["kind"], "fd")?;
-            Ok(FdKind::None)
-        }
-        "oracle" => {
-            check_keys(
-                map,
-                &[
-                    "kind",
-                    "appearance_spread",
-                    "theta_removal_delay",
-                    "pstar_removal_delay",
-                    "pstar_ready_slack",
-                    "faulty_knowledge",
-                ],
-                "fd",
-            )?;
-            let d = OracleConfig::default();
-            Ok(FdKind::Oracle(OracleConfig {
-                appearance_spread: opt_u64(map, "appearance_spread", d.appearance_spread)?,
-                theta_removal_delay: opt_u64(map, "theta_removal_delay", d.theta_removal_delay)?,
-                pstar_removal_delay: opt_u64(map, "pstar_removal_delay", d.pstar_removal_delay)?,
-                pstar_ready_slack: opt_u64(map, "pstar_ready_slack", d.pstar_ready_slack)?,
-                faulty_knowledge: match map.get("faulty_knowledge") {
-                    Some(v) => as_bool(v, "faulty_knowledge")?,
-                    None => d.faulty_knowledge,
-                },
-            }))
-        }
-        "heartbeat" => {
-            check_keys(map, &["kind", "period", "timeout"], "fd")?;
-            let d = HeartbeatConfig::default();
-            Ok(FdKind::Heartbeat(HeartbeatConfig {
-                period: opt_u64(map, "period", d.period)?,
-                timeout: opt_u64(map, "timeout", d.timeout)?,
-            }))
-        }
-        other => Err(SpecError::new(format!(
-            "unknown fd kind {other:?} (none | oracle | heartbeat)"
-        ))),
-    }
-}
-
-fn encode_fd(fd: &FdKind) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "\n[fd]");
-    match fd {
-        FdKind::None => {
-            let _ = writeln!(s, "kind = \"none\"");
-        }
-        FdKind::Oracle(c) => {
-            let _ = writeln!(s, "kind = \"oracle\"");
-            let _ = writeln!(s, "appearance_spread = {}", c.appearance_spread);
-            let _ = writeln!(s, "theta_removal_delay = {}", c.theta_removal_delay);
-            let _ = writeln!(s, "pstar_removal_delay = {}", c.pstar_removal_delay);
-            let _ = writeln!(s, "pstar_ready_slack = {}", c.pstar_ready_slack);
-            let _ = writeln!(s, "faulty_knowledge = {}", c.faulty_knowledge);
-        }
-        FdKind::Heartbeat(c) => {
-            let _ = writeln!(s, "kind = \"heartbeat\"");
-            let _ = writeln!(s, "period = {}", c.period);
-            let _ = writeln!(s, "timeout = {}", c.timeout);
-        }
-    }
-    s
-}
-
-fn decode_link(v: &Value) -> Result<LinkSpec, SpecError> {
-    let map = as_table(v, "link")?;
-    check_keys(map, &["from", "to", "loss", "delay"], "link")?;
-    Ok(LinkSpec {
-        from: req_usize(map, "from")?,
-        to: req_usize(map, "to")?,
-        loss: map.get("loss").map(decode_loss).transpose()?,
-        delay: map.get("delay").map(decode_delay).transpose()?,
-    })
-}
-
-fn decode_blackout(v: &Value) -> Result<Blackout, SpecError> {
-    let map = as_table(v, "blackout")?;
-    check_keys(map, &["from", "to", "start", "end"], "blackout")?;
-    Ok(Blackout {
-        from: req_usize(map, "from")?,
-        to: req_usize(map, "to")?,
-        start: req_u64(map, "start")?,
-        end: req_u64(map, "end")?,
-    })
-}
-
-fn decode_workload(v: &Value) -> Result<WorkloadSpec, SpecError> {
-    // `[[workload]]` array form: one generated stream per topic.
-    if let Some(items) = v.as_array() {
-        let list = items
-            .iter()
-            .map(|item| {
-                let map = as_table(item, "workload")?;
-                check_keys(map, &["topic", "count", "spacing", "start"], "workload")?;
-                Ok(TopicWorkload {
-                    topic: fit_u32(opt_u64(map, "topic", 0)?, "workload.topic")?,
-                    count: req_usize(map, "count")?,
-                    spacing: opt_u64(map, "spacing", 100)?,
-                    start: opt_u64(map, "start", 10)?,
-                })
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-        if list.is_empty() {
-            return Err(SpecError::new("[[workload]] must not be empty"));
-        }
-        return Ok(WorkloadSpec::PerTopic(list));
-    }
-    let map = as_table(v, "workload")?;
-    check_keys(map, &["count", "spacing", "start", "explicit"], "workload")?;
-    if let Some(list) = map.get("explicit") {
-        if map.contains_key("count") {
-            return Err(SpecError::new(
-                "workload has both `count` and `explicit` — pick one form",
-            ));
-        }
-        let list = as_array(list, "workload.explicit")?
-            .iter()
-            .map(|item| {
-                let map = as_table(item, "workload.explicit")?;
-                check_keys(
-                    map,
-                    &["time", "pid", "topic", "payload"],
-                    "workload.explicit",
-                )?;
-                Ok(BroadcastSpec {
-                    time: req_u64(map, "time")?,
-                    pid: req_usize(map, "pid")?,
-                    topic: fit_u32(opt_u64(map, "topic", 0)?, "workload.explicit.topic")?,
-                    payload: req_str(map, "payload")?,
-                })
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-        if list.is_empty() {
-            return Err(SpecError::new("workload.explicit must not be empty"));
-        }
-        return Ok(WorkloadSpec::Explicit(list));
-    }
-    Ok(WorkloadSpec::Generated {
-        count: req_usize(map, "count")?,
-        spacing: opt_u64(map, "spacing", 100)?,
-        start: opt_u64(map, "start", 10)?,
-    })
-}
-
-fn decode_crash(v: &Value) -> Result<CrashRuleSpec, SpecError> {
-    let map = as_table(v, "crash")?;
-    check_keys(
-        map,
-        &["pid", "at", "on_first_delivery", "delay", "never"],
-        "crash",
-    )?;
-    let pid = req_usize(map, "pid")?;
-    let on_first = match map.get("on_first_delivery") {
-        Some(v) => as_bool(v, "on_first_delivery")?,
-        None => false,
-    };
-    let never = match map.get("never") {
-        Some(v) => as_bool(v, "never")?,
-        None => false,
-    };
-    // The three forms are mutually exclusive: a spec that says both would
-    // otherwise run a *different* adversary than one of its lines claims.
-    let forms = usize::from(on_first) + usize::from(never) + usize::from(map.contains_key("at"));
-    if forms != 1 {
-        return Err(SpecError::new(format!(
-            "crash entry for pid {pid} needs exactly one of `at`, \
-             `on_first_delivery = true` or `never = true`"
-        )));
-    }
-    if map.contains_key("delay") && !on_first {
-        return Err(SpecError::new(format!(
-            "crash entry for pid {pid}: `delay` only applies to `on_first_delivery`"
-        )));
-    }
-    let rule = if on_first {
-        CrashRule::OnFirstDelivery {
-            delay: opt_u64(map, "delay", 0)?,
-        }
-    } else if never {
-        CrashRule::Never
-    } else {
-        CrashRule::At(req_u64(map, "at")?)
-    };
-    Ok(CrashRuleSpec { pid, rule })
-}
-
-fn decode_crash_random(v: &Value) -> Result<RandomCrashSpec, SpecError> {
-    let map = as_table(v, "crash_random")?;
-    check_keys(map, &["count", "horizon", "protect"], "crash_random")?;
-    Ok(RandomCrashSpec {
-        count: req_usize(map, "count")?,
-        horizon: opt_u64(map, "horizon", 400)?,
-        protect: map
-            .get("protect")
-            .map(|v| Ok::<usize, SpecError>(as_u64(v, "protect")? as usize))
-            .transpose()?,
-    })
-}
-
-fn decode_schedule(v: &Value) -> Result<Schedule, SpecError> {
-    let map = as_table(v, "schedule")?;
-    let kind = req_str(map, "kind")?;
-    match kind.as_str() {
-        "partition-heal" => {
-            check_keys(map, &["kind", "a", "b", "start", "end"], "schedule")?;
-            Ok(Schedule::PartitionHeal {
-                a: pid_list(
-                    map.get("a")
-                        .ok_or_else(|| SpecError::new("partition-heal needs `a`"))?,
-                    "a",
-                )?,
-                b: pid_list(
-                    map.get("b")
-                        .ok_or_else(|| SpecError::new("partition-heal needs `b`"))?,
-                    "b",
-                )?,
-                start: opt_u64(map, "start", 0)?,
-                end: req_u64(map, "end")?,
-            })
-        }
-        "ack-starvation" => {
-            check_keys(map, &["kind", "victim", "start", "end"], "schedule")?;
-            Ok(Schedule::AckStarvation {
-                victim: req_usize(map, "victim")?,
-                start: opt_u64(map, "start", 0)?,
-                end: req_u64(map, "end")?,
-            })
-        }
-        "targeted-delay" => {
-            check_keys(map, &["kind", "links", "base", "p_more", "cap"], "schedule")?;
-            let links = as_array(
-                map.get("links")
-                    .ok_or_else(|| SpecError::new("targeted-delay needs `links`"))?,
-                "links",
-            )?
-            .iter()
-            .map(|pair| {
-                let pair = as_array(pair, "links entry")?;
-                if pair.len() != 2 {
-                    return Err(SpecError::new("each links entry must be [from, to]"));
-                }
-                Ok((
-                    as_u64(&pair[0], "links.from")? as usize,
-                    as_u64(&pair[1], "links.to")? as usize,
-                ))
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-            Ok(Schedule::TargetedDelay {
-                links,
-                base: opt_u64(map, "base", 1)?,
-                p_more: opt_f64(map, "p_more", 0.5)?,
-                cap: req_u64(map, "cap")?,
-            })
-        }
-        "crash-storm" => {
-            check_keys(
-                map,
-                &["kind", "count", "start", "width", "protect"],
-                "schedule",
-            )?;
-            Ok(Schedule::CrashStorm {
-                count: req_usize(map, "count")?,
-                start: opt_u64(map, "start", 0)?,
-                width: opt_u64(map, "width", 0)?,
-                protect: map
-                    .get("protect")
-                    .map(|v| Ok::<usize, SpecError>(as_u64(v, "protect")? as usize))
-                    .transpose()?,
-            })
-        }
-        "churn" => {
-            check_keys(
-                map,
-                &["kind", "a", "b", "start", "cut", "heal", "cycles"],
-                "schedule",
-            )?;
-            Ok(Schedule::Churn {
-                a: pid_list(
-                    map.get("a")
-                        .ok_or_else(|| SpecError::new("churn needs `a`"))?,
-                    "a",
-                )?,
-                b: pid_list(
-                    map.get("b")
-                        .ok_or_else(|| SpecError::new("churn needs `b`"))?,
-                    "b",
-                )?,
-                start: opt_u64(map, "start", 0)?,
-                cut: req_u64(map, "cut")?,
-                heal: req_u64(map, "heal")?,
-                cycles: fit_u32(req_u64(map, "cycles")?, "schedule.cycles")?,
-            })
-        }
-        other => Err(SpecError::new(format!(
-            "unknown schedule kind {other:?} (partition-heal | ack-starvation | \
-             targeted-delay | crash-storm | churn)"
-        ))),
-    }
-}
-
-fn encode_schedule(s: &Schedule) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "\n[[schedule]]");
-    let _ = writeln!(out, "kind = {}", toml_str(s.kind()));
-    let list = |v: &[usize]| -> String {
-        let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-        format!("[{}]", items.join(", "))
-    };
-    match s {
-        Schedule::PartitionHeal { a, b, start, end } => {
-            let _ = writeln!(out, "a = {}", list(a));
-            let _ = writeln!(out, "b = {}", list(b));
-            let _ = writeln!(out, "start = {start}");
-            let _ = writeln!(out, "end = {end}");
-        }
-        Schedule::AckStarvation { victim, start, end } => {
-            let _ = writeln!(out, "victim = {victim}");
-            let _ = writeln!(out, "start = {start}");
-            let _ = writeln!(out, "end = {end}");
-        }
-        Schedule::TargetedDelay {
-            links,
-            base,
-            p_more,
-            cap,
-        } => {
-            let pairs: Vec<String> = links.iter().map(|(f, t)| format!("[{f}, {t}]")).collect();
-            let _ = writeln!(out, "links = [{}]", pairs.join(", "));
-            let _ = writeln!(out, "base = {base}");
-            let _ = writeln!(out, "p_more = {p_more:?}");
-            let _ = writeln!(out, "cap = {cap}");
-        }
-        Schedule::CrashStorm {
-            count,
-            start,
-            width,
-            protect,
-        } => {
-            let _ = writeln!(out, "count = {count}");
-            let _ = writeln!(out, "start = {start}");
-            let _ = writeln!(out, "width = {width}");
-            if let Some(p) = protect {
-                let _ = writeln!(out, "protect = {p}");
-            }
-        }
-        Schedule::Churn {
-            a,
-            b,
-            start,
-            cut,
-            heal,
-            cycles,
-        } => {
-            let _ = writeln!(out, "a = {}", list(a));
-            let _ = writeln!(out, "b = {}", list(b));
-            let _ = writeln!(out, "start = {start}");
-            let _ = writeln!(out, "cut = {cut}");
-            let _ = writeln!(out, "heal = {heal}");
-            let _ = writeln!(out, "cycles = {cycles}");
-        }
-    }
-    out
-}
-
-fn decode_topic_event(v: &Value) -> Result<TopicEventCfg, SpecError> {
-    let map = as_table(v, "topics.events")?;
-    check_keys(
-        map,
-        &["at", "create", "retire", "algorithm"],
-        "topics.events",
-    )?;
-    let time = req_u64(map, "at")?;
-    let topic = |v: &Value, key: &str| Ok::<_, SpecError>(TopicId(fit_u32(as_u64(v, key)?, key)?));
-    let action = match (map.get("create"), map.get("retire")) {
-        (Some(c), None) => TopicAction::Create {
-            topic: topic(c, "topics.events.create")?,
-            algorithm: map
-                .get("algorithm")
-                .map(|a| parse_algorithm(as_str(a, "topics.events.algorithm")?))
-                .transpose()?,
-        },
-        (None, Some(r)) => {
-            if map.contains_key("algorithm") {
-                return Err(SpecError::new(
-                    "topics.events: `algorithm` only applies to `create` entries",
-                ));
-            }
-            TopicAction::Retire {
-                topic: topic(r, "topics.events.retire")?,
-            }
-        }
-        _ => {
-            return Err(SpecError::new(
-                "topics.events entry needs exactly one of `create` / `retire`",
-            ))
-        }
-    };
-    Ok(TopicEventCfg { time, action })
-}
-
-fn decode_expect(v: &Value) -> Result<Expectations, SpecError> {
-    let map = as_table(v, "expect")?;
-    check_keys(
-        map,
-        &[
-            "all_ok",
-            "validity",
-            "agreement",
-            "integrity",
-            "quiescent",
-            "min_deliveries",
-            "topics_all_ok",
-            "min_deliveries_per_topic",
-            "min_reclaimed_topics",
-        ],
-        "expect",
-    )?;
-    let get_bool = |key: &str| -> Result<Option<bool>, SpecError> {
-        map.get(key).map(|v| as_bool(v, key)).transpose()
-    };
-    Ok(Expectations {
-        all_ok: get_bool("all_ok")?,
-        validity: get_bool("validity")?,
-        agreement: get_bool("agreement")?,
-        integrity: get_bool("integrity")?,
-        quiescent: get_bool("quiescent")?,
-        topics_all_ok: get_bool("topics_all_ok")?,
-        min_deliveries: map
-            .get("min_deliveries")
-            .map(|v| Ok::<usize, SpecError>(as_u64(v, "min_deliveries")? as usize))
-            .transpose()?,
-        min_deliveries_per_topic: map
-            .get("min_deliveries_per_topic")
-            .map(|v| Ok::<usize, SpecError>(as_u64(v, "min_deliveries_per_topic")? as usize))
-            .transpose()?,
-        min_reclaimed_topics: map
-            .get("min_reclaimed_topics")
-            .map(|v| as_u64(v, "min_reclaimed_topics"))
-            .transpose()?,
-    })
-}
-
-fn decode_check(v: &Value) -> Result<CheckBounds, SpecError> {
-    let map = as_table(v, "check")?;
-    check_keys(
-        map,
-        &[
-            "depth",
-            "max_drops",
-            "tick_budget",
-            "delay_budget",
-            "walks",
-            "strategy",
-        ],
-        "check",
-    )?;
-    let d = CheckBounds::default();
-    let strategy = match map.get("strategy") {
-        Some(v) => {
-            let s = as_str(v, "strategy")?;
-            if !matches!(s, "dfs" | "dpor-lite" | "random") {
-                return Err(SpecError::new(format!(
-                    "unknown check strategy {s:?} (dfs | dpor-lite | random)"
-                )));
-            }
-            Some(s.to_string())
-        }
-        None => None,
-    };
-    let bounds = CheckBounds {
-        depth: fit_u32(opt_u64(map, "depth", d.depth.into())?, "check.depth")?,
-        max_drops: fit_u32(
-            opt_u64(map, "max_drops", d.max_drops.into())?,
-            "check.max_drops",
-        )?,
-        tick_budget: fit_u32(
-            opt_u64(map, "tick_budget", d.tick_budget.into())?,
-            "check.tick_budget",
-        )?,
-        delay_budget: fit_u32(
-            opt_u64(map, "delay_budget", d.delay_budget.into())?,
-            "check.delay_budget",
-        )?,
-        walks: fit_u32(opt_u64(map, "walks", d.walks.into())?, "check.walks")?,
-        strategy,
-    };
-    if bounds.depth == 0 {
-        return Err(SpecError::new("check.depth must be positive"));
-    }
-    if bounds.walks == 0 {
-        return Err(SpecError::new("check.walks must be positive"));
-    }
-    Ok(bounds)
-}
-
-fn decode_memory(v: &Value) -> Result<MemoryConfig, SpecError> {
-    let map = as_table(v, "memory")?;
-    check_keys(
-        map,
-        &[
-            "grace_ticks",
-            "conservative",
-            "tombstones",
-            "ceiling",
-            "spill",
-        ],
-        "memory",
-    )?;
-    let d = MemoryConfig::default();
-    let spill = match map.get("spill") {
-        Some(v) => match as_str(v, "spill")? {
-            "stable-only" => SpillPolicy::StableOnly,
-            "tombstones" => SpillPolicy::Tombstones,
-            other => {
-                return Err(SpecError::new(format!(
-                    "unknown memory spill policy {other:?} (stable-only | tombstones)"
-                )))
-            }
-        },
-        None => d.spill,
-    };
-    Ok(MemoryConfig {
-        grace_ticks: fit_u32(
-            opt_u64(map, "grace_ticks", d.grace_ticks.into())?,
-            "memory.grace_ticks",
-        )?,
-        conservative: match map.get("conservative") {
-            Some(v) => as_bool(v, "memory.conservative")?,
-            None => d.conservative,
-        },
-        tombstones: opt_u64(map, "tombstones", d.tombstones as u64)? as usize,
-        ceiling: match map.get("ceiling") {
-            Some(v) => Some(as_u64(v, "memory.ceiling")? as usize),
-            None => None,
-        },
-        spill,
-    })
-}
-
-fn toml_str(s: &str) -> String {
-    format!("\"{}\"", serde_json::escape(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2044,7 +988,7 @@ mod tests {
             tick_budget: 2,
             delay_budget: 7,
             walks: 9,
-            strategy: Some("dpor-lite".into()),
+            strategy: Some(Strategy::DporLite),
         };
         let toml = spec.to_toml();
         let parsed = ScenarioSpec::from_toml_str(&toml).unwrap();
@@ -2111,7 +1055,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.check.depth, 30);
-        assert_eq!(spec.check.strategy.as_deref(), Some("random"));
+        assert_eq!(spec.check.strategy, Some(Strategy::Random));
         assert_eq!(
             spec.check.max_drops,
             CheckBounds::default().max_drops,
@@ -2427,6 +1371,28 @@ mod tests {
             let (_, fails) = spec.run().unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(fails.is_empty(), "{name}: {fails:?}");
         }
+    }
+
+    #[test]
+    fn design_section_9_lists_exactly_the_schema() {
+        // Every schema key appears in DESIGN.md §9 and §9 names no other:
+        // the file-schema table is the schema's own rows, in order, with
+        // each key's default, range and doc line.
+        let design = include_str!("../../../DESIGN.md");
+        let table = &design[design.find("### File schema").expect("§9 file schema")..];
+        let table = &table[..table[1..].find("\n### ").map_or(table.len(), |i| i + 1)];
+        let listed: Vec<&str> = table.lines().filter(|l| l.starts_with("| `")).collect();
+        let schema: Vec<String> = ScenarioSpec::schema()
+            .into_iter()
+            .map(|[path, default, range, doc]| {
+                format!("| `{path}` | {default} | {range} | {doc} |")
+            })
+            .collect();
+        assert!(
+            listed == schema,
+            "DESIGN.md §9 must list the schema's keys, row for row:\n{}",
+            schema.join("\n")
+        );
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! Whole-stack tests of the declarative scenario plane (DESIGN.md §9):
 //!
 //! * a **round-trip property test** — randomly generated specs survive
-//!   `spec → TOML → spec` unchanged (and compile). The proptest shim does
-//!   not shrink, but generation is built from small independent
-//!   components, so a failure prints the offending spec's own TOML —
-//!   already the minimal reproduction;
+//!   `spec → TOML → spec` unchanged (and compile), and over the run the
+//!   emitted TOML holds every key DESIGN.md §9 lists (which a `urb-sim`
+//!   test holds equal to the schema), so a key added without generator
+//!   coverage fails here. The proptest shim does not shrink, but
+//!   generation is built from small independent components, so a failure
+//!   prints the offending spec's own TOML — already the minimal
+//!   reproduction;
+//! * a **corpus-listing test** — `spec::corpus()` embeds exactly the
+//!   `scenarios/*.toml` files, so a new file cannot escape the corpus
+//!   pins, experiments and checker parity below;
 //! * a **golden-file test** — the `partition_heal` corpus scenario
 //!   replays to exactly the delivery trace recorded in
 //!   `tests/golden/partition_heal.json`, and the serial driver and the
@@ -16,9 +22,20 @@
 //!   `tests/golden/corpus.json` (regenerated the same way).
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use serde_json::Value;
+use std::collections::{BTreeMap, BTreeSet};
+use urb_core::Algorithm;
+use urb_fd::{HeartbeatConfig, OracleConfig};
 use urb_sim::adversary::Schedule;
-use urb_sim::spec::{corpus, BroadcastSpec, Expectations, ScenarioSpec, StopRule, WorkloadSpec};
-use urb_sim::{DelayModel, LossModel, RunOutcome};
+use urb_sim::spec::{
+    corpus, BroadcastSpec, CheckBounds, CrashRuleSpec, Expectations, LinkSpec, RandomCrashSpec,
+    ScenarioSpec, StopRule, Strategy as Explore, TopicWorkload, WorkloadSpec,
+};
+use urb_sim::{
+    Blackout, CrashRule, DelayModel, FdKind, LossModel, RunOutcome, TopicAction, TopicEventCfg,
+};
+use urb_types::{MemoryConfig, RandomSource, SpillPolicy, SplitMix64, TopicId};
 
 // ------------------------------------------------------------------
 // Spec generation. The shim has no flat_map, so dependent values (pids
@@ -31,6 +48,7 @@ type RawSpec = (
     (usize, u64, u8, u64, f64, f64),
     (u8, u8, usize, u64, u64, bool),
     (u8, usize, u64, u64, u32, bool),
+    u64,
 );
 
 fn raw_spec() -> impl Strategy<Value = RawSpec> {
@@ -59,6 +77,7 @@ fn raw_spec() -> impl Strategy<Value = RawSpec> {
             1u32..4,
             any::<bool>(),
         ),
+        any::<u64>(),
     )
 }
 
@@ -67,6 +86,7 @@ fn build_spec(raw: RawSpec) -> ScenarioSpec {
         (n, seed, alg_idx, horizon, p1, p2),
         (stop_idx, loss_idx, count, spacing, start, explicit),
         (sched_idx, pid_raw, win_start, win_len, cycles, expect_quiet),
+        extras,
     ) = raw;
     let algorithm = urb_sim::spec::parse_algorithm(
         [
@@ -172,21 +192,285 @@ fn build_spec(raw: RawSpec) -> ScenarioSpec {
         min_deliveries: Some(count),
         ..Expectations::default()
     };
+    add_extras(&mut spec, extras, sched_idx == 4);
     spec
 }
 
-proptest! {
-    #[test]
-    fn spec_toml_spec_is_the_identity(raw in raw_spec()) {
-        let spec = build_spec(raw);
+/// The extras' own randomness, seeded from one drawn word.
+struct Draw(SplitMix64);
+
+impl Draw {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0.gen_range(bound)
+    }
+
+    fn coin(&mut self) -> bool {
+        self.below(2) == 0
+    }
+
+    /// A drawn value half the time.
+    fn maybe<T>(&mut self, value: impl FnOnce(&mut Self) -> T) -> Option<T> {
+        if self.coin() {
+            Some(value(self))
+        } else {
+            None
+        }
+    }
+}
+
+/// Sets, from one seed, the keys the base generator leaves at their
+/// defaults: topics and their lifecycle, per-topic streams, detectors,
+/// links, blackouts, crash rules, `[check]`, `[memory]` and every
+/// `[expect]` key. Every value stays compilable: crash rules leave a
+/// process correct and are skipped beside a crash storm.
+fn add_extras(spec: &mut ScenarioSpec, seed: u64, storm: bool) {
+    let mut d = Draw(SplitMix64::new(seed));
+    let n = spec.n;
+    if d.coin() {
+        spec.description = "drawn \"extras\"".into();
+    }
+    spec.stats_interval = d.maybe(|d| 1 + d.below(500)).unwrap_or(0);
+    if d.coin() {
+        spec.topics = 1 + d.below(3) as u32;
+        spec.drain_ticks = d.maybe(|d| d.below(64) as u32);
+        let topic = TopicId(spec.topics);
+        let algorithm = d.maybe(|_| Algorithm::Majority);
+        let create = TopicAction::Create { topic, algorithm };
+        spec.topic_events.push(TopicEventCfg {
+            time: 50,
+            action: create,
+        });
+        if d.coin() {
+            let retire = TopicAction::Retire { topic };
+            spec.topic_events.push(TopicEventCfg {
+                time: 900,
+                action: retire,
+            });
+        }
+        match &mut spec.workload {
+            WorkloadSpec::Generated {
+                count,
+                spacing,
+                start,
+            } => {
+                let (count, spacing, start) = (*count, *spacing, *start);
+                let stream = |topic| TopicWorkload {
+                    topic,
+                    count,
+                    spacing,
+                    start,
+                };
+                spec.workload = WorkloadSpec::PerTopic((0..spec.topics).map(stream).collect());
+            }
+            WorkloadSpec::Explicit(list) => list[0].topic = spec.topics - 1,
+            WorkloadSpec::PerTopic(_) => {}
+        }
+    }
+    spec.fd = match d.below(3) {
+        0 => None,
+        1 => Some(FdKind::Oracle(OracleConfig {
+            appearance_spread: d.below(100),
+            faulty_knowledge: d.coin(),
+            ..OracleConfig::default()
+        })),
+        _ => Some(FdKind::Heartbeat(HeartbeatConfig {
+            period: 1 + d.below(50),
+            timeout: 50 + d.below(200),
+        })),
+    };
+    let (from, to) = (d.below(n as u64) as usize, d.below(n as u64) as usize);
+    let (loss, delay) = (
+        Some(LossModel::Bernoulli { p: 0.1 }),
+        Some(DelayModel::Constant(2)),
+    );
+    match d.below(4) {
+        0 => {}
+        1 => spec.links.push(LinkSpec {
+            from,
+            to,
+            loss,
+            delay: None,
+        }),
+        2 => spec.links.push(LinkSpec {
+            from,
+            to,
+            loss: None,
+            delay,
+        }),
+        _ => spec.links.push(LinkSpec {
+            from,
+            to,
+            loss,
+            delay,
+        }),
+    }
+    if d.coin() {
+        let start = d.below(500);
+        let end = start + 1 + d.below(100);
+        spec.blackouts.push(Blackout {
+            from,
+            to,
+            start,
+            end,
+        });
+    }
+    if !storm && n >= 3 {
+        let rule = match d.below(4) {
+            0 => None,
+            1 => Some(CrashRule::At(100 + d.below(400))),
+            2 => Some(CrashRule::OnFirstDelivery { delay: d.below(5) }),
+            _ => Some(CrashRule::Never),
+        };
+        spec.crashes
+            .extend(rule.map(|rule| CrashRuleSpec { pid: n - 1, rule }));
+        let protect = d.maybe(|_| 0);
+        let random = RandomCrashSpec {
+            count: 1,
+            horizon: 50 + d.below(400),
+            protect,
+        };
+        spec.crash_random = d.maybe(|_| random);
+    }
+    if d.coin() {
+        let strategy = [Explore::Dfs, Explore::DporLite, Explore::Random][d.below(3) as usize];
+        spec.check = CheckBounds {
+            depth: 1 + d.below(200) as u32,
+            max_drops: d.below(5) as u32,
+            tick_budget: d.below(4) as u32,
+            delay_budget: d.below(9) as u32,
+            walks: 1 + d.below(100) as u32,
+            strategy: d.maybe(|_| strategy),
+        };
+    }
+    if d.coin() {
+        let spill = [SpillPolicy::StableOnly, SpillPolicy::Tombstones][d.below(2) as usize];
+        spec.memory = Some(MemoryConfig {
+            grace_ticks: d.below(16) as u32,
+            conservative: d.coin(),
+            tombstones: 64 + d.below(4096) as usize,
+            ceiling: d.maybe(|d| 1_000 + d.below(10_000) as usize),
+            spill,
+        });
+    }
+    let mut verdict = || [None, Some(true), Some(false)][d.below(3) as usize];
+    let (all_ok, validity, agreement, integrity) = (verdict(), verdict(), verdict(), verdict());
+    let (quiescent, topics_all_ok) = (verdict(), verdict());
+    spec.expect = Expectations {
+        all_ok,
+        validity,
+        agreement,
+        integrity,
+        quiescent,
+        topics_all_ok,
+        min_deliveries: d.maybe(|d| d.below(50) as usize),
+        min_deliveries_per_topic: d.maybe(|d| d.below(10) as usize),
+        min_reclaimed_topics: d.maybe(|d| d.below(10)),
+    };
+}
+
+/// Cases of the round-trip property; at least this many, whatever
+/// `PROPTEST_CASES` asks, so the key-coverage assertion is stable.
+const ROUND_TRIP_CASES: u32 = 256;
+
+#[test]
+fn spec_toml_spec_is_the_identity() {
+    let mut rng = TestRng::deterministic("spec_toml_spec_is_the_identity");
+    let mut emitted = BTreeSet::new();
+    for _ in 0..ProptestConfig::default().cases.max(ROUND_TRIP_CASES) {
+        let spec = build_spec(raw_spec().generate(&mut rng));
         let toml = spec.to_toml();
         let parsed = ScenarioSpec::from_toml_str(&toml)
             .unwrap_or_else(|e| panic!("emitted TOML must parse: {e}\n{toml}"));
-        prop_assert_eq!(&parsed, &spec, "round trip changed the spec:\n{}", toml);
+        assert_eq!(parsed, spec, "round trip changed the spec:\n{toml}");
         // Every generated spec is also compilable (the generator only
         // produces in-range values), so the DSL surface stays runnable.
         parsed.compile().unwrap_or_else(|e| panic!("{e}\n{toml}"));
+        match urb_sim::minitoml::parse(&toml).unwrap() {
+            Value::Object(map) => key_paths(&map, "", &mut emitted),
+            other => panic!("a spec is a table: {other:?}"),
+        }
     }
+    let schema = design_key_paths();
+    let missed: Vec<&String> = schema.difference(&emitted).collect();
+    assert!(
+        missed.is_empty(),
+        "no generated spec wrote {missed:?}: extend build_spec"
+    );
+    let unknown: Vec<&String> = emitted.difference(&schema).collect();
+    assert!(
+        unknown.is_empty(),
+        "to_toml wrote keys DESIGN.md §9 lacks: {unknown:?}"
+    );
+}
+
+/// The key paths of a table, named as DESIGN.md §9 names them: under the
+/// enclosing table, with a tagged table's variant (`loss.bernoulli.p`)
+/// and a `model`-tagged table under its own key (`link.loss` holds
+/// `loss.*` keys).
+fn key_paths(map: &BTreeMap<String, Value>, what: &str, out: &mut BTreeSet<String>) {
+    let join = |a: &str, b: &str| {
+        if a.is_empty() {
+            b.to_string()
+        } else {
+            format!("{a}.{b}")
+        }
+    };
+    let tag = ["model", "kind"].into_iter().find(|t| map.contains_key(*t));
+    for (key, value) in map {
+        out.insert(match tag {
+            Some(tag) if tag != key => join(&join(what, map[tag].as_str().unwrap()), key),
+            _ => join(what, key),
+        });
+        let tables: Vec<&BTreeMap<String, Value>> = match value {
+            Value::Object(sub) => vec![sub],
+            Value::Array(items) => items
+                .iter()
+                .filter_map(|i| match i {
+                    Value::Object(sub) => Some(sub),
+                    _ => None,
+                })
+                .collect(),
+            _ => continue,
+        };
+        for sub in tables {
+            let within = if sub.contains_key("model") {
+                key.clone()
+            } else {
+                join(what, key)
+            };
+            key_paths(sub, &within, out);
+        }
+    }
+}
+
+/// The key paths DESIGN.md §9's file-schema table lists.
+fn design_key_paths() -> BTreeSet<String> {
+    let design = include_str!("../DESIGN.md");
+    let table = &design[design
+        .find("### File schema")
+        .expect("DESIGN.md §9 file schema")..];
+    let table = &table[..table[1..].find("\n### ").map_or(table.len(), |i| i + 1)];
+    let rows = table.lines().filter_map(|l| l.strip_prefix("| `"));
+    rows.map(|row| row[..row.find('`').unwrap()].to_string())
+        .collect()
+}
+
+#[test]
+fn corpus_names_exactly_the_scenario_files() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .expect("scenarios/ is readable")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let mut stems: Vec<&str> = corpus().into_iter().map(|(stem, _)| stem).collect();
+    stems.sort();
+    assert_eq!(
+        stems, files,
+        "spec::corpus() must embed every scenarios/*.toml file, and only those"
+    );
 }
 
 proptest! {
