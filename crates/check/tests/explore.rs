@@ -20,6 +20,12 @@ use urb_core::Algorithm;
 use urb_sim::spec::{corpus, CrashRuleSpec};
 use urb_sim::{CrashRule, ScenarioSpec};
 
+/// FNV-1a of a witness's serialized body: pins the choice sequence, the
+/// violation and the delivery trace of a counterexample in one number.
+fn body_digest(cx: &Counterexample) -> u64 {
+    urb_types::snapshot::fnv1a(cx.body_json().as_bytes())
+}
+
 fn corpus_spec(name: &str) -> ScenarioSpec {
     let (_, text) = corpus()
         .into_iter()
@@ -60,6 +66,7 @@ fn dfs_finds_the_theorem2_violation_within_spec_bounds() {
         !cx.deliveries.is_empty(),
         "S1 delivered before crashing (min_deliveries)"
     );
+    assert_eq!(body_digest(&cx), 0x38E1_A96E_FF0D_BA8E);
     assert!(outcome.stats.states > 0);
     assert!(outcome.stats.states_per_sec() > 0.0);
 }
@@ -93,6 +100,22 @@ fn counterexamples_replay_and_survive_serialization() {
     assert_eq!(parsed.replay().unwrap(), cx.violation);
 }
 
+/// A witness written by an earlier build still replays: the meaning of
+/// every recorded choice (`Deliver { slot }` above all) is part of the
+/// `urb check --replay` contract, not of one build.
+#[test]
+fn a_committed_theorem2_witness_replays() {
+    let text = include_str!("../../../tests/fixtures/theorem2_witness.json");
+    let cx = Counterexample::parse(text).unwrap();
+    assert_eq!(cx.scenario, "theorem2_violation");
+    let violation = cx.replay().unwrap();
+    assert!(
+        violation.iter().any(|v| v.starts_with("agreement")),
+        "{violation:?}"
+    );
+    assert_eq!(violation, cx.violation, "the recorded violation recurs");
+}
+
 #[test]
 fn the_explorer_honours_the_memory_table() {
     // The corpus entry with a one-slot tombstone ring: the explorer must
@@ -114,6 +137,7 @@ fn the_explorer_honours_the_memory_table() {
         cx.violation
     );
     assert_eq!(cx.replay().unwrap(), cx.violation, "the witness replays");
+    assert_eq!(body_digest(&cx), 0xA505_DB57_7812_EB6B);
 
     // Same file, default ring: nothing to find at the same bounds.
     let mut roomy = spec.clone();

@@ -284,6 +284,8 @@ mod tests {
         let a = open_loop(OpenLoopConfig::new(500).seed(7));
         let b = open_loop(OpenLoopConfig::new(500).seed(7));
         assert_eq!(a, b);
+        assert_eq!(a.delivery_hashes, [0x79EC_7709_0378_6054; 3]);
+        assert_eq!(a.transmissions, 6_144);
         let c = open_loop(OpenLoopConfig::new(500).seed(8));
         assert_ne!(a.delivery_hashes, c.delivery_hashes, "seed moves the tags");
     }

@@ -244,6 +244,8 @@ mod tests {
         let straight = soak(base.clone());
         let restarted = soak(base.snapshot_restart_at(300));
         assert!(restarted.same_deliveries(&straight));
+        // Every process delivers the flood in one order, so one hash.
+        assert_eq!(straight.delivery_hashes, [0x9FAA_789E_4437_26DC; 3]);
         assert_eq!(restarted.final_resident, straight.final_resident);
         assert_eq!(restarted.reclaimed, straight.reclaimed);
     }
@@ -254,6 +256,7 @@ mod tests {
         let a = soak(cfg.clone());
         let b = soak(cfg);
         assert!(a.same_deliveries(&b));
+        assert_eq!(a.delivery_hashes, [0xAF9C_DC86_7F49_2B34; 3]);
         assert_eq!(a.peak_resident, b.peak_resident);
         let c = soak(SoakConfig::new(300).seed(24).memory(mem()));
         assert_ne!(a.delivery_hashes, c.delivery_hashes, "seed moves the tags");

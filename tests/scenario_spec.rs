@@ -19,7 +19,13 @@
 //!   change with `UPDATE_GOLDEN=1 cargo test --test scenario_spec`;
 //! * a **corpus pin** — every corpus scenario, at its own seed, runs to
 //!   the trace hash, delivery count, verdict and frame count recorded in
-//!   `tests/golden/corpus.json` (regenerated the same way).
+//!   `tests/golden/corpus.json` (regenerated the same way);
+//! * a **checker pin** — every corpus scenario, explored at its own
+//!   strategy and seed to depth 4, visits exactly the state counts and
+//!   the state-hash fingerprints recorded in
+//!   `tests/golden/check_corpus.json` (regenerated the same way). The
+//!   fingerprint digest pins `state_hash` itself, which persistent
+//!   `urb check --cache` tables trust across commits.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -618,6 +624,75 @@ fn golden_corpus_outcomes() {
         got, want,
         "the corpus no longer runs to the pinned outcomes; \
          if the change is intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
+/// One row per corpus scenario: what a depth-4, single-job exploration at
+/// the file's own strategy and seed visited, pruned and concluded, and an
+/// FNV-1a digest of the sorted state-hash fingerprints it materialized
+/// (`null` for `random`, which collects none).
+fn render_check_pin() -> String {
+    let rows: Vec<String> = corpus()
+        .into_iter()
+        .map(|(name, text)| {
+            let spec = ScenarioSpec::from_toml_str(text).unwrap();
+            let opts = urb_check::ExploreOptions {
+                depth: Some(4),
+                jobs: 1,
+                collect_fingerprints: true,
+                ..Default::default()
+            };
+            let out = urb_check::check_scenario_with(&spec, &opts, None).unwrap();
+            let fingerprints = match &out.fingerprints {
+                Some(fps) => {
+                    let bytes: Vec<u8> = fps.iter().flat_map(|f| f.to_le_bytes()).collect();
+                    format!("\"{:#018x}\"", urb_types::snapshot::fnv1a(&bytes))
+                }
+                None => "null".to_string(),
+            };
+            let s = &out.stats;
+            format!(
+                "    {{\"scenario\": \"{name}\", \"strategy\": \"{}\", \"states\": {}, \
+                 \"engine_steps\": {}, \"dedup_hits\": {}, \"depth_prunes\": {}, \
+                 \"delay_prunes\": {}, \"dpor_pruned\": {}, \"silent_states\": {}, \
+                 \"max_depth\": {}, \"truncated\": {}, \"passed\": {}, \
+                 \"fingerprints\": {fingerprints}}}",
+                out.strategy.as_str(),
+                s.states,
+                s.engine_steps,
+                s.dedup_hits,
+                s.depth_prunes,
+                s.delay_prunes,
+                s.dpor_pruned,
+                s.silent_states,
+                s.max_depth,
+                s.truncated,
+                out.passed(),
+            )
+        })
+        .collect();
+    format!("{{\n  \"check\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
+}
+
+#[test]
+fn golden_check_corpus() {
+    let rendered = render_check_pin();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/check_corpus.json"
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &rendered).expect("write golden");
+        eprintln!("golden updated: {path}");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file present");
+    let got: serde_json::Value = serde_json::from_str(&rendered).unwrap();
+    let want: serde_json::Value = serde_json::from_str(&golden).unwrap();
+    assert_eq!(
+        got, want,
+        "the corpus no longer explores to the pinned state counts and \
+         fingerprints; if the change is intentional, regenerate with UPDATE_GOLDEN=1"
     );
 }
 
