@@ -900,7 +900,7 @@ impl Tabular for WorkloadTable {
         &key("count", Implicit, f!(count), "").max(MAX_BROADCASTS as u64),
         &key("spacing", Implicit, f!(spacing), ""),
         &key("start", Implicit, f!(start), ""),
-        &key("explicit", Implicit, f!(explicit), "explicit broadcasts instead of `count`").dotted(),
+        &key("explicit", Implicit, f!(explicit), "explicit broadcasts instead of `count`, `spacing` and `start`").dotted(),
     ]);
 }
 
@@ -926,10 +926,21 @@ impl Field for WorkloadSpec {
             return Ok(WorkloadSpec::PerTopic(list));
         }
         let table = WorkloadTable::read(v, at)?;
+        // Explicit broadcasts carry their own times: the generated form's
+        // keys beside them would be read and then ignored.
+        let generated = [
+            ("count", table.count.is_some()),
+            ("spacing", table.spacing.is_some()),
+            ("start", table.start.is_some()),
+        ];
+        if let (Some(_), Some((key, _))) = (&table.explicit, generated.iter().find(|k| k.1)) {
+            return fail(format!(
+                "workload has both `{key}` and `explicit` — pick one form"
+            ));
+        }
         match (table.count, table.explicit) {
-            (Some(_), Some(_)) => fail("workload has both `count` and `explicit` — pick one form"),
-            (None, Some(list)) if list.is_empty() => fail("workload.explicit must not be empty"),
-            (None, Some(list)) => Ok(WorkloadSpec::Explicit(list)),
+            (_, Some(list)) if list.is_empty() => fail("workload.explicit must not be empty"),
+            (_, Some(list)) => Ok(WorkloadSpec::Explicit(list)),
             (None, None) => fail("missing required key `count`"),
             (Some(count), None) => Ok(WorkloadSpec::Generated {
                 count,

@@ -712,6 +712,16 @@ const ERRORS: &[(&str, &str)] = &[
         "scenario spec error: workload has both `count` and `explicit` — pick one form",
     ),
     (
+        "name = \"p\"\nn = 4\n[workload]\nspacing = 99999\nstart = 7\n\
+         [[workload.explicit]]\ntime = 10\npid = 0\npayload = \"m\"\n",
+        "scenario spec error: workload has both `spacing` and `explicit` — pick one form",
+    ),
+    (
+        "name = \"p\"\nn = 4\n[workload]\nstart = 7\n\
+         [[workload.explicit]]\ntime = 10\npid = 0\npayload = \"m\"\n",
+        "scenario spec error: workload has both `start` and `explicit` — pick one form",
+    ),
+    (
         "name = \"p\"\nn = 4\n[workload]\nexplicit = 1\n",
         "scenario spec error: workload.explicit must be an array",
     ),
