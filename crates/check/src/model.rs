@@ -6,9 +6,9 @@
 //! resolves the same nondeterminism from explicit [`Choice`]s instead,
 //! so a schedule becomes a first-class, enumerable, serializable value.
 //! A [`CheckModel`] is built from a [`ScenarioSpec`]; [`CheckState`]
-//! applies choices one at a time by stepping the same [`Node`]s the
-//! simulator and the runtimes step, reads the new choice points off the
-//! step's buffers, checks the URB integrity invariants
+//! applies choices one at a time by stepping the same [`World`] the
+//! simulator steps, reads the new choice points off the step's buffers,
+//! checks the URB integrity invariants
 //! after every step, and evaluates the eventual properties (validity,
 //! agreement) at *silent* states — states where no choice is enabled and
 //! every surviving process is quiescent, so nothing can ever happen
@@ -18,7 +18,7 @@
 //! owns (DESIGN.md §11):
 //!
 //! * **carried over** — system size, algorithm, the `[memory]` table
-//!   (the fleet is built by the simulator's own constructor), workload (in
+//!   (the world is built by the simulator's own constructor), workload (in
 //!   plan order), the crash *rules* (which processes the adversary may kill,
 //!   and for `on_first_delivery` rules, when the choice arms), and
 //!   structurally severed links (`loss = "always"` overrides);
@@ -28,14 +28,13 @@
 //!   [`Choice::Tick`]s. Time itself is abstracted to the step index.
 
 use std::collections::BTreeSet;
-use urb_engine::Node;
+use urb_fd::{FdService, NoFd};
 use urb_sim::checker::{check_urb, CheckReport};
 use urb_sim::metrics::{BroadcastRecord, DeliveryRecord};
 use urb_sim::{
-    build_fleet, CheckBounds, CrashRule, LossModel, PlannedBroadcast, ScenarioSpec, SimConfig,
-    SpecError,
+    CheckBounds, CrashRule, LossModel, PlannedBroadcast, ScenarioSpec, SimConfig, SpecError, World,
 };
-use urb_types::{FdPair, FdSnapshot, FdView, Label, SplitMix64, Tag, TopicId, WireMessage};
+use urb_types::{FdPair, FdSnapshot, FdView, Label, TopicId, WireMessage};
 
 /// One resolved nondeterministic decision — the unit of exploration and
 /// of counterexample replay.
@@ -130,16 +129,6 @@ impl CheckModel {
         })
     }
 
-    /// System size.
-    pub fn n(&self) -> usize {
-        self.cfg.n
-    }
-
-    /// The exploration bounds the spec shipped (`[check]` table).
-    pub fn bounds(&self) -> &CheckBounds {
-        &self.bounds
-    }
-
     /// The seed the engines derive their tag streams from.
     pub fn seed(&self) -> u64 {
         self.cfg.seed
@@ -154,26 +143,25 @@ impl CheckModel {
         !matches!(self.cfg.crashes.rule(pid), CrashRule::Never)
     }
 
-    /// A fresh initial state: the fleet the simulator would build for the
-    /// same scenario (same constructor, same seeding scheme, same memory
-    /// and drain configuration), so the canonical FIFO exploration
-    /// mirrors a seeded run.
+    /// A fresh initial state: the world the simulator would build for the
+    /// same scenario (same seeding scheme, same memory and drain
+    /// configuration), so the canonical FIFO exploration mirrors a seeded
+    /// run — observed by the explorer's own detector instead of the
+    /// scenario's.
     pub fn initial(&self) -> CheckState<'_> {
         let cfg = &self.cfg;
-        let nodes = build_fleet(
-            cfg.n,
-            cfg.topics,
-            cfg.algorithm,
-            &SplitMix64::new(cfg.seed ^ 0x5EED_0F00_D000_0001),
-            cfg.memory,
-            cfg.drain_ticks,
-        );
+        let fd: Box<dyn FdService> = if cfg.algorithm.needs_fd() {
+            Box::new(ExplorerFd {
+                eligible: (0..cfg.n).map(|pid| self.crash_eligible(pid)).collect(),
+                crashed: vec![false; cfg.n],
+            })
+        } else {
+            Box::new(NoFd)
+        };
         CheckState {
             model: self,
-            nodes,
+            world: World::new(cfg, World::streams(cfg.seed), fd),
             pending: Vec::new(),
-            crashed: vec![false; cfg.n],
-            delivered_once: vec![false; cfg.n],
             next_broadcast: 0,
             next_topic_event: 0,
             drops_used: 0,
@@ -186,7 +174,46 @@ impl CheckModel {
     }
 }
 
-/// One explored protocol state: the nodes plus the explorer-owned
+/// The perfect detector the explorer hands every step of an FD-using
+/// algorithm: one label per *currently alive* process (crashed labels
+/// removed instantly), each attributed `number = |alive ∧
+/// crash-eligible| + 1`. That is the smallest attribution that keeps the
+/// `AΘ` **accuracy** axiom true in every completion the explorer can
+/// still choose: any `number`-sized subset of the label's knowers (all
+/// alive processes) must contain one the adversary can never crash,
+/// because at most `|alive ∧ crash-eligible|` of them are killable.
+/// Over-counting is the safe direction — the protocol never delivers or
+/// prunes on the strength of processes a later [`Choice::Crash`] could
+/// erase, so a violation found under this detector is the algorithm's,
+/// not the model's (DESIGN.md §11).
+struct ExplorerFd {
+    eligible: Vec<bool>,
+    crashed: Vec<bool>,
+}
+
+impl FdService for ExplorerFd {
+    fn on_tick(&mut self, _pid: usize, _now: u64, _out: &mut Vec<WireMessage>) {}
+    fn on_receive(&mut self, _pid: usize, _now: u64, _msg: &WireMessage) {}
+    fn on_crash(&mut self, pid: usize, _now: u64) {
+        self.crashed[pid] = true;
+    }
+    fn snapshot(&self, _pid: usize, _now: u64) -> FdSnapshot {
+        let alive = || (0..self.crashed.len()).filter(|&i| !self.crashed[i]);
+        let number = alive().filter(|&i| self.eligible[i]).count() as u32 + 1;
+        let view: FdView = alive()
+            .map(|i| FdPair {
+                label: Label(i as u64 + 1),
+                number,
+            })
+            .collect();
+        FdSnapshot::new(view.clone(), view)
+    }
+    fn name(&self) -> &'static str {
+        "explorer"
+    }
+}
+
+/// One explored protocol state: the world plus the explorer-owned
 /// network/adversary bookkeeping. Reconstructed by replaying a choice
 /// prefix from [`CheckModel::initial`] (states are not clonable — the
 /// protocol instances are trait objects — so the explorer is *stateless*
@@ -196,12 +223,10 @@ pub struct CheckState<'m> {
     /// What the choice being applied made a node emit and deliver is
     /// drained from its buffers into `pending` / `deliveries` before
     /// `apply` returns.
-    nodes: Vec<Node>,
+    world: World,
     /// Pending messages, in routing order; `Choice::Deliver`/`Drop`
     /// slots index this list at apply time.
     pending: Vec<PendingMsg>,
-    crashed: Vec<bool>,
-    delivered_once: Vec<bool>,
     next_broadcast: usize,
     next_topic_event: usize,
     drops_used: u32,
@@ -234,46 +259,6 @@ impl<'m> CheckState<'m> {
         self.violation.as_deref()
     }
 
-    /// Number of choices applied so far.
-    pub fn depth(&self) -> u64 {
-        self.steps
-    }
-
-    /// The perfect-detector snapshot the explorer hands every step of an
-    /// FD-using algorithm: one label per *currently alive* process
-    /// (crashed labels removed instantly), each attributed
-    /// `number = |alive ∧ crash-eligible| + 1`. That is the smallest
-    /// attribution that keeps the `AΘ` **accuracy** axiom true in every
-    /// completion the explorer can still choose: any `number`-sized
-    /// subset of the label's knowers (all alive processes) must contain
-    /// one the adversary can never crash, because at most
-    /// `|alive ∧ crash-eligible|` of them are killable. Over-counting is
-    /// the safe direction — the protocol never delivers or prunes on the
-    /// strength of processes a later [`Choice::Crash`] could erase, so a
-    /// violation found under this detector is the algorithm's, not the
-    /// model's (DESIGN.md §11).
-    fn fd_snapshot(&self) -> FdSnapshot {
-        if !self.model.cfg.algorithm.needs_fd() {
-            return FdSnapshot::none();
-        }
-        let crashable_alive = (0..self.model.cfg.n)
-            .filter(|&i| {
-                !self.crashed[i] && !matches!(self.model.cfg.crashes.rule(i), CrashRule::Never)
-            })
-            .count() as u32;
-        let view: FdView = (0..self.model.cfg.n)
-            .filter(|&i| !self.crashed[i])
-            .map(|i| FdPair {
-                label: Label(i as u64 + 1),
-                number: crashable_alive + 1,
-            })
-            .collect();
-        FdSnapshot {
-            a_theta: view.clone(),
-            a_p_star: view,
-        }
-    }
-
     /// Turns what the step at `pid` left in the buffers into explorer
     /// state. Every emission is routed to every destination — severed
     /// links swallow their copy structurally (no budget), copies to
@@ -281,10 +266,11 @@ impl<'m> CheckState<'m> {
     /// deliver-or-drop choice; every URB-delivery is recorded (and arms
     /// crash-on-delivery rules), then integrity is re-checked.
     fn finish_step(&mut self, pid: usize) {
-        let mux = self.nodes[pid].mux();
-        for (topic, msg) in mux.outbox.drain(..) {
+        // Taken out and put back, so the buffer keeps its capacity.
+        let mut outbox = std::mem::take(self.world.outbox(pid));
+        for (topic, msg) in outbox.drain(..) {
             for to in 0..self.model.cfg.n {
-                if self.model.severed.contains(&(pid, to)) || self.crashed[to] {
+                if self.model.severed.contains(&(pid, to)) || self.world.is_crashed(to) {
                     continue;
                 }
                 self.pending.push(PendingMsg {
@@ -295,21 +281,14 @@ impl<'m> CheckState<'m> {
                 });
             }
         }
-        if mux.deliveries.is_empty() {
-            return;
+        *self.world.outbox(pid) = outbox;
+        let before = self.deliveries.len();
+        let deliveries = &mut self.deliveries;
+        self.world
+            .drain_deliveries(pid, self.steps, |d| deliveries.push(d));
+        if deliveries.len() > before {
+            self.check_integrity();
         }
-        self.delivered_once[pid] = true;
-        for (topic, d) in mux.deliveries.drain(..) {
-            self.deliveries.push(DeliveryRecord {
-                pid,
-                topic,
-                tag: d.tag,
-                time: self.steps,
-                fast: d.fast,
-                payload: d.payload,
-            });
-        }
-        self.check_integrity();
     }
 
     /// Stepwise invariant: uniform integrity (no duplicate, no phantom,
@@ -319,13 +298,7 @@ impl<'m> CheckState<'m> {
         if self.violation.is_some() {
             return;
         }
-        let correct: Vec<bool> = self.crashed.iter().map(|c| !c).collect();
-        let report = check_urb(
-            self.model.cfg.n,
-            &correct,
-            &self.broadcasts,
-            &self.deliveries,
-        );
+        let report = self.report();
         if !report.integrity.ok() {
             self.violation = Some(
                 report
@@ -367,22 +340,14 @@ impl<'m> CheckState<'m> {
             out.push(Choice::Deliver { slot });
         }
         for pid in 0..self.model.cfg.n {
-            if self.crashed[pid] {
-                continue;
-            }
-            let armed = match self.model.cfg.crashes.rule(pid) {
-                CrashRule::Never => false,
-                CrashRule::At(_) => true,
-                CrashRule::OnFirstDelivery { .. } => self.delivered_once[pid],
-            };
-            if armed {
+            if self.world.crash_armed(pid) {
                 out.push(Choice::Crash { pid });
             }
         }
-        for pid in 0..self.model.cfg.n {
-            if !self.crashed[pid]
+        for (pid, node) in self.world.nodes().iter().enumerate() {
+            if !self.world.is_crashed(pid)
                 && self.ticks_used[pid] < self.model.bounds.tick_budget
-                && !self.nodes[pid].engine().is_quiescent()
+                && !node.engine().is_quiescent()
             {
                 out.push(Choice::Tick { pid });
             }
@@ -424,29 +389,18 @@ impl<'m> CheckState<'m> {
             Choice::Broadcast => {
                 let b = self.model.planned[self.next_broadcast].clone();
                 self.next_broadcast += 1;
-                if self.crashed[b.pid] {
-                    return; // invoking a crashed process is a no-op
-                }
-                let fd = self.fd_snapshot();
-                let Some(tag) = self.nodes[b.pid].broadcast(b.topic, b.payload.clone(), &fd) else {
-                    // Refused: the topic is not live at this process.
+                let Some(rec) = self.world.broadcast(b.pid, b.topic, b.payload, self.steps) else {
+                    // A crashed process, or a topic not live at this one.
                     return;
                 };
-                self.broadcasts.push(BroadcastRecord {
-                    pid: b.pid,
-                    topic: b.topic,
-                    tag,
-                    time: self.steps,
-                    payload: b.payload,
-                });
+                self.broadcasts.push(rec);
                 self.finish_step(b.pid);
             }
             Choice::Deliver { slot } => {
                 // Delivery into a retired (reclaimed) instance is inert:
                 // the copy is consumed and nothing steps.
                 let p = self.pending.remove(slot);
-                let fd = self.fd_snapshot();
-                self.nodes[p.to].receive(p.topic, p.msg, &fd);
+                self.world.receive(p.to, p.topic, p.msg, self.steps);
                 self.finish_step(p.to);
             }
             Choice::Drop { slot } => {
@@ -460,12 +414,11 @@ impl<'m> CheckState<'m> {
                 // has a `[memory]` table. One budget unit however many
                 // topics the node serves.
                 self.ticks_used[pid] += 1;
-                let fd = self.fd_snapshot();
-                self.nodes[pid].tick(&fd);
+                self.world.tick(pid, self.steps);
                 self.finish_step(pid);
             }
             Choice::Crash { pid } => {
-                self.crashed[pid] = true;
+                self.world.crash(pid, self.steps);
                 // Copies addressed to the dead process are gone; the
                 // slot renumbering is deterministic, so replay agrees.
                 self.pending.retain(|p| p.to != pid);
@@ -473,12 +426,7 @@ impl<'m> CheckState<'m> {
             Choice::TopicEvent => {
                 let action = self.model.cfg.topic_events[self.next_topic_event].action;
                 self.next_topic_event += 1;
-                let control = action.control(self.model.cfg.algorithm);
-                for (node, &crashed) in self.nodes.iter_mut().zip(&self.crashed) {
-                    if !crashed {
-                        node.apply(control);
-                    }
-                }
+                self.world.apply(action);
             }
         }
     }
@@ -493,18 +441,15 @@ impl<'m> CheckState<'m> {
             && self.next_broadcast == self.model.planned.len()
             && self.next_topic_event == self.model.cfg.topic_events.len()
             && self.pending.is_empty()
-            && self
-                .nodes
-                .iter()
-                .enumerate()
-                .all(|(i, node)| self.crashed[i] || node.engine().is_quiescent())
+            && self.world.is_quiescent()
     }
 
     /// The full URB report of this execution (integrity stepwise plus —
     /// meaningful only at [`CheckState::is_silent`] states — validity
     /// and agreement with `correct = never crashed here`).
     pub fn report(&self) -> CheckReport {
-        let correct: Vec<bool> = self.crashed.iter().map(|c| !c).collect();
+        let alive = self.world.crash_times().iter().map(Option::is_none);
+        let correct: Vec<bool> = alive.collect();
         check_urb(
             self.model.cfg.n,
             &correct,
@@ -546,15 +491,12 @@ impl<'m> CheckState<'m> {
             }
         }
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (i, node) in self.nodes.iter().enumerate() {
-            fold(
-                &mut h,
-                if self.crashed[i] {
-                    0xDEAD
-                } else {
-                    node.engine().fingerprint()
-                },
-            );
+        for (node, crashed) in self.world.nodes().iter().zip(self.world.crash_times()) {
+            let word = match crashed {
+                Some(_) => 0xDEAD,
+                None => node.engine().fingerprint(),
+            };
+            fold(&mut h, word);
         }
         let mut pend: Vec<u64> = self
             .pending
@@ -591,31 +533,27 @@ impl<'m> CheckState<'m> {
         }
         h
     }
-
-    /// Topic instances reclaimed so far, summed over every node — the
-    /// model-checker's view of the lifecycle counters
-    /// ([`urb_engine::EngineCounters::topics_reclaimed`]).
-    pub fn topics_reclaimed(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.engine().counters().topics_reclaimed)
-            .sum()
-    }
-
-    /// Tags delivered by `pid` (test helper).
-    pub fn delivered_set(&self, pid: usize) -> BTreeSet<Tag> {
-        self.deliveries
-            .iter()
-            .filter(|d| d.pid == pid)
-            .map(|d| d.tag)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use urb_core::Algorithm;
+    use urb_types::Tag;
+
+    impl CheckState<'_> {
+        /// Tags delivered by `pid`.
+        fn delivered_set(&self, pid: usize) -> BTreeSet<Tag> {
+            let delivered = self.deliveries.iter().filter(|d| d.pid == pid);
+            delivered.map(|d| d.tag).collect()
+        }
+
+        /// Topic instances reclaimed so far, summed over every node.
+        fn topics_reclaimed(&self) -> u64 {
+            let nodes = self.world.nodes().iter();
+            nodes.map(|n| n.engine().counters().topics_reclaimed).sum()
+        }
+    }
 
     fn majority_spec(n: usize) -> ScenarioSpec {
         let mut spec = ScenarioSpec::new("model-test", n, Algorithm::Majority);

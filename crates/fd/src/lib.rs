@@ -85,6 +85,21 @@ impl FdService for NoFd {
     }
 }
 
+/// A fixed view: every process reads this snapshot at every instant. With
+/// every process correct and one label covering them all, that is a
+/// perfect `AΘ` and `AP*` at once — what the simulator's soak and
+/// open-loop planes run with.
+impl FdService for FdSnapshot {
+    fn on_tick(&mut self, _pid: usize, _now: u64, _out: &mut Vec<WireMessage>) {}
+    fn on_receive(&mut self, _pid: usize, _now: u64, _msg: &WireMessage) {}
+    fn snapshot(&self, _pid: usize, _now: u64) -> FdSnapshot {
+        self.clone()
+    }
+    fn name(&self) -> &'static str {
+        "static"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

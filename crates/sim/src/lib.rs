@@ -11,9 +11,12 @@
 //!   delay models;
 //! * [`crash`] — crash adversaries, including crash-on-first-delivery (the
 //!   Theorem-2 / E11 shape);
-//! * [`sim`] — the driver: wire a protocol ([`urb_core::Algorithm`]), a
-//!   failure detector ([`urb_fd::FdService`]) and a workload together and
-//!   execute one run, deterministically per seed;
+//! * [`world`] — the simulated system every driver steps: the nodes, the
+//!   crash set and the failure detector ([`urb_fd::FdService`]), with the
+//!   network and the clock left to the driver;
+//! * [`sim`] — the event-queue driver: wire a protocol
+//!   ([`urb_core::Algorithm`]), a detector and a workload onto a
+//!   [`World`] and execute one run, deterministically per seed;
 //! * [`metrics`] — traffic counters, latency records, quiescence curves,
 //!   state-size samples;
 //! * [`checker`] — machine verdicts for the three URB properties on every
@@ -31,7 +34,9 @@
 //!   uses (no registry access, no `toml` crate — see `vendor/README.md`);
 //! * [`parallel`] — the multi-run executor: fan independent configurations
 //!   across all cores with results in input order (runs are pure functions
-//!   of their config, so parallel == serial, bit for bit).
+//!   of their config, so parallel == serial, bit for bit);
+//! * [`mod@soak`] and [`openloop`] — the load planes: a [`World`] flooded
+//!   FIFO, for bounded memory (DESIGN.md §14) and latency under load (§16).
 //!
 //! ## Example
 //!
@@ -53,7 +58,6 @@ pub mod channel;
 pub mod checker;
 pub mod crash;
 pub mod event;
-mod lockstep;
 pub mod metrics;
 pub mod minitoml;
 pub mod openloop;
@@ -63,6 +67,7 @@ pub mod sim;
 pub mod soak;
 pub mod spec;
 pub mod trace;
+pub mod world;
 
 pub use adversary::Schedule;
 pub use channel::{DelayModel, LossModel};
@@ -73,9 +78,10 @@ pub use metrics::{BroadcastRecord, DeliveryRecord, Metrics};
 pub use openloop::{open_loop, OpenLoopConfig, OpenLoopOutcome};
 pub use parallel::{run_many, run_many_on};
 pub use sim::{
-    build_fleet, run, Blackout, DelayOverride, FdKind, LinkOverride, PlannedBroadcast, RunOutcome,
-    SimConfig, TopicAction, TopicEventCfg,
+    run, Blackout, DelayOverride, FdKind, LinkOverride, PlannedBroadcast, RunOutcome, SimConfig,
+    TopicAction, TopicEventCfg,
 };
 pub use soak::{soak, SoakConfig, SoakOutcome, SoakSample};
 pub use spec::{CheckBounds, Expectations, ScenarioSpec, SpecError, Strategy};
 pub use trace::{Trace, TraceConfig, TraceEvent, TraceKind};
+pub use world::World;

@@ -1,7 +1,7 @@
 //! The **open-loop workload plane** (DESIGN.md §16): arrival-rate-driven
-//! latency-under-load runs on the lockstep mesh (`crate::lockstep`,
-//! DESIGN.md §2) — the harness the soak plane ([`mod@crate::soak`]) runs
-//! on, driven by an *offered load* instead of a message count.
+//! latency-under-load runs on a [`World`](crate::world::World) flooded
+//! FIFO, as the soak plane ([`mod@crate::soak`]) floods one, driven by an
+//! *offered load* instead of a message count.
 //!
 //! The BENCH grids are closed-loop: each run injects its workload as fast
 //! as the system absorbs it, so they measure protocol cost but can never
@@ -22,7 +22,7 @@
 //! byte-compatible across machines — which is what lets the trajectory
 //! schema pin them as count metrics.
 
-use crate::lockstep::Mesh;
+use crate::soak::Flood;
 use std::collections::{HashMap, VecDeque};
 use urb_core::Algorithm;
 use urb_types::{Payload, Tag, TopicId};
@@ -168,10 +168,11 @@ impl Completions {
 }
 
 /// Each node serves up to its per-tick budget from its ingress queue,
-/// then the mesh floods what that produced. Returns the broadcasts invoked.
+/// then the flood delivers what that produced. Returns the broadcasts
+/// invoked.
 fn serve(
     cfg: &OpenLoopConfig,
-    mesh: &mut Mesh,
+    flood: &mut Flood,
     queues: &mut [VecDeque<u64>],
     log: &mut Completions,
 ) -> u64 {
@@ -183,13 +184,13 @@ fn serve(
             };
             let topic = TopicId((arrival % cfg.topics as u64) as u32);
             let arrived = arrival * 1000 / cfg.rate_per_ktick;
-            let tag = mesh.broadcast(pid, topic, Payload::from("load"));
+            let tag = flood.broadcast(pid, topic, Payload::from("load"));
             log.pending.insert(tag, (arrived, pid));
             injected += 1;
-            mesh.absorb(pid, &mut |pid, tag| log.on_deliver(pid, tag));
+            flood.absorb(pid, &mut |pid, tag| log.on_deliver(pid, tag));
         }
     }
-    mesh.flood(&mut |pid, tag| log.on_deliver(pid, tag));
+    flood.flood(&mut |pid, tag| log.on_deliver(pid, tag));
     injected
 }
 
@@ -202,7 +203,7 @@ pub fn open_loop(cfg: OpenLoopConfig) -> OpenLoopOutcome {
     assert!(cfg.rate_per_ktick >= 1, "open loop needs an arrival rate");
     assert!(cfg.service_per_tick >= 1);
     assert!(cfg.sweep_every >= 1);
-    let mut mesh = Mesh::new(
+    let mut flood = Flood::new(
         cfg.n,
         cfg.topics,
         cfg.algorithm,
@@ -234,9 +235,9 @@ pub fn open_loop(cfg: OpenLoopConfig) -> OpenLoopOutcome {
             offered += 1;
             next_arrival += 1;
         }
-        injected += serve(&cfg, &mut mesh, &mut queues, &mut log);
+        injected += serve(&cfg, &mut flood, &mut queues, &mut log);
         if (t + 1) % cfg.sweep_every == 0 {
-            mesh.sweep(&mut |pid, tag| log.on_deliver(pid, tag));
+            flood.sweep(&mut |pid, tag| log.on_deliver(pid, tag));
         }
     }
     // Drain: keep serving (no new arrivals) until every queued
@@ -245,9 +246,9 @@ pub fn open_loop(cfg: OpenLoopConfig) -> OpenLoopOutcome {
     let mut drain_ticks = 0u64;
     while queues.iter().any(|q| !q.is_empty()) || !log.pending.is_empty() {
         log.now = cfg.ticks + drain_ticks;
-        injected += serve(&cfg, &mut mesh, &mut queues, &mut log);
+        injected += serve(&cfg, &mut flood, &mut queues, &mut log);
         if (log.now + 1).is_multiple_of(cfg.sweep_every) {
-            mesh.sweep(&mut |pid, tag| log.on_deliver(pid, tag));
+            flood.sweep(&mut |pid, tag| log.on_deliver(pid, tag));
         }
         drain_ticks += 1;
         assert!(
@@ -262,8 +263,8 @@ pub fn open_loop(cfg: OpenLoopConfig) -> OpenLoopOutcome {
         injected,
         completed: latencies.len() as u64,
         completed_in_horizon: log.in_horizon,
-        deliveries: mesh.delivered.iter().sum(),
-        transmissions: mesh.transmissions,
+        deliveries: flood.world.delivered().iter().sum(),
+        transmissions: flood.transmissions,
         latency_p50: percentile(&latencies, 500),
         latency_p90: percentile(&latencies, 900),
         latency_p99: percentile(&latencies, 990),
@@ -271,7 +272,7 @@ pub fn open_loop(cfg: OpenLoopConfig) -> OpenLoopOutcome {
         latency_max: latencies.last().copied().unwrap_or(0),
         peak_queue_depth: peak_queue,
         drain_ticks,
-        delivery_hashes: mesh.hashes,
+        delivery_hashes: flood.hashes,
     }
 }
 

@@ -79,17 +79,7 @@ pub fn theorem2_partition(n: usize, seed: u64) -> SimConfig {
         topic: urb_types::TopicId::ZERO,
         payload: Payload::from("doomed"),
     }];
-    cfg.crashes = CrashPlan::from_rules(
-        (0..n)
-            .map(|i| {
-                if i < s1 {
-                    CrashRule::OnFirstDelivery { delay: 0 }
-                } else {
-                    CrashRule::Never
-                }
-            })
-            .collect(),
-    );
+    cfg.crashes = CrashPlan::first_k_on_delivery(n, s1, 0);
     cfg.link_overrides = (0..s1)
         .flat_map(|from| {
             (s1..n).map(move |to| LinkOverride {
@@ -212,17 +202,9 @@ pub fn stale_acker(algorithm: Algorithm, horizon: u64, seed: u64) -> SimConfig {
         // its ACKs — that is what leaves the stale entry behind.
         faulty_knowledge: true,
     });
-    cfg.crashes = CrashPlan::from_rules(
-        (0..n)
-            .map(|i| {
-                if i == n - 1 {
-                    CrashRule::At(200)
-                } else {
-                    CrashRule::Never
-                }
-            })
-            .collect(),
-    );
+    let mut rules = vec![CrashRule::Never; n];
+    rules[n - 1] = CrashRule::At(200);
+    cfg.crashes = CrashPlan::from_rules(rules);
     cfg
 }
 

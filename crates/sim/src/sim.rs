@@ -9,16 +9,14 @@
 //! only ever sees [`urb_types::WireMessage`]s and [`urb_types::FdSnapshot`]s,
 //! never process indices or the global clock.
 //!
-//! Protocol stepping itself lives in `urb-engine`: every process is a
-//! [`urb_engine::Node`], the node the runtimes and the checker step too.
-//! The simulator is an *adapter* that owns scheduling, the channel mesh,
-//! crash injection and measurement, and supplies what differs between
-//! drivers — the detector view of each step, each process's tag stream
-//! and the routing of what a step emitted (DESIGN.md §2). Each node runs one
-//! protocol instance per topic (DESIGN.md §12); outbound traffic moves on
-//! the multiplexed message plane — everything one step emits, across
-//! every topic, travels as a single topic-tagged frame per destination,
-//! with loss still decided per message (DESIGN.md D8).
+//! The processes, the crash set and the detector are a [`World`], the one
+//! the checker and the load planes step too, of [`urb_engine::Node`]s, the
+//! node the runtimes step. The simulator is the world's *scheduler*: it
+//! owns the event queue, the channel mesh, crash timing and measurement,
+//! and routes what each step emitted (DESIGN.md §2). Each node runs one
+//! protocol instance per topic (DESIGN.md §12); everything one step emits,
+//! across every topic, travels as a single topic-tagged frame per
+//! destination, with loss still decided per message (DESIGN.md D8).
 //!
 //! The outcome bundles the raw metrics, the URB property-checker report,
 //! the failure-detector audit (oracle runs) and quiescence information, so
@@ -28,11 +26,12 @@ use crate::channel::{ChannelMatrix, DelayModel, LossModel};
 use crate::checker::{check_urb, check_urb_per_topics, CheckReport, TopicReport};
 use crate::crash::{CrashPlan, CrashRule};
 use crate::event::{Event, EventQueue, SchedulerPolicy};
-use crate::metrics::{BroadcastRecord, DeliveryRecord, Metrics, StatsSample};
+use crate::metrics::{Metrics, StatsSample};
 use crate::trace::{Trace, TraceConfig, TraceRecorder};
+use crate::world::World;
 use urb_core::Algorithm;
+use urb_engine::EngineCounters;
 pub use urb_engine::TopicAction;
-use urb_engine::{EngineCounters, Node};
 use urb_fd::{FdService, HeartbeatConfig, HeartbeatService, NoFd, OracleConfig, OracleFd};
 use urb_types::{
     MemoryConfig, MuxPool, Payload, ProcessStats, RandomSource, SplitMix64, Tag, TopicId, WireKind,
@@ -67,7 +66,7 @@ pub struct PlannedBroadcast {
 
 /// A planned topic-lifecycle change (DESIGN.md §15). In the simulator,
 /// lifecycle is deterministic **global configuration** — like crash plans:
-/// at `time` the event's [`urb_types::TopicControl`] is applied ([`Node::apply`]) at
+/// at `time` the event's [`urb_types::TopicControl`] is applied ([`World::apply`]) at
 /// every non-crashed process in the same step, atomically from the run's
 /// point of view; crashed processes execute nothing. The wire-level
 /// gossip of the same controls (where nodes learn lifecycle from each
@@ -80,33 +79,6 @@ pub struct TopicEventCfg {
     pub time: u64,
     /// What changes.
     pub action: TopicAction,
-}
-
-/// Builds a simulated fleet: `n` nodes of `topics` protocol instances
-/// each (ids `0..topics`), node `i` drawing its tags from the `i`-th
-/// split of `streams`, with bounded-memory mode and the retirement drain
-/// budget configured. The one constructor every simulated driver — the
-/// event-queue simulator, the lockstep planes, the schedule checker —
-/// builds its nodes with, so none of them can forget a knob.
-pub fn build_fleet(
-    n: usize,
-    topics: u32,
-    algorithm: Algorithm,
-    streams: &SplitMix64,
-    memory: Option<MemoryConfig>,
-    drain_limit: u32,
-) -> Vec<Node> {
-    (0..n)
-        .map(|i| {
-            let mut node = Node::new(n, algorithm, topics, streams.split(i as u64));
-            let e = node.engine_mut();
-            if let Some(mem) = memory {
-                e.configure_memory(mem);
-            }
-            e.set_drain_limit(drain_limit);
-            node
-        })
-        .collect()
 }
 
 /// A directed-link loss override (partition adversaries).
@@ -497,17 +469,12 @@ impl RunOutcome {
 
 struct Runner {
     config: SimConfig,
-    /// One node per process — the node the runtimes and the checker step
-    /// too: one protocol instance per topic, sharing the node's RNG
-    /// stream. What a step leaves in a node's buffers is drained before
-    /// the event handler returns (zero steady-state allocation on the hot
-    /// path).
-    nodes: Vec<Node>,
+    /// The processes, the crash set and the detector. What a step leaves
+    /// in a node's buffers is drained before the event handler returns
+    /// (zero steady-state allocation on the hot path).
+    world: World,
     /// Reusable per-link batch verdicts.
     verdicts: Vec<bool>,
-    /// Reusable failure-detector outbox (heartbeat traffic, topic-less —
-    /// tagged [`TopicId::ZERO`] on the wire).
-    fd_out: Vec<WireMessage>,
     /// Recycled topic-tagged entry vectors for routed multiplexed
     /// sub-batches (DESIGN.md §10/§12): every `Deliver` event's entry list
     /// is drawn from and returned to this pool, so steady-state routing
@@ -515,10 +482,6 @@ struct Runner {
     batches: MuxPool,
     tick_rng: SplitMix64,
     channels: ChannelMatrix,
-    fd: Box<dyn FdService>,
-    crashed: Vec<bool>,
-    crash_times: Vec<Option<u64>>,
-    crash_armed: Vec<bool>,
     queue: EventQueue,
     /// Tie-breaking stream of the scheduler policy (`None` = FIFO).
     tie_rng: Option<SplitMix64>,
@@ -530,8 +493,6 @@ struct Runner {
     /// Topic-lifecycle events not yet applied (quiescence must wait for
     /// them — a pending retire is work the run still owes).
     pending_topic_events: usize,
-    /// Distinct-tag delivery count per process (stop_on_full_delivery).
-    deliveries_per_pid: Vec<usize>,
     tracer: TraceRecorder,
     now: u64,
 }
@@ -561,16 +522,8 @@ pub fn run(config: SimConfig) -> RunOutcome {
         channels.override_delay(ov.from, ov.to, ov.delay);
     }
 
-    let seed_mix = SplitMix64::new(config.seed ^ 0x5EED_0F00_D000_0001);
-    let nodes = build_fleet(
-        n,
-        topics,
-        config.algorithm,
-        &seed_mix,
-        config.memory,
-        config.drain_ticks,
-    );
-    let tick_rng = seed_mix.split(0xFFFF);
+    let streams = World::streams(config.seed);
+    let tick_rng = streams.split(0xFFFF);
 
     let fd: Box<dyn FdService> = match config.fd {
         FdKind::None => Box::new(NoFd),
@@ -586,9 +539,8 @@ pub fn run(config: SimConfig) -> RunOutcome {
     };
 
     let mut runner = Runner {
-        nodes,
+        world: World::new(&config, streams, fd),
         verdicts: Vec::new(),
-        fd_out: Vec::new(),
         // Retention sized to in-flight peaks: every scheduled Deliver event
         // holds one pooled vector, and a lossy long-horizon run keeps
         // thousands of them in flight at once. (The default bound of 64
@@ -596,17 +548,12 @@ pub fn run(config: SimConfig) -> RunOutcome {
         batches: MuxPool::new(1 << 16),
         tick_rng,
         channels,
-        fd,
-        crashed: vec![false; n],
-        crash_times: vec![None; n],
-        crash_armed: vec![false; n],
         queue: EventQueue::new(),
         tie_rng: config.scheduler.rng(),
         metrics: Metrics::new(config.window),
         inflight_protocol: 0,
         pending_broadcasts: config.broadcasts.len(),
         pending_topic_events: config.topic_events.len(),
-        deliveries_per_pid: vec![0; n],
         tracer: TraceRecorder::new(config.trace),
         now: 0,
         config,
@@ -686,11 +633,7 @@ impl Runner {
         self.pending_broadcasts == 0
             && self.pending_topic_events == 0
             && self.inflight_protocol == 0
-            && self
-                .nodes
-                .iter()
-                .enumerate()
-                .all(|(i, node)| self.crashed[i] || node.engine().is_quiescent())
+            && self.world.is_quiescent()
     }
 
     /// Full delivery: every plan-correct process has delivered one distinct
@@ -703,34 +646,20 @@ impl Runner {
         let k = self.metrics.broadcasts.len();
         (0..self.config.n).all(|pid| {
             !matches!(self.config.crashes.rule(pid), CrashRule::Never)
-                || self.deliveries_per_pid[pid] >= k
+                || self.world.delivered()[pid] >= k as u64
         })
     }
 
     fn on_tick(&mut self, pid: usize) {
-        if self.crashed[pid] {
+        if self.world.is_crashed(pid) {
             return; // crash-stop: no further steps, no re-scheduling
         }
         self.metrics.hash_event(self.now, 1, pid as u64);
-        let mut entries = self.batches.acquire();
-        // Detector traffic first (preserving the unbatched order);
-        // heartbeats are per-node, not per-topic — they ride topic 0.
-        self.fd.on_tick(pid, self.now, &mut self.fd_out);
-        entries.extend(self.fd_out.drain(..).map(|m| (TopicId::ZERO, m)));
-        // The node tick (DESIGN.md §2): one Task-1 sweep per topic
-        // instance, ascending, into one multiplexed outbox — one frame per
-        // node tick — then the reap of drained topics and, in
-        // bounded-memory mode, one compaction sweep, all under the one
-        // detector snapshot.
-        let snapshot = self.fd.snapshot(pid, self.now);
-        self.nodes[pid].tick(&snapshot);
+        // Heartbeats, then one Task-1 sweep per topic instance, ascending,
+        // into one multiplexed outbox — one frame per node tick.
+        self.world.tick(pid, self.now);
         self.handle_deliveries(pid);
-        entries.append(&mut self.nodes[pid].mux().outbox);
-        if entries.is_empty() {
-            self.batches.release(entries);
-        } else {
-            self.transmit(pid, entries);
-        }
+        self.send(pid, self.batches.acquire());
         // Schedule the next sweep.
         let jitter = if self.config.tick_jitter == 0 {
             0
@@ -746,7 +675,7 @@ impl Runner {
             .iter()
             .filter(|(_, m)| m.kind() != WireKind::Heartbeat)
             .count();
-        if self.crashed[to] {
+        if self.world.is_crashed(to) {
             // Arrived at a dead process: silently gone (vector recycled).
             self.batches.release(arrived);
             return;
@@ -754,68 +683,51 @@ impl Runner {
         // Everything this frame's steps emit leaves as one frame again.
         // Processing ascending topic groups in order keeps the emitted
         // entries grouped ascending too.
-        let mut emitted = self.batches.acquire();
+        let emitted = self.batches.acquire();
         for (topic, msg) in arrived.drain(..) {
             self.metrics
                 .hash_event(self.now, 2, msg.content_hash() ^ to as u64);
             self.metrics.on_receive(msg.kind());
             self.tracer.receive(self.now, to, msg.kind(), msg.tag());
-            // Detector processing first: traffic for a topic holding no
-            // instance here is inert at the node, not at the detector.
-            self.fd.on_receive(to, self.now, &msg);
-            // Snapshot taken per message, exactly as in unbatched delivery.
-            let snapshot = self.fd.snapshot(to, self.now);
-            self.nodes[to].receive(topic, msg, &snapshot);
+            // One step per message, each under the view of its instant.
+            self.world.receive(to, topic, msg, self.now);
             self.handle_deliveries(to);
         }
-        emitted.append(&mut self.nodes[to].mux().outbox);
         self.batches.release(arrived);
-        if emitted.is_empty() {
-            self.batches.release(emitted);
+        self.send(to, emitted);
+    }
+
+    /// Moves what `pid`'s steps emitted into the pooled `frame` and
+    /// routes it, unless there was nothing.
+    fn send(&mut self, pid: usize, mut frame: Vec<(TopicId, WireMessage)>) {
+        frame.append(self.world.outbox(pid));
+        if frame.is_empty() {
+            self.batches.release(frame);
         } else {
-            self.transmit(to, emitted);
+            self.transmit(pid, frame);
         }
     }
 
     fn on_crash(&mut self, pid: usize) {
-        if self.crashed[pid] {
-            return;
+        if self.world.crash(pid, self.now) {
+            self.metrics.hash_event(self.now, 3, pid as u64);
+            self.tracer.crash(self.now, pid);
         }
-        self.crashed[pid] = true;
-        self.crash_times[pid] = Some(self.now);
-        self.metrics.hash_event(self.now, 3, pid as u64);
-        self.tracer.crash(self.now, pid);
-        self.fd.on_crash(pid, self.now);
     }
 
     fn on_client_broadcast(&mut self, pid: usize, topic: TopicId, payload: Payload) {
         self.pending_broadcasts -= 1;
-        if self.crashed[pid] {
-            return; // invoking a crashed process is a no-op
-        }
-        let snapshot = self.fd.snapshot(pid, self.now);
-        let Some(tag) = self.nodes[pid].broadcast(topic, payload.clone(), &snapshot) else {
-            // Refused: the topic is not live at this process (DESIGN.md
-            // §15). Unreachable without lifecycle events.
+        let Some(rec) = self.world.broadcast(pid, topic, payload, self.now) else {
+            // A crashed process, or a topic not live at this one
+            // (DESIGN.md §15): the invocation is a no-op.
             return;
         };
         self.metrics.hash_event(self.now, 4, pid as u64);
         self.handle_deliveries(pid);
-        let rec = BroadcastRecord {
-            pid,
-            topic,
-            tag,
-            time: self.now,
-            payload,
-        };
         self.tracer.urb_broadcast(&rec);
         self.metrics.broadcasts.push(rec);
-        let outbox = &mut self.nodes[pid].mux().outbox;
-        if !outbox.is_empty() {
-            let mut out = self.batches.acquire();
-            out.append(outbox);
-            self.transmit(pid, out);
-        }
+        // Never empty: every algorithm sends its MSG as it broadcasts.
+        self.send(pid, self.batches.acquire());
     }
 
     /// Applies lifecycle plan entry `index` at every non-crashed process
@@ -829,16 +741,12 @@ impl Runner {
         };
         self.metrics
             .hash_event(self.now, kind, action.topic().0 as u64);
-        let control = action.control(self.config.algorithm);
-        for (node, &crashed) in self.nodes.iter_mut().zip(&self.crashed) {
-            if !crashed {
-                node.apply(control);
-            }
-        }
+        self.world.apply(action);
     }
 
     fn on_sample(&mut self) {
-        let per_process = self.nodes.iter().map(|n| n.engine().stats()).collect();
+        let nodes = self.world.nodes();
+        let per_process = nodes.iter().map(|n| n.engine().stats()).collect();
         self.metrics.stats_samples.push(StatsSample {
             time: self.now,
             per_process,
@@ -851,25 +759,14 @@ impl Runner {
 
     /// Records the URB-deliveries `pid`'s last step(s) left in its buffers.
     fn handle_deliveries(&mut self, pid: usize) {
-        for (topic, d) in self.nodes[pid].mux().deliveries.drain(..) {
-            self.deliveries_per_pid[pid] += 1;
-            let rec = DeliveryRecord {
-                pid,
-                topic,
-                tag: d.tag,
-                time: self.now,
-                fast: d.fast,
-                payload: d.payload,
-            };
-            self.tracer.urb_deliver(&rec);
-            self.metrics.deliveries.push(rec);
-            // Crash-on-first-delivery triggers (Theorem 2 / E11 adversary).
-            if !self.crash_armed[pid] {
-                if let CrashRule::OnFirstDelivery { delay } = self.config.crashes.rule(pid) {
-                    self.crash_armed[pid] = true;
-                    self.queue.push(self.now + delay, Event::Crash { pid });
-                }
-            }
+        let (metrics, tracer) = (&mut self.metrics, &mut self.tracer);
+        let armed = self.world.drain_deliveries(pid, self.now, |rec| {
+            tracer.urb_deliver(&rec);
+            metrics.deliveries.push(rec);
+        });
+        // Crash-on-first-delivery triggers (Theorem 2 / E11 adversary).
+        if let Some(delay) = armed {
+            self.queue.push(self.now + delay, Event::Crash { pid });
         }
     }
 
@@ -888,28 +785,18 @@ impl Runner {
     /// split into one frame per topic before routing: message behaviour is
     /// identical, but every topic pays its own per-destination frame.
     fn transmit(&mut self, from: usize, entries: Vec<(TopicId, WireMessage)>) {
-        if !self.config.mux_frames {
-            if let Some(first_topic) = entries.first().map(|(t, _)| *t) {
-                if entries.iter().any(|(t, _)| *t != first_topic) {
-                    // Split into ascending per-topic frames (entries are
-                    // grouped ascending already) and route each alone.
-                    let mut rest = entries;
-                    while !rest.is_empty() {
-                        let topic = rest[0].0;
-                        let cut = rest
-                            .iter()
-                            .position(|(t, _)| *t != topic)
-                            .unwrap_or(rest.len());
-                        let mut group = self.batches.acquire();
-                        group.extend(rest.drain(..cut));
-                        self.transmit_frame(from, group);
-                    }
-                    self.batches.release(rest);
-                    return;
-                }
-            }
+        let first = entries.first().map(|(t, _)| *t);
+        if self.config.mux_frames || entries.iter().all(|(t, _)| Some(*t) == first) {
+            return self.transmit_frame(from, entries);
         }
-        self.transmit_frame(from, entries);
+        // Entries are grouped ascending by topic already: route each group
+        // as a frame of its own.
+        for group in entries.chunk_by(|a, b| a.0 == b.0) {
+            let mut frame = self.batches.acquire();
+            frame.extend_from_slice(group);
+            self.transmit_frame(from, frame);
+        }
+        self.batches.release(entries);
     }
 
     /// Routes one frame's entries to every destination. See
@@ -992,51 +879,45 @@ impl Runner {
             &self.metrics.broadcasts,
             &self.metrics.deliveries,
         );
-        let final_stats = self.nodes.iter().map(|n| n.engine().stats()).collect();
+        let nodes = self.world.nodes();
+        let final_stats = nodes.iter().map(|n| n.engine().stats()).collect();
 
         // Oracle audit: reconstruct a reference oracle with the *actual*
         // crash times (dynamic triggers resolved during the run), then
         // machine-check the AΘ/AP* clauses over a horizon that clears every
         // removal clock. Skipped when a declared-faulty process never
         // crashed within the horizon (its removal clocks never started).
-        let fd_audit = match self.config.fd {
-            FdKind::Oracle(cfg) => {
-                let mut actual = self.config.crashes.static_times();
-                let mut resolvable = true;
-                for (slot, resolved) in actual.iter_mut().zip(&self.crash_times) {
-                    if *slot == Some(u64::MAX) {
-                        match resolved {
-                            Some(t) => *slot = Some(*t),
-                            None => resolvable = false,
-                        }
-                    }
-                }
-                if resolvable {
-                    // The completeness clauses are evaluated at the horizon,
-                    // which must clear every crash (even ones planned after
-                    // the run ended early) plus all removal clocks.
-                    let latest_crash = actual.iter().flatten().copied().max().unwrap_or(0);
-                    let oracle = OracleFd::new(actual, self.config.seed, cfg);
-                    let horizon = self
-                        .metrics
-                        .ended_at
-                        .max(latest_crash)
-                        .max(oracle.pstar_ready_at())
-                        .saturating_add(cfg.theta_removal_delay)
-                        .saturating_add(cfg.pstar_removal_delay)
-                        .saturating_add(cfg.appearance_spread)
-                        .saturating_add(1);
-                    Some(oracle.audit(horizon))
-                } else {
-                    None
-                }
+        let planned = self.config.crashes.static_times().into_iter();
+        let actual: Option<Vec<Option<u64>>> = (planned.zip(self.world.crash_times()))
+            .map(|(at, &crashed)| match at {
+                Some(u64::MAX) => crashed.map(Some),
+                at => Some(at),
+            })
+            .collect();
+        let fd_audit = match (self.config.fd, actual) {
+            (FdKind::Oracle(cfg), Some(actual)) => {
+                // The completeness clauses are evaluated at the horizon,
+                // which must clear every crash (even ones planned after
+                // the run ended early) plus all removal clocks.
+                let latest_crash = actual.iter().flatten().copied().max().unwrap_or(0);
+                let oracle = OracleFd::new(actual, self.config.seed, cfg);
+                let horizon = self
+                    .metrics
+                    .ended_at
+                    .max(latest_crash)
+                    .max(oracle.pstar_ready_at())
+                    .saturating_add(cfg.theta_removal_delay)
+                    .saturating_add(cfg.pstar_removal_delay)
+                    .saturating_add(cfg.appearance_spread)
+                    .saturating_add(1);
+                Some(oracle.audit(horizon))
             }
             _ => None,
         };
         RunOutcome {
             n: self.config.n,
             algorithm: self.config.algorithm.name(),
-            counters: self.nodes.iter().map(|n| n.engine().counters()).collect(),
+            counters: nodes.iter().map(|n| n.engine().counters()).collect(),
             correct,
             quiescent: self.metrics.quiescent_at_end,
             last_protocol_send: self.metrics.last_protocol_send,

@@ -1,7 +1,5 @@
 //! The **soak plane** (DESIGN.md §14): million-message memory-boundedness
-//! runs on the lockstep mesh (`crate::lockstep`, DESIGN.md §2) — nodes
-//! stepped directly over a perfect network instead of through the event
-//! queue.
+//! runs on a [`World`] flooded FIFO instead of through the event queue.
 //!
 //! A soak does not care about loss or delay — it cares whether resident
 //! protocol state stays bounded when messages keep coming forever. So it
@@ -18,12 +16,114 @@
 //! order-sensitive rolling hashes in [`SoakOutcome::delivery_hashes`].
 //! Mid-run crash-and-restore is modelled too: with
 //! [`SoakConfig::snapshot_restart_at`] set, every engine is serialized,
-//! torn down and restored from bytes at that point, and the outcome must
-//! be byte-identical to an undisturbed run.
+//! torn down and restored from bytes at that point
+//! ([`World::restart_from_snapshots`]), and the outcome must be
+//! byte-identical to an undisturbed run.
 
-use crate::lockstep::Mesh;
+use crate::sim::SimConfig;
+use crate::world::World;
+use std::collections::VecDeque;
 use urb_core::Algorithm;
-use urb_types::{MemoryConfig, Payload, TopicId};
+use urb_types::snapshot::fnv1a;
+use urb_types::{
+    FdPair, FdSnapshot, FdView, Label, MemoryConfig, Payload, SplitMix64, Tag, TopicId, WireMessage,
+};
+
+/// The scheduler of both load planes (this one and
+/// [`mod@crate::openloop`]): every emission reaches every process of a
+/// [`World`] instantly, losslessly and in FIFO order, and a sweep is one
+/// node tick per process. Deliveries fold into per-process rolling hashes,
+/// so two runs delivered identically iff their hashes match. Each plane
+/// salts its own seed and label: its tag stream is its own.
+pub(crate) struct Flood {
+    pub world: World,
+    /// Topic-tagged emissions awaiting delivery to every process.
+    net: VecDeque<(TopicId, WireMessage)>,
+    /// Per-process rolling hashes over the delivery sequence.
+    pub hashes: Vec<u64>,
+    /// Per-link copies flooded so far (each emission reaches all `n`).
+    pub transmissions: u64,
+}
+
+impl Flood {
+    /// `n` nodes of `topics` instances each; node `i` draws its tags from
+    /// the `i`-th split of `salted_seed`.
+    pub fn new(
+        n: usize,
+        topics: u32,
+        algorithm: Algorithm,
+        salted_seed: u64,
+        label: u64,
+        memory: Option<MemoryConfig>,
+    ) -> Self {
+        // One static full view: both detectors report the single label
+        // `label` covering all `n` processes, which satisfies `AΘ` (deliver
+        // once all `n` distinct ACKs carry it) and `AP*` (prune once the
+        // ACK table matches the full view) when every process is correct.
+        let fd = if algorithm.needs_fd() {
+            let view = FdView::from_pairs([FdPair {
+                label: Label(label),
+                number: n as u32,
+            }]);
+            FdSnapshot::new(view.clone(), view)
+        } else {
+            FdSnapshot::none()
+        };
+        let cfg = SimConfig {
+            memory,
+            ..SimConfig::new(n, algorithm).topics(topics)
+        };
+        Flood {
+            world: World::new(&cfg, SplitMix64::new(salted_seed), Box::new(fd)),
+            net: VecDeque::new(),
+            hashes: vec![0xCBF2_9CE4_8422_2325; n],
+            transmissions: 0,
+        }
+    }
+
+    /// `URB_broadcast(payload)` at `pid` on `topic`. The step's effects
+    /// stay buffered until the caller [`absorb`](Flood::absorb)s them —
+    /// so it can file the returned tag first.
+    pub fn broadcast(&mut self, pid: usize, topic: TopicId, payload: Payload) -> Tag {
+        let rec = self.world.broadcast(pid, topic, payload, 0);
+        rec.expect("every topic of the flood is live").tag
+    }
+
+    /// Drains what `pid`'s last step(s) produced: emissions onto the
+    /// network, deliveries into the hashes and — in order — to
+    /// `on_deliver(pid, tag)`.
+    pub fn absorb(&mut self, pid: usize, on_deliver: &mut impl FnMut(usize, Tag)) {
+        self.net.extend(self.world.outbox(pid).drain(..));
+        let hash = &mut self.hashes[pid];
+        self.world.drain_deliveries(pid, 0, |d| {
+            *hash ^= fnv1a(&d.tag.0.to_le_bytes());
+            *hash = hash.wrapping_mul(0x1000_0000_01B3);
+            on_deliver(pid, d.tag);
+        });
+    }
+
+    /// Delivers every queued emission to every process until the network
+    /// is silent.
+    pub fn flood(&mut self, on_deliver: &mut impl FnMut(usize, Tag)) {
+        let n = self.hashes.len();
+        while let Some((topic, msg)) = self.net.pop_front() {
+            self.transmissions += n as u64;
+            for pid in 0..n {
+                self.world.receive(pid, topic, msg.clone(), 0);
+                self.absorb(pid, on_deliver);
+            }
+        }
+    }
+
+    /// One node tick of every process, then a flood of what they emitted.
+    pub fn sweep(&mut self, on_deliver: &mut impl FnMut(usize, Tag)) {
+        for pid in 0..self.hashes.len() {
+            self.world.tick(pid, 0);
+            self.absorb(pid, on_deliver);
+        }
+        self.flood(on_deliver);
+    }
+}
 
 /// Configuration of one soak run.
 #[derive(Clone, Debug)]
@@ -128,7 +228,7 @@ impl SoakOutcome {
 /// Executes one soak run. Pure function of the config.
 pub fn soak(cfg: SoakConfig) -> SoakOutcome {
     assert!(cfg.sweep_every >= 1);
-    let mut mesh = Mesh::new(
+    let mut flood = Flood::new(
         cfg.n,
         1,
         cfg.algorithm,
@@ -139,42 +239,42 @@ pub fn soak(cfg: SoakConfig) -> SoakOutcome {
     let mut ignore = |_, _| {};
     let mut samples = Vec::new();
     // One node tick per process (flooding what it emits), then a sample.
-    let mut sweep = |mesh: &mut Mesh, messages: u64| {
-        mesh.sweep(&mut |_, _| {});
-        samples.push(SoakSample {
-            messages,
-            resident: mesh.nodes.iter().map(|n| n.engine().stats().total()).sum(),
-        });
+    let mut sweep = |flood: &mut Flood, messages: u64| {
+        flood.sweep(&mut |_, _| {});
+        let nodes = flood.world.nodes();
+        let resident = nodes.iter().map(|n| n.engine().stats().total()).sum();
+        samples.push(SoakSample { messages, resident });
     };
     let payload = Payload::from("soak");
     for i in 0..cfg.messages {
         if cfg.snapshot_restart_at == Some(i) {
-            mesh.restart_from_snapshots();
+            flood.world.restart_from_snapshots();
         }
         let pid = (i % cfg.n as u64) as usize;
-        mesh.broadcast(pid, TopicId::ZERO, payload.clone());
-        mesh.absorb(pid, &mut ignore);
-        mesh.flood(&mut ignore);
+        flood.broadcast(pid, TopicId::ZERO, payload.clone());
+        flood.absorb(pid, &mut ignore);
+        flood.flood(&mut ignore);
         if (i + 1) % cfg.sweep_every == 0 {
-            sweep(&mut mesh, i + 1);
+            sweep(&mut flood, i + 1);
         }
     }
     // Drain: enough sweeps to clear every grace clock, so everything
     // stable at the end is also reclaimed (bounded mode).
     let grace = cfg.memory.map_or(1, |m| m.grace_ticks + 2);
     for _ in 0..grace.max(2) {
-        sweep(&mut mesh, cfg.messages);
+        sweep(&mut flood, cfg.messages);
     }
-    let counters = mesh.nodes.iter().map(|n| n.engine().counters());
+    let nodes = flood.world.nodes();
+    let counters = nodes.iter().map(|n| n.engine().counters());
     SoakOutcome {
         messages: cfg.messages,
-        quiescent: mesh.nodes.iter().all(|n| n.engine().is_quiescent()),
+        quiescent: flood.world.is_quiescent(),
         peak_resident: samples.iter().map(|s| s.resident).max().unwrap_or(0),
         final_resident: samples.last().map_or(0, |s| s.resident),
         reclaimed: counters.clone().map(|c| c.reclaimed).sum(),
         tombstoned: counters.map(|c| c.tombstoned).sum(),
-        delivered: mesh.delivered,
-        delivery_hashes: mesh.hashes,
+        delivered: flood.world.delivered().to_vec(),
+        delivery_hashes: flood.hashes,
         samples,
     }
 }
@@ -182,6 +282,68 @@ pub fn soak(cfg: SoakConfig) -> SoakOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn flood_run(seed: u64, topics: u32) -> Flood {
+        let salted = seed ^ 0x7E57_7E57_7E57_7E57;
+        let mut flood = Flood::new(3, topics, Algorithm::Quiescent, salted, 0x7E57, None);
+        let mut ignore = |_, _| {};
+        for i in 0..24u32 {
+            let pid = i as usize % 3;
+            flood.broadcast(pid, TopicId(i % topics), Payload::from("m"));
+            flood.absorb(pid, &mut ignore);
+            flood.flood(&mut ignore);
+            if i % 8 == 7 {
+                flood.sweep(&mut ignore);
+            }
+        }
+        flood.sweep(&mut ignore);
+        flood
+    }
+
+    #[test]
+    fn flood_is_deterministic_per_seed() {
+        let (a, b) = (flood_run(5, 2), flood_run(5, 2));
+        assert_eq!(a.hashes, b.hashes);
+        assert_eq!(a.world.delivered(), [24; 3]);
+        assert_eq!(a.transmissions, b.transmissions);
+        assert_ne!(a.hashes, flood_run(6, 2).hashes, "seed moves the tags");
+    }
+
+    #[test]
+    fn flood_feeds_every_emission_to_every_engine_exactly_once() {
+        let flood = flood_run(9, 3);
+        assert!(flood.net.is_empty(), "flood ran the network silent");
+        let nodes = flood.world.nodes();
+        let emitted: u64 = nodes
+            .iter()
+            .map(|n| n.engine().counters().messages_out)
+            .sum();
+        assert!(emitted > 0);
+        for (pid, n) in nodes.iter().enumerate() {
+            assert_eq!(n.engine().counters().receives, emitted, "process {pid}");
+        }
+        assert_eq!(flood.transmissions, 3 * emitted, "n copies per emission");
+        assert!(flood.world.is_quiescent());
+    }
+
+    #[test]
+    fn snapshot_restart_changes_nothing() {
+        let mut straight = flood_run(11, 1);
+        let mut restarted = flood_run(11, 1);
+        restarted.world.restart_from_snapshots();
+        let mut ignore = |_, _| {};
+        for flood in [&mut straight, &mut restarted] {
+            flood.broadcast(0, TopicId::ZERO, Payload::from("after"));
+            flood.absorb(0, &mut ignore);
+            flood.flood(&mut ignore);
+        }
+        assert_eq!(straight.hashes, restarted.hashes);
+        let stats = |f: &Flood| {
+            let nodes = f.world.nodes();
+            nodes.iter().map(|n| n.engine().stats()).collect::<Vec<_>>()
+        };
+        assert_eq!(stats(&straight), stats(&restarted));
+    }
 
     fn mem() -> MemoryConfig {
         MemoryConfig {
