@@ -202,9 +202,17 @@ pub fn stale_acker(algorithm: Algorithm, horizon: u64, seed: u64) -> SimConfig {
         // its ACKs — that is what leaves the stale entry behind.
         faulty_knowledge: true,
     });
-    let mut rules = vec![CrashRule::Never; n];
-    rules[n - 1] = CrashRule::At(200);
-    cfg.crashes = CrashPlan::from_rules(rules);
+    cfg.crashes = CrashPlan::from_rules(
+        (0..n)
+            .map(|i| {
+                if i == n - 1 {
+                    CrashRule::At(200)
+                } else {
+                    CrashRule::Never
+                }
+            })
+            .collect(),
+    );
     cfg
 }
 
