@@ -208,10 +208,15 @@ impl Counterexample {
             seed: body["seed"]
                 .as_u64()
                 .ok_or_else(|| "missing or mistyped `seed`".to_string())?,
-            depth_bound: body["depth_bound"]
-                .as_u64()
-                .ok_or_else(|| "missing or mistyped `depth_bound`".to_string())?
-                as u32,
+            depth_bound: {
+                let d = body["depth_bound"]
+                    .as_u64()
+                    .ok_or_else(|| "missing or mistyped `depth_bound`".to_string())?;
+                // Past u32::MAX would wrap and re-serialize differently.
+                u32::try_from(d).map_err(|_| {
+                    format!("`depth_bound` = {d} does not fit a u32 (max {})", u32::MAX)
+                })?
+            },
             spec_toml: req_str("spec_toml")?,
             violation,
             choices,
@@ -327,6 +332,26 @@ mod tests {
         assert!(Counterexample::parse(&bad)
             .unwrap_err()
             .contains("unknown choice kind"));
+    }
+
+    #[test]
+    fn parse_refuses_a_depth_bound_past_u32() {
+        let body = sample().body_json();
+        let max = body.replace("\"depth_bound\": 32,", "\"depth_bound\": 4294967295,");
+        let cx = Counterexample::parse(&max).unwrap();
+        assert_eq!(cx.depth_bound, u32::MAX);
+        assert_eq!(
+            cx.body_json(),
+            max,
+            "u32::MAX re-serializes byte-identically"
+        );
+        // 2^32 + 16 must not wrap to 16.
+        let wrapped = body.replace("\"depth_bound\": 32,", "\"depth_bound\": 4294967312,");
+        let err = Counterexample::parse(&wrapped).unwrap_err();
+        assert_eq!(
+            err,
+            "`depth_bound` = 4294967312 does not fit a u32 (max 4294967295)"
+        );
     }
 
     #[test]

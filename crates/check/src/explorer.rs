@@ -43,7 +43,6 @@
 //! per walk, keep each walk's legacy seeding, and merge in walk order
 //! with the same early-stop rules as the serial loop.
 
-use crate::cache::{CacheSession, CacheStats};
 use crate::counterexample::Counterexample;
 use crate::independence::{independent, DeliveryId};
 use crate::model::{CheckModel, CheckState, Choice};
@@ -157,8 +156,6 @@ pub struct CheckOutcome {
     pub counterexample: Option<Counterexample>,
     /// Throughput/coverage counters.
     pub stats: ExplorationStats,
-    /// Cache effectiveness, when a [`CacheSession`] was attached.
-    pub cache: Option<CacheStats>,
     /// Distinct state hashes materialized, sorted (only when
     /// [`ExploreOptions::collect_fingerprints`] was set).
     pub fingerprints: Option<Vec<u64>>,
@@ -228,8 +225,7 @@ fn matches_expectation(spec: &ScenarioSpec, st: &CheckState<'_>) -> bool {
 
 /// Explores `spec` and returns the outcome. `seed` overrides the spec's
 /// seed; `strategy`/`depth` override the spec's `[check]` table.
-/// Single-threaded, cache-less convenience wrapper around
-/// [`check_scenario_with`].
+/// Single-threaded convenience wrapper around [`check_scenario_with`].
 pub fn check_scenario(
     spec: &ScenarioSpec,
     strategy: Option<Strategy>,
@@ -244,26 +240,13 @@ pub fn check_scenario(
             seed,
             ..ExploreOptions::default()
         },
-        None,
     )
 }
 
-/// Explores `spec` under explicit [`ExploreOptions`], optionally probing
-/// and extending a persistent [`CacheSession`].
-///
-/// The cache is consulted and recorded only when it is *sound* to do
-/// so: frontier strategies (never `random`, whose walks prove nothing
-/// about subtrees) on scenarios that do **not** expect a violation (a
-/// witness ends exploration early, so "expanded" would not mean
-/// "subtree clean"). On an inert cache the session's loaded rows are
-/// still reported, with zero probes. The session is marked
-/// save-eligible here iff the run drained its frontier untruncated and
-/// violation-free; actually writing the file is the caller's
-/// ([`CacheSession::save`]) decision.
+/// Explores `spec` under explicit [`ExploreOptions`].
 pub fn check_scenario_with(
     spec: &ScenarioSpec,
     opts: &ExploreOptions,
-    mut cache: Option<&mut CacheSession>,
 ) -> Result<CheckOutcome, SpecError> {
     let model = CheckModel::from_spec(spec, opts.seed)?;
     let strategy = Strategy::resolve(spec, opts.strategy);
@@ -271,7 +254,6 @@ pub fn check_scenario_with(
     let jobs = opts.jobs.max(1);
     let dpor = opts.dpor.unwrap_or(strategy == Strategy::DporLite);
     let expects = expects_violation(&spec.expect);
-    let cache_active = cache.is_some() && strategy != Strategy::Random && !expects;
     let started = Instant::now();
     let engine = Engine {
         spec,
@@ -286,25 +268,10 @@ pub fn check_scenario_with(
     };
     let mut stats = ExplorationStats::default();
     let mut fingerprints = BTreeSet::new();
-    let mut probes = CacheProbes::default();
     let witness = match strategy {
         Strategy::Random => engine.random_walks(spec.check.walks, &mut stats),
-        Strategy::Dfs | Strategy::DporLite => engine.frontier_search(
-            &mut stats,
-            if cache_active {
-                cache.as_deref_mut()
-            } else {
-                None
-            },
-            &mut probes,
-            &mut fingerprints,
-        ),
+        Strategy::Dfs | Strategy::DporLite => engine.frontier_search(&mut stats, &mut fingerprints),
     };
-    if cache_active && witness.is_none() && !stats.truncated {
-        if let Some(session) = cache.as_deref_mut() {
-            session.mark_complete(stats.depth_prunes == 0);
-        }
-    }
     stats.elapsed_secs = started.elapsed().as_secs_f64();
     Ok(CheckOutcome {
         scenario: spec.name.clone(),
@@ -324,12 +291,6 @@ pub fn check_scenario_with(
             deliveries,
         }),
         stats,
-        cache: cache.as_ref().map(|session| CacheStats {
-            hits: probes.hits,
-            misses: probes.misses,
-            loaded: session.loaded_rows(),
-            persisted: 0,
-        }),
         fingerprints: engine
             .collect_fp
             .then(|| fingerprints.into_iter().collect()),
@@ -338,13 +299,6 @@ pub fn check_scenario_with(
 
 /// Witness payload: the path, the violation strings, the delivery trace.
 type Witness = (Vec<Choice>, Vec<String>, Vec<DeliveryRecord>);
-
-/// Cache probe counters accumulated during one run.
-#[derive(Default)]
-struct CacheProbes {
-    hits: u64,
-    misses: u64,
-}
 
 /// The concurrent visited set: `state_hash → maximal antichain of
 /// (remaining depth, delay budget)` pairs, sharded by hash. A probe hits
@@ -435,8 +389,6 @@ struct Scan {
     mismatched: bool,
     depth_pruned: bool,
     deduped: bool,
-    cache_hit: bool,
-    cache_probed: bool,
     dpor_pruned: u64,
     delay_prunes: u64,
     fingerprint: Option<u64>,
@@ -462,17 +414,15 @@ struct Engine<'a> {
 impl Engine<'_> {
     /// Replays and examines one frontier node; worker-side, shared-state
     /// reads only. Mirrors the serial pipeline exactly: materialize →
-    /// examine (silent/violation) → depth bound → visited probe → cache
-    /// probe → child generation (sleep-set and delay-budget cuts).
-    fn scan(&self, node: Node, cache: Option<&CacheSession>) -> Scan {
+    /// examine (silent/violation) → depth bound → visited probe → child
+    /// generation (sleep-set and delay-budget cuts).
+    fn scan(&self, node: Node) -> Scan {
         let mut scan = Scan {
             engine_steps: node.path.len() as u64,
             silent: false,
             mismatched: false,
             depth_pruned: false,
             deduped: false,
-            cache_hit: false,
-            cache_probed: false,
             dpor_pruned: 0,
             delay_prunes: 0,
             fingerprint: None,
@@ -508,13 +458,6 @@ impl Engine<'_> {
         if self.visited.dominated(hash, remaining, scan.node.budget) {
             scan.deduped = true;
             return scan;
-        }
-        if let Some(session) = cache {
-            scan.cache_probed = true;
-            if session.probe(hash, remaining, scan.node.budget) {
-                scan.cache_hit = true;
-                return scan;
-            }
         }
         let enabled = st.enabled_choices();
         let mut children = Vec::with_capacity(enabled.len());
@@ -582,8 +525,6 @@ impl Engine<'_> {
     fn frontier_search(
         &self,
         stats: &mut ExplorationStats,
-        mut session: Option<&mut CacheSession>,
-        probes: &mut CacheProbes,
         fingerprints: &mut BTreeSet<u64>,
     ) -> Option<Witness> {
         let mut frontier: BinaryHeap<Reverse<Node>> = BinaryHeap::new();
@@ -627,12 +568,8 @@ impl Engine<'_> {
             if batch.is_empty() {
                 break;
             }
-            let scans = {
-                let cache_ref = session.as_deref();
-                urb_sim::parallel::map_indexed_on(batch, self.jobs, &|_, node| {
-                    self.scan(node, cache_ref)
-                })
-            };
+            let scans =
+                urb_sim::parallel::map_indexed_on(batch, self.jobs, &|_, node| self.scan(node));
             // Barrier fold — sequential, in canonical (rank) order.
             for scan in scans {
                 stats.states += 1;
@@ -644,8 +581,6 @@ impl Engine<'_> {
                 stats.dedup_hits += scan.deduped as u64;
                 stats.dpor_pruned += scan.dpor_pruned;
                 stats.delay_prunes += scan.delay_prunes;
-                probes.hits += scan.cache_hit as u64;
-                probes.misses += (scan.cache_probed && !scan.cache_hit) as u64;
                 if let Some(fp) = scan.fingerprint {
                     fingerprints.insert(fp);
                 }
@@ -666,9 +601,6 @@ impl Engine<'_> {
                     // claimed this state.
                     stats.dedup_hits += 1;
                     continue;
-                }
-                if let Some(s) = session.as_deref_mut() {
-                    s.record(hash, remaining, budget);
                 }
                 for child in children {
                     if best

@@ -22,9 +22,6 @@
 //! * [`independence`] — the explicit commutation relation between
 //!   delivery choices that powers the sleep-set partial-order
 //!   reduction;
-//! * [`cache`] — the persistent, schema-versioned state-hash/depth
-//!   table (`urb check --cache FILE`) that lets bounded CI searches
-//!   deepen monotonically across runs;
 //! * [`counterexample`] — self-contained, byte-deterministically
 //!   replayable violation traces (`urb check --replay`), with delivery
 //!   rows in the PR 2 golden-trace shape.
@@ -52,13 +49,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod counterexample;
 pub mod explorer;
 pub mod independence;
 pub mod model;
 
-pub use cache::{CacheBinding, CacheError, CacheSession, CacheStats};
 pub use counterexample::Counterexample;
 pub use explorer::{
     check_scenario, check_scenario_with, CheckOutcome, ExplorationStats, ExploreOptions,

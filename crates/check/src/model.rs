@@ -523,7 +523,7 @@ impl<'m> CheckState<'m> {
         fold(&mut h, delivered);
         fold(&mut h, self.next_broadcast as u64);
         // Folded only on lifecycle scenarios, so static digests (and the
-        // persistent state-hash caches built from them) are unchanged.
+        // `check_corpus.json` pin built from them) are unchanged.
         if !self.model.cfg.topic_events.is_empty() {
             fold(&mut h, self.next_topic_event as u64);
         }

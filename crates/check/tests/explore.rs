@@ -13,8 +13,7 @@
 
 use proptest::prelude::*;
 use urb_check::{
-    check_scenario, check_scenario_with, CacheBinding, CacheSession, CheckOutcome, Counterexample,
-    ExploreOptions, Strategy,
+    check_scenario, check_scenario_with, CheckOutcome, Counterexample, ExploreOptions, Strategy,
 };
 use urb_core::Algorithm;
 use urb_sim::spec::{corpus, CrashRuleSpec};
@@ -245,18 +244,17 @@ fn quiescent_algorithm_explores_clean_under_crash_choices() {
 }
 
 // ------------------------------------------------------------------
-// Parallel frontier, persistent cache and sleep-set DPOR (DESIGN.md
-// §11, "Parallel exploration & cache format").
+// Parallel frontier and sleep-set DPOR (DESIGN.md §11, "Parallel
+// exploration").
 
-/// The determinism matrix: jobs ∈ {1, 2, 4} × cache {cold, warm}.
+/// The determinism matrix over jobs ∈ {1, 2, 4}.
 ///
 /// The witness half runs the Theorem-2 hunt at every worker count and
-/// demands the *same* counterexample, byte for byte. The cache half
-/// explores a clean two-topic scenario cold and warm at every worker
-/// count: every cold run agrees with every other cold run, every warm
-/// run with every other warm run, and warm is strictly cheaper.
+/// demands the *same* counterexample, byte for byte. The clean half
+/// explores a clean two-topic scenario at every worker count and
+/// demands the same state count, verdict and fingerprint set.
 #[test]
-fn determinism_matrix_jobs_times_cache() {
+fn determinism_matrix_over_jobs() {
     let spec = corpus_spec("theorem2_violation");
     let runs: Vec<CheckOutcome> = [1usize, 2, 4]
         .into_iter()
@@ -265,7 +263,7 @@ fn determinism_matrix_jobs_times_cache() {
                 jobs,
                 ..Default::default()
             };
-            check_scenario_with(&spec, &opts, None).unwrap()
+            check_scenario_with(&spec, &opts).unwrap()
         })
         .collect();
     for run in &runs[1..] {
@@ -284,45 +282,24 @@ fn determinism_matrix_jobs_times_cache() {
     }
 
     let spec = corpus_spec("two_topics_smoke");
-    let strategy = Strategy::resolve(&spec, None);
-    let mut cold = Vec::new();
-    let mut warm = Vec::new();
-    for jobs in [1usize, 2, 4] {
-        let path = std::env::temp_dir().join(format!(
-            "urb-determinism-matrix-{}-{jobs}.cache",
-            std::process::id()
-        ));
-        let path_str = path.to_str().unwrap().to_string();
-        let _ = std::fs::remove_file(&path);
-        for bucket in [&mut cold, &mut warm] {
-            let binding = CacheBinding::new(&spec, strategy, true, spec.seed);
-            let mut session = CacheSession::open(&path_str, binding).unwrap();
+    let runs: Vec<CheckOutcome> = [1usize, 2, 4]
+        .into_iter()
+        .map(|jobs| {
             let opts = ExploreOptions {
                 jobs,
+                collect_fingerprints: true,
                 ..Default::default()
             };
-            let outcome = check_scenario_with(&spec, &opts, Some(&mut session)).unwrap();
-            session.save().unwrap();
-            assert!(outcome.passed(), "{}", outcome.verdict_line());
-            bucket.push(outcome);
-        }
-        let _ = std::fs::remove_file(&path);
+            check_scenario_with(&spec, &opts).unwrap()
+        })
+        .collect();
+    assert!(runs[0].passed(), "{}", runs[0].verdict_line());
+    assert!(runs[0].fingerprints.as_ref().is_some_and(|f| !f.is_empty()));
+    for run in &runs[1..] {
+        assert_eq!(run.stats.states, runs[0].stats.states, "state count");
+        assert_eq!(run.verdict_line(), runs[0].verdict_line(), "verdict");
+        assert_eq!(run.fingerprints, runs[0].fingerprints, "fingerprints");
     }
-    for bucket in [&cold, &warm] {
-        for run in &bucket[1..] {
-            assert_eq!(run.stats.states, bucket[0].stats.states, "state count");
-            assert_eq!(run.verdict_line(), bucket[0].verdict_line(), "verdict");
-        }
-    }
-    assert!(
-        warm[0].stats.states < cold[0].stats.states,
-        "warm rerun must explore strictly fewer new states: {} vs {}",
-        warm[0].stats.states,
-        cold[0].stats.states
-    );
-    let stats = warm[0].cache.as_ref().expect("cache session attached");
-    assert!(stats.hits > 0, "warm run answered from the cache");
-    assert!(stats.hit_rate() > 0.0);
 }
 
 fn dpor_on_off(spec: &ScenarioSpec, depth: u32) -> (CheckOutcome, CheckOutcome) {
@@ -334,7 +311,7 @@ fn dpor_on_off(spec: &ScenarioSpec, depth: u32) -> (CheckOutcome, CheckOutcome) 
             collect_fingerprints: true,
             ..Default::default()
         };
-        check_scenario_with(spec, &opts, None).unwrap()
+        check_scenario_with(spec, &opts).unwrap()
     };
     (run(true), run(false))
 }

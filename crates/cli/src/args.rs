@@ -35,7 +35,7 @@ USAGE:
                            replay a declarative scenario file (.toml/.json)
                            and check its [expect] verdict
     urb check FILE [--strategy dfs|dpor-lite|random] [--depth N] [--seed S]
-                   [--jobs N] [--cache FILE] [--trace FILE] [--json]
+                   [--jobs N] [--trace FILE] [--json]
                            systematically explore the scenario's schedule
                            space and check URB invariants + the [expect]
                            verdict on every explored execution (DESIGN.md §11)
@@ -79,9 +79,6 @@ FLAGS (check):
     --seed S          engine/walk seed override
     --jobs N          exploration worker threads; results are
                       byte-identical for every N           [default: 1]
-    --cache FILE      persistent state-hash cache: probe it to skip
-                      already-proven subtrees, extend it after a clean
-                      complete run (schema-versioned; DESIGN.md §11)
     --trace FILE      write the counterexample trace (replayable) to FILE
     --replay FILE     replay a counterexample file instead of exploring
     --json            print the check report as JSON
@@ -237,8 +234,6 @@ pub struct CheckArgs {
     pub replay: Option<String>,
     /// The `--strategy`, `--depth`, `--seed` and `--jobs` overrides.
     pub explore: ExploreOptions,
-    /// Persistent state-hash cache file.
-    pub cache: Option<String>,
     /// Counterexample trace output path.
     pub trace: Option<String>,
     /// Machine-readable output.
@@ -527,7 +522,6 @@ fn check(mut f: Flags) -> Result<CheckArgs, String> {
             "--depth" => args.explore.depth = Some(positive(flag, f.parse()?)?),
             "--seed" => args.explore.seed = Some(f.parse()?),
             "--jobs" => args.explore.jobs = positive(flag, f.parse()?)?,
-            "--cache" => args.cache = Some(f.parse()?),
             "--trace" => args.trace = Some(f.parse()?),
             "--json" => args.json = true,
             _ if flag.starts_with("--") => return Err(f.unknown()),
@@ -802,7 +796,7 @@ mod tests {
     fn check_parses_flags_and_modes() {
         match parse(&argv(
             "check scenarios/theorem2_violation.toml --strategy dpor-lite \
-             --depth 40 --seed 5 --jobs 4 --cache /tmp/urb.cache --trace /tmp/cx.json --json",
+             --depth 40 --seed 5 --jobs 4 --trace /tmp/cx.json --json",
         ))
         .unwrap()
         {
@@ -812,7 +806,6 @@ mod tests {
                 assert_eq!(a.explore.depth, Some(40));
                 assert_eq!(a.explore.seed, Some(5));
                 assert_eq!(a.explore.jobs, 4);
-                assert_eq!(a.cache.as_deref(), Some("/tmp/urb.cache"));
                 assert_eq!(a.trace.as_deref(), Some("/tmp/cx.json"));
                 assert!(a.json);
                 assert!(a.replay.is_none());
@@ -837,10 +830,6 @@ mod tests {
         assert!(parse(&argv("check a.toml --jobs 0")).is_err());
         assert!(
             parse(&argv("check a.toml --jobs")).is_err(),
-            "missing value"
-        );
-        assert!(
-            parse(&argv("check a.toml --cache")).is_err(),
             "missing value"
         );
         assert!(parse(&argv("check a.toml --wat")).is_err());
@@ -1116,7 +1105,8 @@ mod tests {
             ("run --wat 3", "unknown flag \"--wat\""),
             ("check a.toml --wat", "unknown flag \"--wat\""),
             ("run --alg", "--alg needs a value"),
-            ("check a.toml --cache", "--cache needs a value"),
+            ("check a.toml --cache", "unknown flag \"--cache\""),
+            ("check a.toml --trace", "--trace needs a value"),
             ("run --n x", "--n: invalid digit found in string"),
             ("run --loss x", "--loss: invalid float literal"),
             (
@@ -1292,7 +1282,7 @@ mod tests {
                 (_, "--addrs") => "h:1,h:2",
                 (_, "--addr" | "--listen") => "h:1",
                 (_, "--id") => "1",
-                (_, "--replay" | "--validate" | "--cache" | "--trace" | "--state-dir") => "f",
+                (_, "--replay" | "--validate" | "--trace" | "--state-dir") => "f",
                 _ => "2",
             }
         };

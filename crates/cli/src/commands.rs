@@ -15,10 +15,7 @@ use crate::args::{
 use crate::summary::RunSummary;
 use urb_bench::report;
 use urb_bench::trajectory;
-use urb_check::{
-    check_scenario_with, CacheBinding, CacheSession, CheckOutcome, Counterexample, ExploreOptions,
-    Strategy,
-};
+use urb_check::{check_scenario_with, CheckOutcome, Counterexample};
 use urb_runtime::{NodeConfig, NodeReport};
 use urb_sim::{scenario, CrashPlan, LossModel, RunOutcome, ScenarioSpec, SimConfig, TraceConfig};
 
@@ -264,20 +261,6 @@ pub fn check_report_body(outcome: &CheckOutcome) -> String {
     );
     let _ = writeln!(out, "    \"truncated\": {}", s.truncated);
     let _ = writeln!(out, "  }},");
-    match &outcome.cache {
-        None => {
-            let _ = writeln!(out, "  \"cache\": null,");
-        }
-        Some(c) => {
-            let _ = writeln!(out, "  \"cache\": {{");
-            let _ = writeln!(out, "    \"hits\": {},", c.hits);
-            let _ = writeln!(out, "    \"misses\": {},", c.misses);
-            let _ = writeln!(out, "    \"hit_rate\": {:?},", c.hit_rate());
-            let _ = writeln!(out, "    \"loaded\": {},", c.loaded);
-            let _ = writeln!(out, "    \"persisted\": {}", c.persisted);
-            let _ = writeln!(out, "  }},");
-        }
-    }
     match &outcome.counterexample {
         None => {
             let _ = writeln!(out, "  \"counterexample\": null");
@@ -342,47 +325,7 @@ pub fn check_cmd(args: CheckArgs) -> Result<(), Failure> {
     let path = args.path.as_deref().expect("parser enforces FILE");
     let text = read_input(path)?;
     let spec = ScenarioSpec::from_named_str(path, &text).map_err(|e| format!("{path}: {e}"))?;
-    // Resolve the strategy up front: the cache binding must name the
-    // mode the run will actually use.
-    let strategy = Strategy::resolve(&spec, args.explore.strategy);
-    let mut session = match &args.cache {
-        None => None,
-        Some(cache_path) => {
-            let dpor = strategy == Strategy::DporLite;
-            let seed = args.explore.seed.unwrap_or(spec.seed);
-            let binding = CacheBinding::new(&spec, strategy, dpor, seed);
-            let s = CacheSession::open(cache_path, binding)
-                .map_err(|e| format!("{cache_path}: {e}"))?;
-            if let Some(reason) = s.stale() {
-                eprintln!("cache: ignoring {cache_path} ({reason})");
-            }
-            Some(s)
-        }
-    };
-    let opts = ExploreOptions {
-        strategy: Some(strategy),
-        ..args.explore
-    };
-    let mut outcome =
-        check_scenario_with(&spec, &opts, session.as_mut()).map_err(|e| format!("{path}: {e}"))?;
-    if let Some(session) = &session {
-        // A failed save degrades the next run to a cold start — warn,
-        // don't fail the verdict.
-        match session.save() {
-            Ok(persisted) => {
-                if let Some(cache) = &mut outcome.cache {
-                    cache.persisted = persisted;
-                }
-                if persisted > 0 {
-                    eprintln!(
-                        "cache: {persisted} subtree rows persisted to {}",
-                        args.cache.as_deref().unwrap_or("?")
-                    );
-                }
-            }
-            Err(e) => eprintln!("warning: cache not persisted: {e}"),
-        }
-    }
+    let outcome = check_scenario_with(&spec, &args.explore).map_err(|e| format!("{path}: {e}"))?;
     if let Some(trace_path) = &args.trace {
         match &outcome.counterexample {
             Some(cx) => {
@@ -433,16 +376,6 @@ pub fn check_cmd(args: CheckArgs) -> Result<(), Failure> {
             s.silent_states,
             s.dpor_pruned
         );
-        if let Some(c) = &outcome.cache {
-            println!(
-                "  cache: {} hits / {} misses (rate {:.3}), {} loaded, {} persisted",
-                c.hits,
-                c.misses,
-                c.hit_rate(),
-                c.loaded,
-                c.persisted
-            );
-        }
         println!("check verdict: {}", outcome.verdict_line());
     }
     holds(outcome.passed())

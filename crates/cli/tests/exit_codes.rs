@@ -326,8 +326,8 @@ fn check_json_reports_per_strategy_cost_fields() {
 }
 
 // ------------------------------------------------------------------
-// `urb check --jobs / --cache` — parallel frontier and persistent
-// state cache, exercised end to end on the binary.
+// `urb check --jobs` — the parallel frontier, exercised end to end on
+// the binary.
 
 /// Drop the fields that legitimately vary with `--jobs`: the requested
 /// worker count itself and the wall-clock throughput figure.
@@ -373,77 +373,14 @@ fn check_jobs_zero_is_exit_two() {
 }
 
 #[test]
-fn check_cache_cold_then_warm_shrinks_the_search() {
-    let spec = repo_root().join("scenarios/two_topics_smoke.toml");
-    let cache = tmp("warm.cache");
-    std::fs::remove_file(&cache).ok();
-    let report = || {
-        let out = run(&[
-            "check",
-            spec.to_str().unwrap(),
-            "--cache",
-            cache.to_str().unwrap(),
-            "--json",
-        ]);
-        assert_eq!(code(&out), 0, "{out:?}");
-        let v: serde_json::Value =
-            serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
-        v
-    };
-    let cold = report();
-    assert_eq!(cold["data"]["cache"]["hits"], 0u64, "cold start");
-    assert!(
-        cold["data"]["cache"]["persisted"].as_u64().unwrap() > 0,
-        "completed clean run persists its table: {cold:?}"
-    );
-    let warm = report();
-    assert!(
-        warm["data"]["cache"]["hits"].as_u64().unwrap() > 0,
-        "warm rerun answers from the cache: {warm:?}"
-    );
-    assert!(warm["data"]["cache"]["hit_rate"].as_f64().unwrap() > 0.0);
-    let (cold_states, warm_states) = (
-        cold["data"]["stats"]["states"].as_u64().unwrap(),
-        warm["data"]["stats"]["states"].as_u64().unwrap(),
-    );
-    assert!(
-        warm_states < cold_states,
-        "warm rerun explores strictly fewer new states: {warm_states} vs {cold_states}"
-    );
-    std::fs::remove_file(&cache).ok();
-}
-
-#[test]
-fn check_corrupt_or_version_mismatched_cache_is_exit_two() {
-    let spec = repo_root().join("scenarios/two_topics_smoke.toml");
-    let garbage = tmp("garbage.cache");
-    std::fs::write(&garbage, "not a cache header\n").unwrap();
-    let out = run(&[
-        "check",
-        spec.to_str().unwrap(),
-        "--cache",
-        garbage.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 2, "corrupt cache: {out:?}");
-    let future = tmp("future.cache");
-    std::fs::write(
-        &future,
-        "{\"schema_version\":99,\"kind\":\"check-cache\",\"scenario\":\"x\",\
-         \"seed\":0,\"mode\":\"dfs\",\"spec_digest\":\"0\"}\n",
-    )
-    .unwrap();
-    let out = run(&[
-        "check",
-        spec.to_str().unwrap(),
-        "--cache",
-        future.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 2, "version mismatch: {out:?}");
+fn check_cache_flag_is_refused() {
+    // A gate answers from the binary it runs, never from a table an
+    // earlier binary left behind: there is no `--cache`.
+    let spec = repo_root().join("scenarios/clean_smoke.toml");
+    let out = run(&["check", spec.to_str().unwrap(), "--cache", "x"]);
+    assert_eq!(code(&out), 2, "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("schema"), "{stderr}");
-    for p in [garbage, future] {
-        std::fs::remove_file(&p).ok();
-    }
+    assert!(stderr.contains("--cache"), "{stderr}");
 }
 
 // ------------------------------------------------------------------

@@ -4,7 +4,7 @@
 //! workspace.
 //!
 //! Several drivers execute the paper's protocols: the discrete-event
-//! simulator and its lockstep planes (`urb-sim`), the schedule explorer
+//! simulator and its flood planes (`urb-sim`), the schedule explorer
 //! (`urb-check`) and the threaded and socket runtimes (`urb-runtime`).
 //! Before this crate existed each of them re-implemented the same cycle —
 //! take a failure-detector snapshot, run one protocol step through the

@@ -313,8 +313,7 @@ impl Strategy {
 
     /// Resolves the strategy one `urb check` run uses: an explicit
     /// override wins, else the spec's `[check] strategy`, else the
-    /// default. Shared by the explorer and the CLI so the cache binding
-    /// and the actual run can never disagree.
+    /// default.
     pub fn resolve(spec: &ScenarioSpec, overridden: Option<Strategy>) -> Self {
         overridden.or(spec.check.strategy).unwrap_or_default()
     }

@@ -51,8 +51,8 @@ struct Key<T: 'static, F: 'static> {
     /// Type errors name the dotted path, not the bare key.
     dotted: bool,
     /// Write order among the table's keys (ties keep table order). The
-    /// ranks keep `to_toml`'s text, and so `urb check`'s cache digests,
-    /// as they were before the schema existed.
+    /// ranks keep `to_toml`'s text, and so every counterexample's
+    /// `spec_toml`, as they were before the schema existed.
     rank: u8,
 }
 

@@ -6,9 +6,9 @@
 //!   every range, cross-key and `compile` check (`BOUNDS` holds the rows
 //!   added with the size bounds and tick-overflow checks);
 //! * for each corpus file, the digest of `to_toml()` and of the compiled
-//!   config's `Debug` text. `to_toml` feeds `urb check`'s cache
-//!   `spec_digest` and a counterexample's `spec_toml`, so a changed byte
-//!   would silently turn every saved frontier cache stale.
+//!   config's `Debug` text. `to_toml` writes a counterexample's
+//!   `spec_toml`, so a changed byte would change every witness file
+//!   written from then on.
 
 use urb_sim::spec::{corpus, ScenarioSpec};
 

@@ -15,7 +15,7 @@
 //! may quiesce where unbounded never does (the documented deviation),
 //! but never the reverse.
 //!
-//! The harness is the soak plane's lockstep model in miniature: direct
+//! The harness is the soak plane's FIFO flood in miniature: direct
 //! protocol stepping, instant lossless flooding of every emission to all
 //! `n` processes, and a static full-membership detector view (which
 //! satisfies both the `AΘ` delivery condition and the `AP*` prune rule).

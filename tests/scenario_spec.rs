@@ -24,8 +24,8 @@
 //!   strategy and seed to depth 4, visits exactly the state counts and
 //!   the state-hash fingerprints recorded in
 //!   `tests/golden/check_corpus.json` (regenerated the same way). The
-//!   fingerprint digest pins `state_hash` itself, which persistent
-//!   `urb check --cache` tables trust across commits.
+//!   fingerprint digest pins `state_hash` itself, which the visited set
+//!   and the dominance rows key on.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -642,7 +642,7 @@ fn render_check_pin() -> String {
                 collect_fingerprints: true,
                 ..Default::default()
             };
-            let out = urb_check::check_scenario_with(&spec, &opts, None).unwrap();
+            let out = urb_check::check_scenario_with(&spec, &opts).unwrap();
             let fingerprints = match &out.fingerprints {
                 Some(fps) => {
                     let bytes: Vec<u8> = fps.iter().flat_map(|f| f.to_le_bytes()).collect();
