@@ -73,7 +73,8 @@ pub const ALL_IDS: [&str; 23] = [
     "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
 ];
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
+/// Nearest-rank `p`-quantile of an ascending sample (0 when it is empty).
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

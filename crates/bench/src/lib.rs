@@ -11,7 +11,7 @@
 //! Beyond the experiment tables, this crate is the **performance plane**
 //! (DESIGN.md §10):
 //!
-//! * [`trajectory`] — reduced deterministic grids over E1–E17 emitting the
+//! * [`trajectory`] — reduced deterministic grids over E1–E23 emitting the
 //!   schema-versioned `BENCH_*.json` perf history (`urb bench --json`);
 //! * [`report`] — the shared JSON envelope every tool output wears;
 //! * [`alloc_count`] — allocations-per-operation probes and the
@@ -32,10 +32,8 @@ pub mod alloc_count;
 pub mod executor;
 pub mod experiments;
 pub mod report;
-pub mod stats;
 pub mod table;
 pub mod trajectory;
 
-pub use stats::Summary;
 pub use table::Table;
 pub use trajectory::{Trajectory, TrajectoryConfig};

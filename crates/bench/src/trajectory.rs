@@ -16,6 +16,7 @@
 //! `null` unless the `count-allocs` feature is enabled.
 
 use crate::alloc_count::count_allocations;
+use crate::experiments::percentile;
 use crate::report;
 use crate::table::{f3, Table};
 use std::fmt::Write as _;
@@ -68,7 +69,7 @@ impl TrajectoryConfig {
 /// One experiment's aggregated, deterministic measurements.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentPoint {
-    /// Experiment id (`"e1"`…`"e21"`).
+    /// Experiment id (`"e1"`…`"e23"`).
     pub id: String,
     /// Simulated runs aggregated into this point.
     pub runs: u64,
@@ -222,13 +223,6 @@ fn open_loop_point(id: &str, cfg: &TrajectoryConfig) -> ExperimentPoint {
         allocs_per_run: allocs.map(|a| a as f64 / runs.max(1) as f64),
         trace_fingerprint: fingerprint,
     }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((p * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1)]
 }
 
 fn aggregate(

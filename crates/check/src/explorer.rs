@@ -49,7 +49,6 @@ use crate::model::{CheckModel, CheckState, Choice};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 use std::time::Instant;
 use urb_sim::metrics::DeliveryRecord;
 use urb_sim::{Expectations, ScenarioSpec, SpecError, Strategy};
@@ -60,7 +59,10 @@ use urb_types::{RandomSource, SplitMix64};
 /// bounded search (what was pruned, whether the cap truncated it).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExplorationStats {
-    /// States materialized (= full prefix replays).
+    /// States materialized. A frontier strategy materializes one per
+    /// prefix replay; a random walk materializes its initial state and
+    /// one per step, so under [`Strategy::Random`] `states` is
+    /// `engine_steps` plus the walks run.
     pub states: u64,
     /// Engine steps executed across all replays.
     pub engine_steps: u64,
@@ -200,9 +202,6 @@ pub const MAX_STATES: u64 = 200_000;
 /// several workers per barrier.
 const EPOCH_BATCH: usize = 128;
 
-/// Shards of the concurrent visited set (hash-indexed).
-const VISITED_SHARDS: usize = 16;
-
 /// Does `expect` ask for a violation at all?
 fn expects_violation(e: &Expectations) -> bool {
     [e.all_ok, e.validity, e.agreement, e.integrity].contains(&Some(false))
@@ -264,7 +263,6 @@ pub fn check_scenario_with(
         delay_budget: (strategy == Strategy::DporLite).then_some(spec.check.delay_budget as u64),
         jobs,
         collect_fp: opts.collect_fingerprints && strategy != Strategy::Random,
-        visited: SharedVisited::new(),
     };
     let mut stats = ExplorationStats::default();
     let mut fingerprints = BTreeSet::new();
@@ -300,40 +298,23 @@ pub fn check_scenario_with(
 /// Witness payload: the path, the violation strings, the delivery trace.
 type Witness = (Vec<Choice>, Vec<String>, Vec<DeliveryRecord>);
 
-/// The concurrent visited set: `state_hash → maximal antichain of
-/// (remaining depth, delay budget)` pairs, sharded by hash. A probe hits
-/// when some recorded expansion *dominates* it (was at least as far from
-/// the bound with at least as much budget) — re-expanding a state that
-/// reappears closer to the bound would only re-explore a sub-cone of
-/// what the dominating expansion already covered.
+/// The visited set: `state_hash → maximal antichain of (remaining depth,
+/// delay budget)` pairs. A probe hits when some recorded expansion
+/// *dominates* it (was at least as far from the bound with at least as
+/// much budget) — re-expanding a state that reappears closer to the
+/// bound would only re-explore a sub-cone of what the dominating
+/// expansion already covered.
 ///
-/// Workers probe it lock-cheap and **read-only** during an epoch;
-/// inserts happen solely in the sequential barrier fold, so the set's
-/// evolution is independent of thread scheduling.
-/// One visited-set shard: `state_hash → antichain of (remaining depth,
-/// delay budget)` rows.
-type VisitedShard = HashMap<u64, Vec<(u32, u64)>>;
+/// [`Engine::frontier_search`] owns it: workers borrow it shared and
+/// only probe it during an epoch; the sequential barrier fold borrows it
+/// mutably and is the only writer, so the set's evolution is
+/// independent of thread scheduling.
+#[derive(Default)]
+struct Visited(HashMap<u64, Vec<(u32, u64)>>);
 
-struct SharedVisited {
-    shards: Vec<Mutex<VisitedShard>>,
-}
-
-impl SharedVisited {
-    fn new() -> Self {
-        SharedVisited {
-            shards: (0..VISITED_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, hash: u64) -> &Mutex<HashMap<u64, Vec<(u32, u64)>>> {
-        &self.shards[(hash % VISITED_SHARDS as u64) as usize]
-    }
-
+impl Visited {
     fn dominated(&self, hash: u64, remaining: u32, budget: u64) -> bool {
-        let shard = self.shard(hash).lock().unwrap_or_else(|e| e.into_inner());
-        shard
+        self.0
             .get(&hash)
             .is_some_and(|rows| rows.iter().any(|&(r, b)| r >= remaining && b >= budget))
     }
@@ -341,12 +322,11 @@ impl SharedVisited {
     /// Returns false (and leaves the set unchanged) when the entry is
     /// already dominated; otherwise inserts it, evicting what it
     /// dominates.
-    fn insert(&self, hash: u64, remaining: u32, budget: u64) -> bool {
-        let mut shard = self.shard(hash).lock().unwrap_or_else(|e| e.into_inner());
-        let rows = shard.entry(hash).or_default();
-        if rows.iter().any(|&(r, b)| r >= remaining && b >= budget) {
+    fn insert(&mut self, hash: u64, remaining: u32, budget: u64) -> bool {
+        if self.dominated(hash, remaining, budget) {
             return false;
         }
+        let rows = self.0.entry(hash).or_default();
         rows.retain(|&(r, b)| !(remaining >= r && budget >= b));
         rows.push((remaining, budget));
         true
@@ -408,15 +388,14 @@ struct Engine<'a> {
     delay_budget: Option<u64>,
     jobs: usize,
     collect_fp: bool,
-    visited: SharedVisited,
 }
 
 impl Engine<'_> {
-    /// Replays and examines one frontier node; worker-side, shared-state
-    /// reads only. Mirrors the serial pipeline exactly: materialize →
+    /// Replays and examines one frontier node; worker-side, reading
+    /// `visited` only. Mirrors the serial pipeline exactly: materialize →
     /// examine (silent/violation) → depth bound → visited probe → child
     /// generation (sleep-set and delay-budget cuts).
-    fn scan(&self, node: Node) -> Scan {
+    fn scan(&self, node: Node, visited: &Visited) -> Scan {
         let mut scan = Scan {
             engine_steps: node.path.len() as u64,
             silent: false,
@@ -455,7 +434,7 @@ impl Engine<'_> {
         }
         let hash = st.state_hash();
         let remaining = (self.depth - scan.node.path.len() as u64) as u32;
-        if self.visited.dominated(hash, remaining, scan.node.budget) {
+        if visited.dominated(hash, remaining, scan.node.budget) {
             scan.deduped = true;
             return scan;
         }
@@ -527,6 +506,7 @@ impl Engine<'_> {
         stats: &mut ExplorationStats,
         fingerprints: &mut BTreeSet<u64>,
     ) -> Option<Witness> {
+        let mut visited = Visited::default();
         let mut frontier: BinaryHeap<Reverse<Node>> = BinaryHeap::new();
         frontier.push(Reverse(Node {
             rank: Vec::new(),
@@ -568,8 +548,9 @@ impl Engine<'_> {
             if batch.is_empty() {
                 break;
             }
-            let scans =
-                urb_sim::parallel::map_indexed_on(batch, self.jobs, &|_, node| self.scan(node));
+            let scans = urb_sim::parallel::map_indexed_on(batch, self.jobs, &|_, node| {
+                self.scan(node, &visited)
+            });
             // Barrier fold — sequential, in canonical (rank) order.
             for scan in scans {
                 stats.states += 1;
@@ -596,7 +577,7 @@ impl Engine<'_> {
                 let Some(((hash, remaining, budget), children)) = scan.expand else {
                     continue;
                 };
-                if !self.visited.insert(hash, remaining, budget) {
+                if !visited.insert(hash, remaining, budget) {
                     // A same-epoch twin (earlier in rank order) already
                     // claimed this state.
                     stats.dedup_hits += 1;
@@ -660,7 +641,9 @@ impl Engine<'_> {
         None
     }
 
-    /// One seeded random walk — the exact serial per-walk loop.
+    /// One seeded random walk — the exact serial per-walk loop. It
+    /// materializes the initial state and one more per step, so its
+    /// `states` is `engine_steps + 1`.
     fn one_walk(&self, walk: u32) -> WalkResult {
         let mut out = WalkResult {
             states: 1,
@@ -695,6 +678,7 @@ impl Engine<'_> {
             }
             let c = enabled[rng.gen_range(enabled.len() as u64) as usize];
             st.apply_trusted(c);
+            out.states += 1;
             out.engine_steps += 1;
             path.push(c);
             out.max_depth = out.max_depth.max(path.len() as u64);

@@ -190,6 +190,21 @@ fn dfs_prunes_via_state_hashes() {
 }
 
 #[test]
+fn random_walks_count_every_materialized_state() {
+    // A walk materializes its initial state and one more per step, so
+    // under `random` the state count is the step count plus the walks.
+    let spec = corpus_spec("lossy_crashes");
+    let outcome = check_scenario(&spec, Some(Strategy::Random), Some(4), None).unwrap();
+    let stats = outcome.stats;
+    assert!(outcome.passed() && !stats.truncated, "{stats:?}");
+    assert_eq!(stats.engine_steps, 256);
+    assert_eq!(
+        stats.states,
+        stats.engine_steps + u64::from(spec.check.walks)
+    );
+}
+
+#[test]
 fn eager_trap_yields_a_replayable_witness() {
     let spec = eager_trap(3, 5);
     let outcome = check_scenario(&spec, Some(Strategy::Dfs), None, None).unwrap();

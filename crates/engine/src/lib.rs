@@ -880,7 +880,8 @@ impl TopicEngine {
             // For a statically configured engine the topic ids are dense
             // (slot.topic.0 == index), so this folds exactly the bytes
             // the pre-lifecycle digest folded — static digests (and the
-            // explorer's persistent state-hash caches) are unchanged.
+            // checker fingerprints `tests/golden/check_corpus.json` pins)
+            // are unchanged.
             fold(&mut h, slot.topic.0 as u64);
             for field in [
                 s.msg_set,

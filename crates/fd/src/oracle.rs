@@ -439,14 +439,6 @@ impl OracleFd {
             ),
         }
     }
-
-    /// True when every declared-faulty process has a concrete crash time
-    /// (required before [`audit`](Self::audit) is meaningful).
-    pub fn fully_resolved(&self) -> bool {
-        self.crash_time
-            .iter()
-            .all(|c| c.is_none_or(|t| t != u64::MAX))
-    }
 }
 
 impl FdService for OracleFd {

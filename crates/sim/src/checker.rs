@@ -173,31 +173,16 @@ pub struct TopicReport {
 /// [`check_urb`] **per topic**: every URB instance is an independent
 /// state machine with its own correctness obligations, so the records
 /// are partitioned by [`TopicId`] and each partition is checked on its
-/// own. Topics are reported in ascending order. `configured` is the
-/// run's configured topic count: every topic in `0..configured` gets a
-/// report row **even when it produced no records at all** — a silent
-/// instance must still face `min_deliveries_per_topic`-style
-/// expectations, not vanish from the verdict (a starved topic is
-/// exactly what those keys exist to catch).
-pub fn check_urb_per_topic(
-    n: usize,
-    correct: &[bool],
-    configured: u32,
-    broadcasts: &[BroadcastRecord],
-    deliveries: &[DeliveryRecord],
-) -> Vec<TopicReport> {
-    let known: Vec<TopicId> = (0..configured.max(1)).map(TopicId).collect();
-    check_urb_per_topics(n, correct, &known, broadcasts, deliveries)
-}
-
-/// [`check_urb_per_topic`] over an **explicit** topic directory — the
-/// dynamic-lifecycle entry point (DESIGN.md §15). `known` is every topic
+/// own. Topics are reported in ascending order. `known` is every topic
 /// that was ever live in the run (static config ∪ `[[topics.events]]`
-/// creates); each gets a report row even when silent, and a *retired*
-/// topic is still judged on its pre-retirement records — retirement
-/// truncates "eventually", it does not erase obligations already
-/// incurred. Topics appearing only in the records (defensive) are
-/// included too.
+/// creates, DESIGN.md §15); each gets a report row **even when it
+/// produced no records at all** — a silent instance must still face
+/// `min_deliveries_per_topic`-style expectations, not vanish from the
+/// verdict (a starved topic is exactly what those keys exist to catch).
+/// A *retired* topic is still judged on its pre-retirement records —
+/// retirement truncates "eventually", it does not erase obligations
+/// already incurred. Topics appearing only in the records (defensive)
+/// are included too.
 pub fn check_urb_per_topics(
     n: usize,
     correct: &[bool],
@@ -259,6 +244,11 @@ mod tests {
             fast: false,
             payload: urb_types::Payload::from("m"),
         }
+    }
+
+    /// The directory of a run configured with `count` static topics.
+    fn topics(count: u32) -> Vec<TopicId> {
+        (0..count).map(TopicId).collect()
     }
 
     #[test]
@@ -367,7 +357,7 @@ mod tests {
         d0b.topic = TopicId(0);
         let mut d1 = d(0, 2, 22);
         d1.topic = TopicId(1);
-        let reports = check_urb_per_topic(2, &correct, 2, &[b0, b1], &[d0a, d0b, d1]);
+        let reports = check_urb_per_topics(2, &correct, &topics(2), &[b0, b1], &[d0a, d0b, d1]);
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].topic, TopicId(0));
         assert!(reports[0].report.all_ok(), "{:?}", reports[0].report);
@@ -379,7 +369,7 @@ mod tests {
 
     #[test]
     fn per_topic_checker_empty_run_reports_topic_zero() {
-        let reports = check_urb_per_topic(3, &[true; 3], 1, &[], &[]);
+        let reports = check_urb_per_topics(3, &[true; 3], &topics(1), &[], &[]);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].topic, TopicId::ZERO);
         assert!(reports[0].report.all_ok());
@@ -394,7 +384,7 @@ mod tests {
         let b0 = b(0, 1, 10); // topic 0 only
         let d0 = d(0, 1, 20);
         let d1 = d(1, 1, 21);
-        let reports = check_urb_per_topic(2, &correct, 3, &[b0], &[d0, d1]);
+        let reports = check_urb_per_topics(2, &correct, &topics(3), &[b0], &[d0, d1]);
         assert_eq!(reports.len(), 3);
         assert_eq!(reports[1].topic, TopicId(1));
         assert_eq!(reports[1].deliveries, 0, "silent topic visible");

@@ -110,13 +110,6 @@ impl CrashPlan {
             })
             .collect()
     }
-
-    /// Indices of the processes that are correct under this plan.
-    pub fn correct_set(&self) -> Vec<usize> {
-        (0..self.n())
-            .filter(|&i| matches!(self.rules[i], CrashRule::Never))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +120,7 @@ mod tests {
     fn none_plan_is_all_correct() {
         let p = CrashPlan::none(5);
         assert_eq!(p.faulty_count(), 0);
-        assert_eq!(p.correct_set(), vec![0, 1, 2, 3, 4]);
+        assert!((0..5).all(|i| p.rule(i) == CrashRule::Never));
         assert_eq!(p.static_times(), vec![None; 5]);
     }
 

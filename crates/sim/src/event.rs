@@ -7,40 +7,7 @@
 //! broken by insertion sequence number, so two runs with the same seed
 //! produce byte-identical traces (verified by the determinism tests).
 
-use urb_types::{Payload, RandomSource, SplitMix64, TopicId, WireMessage};
-
-/// How the driver resolves *ties* — several events scheduled for the same
-/// instant — when popping the queue. This is the simulator's scheduler
-/// injection point (DESIGN.md §11): the classic behaviour is FIFO among
-/// equal timestamps, which makes a run a pure function of its seed; the
-/// exploration plane perturbs exactly this order to visit schedules the
-/// seed would never produce, without touching delays or loss.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SchedulerPolicy {
-    /// Insertion order among equal timestamps (the default; byte-identical
-    /// to the pre-injection simulator).
-    #[default]
-    Fifo,
-    /// A deterministic shuffle among equal timestamps, drawn from its own
-    /// seeded stream — same config + same scheduler seed ⇒ same run, but
-    /// tie order now varies independently of the delay/loss randomness.
-    SeededTies {
-        /// Seed of the tie-breaking stream.
-        seed: u64,
-    },
-}
-
-impl SchedulerPolicy {
-    /// The tie-breaking RNG this policy needs (`None` for FIFO).
-    pub fn rng(self) -> Option<SplitMix64> {
-        match self {
-            SchedulerPolicy::Fifo => None,
-            SchedulerPolicy::SeededTies { seed } => {
-                Some(SplitMix64::new(seed ^ 0x71EB_4EAC_0DE4_0001))
-            }
-        }
-    }
-}
+use urb_types::{Payload, TopicId, WireMessage};
 
 /// What can happen in a simulated run.
 #[derive(Clone, Debug)]
@@ -147,51 +114,6 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<(u64, Event)> {
         self.heap.pop().map(|s| (s.time, s.event))
     }
-
-    /// Pops the earliest event under a scheduler policy: FIFO behaves
-    /// exactly like [`EventQueue::pop`]; with a tie-breaking RNG, one of
-    /// the events scheduled for the earliest instant is chosen uniformly
-    /// and the rest are re-queued with their original sequence numbers
-    /// (so later ties keep their relative insertion order).
-    pub fn pop_with(&mut self, tie_rng: &mut Option<SplitMix64>) -> Option<(u64, Event)> {
-        let Some(rng) = tie_rng else {
-            return self.pop();
-        };
-        let first = self.heap.pop()?;
-        if self.heap.peek().map(|s| s.time) != Some(first.time) {
-            return Some((first.time, first.event));
-        }
-        let mut ties = vec![first];
-        while self.heap.peek().map(|s| s.time) == Some(ties[0].time) {
-            ties.push(self.heap.pop().expect("peeked"));
-        }
-        let pick = rng.gen_range(ties.len() as u64) as usize;
-        let chosen = ties.swap_remove(pick);
-        for other in ties {
-            self.heap.push(other);
-        }
-        Some((chosen.time, chosen.event))
-    }
-
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// True when some pending event satisfies `pred`.
-    pub fn any(&self, mut pred: impl FnMut(&Event) -> bool) -> bool {
-        self.heap.iter().any(|s| pred(&s.event))
-    }
 }
 
 #[cfg(test)]
@@ -222,70 +144,5 @@ mod tests {
         })
         .collect();
         assert_eq!(pids, vec![0, 1, 2, 3, 4], "FIFO among equal timestamps");
-    }
-
-    #[test]
-    fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(5, Event::SampleStats);
-        q.push(2, Event::SampleStats);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(2));
-    }
-
-    #[test]
-    fn fifo_policy_matches_plain_pop() {
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        for pid in 0..6 {
-            a.push(7, Event::Tick { pid });
-            b.push(7, Event::Tick { pid });
-        }
-        let mut none = SchedulerPolicy::Fifo.rng();
-        assert!(none.is_none());
-        loop {
-            match (a.pop(), b.pop_with(&mut none)) {
-                (None, None) => break,
-                (x, y) => assert_eq!(format!("{x:?}"), format!("{y:?}")),
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_ties_permute_deterministically_and_lose_nothing() {
-        let run = |seed: u64| -> Vec<usize> {
-            let mut q = EventQueue::new();
-            for pid in 0..8 {
-                q.push(3, Event::Tick { pid });
-            }
-            q.push(9, Event::SampleStats);
-            let mut rng = SchedulerPolicy::SeededTies { seed }.rng();
-            std::iter::from_fn(|| q.pop_with(&mut rng))
-                .map(|(_, e)| match e {
-                    Event::Tick { pid } => pid,
-                    Event::SampleStats => usize::MAX,
-                    _ => unreachable!(),
-                })
-                .collect()
-        };
-        let a = run(1);
-        assert_eq!(a, run(1), "deterministic per scheduler seed");
-        assert_ne!(a, run(2), "different seed, different tie order");
-        // Every event still pops exactly once, times stay ordered.
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..8).chain([usize::MAX]).collect::<Vec<_>>());
-        assert_eq!(*a.last().unwrap(), usize::MAX, "later instant pops last");
-    }
-
-    #[test]
-    fn any_scans_pending_events() {
-        let mut q = EventQueue::new();
-        q.push(1, Event::Tick { pid: 0 });
-        q.push(2, Event::Crash { pid: 4 });
-        assert!(q.any(|e| matches!(e, Event::Crash { pid: 4 })));
-        assert!(!q.any(|e| matches!(e, Event::Deliver { .. })));
     }
 }

@@ -73,7 +73,6 @@ pub use adversary::Schedule;
 pub use channel::{DelayModel, LossModel};
 pub use checker::{check_urb, CheckReport, PropertyVerdict};
 pub use crash::{CrashPlan, CrashRule};
-pub use event::SchedulerPolicy;
 pub use metrics::{BroadcastRecord, DeliveryRecord, Metrics};
 pub use openloop::{open_loop, OpenLoopConfig, OpenLoopOutcome};
 pub use parallel::{run_many, run_many_on};

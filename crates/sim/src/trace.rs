@@ -1,15 +1,12 @@
 //! Structured event traces: optional, bounded recording of everything that
-//! happens in a run, with per-message timelines and JSON export.
+//! happens in a run, with JSON export.
 //!
-//! Metrics (`metrics.rs`) aggregate; traces *narrate*. They exist for three
-//! consumers:
-//!
-//! * debugging — when a property-checker verdict is surprising, the
-//!   per-tag [`timeline`](Trace::timeline) shows exactly which
-//!   transmissions were dropped and which ACKs arrived where;
-//! * the CLI (`urb-cli trace`), which exports runs as JSON for external
-//!   tooling;
-//! * the documentation examples, which quote real traces.
+//! Metrics (`metrics.rs`) aggregate; traces *narrate*. `urb run --trace`
+//! and `urb scenario --trace` record every event of a run — the URB
+//! broadcasts, deliveries and crashes, and each Send, Receive and Drop on
+//! the wire — and write [`Trace::to_json`] for external tooling; when a
+//! checker verdict is surprising, the events of one tag show which
+//! transmissions were dropped and which ACKs arrived where.
 //!
 //! Recording is off by default ([`TraceConfig::disabled`]) and bounded by
 //! `max_events` when on, so the hot path stays allocation-light.
@@ -61,9 +58,6 @@ pub struct TraceConfig {
     /// cap — a truncated flag is set instead of silently rotating, so
     /// consumers can tell).
     pub max_events: usize,
-    /// Record per-copy Send/Receive/Drop events (the chatty ones). URB
-    /// broadcasts/deliveries/crashes are always recorded when enabled.
-    pub record_wire: bool,
 }
 
 impl TraceConfig {
@@ -72,7 +66,6 @@ impl TraceConfig {
         TraceConfig {
             enabled: false,
             max_events: 0,
-            record_wire: false,
         }
     }
 
@@ -81,16 +74,6 @@ impl TraceConfig {
         TraceConfig {
             enabled: true,
             max_events,
-            record_wire: true,
-        }
-    }
-
-    /// Record only protocol-level events (URB broadcast/deliver, crashes).
-    pub fn protocol_only(max_events: usize) -> Self {
-        TraceConfig {
-            enabled: true,
-            max_events,
-            record_wire: false,
         }
     }
 }
@@ -120,16 +103,6 @@ impl Trace {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// All events concerning `tag`, in order — the life of one message.
-    pub fn timeline(&self, tag: Tag) -> Vec<&TraceEvent> {
-        self.events.iter().filter(|e| e.tag == Some(tag)).collect()
-    }
-
-    /// Events of one kind.
-    pub fn of_kind(&self, kind: TraceKind) -> Vec<&TraceEvent> {
-        self.events.iter().filter(|e| e.kind == kind).collect()
     }
 
     /// JSON export (pretty-printed).
@@ -168,32 +141,6 @@ impl Trace {
         let _ = write!(out, ",\n  \"truncated\": {}\n}}", self.truncated);
         out
     }
-
-    /// Human-oriented one-line-per-event rendering.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for e in &self.events {
-            let _ = write!(out, "t={:<8} {:<12?}", e.time, e.kind);
-            if let Some(w) = e.wire {
-                let _ = write!(out, " {w}");
-            }
-            if let Some(f) = e.from {
-                let _ = write!(out, " from=#{f}");
-            }
-            if let Some(t) = e.to {
-                let _ = write!(out, " to=#{t}");
-            }
-            if let Some(tag) = e.tag {
-                let _ = write!(out, " {tag:?}");
-            }
-            out.push('\n');
-        }
-        if self.truncated {
-            out.push_str("… (truncated at cap)\n");
-        }
-        out
-    }
 }
 
 /// The recorder the driver writes into.
@@ -225,30 +172,26 @@ impl TraceRecorder {
 
     /// Records a broadcast-primitive send (one per invocation, not per copy).
     pub fn send(&mut self, time: u64, from: usize, wire: WireKind, tag: Option<Tag>) {
-        if self.config.record_wire {
-            self.push(TraceEvent {
-                time,
-                kind: TraceKind::Send,
-                from: Some(from),
-                to: None,
-                wire: Some(wire),
-                tag,
-            });
-        }
+        self.push(TraceEvent {
+            time,
+            kind: TraceKind::Send,
+            from: Some(from),
+            to: None,
+            wire: Some(wire),
+            tag,
+        });
     }
 
     /// Records a processed reception.
     pub fn receive(&mut self, time: u64, to: usize, wire: WireKind, tag: Option<Tag>) {
-        if self.config.record_wire {
-            self.push(TraceEvent {
-                time,
-                kind: TraceKind::Receive,
-                from: None,
-                to: Some(to),
-                wire: Some(wire),
-                tag,
-            });
-        }
+        self.push(TraceEvent {
+            time,
+            kind: TraceKind::Receive,
+            from: None,
+            to: Some(to),
+            wire: Some(wire),
+            tag,
+        });
     }
 
     /// Records a channel drop.
@@ -260,16 +203,14 @@ impl TraceRecorder {
         wire: WireKind,
         tag: Option<Tag>,
     ) {
-        if self.config.record_wire {
-            self.push(TraceEvent {
-                time,
-                kind: TraceKind::Drop,
-                from: Some(from),
-                to: Some(to),
-                wire: Some(wire),
-                tag,
-            });
-        }
+        self.push(TraceEvent {
+            time,
+            kind: TraceKind::Drop,
+            from: Some(from),
+            to: Some(to),
+            wire: Some(wire),
+            tag,
+        });
     }
 
     /// Records a crash.
@@ -312,11 +253,6 @@ impl TraceRecorder {
     pub fn into_trace(self) -> Trace {
         self.trace
     }
-
-    /// Whether any recording is happening at all.
-    pub fn enabled(&self) -> bool {
-        self.config.enabled
-    }
 }
 
 #[cfg(test)]
@@ -338,26 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn protocol_only_skips_wire_events() {
-        let mut r = recorder(TraceConfig::protocol_only(100));
-        r.send(1, 0, WireKind::Msg, Some(Tag(1)));
-        r.receive(2, 1, WireKind::Ack, Some(Tag(1)));
-        r.crash(3, 2);
-        r.urb_deliver(&DeliveryRecord {
-            pid: 0,
-            topic: urb_types::TopicId::ZERO,
-            tag: Tag(1),
-            time: 4,
-            fast: false,
-            payload: urb_types::Payload::empty(),
-        });
-        let t = r.into_trace();
-        assert_eq!(t.len(), 2, "only crash + deliver recorded");
-        assert_eq!(t.of_kind(TraceKind::Crash).len(), 1);
-        assert_eq!(t.of_kind(TraceKind::UrbDeliver).len(), 1);
-    }
-
-    #[test]
     fn cap_sets_truncated_flag() {
         let mut r = recorder(TraceConfig::full(2));
         for i in 0..5 {
@@ -375,10 +291,13 @@ mod tests {
         r.send(2, 0, WireKind::Msg, Some(Tag(2)));
         r.receive(3, 1, WireKind::Msg, Some(Tag(1)));
         let t = r.into_trace();
-        let tl = t.timeline(Tag(1));
-        assert_eq!(tl.len(), 2);
-        assert!(tl.iter().all(|e| e.tag == Some(Tag(1))));
-        assert!(tl[0].time <= tl[1].time);
+        let tl: Vec<(u64, TraceKind)> = t
+            .events
+            .iter()
+            .filter(|e| e.tag == Some(Tag(1)))
+            .map(|e| (e.time, e.kind))
+            .collect();
+        assert_eq!(tl, vec![(1, TraceKind::Send), (3, TraceKind::Receive)]);
     }
 
     #[test]
@@ -396,8 +315,7 @@ mod tests {
         let json = t.to_json();
         assert!(json.contains("UrbBroadcast"));
         assert!(json.contains("\"time\": 7"));
-        let rendered = t.render();
-        assert!(rendered.contains("t=7"));
-        assert!(rendered.contains("from=#2"));
+        assert!(json.contains("\"kind\": \"Drop\""));
+        assert_eq!((t.events[0].time, t.events[0].from), (7, Some(2)));
     }
 }
