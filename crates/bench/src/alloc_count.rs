@@ -193,12 +193,12 @@ mod tests {
         }
     }
 
-    /// The per-instance footprint at topic scale (DESIGN.md §14): a topic
-    /// that saw one broadcast keeps one settled Algorithm 2 record. This
-    /// one has received its MSG and three labelled ACKs, delivered, and
-    /// been pruned by one tick; with a B-tree per table it held ≈ 2.7 KB.
-    #[test]
-    fn a_settled_alg2_record_holds_under_a_kibibyte_when_counted() {
+    /// Heap bytes one Algorithm 2 instance holds after it received the MSG
+    /// for one tag carrying `payload()` and three labelled ACKs, delivered,
+    /// and was pruned by one tick — `None` without the counting allocator.
+    /// The payload is built inside the count, so whatever of it the
+    /// instance keeps counts too.
+    fn settled_alg2_record_heap(payload: impl FnOnce() -> Payload) -> Option<i64> {
         use urb_types::{Context, FdPair, FdView};
         let labels = [Label(10), Label(11), Label(12)];
         let view = FdView::from_pairs(labels.map(|label| FdPair { label, number: 3 }));
@@ -208,7 +208,7 @@ mod tests {
         let (proc, held) = count_thread_live_bytes(|| {
             let mut proc = Algorithm::Quiescent.instantiate(3);
             let mut ctx = Context::new(&mut rng, &fd, &mut outbox, &mut deliveries);
-            let payload = Payload::from("settled");
+            let payload = payload();
             proc.on_receive(
                 WireMessage::Msg {
                     tag: Tag(7),
@@ -237,8 +237,28 @@ mod tests {
             (proc.stats().delivered, proc.stats().all_ack_entries),
             (1, 3)
         );
-        if let Some(held) = held {
+        held
+    }
+
+    /// The per-instance footprint at topic scale (DESIGN.md §14): a topic
+    /// that saw one broadcast keeps one settled Algorithm 2 record. With a
+    /// B-tree per table it held ≈ 2.7 KB.
+    #[test]
+    fn a_settled_alg2_record_holds_under_a_kibibyte_when_counted() {
+        if let Some(held) = settled_alg2_record_heap(|| Payload::from("settled")) {
             assert!(held <= 1024, "one settled record holds {held} B of heap");
+        }
+    }
+
+    /// A settled record lets its payload go (DESIGN.md D2): one that
+    /// received 64 KiB holds no more than one that received seven bytes.
+    #[test]
+    fn a_settled_alg2_record_lets_a_64_kib_payload_go_when_counted() {
+        if let Some(held) = settled_alg2_record_heap(|| Payload::from(vec![7u8; 64 << 10])) {
+            assert!(
+                held < 1024,
+                "a settled 64 KiB record holds {held} B of heap"
+            );
         }
     }
 

@@ -117,8 +117,8 @@ FLAGS (topic):
     OP                create | retire
     --addr HOST:PORT  listen address of any running node   [required]
     --topic N         the topic id                         [required]
-    --alg NAME        protocol of a created topic (see run
-                      flags; create only)                  [default: majority]
+    --alg NAME        protocol of a created topic: majority |
+                      quiescent (create only)              [default: majority]
 
 FLAGS (cluster):
     --local N         number of loopback node processes    [required]
@@ -675,6 +675,10 @@ fn topic(mut f: Flags) -> Result<TopicArgs, String> {
     let addr = addr.ok_or("topic needs --addr (a running node's listen address)")?;
     let topic = TopicId(topic.ok_or("topic needs --topic N")?);
     let action = if create {
+        // Nodes refuse a wire create naming anything else (DESIGN.md §15).
+        if algorithm.is_some_and(|a| !matches!(a, Algorithm::Majority | Algorithm::Quiescent)) {
+            return Err("--alg: a created topic runs majority or quiescent".into());
+        }
         TopicAction::Create { topic, algorithm }
     } else if algorithm.is_some() {
         return Err("--alg only applies to `topic create`".into());
@@ -1191,6 +1195,10 @@ mod tests {
                 "topic needs --addr (a running node's listen address)",
             ),
             ("topic create --addr h:1", "topic needs --topic N"),
+            (
+                "topic create --addr h:1 --topic 1 --alg eager-rb",
+                "--alg: a created topic runs majority or quiescent",
+            ),
             (
                 "topic retire --addr h:1 --topic 1 --alg majority",
                 "--alg only applies to `topic create`",

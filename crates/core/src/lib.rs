@@ -124,7 +124,7 @@ impl Algorithm {
     /// payload of a `TopicControl::Create` control message (DESIGN.md §15).
     /// `param` carries the threshold / backoff cap for the parameterized
     /// variants and is `0` otherwise. Round-trips through
-    /// [`Algorithm::from_wire`].
+    /// [`Algorithm::from_wire`] for the paper's two algorithms only.
     pub fn to_wire(self) -> (u8, u32) {
         match self {
             Algorithm::Majority => (0, 0),
@@ -137,20 +137,16 @@ impl Algorithm {
         }
     }
 
-    /// Decodes an `(algorithm, param)` wire pair produced by
-    /// [`Algorithm::to_wire`]. Returns `None` for unknown codes and for a
-    /// parameter no system size admits (threshold or cap of 0) — a receiver
-    /// drops the create rather than instantiating something it cannot run.
-    /// The `n`-dependent half of the check is [`Algorithm::runs_with`].
-    pub fn from_wire(code: u8, param: u32) -> Option<Algorithm> {
-        match (code, param) {
-            (0, _) => Some(Algorithm::Majority),
-            (1, 1..) => Some(Algorithm::WeakenedMajority { threshold: param }),
-            (2, _) => Some(Algorithm::Quiescent),
-            (3, _) => Some(Algorithm::QuiescentLiteral),
-            (4, 1..) => Some(Algorithm::MajorityBackoff { cap: param }),
-            (5, _) => Some(Algorithm::BestEffort),
-            (6, _) => Some(Algorithm::EagerRb),
+    /// Decodes the `(algorithm, param)` wire pair of a create that arrived
+    /// from a peer or a client. Only the paper's two algorithms decode: any
+    /// peer can send a create, and a cluster must never serve a topic with
+    /// a broadcast that is not uniform. The other codes stay reserved —
+    /// the ablations are built by the simulator and the checker, which
+    /// never decode a create — and return `None`, as an unknown code does.
+    pub fn from_wire(code: u8, _param: u32) -> Option<Algorithm> {
+        match code {
+            0 => Some(Algorithm::Majority),
+            2 => Some(Algorithm::Quiescent),
             _ => None,
         }
     }
@@ -191,14 +187,17 @@ mod tests {
     fn wire_codes_round_trip() {
         for alg in EVERY_ALGORITHM {
             let (code, param) = alg.to_wire();
-            assert_eq!(Algorithm::from_wire(code, param), Some(alg));
+            let paper = matches!(alg, Algorithm::Majority | Algorithm::Quiescent);
+            let decoded = Algorithm::from_wire(code, param);
+            assert_eq!(decoded, paper.then_some(alg), "{}", alg.name());
         }
         assert_eq!(Algorithm::from_wire(200, 0), None);
     }
 
     #[test]
     fn uninstantiable_parameters_are_rejected_not_asserted() {
-        // No system size admits a zero threshold or cap: refused at decode.
+        // A zero threshold or cap is refused at decode, as every ablation
+        // code is.
         assert_eq!(Algorithm::from_wire(1, 0), None);
         assert_eq!(Algorithm::from_wire(4, 0), None);
         // The rest depends on n.

@@ -86,6 +86,7 @@ pub(crate) fn on_receive<P: Default>(
         } => table.on_ack(
             tag,
             payload,
+            false,
             ctx,
             |acks| {
                 acks.insert(tag_ack); // lines 19–21
@@ -341,6 +342,30 @@ mod tests {
         h.receive(&mut p, ack(9, 1, "m"));
         let out = h.receive(&mut p, ack(9, 2, "m"));
         assert!(out.deliveries[0].fast, "delivered without the MSG copy");
+    }
+
+    #[test]
+    fn a_fast_delivered_tag_keeps_its_payload_and_task1_resends_the_full_m() {
+        // Algorithm 1 holds nothing out of MSG: a tag it delivered from
+        // ACKs alone enters MSG when the MSG copy arrives, and Task 1 must
+        // then send `m` itself.
+        let body = "the whole message";
+        let mut h = StepHarness::new(5);
+        let mut p = MajorityUrb::new(3);
+        h.receive(&mut p, ack(7, 1, body));
+        let out = h.receive(&mut p, ack(7, 2, body));
+        assert!(out.deliveries[0].fast);
+        let kept = p.table.payload(Tag(7)).map(Payload::as_slice);
+        assert_eq!(kept, Some(body.as_bytes()), "no release in Algorithm 1");
+        h.receive(&mut p, msg(7, body));
+        let tick = h.tick(&mut p);
+        match tick.msgs()[..] {
+            [WireMessage::Msg { tag, payload }] => {
+                assert_eq!(*tag, Tag(7));
+                assert_eq!(payload.as_slice(), body.as_bytes());
+            }
+            _ => panic!("expected one MSG, got {:?}", tick.broadcasts),
+        }
     }
 
     #[test]

@@ -164,6 +164,7 @@ impl AnonProcess for QuiescentUrb {
             } => self.table.on_ack(
                 tag,
                 payload,
+                true,
                 ctx,
                 |acks| {
                     // Lines 27–45: reconcile this ACKer's label set (D3).
@@ -790,6 +791,88 @@ mod tests {
         let b = h2.receive(&mut q, ack(7, 101, "m", &[10]));
         assert_eq!(a.deliveries, b.deliveries);
         assert_eq!(a.deliveries.len(), 1);
+    }
+
+    // ---- settled records hold no payload (DESIGN.md D2) -----------------
+
+    /// Tag 7 delivered through our own ACK and pruned by one tick, under
+    /// `a_theta = a_p* = {(10, 1)}`; returns the `tag_ack` we minted.
+    fn settle_by_prune(h: &mut StepHarness, p: &mut QuiescentUrb) -> TagAck {
+        let out = h.receive(p, msg(7, "m"));
+        let WireMessage::Ack { tag_ack, .. } = out.acks()[0] else {
+            unreachable!("acks() holds ACKs only")
+        };
+        assert_eq!(h.receive(p, ack(7, 100, "m", &[10])).deliveries.len(), 1);
+        assert!(p.table.payload(Tag(7)).is_some(), "in MSG: Task 1 sends it");
+        h.tick(p);
+        assert!(p.is_quiescent(), "line 57 pruned it");
+        *tag_ack
+    }
+
+    #[test]
+    fn a_pruned_record_lets_its_payload_go_and_re_acks_a_late_msg_with_its_m() {
+        let mut h = fd_harness(47, &[(10, 1)]);
+        let mut p = QuiescentUrb::new();
+        let minted = settle_by_prune(&mut h, &mut p);
+        assert!(p.table.payload(Tag(7)).is_none(), "settled: payload gone");
+        assert_eq!(p.stats().delivered, 1, "the record itself stays");
+        // A late MSG copy is acknowledged again with the same tag_ack, and
+        // the ACK carries the incoming `m`: the record has none to give.
+        let out = h.receive(&mut p, msg(7, "m"));
+        match out.acks()[..] {
+            [WireMessage::Ack {
+                tag_ack, payload, ..
+            }] => {
+                assert_eq!(*tag_ack, minted, "MY_ACK is stable");
+                assert_eq!(payload.as_slice(), b"m");
+            }
+            _ => panic!("expected one ACK, got {:?}", out.broadcasts),
+        }
+        assert!(p.is_quiescent(), "lines 8–12 keep it out of MSG");
+        assert!(p.table.payload(Tag(7)).is_none(), "and it takes no payload");
+        p.table.assert_consistent();
+    }
+
+    #[test]
+    fn a_late_ack_neither_redelivers_nor_readopts_a_payload() {
+        // A fast delivery (no MSG copy yet) settles the record at once.
+        let mut h = fd_harness(48, &[(10, 1)]);
+        let mut p = QuiescentUrb::new();
+        let out = h.receive(&mut p, ack(7, 100, "m", &[10]));
+        assert!(out.deliveries[0].fast);
+        assert_eq!(out.deliveries[0].payload.as_slice(), b"m");
+        assert!(p.table.payload(Tag(7)).is_none(), "settled at delivery");
+        // Label 10's process crashes: D4 purges every entry reporting it,
+        // so the evidence is empty when the next ACK arrives.
+        h.fd = FdSnapshot::new(theta(&[(20, 1)]), theta(&[(20, 1)]));
+        h.receive(&mut p, ack(7, 101, "m", &[10]));
+        let purged = p.table.evidence(Tag(7)).map(|acks| acks.entries.len());
+        assert_eq!(purged, Some(0), "D4 left no evidence");
+        let late = h.receive(&mut p, ack(7, 102, "m", &[20]));
+        assert!(late.deliveries.is_empty(), "no second delivery");
+        assert!(p.table.payload(Tag(7)).is_none(), "no payload taken back");
+        assert_eq!(h.all_deliveries().len(), 1);
+        p.table.assert_consistent();
+    }
+
+    #[test]
+    fn a_settled_record_snapshots_byte_identically_and_restores_settled() {
+        let mut h = fd_harness(49, &[(10, 1)]);
+        let mut p = QuiescentUrb::new();
+        settle_by_prune(&mut h, &mut p);
+        let body = p.save_state().expect("alg2 snapshots");
+        let mut q = QuiescentUrb::new();
+        q.restore_state(&body).unwrap();
+        assert_eq!(q.save_state().unwrap(), body, "save → restore → save");
+        assert!(q.table.payload(Tag(7)).is_none(), "restored settled");
+        assert!(q.table.has_delivered(Tag(7)));
+        // Both answer a late MSG alike.
+        let mut h2 = fd_harness(49, &[(10, 1)]);
+        let a = h.receive(&mut p, msg(7, "m"));
+        let b = h2.receive(&mut q, msg(7, "m"));
+        assert_eq!(a.broadcasts, b.broadcasts);
+        assert!(q.is_quiescent());
+        q.table.assert_consistent();
     }
 
     #[test]

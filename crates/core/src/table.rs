@@ -5,7 +5,8 @@
 //! module is the part they share. A [`TagTable`] maps each `tag` to one
 //! [`TagState`] — the row the paper spreads over `MSG_i`, `MY_ACK_i`,
 //! `ALL_ACK_i` and `URB_DELIVERED_i`, with the payload stored once (a tag
-//! identifies its payload, DESIGN.md D2) — and implements everything that
+//! identifies its payload, DESIGN.md D2) and let go once nothing can read
+//! it again — and implements everything that
 //! does not depend on *how* acknowledgments are counted. A variant adds its
 //! [`Evidence`] type and the closures it passes in: the delivery guard, the
 //! prune guard and the stability rule.
@@ -37,7 +38,12 @@ pub(crate) trait Evidence: Default {
 /// Everything a process holds for one `tag`.
 #[derive(Clone, Debug, Default)]
 struct TagState<E> {
-    payload: Payload,
+    /// `m`. `None` once the record is settled: delivered and out of
+    /// `MSG_i` for good, which only a variant that holds delivered tags out
+    /// of `MSG_i` (lines 8–12) can promise. An ACK carries its own copy of
+    /// `m` and D2 keys everything else by `tag`, so a settled record never
+    /// reads it again, and the frame it was a view into is freed.
+    payload: Option<Payload>,
     /// `(m, tag) ∈ MSG_i`; mirrored by [`TagTable::msg`].
     in_msg: bool,
     /// `(m, tag) ∈ URB_DELIVERED_i`.
@@ -120,15 +126,14 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
     }
 
     /// The record for `tag`, created on first sight, entered into `MSG_i`
-    /// unless `unless_delivered` holds it out.
+    /// unless `unless_delivered` holds it out. A record entering `MSG_i`
+    /// keeps the payload it has, or takes this one: Task 1 sends it.
     fn enter(&mut self, tag: Tag, payload: &Payload, unless_delivered: bool) -> &mut TagState<E> {
-        let rec = self.records.get_or_insert_with(tag, || TagState {
-            payload: payload.clone(),
-            ..TagState::default()
-        });
+        let rec = self.records.get_or_insert_with(tag, TagState::default);
         let held_out = unless_delivered && rec.delivered;
         if !rec.in_msg && !held_out {
             rec.in_msg = true;
+            rec.payload.get_or_insert_with(|| payload.clone());
             self.msg.get_or_insert_with(tag, P::default);
         }
         rec
@@ -183,11 +188,14 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
     /// condition (Alg 1 line 22 / Alg 2 line 46). ACKs piggyback `m`
     /// (DESIGN.md D1), so delivery may precede the MSG copy; that is the
     /// `fast` flag experiment E10 counts. ACKs for a compacted tag are
-    /// ignored: it was delivered here already.
+    /// ignored: it was delivered here already. `unless_delivered` is the
+    /// variant's [`TagTable::on_msg`] flag: when it holds, a fast delivery
+    /// settles the record at once and its payload goes.
     pub(crate) fn on_ack(
         &mut self,
         tag: Tag,
         payload: Payload,
+        unless_delivered: bool,
         ctx: &mut Context<'_>,
         update: impl FnOnce(&mut E),
         guard: impl FnOnce(&E) -> bool,
@@ -201,14 +209,22 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         // frame it arrived in, and the first ACK frame is the one every
         // process ends up viewing: nodes sharing an address space then pin
         // one buffer per tag, not the MSG frame and the broadcaster's
-        // original too (ledger `inproc_saturate`: 72 → 61 MB).
-        if rec.evidence.sizes() == (0, 0) {
-            rec.payload = payload;
+        // original too (ledger `inproc_saturate`: 72 → 61 MB). A delivered
+        // record keeps what it has: a settled one holds no payload and
+        // takes none back when D4 has purged its evidence to nothing.
+        if rec.evidence.sizes() == (0, 0) && !rec.delivered {
+            rec.payload = Some(payload);
         }
         update(&mut rec.evidence);
         if !rec.delivered && guard(&rec.evidence) {
             rec.delivered = true;
-            ctx.deliver(tag, rec.payload.clone(), !rec.in_msg);
+            let m = if unless_delivered && !rec.in_msg {
+                rec.payload.take()
+            } else {
+                rec.payload.clone()
+            };
+            let m = m.expect("an undelivered record holds its payload");
+            ctx.deliver(tag, m, !rec.in_msg);
         }
         if rec.entries() == 0 {
             self.records.remove(&tag);
@@ -220,7 +236,9 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
     /// whether to rebroadcast it now and whether it stays in `MSG_i` (line
     /// 57 when it does not). Allocates nothing and costs `O(|MSG_i|)`
     /// record lookups, so an Algorithm 2 process does not pay for its
-    /// settled history on every tick.
+    /// settled history on every tick. Only Algorithm 2 prunes, and only a
+    /// delivered message, which lines 8–12 then hold out of `MSG_i` for
+    /// good: a pruned record is settled and lets its payload go.
     pub(crate) fn task1(
         &mut self,
         ctx: &mut Context<'_>,
@@ -234,9 +252,14 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             let (send, keep) = each(rec.delivered, &mut rec.evidence, pace);
             if send {
                 let payload = rec.payload.clone();
+                let payload = payload.expect("a record in MSG_i holds its payload");
                 ctx.broadcast(WireMessage::Msg { tag: *tag, payload });
             }
-            *pruned += u64::from(!keep);
+            if !keep {
+                debug_assert!(rec.delivered, "line 57 prunes delivered messages only");
+                *pruned += 1;
+                rec.payload = None;
+            }
             rec.in_msg = keep;
             keep
         });
@@ -333,7 +356,8 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         report
     }
 
-    /// Writes the table as one record per tag, then the tombstone ring.
+    /// Writes the table as one record per tag, then the tombstone ring. A
+    /// settled record writes a zero-length payload.
     pub(crate) fn save(&self, w: &mut SnapshotWriter) {
         let bounded = self.bounded();
         w.put_u64(self.pruned);
@@ -341,7 +365,7 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         w.put_u64(self.records.len() as u64);
         for (tag, rec) in self.records.iter() {
             w.put_u128(tag.0);
-            w.put_bytes(rec.payload.as_slice());
+            w.put_bytes(rec.payload.as_ref().map_or(&[], Payload::as_slice));
             w.put_u8(
                 u8::from(rec.in_msg)
                     | (u8::from(rec.delivered) << 1)
@@ -373,15 +397,18 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
                 return malformed("records are not in ascending tag order");
             }
             last = Some(tag);
-            let payload = Payload::copy_from_slice(r.get_bytes()?);
+            let payload = r.get_bytes()?;
             let flags = r.get_u8()?;
             if flags > 7 {
                 return malformed("unknown record flag");
             }
+            let (in_msg, delivered) = (flags & 1 != 0, flags & 2 != 0);
+            // A settled record wrote no payload, and comes back settled.
+            let settled = delivered && !in_msg && payload.is_empty();
             let rec = TagState {
-                payload,
-                in_msg: flags & 1 != 0,
-                delivered: flags & 2 != 0,
+                payload: (!settled).then(|| Payload::copy_from_slice(payload)),
+                in_msg,
+                delivered,
                 my_ack: match flags & 4 {
                     0 => None,
                     _ => Some(TagAck(r.get_u128()?)),
@@ -425,6 +452,12 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         self.records.values().map(|rec| &rec.evidence)
     }
 
+    /// The payload the record for `tag` holds: `None` once it is settled,
+    /// or when there is no record.
+    pub(crate) fn payload(&self, tag: Tag) -> Option<&Payload> {
+        self.records.get(&tag).and_then(|rec| rec.payload.as_ref())
+    }
+
     /// True when this process has URB-delivered `tag`.
     pub(crate) fn has_delivered(&self, tag: Tag) -> bool {
         self.records.get(&tag).is_some_and(|rec| rec.delivered)
@@ -448,6 +481,10 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             assert!(rec.entries() > 0, "{tag:?}: record holds nothing");
             assert_eq!(rec.in_msg, self.msg.contains_key(tag), "{tag:?}: MSG_i");
             assert!(rec.grace == 0 || rec.delivered, "{tag:?}: grace clock");
+            assert!(
+                rec.payload.is_some() || (rec.delivered && !rec.in_msg),
+                "{tag:?}: a record Task 1 or a delivery may read holds no payload"
+            );
         }
         let in_msg = self.records.values().filter(|rec| rec.in_msg).count();
         assert_eq!(in_msg, self.msg.len(), "MSG_i has a tag without a record");

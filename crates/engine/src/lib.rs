@@ -494,14 +494,6 @@ impl TopicEngine {
         self.slot_index(topic).is_some()
     }
 
-    /// True when `topic` was retired and its instance reclaimed (the
-    /// tombstone state; cleared if the id is later re-created). One
-    /// directory probe — the ordered `retired` set is kept only for
-    /// fingerprints and snapshots, which need ascending iteration.
-    pub fn is_retired(&self, topic: TopicId) -> bool {
-        self.directory.entry(topic.0) == DIR_RETIRED
-    }
-
     /// The live topic ids, ascending (draining topics excluded).
     pub fn live_topics(&self) -> impl Iterator<Item = TopicId> + '_ {
         self.slots.iter().filter(|s| !s.draining).map(|s| s.topic)
@@ -834,12 +826,6 @@ impl TopicEngine {
         total
     }
 
-    /// One topic instance's state-size snapshot (panics when `topic` has
-    /// no instance).
-    pub fn stats_for(&self, topic: TopicId) -> ProcessStats {
-        self.slots[self.slot_index_or_panic(topic)].proc.stats()
-    }
-
     /// The wrapped protocol's short name (all topics run the same
     /// algorithm; captured at construction, stable under reclamation).
     pub fn algorithm_name(&self) -> &'static str {
@@ -1116,6 +1102,16 @@ impl std::error::Error for MuxIngressError {}
 mod tests {
     use super::*;
     use urb_types::{CompactionReport, Context, Label, LabelSet, Payload, TagAck, WireKind};
+
+    /// True when `topic` was retired and its instance reclaimed.
+    fn retired(e: &TopicEngine, topic: TopicId) -> bool {
+        e.resolve(topic) == TopicState::Retired
+    }
+
+    /// One topic instance's state sizes (panics when it has none).
+    fn stats_for(e: &TopicEngine, topic: TopicId) -> ProcessStats {
+        e.slots[e.slot_index_or_panic(topic)].proc.stats()
+    }
 
     /// A scripted protocol: acks every MSG, re-broadcasts on tick.
     struct Scripted {
@@ -1428,10 +1424,10 @@ mod tests {
         assert_eq!(mux.outbox[1].0, TopicId(2));
         // Topic 0 never broadcast: it stays quiescent while 1 and 2 hold
         // pending messages.
-        assert_eq!(e.stats_for(TopicId(0)).msg_set, 0);
+        assert_eq!(stats_for(&e, TopicId(0)).msg_set, 0);
         assert!(!e.is_quiescent());
         assert_eq!(e.stats().msg_set, 2, "aggregate across topics");
-        assert_eq!(e.stats_for(TopicId(1)).msg_set, 1);
+        assert_eq!(stats_for(&e, TopicId(1)).msg_set, 1);
     }
 
     #[test]
@@ -1456,7 +1452,7 @@ mod tests {
         e.tick_all(&fd, &mut mux);
         assert_eq!(mux.outbox.len(), 2, "each topic re-broadcasts one MSG");
         let frame = mux.take_mux_frame(&pool).expect("emissions present");
-        let decoded = MuxBatch::decode_shared(&Bytes::copy_from_slice(&frame)).unwrap();
+        let decoded = MuxBatch::decode(&frame).unwrap();
         assert_eq!(decoded.topic_count(), 2);
         assert!(mux.outbox.is_empty(), "frame drained the outbox");
         assert!(mux.take_mux_frame(&pool).is_none());
@@ -1592,9 +1588,9 @@ mod tests {
             &fd,
             &mut mux,
         );
-        assert_eq!(e.stats_for(TopicId(5)).msg_set, 1);
+        assert_eq!(stats_for(&e, TopicId(5)).msg_set, 1);
         e.tick_all(&fd, &mut mux);
-        assert_eq!(e.stats_for(TopicId(5)).msg_set, 0);
+        assert_eq!(stats_for(&e, TopicId(5)).msg_set, 0);
         assert_eq!(
             e.counters().reclaimed,
             1,
@@ -1626,7 +1622,7 @@ mod tests {
         e.tick_all(&fd, &mut mux); // drain sweep 2
         e.tick_all(&fd, &mut mux); // budget exceeded: reaped
         assert!(!e.has_instance(TopicId(1)));
-        assert!(e.is_retired(TopicId(1)));
+        assert!(retired(&e, TopicId(1)));
         assert_eq!(e.topic_count(), 1);
         let c = e.counters();
         assert_eq!(c.topics_retired, 1);
@@ -1650,7 +1646,7 @@ mod tests {
         e.retire_topic(TopicId(3));
         e.set_drain_limit(0);
         e.tick_all(&fd, &mut mux);
-        assert!(e.is_retired(TopicId(3)));
+        assert!(retired(&e, TopicId(3)));
         // A late retransmission for the retired topic is dropped inert —
         // not an error, no step, no delivery.
         let late = MuxBatch::from_entries(&[(
@@ -1680,9 +1676,13 @@ mod tests {
         );
         // Re-creating the retired id clears the tombstone and starts clean.
         assert!(e.create_topic(TopicId(3), scripted()));
-        assert!(!e.is_retired(TopicId(3)));
+        assert!(!retired(&e, TopicId(3)));
         assert!(e.is_live(TopicId(3)));
-        assert_eq!(e.stats_for(TopicId(3)).msg_set, 0, "no state carried over");
+        assert_eq!(
+            stats_for(&e, TopicId(3)).msg_set,
+            0,
+            "no state carried over"
+        );
     }
 
     #[test]
@@ -1793,7 +1793,7 @@ mod tests {
         e.set_drain_limit(0);
         e.tick_all(&fd, &mut mux);
         assert_eq!(e.resolve(sparse), TopicState::Retired);
-        assert!(e.is_retired(sparse));
+        assert!(retired(&e, sparse));
         assert!(!e.has_instance(sparse));
     }
 
@@ -1873,7 +1873,7 @@ mod tests {
         e.retire_topic(TopicId(1));
         e.set_drain_limit(0);
         e.tick_all(&fd, &mut mux);
-        assert!(e.is_retired(TopicId(1)));
+        assert!(retired(&e, TopicId(1)));
         let bytes = e.save_snapshot().unwrap();
         // The restore target must present the same topic directory.
         let mut back = topic_engine(2, 50);
@@ -1887,8 +1887,8 @@ mod tests {
         back.restore_snapshot(&bytes).unwrap();
         assert_eq!(back.fingerprint(), e.fingerprint());
         assert_eq!(back.counters(), e.counters());
-        assert!(back.is_retired(TopicId(1)));
-        assert_eq!(back.stats_for(TopicId(4)).msg_set, 1);
+        assert!(retired(&back, TopicId(1)));
+        assert_eq!(stats_for(&back, TopicId(4)).msg_set, 1);
     }
 
     // ---- memory plane (DESIGN.md §14) ----------------------------------
@@ -2001,7 +2001,7 @@ mod tests {
         assert_eq!((e.active.clone(), e.draining), (vec![t1], 1));
         assert!(!e.is_quiescent(), "draining blocks quiescence");
         e.tick_all(&fd, &mut mux);
-        assert!(e.is_retired(t1));
+        assert!(retired(&e, t1));
         assert_eq!((e.active.len(), e.draining), (0, 0));
         assert_eq!(e.reap_drained(&fd), 0);
         let c = e.counters();
@@ -2053,7 +2053,7 @@ mod tests {
         let mut ok = engine();
         ok.restore_snapshot(&raw_snapshot(0, 7, &[5]))
             .expect("in-range body restores");
-        assert!(ok.is_retired(TopicId(5)));
+        assert!(retired(&ok, TopicId(5)));
         // … and the same body with one word past u32::MAX is corruption,
         // not the topic the word wraps to (1 << 32 wraps to topic 0).
         let wrap = |id: u64| (1u64 << 32) + id;

@@ -109,9 +109,10 @@ impl Node {
     }
 
     /// Applies a lifecycle control (DESIGN.md §15); `true` when it changed
-    /// state — the gossip-forwarding predicate. A create naming an unknown
-    /// algorithm or one `n` processes cannot run is refused: any peer can
-    /// send one, so it must never reach [`Algorithm::instantiate`].
+    /// state — the gossip-forwarding predicate. A create naming anything
+    /// but Algorithm 1 or 2 is refused ([`Algorithm::from_wire`]): any peer
+    /// can send one, so an ablation never reaches
+    /// [`Algorithm::instantiate`] from the wire.
     pub fn apply(&mut self, ctl: TopicControl) -> bool {
         match ctl {
             TopicControl::Create {
@@ -119,10 +120,8 @@ impl Node {
                 algorithm,
                 param,
             } => match Algorithm::from_wire(algorithm, param) {
-                Some(alg) if alg.runs_with(self.n) => {
-                    self.engine.create_topic(topic, alg.instantiate(self.n))
-                }
-                _ => false,
+                Some(alg) => self.engine.create_topic(topic, alg.instantiate(self.n)),
+                None => false,
             },
             TopicControl::Retire { topic } => self.engine.retire_topic(topic),
         }
@@ -251,7 +250,7 @@ mod tests {
         }
         node.tick(&fd);
         assert!(!node.engine().has_instance(topic), "reaped on tick L + 1");
-        assert!(node.engine().is_retired(topic));
+        assert_eq!(node.engine().resolve(topic), crate::TopicState::Retired);
     }
 
     #[test]
@@ -299,6 +298,46 @@ mod tests {
                 .is_some());
             // Entered locally (`urb topic`), the same create changes nothing.
             assert!(!node.control(create));
+        }
+    }
+
+    #[test]
+    fn a_wire_create_naming_an_ablation_is_refused_and_not_gossiped() {
+        // Each of these runs with n = 3, and none is a uniform reliable
+        // broadcast the cluster may be made to serve from the wire.
+        for (i, alg) in [
+            Algorithm::WeakenedMajority { threshold: 1 },
+            Algorithm::QuiescentLiteral,
+            Algorithm::MajorityBackoff { cap: 2 },
+            Algorithm::BestEffort,
+            Algorithm::EagerRb,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert!(alg.runs_with(3));
+            let topic = TopicId(7 + i as u32);
+            let (algorithm, param) = alg.to_wire();
+            let create = TopicControl::Create {
+                topic,
+                algorithm,
+                param,
+            };
+            let mut node = node(1);
+            node.receive_frame(&control_frame(create), &FdSnapshot::none())
+                .expect("well-formed frame");
+            assert!(
+                !node.engine().has_instance(topic),
+                "{}: refused",
+                alg.name()
+            );
+            assert!(
+                node.mux().controls.is_empty(),
+                "{}: not gossiped",
+                alg.name()
+            );
+            assert!(flush(&mut node).is_none());
+            assert!(!node.control(create), "{}: refused locally", alg.name());
         }
     }
 
@@ -375,7 +414,7 @@ mod tests {
                 Op::Tick => e.tick_all(fd, &mut self.mux),
                 Op::Create(t, pick, param) => {
                     let alg = algorithm(pick, param);
-                    if alg.runs_with(N) {
+                    if matches!(alg, Algorithm::Majority | Algorithm::Quiescent) {
                         e.create_topic(TopicId(t), alg.instantiate(N));
                     }
                 }
@@ -421,8 +460,9 @@ mod tests {
         /// to spell out: over random scripts of broadcasts (on live,
         /// draining, retired and never-created topics), receives
         /// (including at topics with no instance), ticks and every
-        /// control kind — creates round-tripping every `Algorithm`
-        /// through its wire code — both produce the same emissions and
+        /// control kind — creates naming every `Algorithm` by its wire
+        /// code, of which only Algorithms 1 and 2 instantiate — both
+        /// produce the same emissions and
         /// deliveries step by step, and end with the same counters,
         /// fingerprint and snapshot bytes.
         #[test]

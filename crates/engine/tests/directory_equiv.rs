@@ -174,7 +174,7 @@ proptest! {
                     engine.resolve(t), model.resolve(t),
                     "verdict for {} diverged after op {} ({:?})", t, step, op
                 );
-                prop_assert_eq!(engine.is_retired(t), model.retired.contains(&t));
+                prop_assert_eq!(engine.resolve(t) == TopicState::Retired, model.retired.contains(&t));
             }
             prop_assert_eq!(engine.topic_count(), model.slots.len());
         }

@@ -454,6 +454,9 @@ pub fn run_reference(
             .topics(topics)
             .seed(seed),
     );
+    let feeds: Vec<_> = (0..topics.max(1))
+        .map(|topic| cluster.subscribe(TopicId(topic)))
+        .collect();
     let mut tags = Vec::new();
     for topic in 0..topics.max(1) {
         for i in 0..msgs {
@@ -471,17 +474,14 @@ pub fn run_reference(
     for tag in tags {
         cluster.await_delivery_everywhere(tag, timeout);
     }
-    let sets = (0..topics.max(1))
-        .map(|topic| {
-            (0..n)
-                .map(|pid| {
-                    cluster
-                        .delivery_log_on(pid, TopicId(topic))
-                        .into_iter()
-                        .map(|d| d.payload.as_text())
-                        .collect()
-                })
-                .collect()
+    let sets = feeds
+        .iter()
+        .map(|feed| {
+            let mut per_pid = vec![BTreeSet::new(); n];
+            while let Ok((pid, d)) = feed.try_recv() {
+                per_pid[pid].insert(d.payload.as_text());
+            }
+            per_pid
         })
         .collect();
     cluster.shutdown();

@@ -12,8 +12,9 @@
 //! so the runtime deploys byte-for-byte the state machines the simulator
 //! proves things about. Each node runs one protocol instance per topic
 //! ([`urb_engine::TopicEngine`]); deliveries carry their
-//! [`urb_types::TopicId`] and can be consumed per topic via
-//! [`UrbCluster::subscribe`].
+//! [`urb_types::TopicId`], and a [`UrbCluster::subscribe`] receiver is
+//! the one place their payloads are seen: each node feeds it as its steps
+//! deliver. Past that, a node keeps only the tags it delivered.
 //!
 //! Where the simulator provides *provable* runs (deterministic, checked),
 //! the runtime provides *believable* ones: actual threads racing through
@@ -53,17 +54,13 @@ pub use router::TrafficStats;
 pub use state::{RecoveredState, StateDir, StateError};
 pub use transport::{MeshConfig, NetError, NetStats, TcpMesh};
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use crossbeam_channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urb_core::Algorithm;
 use urb_engine::TopicAction;
 use urb_types::{Delivery, Payload, Tag, TopicControl, TopicId};
-
-/// One per-topic delivery subscription: the topic filter and the
-/// subscriber's channel (fed `(pid, delivery)` pairs).
-type TopicSubscriber = (TopicId, Sender<(usize, Delivery)>);
 
 /// Configuration of a local cluster.
 #[derive(Clone, Debug)]
@@ -148,14 +145,8 @@ pub struct UrbCluster {
     /// the node and steps it on the caller's thread; a stopped node
     /// refuses.
     nodes: Vec<Arc<Mutex<node::LocalNode>>>,
-    delivery_rxs: Vec<Receiver<(TopicId, Delivery)>>,
-    /// Per-process delivery log: every delivery ever drained from a node's
-    /// stream lands here (with its topic), so waiting for one tag never
-    /// loses another.
-    delivery_log: Mutex<Vec<Vec<(TopicId, Delivery)>>>,
-    /// Per-topic delivery subscriptions: `(topic, sender)` pairs fed by
-    /// `pump_deliveries`. A dropped receiver is pruned on the next pump.
-    subscribers: Mutex<Vec<TopicSubscriber>>,
+    /// The tags each node delivered, read without the node's lock.
+    delivered: Vec<node::DeliveredTags>,
     registry: Arc<MembershipRegistry>,
     traffic: Arc<router::TrafficCounters>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -180,10 +171,8 @@ impl UrbCluster {
             (0..n).map(|_| unbounded::<NodeInput>()).unzip();
         let mut nodes = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
-        let mut delivery_rxs = Vec::with_capacity(n);
+        let mut delivered = Vec::with_capacity(n);
         for (pid, inputs) in inbox_rxs.into_iter().enumerate() {
-            let (del_tx, del_rx) = unbounded();
-            delivery_rxs.push(del_rx);
             let fanout = router::Fanout::new(
                 pid,
                 inbox_txs.clone(),
@@ -192,7 +181,8 @@ impl UrbCluster {
                 Arc::clone(&traffic),
                 pool.clone(),
             );
-            let backend = node::LocalBackend::new(fanout, del_tx);
+            let backend = node::LocalBackend::new(fanout);
+            delivered.push(Arc::clone(&backend.delivered));
             let node = Arc::new(Mutex::new(node_core::Node::new(
                 pid,
                 n,
@@ -212,28 +202,12 @@ impl UrbCluster {
         }
 
         UrbCluster {
-            delivery_log: Mutex::new(vec![Vec::new(); n]),
-            subscribers: Mutex::new(Vec::new()),
             config,
             nodes,
-            delivery_rxs,
+            delivered,
             registry,
             traffic,
             threads: Mutex::new(threads),
-        }
-    }
-
-    /// Drains every node's delivery stream into the persistent log and
-    /// forwards each new delivery to matching per-topic subscribers
-    /// (dropped subscriber receivers are pruned).
-    fn pump_deliveries(&self) {
-        let mut log = self.delivery_log.lock();
-        let mut subs = self.subscribers.lock();
-        for (pid, rx) in self.delivery_rxs.iter().enumerate() {
-            while let Ok((topic, d)) = rx.try_recv() {
-                subs.retain(|(t, tx)| *t != topic || tx.send((pid, d.clone())).is_ok());
-                log[pid].push((topic, d));
-            }
         }
     }
 
@@ -274,7 +248,10 @@ impl UrbCluster {
     /// letting the control gossip carry it to every other node (lazy
     /// instantiation: each node materialises the instance when the create
     /// reaches it). Returns `false` when the entry node already had the
-    /// topic live (the operation is idempotent).
+    /// topic live (the operation is idempotent), and when `algorithm` is
+    /// neither Algorithm 1 nor Algorithm 2: a create travels as a wire
+    /// control, and nodes refuse every other one
+    /// ([`urb_engine::Node::apply`]).
     pub fn create_topic(&self, pid: usize, topic: TopicId, algorithm: Algorithm) -> bool {
         let create = TopicAction::Create {
             topic,
@@ -292,35 +269,16 @@ impl UrbCluster {
         self.control(pid, TopicControl::Retire { topic })
     }
 
-    /// Everything process `pid` has URB-delivered so far, in order,
-    /// across every topic.
-    pub fn delivery_log(&self, pid: usize) -> Vec<Delivery> {
-        self.pump_deliveries();
-        self.delivery_log.lock()[pid]
-            .iter()
-            .map(|(_, d)| d.clone())
-            .collect()
-    }
-
-    /// Everything process `pid` has URB-delivered on `topic`, in order —
-    /// the pull side of the per-topic delivery plane.
-    pub fn delivery_log_on(&self, pid: usize, topic: TopicId) -> Vec<Delivery> {
-        self.pump_deliveries();
-        self.delivery_log.lock()[pid]
-            .iter()
-            .filter(|(t, _)| *t == topic)
-            .map(|(_, d)| d.clone())
-            .collect()
-    }
-
-    /// Subscribes to every future delivery on `topic`, cluster-wide: the
-    /// returned receiver yields `(pid, delivery)` pairs as the cluster's
-    /// delivery pump observes them (i.e. whenever any log/await accessor
-    /// runs — subscriptions piggyback on the same drain). Dropping the
-    /// receiver unsubscribes.
+    /// Subscribes to every delivery on `topic` from now on, cluster-wide:
+    /// each node sends `(pid, delivery)` to the returned receiver from the
+    /// step that delivers, in that node's delivery order, with no accessor
+    /// to call. Subscribe before the first broadcast to see every
+    /// delivery; dropping the receiver unsubscribes.
     pub fn subscribe(&self, topic: TopicId) -> Receiver<(usize, Delivery)> {
         let (tx, rx) = unbounded();
-        self.subscribers.lock().push((topic, tx));
+        for node in &self.nodes {
+            node.lock().backend.subscribers.push((topic, tx.clone()));
+        }
         rx
     }
 
@@ -339,21 +297,18 @@ impl UrbCluster {
     }
 
     /// Blocks until `tag` has been delivered by every non-crashed process
-    /// or `timeout` elapses. Returns the pids that delivered in time.
-    /// Deliveries of *other* tags observed while waiting are retained in
-    /// the log, so sequential waits for several tags all succeed.
+    /// or `timeout` elapses. Returns the pids that delivered in time, in
+    /// ascending order. Every node records every tag it delivers, so
+    /// sequential waits for several tags all succeed, and a delivery this
+    /// reports has already reached every subscription.
     pub fn await_delivery_everywhere(&self, tag: Tag, timeout: Duration) -> Vec<usize> {
         let deadline = Instant::now() + timeout;
         loop {
-            self.pump_deliveries();
-            let log = self.delivery_log.lock();
-            let mut out: Vec<usize> = (0..self.config.n)
-                .filter(|&pid| log[pid].iter().any(|(_, d)| d.tag == tag))
+            let out: Vec<usize> = (0..self.config.n)
+                .filter(|&pid| self.delivered[pid].lock().contains(&tag))
                 .collect();
             let done = (0..self.config.n).all(|p| out.contains(&p) || self.registry.is_crashed(p));
-            drop(log);
             if done || Instant::now() >= deadline {
-                out.sort_unstable();
                 return out;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -441,11 +396,10 @@ mod tests {
 
     #[test]
     fn multi_topic_cluster_shards_lanes_and_subscriptions() {
-        // 3 topics: each topic's broadcast reaches everyone, the
-        // per-topic logs stay disjoint, and a subscription sees exactly
-        // its own topic's deliveries.
+        // 3 topics: each topic's broadcast reaches everyone, and each
+        // topic's subscription sees exactly its own topic's deliveries.
         let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Majority).topics(3));
-        let feed = cluster.subscribe(TopicId(2));
+        let feeds: Vec<_> = (0..3).map(|t| cluster.subscribe(TopicId(t))).collect();
         let mut tags = Vec::new();
         for t in 0..3u32 {
             let tag = cluster
@@ -461,23 +415,17 @@ mod tests {
             let who = cluster.await_delivery_everywhere(*tag, Duration::from_secs(10));
             assert_eq!(who, vec![0, 1, 2], "topic {t}");
         }
-        for pid in 0..3 {
-            for (t, tag) in tags.iter().enumerate() {
-                let log = cluster.delivery_log_on(pid, TopicId(t as u32));
-                assert_eq!(log.len(), 1, "pid {pid} topic {t}");
-                assert_eq!(log[0].tag, *tag);
+        // Each subscription saw its topic's broadcast once per process and
+        // nothing else.
+        for (t, feed) in feeds.iter().enumerate() {
+            let mut seen: Vec<usize> = Vec::new();
+            while let Ok((pid, d)) = feed.try_recv() {
+                assert_eq!(d.tag, tags[t], "topic {t}");
+                seen.push(pid);
             }
-            assert_eq!(cluster.delivery_log(pid).len(), 3, "all topics combined");
+            seen.sort_unstable();
+            assert_eq!(seen, vec![0, 1, 2], "topic {t}");
         }
-        // The topic-2 subscription saw exactly the 3 per-process
-        // deliveries of topic 2 and nothing else.
-        let mut seen: Vec<usize> = Vec::new();
-        while let Ok((pid, d)) = feed.try_recv() {
-            assert_eq!(d.tag, tags[2]);
-            seen.push(pid);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2]);
         cluster.shutdown();
     }
 
@@ -572,6 +520,17 @@ mod tests {
     }
 
     #[test]
+    fn create_topic_refuses_a_broadcast_that_is_not_urb() {
+        let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Quiescent));
+        let topic = TopicId(7);
+        assert!(!cluster.create_topic(0, topic, Algorithm::EagerRb));
+        assert!(cluster.broadcast_on(0, topic, "x".into()).is_none());
+        assert!(cluster.create_topic(0, topic, Algorithm::Quiescent));
+        assert!(cluster.broadcast_on(0, topic, "y".into()).is_some());
+        cluster.shutdown();
+    }
+
+    #[test]
     fn crashed_process_stops_accepting() {
         let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Majority));
         cluster.crash(1);
@@ -585,25 +544,27 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Waits until every node in `pids` has delivered `count` messages,
-    /// then returns each node's delivered tags.
-    fn await_log_len(
-        cluster: &UrbCluster,
-        pids: &[usize],
+    /// Reads `feed` until each of `n` nodes has delivered `count`
+    /// messages or `timeout` passes, then takes what is already queued
+    /// too; returns each node's delivered tags in its delivery order.
+    fn await_deliveries(
+        feed: &Receiver<(usize, Delivery)>,
+        n: usize,
         count: usize,
         timeout: Duration,
     ) -> Vec<Vec<Tag>> {
         let deadline = Instant::now() + timeout;
-        loop {
-            let logs: Vec<Vec<Tag>> = pids
-                .iter()
-                .map(|&pid| cluster.delivery_log(pid).iter().map(|d| d.tag).collect())
-                .collect();
-            if logs.iter().all(|log| log.len() >= count) || Instant::now() >= deadline {
-                return logs;
+        let mut logs = vec![Vec::new(); n];
+        while logs.iter().any(|log: &Vec<Tag>| log.len() < count) {
+            match feed.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok((pid, d)) => logs[pid].push(d.tag),
+                Err(_) => break,
             }
-            std::thread::sleep(Duration::from_millis(10));
         }
+        while let Ok((pid, d)) = feed.try_recv() {
+            logs[pid].push(d.tag);
+        }
+        logs
     }
 
     /// Every broadcast delivered exactly once at every node of `logs`.
@@ -626,6 +587,7 @@ mod tests {
         // delivered exactly once everywhere.
         const PER_CALLER: usize = 300;
         let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Quiescent));
+        let feed = cluster.subscribe(TopicId::ZERO);
         let tags: Vec<Tag> = std::thread::scope(|s| {
             let callers: Vec<_> = [0, 0, 1, 2]
                 .into_iter()
@@ -651,7 +613,7 @@ mod tests {
         });
         let distinct: std::collections::BTreeSet<Tag> = tags.iter().copied().collect();
         assert_eq!(distinct.len(), tags.len(), "every tag distinct");
-        let logs = await_log_len(&cluster, &[0, 1, 2], tags.len(), Duration::from_secs(60));
+        let logs = await_deliveries(&feed, 3, tags.len(), Duration::from_secs(60));
         assert_exactly_once(&logs, &tags);
         cluster.shutdown();
     }
@@ -663,6 +625,7 @@ mod tests {
         // enough to receive, or nothing is ever delivered.
         const CALLS: usize = 20_000;
         let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Quiescent));
+        let feed = cluster.subscribe(TopicId::ZERO);
         let tags: Vec<Tag> = (0..CALLS)
             .map(|i| {
                 let payload = Payload::from(format!("m{i}").as_str());
@@ -671,7 +634,7 @@ mod tests {
                     .expect("tag")
             })
             .collect();
-        let logs = await_log_len(&cluster, &[0, 1, 2], CALLS, Duration::from_secs(120));
+        let logs = await_deliveries(&feed, 3, CALLS, Duration::from_secs(120));
         assert_exactly_once(&logs, &tags);
         cluster.shutdown();
     }

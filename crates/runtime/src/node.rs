@@ -14,7 +14,9 @@
 //! [`FRAME_BUDGET`](crate::node_core::FRAME_BUDGET)), produced through
 //! the zero-copy codec into a pooled buffer and fanned out to every
 //! inbox by the sender itself ([`Fanout`]). Holding the lock across the
-//! send keeps each (sender, receiver) pair FIFO.
+//! send keeps each (sender, receiver) pair FIFO. The step's deliveries go
+//! to the node's subscribers under the same lock, and their tags to the
+//! set [`crate::UrbCluster::await_delivery_everywhere`] reads.
 
 use crate::node_core::{self, Backend, Node};
 use crate::router::Fanout;
@@ -23,13 +25,22 @@ use crate::NodeInput;
 use bytes::Bytes;
 use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urb_engine::MuxIngressError;
-use urb_types::{Delivery, TopicId};
+use urb_types::{Delivery, Tag, TopicId};
 
 /// A node of the in-process runtime.
 pub(crate) type LocalNode = Node<LocalBackend>;
+
+/// One delivery subscription: the topic it filters on and the
+/// subscriber's channel, fed `(pid, delivery)` pairs.
+pub(crate) type TopicSubscriber = (TopicId, Sender<(usize, Delivery)>);
+
+/// The tags one node delivered, behind a lock of their own: a waiter
+/// reads them without taking the node's.
+pub(crate) type DeliveredTags = Arc<Mutex<HashSet<Tag>>>;
 
 /// Spawns the thread that runs `node`'s loop over `inputs`. However the
 /// thread ends — stop, shutdown or a panic — the node is stopped when it
@@ -85,22 +96,26 @@ impl Drop for StopOnExit {
 }
 
 /// The in-process backend of the node loop: frames go to every inbox
-/// through the sender's own [`Fanout`], deliveries to the cluster
-/// handle's channel.
+/// through the sender's own [`Fanout`], deliveries to the node's
+/// subscribers, and their tags to its [`DeliveredTags`].
 pub(crate) struct LocalBackend {
     /// Crash-stop: a stopped node takes no step, on the node thread or a
     /// caller's. Read and written only under the node's lock.
     stopped: bool,
     pub(crate) fanout: Fanout,
-    deliveries: Sender<(TopicId, Delivery)>,
+    /// This node's subscriptions. A dropped receiver is pruned at the
+    /// next delivery on its topic.
+    pub(crate) subscribers: Vec<TopicSubscriber>,
+    pub(crate) delivered: DeliveredTags,
 }
 
 impl LocalBackend {
-    pub(crate) fn new(fanout: Fanout, deliveries: Sender<(TopicId, Delivery)>) -> Self {
+    pub(crate) fn new(fanout: Fanout) -> Self {
         LocalBackend {
             stopped: false,
             fanout,
-            deliveries,
+            subscribers: Vec::new(),
+            delivered: DeliveredTags::default(),
         }
     }
 }
@@ -115,9 +130,18 @@ impl Backend for LocalBackend {
         true
     }
 
+    /// Each delivery reaches the subscribers before its tag is recorded,
+    /// so a waiter that sees the tag finds the delivery in its receiver.
     fn settle(&mut self, node: &mut urb_engine::Node) -> Result<(), NetError> {
-        for (topic, d) in node.mux().deliveries.drain(..) {
-            let _ = self.deliveries.send((topic, d));
+        let deliveries = &mut node.mux().deliveries;
+        if deliveries.is_empty() {
+            return Ok(());
+        }
+        let (pid, mut delivered) = (self.fanout.from, self.delivered.lock());
+        for (topic, d) in deliveries.drain(..) {
+            self.subscribers
+                .retain(|(t, tx)| *t != topic || tx.send((pid, d.clone())).is_ok());
+            delivered.insert(d.tag);
         }
         Ok(())
     }

@@ -123,7 +123,7 @@ impl TrafficCounters {
 /// frame allocates nothing per message. Thinned frames are re-encoded in
 /// buffers from `pool` (shared with every node).
 pub(crate) struct Fanout {
-    from: usize,
+    pub(crate) from: usize,
     pub(crate) inboxes: Vec<Sender<NodeInput>>,
     loss: f64,
     rng: Xoshiro256,
@@ -252,7 +252,7 @@ mod tests {
 
     fn recv_mux(rx: &Receiver<NodeInput>) -> MuxBatch {
         match rx.try_recv().expect("an input") {
-            NodeInput::Net(frame) => MuxBatch::decode_shared(&frame).expect("valid frame"),
+            NodeInput::Net(frame) => MuxBatch::decode(&frame).expect("valid frame"),
             NodeInput::Stop => panic!("routing never sends a stop"),
         }
     }
@@ -277,7 +277,7 @@ mod tests {
         fanout.route(frame_of(&[(0, 7)]));
         for r in &inbox_rx {
             let mux = recv_mux(r);
-            assert_eq!(mux.sub_batches()[0].1[0].tag(), Some(Tag(7)));
+            assert_eq!(mux.iter().next().and_then(|(_, m)| m.tag()), Some(Tag(7)));
         }
         let s = counters.snapshot();
         assert_eq!(s.protocol_messages, 1);
@@ -308,12 +308,15 @@ mod tests {
         // its controls.
         let (mut fanout, inbox_rx, counters) = fanout(0, 2, 1.0, 4, BufPool::default());
         let ctl = TopicControl::Retire { topic: TopicId(3) };
-        let mut control_only = MuxBatch::new();
-        control_only.push_control(ctl);
-        fanout.route(control_only.encode());
-        let mut mixed = MuxBatch::decode(&frame_of(&[(0, 5), (3, 6)])).unwrap();
-        mixed.push_control(ctl);
-        fanout.route(mixed.encode());
+        let with = |entries: &[(TopicId, WireMessage)]| {
+            let mut frame = bytes::BytesMut::new();
+            urb_types::encode_mux_frame_with_controls_into(entries, &[ctl], &mut frame);
+            frame.freeze()
+        };
+        fanout.route(with(&[]));
+        let mixed = MuxBatch::decode(&frame_of(&[(0, 5), (3, 6)])).unwrap();
+        let mixed: Vec<_> = mixed.iter().map(|(t, m)| (t, m.clone())).collect();
+        fanout.route(with(&mixed));
         for (rx, survivors) in [(&inbox_rx[0], 2), (&inbox_rx[1], 0)] {
             let first = recv_mux(rx);
             assert_eq!((first.len(), first.controls()), (0, &[ctl][..]));

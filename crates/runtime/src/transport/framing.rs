@@ -132,11 +132,6 @@ impl FrameReassembler {
         self.pos += 4 + len;
         Ok(Some(frame))
     }
-
-    /// Bytes currently buffered and not yet yielded as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +154,7 @@ mod tests {
         let mut r = FrameReassembler::new();
         r.push(&stream);
         assert_eq!(frames_of(&mut r), vec![b"abc".to_vec(), b"defgh".to_vec()]);
-        assert_eq!(r.buffered(), 0);
+        assert_eq!(r.buf.len(), r.pos, "no stray bytes left");
     }
 
     #[test]

@@ -92,7 +92,13 @@ proptest! {
         drain(&mut reasm, &mut got);
 
         prop_assert_eq!(&got, &frames, "frame sequence reproduced exactly");
-        prop_assert_eq!(reasm.buffered(), 0, "no stray bytes left");
+        // No stray bytes left: a frame pushed now comes out alone.
+        let mut probe = Vec::new();
+        write_stream_frame(b"probe", &mut probe);
+        reasm.push(&probe);
+        let next = reasm.next_frame().expect("clean stream");
+        prop_assert_eq!(next.as_deref(), Some(&b"probe"[..]));
+        prop_assert_eq!(reasm.next_frame().expect("clean stream"), None);
         for f in &got {
             prop_assert!(MuxBatch::decode(f).is_ok(), "reassembled frame still decodes");
         }
@@ -301,6 +307,50 @@ fn a_burst_larger_than_the_writer_queue_drops_nothing() {
             report.net.dropped_backpressure, 0,
             "node {} dropped frames at a full writer queue: {:?}",
             report.id, report.net
+        );
+    }
+}
+
+/// A create naming `eager-rb`, sent to a daemon the way `urb topic create`
+/// sends one, is refused: the daemon instantiates nothing and forwards
+/// nothing, so its peer, which could only learn of the topic from it,
+/// never serves it either.
+#[test]
+#[ignore = "binds loopback sockets; run via CI cluster-smoke or --ignored"]
+fn a_daemon_refuses_a_create_naming_a_broadcast_that_is_not_urb() {
+    use std::time::{Duration, Instant};
+    use urb_core::Algorithm;
+    use urb_runtime::{run_node, send_control, NodeConfig};
+    use urb_types::TopicControl;
+
+    const N: usize = 2;
+    let addrs = free_loopback_addrs(N);
+    let nodes: Vec<_> = (0..N)
+        .map(|id| {
+            let mut cfg = NodeConfig::new(id, N, Algorithm::Quiescent, addrs.clone());
+            cfg.expect = Some(N);
+            cfg.linger = Duration::from_millis(1500);
+            std::thread::spawn(move || run_node(&cfg))
+        })
+        .collect();
+    let (algorithm, param) = Algorithm::EagerRb.to_wire();
+    let create = TopicControl::Create {
+        topic: TopicId(5),
+        algorithm,
+        param,
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while send_control(&addrs[0], create).is_err() {
+        assert!(Instant::now() < deadline, "node 0 never listened");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    for node in nodes {
+        let report = node.join().expect("daemon thread").expect("daemon runs");
+        assert!(report.complete, "node {} incomplete", report.id);
+        assert_eq!(
+            report.topics_live, 1,
+            "node {}: only the configured topic is served",
+            report.id
         );
     }
 }

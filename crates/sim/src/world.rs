@@ -162,12 +162,24 @@ impl World {
     }
 
     /// Applies a lifecycle action at every live node at once (DESIGN.md
-    /// §15).
+    /// §15). The action never travels, so it is not a wire control: a
+    /// created topic may run any algorithm the run's `n` admits, the
+    /// ablations included, which [`Node::apply`] refuses from the wire.
     pub fn apply(&mut self, action: TopicAction) {
-        let control = action.control(self.algorithm);
-        for (node, at) in self.nodes.iter_mut().zip(&self.crash_times) {
-            if at.is_none() {
-                node.apply(control);
+        let n = self.nodes.len();
+        let live = self.nodes.iter_mut().zip(&self.crash_times);
+        for (node, _) in live.filter(|(_, at)| at.is_none()) {
+            let engine = node.engine_mut();
+            match action {
+                TopicAction::Create { topic, algorithm } => {
+                    let alg = algorithm.unwrap_or(self.algorithm);
+                    if alg.runs_with(n) {
+                        engine.create_topic(topic, alg.instantiate(n));
+                    }
+                }
+                TopicAction::Retire { topic } => {
+                    engine.retire_topic(topic);
+                }
             }
         }
     }

@@ -205,12 +205,13 @@ proptest! {
             match op {
                 LifecycleOp::Create(t) => {
                     let t = TopicId(t);
+                    let held = engine.stats().total();
                     let fresh = engine.create_topic(t, Algorithm::Majority.instantiate(n));
                     let expect_fresh = !live.contains(&t) && !draining.contains(&t);
                     prop_assert_eq!(fresh, expect_fresh, "create idempotency on {}", t);
                     if expect_fresh {
                         prop_assert_eq!(
-                            engine.stats_for(t).total(), 0,
+                            engine.stats().total(), held,
                             "(re-)created topic {} must start clean", t
                         );
                         live.insert(t);
@@ -270,7 +271,7 @@ proptest! {
                     live.contains(&t) || draining.contains(&t),
                     "instance map of {}", t
                 );
-                if engine.is_retired(t) {
+                if engine.resolve(t) == urb_engine::TopicState::Retired {
                     // Reaped means gone: a retired topic holds no state
                     // and serves no traffic until re-created.
                     prop_assert!(!engine.has_instance(t));

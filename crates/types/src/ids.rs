@@ -267,13 +267,6 @@ impl LabelSet {
         self.iter().all(|l| other.contains(l))
     }
 
-    /// In-place union with `other`.
-    pub fn union_with(&mut self, other: &LabelSet) {
-        for l in other.iter() {
-            self.insert(l);
-        }
-    }
-
     /// The labels, ascending.
     pub fn as_slice(&self) -> &[Label] {
         match &self.0 {
@@ -410,15 +403,6 @@ mod tests {
         let c = LabelSet::from_iter([Label(2), Label(3)]);
         assert!(c.is_subset(&a));
         assert!(c.is_subset(&b));
-    }
-
-    #[test]
-    fn label_set_union() {
-        let mut a = LabelSet::from_iter([Label(1), Label(2)]);
-        let b = LabelSet::from_iter([Label(2), Label(3)]);
-        a.union_with(&b);
-        let v: Vec<Label> = a.iter().collect();
-        assert_eq!(v, vec![Label(1), Label(2), Label(3)]);
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl WireMessage {
     }
 
     /// Decodes a message from a complete frame (copying the payload into
-    /// fresh storage; [`MuxBatch::decode_shared`] is the zero-copy path).
+    /// fresh storage; [`MuxBatch::decode_shared_into`] is the zero-copy path).
     pub fn decode(data: &[u8]) -> Result<WireMessage, CodecError> {
         let mut pos = 0usize;
         let msg = decode_message_at(data, &mut pos, &mut copy_payload)?;
@@ -292,7 +292,7 @@ impl WireMessage {
 
 /// Builds a payload from `data[off..off + len]`. The copying maker; the
 /// zero-copy maker is a closure over the shared frame in
-/// [`MuxBatch::decode_shared`].
+/// [`MuxBatch::decode_shared_with_controls_into`].
 fn copy_payload(data: &[u8], off: usize, len: usize) -> Payload {
     Payload::copy_from_slice(&data[off..off + len])
 }
@@ -590,21 +590,10 @@ impl MuxBatch {
         mux
     }
 
-    /// Appends one lifecycle control operation to the frame's control
-    /// section.
-    pub fn push_control(&mut self, ctl: TopicControl) {
-        self.controls.push(ctl);
-    }
-
     /// The lifecycle control operations riding this frame, in emission
     /// order (empty for pure payload frames).
     pub fn controls(&self) -> &[TopicControl] {
         &self.controls
-    }
-
-    /// The `(topic, messages)` sub-batches, ascending by topic.
-    pub fn sub_batches(&self) -> &[(TopicId, Vec<WireMessage>)] {
-        &self.subs
     }
 
     /// Number of sub-batches (distinct topics) in the frame.
@@ -668,23 +657,16 @@ impl MuxBatch {
 
     /// Decodes a complete multiplexed frame, copying payloads into fresh
     /// storage — the reference decode the property tests compare the
-    /// zero-copy [`MuxBatch::decode_shared`] against.
+    /// zero-copy [`MuxBatch::decode_shared_into`] against.
     pub fn decode(data: &[u8]) -> Result<MuxBatch, CodecError> {
         decode_mux(data, &mut copy_payload)
     }
 
-    /// Decodes a complete multiplexed frame **without copying payloads**:
-    /// every decoded [`Payload`] is a refcounted slice view of `frame`
-    /// itself — the receive path of the runtime's sharded wire plane.
-    pub fn decode_shared(frame: &Bytes) -> Result<MuxBatch, CodecError> {
-        decode_mux(frame, &mut |_, off, len| {
-            Payload::from_bytes(frame.slice(off..off + len))
-        })
-    }
-
-    /// [`MuxBatch::decode_shared`] into a caller-supplied entry vector
-    /// (cleared first, capacity retained) — the steady-state-zero-
-    /// allocation ingress path: pair with a recycled
+    /// Decodes a complete multiplexed frame **without copying payloads**
+    /// into a caller-supplied entry vector (cleared first, capacity
+    /// retained): every decoded [`Payload`] is a refcounted slice view of
+    /// `frame` itself. The steady-state-zero-allocation ingress path:
+    /// pair with a recycled
     /// [`crate::MuxPool`] vector and nothing is allocated per frame.
     ///
     /// A trailing control section, if present, is validated and then
@@ -1100,14 +1082,12 @@ mod tests {
         assert_eq!(&enc[..], &flat[..]);
         // Both decode paths reproduce the original.
         assert_eq!(MuxBatch::decode(&enc).unwrap(), mux);
-        let shared = MuxBatch::decode_shared(&enc).unwrap();
-        assert_eq!(shared, mux);
         let mut out = Vec::new();
         MuxBatch::decode_shared_into(&enc, &mut out).unwrap();
         assert_eq!(out, entries);
         // Batching must not launder message identity: every member keeps
         // its own retransmission key, in order.
-        let keys: Vec<u64> = shared.iter().map(|(_, m)| m.retransmit_key()).collect();
+        let keys: Vec<u64> = out.iter().map(|(_, m)| m.retransmit_key()).collect();
         let direct: Vec<u64> = entries.iter().map(|(_, m)| m.retransmit_key()).collect();
         assert_eq!(keys, direct);
         // The empty frame round-trips too.
@@ -1122,8 +1102,8 @@ mod tests {
         let enc = mux.encode();
         assert_eq!(enc[0], MuxBatch::FRAME_TAG);
         let back = MuxBatch::decode(&enc).unwrap();
-        assert_eq!(back.sub_batches().len(), 1);
-        assert_eq!(back.sub_batches()[0].0, TopicId::ZERO);
+        assert_eq!(back.topic_count(), 1);
+        assert_eq!(back.iter().next().map(|(t, _)| t), Some(TopicId::ZERO));
         // Only 0x04 opens a frame: the retired single-topic tag 0x03 and
         // a bare message (discriminants 0-2) are both rejected.
         assert!(matches!(
@@ -1201,13 +1181,14 @@ mod tests {
             TopicControl::Retire { topic: TopicId(3) },
             TopicControl::Retire { topic: TopicId(1) },
         ];
-        // Payload + control frame.
+        // Payload + control frame, from the outbox-slice encoder.
         let entries = vec![(TopicId(0), msg(1, "a")), (TopicId(7), msg(2, "b"))];
-        let mut mux = MuxBatch::from_entries(&entries);
-        for c in controls {
-            mux.push_control(c);
-        }
+        let mut flat = BytesMut::new();
+        encode_mux_frame_with_controls_into(&entries, &controls, &mut flat);
+        let mux = MuxBatch::decode(&flat).unwrap();
         let enc = mux.encode();
+        // The structured encoder re-encodes it byte for byte.
+        assert_eq!(&enc[..], &flat[..]);
         assert_eq!(enc.len(), mux.encoded_len());
         let back = MuxBatch::decode(&enc).unwrap();
         assert_eq!(back, mux);
@@ -1221,13 +1202,10 @@ mod tests {
         // ...and the control-blind path validates but discards them.
         MuxBatch::decode_shared_into(&shared, &mut out).unwrap();
         assert_eq!(out, entries);
-        // Free-function encoder with controls is byte-identical.
-        let mut flat = BytesMut::new();
-        encode_mux_frame_with_controls_into(&entries, &controls, &mut flat);
-        assert_eq!(&enc[..], &flat[..]);
         // Control-only frame: non-empty, sendable, decodes.
-        let mut only = MuxBatch::new();
-        only.push_control(controls[0]);
+        let mut only = BytesMut::new();
+        encode_mux_frame_with_controls_into(&[], &controls[..1], &mut only);
+        let only = MuxBatch::decode(&only).unwrap();
         assert!(!only.is_empty());
         assert_eq!(only.len(), 0);
         let back = MuxBatch::decode(&only.encode()).unwrap();
@@ -1241,19 +1219,13 @@ mod tests {
 
     #[test]
     fn mux_control_section_rejects_truncation_and_bad_ops() {
-        let mut mux = MuxBatch::new();
-        mux.push(TopicId(0), msg(1, "x"));
-        mux.push_control(TopicControl::Create {
-            topic: TopicId(4),
-            algorithm: 0,
-            param: 3,
-        });
-        let enc = mux.encode();
         let ctl = TopicControl::Create {
             topic: TopicId(4),
             algorithm: 0,
             param: 3,
         };
+        let mut enc = BytesMut::new();
+        encode_mux_frame_with_controls_into(&[(TopicId(0), msg(1, "x"))], &[ctl], &mut enc);
         let section_len = 1 + 4 + ctl.encoded_len();
         for cut in 0..enc.len() {
             let decoded = MuxBatch::decode(&enc[..cut]);

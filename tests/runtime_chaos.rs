@@ -6,6 +6,7 @@
 //! checks *properties*, not trajectories.
 
 use anon_urb::prelude::*;
+use anon_urb::types::TopicId;
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -17,6 +18,7 @@ fn chaos_survivors_agree() {
             .loss(0.15)
             .seed(0xC4A05),
     );
+    let feed = cluster.subscribe(TopicId::ZERO);
 
     // Phase 1: everyone broadcasts. Tags from the processes we are about
     // to kill carry only *conditional* URB obligations (deliver-anywhere ⇒
@@ -61,11 +63,16 @@ fn chaos_survivors_agree() {
         "quiescence after chaos"
     );
 
-    // Agreement + integrity over the final logs (uniform agreement: even a
-    // crashed process's deliveries obligate every survivor — checked via
-    // the union of all logs, crashed included).
-    let logs: Vec<BTreeSet<Tag>> = (0..n)
-        .map(|pid| cluster.delivery_log(pid).iter().map(|d| d.tag).collect())
+    // Agreement + integrity over everything the subscription saw (uniform
+    // agreement: even a crashed process's deliveries obligate every
+    // survivor — checked via the union of all logs, crashed included).
+    let mut delivered: Vec<Vec<Tag>> = vec![Vec::new(); n];
+    while let Ok((pid, d)) = feed.try_recv() {
+        delivered[pid].push(d.tag);
+    }
+    let logs: Vec<BTreeSet<Tag>> = delivered
+        .iter()
+        .map(|log| log.iter().copied().collect())
         .collect();
     let delivered_anywhere: BTreeSet<Tag> = logs.iter().flatten().copied().collect();
     for pid in [0usize, 2, 3, 5] {
@@ -76,27 +83,41 @@ fn chaos_survivors_agree() {
     }
     // Integrity: no duplicates (sets were built from vectors; compare sizes).
     for pid in [0usize, 2, 3, 5] {
-        let v = cluster.delivery_log(pid);
+        let v = &delivered[pid];
         assert_eq!(v.len(), logs[pid].len(), "pid {pid} delivered a tag twice");
         // Only broadcast tags are delivered.
-        for d in &v {
-            assert!(tags.contains(&d.tag), "phantom delivery {:?}", d.tag);
+        for tag in v {
+            assert!(tags.contains(tag), "phantom delivery {tag:?}");
         }
     }
 
     cluster.shutdown();
 }
 
+/// A subscription is fed by the nodes themselves: with no cluster accessor
+/// called, each node's deliveries reach it exactly once and in that node's
+/// delivery order.
 #[test]
-fn delivery_log_is_stable_and_cumulative() {
+fn a_subscriber_gets_each_nodes_deliveries_once_in_order() {
     let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Majority).seed(7));
-    let t1 = cluster.broadcast(0, Payload::from("one")).unwrap();
-    cluster.await_delivery_everywhere(t1, Duration::from_secs(10));
-    let log1 = cluster.delivery_log(1);
-    let t2 = cluster.broadcast(2, Payload::from("two")).unwrap();
-    cluster.await_delivery_everywhere(t2, Duration::from_secs(10));
-    let log2 = cluster.delivery_log(1);
-    assert!(log2.len() > log1.len(), "log grows, never shrinks");
-    assert_eq!(&log2[..log1.len()], &log1[..], "prefix is stable");
+    let feed = cluster.subscribe(TopicId::ZERO);
+    // Each broadcast leaves once the feed shows the previous one at every
+    // node, so every node delivers them in broadcast order.
+    let (mut tags, mut logs) = (Vec::new(), vec![Vec::new(); 3]);
+    for i in 0..6 {
+        let payload = Payload::from(format!("m{i}").as_str());
+        tags.push(cluster.broadcast(i % 3, payload).expect("tag"));
+        while logs.iter().any(|log: &Vec<Tag>| log.len() < tags.len()) {
+            let (pid, d) = feed
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the delivery reaches the subscriber");
+            logs[pid].push(d.tag);
+        }
+    }
+    // Algorithm 1 keeps retransmitting, but nothing is delivered twice.
+    assert!(feed.recv_timeout(Duration::from_millis(300)).is_err());
+    for (pid, log) in logs.iter().enumerate() {
+        assert_eq!(log, &tags, "node {pid}: once each, in order");
+    }
     cluster.shutdown();
 }

@@ -5,6 +5,7 @@
 //! the exhaustive property checking lives in the simulator tests.
 
 use anon_urb::prelude::*;
+use anon_urb::types::TopicId;
 use std::time::Duration;
 
 #[test]
@@ -114,6 +115,7 @@ fn engine_parity_sim_and_runtime_agree_on_deliveries() {
 
         // Runtime backend: the same workload through real threads.
         let cluster = UrbCluster::spawn(ClusterConfig::new(3, alg).seed(12));
+        let feed = cluster.subscribe(TopicId::ZERO);
         let tags: Vec<Tag> = (0..3)
             .map(|i| {
                 cluster
@@ -125,18 +127,17 @@ fn engine_parity_sim_and_runtime_agree_on_deliveries() {
             let who = cluster.await_delivery_everywhere(*tag, Duration::from_secs(30));
             assert_eq!(who.len(), 3, "runtime/{}: delivered everywhere", alg.name());
         }
-        let runtime_delivered: Vec<BTreeSet<String>> = (0..3)
-            .map(|pid| {
-                cluster
-                    .delivery_log(pid)
-                    .iter()
-                    .map(|d| d.payload.as_text())
-                    .collect()
-            })
+        let mut runtime_log: Vec<Vec<String>> = vec![Vec::new(); 3];
+        while let Ok((pid, d)) = feed.try_recv() {
+            runtime_log[pid].push(d.payload.as_text());
+        }
+        let runtime_delivered: Vec<BTreeSet<String>> = runtime_log
+            .iter()
+            .map(|log| log.iter().cloned().collect())
             .collect();
-        for pid in 0..3 {
+        for (pid, log) in runtime_log.iter().enumerate() {
             assert_eq!(
-                cluster.delivery_log(pid).len(),
+                log.len(),
                 3,
                 "runtime/{}: process {pid} delivers each payload exactly once",
                 alg.name()

@@ -292,6 +292,7 @@ fn sim_and_runtime_agree_on_a_multi_topic_run() {
 
     // Runtime side: 2 topics.
     let cluster = UrbCluster::spawn(ClusterConfig::new(n, Algorithm::Majority).topics(2));
+    let feeds = [cluster.subscribe(TopicId(0)), cluster.subscribe(TopicId(1))];
     let mut tags = Vec::new();
     for (i, &(topic, text)) in payloads.iter().enumerate() {
         let tag = cluster
@@ -305,8 +306,15 @@ fn sim_and_runtime_agree_on_a_multi_topic_run() {
     }
 
     // Parity: per-process, per-topic payload sets agree across backends.
-    for pid in 0..n {
-        for topic in [TopicId(0), TopicId(1)] {
+    let mut rt_logs = vec![vec![Vec::new(); n]; 2];
+    for (topic, feed) in feeds.iter().enumerate() {
+        while let Ok((pid, d)) = feed.try_recv() {
+            rt_logs[topic][pid].push(d.payload.as_slice().to_vec());
+        }
+    }
+    for (t, per_pid) in rt_logs.iter().enumerate() {
+        let topic = TopicId(t as u32);
+        for (pid, rt_log) in per_pid.iter().enumerate() {
             let sim_set: BTreeSet<Vec<u8>> = sim_out
                 .metrics
                 .deliveries
@@ -314,11 +322,12 @@ fn sim_and_runtime_agree_on_a_multi_topic_run() {
                 .filter(|d| d.pid == pid && d.topic == topic)
                 .map(|d| d.payload.as_slice().to_vec())
                 .collect();
-            let rt_set: BTreeSet<Vec<u8>> = cluster
-                .delivery_log_on(pid, topic)
-                .iter()
-                .map(|d| d.payload.as_slice().to_vec())
-                .collect();
+            let rt_set: BTreeSet<Vec<u8>> = rt_log.iter().cloned().collect();
+            assert_eq!(
+                rt_log.len(),
+                rt_set.len(),
+                "pid {pid}, topic {topic}: once each"
+            );
             assert_eq!(sim_set, rt_set, "pid {pid}, topic {topic}");
             assert_eq!(sim_set.len(), 2, "two payloads per topic");
         }
