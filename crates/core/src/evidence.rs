@@ -5,13 +5,15 @@
 //! table ([`AckTable`]) with a per-label counter — and that is where the
 //! counter invariant of DESIGN.md D3 and the dead-ACKer purge of D4 live.
 //!
-//! Both are sorted `Vec`s: in the model a tag's evidence holds at most one
-//! entry per distinct ACKer and one counter per label, both bounded by
-//! `n`, so a binary search and a short shift beat a tree on every path —
-//! and a one-ACK record pays for one small buffer, not an eleven-slot tree
-//! leaf. An entry's label set is the ACK's own, moved in: for small `n` it
-//! is stored inline and costs no allocation of its own.
+//! Both are sorted vectors: in the model a tag's evidence holds at most
+//! one entry per distinct ACKer and one counter per label, both bounded by
+//! `n`, so a binary search and a short shift beat a tree on every path.
+//! Each vector holds up to three items in place ([`InlineVec`]), and an
+//! entry's label set is the ACK's own, moved in, which for up to three
+//! labels is inline too: for `n ≤ 3` the evidence allocates nothing of
+//! its own, and the record's one box for it is all it costs.
 
+use crate::inline_vec::InlineVec;
 use crate::table::Evidence;
 use urb_types::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use urb_types::{Label, LabelSet, TagAck};
@@ -31,7 +33,7 @@ fn ascending<T: Ord>(last: Option<&T>, next: &T, what: &str) -> Result<(), Snaps
 /// Algorithm 1's slice of `ALL_ACK_i` for one tag: the distinct
 /// acknowledgment tags received (lines 19–21), ascending.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct AckSet(Vec<TagAck>);
+pub(crate) struct AckSet(InlineVec<TagAck>);
 
 impl AckSet {
     /// Number of distinct `tag_ack`s.
@@ -54,13 +56,13 @@ impl Evidence for AckSet {
 
     fn save(&self, w: &mut SnapshotWriter) {
         w.put_u64(self.0.len() as u64);
-        for ta in &self.0 {
+        for ta in self.0.iter() {
             w.put_u128(ta.0);
         }
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut acks = Vec::new();
+        let mut acks = InlineVec::default();
         for _ in 0..r.get_u64()? {
             let ta = TagAck(r.get_u128()?);
             ascending(acks.last(), &ta, "tag_acks")?;
@@ -77,15 +79,16 @@ impl Evidence for AckSet {
 /// Both halves are vectors sorted by key: `entries` by `tag_ack`,
 /// `counters` by label, so the line-55 comparison against `a_p*` is one
 /// in-order walk. Inserting is linear in the number of distinct ACKers or
-/// labels, which the model bounds by `n`.
+/// labels, which the model bounds by `n`. At `n ≤ 3` the table is 224 B
+/// and holds everything in place.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AckTable {
     /// `all_labels[(m,tag), tag_ack]` — latest label set per distinct ACKer.
-    pub(crate) entries: Vec<(TagAck, LabelSet)>,
+    pub(crate) entries: InlineVec<(TagAck, LabelSet)>,
     /// `label_counter[(m,tag), label]` — how many ACKers currently report
     /// `label`. Invariant (D3): `counters[l] == |{ta : l ∈ entries[ta]}|`,
     /// entries with count 0 removed.
-    pub(crate) counters: Vec<(Label, u32)>,
+    pub(crate) counters: InlineVec<(Label, u32)>,
 }
 
 impl AckTable {
@@ -140,14 +143,14 @@ impl AckTable {
     }
 }
 
-fn inc(counters: &mut Vec<(Label, u32)>, label: Label) {
+fn inc(counters: &mut InlineVec<(Label, u32)>, label: Label) {
     match counters.binary_search_by_key(&label, |&(l, _)| l) {
         Ok(at) => counters[at].1 += 1,
         Err(at) => counters.insert(at, (label, 1)),
     }
 }
 
-fn dec(counters: &mut Vec<(Label, u32)>, label: Label) {
+fn dec(counters: &mut InlineVec<(Label, u32)>, label: Label) {
     match counters.binary_search_by_key(&label, |&(l, _)| l) {
         Ok(at) if counters[at].1 > 1 => counters[at].1 -= 1,
         Ok(at) => {
@@ -164,7 +167,7 @@ impl Evidence for AckTable {
 
     fn save(&self, w: &mut SnapshotWriter) {
         w.put_u64(self.entries.len() as u64);
-        for (ta, labels) in &self.entries {
+        for (ta, labels) in self.entries.iter() {
             w.put_u128(ta.0);
             w.put_u64(labels.len() as u64);
             for label in labels.iter() {

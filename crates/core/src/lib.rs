@@ -40,6 +40,7 @@ pub mod baseline;
 mod compact;
 mod evidence;
 pub mod harness;
+mod inline_vec;
 pub mod majority;
 pub mod quiescent;
 mod record_map;

@@ -51,7 +51,7 @@ use urb_types::{
 /// | paper                 | record field                              |
 /// |-----------------------|-------------------------------------------|
 /// | `(m, tag) ∈ MSG_i`    | `in_msg` (+ the table's ordered MSG index) |
-/// | `MY_ACK_i`            | `my_ack`                                  |
+/// | `MY_ACK_i`            | `tag_ack`, when `acked`                   |
 /// | `ALL_ACK_i`           | `evidence`: the set of distinct `tag_ack`s |
 /// | `URB_DELIVERED_i`     | `delivered`                               |
 #[derive(Clone, Debug)]

@@ -83,7 +83,7 @@ pub enum PruneRule {
 /// | paper                          | record field                         |
 /// |--------------------------------|--------------------------------------|
 /// | `(m, tag) ∈ MSG_i`             | `in_msg` (+ the table's ordered MSG index) |
-/// | `MY_ACK_i`                     | `my_ack`                             |
+/// | `MY_ACK_i`                     | `tag_ack`, when `acked`              |
 /// | `ALL_ACK_i` + `all_labels_i` + `label_counter_i` | `evidence`: the per-tag `AckTable` |
 /// | `URB_DELIVERED_i`              | `delivered`                          |
 #[derive(Clone, Debug)]
@@ -902,7 +902,7 @@ mod tests {
             assert!(table.entries.windows(2).all(|w| w[0].0 < w[1].0));
             assert!(table.counters.windows(2).all(|w| w[0].0 < w[1].0));
             let mut m = BTreeMap::new();
-            for (_, ls) in &table.entries {
+            for (_, ls) in table.entries.iter() {
                 for l in ls.iter() {
                     *m.entry(l).or_insert(0u32) += 1;
                 }
@@ -933,7 +933,7 @@ mod tests {
                     p.table.assert_consistent();
                     // D3, on every record the run produced.
                     for acks in p.table.evidences() {
-                        assert_eq!(acks.counters, recomputed_counters(acks));
+                        assert_eq!(acks.counters[..], recomputed_counters(acks));
                     }
                 });
             }
@@ -963,7 +963,7 @@ mod tests {
                 for (ta, ls) in ops {
                     let set = LabelSet::from_iter(ls.into_iter().map(Label));
                     table.reconcile(TagAck(ta as u128), set);
-                    prop_assert_eq!(&table.counters, &recomputed_counters(&table));
+                    prop_assert_eq!(&table.counters[..], &recomputed_counters(&table));
                 }
             }
 
@@ -984,9 +984,9 @@ mod tests {
                 }
                 let live = LabelSet::from_iter(live.into_iter().map(Label));
                 table.purge_dead(&live);
-                prop_assert_eq!(&table.counters, &recomputed_counters(&table));
+                prop_assert_eq!(&table.counters[..], &recomputed_counters(&table));
                 // And every surviving entry is within the live set.
-                for (_, ls) in &table.entries {
+                for (_, ls) in table.entries.iter() {
                     prop_assert!(ls.is_subset(&live));
                 }
             }

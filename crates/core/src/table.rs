@@ -35,7 +35,9 @@ pub(crate) trait Evidence: Default {
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
 }
 
-/// Everything a process holds for one `tag`.
+/// Everything a process holds for one `tag`: a fixed 64 B row (80 B with
+/// its tag in the record map) and, once an ACK arrived, one box for the
+/// evidence, which at `n ≤ 3` holds it all in place.
 #[derive(Clone, Debug, Default)]
 struct TagState<E> {
     /// `m`. `None` once the record is settled: delivered and out of
@@ -48,9 +50,15 @@ struct TagState<E> {
     in_msg: bool,
     /// `(m, tag) ∈ URB_DELIVERED_i`.
     delivered: bool,
-    /// The `MY_ACK_i` entry.
-    my_ack: Option<TagAck>,
-    evidence: E,
+    /// Whether the `MY_ACK_i` entry is set: then it is `tag_ack`. A flag
+    /// beside the others, where an `Option<TagAck>` would pad to 32 B.
+    acked: bool,
+    tag_ack: TagAck,
+    /// Behind one pointer, so the row stays small: the record map's dense
+    /// vector copies every row each time it grows. Boxed when it is first
+    /// needed, which for all but a few records is the first ACK; `None`
+    /// holds what an empty box would.
+    evidence: Option<Box<E>>,
     /// Consecutive stable compaction sweeps (0 = clock not running).
     grace: u32,
 }
@@ -59,11 +67,16 @@ impl<E: Evidence> TagState<E> {
     /// Entries this record contributes to [`ProcessStats::total`]; a record
     /// at 0 is dropped (an ACK's evidence can be purged before anything
     /// else happens to the tag).
+    /// The evidence's [`Evidence::sizes`].
+    fn sizes(&self) -> (usize, usize) {
+        self.evidence.as_deref().map_or((0, 0), E::sizes)
+    }
+
     fn entries(&self) -> usize {
-        let (acks, counters) = self.evidence.sizes();
+        let (acks, counters) = self.sizes();
         usize::from(self.in_msg)
             + usize::from(self.delivered)
-            + usize::from(self.my_ack.is_some())
+            + usize::from(self.acked)
             + acks
             + counters
     }
@@ -174,7 +187,10 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             return;
         }
         let rec = self.enter(tag, &payload, unless_delivered);
-        let tag_ack = *rec.my_ack.get_or_insert_with(|| TagAck::random(ctx.rng));
+        if !rec.acked {
+            (rec.acked, rec.tag_ack) = (true, TagAck::random(ctx.rng));
+        }
+        let tag_ack = rec.tag_ack;
         ctx.broadcast(WireMessage::Ack {
             tag,
             tag_ack,
@@ -212,11 +228,12 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
         // original too (ledger `inproc_saturate`: 72 → 61 MB). A delivered
         // record keeps what it has: a settled one holds no payload and
         // takes none back when D4 has purged its evidence to nothing.
-        if rec.evidence.sizes() == (0, 0) && !rec.delivered {
+        if rec.sizes() == (0, 0) && !rec.delivered {
             rec.payload = Some(payload);
         }
-        update(&mut rec.evidence);
-        if !rec.delivered && guard(&rec.evidence) {
+        let evidence = rec.evidence.get_or_insert_default();
+        update(evidence);
+        if !rec.delivered && guard(evidence) {
             rec.delivered = true;
             let m = if unless_delivered && !rec.in_msg {
                 rec.payload.take()
@@ -249,7 +266,7 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             let rec = records
                 .get_mut(tag)
                 .expect("every MSG_i entry has a record");
-            let (send, keep) = each(rec.delivered, &mut rec.evidence, pace);
+            let (send, keep) = each(rec.delivered, rec.evidence.get_or_insert_default(), pace);
             if send {
                 let payload = rec.payload.clone();
                 let payload = payload.expect("a record in MSG_i holds its payload");
@@ -277,8 +294,8 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             ..ProcessStats::default()
         };
         for rec in self.records.values() {
-            let (acks, counters) = rec.evidence.sizes();
-            stats.my_acks += usize::from(rec.my_ack.is_some());
+            let (acks, counters) = rec.sizes();
+            stats.my_acks += usize::from(rec.acked);
             stats.all_ack_entries += acks;
             stats.delivered += usize::from(rec.delivered);
             stats.label_counters += counters;
@@ -331,7 +348,7 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             if restart {
                 rec.grace = 0;
             }
-            if !stable(rec.in_msg, &mut rec.evidence) {
+            if !stable(rec.in_msg, rec.evidence.get_or_insert_default()) {
                 rec.grace = 0;
                 return true;
             }
@@ -367,15 +384,13 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             w.put_u128(tag.0);
             w.put_bytes(rec.payload.as_ref().map_or(&[], Payload::as_slice));
             w.put_u8(
-                u8::from(rec.in_msg)
-                    | (u8::from(rec.delivered) << 1)
-                    | (u8::from(rec.my_ack.is_some()) << 2),
+                u8::from(rec.in_msg) | (u8::from(rec.delivered) << 1) | (u8::from(rec.acked) << 2),
             );
-            if let Some(ta) = rec.my_ack {
-                w.put_u128(ta.0);
+            if rec.acked {
+                w.put_u128(rec.tag_ack.0);
             }
             w.put_u32(rec.grace);
-            rec.evidence.save(w);
+            rec.evidence.as_deref().unwrap_or(&E::default()).save(w);
         }
         bounded.tombs.save(w);
     }
@@ -402,19 +417,21 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             if flags > 7 {
                 return malformed("unknown record flag");
             }
-            let (in_msg, delivered) = (flags & 1 != 0, flags & 2 != 0);
+            let (in_msg, delivered, acked) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
             // A settled record wrote no payload, and comes back settled.
             let settled = delivered && !in_msg && payload.is_empty();
             let rec = TagState {
                 payload: (!settled).then(|| Payload::copy_from_slice(payload)),
                 in_msg,
                 delivered,
-                my_ack: match flags & 4 {
-                    0 => None,
-                    _ => Some(TagAck(r.get_u128()?)),
+                acked,
+                tag_ack: if acked {
+                    TagAck(r.get_u128()?)
+                } else {
+                    TagAck::default()
                 },
                 grace: r.get_u32()?,
-                evidence: E::restore(&mut r)?,
+                evidence: Some(Box::new(E::restore(&mut r)?)),
             };
             if rec.entries() == 0 || (rec.grace != 0 && !rec.delivered) {
                 return malformed("record holds nothing, or a grace clock without a delivery");
@@ -444,12 +461,16 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
 impl<E: Evidence, P: Default> TagTable<E, P> {
     /// The ACK evidence held for `tag`, if any record exists.
     pub(crate) fn evidence(&self, tag: Tag) -> Option<&E> {
-        self.records.get(&tag).map(|rec| &rec.evidence)
+        self.records
+            .get(&tag)
+            .and_then(|rec| rec.evidence.as_deref())
     }
 
     /// The ACK evidence of every record, in no particular order.
     pub(crate) fn evidences(&self) -> impl Iterator<Item = &E> {
-        self.records.values().map(|rec| &rec.evidence)
+        self.records
+            .values()
+            .filter_map(|rec| rec.evidence.as_deref())
     }
 
     /// The payload the record for `tag` holds: `None` once it is settled,
@@ -493,6 +514,31 @@ impl<E: Evidence, P: Default> TagTable<E, P> {
             bounded.is_none_or(|b| b.mem.is_some() || b.compacted > 0 || !b.tombs.is_empty()),
             "a bounded-memory box holding nothing"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::evidence::{AckSet, AckTable};
+    use std::mem;
+
+    /// A row of the record map is a tag and a fixed record: the evidence
+    /// is one pointer, and `MY_ACK_i` a flag beside a bare `TagAck` (144 B
+    /// with the evidence inline as two `Vec`s and an `Option<TagAck>`).
+    #[test]
+    fn a_record_row_is_at_most_80_bytes() {
+        assert!(mem::size_of::<(Tag, TagState<AckTable>)>() <= 80);
+        assert!(mem::size_of::<(Tag, TagState<AckSet>)>() <= 80);
+    }
+
+    /// The evidence box of a system of up to three processes: three ACK
+    /// entries and three counters held in place, 216 B padded to a
+    /// `TagAck`'s 16-byte alignment.
+    #[test]
+    fn the_evidence_box_is_224_bytes_for_three_processes() {
+        assert_eq!(mem::size_of::<AckTable>(), 224);
+        assert_eq!(mem::size_of::<AckSet>(), 64);
     }
 }
 

@@ -163,12 +163,9 @@ pub fn send_control(addr: &str, ctl: TopicControl) -> Result<(), NetError> {
     use std::io::Write;
     let mut frame = bytes::BytesMut::new();
     urb_types::encode_mux_frame_with_controls_into(&[], &[ctl], &mut frame);
-    let mut wire = Vec::with_capacity(frame.len() + 4);
-    crate::transport::write_stream_frame(&frame, &mut wire);
     let mut stream = std::net::TcpStream::connect(addr)
         .map_err(|e| NetError::Config(format!("connect {addr}: {e}")))?;
-    stream
-        .write_all(&wire)
+    crate::transport::write_stream_frame(&frame, &mut stream)
         .and_then(|()| stream.flush())
         .map_err(|e| NetError::Config(format!("send control to {addr}: {e}")))?;
     Ok(())

@@ -233,7 +233,7 @@ mod tests {
         assert!(node.flush());
         for frame in std::mem::take(&mut node.backend.frames) {
             let mut wire = Vec::new();
-            write_stream_frame(&frame, &mut wire);
+            write_stream_frame(&frame, &mut wire).unwrap();
             reasm.push(&wire);
             let got = reasm.next_frame().expect("under the cap").expect("whole");
             assert_eq!(got, frame);

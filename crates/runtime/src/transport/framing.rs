@@ -16,6 +16,7 @@
 
 use bytes::Bytes;
 use std::fmt;
+use std::io::{self, ErrorKind, IoSlice, Write};
 
 /// Hard ceiling on a single frame's length, bytes (16 MiB). A prefix
 /// above this is treated as stream corruption, not as a giant frame: no
@@ -51,11 +52,25 @@ impl fmt::Display for FrameStreamError {
 
 impl std::error::Error for FrameStreamError {}
 
-/// Appends `frame` to `out` in stream framing (length prefix + bytes) —
-/// the write side, shared by the writer threads and the tests.
-pub fn write_stream_frame(frame: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-    out.extend_from_slice(frame);
+/// Writes `frame` to `out` in stream framing (length prefix + bytes) —
+/// the write side, shared by the writer threads, `send_control` and the
+/// tests. The prefix and the frame go out together as one vectored write,
+/// repeated until `out` has taken both, so the frame is never copied to
+/// put the prefix in front of it. A writer that takes nothing is a
+/// [`ErrorKind::WriteZero`] error.
+pub fn write_stream_frame(frame: &[u8], mut out: impl Write) -> io::Result<()> {
+    let prefix = (frame.len() as u32).to_be_bytes();
+    let mut both = [IoSlice::new(&prefix), IoSlice::new(frame)];
+    let mut left = &mut both[..];
+    while !left.is_empty() {
+        match out.write_vectored(left) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(taken) => IoSlice::advance_slices(&mut left, taken),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Incremental frame reassembly over a byte stream.
@@ -146,11 +161,62 @@ mod tests {
         out
     }
 
+    /// Takes at most three bytes per call, across the slices of a
+    /// vectored write.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut taken = 0;
+            for buf in bufs {
+                let take = buf.len().min(3 - taken);
+                self.0.extend_from_slice(&buf[..take]);
+                taken += take;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_writer_taking_three_bytes_a_call_receives_prefix_and_frame() {
+        for len in [1usize, 5, 70_000] {
+            let frame: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut out = Trickle(Vec::new());
+            write_stream_frame(&frame, &mut out).unwrap();
+            let mut want = (len as u32).to_be_bytes().to_vec();
+            want.extend_from_slice(&frame);
+            assert!(out.0 == want, "{len}-byte frame");
+        }
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_an_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_stream_frame(b"abc", Full).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
+    }
+
     #[test]
     fn whole_stream_in_one_chunk() {
         let mut stream = Vec::new();
-        write_stream_frame(b"abc", &mut stream);
-        write_stream_frame(b"defgh", &mut stream);
+        write_stream_frame(b"abc", &mut stream).unwrap();
+        write_stream_frame(b"defgh", &mut stream).unwrap();
         let mut r = FrameReassembler::new();
         r.push(&stream);
         assert_eq!(frames_of(&mut r), vec![b"abc".to_vec(), b"defgh".to_vec()]);
@@ -160,8 +226,8 @@ mod tests {
     #[test]
     fn byte_at_a_time_reassembles_exactly() {
         let mut stream = Vec::new();
-        write_stream_frame(b"x", &mut stream);
-        write_stream_frame(&[0xAB; 300], &mut stream);
+        write_stream_frame(b"x", &mut stream).unwrap();
+        write_stream_frame(&[0xAB; 300], &mut stream).unwrap();
         let mut r = FrameReassembler::new();
         let mut got = Vec::new();
         for &b in &stream {

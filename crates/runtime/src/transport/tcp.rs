@@ -31,7 +31,7 @@ use super::framing::{write_stream_frame, FrameReassembler};
 use super::NetError;
 use bytes::Bytes;
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
@@ -404,7 +404,6 @@ fn writer_main(
     let mut conn: Option<TcpStream> = None;
     let mut connected_once = false;
     let mut delay = backoff_initial;
-    let mut scratch: Vec<u8> = Vec::new();
     while !stop.load(Ordering::Acquire) {
         let Some(stream) = conn.as_mut() else {
             match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
@@ -433,9 +432,7 @@ fn writer_main(
         if stop.load(Ordering::Acquire) {
             return;
         }
-        scratch.clear();
-        write_stream_frame(&frame, &mut scratch);
-        if stream.write_all(&scratch).is_err() {
+        if write_stream_frame(&frame, &mut *stream).is_err() {
             // The frame is lost (lossy channel); redial with backoff for
             // the ones that follow.
             counters.send_failures.fetch_add(1, Ordering::Relaxed);
@@ -444,7 +441,7 @@ fn writer_main(
             counters.frames_sent.fetch_add(1, Ordering::Relaxed);
             counters
                 .bytes_sent
-                .fetch_add(scratch.len() as u64, Ordering::Relaxed);
+                .fetch_add(4 + frame.len() as u64, Ordering::Relaxed);
         }
     }
 }

@@ -65,7 +65,7 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for f in &frames {
-            write_stream_frame(f, &mut stream);
+            write_stream_frame(f, &mut stream).unwrap();
         }
         // Turn the arbitrary cut points into sorted split positions.
         let mut splits: Vec<usize> = cuts
@@ -94,7 +94,7 @@ proptest! {
         prop_assert_eq!(&got, &frames, "frame sequence reproduced exactly");
         // No stray bytes left: a frame pushed now comes out alone.
         let mut probe = Vec::new();
-        write_stream_frame(b"probe", &mut probe);
+        write_stream_frame(b"probe", &mut probe).unwrap();
         reasm.push(&probe);
         let next = reasm.next_frame().expect("clean stream");
         prop_assert_eq!(next.as_deref(), Some(&b"probe"[..]));
@@ -116,7 +116,7 @@ proptest! {
         for f in &frames {
             // Keep the clean frames under the test cap.
             if f.len() <= cap {
-                write_stream_frame(f, &mut stream);
+                write_stream_frame(f, &mut stream).unwrap();
             }
         }
         let bad_len = cap as u32 + extra;
@@ -149,7 +149,7 @@ proptest! {
     fn zero_prefix_is_typed_after_any_clean_prefix(frames in arb_frames()) {
         let mut stream = Vec::new();
         for f in &frames {
-            write_stream_frame(f, &mut stream);
+            write_stream_frame(f, &mut stream).unwrap();
         }
         stream.extend_from_slice(&[0, 0, 0, 0]);
         let mut reasm = FrameReassembler::new();

@@ -77,14 +77,14 @@ pub struct Tag(pub u128);
 /// and re-uses it verbatim on retransmissions (the `MY_ACK` set enforces
 /// this), so counting *distinct* `TagAck`s for a tag counts distinct
 /// processes that received the message.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TagAck(pub u128);
 
 /// Temporary anonymous process identifier exposed by `AΘ` / `AP*` (§V).
 ///
 /// Labels are drawn by the failure-detector layer; no process (not even the
 /// labelled one) knows the label↔process mapping, which preserves anonymity.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Label(pub u64);
 
 impl Tag {
