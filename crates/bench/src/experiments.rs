@@ -1,20 +1,23 @@
-//! The experiment suite E1–E21 (see DESIGN.md §5 for the index).
+//! The experiment suite: the ids of [`ALL_IDS`] (DESIGN.md §5 is the
+//! index).
 //!
 //! The paper proves; we measure. Each function reproduces one claim as a
 //! table: the pass-rate grids for the two theorems about the algorithms
-//! (E1, E3), the executable impossibility proof (E2), the quiescence and
-//! cost characterizations the paper motivates but never quantifies
-//! (E4–E10), the baseline contrast from the introduction (E11), the
-//! ablation of our one substantive pseudocode repair (E12), the Task-1
-//! backoff extension (E13), partition-heal recovery (E14), and the
-//! scenario plane's own guarantees (E15 corpus replay, E16 adversarial
-//! schedule sweep, E17 spec round-trip + executor parity — DESIGN.md §9),
-//! the topic plane's scaling story (E18 topic-count scaling, E19
-//! multiplexed-vs-separate frames A/B — DESIGN.md §12), and the memory
+//! (E1, E3), the executable impossibility proof (E2), the quiescence,
+//! latency, detector and memory characterizations the paper motivates but
+//! never quantifies (E4, E5, E8, E9), the §III fast-delivery remark (E10),
+//! the baseline contrast from the introduction (E11), the ablation of our
+//! one substantive pseudocode repair (E12), the Task-1 backoff extension
+//! (E13), the scenario plane's spec round-trip and executor parity (E17 —
+//! DESIGN.md §9), topic-count scaling (E18 — DESIGN.md §12), the memory
 //! plane's plateau claim (E20 bounded-memory soak — DESIGN.md §14), the
 //! dynamic topic control plane's churn story (E21 — DESIGN.md §15), and
 //! the open-loop load plane (E22 flat dispatch cost at 100k topics, E23
 //! the offered-load knee — DESIGN.md §16).
+//!
+//! E6, E7, E14, E15, E16 and E19 are retired: each answered a one-off
+//! question that DESIGN.md §5 records. Their ids resolve to nothing and
+//! are never reused.
 //!
 //! All experiments are deterministic: same build, same tables. Every run's
 //! seed is a pure function of its grid cell and seed index, so the
@@ -26,10 +29,10 @@ use crate::table::{f3, pct, Table};
 use urb_core::Algorithm;
 use urb_fd::{HeartbeatConfig, OracleConfig};
 use urb_sim::sim::{FdKind, LinkOverride, SimConfig};
-use urb_sim::spec::{self, ScenarioSpec, StopRule};
+use urb_sim::spec::{self, ScenarioSpec};
 use urb_sim::{
     open_loop, scenario, soak, CrashPlan, CrashRule, LossModel, OpenLoopConfig, OpenLoopOutcome,
-    RunOutcome, Schedule, SoakConfig,
+    RunOutcome, SoakConfig,
 };
 use urb_types::MemoryConfig;
 
@@ -37,41 +40,54 @@ use urb_types::MemoryConfig;
 /// minutes; bump for tighter confidence).
 pub const SEEDS: u64 = 10;
 
-/// Runs one experiment by id (`"e1"`..`"e23"`), returning its tables.
-pub fn run_experiment(id: &str) -> Vec<Table> {
-    match id {
-        "e1" => e1_alg1_correctness(),
-        "e2" => e2_impossibility(),
-        "e3" => e3_alg2_correctness(),
-        "e4" => e4_quiescence(),
-        "e5" => e5_latency_vs_loss(),
-        "e6" => e6_message_complexity(),
-        "e7" => e7_fd_latency(),
-        "e8" => e8_heartbeat_realism(),
-        "e9" => e9_memory(),
-        "e10" => e10_fast_delivery(),
-        "e11" => e11_baselines(),
-        "e12" => e12_prune_ablation(),
-        "e13" => e13_backoff_extension(),
-        "e14" => e14_partition_heal(),
-        "e15" => e15_scenario_corpus(),
-        "e16" => e16_ack_starvation_sweep(),
-        "e17" => e17_spec_parity(),
-        "e18" => e18_topic_scaling(),
-        "e19" => e19_mux_vs_separate(),
-        "e20" => e20_bounded_memory_soak(),
-        "e21" => e21_dynamic_topic_churn(),
-        "e22" => e22_topic_scaling_open_loop(),
-        "e23" => e23_offered_load_knee(),
-        other => panic!("unknown experiment id {other:?} (use e1..e23)"),
-    }
+/// Every experiment id, in order.
+pub const ALL_IDS: [&str; 17] = [
+    "e1", "e2", "e3", "e4", "e5", "e8", "e9", "e10", "e11", "e12", "e13", "e17", "e18", "e20",
+    "e21", "e22", "e23",
+];
+
+/// The table function of experiment `id`, one of [`ALL_IDS`]; `None` for
+/// any other id, retired ones included.
+pub fn experiment(id: &str) -> Option<fn() -> Vec<Table>> {
+    Some(match id {
+        "e1" => e1_alg1_correctness,
+        "e2" => e2_impossibility,
+        "e3" => e3_alg2_correctness,
+        "e4" => e4_quiescence,
+        "e5" => e5_latency_vs_loss,
+        "e8" => e8_heartbeat_realism,
+        "e9" => e9_memory,
+        "e10" => e10_fast_delivery,
+        "e11" => e11_baselines,
+        "e12" => e12_prune_ablation,
+        "e13" => e13_backoff_extension,
+        "e17" => e17_spec_parity,
+        "e18" => e18_topic_scaling,
+        "e20" => e20_bounded_memory_soak,
+        "e21" => e21_dynamic_topic_churn,
+        "e22" => e22_topic_scaling_open_loop,
+        "e23" => e23_offered_load_knee,
+        _ => return None,
+    })
 }
 
-/// All experiment ids in order.
-pub const ALL_IDS: [&str; 23] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
-];
+/// Canonicalizes an experiment id as typed (any case, leading zeros
+/// dropped) to its entry in [`ALL_IDS`]. The error names every valid id.
+pub fn canonical_id(raw: &str) -> Result<&'static str, String> {
+    let lower = raw.to_lowercase();
+    lower
+        .strip_prefix('e')
+        .filter(|digits| digits.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|digits| digits.parse::<u32>().ok())
+        .map(|n| format!("e{n}"))
+        .and_then(|canonical| ALL_IDS.into_iter().find(|&id| id == canonical))
+        .ok_or_else(|| {
+            format!(
+                "unknown experiment id {raw:?} (valid: {})",
+                ALL_IDS.join(", ")
+            )
+        })
+}
 
 /// Nearest-rank `p`-quantile of an ascending sample (0 when it is empty).
 pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -311,96 +327,6 @@ pub fn e5_latency_vs_loss() -> Vec<Table> {
             percentile(&lat, 0.5).to_string(),
             percentile(&lat, 0.99).to_string(),
             lat.last().copied().unwrap_or(0).to_string(),
-        ]);
-    }
-    vec![t]
-}
-
-// ---------------------------------------------------------------- E6 ----
-
-/// E6 — message complexity vs. system size (loss = 0.1).
-///
-/// Transmissions (per-link copies) until full delivery, per delivered
-/// message, plus Algorithm 2's cost to full quiescence. Expected shape:
-/// O(n²) per broadcast for both, with Algorithm 2 paying a constant-factor
-/// overhead in labels but a *bounded total* (it stops).
-pub fn e6_message_complexity() -> Vec<Table> {
-    let mut t = Table::new(
-        "E6 — transmissions vs. n (loss=0.1, 2 msgs)",
-        &[
-            "n",
-            "alg1: tx to delivery",
-            "alg1: tx/msg/n²",
-            "alg2: tx to delivery",
-            "alg2: tx to quiescence",
-        ],
-    );
-    for &n in &[4usize, 8, 16, 32] {
-        let seeds = if n >= 16 { 3 } else { SEEDS };
-        let sends =
-            |outs: &[RunOutcome]| -> u64 { outs.iter().map(|o| o.metrics.protocol_sends()).sum() };
-        let a1 = sends(&run_seeds(seeds, |seed| {
-            scenario::lossy_crashy(n, Algorithm::Majority, 0.1, 0, 2, seed + 5)
-        }));
-        let a2 = sends(&run_seeds(seeds, |seed| {
-            scenario::lossy_crashy(n, Algorithm::Quiescent, 0.1, 0, 2, seed + 5)
-        }));
-        let a2q = sends(&run_seeds(seeds, |seed| {
-            let mut cfg = scenario::lossy_crashy(n, Algorithm::Quiescent, 0.1, 0, 2, seed + 5);
-            cfg.stop_on_full_delivery = false;
-            cfg.stop_on_quiescence = true;
-            cfg.max_time = 300_000;
-            cfg
-        }));
-        let per = |x: u64| x / seeds;
-        t.row(vec![
-            n.to_string(),
-            per(a1).to_string(),
-            f3(per(a1) as f64 / 2.0 / (n * n) as f64),
-            per(a2).to_string(),
-            per(a2q).to_string(),
-        ]);
-    }
-    vec![t]
-}
-
-// ---------------------------------------------------------------- E7 ----
-
-/// E7 — sensitivity to `AP*` detection latency (n=8, 3 crashes).
-///
-/// The prune condition waits for crashed labels to leave `a_p*`; quiescence
-/// time should track the removal delay roughly linearly, while correctness
-/// is unaffected.
-pub fn e7_fd_latency() -> Vec<Table> {
-    let mut t = Table::new(
-        "E7 — AP* removal latency vs. quiescence (n=8, t=3, loss=0.2)",
-        &[
-            "AP* removal delay",
-            "runs",
-            "URB ok",
-            "quiescent",
-            "mean quiescence time",
-        ],
-    );
-    for &delay in &[0u64, 1_000, 5_000, 20_000] {
-        let outcomes = run_seeds(SEEDS, |seed| {
-            scenario::fd_latency(8, delay, 3, seed * 13 + 29)
-        });
-        let ok = outcomes.iter().filter(|o| o.report.all_ok()).count();
-        let quiescent = outcomes.iter().filter(|o| o.quiescent).count() as u64;
-        let qtime: u64 = outcomes
-            .iter()
-            .filter(|o| o.quiescent)
-            .map(|o| o.last_protocol_send)
-            .sum();
-        t.row(vec![
-            delay.to_string(),
-            SEEDS.to_string(),
-            format!("{ok}/{SEEDS}"),
-            format!("{quiescent}/{SEEDS}"),
-            qtime
-                .checked_div(quiescent)
-                .map_or("—".to_string(), |v| v.to_string()),
         ]);
     }
     vec![t]
@@ -759,162 +685,6 @@ pub fn e13_backoff_extension() -> Vec<Table> {
     vec![t]
 }
 
-// --------------------------------------------------------------- E14 ----
-
-/// E14 — healing partitions: recovery time after a total cut.
-///
-/// Fair-lossy fairness is suspended during a network partition and resumes
-/// at the heal; URB must complete afterwards (the paper's model says
-/// nothing about *when*). Sweep the partition duration: time from
-/// broadcast to full delivery should track the cut end, and the post-heal
-/// recovery lag should be roughly constant (one retransmission round).
-pub fn e14_partition_heal() -> Vec<Table> {
-    use urb_sim::Blackout;
-    let mut t = Table::new(
-        "E14 — healing partition: {0,1,2,3} | {4,5,6,7} cut from t=0 (n=8, alg1)",
-        &[
-            "cut duration",
-            "runs",
-            "URB ok",
-            "mean full-delivery time",
-            "mean lag after heal",
-        ],
-    );
-    for &cut in &[0u64, 500, 2_000, 8_000] {
-        let outcomes = run_seeds(SEEDS, |seed| {
-            let mut cfg = SimConfig::new(8, Algorithm::Majority)
-                .seed(seed * 83 + 2)
-                .loss(LossModel::Bernoulli { p: 0.1 })
-                .workload(1, 50)
-                .max_time(cut + 60_000);
-            cfg.blackouts = Blackout::partition(&[0, 1, 2, 3], &[4, 5, 6, 7], 0, cut);
-            cfg.stop_on_full_delivery = true;
-            cfg
-        });
-        let ok = outcomes.iter().filter(|o| o.report.all_ok()).count();
-        let total: Vec<u64> = outcomes.iter().map(|o| o.metrics.ended_at).collect();
-        let mean = total.iter().sum::<u64>() / total.len() as u64;
-        t.row(vec![
-            cut.to_string(),
-            SEEDS.to_string(),
-            format!("{ok}/{SEEDS}"),
-            mean.to_string(),
-            mean.saturating_sub(cut).to_string(),
-        ]);
-    }
-    vec![t]
-}
-
-// --------------------------------------------------------------- E15 ----
-
-/// E15 — the scenario corpus, replayed (DESIGN.md §9).
-///
-/// Every `scenarios/*.toml` file is parsed, compiled and executed over
-/// SEEDS derived seeds via the parallel executor; a run counts only when
-/// the spec's `[expect]` verdict holds on top of the per-run URB checker.
-/// Expected: every cell at 100% — scenario diversity is data, and the
-/// data keeps its promises under seed variation.
-pub fn e15_scenario_corpus() -> Vec<Table> {
-    let mut t = Table::new(
-        "E15 — scenario corpus replay (expectations checked per run)",
-        &[
-            "scenario",
-            "n",
-            "algorithm",
-            "runs",
-            "expectations met",
-            "mean end time",
-        ],
-    );
-    for (name, text) in spec::corpus() {
-        let base =
-            ScenarioSpec::from_toml_str(text).unwrap_or_else(|e| panic!("corpus {name}: {e}"));
-        let outcomes = run_seeds(SEEDS, |seed| {
-            let mut s = base.clone();
-            s.seed = base.seed + seed * 9973;
-            s.compile().unwrap_or_else(|e| panic!("corpus {name}: {e}"))
-        });
-        let met = outcomes
-            .iter()
-            .filter(|o| base.expect.check(o).is_empty())
-            .count() as u64;
-        let mean_end: u64 = outcomes.iter().map(|o| o.metrics.ended_at).sum::<u64>() / SEEDS;
-        t.row(vec![
-            name.to_string(),
-            base.n.to_string(),
-            base.algorithm.name().to_string(),
-            SEEDS.to_string(),
-            pct(met as f64 / SEEDS as f64),
-            mean_end.to_string(),
-        ]);
-    }
-    vec![t]
-}
-
-// --------------------------------------------------------------- E16 ----
-
-/// E16 — the ack-starvation schedule, swept (DESIGN.md §9).
-///
-/// Specs are built *programmatically* here (the same [`Schedule`] values
-/// the TOML loader produces), demonstrating the scheduler library as an
-/// API. An inbound blockade on one process should pin exactly that
-/// process's first delivery to the blockade end while the rest of the
-/// mesh delivers on schedule — the victim's lag is the adversary's knob.
-pub fn e16_ack_starvation_sweep() -> Vec<Table> {
-    let mut t = Table::new(
-        "E16 — ack-starvation window vs. victim delivery (n=5, alg1, loss=0.1)",
-        &[
-            "blockade end",
-            "runs",
-            "URB ok",
-            "mean victim first delivery",
-            "mean others first delivery",
-        ],
-    );
-    for &end in &[0u64, 500, 2_000, 8_000] {
-        let outcomes = run_seeds(SEEDS, |seed| {
-            let mut s = ScenarioSpec::new("e16", 5, Algorithm::Majority);
-            s.seed = seed * 127 + 3;
-            s.loss = LossModel::Bernoulli { p: 0.1 };
-            s.stop = StopRule::FullDelivery;
-            s.horizon = end + 60_000;
-            s.workload = urb_sim::spec::WorkloadSpec::Generated {
-                count: 2,
-                spacing: 100,
-                start: 10,
-            };
-            if end > 0 {
-                s.schedules.push(Schedule::AckStarvation {
-                    victim: 4,
-                    start: 0,
-                    end,
-                });
-            }
-            s.compile().expect("e16 spec compiles")
-        });
-        let ok = outcomes.iter().filter(|o| o.report.all_ok()).count();
-        let first = |o: &RunOutcome, victim: bool| -> u64 {
-            o.metrics
-                .deliveries
-                .iter()
-                .filter(|d| (d.pid == 4) == victim)
-                .map(|d| d.time)
-                .min()
-                .unwrap_or(0)
-        };
-        let victim_mean: u64 = outcomes.iter().map(|o| first(o, true)).sum::<u64>() / SEEDS;
-        let others_mean: u64 = outcomes.iter().map(|o| first(o, false)).sum::<u64>() / SEEDS;
-        t.row(vec![
-            end.to_string(),
-            SEEDS.to_string(),
-            format!("{ok}/{SEEDS}"),
-            victim_mean.to_string(),
-            others_mean.to_string(),
-        ]);
-    }
-    vec![t]
-}
-
 // --------------------------------------------------------------- E17 ----
 
 /// E17 — scenario-plane invariants: spec round-trip and executor parity
@@ -1028,68 +798,6 @@ pub fn e18_topic_scaling() -> Vec<Table> {
             deliveries.to_string(),
         ]);
     }
-    vec![t]
-}
-
-// --------------------------------------------------------------- E19 ----
-
-/// E19 — multiplexed frames vs. one-frame-per-topic A/B (DESIGN.md §12).
-///
-/// The identical multi-topic workload runs twice per seed: once with the
-/// mux plane (every step's topics share one frame per destination) and
-/// once with `mux_frames = false` (each topic pays its own frame). The
-/// deliveries and verdicts must agree — multiplexing is a pure routing
-/// optimization — while frames-sent must strictly favour the mux plane
-/// at equal message counts. This is the acceptance experiment of the
-/// topic plane's routing claim.
-pub fn e19_mux_vs_separate() -> Vec<Table> {
-    let mut t = Table::new(
-        "E19 — multiplexed vs separate frames (n=4, topics=4, 8 msgs)",
-        &[
-            "plane",
-            "runs",
-            "URB ok",
-            "messages",
-            "frames",
-            "frames/msg",
-            "deliveries",
-        ],
-    );
-    let build = |mux: bool| {
-        run_seeds(SEEDS, move |seed| {
-            let mut cfg = SimConfig::new(4, Algorithm::Quiescent)
-                .topics(4)
-                .seed(seed * 17 + 9)
-                .workload_topics(8, 20)
-                .max_time(400_000);
-            cfg.mux_frames = mux;
-            cfg
-        })
-    };
-    let arms = [("multiplexed", build(true)), ("separate", build(false))];
-    for (name, outcomes) in &arms {
-        let ok = outcomes.iter().filter(|o| o.all_topics_ok()).count() as u64;
-        let msgs: u64 = outcomes.iter().map(|o| o.metrics.protocol_sends()).sum();
-        let frames: u64 = outcomes.iter().map(|o| o.metrics.frames_sent).sum();
-        let deliveries: usize = outcomes.iter().map(|o| o.metrics.deliveries.len()).sum();
-        t.row(vec![
-            name.to_string(),
-            SEEDS.to_string(),
-            format!("{ok}/{SEEDS}"),
-            msgs.to_string(),
-            frames.to_string(),
-            f3(frames as f64 / msgs.max(1) as f64),
-            deliveries.to_string(),
-        ]);
-    }
-    let (mux_frames, sep_frames) = (
-        arms[0].1.iter().map(|o| o.metrics.frames_sent).sum::<u64>(),
-        arms[1].1.iter().map(|o| o.metrics.frames_sent).sum::<u64>(),
-    );
-    assert!(
-        mux_frames < sep_frames,
-        "multiplexed frames must beat one-frame-per-topic: {mux_frames} vs {sep_frames}"
-    );
     vec![t]
 }
 
@@ -1447,19 +1155,22 @@ mod tests {
 
     #[test]
     fn all_ids_resolve() {
-        // Smoke-test the dispatcher without running the heavy grids.
-        assert_eq!(ALL_IDS.len(), 23);
-    }
-
-    #[test]
-    fn e19_mux_beats_separate_frames() {
-        // The topic plane's acceptance claim: the A/B harness itself
-        // asserts frames(mux) < frames(separate) at equal message counts
-        // — running it IS the test — and both arms stay correct.
-        let tables = e19_mux_vs_separate();
-        let rendered = tables[0].render();
-        assert!(rendered.contains("multiplexed"), "{rendered}");
-        assert!(!rendered.contains("false"), "{rendered}");
+        // Every kept id has a table function and a trajectory grid;
+        // retired and unknown ids resolve to nothing. No grid runs.
+        for id in ALL_IDS {
+            assert!(experiment(id).is_some(), "{id} has no table function");
+            if id != "e22" && id != "e23" {
+                assert!(!crate::trajectory::grid(id, 1, 1).is_empty(), "{id}");
+            } else {
+                assert!(!open_loop_grid(id, 1, 1, None, None).is_empty(), "{id}");
+            }
+        }
+        for id in ["e6", "e7", "e14", "e15", "e16", "e19", "e0", "e24", "e99"] {
+            assert!(experiment(id).is_none(), "{id} resolves");
+            assert!(canonical_id(id).is_err(), "{id} is accepted");
+        }
+        assert_eq!(canonical_id("E04"), Ok("e4"));
+        assert!(canonical_id("e+1").is_err());
     }
 
     #[test]
@@ -1471,12 +1182,6 @@ mod tests {
         let rendered = tables[0].render();
         assert!(!rendered.contains("false"), "{rendered}");
         assert!(rendered.contains("partition_heal"));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown experiment")]
-    fn unknown_id_panics() {
-        let _ = run_experiment("e99");
     }
 
     #[test]

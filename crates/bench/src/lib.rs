@@ -3,7 +3,7 @@
 //! The experiment harness of the reproduction. The paper has no empirical
 //! evaluation; every experiment here validates one of its *claims*
 //! (theorems, lemmas, remarks — see `DESIGN.md` §5 for the index of
-//! E1–E23) and emits a markdown table.
+//! experiment ids) and emits a markdown table.
 //!
 //! Run everything: `cargo run -p urb-bench --release --bin experiments`
 //! Run one:        `cargo run -p urb-bench --release --bin experiments -- e4`
@@ -11,8 +11,9 @@
 //! Beyond the experiment tables, this crate is the **performance plane**
 //! (DESIGN.md §10):
 //!
-//! * [`trajectory`] — reduced deterministic grids over E1–E23 emitting the
-//!   schema-versioned `BENCH_*.json` perf history (`urb bench --json`);
+//! * [`trajectory`] — reduced deterministic grids over every experiment id
+//!   emitting the schema-versioned `BENCH_*.json` perf history
+//!   (`urb bench --json`);
 //! * [`report`] — the shared JSON envelope every tool output wears;
 //! * [`alloc_count`] — allocations-per-operation probes and the
 //!   zero-allocation gates of the frame plane (enable the `count-allocs`

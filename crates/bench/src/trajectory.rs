@@ -1,8 +1,8 @@
 //! The benchmark-trajectory subsystem: machine-readable perf history.
 //!
 //! `urb bench --json BENCH_PR<k>.json` runs a **reduced, fixed grid** for
-//! every experiment id (E1–E23) and emits one schema-versioned JSON file
-//! — the repo's perf trajectory. Each PR archives one such file; diffing
+//! every experiment id ([`crate::experiments::ALL_IDS`]) and emits one
+//! schema-versioned JSON file — the repo's perf trajectory. Each PR archives one such file; diffing
 //! two of them answers "what did this PR do to throughput, latency and
 //! allocation behaviour?" without re-running anything (DESIGN.md §10
 //! documents the schema and how to read a diff).
@@ -24,7 +24,7 @@ use urb_core::Algorithm;
 use urb_fd::HeartbeatConfig;
 use urb_sim::sim::FdKind;
 use urb_sim::spec::{self, ScenarioSpec};
-use urb_sim::{scenario, Blackout, LossModel, RunOutcome, SimConfig};
+use urb_sim::{scenario, LossModel, RunOutcome, SimConfig};
 use urb_types::MemoryConfig;
 
 /// Envelope `kind` of a trajectory file.
@@ -39,7 +39,8 @@ pub struct TrajectoryConfig {
     /// Seeds per grid cell (3 keeps the full trajectory under a minute
     /// in release builds; bump for tighter numbers).
     pub seeds_per_cell: u64,
-    /// Experiment ids to cover (subset of `e1..e23`).
+    /// Experiment ids to cover (a subset of
+    /// [`crate::experiments::ALL_IDS`]).
     pub ids: Vec<String>,
     /// Override of E22's topic-count grid (`None` = the pinned default
     /// `[1, 1k, 100k]` the committed trajectory files use).
@@ -69,7 +70,7 @@ impl TrajectoryConfig {
 /// One experiment's aggregated, deterministic measurements.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentPoint {
-    /// Experiment id (`"e1"`…`"e23"`).
+    /// Experiment id (one of [`crate::experiments::ALL_IDS`]).
     pub id: String,
     /// Simulated runs aggregated into this point.
     pub runs: u64,
@@ -361,35 +362,6 @@ pub fn grid(id: &str, seed: u64, seeds: u64) -> Vec<SimConfig> {
                 }
             }
         }
-        "e6" => {
-            for (cell, &(n, alg)) in [
-                (4usize, Algorithm::Majority),
-                (8, Algorithm::Majority),
-                (4, Algorithm::Quiescent),
-                (8, Algorithm::Quiescent),
-            ]
-            .iter()
-            .enumerate()
-            {
-                for s in 0..seeds {
-                    cfgs.push(scenario::lossy_crashy(
-                        n,
-                        alg,
-                        0.1,
-                        0,
-                        2,
-                        derive(cell as u64, s),
-                    ));
-                }
-            }
-        }
-        "e7" => {
-            for (cell, &delay) in [0u64, 5_000].iter().enumerate() {
-                for s in 0..seeds {
-                    cfgs.push(scenario::fd_latency(6, delay, 2, derive(cell as u64, s)));
-                }
-            }
-        }
         "e8" => {
             for s in 0..seeds {
                 let mut cfg = SimConfig::new(6, Algorithm::Quiescent)
@@ -471,26 +443,14 @@ pub fn grid(id: &str, seed: u64, seeds: u64) -> Vec<SimConfig> {
                 }
             }
         }
-        "e14" => {
-            for s in 0..seeds {
-                let mut cfg = SimConfig::new(6, Algorithm::Majority)
-                    .seed(derive(0, s))
-                    .loss(LossModel::Bernoulli { p: 0.1 })
-                    .workload(1, 50)
-                    .max_time(40_000);
-                cfg.blackouts = Blackout::partition(&[0, 1, 2], &[3, 4, 5], 0, 1_000);
-                cfg.stop_on_full_delivery = true;
-                cfgs.push(cfg);
-            }
-        }
-        "e15" | "e17" => {
-            // The scenario corpus; e15 varies seeds, e17 replays each spec
-            // at its own seed (the parity/fingerprint sample).
+        "e17" => {
+            // The scenario corpus, each spec once at its own seed (the
+            // parity/fingerprint sample).
             //
             // Pinned to the corpus as of BENCH_PR3: trajectory grids are
             // append-only — corpus *additions* (e.g. the topic-plane
-            // scenarios) get their own experiments (E18/E19), so existing
-            // grid points stay byte-comparable across PRs forever.
+            // scenarios) get their own experiments, so existing grid
+            // points stay byte-comparable across PRs forever.
             const PINNED: [&str; 8] = [
                 "clean_smoke",
                 "lossy_crashes",
@@ -501,43 +461,15 @@ pub fn grid(id: &str, seed: u64, seeds: u64) -> Vec<SimConfig> {
                 "targeted_delay",
                 "theorem2_violation",
             ];
-            let pinned = spec::corpus()
-                .into_iter()
-                .filter(|(name, _)| PINNED.contains(name));
-            for (cell, (name, text)) in pinned.enumerate() {
-                let base = ScenarioSpec::from_toml_str(text)
-                    .unwrap_or_else(|e| panic!("corpus {name}: {e}"));
-                let reps = if id == "e15" { seeds } else { 1 };
-                for s in 0..reps {
-                    let mut sp = base.clone();
-                    if id == "e15" {
-                        sp.seed = base.seed.wrapping_add(derive(cell as u64, s));
-                    }
+            for (name, text) in spec::corpus() {
+                if PINNED.contains(&name) {
+                    let sp = ScenarioSpec::from_toml_str(text)
+                        .unwrap_or_else(|e| panic!("corpus {name}: {e}"));
                     cfgs.push(
                         sp.compile()
                             .unwrap_or_else(|e| panic!("corpus {name}: {e}")),
                     );
                 }
-            }
-        }
-        "e16" => {
-            for s in 0..seeds {
-                let mut sp = ScenarioSpec::new("bench-e16", 5, Algorithm::Majority);
-                sp.seed = derive(0, s);
-                sp.loss = LossModel::Bernoulli { p: 0.1 };
-                sp.stop = spec::StopRule::FullDelivery;
-                sp.horizon = 40_000;
-                sp.workload = spec::WorkloadSpec::Generated {
-                    count: 2,
-                    spacing: 100,
-                    start: 10,
-                };
-                sp.schedules.push(urb_sim::Schedule::AckStarvation {
-                    victim: 4,
-                    start: 0,
-                    end: 1_000,
-                });
-                cfgs.push(sp.compile().expect("bench e16 spec compiles"));
             }
         }
         "e18" => {
@@ -551,21 +483,6 @@ pub fn grid(id: &str, seed: u64, seeds: u64) -> Vec<SimConfig> {
                             .workload_topics(6, 50)
                             .max_time(200_000),
                     );
-                }
-            }
-        }
-        "e19" => {
-            // Mux-vs-separate frames A/B; both arms share the grid so the
-            // trajectory's count metrics cover both planes.
-            for (cell, &mux) in [true, false].iter().enumerate() {
-                for s in 0..seeds {
-                    let mut cfg = SimConfig::new(4, Algorithm::Quiescent)
-                        .topics(3)
-                        .seed(derive(cell as u64, s))
-                        .workload_topics(6, 20)
-                        .max_time(200_000);
-                    cfg.mux_frames = mux;
-                    cfgs.push(cfg);
                 }
             }
         }
@@ -612,7 +529,7 @@ pub fn grid(id: &str, seed: u64, seeds: u64) -> Vec<SimConfig> {
             "{id} is an open-loop experiment: it has no SimConfig grid — \
              cells come from crate::experiments::open_loop_grid"
         ),
-        other => panic!("unknown experiment id {other:?} (use e1..e23)"),
+        other => panic!("unknown experiment id {other:?}"),
     }
     cfgs
 }

@@ -10,7 +10,7 @@
 //! errors one way: `--x needs a value`, `--x: <why the value did not
 //! parse>`, `unknown flag "--x"`. Each value is checked once, by the
 //! library where it has a parser ([`Strategy::parse`],
-//! [`experiments::ALL_IDS`]). A usage error comes back as its text; `main`
+//! [`experiments::canonical_id`]). A usage error comes back as its text; `main`
 //! prints it above [`USAGE`] and exits 2.
 
 use std::fmt::Display;
@@ -90,7 +90,8 @@ FLAGS (bench):
                       count-metric mismatch over overlapping points
     --seed S          root seed for the grids                [default: 1]
     --seeds K         seeds per grid cell                    [default: 3]
-    --experiments IDS comma-separated subset of e1..e23      [default: all]
+    --experiments IDS comma-separated subset of e1-e5, e8-e13, e17, e18,
+                      e20-e23 (DESIGN.md §5)                 [default: all]
     --load-topics T,… topic-count cells of the e22 open-loop grid
                       (positive ints)        [default: 1,1000,100000]
     --rates R,...     offered-load cells of the e23 open-loop grid,
@@ -393,28 +394,11 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
     })
 }
 
-/// Parses `--experiments`: each id canonicalized to the grids' literal
-/// `e<n>` (any case, leading zeros dropped), one of
-/// [`experiments::ALL_IDS`], and named once.
+/// Parses `--experiments`: each id canonicalized by
+/// [`experiments::canonical_id`], and named once.
 fn experiment_ids(raw: &str) -> Result<Vec<String>, String> {
     let ids: Vec<String> = list(raw)
-        .map(|id| {
-            let lower = id.to_lowercase();
-            lower
-                .strip_prefix('e')
-                .filter(|digits| digits.bytes().all(|b| b.is_ascii_digit()))
-                .and_then(|digits| digits.parse::<u32>().ok())
-                .map(|n| format!("e{n}"))
-                .filter(|canonical| experiments::ALL_IDS.contains(&canonical.as_str()))
-                .ok_or_else(|| {
-                    let all = experiments::ALL_IDS;
-                    format!(
-                        "unknown experiment id {id:?} (use {}..{})",
-                        all[0],
-                        all[all.len() - 1]
-                    )
-                })
-        })
+        .map(|id| experiments::canonical_id(id).map(String::from))
         .collect::<Result<_, _>>()?;
     if ids.is_empty() {
         return Err("--experiments needs at least one id".into());
@@ -884,9 +868,9 @@ mod tests {
             _ => panic!(),
         }
         assert!(parse(&argv("bench --experiments e99")).is_err());
-        match parse(&argv("bench --experiments e18,e19")).unwrap() {
+        match parse(&argv("bench --experiments e18,e20")).unwrap() {
             Command::Bench(a) => {
-                assert_eq!(a.trajectory.ids, ["e18", "e19"], "topic-plane ids accepted")
+                assert_eq!(a.trajectory.ids, ["e18", "e20"], "topic-plane ids accepted")
             }
             _ => panic!(),
         }
@@ -902,6 +886,25 @@ mod tests {
         }
         assert!(parse(&argv("bench --seeds 0")).is_err());
         assert!(parse(&argv("bench --wat")).is_err());
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_experiment_ids() {
+        let line = USAGE
+            .split("subset of ")
+            .nth(1)
+            .and_then(|rest| rest.split(" (DESIGN").next())
+            .expect("the --experiments line");
+        let listed: Vec<String> = line
+            .split(|c: char| c == ',' || c.is_whitespace())
+            .filter(|s| !s.is_empty())
+            .flat_map(|range| {
+                let (a, b) = range.split_once('-').unwrap_or((range, range));
+                let num = |e: &str| e[1..].parse::<u32>().expect("e<n>");
+                (num(a)..=num(b)).map(|n| format!("e{n}"))
+            })
+            .collect();
+        assert_eq!(listed, experiments::ALL_IDS);
     }
 
     #[test]
@@ -1134,11 +1137,11 @@ mod tests {
             ),
             (
                 "bench --experiments e99",
-                "unknown experiment id \"e99\" (use e1..e23)",
+                "unknown experiment id \"e99\" (valid: e1, e2, e3, e4, e5, e8, e9, e10, e11, e12, e13, e17, e18, e20, e21, e22, e23)",
             ),
             (
                 "bench --experiments e1,x2",
-                "unknown experiment id \"x2\" (use e1..e23)",
+                "unknown experiment id \"x2\" (valid: e1, e2, e3, e4, e5, e8, e9, e10, e11, e12, e13, e17, e18, e20, e21, e22, e23)",
             ),
             (
                 "bench --experiments ,",
@@ -1212,7 +1215,7 @@ mod tests {
             ("bench --seeds 0 --wat", "unknown flag \"--wat\""),
             (
                 "bench --experiments e2,e2,e99",
-                "unknown experiment id \"e99\" (use e1..e23)",
+                "unknown experiment id \"e99\" (valid: e1, e2, e3, e4, e5, e8, e9, e10, e11, e12, e13, e17, e18, e20, e21, e22, e23)",
             ),
             ("node --topics 0", "node needs --id"),
             ("cluster --topics 0", "cluster needs --local N"),

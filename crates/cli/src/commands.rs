@@ -1036,7 +1036,11 @@ mod tests {
             }
         };
         let cfg = bench("bench");
-        assert_eq!(cfg.ids.len(), 23, "all experiments by default");
+        assert_eq!(
+            cfg.ids,
+            urb_bench::experiments::ALL_IDS,
+            "all experiments by default"
+        );
         assert_eq!(cfg.seeds_per_cell, 3);
         assert_eq!(cfg.load_topics, None, "pinned open-loop defaults");
         assert_eq!(cfg.rates, None);

@@ -743,6 +743,22 @@ fn bench_open_loop_ids_and_grid_flags() {
 }
 
 #[test]
+fn a_retired_experiment_id_is_refused() {
+    // E19 is retired (DESIGN.md §5): its id is a usage error whose text
+    // names the ids that remain.
+    let out = run(&["bench", "--experiments", "e19"]);
+    assert_eq!(code(&out), 2, "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with(
+            "error: unknown experiment id \"e19\" (valid: e1, e2, e3, e4, e5, e8, e9, \
+             e10, e11, e12, e13, e17, e18, e20, e21, e22, e23)\n"
+        ),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn a_repeated_experiment_id_is_refused() {
     // As a flag: a usage error, before anything is collected.
     let out = run(&["bench", "--experiments", "e2,e2", "--seeds", "1"]);

@@ -65,20 +65,30 @@ fn slots_for(len: usize) -> usize {
 impl<V> Indexed<V> {
     fn new(entries: Vec<(Tag, V)>) -> Self {
         let keys = RandomState::new();
+        Self::with_salt(entries, [keys.hash_one(0u8), keys.hash_one(1u8)])
+    }
+
+    fn with_salt(entries: Vec<(Tag, V)>, salt: [u64; 2]) -> Self {
         let mut ix = Indexed {
             entries,
             slots: Vec::new(),
-            salt: [keys.hash_one(0u8), keys.hash_one(1u8)],
+            salt,
         };
         ix.reindex(ix.entries.len());
         ix
     }
 
-    /// The slot `tag`'s probe sequence starts at.
+    /// The slot `tag`'s probe sequence starts at: the top `log2(slots)`
+    /// bits of the folded product, mixed once more. Without that last
+    /// multiply, tags sharing their low half hash by one constant per map,
+    /// and some salts cluster them into probe runs of hundreds. An index
+    /// holding any entry has at least `slots_for(1)` = 4 slots, so the
+    /// shift stays below 64.
     fn home(&self, tag: Tag) -> usize {
         let (lo, hi) = (tag.0 as u64, (tag.0 >> 64) as u64);
         let folded = u128::from(lo ^ self.salt[0]) * u128::from(hi ^ self.salt[1]);
-        ((folded as u64) ^ ((folded >> 64) as u64)) as usize & (self.slots.len() - 1)
+        let mixed = ((folded as u64) ^ ((folded >> 64) as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (mixed >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
     /// `Ok(slot holding tag)`, or `Err(the empty slot ending its probe)`.
@@ -272,6 +282,7 @@ impl<V> RecordMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use urb_types::rng::{RandomSource, SplitMix64};
 
     #[test]
     fn the_map_is_three_words() {
@@ -295,19 +306,25 @@ mod tests {
             .unwrap_or(0)
     }
 
-    /// Tags a peer could send to defeat an unsalted hash of either half:
-    /// 4 096 sharing their low 64 bits, 4 096 sharing `lo ^ hi`. Each set
-    /// must spread over the index like random tags do — at load at most
-    /// one half, linear probing's longest run stays in the tens — and
-    /// every tag must still be found, before and after half are removed.
+    /// The `i`-th of a set of tags sharing their low 64 bits: what a peer
+    /// could send to defeat an unsalted hash of either half.
+    fn shared_lo(i: u64) -> Tag {
+        Tag(u128::from(i) << 64 | 0xDEAD_BEEF)
+    }
+
+    /// The `i`-th of a set of tags sharing `lo ^ hi`.
+    fn shared_xor(i: u64) -> Tag {
+        let lo = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        Tag(u128::from(lo ^ 0x5EED) << 64 | u128::from(lo))
+    }
+
+    /// 4 096 tags of each crafted set must spread over the index like
+    /// random tags do — at load at most one half, linear probing's longest
+    /// run stays in the tens — and every tag must still be found, before
+    /// and after half are removed.
     #[test]
     fn crafted_tags_spread_over_the_index() {
-        let shared_lo = |i: u64| Tag(u128::from(i) << 64 | 0xDEAD_BEEF);
-        let shared_xor = |i: u64| {
-            let lo = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            Tag(u128::from(lo ^ 0x5EED) << 64 | u128::from(lo))
-        };
-        for craft in [&shared_lo as &dyn Fn(u64) -> Tag, &shared_xor] {
+        for craft in [shared_lo, shared_xor] {
             let mut m = RecordMap::default();
             for i in 0..4_096 {
                 *m.get_or_insert_with(craft(i), || 0) = i;
@@ -325,6 +342,25 @@ mod tests {
                 longest_probe(&m) <= probe,
                 "removal never lengthens a probe"
             );
+        }
+    }
+
+    /// The two crafted sets, 4 096 tags each, indexed under 1 000 salt
+    /// pairs from a fixed SplitMix64 stream instead of the one pair a
+    /// process draws: no salt may cluster them.
+    #[test]
+    fn no_salt_clusters_the_crafted_tags() {
+        let mut salts = SplitMix64::new(0x5EED);
+        let sets: Vec<Vec<(Tag, ())>> = [shared_lo, shared_xor]
+            .map(|craft| (0..4_096).map(|i| (craft(i), ())).collect())
+            .into();
+        for round in 0..1_000 {
+            let salt = [salts.next_u64(), salts.next_u64()];
+            for set in &sets {
+                let m = RecordMap::Large(Box::new(Indexed::with_salt(set.clone(), salt)));
+                let probe = longest_probe(&m);
+                assert!(probe <= 64, "salt {round} {salt:x?}: longest probe {probe}");
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 //! The library exists so that "as many scenarios as you can imagine" is a
 //! data problem, not a recompile: every shape here used to require
 //! hand-written Rust in `scenario.rs`, and each is exercised by the corpus
-//! under `scenarios/` and the E15–E17 experiments (DESIGN.md §9).
+//! under `scenarios/` and experiment E17 (DESIGN.md §9).
 
 use crate::channel::DelayModel;
 use crate::crash::{CrashPlan, CrashRule};

@@ -82,10 +82,8 @@ pub struct Metrics {
     pub trace_hash: u64,
     /// Frames offered to channels: one per `(transmitting step,
     /// destination)` pair. On the multiplexed topic plane a multi-topic
-    /// step still counts **one** frame per destination; with
-    /// `mux_frames = false` (the E19 A/B arm) each topic pays its own
-    /// frame. Message counts above are unaffected — this is the routing
-    /// overhead the mux plane amortizes (DESIGN.md §12).
+    /// step still counts **one** frame per destination — this is the
+    /// routing overhead the mux plane amortizes (DESIGN.md §12).
     pub frames_sent: u64,
 }
 

@@ -147,22 +147,6 @@ pub fn memory_stream(
     cfg
 }
 
-/// Oracle-latency sweep shape (E7): vary `AP*` removal latency, crash a
-/// minority mid-run, measure quiescence time.
-pub fn fd_latency(n: usize, pstar_delay: u64, t: usize, seed: u64) -> SimConfig {
-    let mut cfg = SimConfig::new(n, Algorithm::Quiescent)
-        .seed(seed)
-        .loss(LossModel::Bernoulli { p: 0.2 })
-        .workload(4, 100)
-        .max_time(600_000);
-    cfg.fd = FdKind::Oracle(OracleConfig {
-        pstar_removal_delay: pstar_delay,
-        ..OracleConfig::default()
-    });
-    cfg.crashes = CrashPlan::random(n, t, 2_000, seed ^ 0xFD, Some(0));
-    cfg
-}
-
 /// Skewed-delay shape for the fast-delivery measurement (E10): ACKs ride
 /// fast links while some MSG copies straggle, maximizing the paper's
 /// fast-deliver window.

@@ -205,13 +205,6 @@ pub struct SimConfig {
     /// multiplexed frame. `1` (the default) is byte-identical to the
     /// pre-topic simulator.
     pub topics: u32,
-    /// Whether a multi-topic step's output travels as **one** multiplexed
-    /// frame (`true`, the default) or as one frame per topic (`false` —
-    /// the E19 A/B arm measuring what multiplexing saves). Message-level
-    /// behaviour (loss, ordering within a topic, verdicts) is identical
-    /// either way; only `Metrics::frames_sent` and event-queue granularity
-    /// differ.
-    pub mux_frames: bool,
     /// Planned topic-lifecycle events (DESIGN.md §15), applied in time
     /// order at every non-crashed process. Empty (the default) keeps the
     /// run byte-identical to the static-topic simulator: the tick sweep
@@ -265,7 +258,6 @@ impl SimConfig {
             stop_on_full_delivery: false,
             trace: TraceConfig::disabled(),
             topics: 1,
-            mux_frames: true,
             topic_events: Vec::new(),
             drain_ticks: urb_engine::DEFAULT_DRAIN_LIMIT,
             memory: None,
@@ -755,28 +747,7 @@ impl Runner {
     /// ([`TopicId::mix`]). Survivor sub-batches draw their vectors from
     /// the entry pool, and the consumed input vector returns to it —
     /// steady-state routing allocates nothing (DESIGN.md §10).
-    ///
-    /// With `mux_frames = false` (the E19 A/B arm) a multi-topic outbox is
-    /// split into one frame per topic before routing: message behaviour is
-    /// identical, but every topic pays its own per-destination frame.
     fn transmit(&mut self, from: usize, entries: Vec<(TopicId, WireMessage)>) {
-        let first = entries.first().map(|(t, _)| *t);
-        if self.config.mux_frames || entries.iter().all(|(t, _)| Some(*t) == first) {
-            return self.transmit_frame(from, entries);
-        }
-        // Entries are grouped ascending by topic already: route each group
-        // as a frame of its own.
-        for group in entries.chunk_by(|a, b| a.0 == b.0) {
-            let mut frame = self.batches.acquire();
-            frame.extend_from_slice(group);
-            self.transmit_frame(from, frame);
-        }
-        self.batches.release(entries);
-    }
-
-    /// Routes one frame's entries to every destination. See
-    /// [`Runner::transmit`].
-    fn transmit_frame(&mut self, from: usize, entries: Vec<(TopicId, WireMessage)>) {
         for (_, m) in &entries {
             self.tracer.send(self.now, from, m.kind(), m.tag());
         }
@@ -1016,38 +987,6 @@ mod tests {
         assert_eq!(a.metrics.trace_hash, b.metrics.trace_hash);
         assert_eq!(a.metrics.frames_sent, b.metrics.frames_sent);
         assert_ne!(a.metrics.trace_hash, mk(6).metrics.trace_hash);
-    }
-
-    #[test]
-    fn mux_frames_beat_separate_frames_on_frames_sent() {
-        // The E19 claim in miniature: identical multi-topic workload, one
-        // run multiplexing every step's topics into one frame, the other
-        // paying one frame per topic. Message counts and verdicts agree;
-        // the multiplexed run sends strictly fewer frames.
-        let base = |mux: bool| {
-            let mut cfg = SimConfig::new(4, Algorithm::Quiescent)
-                .topics(4)
-                .seed(23)
-                .workload_topics(8, 10)
-                .max_time(400_000);
-            cfg.mux_frames = mux;
-            run(cfg)
-        };
-        let muxed = base(true);
-        let separate = base(false);
-        assert!(muxed.all_topics_ok(), "{:?}", muxed.report.violations());
-        assert!(separate.all_topics_ok());
-        assert_eq!(
-            muxed.metrics.deliveries.len(),
-            separate.metrics.deliveries.len(),
-            "same workload delivered either way"
-        );
-        assert!(
-            muxed.metrics.frames_sent < separate.metrics.frames_sent,
-            "multiplexing must amortize frames: {} vs {}",
-            muxed.metrics.frames_sent,
-            separate.metrics.frames_sent
-        );
     }
 
     #[test]

@@ -49,22 +49,22 @@ fn corpus_to_toml_and_compiled_config_are_pinned() {
 
 /// `(corpus stem, digest of to_toml(), digest of compile()'s Debug text)`.
 const DIGESTS: &[(&str, u64, u64)] = &[
-    ("clean_smoke", 0xd89951b48ba76f34, 0x0c7bad1dd33e5990),
-    ("lossy_crashes", 0x573358368e2ae805, 0xd71b38ee43e0f758),
-    ("partition_heal", 0xd28320e685276e19, 0x8114317fca593022),
-    ("ack_starvation", 0x58e9dbe92864c501, 0x8831bac930afe6f1),
-    ("churn", 0x2aca67680d59c426, 0x89359f260cafb6a6),
-    ("crash_storm", 0x0e581dc641da8fbb, 0xeb3cd6e1442d7c82),
-    ("targeted_delay", 0xc9fbdccaa2897e1d, 0x07f15bbfcb3c2925),
-    ("theorem2_violation", 0xe4294162224cae4b, 0x77283d9e27150b9a),
-    ("two_topics_smoke", 0xa9fd8fa5264f3a01, 0xd167701e321a98dd),
-    ("cross_topic_storm", 0x3233a2473266117a, 0x7bf440a2c3d4bc80),
-    ("bounded_memory", 0x876ac0205d03e984, 0x95b9849ad0fd44a9),
-    ("dynamic_topics", 0x35beecb2e12849bf, 0xc564d61cb65f8727),
+    ("clean_smoke", 0xd89951b48ba76f34, 0x73aab879ba942767),
+    ("lossy_crashes", 0x573358368e2ae805, 0x590624d52649f30f),
+    ("partition_heal", 0xd28320e685276e19, 0x7608f80d881c5489),
+    ("ack_starvation", 0x58e9dbe92864c501, 0x740db300bca3ee0a),
+    ("churn", 0x2aca67680d59c426, 0x9481fd3ef458ba7d),
+    ("crash_storm", 0x0e581dc641da8fbb, 0xc6cba61c04f71ca9),
+    ("targeted_delay", 0xc9fbdccaa2897e1d, 0x3f67e3e8e930f66e),
+    ("theorem2_violation", 0xe4294162224cae4b, 0x52454c97fa2742c1),
+    ("two_topics_smoke", 0xa9fd8fa5264f3a01, 0x1b4d9cb79546d966),
+    ("cross_topic_storm", 0x3233a2473266117a, 0x9acb7dcd3349e537),
+    ("bounded_memory", 0x876ac0205d03e984, 0x4255b5be5dbb0ed0),
+    ("dynamic_topics", 0x35beecb2e12849bf, 0xb4f1a56b768df384),
     (
         "undersized_tombstones",
         0xd324c3db0d641e4f,
-        0x4cb1f9499433d0d8,
+        0xadadebd050ade26d,
     ),
 ];
 

@@ -11,7 +11,7 @@
 //! named schedules of the adversary library (partition-heal,
 //! ack-starvation, crash-storm, churn, targeted-delay). This example
 //! parses, compiles and executes each spec and checks its `[expect]`
-//! verdict, exactly as `urb scenario <file>` and experiment E15 do.
+//! verdict, exactly as `urb scenario <file>` does.
 
 use urb_sim::spec::{corpus, ScenarioSpec};
 
